@@ -1,15 +1,15 @@
 // Batch/parallel execution experiments: the O(n+k) AtInstantBatch merge
 // sweep vs. k independent O(log n) AtInstant searches, the SoA search
-// index, the refinement scratch buffer, and the parallel query
-// operators (deterministic chunked outer loops).
+// index, the refinement scratch buffer, and parallel query plans on the
+// morsel engine.
 
 #include <benchmark/benchmark.h>
 
 #include <random>
 #include <vector>
 
-#include "db/query.h"
 #include "db/relation_io.h"
+#include "exec/planner.h"
 #include "gen/flights_gen.h"
 #include "temporal/batch_ops.h"
 #include "temporal/lifted_ops.h"
@@ -169,38 +169,48 @@ bool JoinsMatch(const Relation& serial, const Relation& parallel) {
   return true;
 }
 
+// Runs `plan` every iteration: serially inline for threads == 0, else
+// on a private pool of that many threads.
+void RunPlanLoop(benchmark::State& state, const exec::PhysicalPlan& plan,
+                 int threads) {
+  ThreadPool pool(std::max(threads, 1));
+  ExecOptions options;
+  if (threads > 0) {
+    options.parallel.num_threads = 0;  // one worker per pool thread
+    options.parallel.pool = &pool;
+  }
+  for (auto _ : state) {
+    Relation r = std::move(exec::RunPlan(plan, options)->rows);
+    benchmark::DoNotOptimize(r);
+  }
+}
+
 void BM_IndexJoin_Parallel(benchmark::State& state) {
   const int threads = int(state.range(0));
   Relation planes = Planes(96, 99);
-  auto pred = [](const Tuple& a, std::size_t i, const Tuple& b,
-                 std::size_t j) { return ClosePred(a, i, b, j, 50); };
-  Relation serial = *IndexJoinOnMovingPoint(planes, kFlightAttrFlight, planes,
-                                            kFlightAttrFlight, 50, pred);
+  exec::LogicalQuery q;
+  q.rel = &planes;
+  q.join.emplace();
+  q.join->algorithm = exec::LogicalQuery::JoinSpec::Algorithm::kIndex;
+  q.join->inner = &planes;
+  q.join->attr_outer = kFlightAttrFlight;
+  q.join->attr_inner = kFlightAttrFlight;
+  q.join->expand = 50;
+  q.join->pred = [](const Tuple& a, std::size_t i, const Tuple& b,
+                    std::size_t j) { return ClosePred(a, i, b, j, 50); };
+  const exec::PhysicalPlan plan = *exec::PlanQuery(q);
   if (threads > 0) {
     ThreadPool pool(threads);
     ExecOptions options;
-    options.parallel.num_threads = 0;  // one chunk per pool thread
+    options.parallel.num_threads = 0;
     options.parallel.pool = &pool;
-    Relation check =
-        *IndexJoinOnMovingPoint(planes, kFlightAttrFlight, planes,
-                                kFlightAttrFlight, 50, pred, options);
-    if (!JoinsMatch(serial, check)) {
+    if (!JoinsMatch(exec::RunPlan(plan, ExecOptions{})->rows,
+                    exec::RunPlan(plan, options)->rows)) {
       state.SkipWithError("parallel join output differs from serial");
       return;
     }
-    for (auto _ : state) {
-      Relation r =
-          *IndexJoinOnMovingPoint(planes, kFlightAttrFlight, planes,
-                                  kFlightAttrFlight, 50, pred, options);
-      benchmark::DoNotOptimize(r);
-    }
-  } else {
-    for (auto _ : state) {
-      Relation r = *IndexJoinOnMovingPoint(planes, kFlightAttrFlight, planes,
-                                           kFlightAttrFlight, 50, pred);
-      benchmark::DoNotOptimize(r);
-    }
   }
+  RunPlanLoop(state, plan, threads);
 }
 BENCHMARK(BM_IndexJoin_Parallel)->Arg(0)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
@@ -212,21 +222,10 @@ void BM_Select_Parallel(benchmark::State& state) {
     return Trajectory(std::get<MovingPoint>(t[kFlightAttrFlight])).Length() >
            5000;
   };
-  if (threads > 0) {
-    ThreadPool pool(threads);
-    ExecOptions options;
-    options.parallel.num_threads = 0;  // one chunk per pool thread
-    options.parallel.pool = &pool;
-    for (auto _ : state) {
-      Relation r = *Select(planes, pred, options);
-      benchmark::DoNotOptimize(r);
-    }
-  } else {
-    for (auto _ : state) {
-      Relation r = *Select(planes, pred);
-      benchmark::DoNotOptimize(r);
-    }
-  }
+  exec::LogicalQuery q;
+  q.rel = &planes;
+  q.filters.push_back({pred, std::nullopt});
+  RunPlanLoop(state, *exec::PlanQuery(q), threads);
 }
 BENCHMARK(BM_Select_Parallel)->Arg(0)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();

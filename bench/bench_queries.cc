@@ -4,7 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "db/query.h"
+#include "exec/planner.h"
 #include "gen/flights_gen.h"
 #include "temporal/lifted_ops.h"
 
@@ -23,20 +23,33 @@ Relation Planes(int flights) {
   return *GeneratePlanes(opts);
 }
 
+using JoinAlgorithm = exec::LogicalQuery::JoinSpec::Algorithm;
+
+// Plans `q` once and runs it every iteration.
+void RunQueryLoop(benchmark::State& state, const exec::LogicalQuery& q) {
+  const exec::PhysicalPlan plan = *exec::PlanQuery(q);
+  for (auto _ : state) {
+    Relation r = std::move(exec::RunPlan(plan, ExecOptions{})->rows);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetComplexityN(state.range(0));
+}
+
 // Q1: SELECT … WHERE airline = "Lufthansa" AND
 //     length(trajectory(flight)) > 5000.
 void BM_Q1_TrajectoryLength(benchmark::State& state) {
   Relation planes = Planes(int(state.range(0)));
-  for (auto _ : state) {
-    Relation r = *Select(planes, [](const Tuple& t) {
-      return std::get<StringValue>(t[kFlightAttrAirline]).value() ==
-                 "Lufthansa" &&
-             Trajectory(std::get<MovingPoint>(t[kFlightAttrFlight]))
-                     .Length() > 5000;
-    });
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetComplexityN(state.range(0));
+  exec::LogicalQuery q;
+  q.rel = &planes;
+  q.filters.push_back({[](const Tuple& t) {
+                         return std::get<StringValue>(t[kFlightAttrAirline])
+                                        .value() == "Lufthansa" &&
+                                Trajectory(std::get<MovingPoint>(
+                                               t[kFlightAttrFlight]))
+                                        .Length() > 5000;
+                       },
+                       std::nullopt});
+  RunQueryLoop(state, q);
 }
 BENCHMARK(BM_Q1_TrajectoryLength)->RangeMultiplier(2)->Range(16, 256)
     ->Complexity(benchmark::oN);
@@ -51,19 +64,28 @@ bool ClosePred(const Tuple& a, std::size_t i, const Tuple& b, std::size_t j,
   return am.ok() && !am->IsEmpty() && am->Initial().val() < dist;
 }
 
+// The Q2 self-join of `planes` at distance 50.
+exec::LogicalQuery Q2(const Relation& planes, JoinAlgorithm algorithm,
+                      const RTree3D* prebuilt = nullptr) {
+  exec::LogicalQuery q;
+  q.rel = &planes;
+  q.join.emplace();
+  q.join->algorithm = algorithm;
+  q.join->inner = &planes;
+  q.join->attr_outer = kFlightAttrFlight;
+  q.join->attr_inner = kFlightAttrFlight;
+  q.join->expand = 50;
+  q.join->pred = [](const Tuple& a, std::size_t i, const Tuple& b,
+                    std::size_t j) { return ClosePred(a, i, b, j, 50); };
+  q.join->prebuilt = prebuilt;
+  return q;
+}
+
 // Q2: the spatio-temporal join via
 //     val(initial(atmin(distance(p, q)))) < 50.
 void BM_Q2_Join_NestedLoop(benchmark::State& state) {
   Relation planes = Planes(int(state.range(0)));
-  for (auto _ : state) {
-    Relation r = *NestedLoopJoin(
-        planes, planes,
-        [](const Tuple& a, std::size_t i, const Tuple& b, std::size_t j) {
-          return ClosePred(a, i, b, j, 50);
-        });
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetComplexityN(state.range(0));
+  RunQueryLoop(state, Q2(planes, JoinAlgorithm::kNestedLoop));
 }
 BENCHMARK(BM_Q2_Join_NestedLoop)->RangeMultiplier(2)->Range(16, 256)
     ->Complexity(benchmark::oNSquared);
@@ -71,15 +93,7 @@ BENCHMARK(BM_Q2_Join_NestedLoop)->RangeMultiplier(2)->Range(16, 256)
 // D4 ablation: R-tree over unit bounding cubes prunes candidate pairs.
 void BM_Q2_Join_RTree(benchmark::State& state) {
   Relation planes = Planes(int(state.range(0)));
-  for (auto _ : state) {
-    Relation r = *IndexJoinOnMovingPoint(
-        planes, kFlightAttrFlight, planes, kFlightAttrFlight, 50,
-        [](const Tuple& a, std::size_t i, const Tuple& b, std::size_t j) {
-          return ClosePred(a, i, b, j, 50);
-        });
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetComplexityN(state.range(0));
+  RunQueryLoop(state, Q2(planes, JoinAlgorithm::kIndex));
 }
 BENCHMARK(BM_Q2_Join_RTree)->RangeMultiplier(2)->Range(16, 256)
     ->Complexity();
@@ -90,16 +104,8 @@ BENCHMARK(BM_Q2_Join_RTree)->RangeMultiplier(2)->Range(16, 256)
 // target.
 void BM_Q2_Join_RTree_Prebuilt(benchmark::State& state) {
   Relation planes = Planes(int(state.range(0)));
-  RTree3D index = *BuildMovingPointIndex(planes, kFlightAttrFlight);
-  for (auto _ : state) {
-    Relation r = *IndexJoinOnMovingPoint(
-        planes, kFlightAttrFlight, planes, index, 50,
-        [](const Tuple& a, std::size_t i, const Tuple& b, std::size_t j) {
-          return ClosePred(a, i, b, j, 50);
-        });
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetComplexityN(state.range(0));
+  RTree3D index = *exec::BuildMovingPointIndex(planes, kFlightAttrFlight);
+  RunQueryLoop(state, Q2(planes, JoinAlgorithm::kIndex, &index));
 }
 BENCHMARK(BM_Q2_Join_RTree_Prebuilt)->RangeMultiplier(2)->Range(16, 256)
     ->Complexity();

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "db/parallel.h"
-#include "db/query.h"
 #include "exec/pipeline.h"
 #include "exec/planner.h"
 #include "gen/flights_gen.h"
@@ -75,85 +74,68 @@ struct ScalingContext {
   RTree3D join_tree;
   Relation pipe_src;
   RTree3D pipe_tree;
+  exec::PhysicalPlan select_plan;
+  exec::PhysicalPlan join_plan;
   exec::PhysicalPlan pipe_plan;
 };
+
+// The Q2 close-pair index join of `src` with itself on `tree`, after
+// `filters`.
+exec::PhysicalPlan CloseJoinPlan(const Relation* src, const RTree3D* tree,
+                                 std::vector<exec::Predicate> filters = {}) {
+  exec::LogicalQuery q;
+  q.rel = src;
+  q.filters = std::move(filters);
+  q.join.emplace();
+  q.join->algorithm = exec::LogicalQuery::JoinSpec::Algorithm::kIndex;
+  q.join->inner = src;
+  q.join->attr_outer = kFlightAttrFlight;
+  q.join->attr_inner = kFlightAttrFlight;
+  q.join->expand = 50;
+  q.join->pred = [](const Tuple& a, std::size_t i, const Tuple& b,
+                    std::size_t j) { return ClosePred(a, i, b, j, 50); };
+  q.join->prebuilt = tree;
+  return *exec::PlanQuery(q);
+}
 
 std::shared_ptr<ScalingContext> MakeContext() {
   auto ctx = std::make_shared<ScalingContext>();
   ctx->select_src = Planes(256);
   ctx->join_src = Planes(64);
-  ctx->join_tree = *BuildMovingPointIndex(ctx->join_src, kFlightAttrFlight);
+  ctx->join_tree =
+      *exec::BuildMovingPointIndex(ctx->join_src, kFlightAttrFlight);
   ctx->pipe_src = Planes(96);
-  ctx->pipe_tree = *BuildMovingPointIndex(ctx->pipe_src, kFlightAttrFlight);
+  ctx->pipe_tree =
+      *exec::BuildMovingPointIndex(ctx->pipe_src, kFlightAttrFlight);
+  exec::LogicalQuery select;
+  select.rel = &ctx->select_src;
+  select.filters.push_back({Q1Pred, std::nullopt});
+  ctx->select_plan = *exec::PlanQuery(select);
+  ctx->join_plan = CloseJoinPlan(&ctx->join_src, &ctx->join_tree);
 
   // The fused plan: filter out one airline, index-join the survivors
   // against the full relation on the prebuilt tree. Cheap filter +
   // heavy probe keeps the morsel stage chain dominated by
   // parallelizable work.
-  exec::LogicalQuery q;
-  q.rel = &ctx->pipe_src;
-  q.filters.push_back(exec::Predicate{
-      [](const Tuple& t) {
-        return std::get<StringValue>(t[kFlightAttrAirline]).value() !=
-               "Lufthansa";
-      },
-      "not_lufthansa",
-      std::nullopt});
-  exec::LogicalQuery::JoinSpec join;
-  join.algorithm = exec::LogicalQuery::JoinSpec::Algorithm::kIndex;
-  join.inner = &ctx->pipe_src;
-  join.attr_outer = kFlightAttrFlight;
-  join.attr_inner = kFlightAttrFlight;
-  join.expand = 50;
-  join.pred = exec::JoinPred{
-      [](const Tuple& a, std::size_t i, const Tuple& b, std::size_t j) {
-        return ClosePred(a, i, b, j, 50);
-      },
-      "close_50"};
-  join.prebuilt = &ctx->pipe_tree;
-  q.join = std::move(join);
-  ctx->pipe_plan = *exec::PlanQuery(q);
+  ctx->pipe_plan = CloseJoinPlan(
+      &ctx->pipe_src, &ctx->pipe_tree,
+      {{[](const Tuple& t) {
+          return std::get<StringValue>(t[kFlightAttrAirline]).value() !=
+                 "Lufthansa";
+        },
+        std::nullopt}});
   return ctx;
 }
 
-ExecOptions PoolOptions(ThreadPool* pool, int threads) {
+// Runs the context's `plan` on a pool of `threads`.
+void RunPlanAt(benchmark::State& state, std::shared_ptr<ScalingContext> ctx,
+               exec::PhysicalPlan ScalingContext::*plan, int threads) {
+  ThreadPool pool(threads);
   ExecOptions options;
   options.parallel.num_threads = threads;
-  options.parallel.pool = pool;
-  return options;
-}
-
-void RunSelect(benchmark::State& state, std::shared_ptr<ScalingContext> ctx,
-               int threads) {
-  ThreadPool pool(threads);
-  const ExecOptions options = PoolOptions(&pool, threads);
+  options.parallel.pool = &pool;
   for (auto _ : state) {
-    Relation r = *Select(ctx->select_src, Q1Pred, options);
-    benchmark::DoNotOptimize(r);
-  }
-}
-
-void RunIndexJoin(benchmark::State& state, std::shared_ptr<ScalingContext> ctx,
-                  int threads) {
-  ThreadPool pool(threads);
-  const ExecOptions options = PoolOptions(&pool, threads);
-  for (auto _ : state) {
-    Relation r = *IndexJoinOnMovingPoint(
-        ctx->join_src, kFlightAttrFlight, ctx->join_src, ctx->join_tree, 50,
-        [](const Tuple& a, std::size_t i, const Tuple& b, std::size_t j) {
-          return ClosePred(a, i, b, j, 50);
-        },
-        options);
-    benchmark::DoNotOptimize(r);
-  }
-}
-
-void RunPipelinedSelectJoin(benchmark::State& state,
-                            std::shared_ptr<ScalingContext> ctx, int threads) {
-  ThreadPool pool(threads);
-  const ExecOptions options = PoolOptions(&pool, threads);
-  for (auto _ : state) {
-    Relation r = *exec::RunPlan(ctx->pipe_plan, options);
+    Relation r = std::move(exec::RunPlan((*ctx).*plan, options)->rows);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -162,21 +144,18 @@ void RunPipelinedSelectJoin(benchmark::State& state,
 
 void RegisterScalingBenchmarks(const std::vector<int>& threads) {
   auto ctx = MakeContext();
+  const std::pair<const char*, exec::PhysicalPlan ScalingContext::*>
+      plans[] = {{"BM_Scaling_Select", &ScalingContext::select_plan},
+                 {"BM_Scaling_IndexJoin", &ScalingContext::join_plan},
+                 {"BM_Scaling_PipelinedSelectJoin", &ScalingContext::pipe_plan}};
   for (int t : threads) {
-    const std::string suffix = "/" + std::to_string(t);
-    benchmark::RegisterBenchmark(("BM_Scaling_Select" + suffix).c_str(),
-                                 RunSelect, ctx, t)
-        ->UseRealTime()
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(("BM_Scaling_IndexJoin" + suffix).c_str(),
-                                 RunIndexJoin, ctx, t)
-        ->UseRealTime()
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        ("BM_Scaling_PipelinedSelectJoin" + suffix).c_str(),
-        RunPipelinedSelectJoin, ctx, t)
-        ->UseRealTime()
-        ->Unit(benchmark::kMillisecond);
+    for (const auto& [name, plan] : plans) {
+      benchmark::RegisterBenchmark(
+          (std::string(name) + "/" + std::to_string(t)).c_str(), RunPlanAt,
+          ctx, plan, t)
+          ->UseRealTime()
+          ->Unit(benchmark::kMillisecond);
+    }
   }
 }
 

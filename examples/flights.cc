@@ -11,12 +11,17 @@
 #include <cstdio>
 
 #include "db/expr.h"
-#include "db/query.h"
+#include "exec/planner.h"
 #include "gen/flights_gen.h"
 #include "obs/report.h"
 #include "temporal/lifted_ops.h"
 
 using namespace modb;
+
+// Plans `q` and runs it on the exec engine.
+Relation Run(const exec::LogicalQuery& q, const ExecOptions& options = {}) {
+  return std::move(exec::RunPlan(*exec::PlanQuery(q), options)->rows);
+}
 
 int main() {
   FlightsOptions options;
@@ -36,12 +41,17 @@ int main() {
   std::printf(")\n\n");
 
   // ---- Q1: long Lufthansa flights ---------------------------------------
-  Relation q1 = *Select(planes, [](const Tuple& t) {
-    return std::get<StringValue>(t[kFlightAttrAirline]).value() ==
-               "Lufthansa" &&
-           Trajectory(std::get<MovingPoint>(t[kFlightAttrFlight])).Length() >
-               5000;
-  });
+  exec::LogicalQuery q1_query;
+  q1_query.rel = &planes;
+  q1_query.filters.push_back(
+      {[](const Tuple& t) {
+         return std::get<StringValue>(t[kFlightAttrAirline]).value() ==
+                    "Lufthansa" &&
+                Trajectory(std::get<MovingPoint>(t[kFlightAttrFlight]))
+                        .Length() > 5000;
+       },
+       std::nullopt});
+  Relation q1 = Run(q1_query);
   std::printf("Q1: Lufthansa flights longer than 5000 km (%zu rows)\n",
               q1.NumTuples());
   for (const Tuple& t : q1.tuples()) {
@@ -64,7 +74,17 @@ int main() {
     // The paper's expression: val(initial(atmin(distance(p, q)))) < c.
     return am->Initial().val() < kCloser;
   };
-  Relation q2 = *NestedLoopJoin(planes, planes, close_pred);
+  exec::LogicalQuery q2_query;
+  q2_query.rel = &planes;
+  q2_query.join.emplace();
+  q2_query.join->algorithm =
+      exec::LogicalQuery::JoinSpec::Algorithm::kNestedLoop;
+  q2_query.join->inner = &planes;
+  q2_query.join->attr_outer = kFlightAttrFlight;
+  q2_query.join->attr_inner = kFlightAttrFlight;
+  q2_query.join->expand = kCloser;
+  q2_query.join->pred = close_pred;
+  Relation q2 = Run(q2_query);
   std::printf("\nQ2: pairs of planes closer than %.0f km (%zu pairs)\n",
               kCloser, q2.NumTuples());
   for (const Tuple& t : q2.tuples()) {
@@ -94,9 +114,9 @@ int main() {
   ExecStats join_stats;
   ExecOptions exec;
   exec.stats = &join_stats;
-  Relation q2ix = *IndexJoinOnMovingPoint(planes, kFlightAttrFlight, planes,
-                                          kFlightAttrFlight, kCloser,
-                                          close_pred, exec);
+  q2_query.join->algorithm = exec::LogicalQuery::JoinSpec::Algorithm::kIndex;
+  q2_query.root_op = "index_join_on_moving_point";
+  Relation q2ix = Run(q2_query, exec);
   std::printf("\nindex-accelerated join finds the same %zu pairs: %s\n",
               q2ix.NumTuples(),
               q2ix.NumTuples() == q2.NumTuples() ? "yes" : "NO (bug!)");

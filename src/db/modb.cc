@@ -1,18 +1,13 @@
 #include "db/modb.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "core/interval.h"
 #include "core/range_set.h"
-#include "db/query.h"
 #include "exec/pipeline.h"
 #include "exec/planner.h"
 #include "obs/metrics.h"
-#include "temporal/batch_ops.h"
 #include "temporal/lifted_ops.h"
 #include "temporal/moving.h"
 
@@ -38,9 +33,7 @@ Result<int> ResolveSlot(const Relation& rel, const std::string& attr,
   return slot;
 }
 
-// Lowers one FilterSpec to an exec::Predicate. The shape strings key the
-// plan cache, so they identify the filter template (kind + slot), not
-// its constants.
+// Lowers one FilterSpec to an exec::Predicate.
 Result<exec::Predicate> LowerFilter(const Relation& rel,
                                     const FilterSpec& f) {
   exec::Predicate p;
@@ -53,7 +46,6 @@ Result<exec::Predicate> LowerFilter(const Relation& rel,
       p.fn = [s, value](const Tuple& t) {
         return std::get<StringValue>(t[s]).value() == value;
       };
-      p.shape = "modb.string_eq:" + std::to_string(s);
       return p;
     }
     case FilterSpec::Kind::kTrajectoryLengthAtLeast: {
@@ -64,7 +56,6 @@ Result<exec::Predicate> LowerFilter(const Relation& rel,
       p.fn = [s, threshold](const Tuple& t) {
         return Trajectory(std::get<MovingPoint>(t[s])).Length() >= threshold;
       };
-      p.shape = "modb.trajlen_ge:" + std::to_string(s);
       return p;
     }
     case FilterSpec::Kind::kPresentAt: {
@@ -75,7 +66,6 @@ Result<exec::Predicate> LowerFilter(const Relation& rel,
       p.fn = [s, t0](const Tuple& t) {
         return std::get<MovingPoint>(t[s]).Present(t0);
       };
-      p.shape = "modb.present_at:" + std::to_string(s);
       p.window = exec::TimeWindow{s, t0, t0};
       return p;
     }
@@ -94,131 +84,12 @@ Result<exec::Predicate> LowerFilter(const Relation& rel,
       p.fn = [s, window](const Tuple& t) {
         return std::get<MovingPoint>(t[s]).Present(window);
       };
-      p.shape = "modb.deftime_x:" + std::to_string(s);
       p.window = exec::TimeWindow{s, f.t0, f.t1};
       return p;
     }
   }
   return Status::InvalidArgument("unknown filter kind " +
                                  std::to_string(int(f.kind)));
-}
-
-// ---- window aggregation (kWindowAggregate) --------------------------------
-
-// Hard ceiling on emitted windows: one row each, so this bounds both
-// the response size and the serial aggregation loop.
-constexpr std::uint64_t kMaxWindows = std::uint64_t(1) << 20;
-
-// A set of instants {t : lo <= t <= hi} with endpoint closedness — the
-// working type of the exact window/unit/rect intersection. All three
-// operand kinds lower to it: unit intervals (their own closedness),
-// windows (closed-open), rect crossing ranges (closed).
-struct TRange {
-  double lo = 0;
-  double hi = 0;
-  bool lc = true;
-  bool rc = true;
-  bool empty = false;
-};
-
-TRange EmptyRange() {
-  TRange r;
-  r.empty = true;
-  return r;
-}
-
-TRange IntersectRanges(const TRange& a, const TRange& b) {
-  if (a.empty || b.empty) return EmptyRange();
-  TRange r;
-  if (a.lo > b.lo) {
-    r.lo = a.lo;
-    r.lc = a.lc;
-  } else if (b.lo > a.lo) {
-    r.lo = b.lo;
-    r.lc = b.lc;
-  } else {
-    r.lo = a.lo;
-    r.lc = a.lc && b.lc;
-  }
-  if (a.hi < b.hi) {
-    r.hi = a.hi;
-    r.rc = a.rc;
-  } else if (b.hi < a.hi) {
-    r.hi = b.hi;
-    r.rc = b.rc;
-  } else {
-    r.hi = a.hi;
-    r.rc = a.rc && b.rc;
-  }
-  // A degenerate instant survives only if BOTH operands actually
-  // contain it — this is what makes a fix exactly on a window edge
-  // count in exactly one window.
-  if (r.lo > r.hi || (r.lo == r.hi && !(r.lc && r.rc))) return EmptyRange();
-  return r;
-}
-
-// Time range where c0 + c1*t lies in [lo, hi] (closed): a closed
-// interval for c1 != 0, everything or nothing for constant motion.
-TRange AxisCrossingRange(double c0, double c1, double lo, double hi) {
-  TRange r;
-  if (c1 == 0) {
-    if (c0 < lo || c0 > hi) return EmptyRange();
-    r.lo = -std::numeric_limits<double>::infinity();
-    r.hi = std::numeric_limits<double>::infinity();
-    return r;
-  }
-  double a = (lo - c0) / c1;
-  double b = (hi - c0) / c1;
-  if (a > b) std::swap(a, b);
-  r.lo = a;
-  r.hi = b;
-  return r;
-}
-
-TRange RangeOfInterval(const TimeInterval& iv) {
-  TRange r;
-  r.lo = iv.start();
-  r.hi = iv.end();
-  r.lc = iv.left_closed();
-  r.rc = iv.right_closed();
-  return r;
-}
-
-// Per-object accumulation over one window: presence inside the rect,
-// plus distance traveled / time covered under the TEMPORAL clip only
-// (the rect does not clip distance — documented in docs/INGEST.md).
-struct WindowRowAgg {
-  bool qualifies = false;
-  double distance = 0;
-  double covered = 0;
-};
-
-WindowRowAgg AggregateRowWindow(const MovingPoint& mp, const TRange& window,
-                                bool has_rect, double min_x, double min_y,
-                                double max_x, double max_y) {
-  WindowRowAgg agg;
-  for (const UPoint& u : mp.units()) {
-    const TimeInterval& iv = u.interval();
-    if (iv.end() < window.lo) continue;
-    if (iv.start() > window.hi) break;
-    const TRange clip = IntersectRanges(RangeOfInterval(iv), window);
-    if (clip.empty) continue;
-    const double dur = clip.hi - clip.lo;
-    agg.distance += u.Speed() * dur;
-    agg.covered += dur;
-    if (!agg.qualifies) {
-      if (!has_rect) {
-        agg.qualifies = true;
-      } else {
-        const LinearMotion& m = u.motion();
-        const TRange q = IntersectRanges(
-            IntersectRanges(clip, AxisCrossingRange(m.x0, m.x1, min_x, max_x)),
-            AxisCrossingRange(m.y0, m.y1, min_y, max_y));
-        if (!q.empty) agg.qualifies = true;
-      }
-    }
-  }
-  return agg;
 }
 
 // MutationResult <-> the live relation's stored ack type (identical
@@ -244,8 +115,7 @@ MutationResult FromIngestAck(const ingest::IngestAck& a) {
 // distinct (i < j) pairs.
 exec::JoinPred EverCloserPred(int slot_a, int slot_b, double dist,
                               bool distinct_pairs) {
-  exec::JoinPred p;
-  p.fn = [slot_a, slot_b, dist, distinct_pairs](
+  return [slot_a, slot_b, dist, distinct_pairs](
              const Tuple& a, std::size_t i, const Tuple& b, std::size_t j) {
     if (distinct_pairs && i >= j) return false;
     Result<MovingReal> d = LiftedDistance(std::get<MovingPoint>(a[slot_a]),
@@ -254,9 +124,6 @@ exec::JoinPred EverCloserPred(int slot_a, int slot_b, double dist,
     Result<MovingReal> am = AtMin(*d);
     return am.ok() && !am->IsEmpty() && am->Initial().val() < dist;
   };
-  p.shape = "modb.ever_closer:" + std::to_string(slot_a) + ":" +
-            std::to_string(slot_b) + (distinct_pairs ? ":distinct" : "");
-  return p;
 }
 
 }  // namespace
@@ -297,7 +164,8 @@ Status Db::BuildIndex(const std::string& relation, const std::string& attr) {
   Result<int> slot =
       ResolveSlot(it->second.rel, attr, AttributeType::kMovingPoint);
   MODB_RETURN_IF_ERROR(slot.status());
-  Result<RTree3D> tree = BuildMovingPointIndex(it->second.rel, *slot);
+  Result<RTree3D> tree =
+      exec::BuildMovingPointIndex(it->second.rel, *slot);
   MODB_RETURN_IF_ERROR(tree.status());
   it->second.indexes.insert_or_assign(*slot, *std::move(tree));
   return Status::OK();
@@ -520,7 +388,7 @@ Result<QueryResult> Db::Run(const QueryRequest& req,
                             const ExecOptions& options) const {
   MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
   // Expired-on-arrival fails before touching any relation (the morsel
-  // engine and the serial batch loops below re-check cooperatively).
+  // engine re-checks cooperatively at every morsel boundary).
   if (options.deadline &&
       std::chrono::steady_clock::now() >= *options.deadline) {
     MODB_COUNTER_INC("exec.deadline_exceeded");
@@ -544,148 +412,93 @@ Result<QueryResult> Db::Run(const QueryRequest& req,
   VersionedSpillStore::EpochPin epoch_pin;
   if (src.live != nullptr) epoch_pin = src.live->PinStoreEpoch();
 
-  QueryResult result;
-  ExecOptions run = options;
-  run.stats = &result.stats;
+  // Every kind lowers to one logical query over the source: filters
+  // (ignored by the batch kinds) and the kind's terminal.
+  const bool batch = req.kind == QueryRequest::Kind::kAtInstantBatch ||
+                     req.kind == QueryRequest::Kind::kPresentBatch;
+  exec::LogicalQuery q;
+  q.rel = &src_rel;
+  if (!batch) {
+    for (const FilterSpec& f : req.filters) {
+      Result<exec::Predicate> p = LowerFilter(src_rel, f);
+      MODB_RETURN_IF_ERROR(p.status());
+      q.filters.push_back(*std::move(p));
+    }
+  }
 
   switch (req.kind) {
     case QueryRequest::Kind::kSelect:
-    case QueryRequest::Kind::kProject:
+      break;
+
+    case QueryRequest::Kind::kProject: {
+      if (req.project.empty()) {
+        return Status::InvalidArgument(
+            "project requires at least one attribute");
+      }
+      std::vector<int> slots;
+      for (const std::string& name : req.project) {
+        const int slot = src_rel.schema().IndexOf(name);
+        if (slot < 0) {
+          return Status::InvalidArgument("relation '" + req.relation +
+                                         "' has no attribute '" + name + "'");
+        }
+        slots.push_back(slot);
+      }
+      q.project = std::move(slots);
+      break;
+    }
+
     case QueryRequest::Kind::kJoin:
     case QueryRequest::Kind::kIndexJoin: {
-      exec::LogicalQuery q;
-      q.rel = &src_rel;
-      for (const FilterSpec& f : req.filters) {
-        Result<exec::Predicate> p = LowerFilter(src_rel, f);
-        MODB_RETURN_IF_ERROR(p.status());
-        q.filters.push_back(*std::move(p));
+      auto inner_it = relations_.find(req.join_relation);
+      if (inner_it == relations_.end()) {
+        return Status::NotFound("no relation named '" + req.join_relation +
+                                "' (join inner)");
       }
-      if (req.kind == QueryRequest::Kind::kProject) {
-        if (req.project.empty()) {
-          return Status::InvalidArgument(
-              "project requires at least one attribute");
-        }
-        std::vector<int> slots;
-        for (const std::string& name : req.project) {
-          const int slot = src_rel.schema().IndexOf(name);
-          if (slot < 0) {
-            return Status::InvalidArgument("relation '" + req.relation +
-                                           "' has no attribute '" + name +
-                                           "'");
-          }
-          slots.push_back(slot);
-        }
-        q.project = std::move(slots);
-      } else if (req.kind != QueryRequest::Kind::kSelect) {
-        auto inner_it = relations_.find(req.join_relation);
-        if (inner_it == relations_.end()) {
-          return Status::NotFound("no relation named '" + req.join_relation +
-                                  "' (join inner)");
-        }
-        const Entry& inner = inner_it->second;
-        const Relation& inner_rel = RelOf(inner);
-        Result<int> outer_slot =
-            ResolveSlot(src_rel, req.attr, AttributeType::kMovingPoint);
-        MODB_RETURN_IF_ERROR(outer_slot.status());
-        Result<int> inner_slot =
-            ResolveSlot(inner_rel, req.join_attr, AttributeType::kMovingPoint);
-        MODB_RETURN_IF_ERROR(inner_slot.status());
-        exec::LogicalQuery::JoinSpec join;
-        join.inner = &inner_rel;
-        join.attr_outer = *outer_slot;
-        join.attr_inner = *inner_slot;
-        join.expand = req.distance;
-        join.pred = EverCloserPred(*outer_slot, *inner_slot, req.distance,
-                                   req.distinct_pairs);
-        if (req.kind == QueryRequest::Kind::kJoin) {
-          join.algorithm = exec::LogicalQuery::JoinSpec::Algorithm::kNestedLoop;
-        } else {
-          join.algorithm = exec::LogicalQuery::JoinSpec::Algorithm::kIndex;
-          if (inner.live != nullptr &&
-              *inner_slot == ingest::LiveRelation::kTrailSlot) {
-            // Live inner: probe the base/delta/mem stack instead of
-            // building a throwaway tree. The probe's sort+dedupe makes
-            // the layering invisible in the output.
-            join.layers = inner.live->View();
-          } else {
-            auto tree = inner.indexes.find(*inner_slot);
-            if (tree != inner.indexes.end()) join.prebuilt = &tree->second;
-          }
-        }
-        q.join = std::move(join);
-      }
-      Result<exec::PhysicalPlan> plan = exec::PlanQuery(q);
-      MODB_RETURN_IF_ERROR(plan.status());
-      Result<Relation> rows = exec::RunPlan(*plan, run);
-      MODB_RETURN_IF_ERROR(rows.status());
-      result.payload = QueryResult::Payload::kRows;
-      result.rows = *std::move(rows);
-      break;
-    }
-
-    case QueryRequest::Kind::kAtInstantBatch: {
-      Result<int> slot =
+      const Entry& inner = inner_it->second;
+      const Relation& inner_rel = RelOf(inner);
+      Result<int> outer_slot =
           ResolveSlot(src_rel, req.attr, AttributeType::kMovingPoint);
-      MODB_RETURN_IF_ERROR(slot.status());
-      std::vector<const MovingPoint*> maps;
-      maps.reserve(src_rel.NumTuples());
-      for (const Tuple& t : src_rel.tuples()) {
-        maps.push_back(&std::get<MovingPoint>(t[*slot]));
+      MODB_RETURN_IF_ERROR(outer_slot.status());
+      Result<int> inner_slot =
+          ResolveSlot(inner_rel, req.join_attr, AttributeType::kMovingPoint);
+      MODB_RETURN_IF_ERROR(inner_slot.status());
+      exec::LogicalQuery::JoinSpec join;
+      join.inner = &inner_rel;
+      join.attr_outer = *outer_slot;
+      join.attr_inner = *inner_slot;
+      join.expand = req.distance;
+      join.pred = EverCloserPred(*outer_slot, *inner_slot, req.distance,
+                                 req.distinct_pairs);
+      if (req.kind == QueryRequest::Kind::kJoin) {
+        join.algorithm = exec::LogicalQuery::JoinSpec::Algorithm::kNestedLoop;
+      } else {
+        join.algorithm = exec::LogicalQuery::JoinSpec::Algorithm::kIndex;
+        if (inner.live != nullptr &&
+            *inner_slot == ingest::LiveRelation::kTrailSlot) {
+          // Live inner: probe the base/delta/mem stack instead of
+          // building a throwaway tree. The probe's sort+dedupe makes
+          // the layering invisible in the output.
+          join.layers = inner.live->View();
+        } else {
+          auto tree = inner.indexes.find(*inner_slot);
+          if (tree != inner.indexes.end()) join.prebuilt = &tree->second;
+        }
       }
-      std::vector<BatchXYOutput> outs;
-      MODB_RETURN_IF_ERROR(
-          AtInstantBatchManyXY(maps, req.instants, &outs, run));
-      result.payload = QueryResult::Payload::kXY;
-      result.batch_tuples = maps.size();
-      result.batch_instants = req.instants.size();
-      const std::size_t cells = maps.size() * req.instants.size();
-      result.xs.reserve(cells);
-      result.ys.reserve(cells);
-      result.defined.reserve(cells);
-      for (const BatchXYOutput& out : outs) {
-        result.xs.insert(result.xs.end(), out.xs.begin(), out.xs.end());
-        result.ys.insert(result.ys.end(), out.ys.begin(), out.ys.end());
-        result.defined.insert(result.defined.end(), out.defined.begin(),
-                              out.defined.end());
-      }
+      q.join = std::move(join);
       break;
     }
 
+    case QueryRequest::Kind::kAtInstantBatch:
     case QueryRequest::Kind::kPresentBatch: {
       Result<int> slot =
           ResolveSlot(src_rel, req.attr, AttributeType::kMovingPoint);
       MODB_RETURN_IF_ERROR(slot.status());
-      const auto start = std::chrono::steady_clock::now();
-      result.payload = QueryResult::Payload::kPresent;
-      result.batch_tuples = src_rel.NumTuples();
-      result.batch_instants = req.instants.size();
-      result.present.reserve(result.batch_tuples * result.batch_instants);
-      std::vector<std::uint8_t> buf;
-      for (const Tuple& t : src_rel.tuples()) {
-        // Per-tuple kernels run serial inline; the whole loop already
-        // holds the reader lock, and stats are aggregated manually so
-        // the root node covers the full batch. The per-tuple deadline
-        // check is this loop's morsel boundary.
-        if (run.deadline) {
-          MODB_COUNTER_INC("exec.deadline_checks");
-          if (std::chrono::steady_clock::now() >= *run.deadline) {
-            MODB_COUNTER_INC("exec.deadline_exceeded");
-            return Status::DeadlineExceeded(
-                "query execution deadline expired during present batch");
-          }
-        }
-        MODB_RETURN_IF_ERROR(PresentBatchInto(std::get<MovingPoint>(t[*slot]),
-                                              req.instants, &buf));
-        result.present.insert(result.present.end(), buf.begin(), buf.end());
-      }
-      result.stats.op = "present_batch_many";
-      result.stats.tuples_in = result.batch_tuples * result.batch_instants;
-      result.stats.workers = 1;
-      for (std::uint8_t b : result.present) result.stats.tuples_out += b;
-      result.stats.wall_ns = std::uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
+      const bool xy = req.kind == QueryRequest::Kind::kAtInstantBatch;
+      q.batch = exec::BatchOp{
+          xy ? exec::BatchOp::Kind::kAtInstant : exec::BatchOp::Kind::kPresent,
+          *slot, req.instants};
+      q.root_op = xy ? "atinstant_batch_many_xy" : "present_batch_many";
       break;
     }
 
@@ -693,100 +506,41 @@ Result<QueryResult> Db::Run(const QueryRequest& req,
       Result<int> slot =
           ResolveSlot(src_rel, req.attr, AttributeType::kMovingPoint);
       MODB_RETURN_IF_ERROR(slot.status());
-      if (!(req.window_width > 0) || !(req.window_step > 0)) {
-        return Status::InvalidArgument(
-            "window aggregate requires window_width > 0 and window_step > 0");
-      }
-      if (!std::isfinite(req.window_t0) || !std::isfinite(req.window_t1) ||
-          !std::isfinite(req.window_width) || !std::isfinite(req.window_step)) {
-        return Status::InvalidArgument(
-            "window aggregate fields must be finite");
-      }
-      if (req.window_t1 < req.window_t0) {
-        return Status::InvalidArgument(
-            "window sweep is inverted: window_t1 < window_t0");
-      }
-      if ((req.window_t1 - req.window_t0) / req.window_step >
-          double(kMaxWindows)) {
-        return Status::InvalidArgument(
-            "window sweep would emit more than " +
-            std::to_string(kMaxWindows) + " windows");
-      }
-      // The rect is optional: an inverted rect means no spatial
-      // constraint (every defined instant qualifies).
-      const bool has_rect = req.min_x <= req.max_x && req.min_y <= req.max_y;
-
-      // Filters ride the ordinary select pipeline first, so pushdown,
-      // stats, and determinism behave exactly as for kSelect; the
-      // aggregation below is a serial pass in row order.
-      exec::LogicalQuery q;
-      q.rel = &src_rel;
-      for (const FilterSpec& f : req.filters) {
-        Result<exec::Predicate> p = LowerFilter(src_rel, f);
-        MODB_RETURN_IF_ERROR(p.status());
-        q.filters.push_back(*std::move(p));
-      }
+      q.window = exec::WindowAggregateOp{
+          *slot,     req.window_t0, req.window_t1, req.window_width,
+          req.window_step, req.min_x, req.min_y,   req.max_x,
+          req.max_y};
       q.root_op = "window_aggregate";
-      Result<exec::PhysicalPlan> plan = exec::PlanQuery(q);
-      MODB_RETURN_IF_ERROR(plan.status());
-      Result<Relation> filtered = exec::RunPlan(*plan, run);
-      MODB_RETURN_IF_ERROR(filtered.status());
-
-      Relation out(src_rel.name() + "_win",
-                   Schema({{"w_start", AttributeType::kReal},
-                           {"w_end", AttributeType::kReal},
-                           {"count", AttributeType::kInt},
-                           {"distance", AttributeType::kReal},
-                           {"avg_speed", AttributeType::kReal}}));
-      // s = t0 + i*step (never accumulated), so window boundaries are
-      // bit-reproducible regardless of how many windows precede them.
-      for (std::uint64_t i = 0;; ++i) {
-        const Instant s = req.window_t0 + double(i) * req.window_step;
-        if (!(s < req.window_t1)) break;
-        // Per-window deadline checkpoint (the serial aggregation can
-        // sweep up to kMaxWindows windows).
-        if (run.deadline) {
-          MODB_COUNTER_INC("exec.deadline_checks");
-          if (std::chrono::steady_clock::now() >= *run.deadline) {
-            MODB_COUNTER_INC("exec.deadline_exceeded");
-            return Status::DeadlineExceeded(
-                "query execution deadline expired at window " +
-                std::to_string(i));
-          }
-        }
-        TRange window;
-        window.lo = s;
-        window.hi = s + req.window_width;
-        window.lc = true;
-        window.rc = false;  // closed-open: [s, s + width)
-        std::uint64_t count = 0;
-        double distance = 0;
-        double covered = 0;
-        for (const Tuple& t : filtered->tuples()) {
-          const WindowRowAgg agg = AggregateRowWindow(
-              std::get<MovingPoint>(t[std::size_t(*slot)]), window, has_rect,
-              req.min_x, req.min_y, req.max_x, req.max_y);
-          if (!agg.qualifies) continue;
-          ++count;
-          distance += agg.distance;
-          covered += agg.covered;
-        }
-        Tuple row;
-        row.emplace_back(RealValue(window.lo));
-        row.emplace_back(RealValue(window.hi));
-        row.emplace_back(IntValue(std::int64_t(count)));
-        row.emplace_back(RealValue(distance));
-        row.emplace_back(RealValue(covered > 0 ? distance / covered : 0.0));
-        MODB_RETURN_IF_ERROR(out.Insert(std::move(row)));
-      }
-      result.payload = QueryResult::Payload::kRows;
-      result.rows = std::move(out);
       break;
     }
 
     default:
       return Status::InvalidArgument("unknown query kind " +
                                      std::to_string(int(req.kind)));
+  }
+
+  QueryResult result;
+  ExecOptions run = options;
+  run.stats = &result.stats;
+  Result<exec::PhysicalPlan> plan = exec::PlanQuery(q);
+  MODB_RETURN_IF_ERROR(plan.status());
+  Result<exec::PlanOutput> out = exec::RunPlan(*plan, run);
+  MODB_RETURN_IF_ERROR(out.status());
+  if (!batch) {
+    result.payload = QueryResult::Payload::kRows;
+    result.rows = std::move(out->rows);
+  } else {
+    result.batch_tuples = src_rel.NumTuples();
+    result.batch_instants = req.instants.size();
+    if (req.kind == QueryRequest::Kind::kAtInstantBatch) {
+      result.payload = QueryResult::Payload::kXY;
+      result.xs = std::move(out->xs);
+      result.ys = std::move(out->ys);
+      result.defined = std::move(out->flags);
+    } else {
+      result.payload = QueryResult::Payload::kPresent;
+      result.present = std::move(out->flags);
+    }
   }
 
   if (options.stats != nullptr) *options.stats = result.stats;

@@ -94,7 +94,7 @@ struct QueryRequest {
 
   /// Source relation name (join outer).
   std::string relation;
-  /// Pre-filters, applied in order (kSelect/kProject/kJoin/kIndexJoin).
+  /// Pre-filters, applied in order (every kind but the batch kinds).
   std::vector<FilterSpec> filters;
   /// Output attribute names, in order (kProject).
   std::vector<std::string> project;

@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace modb {
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -73,36 +71,6 @@ void ThreadPool::WorkerLoop() {
     }
     task();
   }
-}
-
-void ParallelFor(
-    ThreadPool& pool, std::size_t n, std::size_t chunks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  chunks = std::min(std::max<std::size_t>(chunks, 1), n);
-  auto bound = [n, chunks](std::size_t c) { return c * n / chunks; };
-  MODB_COUNTER_INC("parallel.for_calls");
-  if (chunks == 1) {
-    MODB_COUNTER_INC("parallel.inline_runs");
-    fn(0, 0, n);
-    return;
-  }
-  MODB_COUNTER_ADD("parallel.chunks_dispatched", chunks);
-  // Self-contained completion latch: ParallelFor invocations never share
-  // state, so nested/concurrent calls on the same pool are safe (though
-  // the caller must not invoke ParallelFor from inside a pool task).
-  std::mutex mu;
-  std::condition_variable done;
-  std::size_t remaining = chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    pool.Submit([&, c] {
-      fn(c, bound(c), bound(c + 1));
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) done.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  done.wait(lock, [&] { return remaining == 0; });
 }
 
 }  // namespace modb

@@ -1,9 +1,6 @@
-// A small fixed thread pool and a deterministic parallel-for, backing
-// the parallel query operators (query.h). Workers are started once and
-// reused; ParallelFor statically partitions an index range into
-// contiguous chunks so callers can keep per-chunk result buffers and
-// merge them in chunk order — making parallel operator output identical
-// to the serial operator's.
+// The execution policy every query entrypoint takes (ExecOptions) and
+// the fixed thread pool the morsel engine (src/exec/) runs its workers
+// on. Workers are started once and reused.
 
 #ifndef MODB_DB_PARALLEL_H_
 #define MODB_DB_PARALLEL_H_
@@ -54,15 +51,15 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Parallel execution policy shared by the query operators (db/query.h)
-/// and the pipelined execution engine (src/exec/).
+/// Parallel execution policy of the morsel engine (src/exec/).
 ///
-/// Determinism guarantee: every consumer partitions its input by rules
-/// that depend only on (input size, worker count) — never on thread
-/// scheduling — and merges per-partition results in a fixed order, so
-/// parallel output is identical (tuple-for-tuple and byte-for-byte) to
-/// serial output. Predicates must be thread-safe when more than one
-/// worker runs: they are invoked concurrently from pool workers.
+/// Determinism guarantee: the engine cuts its input into morsels by
+/// rules that depend only on (input size, worker count) — never on
+/// thread scheduling — and concatenates per-morsel results in morsel
+/// order, so parallel output is identical (tuple-for-tuple and
+/// byte-for-byte) to serial output. Predicates must be thread-safe when
+/// more than one worker runs: they are invoked concurrently from pool
+/// workers.
 struct ParallelOptions {
   /// Worker count. 1 runs serially inline on the calling thread (no
   /// pool is touched); <= 0 uses one worker per thread of the pool;
@@ -78,50 +75,39 @@ struct ParallelOptions {
 inline constexpr int kMaxQueryThreads = 4096;
 
 /// The one validation point for every ParallelOptions consumer — the
-/// query operators, the exec engine, the batch kernels, and the modbd
-/// server all call this, so the sanity bound is enforced (and phrased)
+/// exec engine, the batch kernels, and the modbd server all call this, so the sanity bound is enforced (and phrased)
 /// identically everywhere. The error message names the offending field
 /// and the violated bound so a remote caller seeing the round-tripped
 /// kInvalidArgument can fix its request without reading server logs.
 Status ValidateParallelOptions(const ParallelOptions& options);
 
-/// Per-call execution options shared by every query operator
-/// (db/query.h) and the unified temporal batch front-ends
+/// Per-call execution options shared by the exec engine
+/// (exec::RunPlan, Db::Run) and the unified temporal batch front-ends
 /// (temporal/batch_ops.h, temporal/paged_ops.h): one entrypoint shape,
 /// Result<…>(…, const ExecOptions&), across the whole public surface.
 struct ExecOptions {
-  /// Chunking/pool policy. ExecOptions defaults to serial inline
+  /// Worker/pool policy. ExecOptions defaults to serial inline
   /// (num_threads = 1); a ParallelOptions you construct yourself keeps
-  /// its historical default of 0 = one chunk per pool thread.
+  /// its historical default of 0 = one worker per pool thread.
   ParallelOptions parallel{.num_threads = 1};
   /// When non-null, the operator fills one ExecStats node here
   /// (cardinalities, predicate/index counters, wall time, one child per
-  /// worker chunk). Null skips even the clock reads.
+  /// pipeline stage). Null skips even the clock reads.
   obs::ExecStats* stats = nullptr;
-  /// Cooperative execution deadline. Checked at morsel boundaries by
-  /// the pipelined engine (and per window / per tuple in the serial
-  /// batch loops of Db::Run) — never mid-operator, so a check costs one
-  /// clock read and expiry yields a typed kDeadlineExceeded with all
-  /// partial work discarded. nullopt = no deadline.
+  /// Cooperative execution deadline, checked by the morsel engine once
+  /// per morsel — never mid-operator, so a check costs one clock read
+  /// and expiry yields a typed kDeadlineExceeded with all partial work
+  /// discarded. nullopt = no deadline.
   std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 
-/// The worker/chunk count `options` resolves to: 1 when serial, the
-/// explicit count when positive, one per pool thread otherwise.
+/// The worker count `options` resolves to: 1 when serial, the explicit
+/// count when positive, one per pool thread otherwise.
 /// Consumers size per-worker scratch state with this before running.
 std::size_t ResolveWorkerCount(const ParallelOptions& options);
 
 /// The pool `options` resolves to (ThreadPool::Shared() when unset).
 ThreadPool& ResolvePool(const ParallelOptions& options);
-
-/// Splits [0, n) into `chunks` contiguous ranges and runs
-/// fn(chunk_index, begin, end) for each on the pool, blocking until all
-/// complete. Chunk boundaries depend only on (n, chunks), so per-chunk
-/// outputs can be merged deterministically. fn must be thread-safe.
-/// chunks <= 1 (or n == 0) runs inline on the calling thread.
-void ParallelFor(
-    ThreadPool& pool, std::size_t n, std::size_t chunks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
 }  // namespace modb
 

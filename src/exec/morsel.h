@@ -10,8 +10,8 @@
 // what order they finished.
 //
 // Work stealing: morsel sequence numbers are statically sharded into
-// one contiguous range per worker (the same boundary rule as
-// ParallelFor). A worker drains its own shard front-to-back through an
+// one contiguous range per worker (shard w is
+// [w*M/W, (w+1)*M/W) for M morsels and W workers). A worker drains its own shard front-to-back through an
 // atomic cursor, and when its shard is empty it steals from the
 // victim with the most remaining morsels — so a worker that hits
 // expensive morsels (skewed predicates, cold spilled pages) sheds its

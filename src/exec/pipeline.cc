@@ -8,8 +8,8 @@
 #include <mutex>
 #include <utility>
 
-#include "db/parallel.h"
 #include "obs/metrics.h"
+#include "temporal/batch_ops.h"
 
 namespace modb {
 namespace exec {
@@ -29,12 +29,28 @@ struct StageCounters {
   std::uint64_t pushdown_skips = 0;
 };
 
+// A morsel output slot (see MakeSlots); the sink concatenates slots in
+// morsel order. Tuple terminals fill `tuples`, the batch terminals the
+// columns, and the window terminal's row pass the surviving moving
+// points (spilled sources park their materialized tuples in `tuples`
+// so the points stay valid).
+struct MorselOutput {
+  std::vector<Tuple> tuples;
+  std::vector<double> xs;
+  std::vector<double> ys;
+  std::vector<std::uint8_t> flags;
+  std::vector<const MovingPoint*> points;
+};
+
 // Worker-private buffers reused across the morsels a worker claims; a
 // warm worker allocates nothing per morsel.
 struct WorkerState {
   std::vector<std::size_t> rows;  // surviving source row ids
   std::vector<Tuple> mat;         // materialized tuples (spilled scan)
-  ProbeScratch probe;
+  std::vector<int64_t> candidates;  // index-probe candidate ids
+  BatchScratch batch;
+  BatchXYOutput xy;
+  std::vector<std::uint8_t> present;
   std::vector<StageCounters> stages;
   std::uint64_t morsels = 0;
   std::uint64_t morsels_stolen = 0;
@@ -87,23 +103,85 @@ class FirstError {
 };
 
 // Stage ids within a pipeline's counter arrays: 0 = scan, 1..F =
-// filters, F+1 = terminal (project / join probe / implicit copy sink).
+// filters, F+1 = terminal (project / join probe / batch / window /
+// implicit copy sink).
 std::size_t NumStages(const Pipeline& pipe) {
   return pipe.filters.size() + 2;
 }
 
+// The one morsel loop. Runs body(worker state, morsel) for every morsel
+// `sched` hands out — inline on the calling thread when there is one
+// worker or one morsel, else one task per worker on the pool. The
+// cooperative deadline is checked once per morsel, before any of its
+// work (including the test hook, so a hook-injected stall is charged to
+// the NEXT checkpoint — the morsel that observed the stall still
+// completes).
+Status DriveMorsels(
+    MorselScheduler* sched, const ExecOptions& options,
+    std::vector<WorkerState>* states,
+    const std::function<Status(WorkerState*, const Morsel&)>& body) {
+  const std::size_t workers = sched->num_workers();
+  const std::size_t num_morsels = sched->num_morsels();
+  FirstError error;
+  const ExecTestHooks* hooks = GetExecTestHooks();
+
+  auto worker_loop = [&](std::size_t w) {
+    WorkerState& state = (*states)[w];
+    Morsel m;
+    bool stolen = false;
+    while (!error.Failed() && sched->Next(w, &m, &stolen)) {
+      if (options.deadline) {
+        MODB_COUNTER_INC("exec.deadline_checks");
+        if (std::chrono::steady_clock::now() >= *options.deadline) {
+          MODB_COUNTER_INC("exec.deadline_exceeded");
+          error.Record(m.seq,
+                       Status::DeadlineExceeded(
+                           "query execution deadline expired at morsel " +
+                           std::to_string(m.seq) + " of " +
+                           std::to_string(num_morsels)));
+          break;
+        }
+      }
+      if (hooks != nullptr && hooks->before_morsel) {
+        hooks->before_morsel(w, m.seq);
+      }
+      ++state.morsels;
+      if (stolen) ++state.morsels_stolen;
+      Status s = body(&state, m);
+      if (!s.ok()) error.Record(m.seq, std::move(s));
+    }
+  };
+
+  if (workers == 1 || num_morsels <= 1) {
+    // Serial inline (or nothing to overlap): never resolves a pool.
+    worker_loop(0);
+  } else {
+    ThreadPool& pool = ResolvePool(options.parallel);
+    std::mutex mu;
+    std::condition_variable done;
+    std::size_t remaining = workers;
+    for (std::size_t w = 0; w < workers; ++w) {
+      pool.Submit([&, w] {
+        worker_loop(w);
+        std::lock_guard<std::mutex> lock(mu);
+        if (--remaining == 0) done.notify_one();
+      });
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    done.wait(lock, [&] { return remaining == 0; });
+  }
+  return error.Failed() ? error.Take() : Status::OK();
+}
+
 // Joined tuples for one surviving outer row of the index-join probe,
-// appended in ascending candidate order — the same body (and the same
-// stats semantics) for every execution policy, which is what keeps
-// pipelined output byte-identical to the materializing operator's.
+// appended in ascending candidate order.
 void ProbeIndexJoinRow(const Tuple& outer, std::size_t outer_row,
                        const JoinProbeOp& op, const IndexLayersView& view,
                        std::vector<Tuple>* out, StageCounters* s,
-                       ProbeScratch* scratch) {
+                       std::vector<int64_t>* candidates) {
   const Relation& b = *op.inner;
   const auto& mp = std::get<MovingPoint>(outer[std::size_t(op.attr_outer)]);
-  std::vector<int64_t>& candidates = scratch->candidates;
-  candidates.clear();
+  candidates->clear();
   const Cube& bounds = view.Bounds();
   for (const UPoint& u : mp.units()) {
     Cube c = u.BoundingCube();
@@ -114,17 +192,16 @@ void ProbeIndexJoinRow(const Tuple& outer, std::size_t outer_row,
     // Bbox prefilter: a probe cube disjoint from every layer cannot
     // produce candidates; skip the descent outright.
     if (!Cube::Intersect(c, bounds)) continue;
-    view.QueryVisit(c, [&candidates](int64_t id) { candidates.push_back(id); });
+    view.QueryVisit(c, [candidates](int64_t id) { candidates->push_back(id); });
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
+  std::sort(candidates->begin(), candidates->end());
+  candidates->erase(std::unique(candidates->begin(), candidates->end()),
+                    candidates->end());
   s->units_scanned += mp.units().size();
-  s->index_candidates += candidates.size();
-  for (int64_t j : candidates) {
+  s->index_candidates += candidates->size();
+  for (int64_t j : *candidates) {
     ++s->predicate_evals;
-    if (!op.pred.fn(outer, outer_row, b.tuple(std::size_t(j)),
-                    std::size_t(j))) {
+    if (!op.pred(outer, outer_row, b.tuple(std::size_t(j)), std::size_t(j))) {
       continue;
     }
     ++s->index_hits;
@@ -141,18 +218,63 @@ void ProbeNestedLoopRow(const Tuple& outer, std::size_t outer_row,
   const Relation& b = *op.inner;
   for (std::size_t j = 0; j < b.NumTuples(); ++j) {
     ++s->predicate_evals;
-    if (!op.pred.fn(outer, outer_row, b.tuple(j), j)) continue;
+    if (!op.pred(outer, outer_row, b.tuple(j), j)) continue;
     Tuple joined = outer;
     joined.insert(joined.end(), b.tuple(j).begin(), b.tuple(j).end());
     out->push_back(std::move(joined));
   }
 }
 
-// One morsel through the fused stage chain. Returns non-OK only for
-// source faults (spilled page errors); predicate work never fails.
+template <typename T>
+void Append(std::vector<T>* to, const std::vector<T>& from) {
+  to->insert(to->end(), from.begin(), from.end());
+}
+
+// Sink append: the first slot's buffer is moved, not copied, so a
+// single-slot run hands its output over without a copy.
+template <typename T>
+void Append(std::vector<T>* to, std::vector<T>&& from) {
+  if (to->empty()) {
+    *to = std::move(from);
+  } else {
+    Append(to, from);
+  }
+}
+
+// Morsel output slots for `sched`. One worker claims morsels in
+// sequence order, so its morsels share a single slot; otherwise each
+// morsel gets its own. A batch terminal's slots are sized up front
+// (rows × instants cells), so appends never reallocate.
+std::vector<MorselOutput> MakeSlots(const Pipeline& pipe,
+                                    const MorselScheduler& sched) {
+  const bool shared = sched.num_workers() == 1;
+  std::vector<MorselOutput> slots(shared ? 1 : sched.num_morsels());
+  if (pipe.batch) {
+    const std::size_t k = pipe.batch->instants.size();
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const Morsel m = sched.MorselAt(i);
+      const std::size_t cells =
+          (shared ? pipe.NumSourceRows() : m.end - m.begin) * k;
+      slots[i].flags.reserve(cells);
+      if (pipe.batch->kind == BatchOp::Kind::kAtInstant) {
+        slots[i].xs.reserve(cells);
+        slots[i].ys.reserve(cells);
+      }
+    }
+  }
+  return slots;
+}
+
+// The slot morsel `m` writes to.
+MorselOutput* SlotOf(std::vector<MorselOutput>* slots, const Morsel& m) {
+  return &(*slots)[slots->size() == 1 ? 0 : m.seq];
+}
+
+// One morsel through the fused stage chain. Fails only on source
+// faults (spilled page errors) and batch-kernel errors (instants not
+// ascending); predicate work never fails.
 Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
-                     const Morsel& m, WorkerState* w,
-                     std::vector<Tuple>* out) {
+                     const Morsel& m, WorkerState* w, MorselOutput* out) {
   w->rows.clear();
   w->mat.clear();
   const bool from_spill = pipe.spilled != nullptr;
@@ -214,120 +336,295 @@ Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
     s.rows_out += kept;
   }
 
-  // Terminal: emit this morsel's output tuples.
+  // Terminal: emit this morsel's output.
   StageCounters& term = w->stages[NumStages(pipe) - 1];
-  term.rows_in += w->rows.size();
+  const std::size_t survivors = w->rows.size();
+  const std::size_t emitted_before = out->tuples.size();
+  term.rows_in += survivors;
   if (pipe.join) {
-    for (std::size_t k = 0; k < w->rows.size(); ++k) {
+    for (std::size_t k = 0; k < survivors; ++k) {
       if (pipe.join->kind == JoinProbeOp::Kind::kIndex) {
-        ProbeIndexJoinRow(tuple_at(k), w->rows[k], *pipe.join, view, out,
-                          &term, &w->probe);
+        ProbeIndexJoinRow(tuple_at(k), w->rows[k], *pipe.join, view,
+                          &out->tuples, &term, &w->candidates);
       } else {
-        ProbeNestedLoopRow(tuple_at(k), w->rows[k], *pipe.join, out, &term);
+        ProbeNestedLoopRow(tuple_at(k), w->rows[k], *pipe.join, &out->tuples,
+                           &term);
       }
     }
   } else if (pipe.project) {
-    for (std::size_t k = 0; k < w->rows.size(); ++k) {
+    for (std::size_t k = 0; k < survivors; ++k) {
       const Tuple& t = tuple_at(k);
       Tuple projected;
       projected.reserve(pipe.project->indices.size());
       for (int idx : pipe.project->indices) {
         projected.push_back(t[std::size_t(idx)]);
       }
-      out->push_back(std::move(projected));
+      out->tuples.push_back(std::move(projected));
     }
+  } else if (pipe.batch) {
+    const BatchOp& op = *pipe.batch;
+    for (std::size_t k = 0; k < survivors; ++k) {
+      const auto& mp = std::get<MovingPoint>(tuple_at(k)[std::size_t(op.attr)]);
+      if (op.kind == BatchOp::Kind::kAtInstant) {
+        MODB_RETURN_IF_ERROR(
+            AtInstantBatchXYInto(mp, op.instants, &w->xy, &w->batch));
+        Append(&out->xs, w->xy.xs);
+        Append(&out->ys, w->xy.ys);
+        Append(&out->flags, w->xy.defined);
+      } else {
+        MODB_RETURN_IF_ERROR(PresentBatchInto(mp, op.instants, &w->present));
+        Append(&out->flags, w->present);
+      }
+    }
+    term.rows_out += survivors;
+    return Status::OK();
+  } else if (pipe.window) {
+    // Row pass only: the grid pass (RunWindowGrid) emits the windows.
+    const std::size_t attr = std::size_t(pipe.window->attr);
+    for (std::size_t k = 0; k < survivors; ++k) {
+      if (from_spill) {
+        out->tuples.push_back(std::move(w->mat[k]));
+      } else {
+        out->points.push_back(&std::get<MovingPoint>(tuple_at(k)[attr]));
+      }
+    }
+    return Status::OK();
   } else {
-    for (std::size_t k = 0; k < w->rows.size(); ++k) {
-      out->push_back(tuple_at(k));
+    for (std::size_t k = 0; k < survivors; ++k) {
+      out->tuples.push_back(tuple_at(k));
     }
   }
-  term.rows_out += out->size();
+  term.rows_out += out->tuples.size() - emitted_before;
   return Status::OK();
 }
 
 const char* TerminalOpName(const Pipeline& pipe) {
   if (pipe.join) return "join_probe";
   if (pipe.project) return "project";
+  if (pipe.batch) {
+    return pipe.batch->kind == BatchOp::Kind::kAtInstant ? "atinstant_batch"
+                                                         : "present_batch";
+  }
+  if (pipe.window) return "window_grid";
   return "sink";
 }
 
-// Runs one pipeline step morsel-parallel and appends its output to
-// `out` in morsel order. `node` (when kept) receives one child per
-// stage plus the root-level morsel/steal counters.
+// ---- window aggregation ---------------------------------------------------
+
+// A set of instants {t : lo <= t <= hi} with endpoint closedness — the
+// working type of the exact window/unit/rect intersection. All three
+// operand kinds lower to it: unit intervals (their own closedness),
+// windows (closed-open), rect crossing ranges (closed).
+struct TRange {
+  double lo = 0;
+  double hi = 0;
+  bool lc = true;
+  bool rc = true;
+  bool empty = false;
+};
+
+TRange EmptyRange() {
+  TRange r;
+  r.empty = true;
+  return r;
+}
+
+TRange IntersectRanges(const TRange& a, const TRange& b) {
+  if (a.empty || b.empty) return EmptyRange();
+  TRange r;
+  if (a.lo > b.lo) {
+    r.lo = a.lo;
+    r.lc = a.lc;
+  } else if (b.lo > a.lo) {
+    r.lo = b.lo;
+    r.lc = b.lc;
+  } else {
+    r.lo = a.lo;
+    r.lc = a.lc && b.lc;
+  }
+  if (a.hi < b.hi) {
+    r.hi = a.hi;
+    r.rc = a.rc;
+  } else if (b.hi < a.hi) {
+    r.hi = b.hi;
+    r.rc = b.rc;
+  } else {
+    r.hi = a.hi;
+    r.rc = a.rc && b.rc;
+  }
+  // A degenerate instant survives only if BOTH operands actually
+  // contain it — this is what makes a fix exactly on a window edge
+  // count in exactly one window.
+  if (r.lo > r.hi || (r.lo == r.hi && !(r.lc && r.rc))) return EmptyRange();
+  return r;
+}
+
+// Time range where c0 + c1*t lies in [lo, hi] (closed): a closed
+// interval for c1 != 0, everything or nothing for constant motion.
+TRange AxisCrossingRange(double c0, double c1, double lo, double hi) {
+  TRange r;
+  if (c1 == 0) {
+    if (c0 < lo || c0 > hi) return EmptyRange();
+    r.lo = -std::numeric_limits<double>::infinity();
+    r.hi = std::numeric_limits<double>::infinity();
+    return r;
+  }
+  double a = (lo - c0) / c1;
+  double b = (hi - c0) / c1;
+  if (a > b) std::swap(a, b);
+  r.lo = a;
+  r.hi = b;
+  return r;
+}
+
+TRange RangeOfInterval(const TimeInterval& iv) {
+  TRange r;
+  r.lo = iv.start();
+  r.hi = iv.end();
+  r.lc = iv.left_closed();
+  r.rc = iv.right_closed();
+  return r;
+}
+
+// Per-object accumulation over one window: presence inside the rect,
+// plus distance traveled / time covered under the TEMPORAL clip only
+// (the rect does not clip distance — documented in docs/INGEST.md).
+struct WindowRowAgg {
+  bool qualifies = false;
+  double distance = 0;
+  double covered = 0;
+};
+
+WindowRowAgg AggregateRowWindow(const MovingPoint& mp, const TRange& window,
+                                const WindowAggregateOp& op, bool has_rect) {
+  WindowRowAgg agg;
+  for (const UPoint& u : mp.units()) {
+    const TimeInterval& iv = u.interval();
+    if (iv.end() < window.lo) continue;
+    if (iv.start() > window.hi) break;
+    const TRange clip = IntersectRanges(RangeOfInterval(iv), window);
+    if (clip.empty) continue;
+    const double dur = clip.hi - clip.lo;
+    agg.distance += u.Speed() * dur;
+    agg.covered += dur;
+    if (!agg.qualifies) {
+      if (!has_rect) {
+        agg.qualifies = true;
+      } else {
+        const LinearMotion& m = u.motion();
+        const TRange q = IntersectRanges(
+            IntersectRanges(clip,
+                            AxisCrossingRange(m.x0, m.x1, op.min_x, op.max_x)),
+            AxisCrossingRange(m.y0, m.y1, op.min_y, op.max_y));
+        if (!q.empty) agg.qualifies = true;
+      }
+    }
+  }
+  return agg;
+}
+
+// Window i's start: t0 + i*step, never accumulated, so window
+// boundaries are bit-reproducible regardless of how many windows
+// precede them.
+Instant WindowStart(const WindowAggregateOp& op, std::size_t i) {
+  return op.t0 + double(i) * op.step;
+}
+
+// Output row of window i over `points`, summed in row order.
+Tuple AggregateWindow(const WindowAggregateOp& op, std::size_t i,
+                      const std::vector<const MovingPoint*>& points) {
+  const bool has_rect = op.min_x <= op.max_x && op.min_y <= op.max_y;
+  TRange window;
+  window.lo = WindowStart(op, i);
+  window.hi = window.lo + op.width;
+  window.lc = true;
+  window.rc = false;  // closed-open: [s, s + width)
+  std::uint64_t count = 0;
+  double distance = 0;
+  double covered = 0;
+  for (const MovingPoint* mp : points) {
+    const WindowRowAgg agg = AggregateRowWindow(*mp, window, op, has_rect);
+    if (!agg.qualifies) continue;
+    ++count;
+    distance += agg.distance;
+    covered += agg.covered;
+  }
+  Tuple row;
+  row.emplace_back(RealValue(window.lo));
+  row.emplace_back(RealValue(window.hi));
+  row.emplace_back(IntValue(std::int64_t(count)));
+  row.emplace_back(RealValue(distance));
+  row.emplace_back(RealValue(covered > 0 ? distance / covered : 0.0));
+  return row;
+}
+
+// The window grid pass: morsels over window indexes, on the same
+// scheduler and workers as the row pass that produced `row_slots`.
+Status RunWindowGrid(const Pipeline& pipe,
+                     const std::vector<MorselOutput>& row_slots,
+                     const ExecOptions& options,
+                     std::vector<WorkerState>* states, Relation* out) {
+  const WindowAggregateOp& op = *pipe.window;
+  std::vector<const MovingPoint*> points;
+  for (const MorselOutput& slot : row_slots) {
+    Append(&points, slot.points);
+    for (const Tuple& t : slot.tuples) {
+      points.push_back(&std::get<MovingPoint>(t[std::size_t(op.attr)]));
+    }
+  }
+  std::size_t n = 0;
+  while (WindowStart(op, n) < op.t1) ++n;
+  MorselScheduler sched(n, PickMorselRows(n, states->size(), 0),
+                        states->size());
+  std::vector<MorselOutput> outputs = MakeSlots(pipe, sched);
+  const std::size_t term = NumStages(pipe) - 1;
+  MODB_RETURN_IF_ERROR(DriveMorsels(
+      &sched, options, states, [&](WorkerState* w, const Morsel& m) {
+        MorselOutput* slot = SlotOf(&outputs, m);
+        for (std::size_t i = m.begin; i < m.end; ++i) {
+          slot->tuples.push_back(AggregateWindow(op, i, points));
+        }
+        w->stages[term].rows_out += m.end - m.begin;
+        return Status::OK();
+      }));
+  for (MorselOutput& slot : outputs) {
+    // Insert cannot fail: window rows conform to the output schema.
+    for (Tuple& t : slot.tuples) (void)out->Insert(std::move(t));
+  }
+  return Status::OK();
+}
+
+// Runs the pipeline morsel-parallel and writes its output to `out` in
+// morsel order. `node` receives one child per stage plus the
+// root-level morsel/steal counters.
 Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
-                   const ExecOptions& options, Relation* out,
+                   const ExecOptions& options, PlanOutput* out,
                    ExecStats* node) {
   const std::size_t n = pipe.NumSourceRows();
   const std::size_t workers = ResolveWorkerCount(options.parallel);
-  const std::size_t morsel_rows =
-      PickMorselRows(n, workers, pipe.morsel_rows);
-  MorselScheduler sched(n, morsel_rows, workers);
-  const std::size_t num_morsels = sched.num_morsels();
-
-  std::vector<std::vector<Tuple>> outputs(num_morsels);
+  MorselScheduler sched(n, PickMorselRows(n, workers, pipe.morsel_rows),
+                        workers);
+  std::vector<MorselOutput> outputs = MakeSlots(pipe, sched);
   std::vector<WorkerState> states(workers);
   for (WorkerState& w : states) w.stages.resize(NumStages(pipe));
-  FirstError error;
-  const ExecTestHooks* hooks = GetExecTestHooks();
 
-  auto worker_loop = [&](std::size_t w) {
-    WorkerState& state = states[w];
-    Morsel m;
-    bool stolen = false;
-    while (!error.Failed() && sched.Next(w, &m, &stolen)) {
-      // Cooperative deadline checkpoint: one clock read per morsel,
-      // before any of the morsel's work (including the test hook, so a
-      // hook-injected stall is charged to the NEXT checkpoint — the
-      // morsel that observed the stall still completes).
-      if (options.deadline) {
-        MODB_COUNTER_INC("exec.deadline_checks");
-        if (std::chrono::steady_clock::now() >= *options.deadline) {
-          MODB_COUNTER_INC("exec.deadline_exceeded");
-          error.Record(m.seq,
-                       Status::DeadlineExceeded(
-                           "query execution deadline expired at morsel " +
-                           std::to_string(m.seq) + " of " +
-                           std::to_string(num_morsels)));
-          break;
-        }
-      }
-      if (hooks != nullptr && hooks->before_morsel) {
-        hooks->before_morsel(w, m.seq);
-      }
-      ++state.morsels;
-      if (stolen) ++state.morsels_stolen;
-      Status s = ProcessMorsel(pipe, view, m, &state, &outputs[m.seq]);
-      if (!s.ok()) error.Record(m.seq, std::move(s));
-    }
-  };
-
-  if (workers == 1 || num_morsels <= 1) {
-    // Serial inline (or nothing to overlap): never resolves a pool.
-    worker_loop(0);
-  } else {
-    ThreadPool& pool = ResolvePool(options.parallel);
-    std::mutex mu;
-    std::condition_variable done;
-    std::size_t remaining = workers;
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.Submit([&, w] {
-        worker_loop(w);
-        std::lock_guard<std::mutex> lock(mu);
-        if (--remaining == 0) done.notify_one();
-      });
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    done.wait(lock, [&] { return remaining == 0; });
-  }
-
-  if (error.Failed()) return error.Take();
+  MODB_RETURN_IF_ERROR(DriveMorsels(
+      &sched, options, &states, [&](WorkerState* w, const Morsel& m) {
+        return ProcessMorsel(pipe, view, m, w, SlotOf(&outputs, m));
+      }));
 
   // Deterministic sink: concatenate per-morsel outputs in ascending
   // sequence order — ascending source-row order, the serial order.
-  for (std::size_t seq = 0; seq < num_morsels; ++seq) {
-    for (Tuple& t : outputs[seq]) {
+  if (pipe.window) {
+    MODB_RETURN_IF_ERROR(
+        RunWindowGrid(pipe, outputs, options, &states, &out->rows));
+  } else {
+    for (MorselOutput& slot : outputs) {
       // Insert cannot fail: tuples conform to the output schema.
-      (void)out->Insert(std::move(t));
+      for (Tuple& t : slot.tuples) (void)out->rows.Insert(std::move(t));
+      Append(&out->xs, std::move(slot.xs));
+      Append(&out->ys, std::move(slot.ys));
+      Append(&out->flags, std::move(slot.flags));
     }
   }
 
@@ -350,39 +647,34 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
     }
   }
 
-  if (node != nullptr) {
-    node->workers += workers;
-    node->morsels += morsels;
-    node->morsels_stolen += morsels_stolen;
-    auto stage_node = [&](const char* op, const StageCounters& c) {
-      ExecStats s;
-      s.op = op;
-      s.tuples_in = c.rows_in;
-      s.tuples_out = c.rows_out;
-      s.predicate_evals = c.predicate_evals;
-      s.index_candidates = c.index_candidates;
-      s.index_hits = c.index_hits;
-      s.units_scanned = c.units_scanned;
-      s.pushdown_skips = c.pushdown_skips;
-      node->children.push_back(std::move(s));
-    };
-    stage_node("scan", totals[0]);
-    for (std::size_t f = 0; f < pipe.filters.size(); ++f) {
-      stage_node("select", totals[1 + f]);
-    }
-    stage_node(TerminalOpName(pipe), totals[NumStages(pipe) - 1]);
+  node->workers += workers;
+  node->morsels += morsels;
+  node->morsels_stolen += morsels_stolen;
+  auto stage_node = [&](const char* op, const StageCounters& c) {
+    ExecStats s;
+    s.op = op;
+    s.tuples_in = c.rows_in;
+    s.tuples_out = c.rows_out;
+    s.predicate_evals = c.predicate_evals;
+    s.index_candidates = c.index_candidates;
+    s.index_hits = c.index_hits;
+    s.units_scanned = c.units_scanned;
+    s.pushdown_skips = c.pushdown_skips;
+    node->children.push_back(std::move(s));
+  };
+  stage_node("scan", totals[0]);
+  for (std::size_t f = 0; f < pipe.filters.size(); ++f) {
+    stage_node("select", totals[1 + f]);
   }
-  // Roll the pipeline's counters into the parent node so wrapper-level
-  // semantics (predicate_evals, index candidates/hits, units scanned,
-  // pushdown skips) survive even without children.
-  if (node != nullptr) {
-    for (const StageCounters& c : totals) {
-      node->predicate_evals += c.predicate_evals;
-      node->index_candidates += c.index_candidates;
-      node->index_hits += c.index_hits;
-      node->units_scanned += c.units_scanned;
-      node->pushdown_skips += c.pushdown_skips;
-    }
+  stage_node(TerminalOpName(pipe), totals[NumStages(pipe) - 1]);
+  // Roll the stage counters into the root so predicate_evals, index
+  // candidates/hits, units scanned and pushdown skips read there too.
+  for (const StageCounters& c : totals) {
+    node->predicate_evals += c.predicate_evals;
+    node->index_candidates += c.index_candidates;
+    node->index_hits += c.index_hits;
+    node->units_scanned += c.units_scanned;
+    node->pushdown_skips += c.pushdown_skips;
   }
 
   MODB_COUNTER_ADD("exec.morsels_scheduled", morsels);
@@ -393,11 +685,47 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
 
 }  // namespace
 
-Result<Relation> RunPlan(const PhysicalPlan& plan, const ExecOptions& options) {
+Result<RTree3D> BuildMovingPointIndex(const Relation& rel, int attr) {
+  if (attr < 0 || std::size_t(attr) >= rel.schema().NumAttributes()) {
+    return Status::InvalidArgument("moving-point index attribute " +
+                                   std::to_string(attr) +
+                                   " out of range for " + rel.name());
+  }
+  std::vector<RTree3D::Entry> entries;
+  for (std::size_t j = 0; j < rel.NumTuples(); ++j) {
+    const auto* mp = std::get_if<MovingPoint>(&rel.tuple(j)[std::size_t(attr)]);
+    if (mp == nullptr) {
+      return Status::InvalidArgument("attribute " + std::to_string(attr) +
+                                     " of " + rel.name() +
+                                     " is not a moving point");
+    }
+    for (const UPoint& u : mp->units()) {
+      entries.push_back({u.BoundingCube(), int64_t(j)});
+    }
+  }
+  MODB_COUNTER_INC("exec.index_builds");
+  return RTree3D::BulkLoad(std::move(entries));
+}
+
+Result<PlanOutput> RunPlan(const PhysicalPlan& plan,
+                           const ExecOptions& options) {
   MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
-  // An already-expired deadline fails up front — before any build step
-  // or scan — so a request admitted after its budget ran out never pays
-  // for work it cannot finish.
+  const Pipeline& pipe = plan.pipe;
+  if ((pipe.rel != nullptr) == (pipe.spilled != nullptr)) {
+    return Status::InvalidArgument(
+        "pipeline needs exactly one source (rel or spilled)");
+  }
+  const bool probes_index =
+      pipe.join && pipe.join->kind == JoinProbeOp::Kind::kIndex;
+  if (probes_index && !pipe.join->layers && pipe.join->tree == nullptr &&
+      !plan.build) {
+    return Status::InvalidArgument(
+        "index join probe has no layered view, no prebuilt tree, and no "
+        "build step");
+  }
+  // An already-expired deadline fails up front — before the build or
+  // any scan — so a request admitted after its budget ran out never
+  // pays for work it cannot finish.
   if (options.deadline &&
       std::chrono::steady_clock::now() >= *options.deadline) {
     MODB_COUNTER_INC("exec.deadline_exceeded");
@@ -406,99 +734,47 @@ Result<Relation> RunPlan(const PhysicalPlan& plan, const ExecOptions& options) {
   }
   OptionalTimer timer(options.stats != nullptr);
 
-  // Exactly one pipeline step produces the output.
-  std::size_t pipe_steps = 0;
-  for (const PlanStep& step : plan.steps) {
-    if (step.pipe.has_value() == step.build.has_value()) {
-      return Status::InvalidArgument(
-          "plan step must be exactly one of build or pipeline");
-    }
-    if (step.pipe) ++pipe_steps;
-  }
-  if (pipe_steps != 1) {
-    return Status::InvalidArgument(
-        "plan must contain exactly one pipeline step, got " +
-        std::to_string(pipe_steps));
-  }
-
   ExecStats node;
   node.op = plan.root_op;
   node.tuples_in = plan.legacy_tuples_in;
   node.materializations = 1;  // the sink; stages materialize nothing
-  ExecStats* stats = options.stats != nullptr ? &node : nullptr;
 
-  Relation out(plan.out_name, plan.out_schema);
-  std::vector<std::optional<RTree3D>> built(plan.steps.size());
-  std::vector<bool> executed(plan.steps.size(), false);
-
-  // Deterministic topological schedule: repeatedly run the
-  // lowest-index step whose dependencies have all completed. Build
-  // steps run serially (their output is a shared read-only index);
-  // pipeline steps run morsel-parallel.
-  for (std::size_t done = 0; done < plan.steps.size();) {
-    std::size_t ready = plan.steps.size();
-    for (std::size_t i = 0; i < plan.steps.size(); ++i) {
-      if (executed[i]) continue;
-      bool deps_ok = true;
-      for (std::size_t d : plan.steps[i].deps) {
-        if (d >= plan.steps.size() || !executed[d]) {
-          deps_ok = false;
-          break;
-        }
-      }
-      if (deps_ok) {
-        ready = i;
-        break;
-      }
-    }
-    if (ready == plan.steps.size()) {
-      return Status::InvalidArgument("plan DAG has a dependency cycle");
-    }
-    const PlanStep& step = plan.steps[ready];
-    if (step.build) {
-      OptionalTimer build_timer(stats != nullptr);
-      Result<RTree3D> tree =
-          BuildMovingPointIndex(*step.build->rel, step.build->attr);
-      if (!tree.ok()) return tree.status();
-      built[ready].emplace(std::move(*tree));
-      if (stats != nullptr) {
-        ExecStats b;
-        b.op = "build_index";
-        b.tuples_in = step.build->rel->NumTuples();
-        b.index_builds = 1;
-        b.wall_ns = build_timer.ElapsedNs();
-        node.children.push_back(std::move(b));
-      }
-      node.index_builds += 1;
-    } else {
-      const Pipeline& pipe = *step.pipe;
-      // Resolve the index the probe runs against: a live relation's
-      // layered view, a prebuilt tree, or this plan's build step — all
-      // wrapped as an IndexLayersView so the probe has one body.
-      IndexLayersView view;
-      if (pipe.join && pipe.join->kind == JoinProbeOp::Kind::kIndex) {
-        if (pipe.join->layers) {
-          view = *pipe.join->layers;
-        } else if (pipe.join->tree != nullptr) {
-          view = IndexLayersView::Single(pipe.join->tree);
-        } else if (pipe.join->build_step >= 0 &&
-                   std::size_t(pipe.join->build_step) < built.size() &&
-                   built[std::size_t(pipe.join->build_step)]) {
-          view = IndexLayersView::Single(
-              &*built[std::size_t(pipe.join->build_step)]);
-        } else {
-          return Status::InvalidArgument(
-              "index join probe has no layered view, no prebuilt tree, and "
-              "no completed build step");
-        }
-      }
-      MODB_RETURN_IF_ERROR(RunPipeline(pipe, view, options, &out, &node));
-    }
-    executed[ready] = true;
-    ++done;
+  std::optional<RTree3D> built;
+  if (plan.build) {
+    OptionalTimer build_timer(options.stats != nullptr);
+    Result<RTree3D> tree =
+        BuildMovingPointIndex(*plan.build->rel, plan.build->attr);
+    if (!tree.ok()) return tree.status();
+    built.emplace(*std::move(tree));
+    ExecStats b;
+    b.op = "build_index";
+    b.tuples_in = plan.build->rel->NumTuples();
+    b.index_builds = 1;
+    b.wall_ns = build_timer.ElapsedNs();
+    node.children.push_back(std::move(b));
+    node.index_builds += 1;
   }
 
-  node.tuples_out = out.NumTuples();
+  // The index the probe runs against — a live relation's layered view,
+  // a prebuilt tree, or the build step's — wrapped as one
+  // IndexLayersView so the probe has one body.
+  IndexLayersView view;
+  if (probes_index) {
+    view = pipe.join->layers ? *pipe.join->layers
+                             : IndexLayersView::Single(
+                                   pipe.join->tree != nullptr ? pipe.join->tree
+                                                              : &*built);
+  }
+
+  PlanOutput out;
+  out.rows = Relation(plan.out_name, plan.out_schema);
+  MODB_RETURN_IF_ERROR(RunPipeline(pipe, view, options, &out, &node));
+
+  if (pipe.batch) {
+    for (std::uint8_t f : out.flags) node.tuples_out += f;
+  } else {
+    node.tuples_out = out.rows.NumTuples();
+  }
   node.wall_ns = timer.ElapsedNs();
   if (options.stats != nullptr) *options.stats = std::move(node);
   MODB_COUNTER_INC("exec.plans_run");

@@ -1,16 +1,17 @@
-// The pipelined execution engine: a physical query plan is a small DAG
-// of steps — index builds and *pipelines* — scheduled in topological
-// order. A pipeline streams fixed-size morsels (row ranges over its
-// source) through a fused stage chain
+// The pipelined execution engine — the one place queries run. A
+// physical plan is at most one index build followed by one *pipeline*
+// that streams fixed-size morsels (row ranges over its source) through
+// a fused stage chain
 //
-//   Scan → Select* → (Project | Join probe | none) → Sink
+//   Scan → Select* → (Project | Join probe | Batch | Window | none) → Sink
 //
 // with work-stealing across a shared ThreadPool: each worker claims a
 // morsel, runs it through every stage on its own stack (no Relation is
-// materialized between stages), and deposits the result tuples in the
+// materialized between stages), and deposits the result in the
 // morsel's output slot. The sink concatenates slots in morsel order,
-// so output is byte-identical to the serial single-operator path for
-// any worker count and any steal schedule.
+// so output is byte-identical to a serial loop for any worker count and
+// any steal schedule. The window terminal adds a second morsel pass
+// over its window grid, scheduled the same way.
 //
 // Determinism argument, in full:
 //   1. Morsel boundaries depend only on (row count, worker count,
@@ -22,13 +23,14 @@
 //      order, which equals ascending source-row order — exactly the
 //      order a serial loop produces.
 //
-// Plans are built by the rule-based planner (exec/planner.h); the
-// db/query.h operators are thin wrappers that plan and run here.
+// Parallelism, deadline checkpoints and ExecStats live here and nowhere
+// else. Plans are built by the rule-based planner (exec/planner.h).
 
 #ifndef MODB_EXEC_PIPELINE_H_
 #define MODB_EXEC_PIPELINE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -36,7 +38,7 @@
 
 #include "core/instant.h"
 #include "core/status.h"
-#include "db/query.h"
+#include "db/parallel.h"
 #include "db/relation.h"
 #include "exec/morsel.h"
 #include "exec/spilled_relation.h"
@@ -58,11 +60,10 @@ struct TimeWindow {
   Instant t1 = 0;
 };
 
-/// A selection predicate: the exact row test plus the planner-facing
-/// shape (plan-cache key component) and optional pushdown window.
+/// A selection predicate: the exact row test plus an optional pushdown
+/// window.
 struct Predicate {
   std::function<bool(const Tuple&)> fn;
-  std::string shape = "user";
   std::optional<TimeWindow> window;
 };
 
@@ -70,11 +71,8 @@ struct Predicate {
 /// row). In a pipelined plan the outer row id is the SOURCE row index
 /// (stable under upstream filters), not the ordinal within the
 /// filtered stream.
-struct JoinPred {
-  std::function<bool(const Tuple&, std::size_t, const Tuple&, std::size_t)>
-      fn;
-  std::string shape = "user";
-};
+using JoinPred =
+    std::function<bool(const Tuple&, std::size_t, const Tuple&, std::size_t)>;
 
 /// Terminal projection stage: emit the given attribute slots, in order.
 struct ProjectOp {
@@ -82,16 +80,16 @@ struct ProjectOp {
 };
 
 /// Terminal join-probe stage. kIndex probes an index over the inner
-/// attribute's unit bounding cubes (a single tree — prebuilt or produced
-/// by a build step of the same plan — or a live relation's layered
-/// base/delta/mem stack) with each outer unit cube expanded by
-/// `expand`; kNestedLoop tests every inner row. Both emit surviving
-/// pairs as (outer row ascending, inner row ascending), so their
-/// outputs coincide whenever the predicate implies the expanded-cube
-/// envelope — the contract under which the planner may choose freely.
-/// The probe sorts and deduplicates candidate ids before evaluating the
-/// predicate, so any layering of the same entry set (one tree, or
-/// base+delta+mem) yields byte-identical output.
+/// attribute's unit bounding cubes (a prebuilt tree, a live relation's
+/// layered base/delta/mem stack, or else the tree of the plan's build
+/// step) with each outer unit cube expanded by `expand`; kNestedLoop
+/// tests every inner row. Both emit surviving pairs as (outer row
+/// ascending, inner row ascending), so their outputs coincide whenever
+/// the predicate implies the expanded-cube envelope — the contract
+/// under which the planner may choose freely. The probe sorts and
+/// deduplicates candidate ids before evaluating the predicate, so any
+/// layering of the same entry set (one tree, or base+delta+mem) yields
+/// byte-identical output.
 struct JoinProbeOp {
   enum class Kind { kIndex, kNestedLoop };
   Kind kind = Kind::kIndex;
@@ -99,14 +97,46 @@ struct JoinProbeOp {
   int attr_outer = -1;
   double expand = 0;
   JoinPred pred;
-  /// Layered index view (kIndex only): probes a live relation's
-  /// base/delta/mem stack. Takes precedence over tree/build_step.
+  /// Layered index view (kIndex only). Takes precedence over `tree`.
   std::optional<IndexLayersView> layers;
-  /// Prebuilt index (kIndex only); when null and `layers` is unset,
-  /// `build_step` names the plan step whose output tree this probe uses.
+  /// Prebuilt index (kIndex only); with neither this nor `layers` the
+  /// probe uses the tree of the plan's build step.
   const RTree3D* tree = nullptr;
-  int build_step = -1;
 };
+
+/// Terminal batch evaluation: each surviving row's moving-point
+/// attribute `attr` at every one of `instants` (ascending). kAtInstant
+/// appends the row's positions to PlanOutput xs/ys and its defined
+/// flags to `flags`; kPresent appends its present flags to `flags`.
+struct BatchOp {
+  enum class Kind { kAtInstant, kPresent };
+  Kind kind = Kind::kAtInstant;
+  int attr = -1;
+  std::vector<Instant> instants;
+};
+
+/// Terminal window aggregation over moving-point attribute `attr`:
+/// windows [s, s + width) with s = t0 + i*step while s < t1. Each
+/// window becomes one output row {w_start, w_end, count, distance,
+/// avg_speed} over the surviving rows: how many are inside the closed
+/// rect at some instant of the window, the distance they travel during
+/// it, and their average speed. An inverted rect (min > max on either
+/// axis) means no spatial constraint. Each window sums its rows in row
+/// order; the grid is what runs in parallel, never a sum.
+struct WindowAggregateOp {
+  int attr = -1;
+  Instant t0 = 0;
+  Instant t1 = 0;
+  Instant width = 0;
+  Instant step = 0;
+  double min_x = 0;
+  double min_y = 0;
+  double max_x = -1;
+  double max_y = -1;
+};
+
+/// Hard ceiling on a window sweep's windows: one output row each.
+inline constexpr std::uint64_t kMaxWindows = std::uint64_t(1) << 20;
 
 /// One streaming pipeline: exactly one source (in-memory relation or
 /// spilled relation), filters, and at most one terminal op.
@@ -119,6 +149,8 @@ struct Pipeline {
   std::vector<Predicate> filters;
   std::optional<ProjectOp> project;
   std::optional<JoinProbeOp> join;
+  std::optional<BatchOp> batch;
+  std::optional<WindowAggregateOp> window;
   /// Rows per morsel; 0 = PickMorselRows default.
   std::size_t morsel_rows = 0;
 
@@ -127,44 +159,52 @@ struct Pipeline {
   }
 };
 
-/// A step of the plan DAG: exactly one of `build` (serial R-tree
-/// construction over an inner relation's moving-point attribute) or
-/// `pipe` (a morsel-parallel pipeline). `deps` are step indices that
-/// must complete first.
+/// Serial R-tree construction over a relation's moving-point attribute.
 struct BuildIndexOp {
   const Relation* rel = nullptr;
   int attr = -1;
 };
 
-struct PlanStep {
-  std::vector<std::size_t> deps;
-  std::optional<BuildIndexOp> build;
-  std::optional<Pipeline> pipe;
-};
-
-/// A physical plan: topologically scheduled steps, the last pipeline
-/// step producing the output relation (out_name / out_schema).
+/// A physical plan: at most one index build, then one pipeline, which
+/// produces the output (out_name / out_schema for relational output).
 /// legacy_tuples_in carries the operator-semantics cardinality for the
-/// root ExecStats node (outer + inner for joins, as the materializing
-/// operators reported).
+/// root ExecStats node (outer + inner for joins, rows × instants for
+/// batches).
 struct PhysicalPlan {
-  std::vector<PlanStep> steps;
+  std::optional<BuildIndexOp> build;
+  Pipeline pipe;
   std::string out_name;
   Schema out_schema;
   std::string root_op = "pipeline";
   std::uint64_t legacy_tuples_in = 0;
 };
 
-/// Executes the plan. Steps run in deterministic topological order
-/// (lowest ready index first); each pipeline step runs morsel-parallel
-/// per `options.parallel` with per-worker ExecStats accumulation.
+/// What a plan produces. Relational and window terminals fill `rows`;
+/// the batch terminals fill row-major [row][instant] columns instead
+/// (xs/ys/flags for atinstant, flags alone for present).
+struct PlanOutput {
+  Relation rows;
+  std::vector<double> xs;
+  std::vector<double> ys;
+  std::vector<std::uint8_t> flags;
+};
+
+/// Executes the plan: the build step (if any) serially, then the
+/// pipeline morsel-parallel per `options.parallel` with per-worker
+/// ExecStats accumulation and one deadline checkpoint per morsel.
 /// When `options.stats` is set, the node gets one child per stage
-/// ("build_index", "scan", "select", "project", "join_probe") with
-/// rows in/out, morsels scheduled/stolen, and pushdown skips; the
-/// root's `materializations` counts Relations the plan materialized —
-/// always exactly 1 (the sink), which is what "zero intermediate
+/// ("build_index", "scan", "select", then the terminal) with rows
+/// in/out, morsels scheduled/stolen, and pushdown skips; the root's
+/// `materializations` counts Relations the plan materialized — always
+/// exactly 1 (the sink), which is what "zero intermediate
 /// materializations" means operationally.
-Result<Relation> RunPlan(const PhysicalPlan& plan, const ExecOptions& options);
+Result<PlanOutput> RunPlan(const PhysicalPlan& plan,
+                           const ExecOptions& options);
+
+/// Builds the R-tree an index join probes: one entry per unit bounding
+/// cube of `rel`'s moving-point attribute `attr`, entry id = owning
+/// tuple index. The tree stays valid as long as `rel` is unchanged.
+Result<RTree3D> BuildMovingPointIndex(const Relation& rel, int attr);
 
 }  // namespace exec
 }  // namespace modb

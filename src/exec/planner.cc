@@ -1,8 +1,7 @@
 #include "exec/planner.h"
 
 #include <algorithm>
-#include <mutex>
-#include <unordered_map>
+#include <cmath>
 #include <utility>
 
 #include "db/value.h"
@@ -18,46 +17,52 @@ namespace {
 // plus per-probe descents cost more than just testing every pair.
 constexpr std::uint64_t kNestedLoopEvalBudget = 4096;
 
-// What the plan cache remembers for a query shape. Decisions only —
-// never pointers — so entries survive relation lifetimes.
-struct PlanDecision {
-  bool use_index_join = false;
-  bool pushdown = false;
-};
-
-struct PlanCache {
-  std::mutex mu;
-  std::unordered_map<std::string, PlanDecision> entries;
-};
-
-PlanCache& Cache() {
-  static PlanCache* cache = new PlanCache();
-  return *cache;
-}
-
-// Coarse log2 cardinality bucket for the cache key: the join-choice
-// rule depends on input sizes, so same-shape queries share a cached
-// decision only within a ~2x size band.
-std::size_t SizeBucket(std::uint64_t n) {
-  std::size_t b = 0;
-  while (n > 1) {
-    n >>= 1;
-    ++b;
-  }
-  return b;
-}
-
-void AppendSchemaSig(const Schema& schema, std::string* key) {
-  for (const AttributeDef& def : schema.attributes()) {
-    key->push_back(' ');
-    *key += def.name;
-    key->push_back(':');
-    *key += AttributeTypeName(def.type);
-  }
-}
-
 const Schema& SourceSchema(const LogicalQuery& q) {
   return q.rel != nullptr ? q.rel->schema() : q.spilled->schema();
+}
+
+std::uint64_t SourceRows(const LogicalQuery& q) {
+  return q.rel != nullptr ? q.rel->NumTuples() : q.spilled->NumTuples();
+}
+
+const std::string& SourceName(const LogicalQuery& q) {
+  return q.rel != nullptr ? q.rel->name() : q.spilled->name();
+}
+
+// `attr` must be a moving-point slot of `schema`; `what` names the
+// role in the error.
+Status CheckMovingPointSlot(const Schema& schema, int attr,
+                            const std::string& what) {
+  if (attr < 0 || std::size_t(attr) >= schema.NumAttributes()) {
+    return Status::InvalidArgument(what + " attribute " +
+                                   std::to_string(attr) + " out of range");
+  }
+  if (schema.attribute(std::size_t(attr)).type != AttributeType::kMovingPoint) {
+    return Status::InvalidArgument(what + " attribute " +
+                                   std::to_string(attr) +
+                                   " is not a moving point");
+  }
+  return Status::OK();
+}
+
+Status ValidateWindow(const WindowAggregateOp& w) {
+  if (!(w.width > 0) || !(w.step > 0)) {
+    return Status::InvalidArgument(
+        "window aggregate requires window_width > 0 and window_step > 0");
+  }
+  if (!std::isfinite(w.t0) || !std::isfinite(w.t1) ||
+      !std::isfinite(w.width) || !std::isfinite(w.step)) {
+    return Status::InvalidArgument("window aggregate fields must be finite");
+  }
+  if (w.t1 < w.t0) {
+    return Status::InvalidArgument(
+        "window sweep is inverted: window_t1 < window_t0");
+  }
+  if ((w.t1 - w.t0) / w.step > double(kMaxWindows)) {
+    return Status::InvalidArgument("window sweep would emit more than " +
+                                   std::to_string(kMaxWindows) + " windows");
+  }
+  return Status::OK();
 }
 
 Status ValidateQuery(const LogicalQuery& q) {
@@ -65,9 +70,12 @@ Status ValidateQuery(const LogicalQuery& q) {
     return Status::InvalidArgument(
         "logical query needs exactly one source (rel or spilled)");
   }
-  if (q.project && q.join) {
+  if (int(q.project.has_value()) + int(q.join.has_value()) +
+          int(q.batch.has_value()) + int(q.window.has_value()) >
+      1) {
     return Status::InvalidArgument(
-        "a pipeline terminal is a projection or a join, not both");
+        "a pipeline has at most one terminal (projection, join, batch or "
+        "window)");
   }
   const Schema& schema = SourceSchema(q);
   for (const Predicate& p : q.filters) {
@@ -89,29 +97,25 @@ Status ValidateQuery(const LogicalQuery& q) {
       }
     }
   }
+  if (q.batch) {
+    MODB_RETURN_IF_ERROR(CheckMovingPointSlot(schema, q.batch->attr, "batch"));
+  }
+  if (q.window) {
+    MODB_RETURN_IF_ERROR(
+        CheckMovingPointSlot(schema, q.window->attr, "window"));
+    MODB_RETURN_IF_ERROR(ValidateWindow(*q.window));
+  }
   if (q.join) {
     const LogicalQuery::JoinSpec& j = *q.join;
     if (j.inner == nullptr) {
       return Status::InvalidArgument("join has no inner relation");
     }
-    if (!j.pred.fn) {
+    if (!j.pred) {
       return Status::InvalidArgument("join predicate is empty");
     }
-    const bool may_use_index =
-        j.algorithm != LogicalQuery::JoinSpec::Algorithm::kNestedLoop;
-    if (may_use_index) {
-      if (j.attr_outer < 0 ||
-          std::size_t(j.attr_outer) >= schema.NumAttributes()) {
-        return Status::InvalidArgument(
-            "join outer attribute " + std::to_string(j.attr_outer) +
-            " out of range");
-      }
-      if (schema.attribute(std::size_t(j.attr_outer)).type !=
-          AttributeType::kMovingPoint) {
-        return Status::InvalidArgument(
-            "join outer attribute " + std::to_string(j.attr_outer) +
-            " is not a moving point");
-      }
+    if (j.algorithm != LogicalQuery::JoinSpec::Algorithm::kNestedLoop) {
+      MODB_RETURN_IF_ERROR(
+          CheckMovingPointSlot(schema, j.attr_outer, "join outer"));
       if (j.prebuilt == nullptr && !j.layers &&
           (j.attr_inner < 0 ||
            std::size_t(j.attr_inner) >= j.inner->schema().NumAttributes())) {
@@ -124,18 +128,24 @@ Status ValidateQuery(const LogicalQuery& q) {
   return Status::OK();
 }
 
-// Cost rule for kAuto: compare the nested loop's predicate evaluations
-// (outer rows × inner rows) against a budget that stands in for the
-// index build + probe overhead. Tiny inputs stay nested-loop; anything
-// sizable takes the index. A prebuilt tree makes the index free, so it
+// Join algorithm rule: pinned algorithms are honoured; kAuto compares
+// the nested loop's predicate evaluations (outer rows × inner rows)
+// against a budget that stands in for the index build + probe
+// overhead. Tiny inputs stay nested-loop; anything sizable takes the
+// index. A prebuilt tree or layered view makes the index free, so it
 // always wins.
-bool ChooseIndexJoin(const LogicalQuery& q) {
+bool UseIndexJoin(const LogicalQuery& q) {
   const LogicalQuery::JoinSpec& j = *q.join;
+  switch (j.algorithm) {
+    case LogicalQuery::JoinSpec::Algorithm::kIndex:
+      return true;
+    case LogicalQuery::JoinSpec::Algorithm::kNestedLoop:
+      return false;
+    case LogicalQuery::JoinSpec::Algorithm::kAuto:
+      break;
+  }
   if (j.prebuilt != nullptr || j.layers) return true;
-  const std::uint64_t outer_rows =
-      q.rel != nullptr ? q.rel->NumTuples() : q.spilled->NumTuples();
-  const std::uint64_t nl_evals = outer_rows * j.inner->NumTuples();
-  return nl_evals > kNestedLoopEvalBudget;
+  return SourceRows(q) * j.inner->NumTuples() > kNestedLoopEvalBudget;
 }
 
 // Pushdown rule: the tightest window over the source's spilled
@@ -157,7 +167,8 @@ std::optional<TimeWindow> PushdownWindow(const LogicalQuery& q) {
 }
 
 std::string DeriveOutName(const LogicalQuery& q, bool use_index_join) {
-  std::string name = q.rel != nullptr ? q.rel->name() : q.spilled->name();
+  std::string name = SourceName(q);
+  if (q.window) return name + "_win";
   if (!q.filters.empty()) name += "_sel";
   if (q.join) {
     name += use_index_join ? "_ix_" : "_x_";
@@ -170,146 +181,54 @@ std::string DeriveOutName(const LogicalQuery& q, bool use_index_join) {
 
 }  // namespace
 
-std::string PlanCacheKey(const LogicalQuery& q) {
-  std::string key = q.spilled != nullptr
-                        ? "spill[" + std::to_string(q.spilled->spilled_attr()) +
-                              "]"
-                        : "mem";
-  AppendSchemaSig(SourceSchema(q), &key);
-  key += " n~" + std::to_string(SizeBucket(
-                     q.rel != nullptr ? q.rel->NumTuples()
-                                      : q.spilled->NumTuples()));
-  key += "|filters";
-  for (const Predicate& p : q.filters) {
-    key.push_back(' ');
-    key += p.shape;
-    if (p.window) key += "@w" + std::to_string(p.window->attr);
-  }
-  if (q.project) {
-    key += "|proj";
-    for (int idx : *q.project) key += " " + std::to_string(idx);
-  }
-  if (q.join) {
-    const LogicalQuery::JoinSpec& j = *q.join;
-    key += "|join ";
-    key += j.algorithm == LogicalQuery::JoinSpec::Algorithm::kAuto
-               ? "auto"
-               : (j.algorithm == LogicalQuery::JoinSpec::Algorithm::kIndex
-                      ? "index"
-                      : "nl");
-    key += j.layers ? " layers" : (j.prebuilt != nullptr ? " prebuilt" : " build");
-    key += " " + std::to_string(j.attr_outer) + "/" +
-           std::to_string(j.attr_inner) + " ";
-    key += j.pred.shape;
-    AppendSchemaSig(j.inner->schema(), &key);
-    key += " m~" + std::to_string(SizeBucket(j.inner->NumTuples()));
-  }
-  return key;
-}
-
-std::size_t PlanCacheSize() {
-  PlanCache& cache = Cache();
-  std::lock_guard<std::mutex> lock(cache.mu);
-  return cache.entries.size();
-}
-
-void PlanCacheClear() {
-  PlanCache& cache = Cache();
-  std::lock_guard<std::mutex> lock(cache.mu);
-  cache.entries.clear();
-}
-
 Result<PhysicalPlan> PlanQuery(const LogicalQuery& q) {
   MODB_RETURN_IF_ERROR(ValidateQuery(q));
 
-  // Rule 3: look the decision up before costing. The cached value is
-  // only a decision (never validity — validation always runs above).
-  const std::string key = PlanCacheKey(q);
-  PlanDecision decision;
-  bool cached = false;
-  {
-    PlanCache& cache = Cache();
-    std::lock_guard<std::mutex> lock(cache.mu);
-    auto it = cache.entries.find(key);
-    if (it != cache.entries.end()) {
-      decision = it->second;
-      cached = true;
-    }
+  const bool use_index_join = q.join && UseIndexJoin(q);
+  // One counter name per call site: the macro caches its counter.
+  if (use_index_join) {
+    MODB_COUNTER_INC("exec.planner.chose_index_join");
+  } else if (q.join) {
+    MODB_COUNTER_INC("exec.planner.chose_nested_loop");
   }
-  if (cached) {
-    MODB_COUNTER_INC("exec.plan_cache.hits");
-  } else {
-    MODB_COUNTER_INC("exec.plan_cache.misses");
-    if (q.join) {
-      switch (q.join->algorithm) {
-        case LogicalQuery::JoinSpec::Algorithm::kIndex:
-          decision.use_index_join = true;
-          break;
-        case LogicalQuery::JoinSpec::Algorithm::kNestedLoop:
-          decision.use_index_join = false;
-          break;
-        case LogicalQuery::JoinSpec::Algorithm::kAuto:
-          decision.use_index_join = ChooseIndexJoin(q);
-          break;
-      }
-    }
-    decision.pushdown = PushdownWindow(q).has_value();
-    PlanCache& cache = Cache();
-    std::lock_guard<std::mutex> lock(cache.mu);
-    cache.entries.emplace(key, decision);
-  }
-  if (q.join) {
-    MODB_COUNTER_INC(decision.use_index_join ? "exec.planner.chose_index_join"
-                                             : "exec.planner.chose_nested_loop");
-  }
-  if (decision.pushdown) MODB_COUNTER_INC("exec.planner.pushdown_applied");
 
   PhysicalPlan plan;
   plan.root_op = q.root_op;
-  plan.out_name = !q.out_name.empty()
-                      ? q.out_name
-                      : DeriveOutName(q, decision.use_index_join);
+  plan.out_name =
+      !q.out_name.empty() ? q.out_name : DeriveOutName(q, use_index_join);
+  plan.legacy_tuples_in = SourceRows(q);
 
-  Pipeline pipe;
+  Pipeline& pipe = plan.pipe;
   pipe.rel = q.rel;
   pipe.spilled = q.spilled;
   pipe.filters = q.filters;
   pipe.morsel_rows = q.morsel_rows;
-  if (decision.pushdown) pipe.scan_window = PushdownWindow(q);
+  pipe.scan_window = PushdownWindow(q);
+  if (pipe.scan_window) MODB_COUNTER_INC("exec.planner.pushdown_applied");
 
   const Schema& schema = SourceSchema(q);
-  const std::uint64_t source_rows =
-      q.rel != nullptr ? q.rel->NumTuples() : q.spilled->NumTuples();
-  plan.legacy_tuples_in = source_rows;
-
-  PlanStep pipe_step;
   if (q.join) {
     const LogicalQuery::JoinSpec& j = *q.join;
     plan.legacy_tuples_in += j.inner->NumTuples();
     const std::string outer_name =
-        (q.rel != nullptr ? q.rel->name() : q.spilled->name()) +
-        (q.filters.empty() ? "" : "_sel");
+        SourceName(q) + (q.filters.empty() ? "" : "_sel");
     plan.out_schema =
         Schema::Concat(schema, outer_name + ".", j.inner->schema(),
                        j.inner->name() + ".");
     JoinProbeOp op;
-    op.kind = decision.use_index_join ? JoinProbeOp::Kind::kIndex
-                                      : JoinProbeOp::Kind::kNestedLoop;
+    op.kind = use_index_join ? JoinProbeOp::Kind::kIndex
+                             : JoinProbeOp::Kind::kNestedLoop;
     op.inner = j.inner;
     op.attr_outer = j.attr_outer;
     op.expand = j.expand;
     op.pred = j.pred;
-    if (decision.use_index_join) {
+    if (use_index_join) {
       if (j.layers) {
         op.layers = j.layers;
       } else if (j.prebuilt != nullptr) {
         op.tree = j.prebuilt;
       } else {
-        PlanStep build;
-        build.build = BuildIndexOp{j.inner, j.attr_inner};
-        plan.steps.push_back(std::move(build));
-        op.build_step = int(plan.steps.size()) - 1;
-        pipe_step.deps.push_back(plan.steps.size() - 1);
+        plan.build = BuildIndexOp{j.inner, j.attr_inner};
       }
     }
     pipe.join = std::move(op);
@@ -319,12 +238,19 @@ Result<PhysicalPlan> PlanQuery(const LogicalQuery& q) {
     for (int idx : *q.project) defs.push_back(schema.attribute(std::size_t(idx)));
     plan.out_schema = Schema(std::move(defs));
     pipe.project = ProjectOp{*q.project};
+  } else if (q.batch) {
+    plan.legacy_tuples_in *= q.batch->instants.size();
+    pipe.batch = q.batch;
+  } else if (q.window) {
+    plan.out_schema = Schema({{"w_start", AttributeType::kReal},
+                              {"w_end", AttributeType::kReal},
+                              {"count", AttributeType::kInt},
+                              {"distance", AttributeType::kReal},
+                              {"avg_speed", AttributeType::kReal}});
+    pipe.window = q.window;
   } else {
     plan.out_schema = schema;
   }
-
-  pipe_step.pipe = std::move(pipe);
-  plan.steps.push_back(std::move(pipe_step));
   return plan;
 }
 

@@ -1,5 +1,5 @@
 // The rule-based planner: turns a LogicalQuery (source, filters,
-// terminal) into a PhysicalPlan for the pipelined engine. Three rules:
+// terminal) into a PhysicalPlan for the pipelined engine. Two rules:
 //
 //   1. Predicate pushdown — a filter annotated with a TimeWindow on the
 //      source's spilled attribute becomes the pipeline's scan window:
@@ -8,21 +8,17 @@
 //      into the BufferPool. The exact predicate still runs on every
 //      surviving row, so pushdown never changes the result.
 //
-//   2. Join algorithm choice — kAuto picks IndexJoinOnMovingPoint vs
-//      nested loop from cheap cardinality stats (outer rows × inner
-//      rows vs index build cost measured in inner units; for spilled
-//      outers the resident deftime/bbox stats). kAuto is only sound
-//      under the envelope contract: the predicate must imply that some
-//      outer unit cube expanded by `expand` intersects a matching inner
-//      unit cube — the same contract under which a caller may choose
-//      IndexJoinOnMovingPoint by hand. Callers whose predicate does not
-//      satisfy it must pin kNestedLoop.
+//   2. Join algorithm choice — kAuto picks the index join vs nested
+//      loop from cheap cardinality stats (outer rows × inner rows
+//      against a budget standing in for the index build). kAuto is only
+//      sound under the envelope contract: the predicate must imply that
+//      some outer unit cube expanded by `expand` intersects a matching
+//      inner unit cube — the same contract under which a caller may pin
+//      kIndex by hand. Callers whose predicate does not satisfy it must
+//      pin kNestedLoop.
 //
-//   3. Plan caching — planning decisions are memoized under a key built
-//      from the schema signatures and predicate shapes, so repeated
-//      queries of the same shape skip the costing pass. The cache holds
-//      decisions (algorithm, pushdown applicability), never pointers,
-//      so entries are safe across relation lifetimes.
+// Both rules are pure functions of the query, so the same query always
+// gets the same plan.
 
 #ifndef MODB_EXEC_PLANNER_H_
 #define MODB_EXEC_PLANNER_H_
@@ -39,10 +35,10 @@ namespace modb {
 namespace exec {
 
 /// Declarative query description. Exactly one of rel/spilled is the
-/// source; filters apply in order; at most one of project/join is the
-/// terminal. The planner copies predicates into the plan but only
-/// points at relations/indexes — sources must outlive the returned
-/// PhysicalPlan's execution.
+/// source; filters apply in order; at most one of project/join/batch/
+/// window is the terminal. The planner copies predicates into the plan
+/// but only points at relations/indexes — sources must outlive the
+/// returned PhysicalPlan's execution.
 struct LogicalQuery {
   const Relation* rel = nullptr;
   SpilledRelation* spilled = nullptr;
@@ -75,9 +71,13 @@ struct LogicalQuery {
   };
   std::optional<JoinSpec> join;
 
-  /// Output relation name; "" derives the legacy operator-chain name
-  /// (source + "_sel" / "_proj" / "_x_" / "_ix_" suffixes), which is
-  /// what keeps pipelined output byte-identical to composed operators.
+  /// Batch terminal: atinstant / present of every surviving row.
+  std::optional<BatchOp> batch;
+  /// Window-aggregation terminal over the surviving rows.
+  std::optional<WindowAggregateOp> window;
+
+  /// Output relation name; "" derives the operator-chain name (source +
+  /// "_sel" / "_proj" / "_x_" / "_ix_" suffixes, or "_win" for windows).
   std::string out_name;
   /// Root ExecStats op label ("select", "pipeline", ...).
   std::string root_op = "pipeline";
@@ -86,17 +86,9 @@ struct LogicalQuery {
 };
 
 /// Plans `q`. Fails with InvalidArgument on malformed queries (no
-/// source, both terminals, attribute slots out of range or of the wrong
-/// type for the chosen join algorithm).
+/// source, several terminals, attribute slots out of range or of the
+/// wrong type, an invalid window sweep).
 Result<PhysicalPlan> PlanQuery(const LogicalQuery& q);
-
-/// The cache key PlanQuery memoizes under — exposed so tests can assert
-/// hit/miss behavior for specific query shapes.
-std::string PlanCacheKey(const LogicalQuery& q);
-
-/// Number of cached planning decisions / reset (tests).
-std::size_t PlanCacheSize();
-void PlanCacheClear();
 
 }  // namespace exec
 }  // namespace modb

@@ -1,10 +1,10 @@
-// ExecStats: the per-query-node execution profile tree. Every unified
-// query operator (db/query.h) fills one node when ExecOptions.stats is
-// set: cardinalities in/out, predicate evaluations, index candidates vs
-// hits, and units touched, plus wall time and — for parallel runs — one
-// child node per worker chunk, merged deterministically in chunk order
-// (chunk boundaries depend only on (n, chunks), so two runs of the same
-// query produce the same tree regardless of thread scheduling).
+// ExecStats: the per-query-node execution profile tree. The exec engine
+// (exec/pipeline.h) and the batch kernels fill one node when
+// ExecOptions.stats is set: cardinalities in/out, predicate
+// evaluations, index candidates vs hits, and units touched, plus wall
+// time and one child per pipeline stage. Stage counters are sums over
+// workers, so two runs of the same query produce the same counters
+// regardless of thread scheduling.
 //
 // Unlike the obs/metrics.h registry (process-global, always-on counters),
 // an ExecStats tree is caller-owned and opt-in: operators pay for
@@ -25,8 +25,8 @@ namespace modb {
 namespace obs {
 
 struct ExecStats {
-  /// Operator (or worker-chunk) label: "select", "nested_loop_join",
-  /// "index_join_on_moving_point", "project", "chunk[3]", ...
+  /// Operator or stage label: "pipeline", "window_aggregate",
+  /// "present_batch_many", "scan", "select", "join_probe", ...
   std::string op;
 
   // Cardinalities. For joins, tuples_in counts outer + inner tuples.
@@ -50,7 +50,7 @@ struct ExecStats {
   /// whose bounding cubes were used as index query windows).
   std::uint64_t units_scanned = 0;
 
-  /// Worker chunks the operator ran as (1 = serial inline).
+  /// Workers the operator ran on (1 = serial inline).
   std::uint64_t workers = 0;
 
   /// Pipelined engine (src/exec/): morsels this node processed, and how
@@ -70,7 +70,7 @@ struct ExecStats {
   /// Operator wall time; 0 unless a stats tree was requested.
   std::uint64_t wall_ns = 0;
 
-  /// Per-worker (or sub-operator) nodes, in deterministic chunk order.
+  /// Sub-operator (stage) nodes, in pipeline order.
   std::vector<ExecStats> children;
 
   /// Sums every counter of `other` into this node, workers included.

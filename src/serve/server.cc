@@ -290,8 +290,8 @@ void Server::ServeConnection(int fd) {
         MODB_COUNTER_INC("serve.errors");
       }
       if (reply.empty()) break;
-      // Answer in the version the request arrived with, so a v2 client
-      // never sees a v3 frame header.
+      // Answer in the version the request arrived with, so a client
+      // never sees a frame header newer than its own.
       Status s =
           WriteFrameTimeout(fd, FrameType::kReply, reply, io_ms, h->version);
       if (!s.ok()) {

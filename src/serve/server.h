@@ -137,7 +137,7 @@ class Server {
   /// Decodes, admits, executes, and encodes one query payload.
   /// `version` is the frame header's protocol version — it selects the
   /// payload decoder (the reply frame is stamped with it by the
-  /// caller, so a v2 client gets a v2 conversation).
+  /// caller, so each client is answered in its own version).
   std::string HandleQuery(const std::string& payload, std::uint8_t version);
   /// Decodes, admits, applies, and acks one mutation payload.
   std::string HandleMutation(const std::string& payload,

@@ -208,8 +208,8 @@ std::string EncodeQueryRequest(const QueryRequest& req) {
   w.U32(std::uint32_t(req.instants.size()));
   for (Instant t : req.instants) w.F64(t);
   w.I64(req.num_threads);
-  // v2: the window-aggregate fields ride at the end of every query
-  // payload (fixed size, defaults for the other kinds).
+  // The window-aggregate fields ride at the end of every query payload
+  // (fixed size, defaults for the other kinds).
   w.F64(req.window_t0);
   w.F64(req.window_t1);
   w.F64(req.window_width);
@@ -218,13 +218,15 @@ std::string EncodeQueryRequest(const QueryRequest& req) {
   w.F64(req.min_y);
   w.F64(req.max_x);
   w.F64(req.max_y);
-  // v3: execution deadline in milliseconds (0 = none).
+  // Execution deadline in milliseconds (0 = none).
   w.I64(req.deadline_ms);
   return w.Take();
 }
 
+// Every accepted version has the v3 field set; a later version's
+// trailing fields would be read here under `version >= 4`.
 Result<QueryRequest> DecodeQueryRequest(std::string_view payload,
-                                        std::uint8_t version) {
+                                        [[maybe_unused]] std::uint8_t version) {
   WireReader r(payload);
   QueryRequest req;
   std::uint8_t kind;
@@ -287,9 +289,7 @@ Result<QueryRequest> DecodeQueryRequest(std::string_view payload,
   MODB_RETURN_IF_ERROR(r.F64(&req.min_y));
   MODB_RETURN_IF_ERROR(r.F64(&req.max_x));
   MODB_RETURN_IF_ERROR(r.F64(&req.max_y));
-  if (version >= 3) {
-    MODB_RETURN_IF_ERROR(r.I64(&req.deadline_ms));
-  }
+  MODB_RETURN_IF_ERROR(r.I64(&req.deadline_ms));
   MODB_RETURN_IF_ERROR(r.ExpectEnd());
   return req;
 }
@@ -306,14 +306,14 @@ std::string EncodeMutationRequest(const MutationRequest& req) {
     w.F64(f.y);
   }
   w.U64(req.seal_units);
-  // v3: the idempotency key (empty client_id = unkeyed, no dedup).
+  // The idempotency key (empty client_id = unkeyed, no dedup).
   w.Str(req.client_id);
   w.U64(req.batch_seq);
   return w.Take();
 }
 
-Result<MutationRequest> DecodeMutationRequest(std::string_view payload,
-                                              std::uint8_t version) {
+Result<MutationRequest> DecodeMutationRequest(
+    std::string_view payload, [[maybe_unused]] std::uint8_t version) {
   WireReader r(payload);
   MutationRequest req;
   std::uint8_t kind;
@@ -335,10 +335,8 @@ Result<MutationRequest> DecodeMutationRequest(std::string_view payload,
     req.fixes.push_back(std::move(f));
   }
   MODB_RETURN_IF_ERROR(r.U64(&req.seal_units));
-  if (version >= 3) {
-    MODB_RETURN_IF_ERROR(r.Str(&req.client_id));
-    MODB_RETURN_IF_ERROR(r.U64(&req.batch_seq));
-  }
+  MODB_RETURN_IF_ERROR(r.Str(&req.client_id));
+  MODB_RETURN_IF_ERROR(r.U64(&req.batch_seq));
   MODB_RETURN_IF_ERROR(r.ExpectEnd());
   return req;
 }

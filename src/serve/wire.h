@@ -33,16 +33,15 @@ namespace modb {
 namespace serve {
 
 inline constexpr char kMagic[4] = {'M', 'O', 'D', 'B'};
-/// v2 added mutation frames (kMutation), the mutation ack result block,
-/// and the trailing window-aggregate fields of the query payload. v3
-/// appended the query deadline (deadline_ms) and the ingest idempotency
-/// key (client_id, batch_seq). Frames from any version in
+/// v3 is the only version spoken: mutation frames, the window-aggregate
+/// query fields, the query deadline (deadline_ms) and the ingest
+/// idempotency key (client_id, batch_seq). Frames from any version in
 /// [kMinWireVersion, kWireVersion] are accepted — the payload decoders
-/// take the header's version and stop at that version's last field —
-/// and a server answers in the version the request arrived with, so v2
-/// peers keep working unchanged (see docs/PROTOCOL.md, "Versioning").
+/// take the header's version, so a later version's trailing fields can
+/// be read only when present — and a server answers in the version the
+/// request arrived with (see docs/PROTOCOL.md, "Versioning").
 inline constexpr std::uint8_t kWireVersion = 3;
-inline constexpr std::uint8_t kMinWireVersion = 2;
+inline constexpr std::uint8_t kMinWireVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 /// Upper bound on a frame payload; larger length fields are rejected
 /// before any allocation.
@@ -121,14 +120,12 @@ class WireReader {
 
 /// QueryRequest <-> bytes, field for field. Encoders always emit the
 /// current version's field set; decoders take the frame header's
-/// version and require exactly that version's fields (a v2 payload
-/// stops before deadline_ms, which stays at its default).
+/// version and require exactly that version's fields.
 std::string EncodeQueryRequest(const QueryRequest& req);
 Result<QueryRequest> DecodeQueryRequest(
     std::string_view payload, std::uint8_t version = kWireVersion);
 
-/// MutationRequest <-> bytes, field for field (same versioning rule:
-/// a v2 payload stops before client_id/batch_seq).
+/// MutationRequest <-> bytes, field for field (same versioning rule).
 std::string EncodeMutationRequest(const MutationRequest& req);
 Result<MutationRequest> DecodeMutationRequest(
     std::string_view payload, std::uint8_t version = kWireVersion);

@@ -465,7 +465,7 @@ Status AtInstantBatchXYCore(const Mapping<U>& m,
 /// Shared ExecStats fill for the unified batch entrypoints: one node
 /// with the op label, input cardinality, and wall time. When no sink is
 /// set it skips everything, even the clock reads — same discipline as
-/// the db/query.h operators.
+/// the exec engine.
 class BatchStatsScope {
  public:
   BatchStatsScope(obs::ExecStats* stats, const char* op,
@@ -511,14 +511,13 @@ struct BatchXYOutput {
 };
 
 // ---------------------------------------------------------------------------
-// Unified front-ends. Every public batch entrypoint below shares the
-// db/query.h operator shape — Result<…>/Status(…, const ExecOptions&) —
-// validating options.parallel through the same shared helper as the
-// query operators and the exec engine, and filling options.stats with
-// one node when set. The merge sweeps are inherently serial, so the
-// single-mapping kernels run inline regardless of the requested worker
-// count (exactly like Project, a pure copy); AtInstantBatchManyXY is
-// the fan-out point and honours the full policy. The paged twins in
+// Unified front-ends. Every public batch entrypoint below shares one
+// shape — Result<…>/Status(…, const ExecOptions&) — validating
+// options.parallel through the same shared helper as the exec engine,
+// and filling options.stats with one node when set. The merge sweeps
+// are inherently serial, so every kernel here runs inline regardless of
+// the requested worker count; parallelism over many mappings belongs to
+// the morsel engine's batch terminal. The paged twins in
 // temporal/paged_ops.h share this shape.
 // ---------------------------------------------------------------------------
 
@@ -608,15 +607,12 @@ Result<BatchXYOutput> AtInstantBatchXY(const Mapping<U>& m,
   return out;
 }
 
-/// Many-mapping parallel front-end for AtInstantBatchXYInto: evaluates
-/// every mapping of `maps` at the same ascending instants, filling
-/// (*outs)[i] from maps[i]. The mapping list is statically chunked
-/// across `options.parallel` (same chunk-boundary rule as ParallelFor,
-/// one warm BatchScratch per chunk), so outputs land at fixed slots and
-/// the result is identical to the serial loop for any worker count. The
-/// thread-count sanity bound is enforced by the same shared helper as
-/// the query operators and the exec engine (db/parallel.h); on error,
-/// the lowest failing mapping index's Status is returned.
+/// Many-mapping front-end for AtInstantBatchXYInto: evaluates every
+/// mapping of `maps` at the same ascending instants, filling (*outs)[i]
+/// from maps[i] with one warm BatchScratch. Runs serially; a query
+/// that wants workers runs the batch terminal of the morsel engine
+/// (exec/pipeline.h). On error, the lowest failing mapping index's
+/// Status is returned.
 template <typename U>
   requires requires(const U& u) {
     { u.motion().x0 } -> std::convertible_to<double>;
@@ -630,37 +626,12 @@ Status AtInstantBatchManyXY(const std::vector<const Mapping<U>*>& maps,
       options.stats, "atinstant_batch_many_xy",
       std::uint64_t(maps.size()) * instants.size());
   outs->resize(maps.size());
-  auto run_range = [&](std::size_t begin, std::size_t end,
-                       BatchScratch* scratch) -> Status {
-    for (std::size_t i = begin; i < end; ++i) {
-      BatchXYOutput& o = (*outs)[i];
-      MODB_RETURN_IF_ERROR(batch_internal::AtInstantBatchXYCore(
-          *maps[i], instants, &o.xs, &o.ys, &o.defined, scratch));
-    }
-    return Status::OK();
-  };
-  const std::size_t workers = ResolveWorkerCount(options.parallel);
-  const std::size_t chunks = std::min(workers, maps.size());
-  stats.set_workers(chunks > 0 ? chunks : 1);
-  Status run_status = Status::OK();
-  if (chunks <= 1) {
-    BatchScratch scratch;
-    run_status = run_range(0, maps.size(), &scratch);
-  } else {
-    std::vector<Status> chunk_status(chunks, Status::OK());
-    ParallelFor(ResolvePool(options.parallel), maps.size(), chunks,
-                [&](std::size_t c, std::size_t begin, std::size_t end) {
-                  BatchScratch scratch;
-                  chunk_status[c] = run_range(begin, end, &scratch);
-                });
-    for (Status& s : chunk_status) {
-      if (!s.ok()) {
-        run_status = s;
-        break;
-      }
-    }
+  BatchScratch scratch;
+  for (std::size_t i = 0; i < maps.size(); ++i) {
+    BatchXYOutput& o = (*outs)[i];
+    MODB_RETURN_IF_ERROR(batch_internal::AtInstantBatchXYCore(
+        *maps[i], instants, &o.xs, &o.ys, &o.defined, &scratch));
   }
-  MODB_RETURN_IF_ERROR(run_status);
   if (stats.armed()) {
     std::uint64_t defined = 0;
     for (const BatchXYOutput& o : *outs) {

@@ -215,7 +215,7 @@ Result<MovingBool> BoolCombine(const MovingBool& a, const MovingBool& b,
   MappingBuilder<UBool> builder;
   // Function-local thread_local scratch: reused across calls (one
   // allocation per thread, not per tuple pair), and safe under the
-  // parallel query operators.
+  // morsel engine's worker threads.
   thread_local RefinementScratch rp;
   MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, &rp));
   for (const RefinementEntry& e : rp) {
@@ -256,7 +256,7 @@ Result<MovingReal> LiftedDistance(const MovingPoint& a, const MovingPoint& b) {
   MappingBuilder<UReal> builder;
   // Function-local thread_local scratch: reused across calls (one
   // allocation per thread, not per tuple pair), and safe under the
-  // parallel query operators.
+  // morsel engine's worker threads.
   thread_local RefinementScratch rp;
   MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, &rp));
   for (const RefinementEntry& e : rp) {
@@ -312,7 +312,7 @@ Result<MovingReal> LiftedDistance(const MovingPoint& a,
   MappingBuilder<UReal> builder;
   // Function-local thread_local scratch: reused across calls (one
   // allocation per thread, not per tuple pair), and safe under the
-  // parallel query operators.
+  // morsel engine's worker threads.
   thread_local RefinementScratch rp;
   MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, &rp));
   for (const RefinementEntry& e : rp) {
@@ -365,7 +365,7 @@ Result<MovingBool> Inside(const MovingPoint& a, const MovingPoints& b) {
   MappingBuilder<UBool> builder;
   // Function-local thread_local scratch: reused across calls (one
   // allocation per thread, not per tuple pair), and safe under the
-  // parallel query operators.
+  // morsel engine's worker threads.
   thread_local RefinementScratch rp;
   MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, &rp));
   for (const RefinementEntry& e : rp) {
@@ -470,7 +470,7 @@ Result<MovingBool> Compare(const MovingReal& a, const MovingReal& b,
   MappingBuilder<UBool> builder;
   // Function-local thread_local scratch: reused across calls (one
   // allocation per thread, not per tuple pair), and safe under the
-  // parallel query operators.
+  // morsel engine's worker threads.
   thread_local RefinementScratch rp;
   MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, &rp));
   for (const RefinementEntry& e : rp) {
@@ -539,7 +539,7 @@ Result<MovingReal> AddSub(const MovingReal& a, const MovingReal& b,
   MappingBuilder<UReal> builder;
   // Function-local thread_local scratch: reused across calls (one
   // allocation per thread, not per tuple pair), and safe under the
-  // parallel query operators.
+  // morsel engine's worker threads.
   thread_local RefinementScratch rp;
   MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, &rp));
   for (const RefinementEntry& e : rp) {
@@ -770,7 +770,7 @@ Result<MovingBool> Equals(const MovingPoint& a, const MovingPoint& b) {
   MappingBuilder<UBool> builder;
   // Function-local thread_local scratch: reused across calls (one
   // allocation per thread, not per tuple pair), and safe under the
-  // parallel query operators.
+  // morsel engine's worker threads.
   thread_local RefinementScratch rp;
   MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, &rp));
   for (const RefinementEntry& e : rp) {
@@ -803,7 +803,7 @@ Result<MovingBool> Inside(const MovingPoint& mp, const MovingRegion& mr,
   MappingBuilder<UBool> builder;
   // Function-local thread_local scratch: reused across calls (one
   // allocation per thread, not per tuple pair), and safe under the
-  // parallel query operators.
+  // morsel engine's worker threads.
   thread_local RefinementScratch rp;
   MODB_RETURN_IF_ERROR(RefinementPartitionInto(mp, mr, &rp));
   for (const RefinementEntry& e : rp) {

@@ -6,7 +6,7 @@
 // batch kernels as the in-memory path, so results are identical
 // regardless of where the value resides.
 //
-// The entrypoints share the unified db/query.h shape: the last
+// The entrypoints share the unified batch-kernel shape: the last
 // parameter is a const ExecOptions& supplying the stats sink and the
 // (validated) parallel policy, exactly like their in-memory twins in
 // temporal/batch_ops.h.

@@ -373,12 +373,41 @@ TEST(DbRun, ResultBlocksAreByteIdenticalAcrossThreadCounts) {
   join.distance = 500.0;
   requests.push_back(join);
 
+  QueryRequest project;
+  project.kind = QueryRequest::Kind::kProject;
+  project.relation = "planes";
+  project.filters = {f};
+  project.project = {"id", "airline"};
+  requests.push_back(project);
+
+  join.kind = QueryRequest::Kind::kJoin;
+  requests.push_back(join);
+
   QueryRequest batch;
   batch.kind = QueryRequest::Kind::kAtInstantBatch;
   batch.relation = "planes";
   batch.attr = "flight";
   for (Instant t = 0; t <= 24.0; t += 0.5) batch.instants.push_back(t);
   requests.push_back(batch);
+
+  batch.kind = QueryRequest::Kind::kPresentBatch;
+  requests.push_back(batch);
+
+  QueryRequest window;
+  window.kind = QueryRequest::Kind::kWindowAggregate;
+  window.relation = "planes";
+  window.attr = "flight";
+  window.filters = {f};
+  window.window_t0 = 0;
+  window.window_t1 = 30;
+  window.window_width = 2;
+  window.window_step = 0.5;
+  window.min_x = 2500;
+  window.min_y = 2500;
+  window.max_x = 7500;
+  window.max_y = 7500;
+  requests.push_back(window);
+  ASSERT_EQ(requests.size(), 7u);  // every QueryRequest kind
 
   for (const QueryRequest& req : requests) {
     ExecOptions serial;

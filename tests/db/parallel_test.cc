@@ -2,37 +2,40 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <vector>
 
-#include "db/query.h"
 #include "db/relation_io.h"
+#include "exec/planner.h"
 #include "gen/flights_gen.h"
 
 namespace modb {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool / ParallelFor.
+// ThreadPool.
 // ---------------------------------------------------------------------------
 
 TEST(ThreadPool, RunsSubmittedTasks) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.num_threads(), 3);
-  std::atomic<int> count{0};
   std::mutex mu;
   std::condition_variable cv;
+  int count = 0;  // guarded by mu
   constexpr int kTasks = 64;
   for (int i = 0; i < kTasks; ++i) {
+    // Count and notify under the lock: the waiter can neither miss the
+    // last notify nor destroy cv while a task is still inside it.
     pool.Submit([&] {
-      if (count.fetch_add(1) + 1 == kTasks) cv.notify_one();
+      std::lock_guard<std::mutex> lock(mu);
+      if (++count == kTasks) cv.notify_one();
     });
   }
   std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return count.load() == kTasks; });
-  EXPECT_EQ(count.load(), kTasks);
+  cv.wait(lock, [&] { return count == kTasks; });
+  EXPECT_EQ(count, kTasks);
 }
 
 TEST(ThreadPool, DefaultSizeIsPositive) {
@@ -41,48 +44,9 @@ TEST(ThreadPool, DefaultSizeIsPositive) {
   EXPECT_GE(ThreadPool::Shared().num_threads(), 1);
 }
 
-TEST(ParallelFor, CoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  for (std::size_t n : {0u, 1u, 5u, 100u, 1000u}) {
-    for (std::size_t chunks : {1u, 2u, 3u, 7u, 64u}) {
-      std::vector<std::atomic<int>> hits(n);
-      for (auto& h : hits) h.store(0);
-      ParallelFor(pool, n, chunks,
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      hits[i].fetch_add(1);
-                    }
-                  });
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " chunks=" << chunks
-                                     << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(ParallelFor, ChunkBoundariesAreContiguousAndOrdered) {
-  ThreadPool pool(2);
-  const std::size_t n = 37, chunks = 5;
-  std::vector<std::pair<std::size_t, std::size_t>> ranges(chunks, {0, 0});
-  std::mutex mu;
-  ParallelFor(pool, n, chunks,
-              [&](std::size_t c, std::size_t begin, std::size_t end) {
-                std::lock_guard<std::mutex> lock(mu);
-                ranges[c] = {begin, end};
-              });
-  std::size_t expect_begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    EXPECT_EQ(ranges[c].first, expect_begin) << c;
-    EXPECT_LE(ranges[c].first, ranges[c].second) << c;
-    expect_begin = ranges[c].second;
-  }
-  EXPECT_EQ(expect_begin, n);
-}
-
 // ---------------------------------------------------------------------------
-// Parallel operators: byte-identical to the serial operators at every
-// thread count (per-chunk buffers merged in chunk order).
+// Parallel plans: byte-identical to the serial plan at every thread
+// count (per-morsel outputs concatenated in morsel order).
 // ---------------------------------------------------------------------------
 
 // AttributeValue has no operator==, so compare through the storage
@@ -116,7 +80,42 @@ Relation TestPlanes(int num_flights, std::uint64_t seed) {
 
 const std::vector<int> kThreadCounts = {1, 2, 4, 7};
 
-// ExecOptions running on a pool (one chunk per pool thread).
+using JoinAlgorithm = exec::LogicalQuery::JoinSpec::Algorithm;
+
+// Plans and runs `q` on the exec engine.
+Result<Relation> Execute(const exec::LogicalQuery& q,
+                         const ExecOptions& options = {}) {
+  Result<exec::PhysicalPlan> plan = exec::PlanQuery(q);
+  if (!plan.ok()) return plan.status();
+  Result<exec::PlanOutput> out = exec::RunPlan(*plan, options);
+  if (!out.ok()) return out.status();
+  return std::move(out->rows);
+}
+
+exec::LogicalQuery SelectQuery(const Relation& rel,
+                               std::function<bool(const Tuple&)> pred) {
+  exec::LogicalQuery q;
+  q.rel = &rel;
+  q.filters.push_back({std::move(pred), std::nullopt});
+  q.root_op = "select";
+  return q;
+}
+
+exec::LogicalQuery JoinQuery(const Relation& a, const Relation& b,
+                             JoinAlgorithm algorithm, exec::JoinPred pred) {
+  exec::LogicalQuery q;
+  q.rel = &a;
+  q.join.emplace();
+  q.join->algorithm = algorithm;
+  q.join->inner = &b;
+  q.join->attr_outer = kFlightAttrFlight;
+  q.join->attr_inner = kFlightAttrFlight;
+  q.join->expand = 500.0;
+  q.join->pred = std::move(pred);
+  return q;
+}
+
+// ExecOptions running on a pool (one worker per pool thread).
 ExecOptions PoolOptions(ThreadPool* pool) {
   ExecOptions options;
   options.parallel.num_threads = 0;
@@ -130,16 +129,17 @@ TEST(ParallelOperators, SelectMatchesSerial) {
     const auto& mp = std::get<MovingPoint>(t[std::size_t(kFlightAttrFlight)]);
     return mp.NumUnits() % 2 == 0;
   };
-  Relation serial = *Select(planes, pred);
+  const exec::LogicalQuery q = SelectQuery(planes, pred);
+  Relation serial = *Execute(q);
   EXPECT_GT(serial.NumTuples(), 0u);
   EXPECT_LT(serial.NumTuples(), planes.NumTuples());
   for (int threads : kThreadCounts) {
     ThreadPool pool(threads);
-    ExpectByteIdentical(serial, *Select(planes, pred, PoolOptions(&pool)));
-    // num_threads overrides chunking without a private pool.
+    ExpectByteIdentical(serial, *Execute(q, PoolOptions(&pool)));
+    // num_threads sets the worker count without a private pool.
     ExecOptions by_count;
     by_count.parallel.num_threads = threads;
-    ExpectByteIdentical(serial, *Select(planes, pred, by_count));
+    ExpectByteIdentical(serial, *Execute(q, by_count));
   }
 }
 
@@ -157,12 +157,13 @@ TEST(ParallelOperators, NestedLoopJoinMatchesSerial) {
            mb.units().front().interval().start() <=
                ma.units().back().interval().end();
   };
-  Relation serial = *NestedLoopJoin(a, b, pred);
+  const exec::LogicalQuery q =
+      JoinQuery(a, b, JoinAlgorithm::kNestedLoop, pred);
+  Relation serial = *Execute(q);
   EXPECT_GT(serial.NumTuples(), 0u);
   for (int threads : kThreadCounts) {
     ThreadPool pool(threads);
-    ExpectByteIdentical(serial, *NestedLoopJoin(a, b, pred,
-                                                PoolOptions(&pool)));
+    ExpectByteIdentical(serial, *Execute(q, PoolOptions(&pool)));
   }
 }
 
@@ -172,57 +173,50 @@ TEST(ParallelOperators, IndexJoinMatchesSerial) {
   auto pred = [](const Tuple&, std::size_t i, const Tuple&, std::size_t j) {
     return i != j;
   };
-  Relation serial =
-      *IndexJoinOnMovingPoint(a, kFlightAttrFlight, b, kFlightAttrFlight,
-                              500.0, pred);
+  const exec::LogicalQuery q = JoinQuery(a, b, JoinAlgorithm::kIndex, pred);
+  Relation serial = *Execute(q);
   EXPECT_GT(serial.NumTuples(), 0u);
   for (int threads : kThreadCounts) {
     ThreadPool pool(threads);
-    Relation par =
-        *IndexJoinOnMovingPoint(a, kFlightAttrFlight, b, kFlightAttrFlight,
-                                500.0, pred, PoolOptions(&pool));
-    ExpectByteIdentical(serial, par);
+    ExpectByteIdentical(serial, *Execute(q, PoolOptions(&pool)));
   }
 }
 
-// Satellite: the prebuilt-index overload must produce a byte-identical
-// relation to the building overload, serial and parallel, and the
-// ExecStats tree must expose the rebuild count (1 building, 0 reusing).
+// A prebuilt index must produce a byte-identical relation to the plan
+// that builds its own, serial and parallel, and the ExecStats tree must
+// expose the rebuild count (1 building, 0 reusing).
 TEST(ParallelOperators, PrebuiltIndexMatchesBuildingOverload) {
   Relation a = TestPlanes(32, 4);
   Relation b = TestPlanes(32, 5);
   auto pred = [](const Tuple&, std::size_t i, const Tuple&, std::size_t j) {
     return i != j;
   };
+  exec::LogicalQuery q = JoinQuery(a, b, JoinAlgorithm::kIndex, pred);
   ExecStats stats_built;
   ExecOptions opts_built;
   opts_built.stats = &stats_built;
-  Relation built = *IndexJoinOnMovingPoint(a, kFlightAttrFlight, b,
-                                           kFlightAttrFlight, 500.0, pred,
-                                           opts_built);
+  Relation built = *Execute(q, opts_built);
   EXPECT_EQ(stats_built.index_builds, 1u);
 
-  Result<RTree3D> index = BuildMovingPointIndex(b, kFlightAttrFlight);
+  Result<RTree3D> index = exec::BuildMovingPointIndex(b, kFlightAttrFlight);
   ASSERT_TRUE(index.ok());
+  q.join->prebuilt = &*index;
   ExecStats stats_pre;
   ExecOptions opts_pre;
   opts_pre.stats = &stats_pre;
-  Relation pre = *IndexJoinOnMovingPoint(a, kFlightAttrFlight, b, *index,
-                                         500.0, pred, opts_pre);
+  Relation pre = *Execute(q, opts_pre);
   ExpectByteIdentical(built, pre);
   EXPECT_EQ(stats_pre.index_builds, 0u);
 
   for (int threads : kThreadCounts) {
     ThreadPool pool(threads);
-    Relation par = *IndexJoinOnMovingPoint(a, kFlightAttrFlight, b, *index,
-                                           500.0, pred, PoolOptions(&pool));
-    ExpectByteIdentical(built, par);
+    ExpectByteIdentical(built, *Execute(q, PoolOptions(&pool)));
   }
 
   // Bad attribute index / non-moving-point attribute are rejected, not
   // fatal.
-  EXPECT_FALSE(BuildMovingPointIndex(b, 999).ok());
-  EXPECT_FALSE(BuildMovingPointIndex(b, -1).ok());
+  EXPECT_FALSE(exec::BuildMovingPointIndex(b, 999).ok());
+  EXPECT_FALSE(exec::BuildMovingPointIndex(b, -1).ok());
 }
 
 TEST(ParallelOperators, EmptyRelationAndMoreChunksThanTuples) {
@@ -230,9 +224,11 @@ TEST(ParallelOperators, EmptyRelationAndMoreChunksThanTuples) {
   Relation empty("planes", planes.schema());
   auto all = [](const Tuple&) { return true; };
   ExecOptions options;
-  options.parallel.num_threads = 8;  // more chunks than tuples
-  ExpectByteIdentical(*Select(empty, all), *Select(empty, all, options));
-  ExpectByteIdentical(*Select(planes, all), *Select(planes, all, options));
+  options.parallel.num_threads = 8;  // more workers than tuples
+  ExpectByteIdentical(*Execute(SelectQuery(empty, all)),
+                      *Execute(SelectQuery(empty, all), options));
+  ExpectByteIdentical(*Execute(SelectQuery(planes, all)),
+                      *Execute(SelectQuery(planes, all), options));
 }
 
 TEST(ParallelOperators, RejectsAbsurdThreadCounts) {
@@ -240,14 +236,14 @@ TEST(ParallelOperators, RejectsAbsurdThreadCounts) {
   auto all = [](const Tuple&) { return true; };
   ExecOptions options;
   options.parallel.num_threads = kMaxQueryThreads + 1;
-  auto r = Select(planes, all, options);
+  auto r = Execute(SelectQuery(planes, all), options);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   // <= 0 means "auto" and stays valid.
   options.parallel.num_threads = -5;
-  EXPECT_TRUE(Select(planes, all, options).ok());
+  EXPECT_TRUE(Execute(SelectQuery(planes, all), options).ok());
   options.parallel.num_threads = kMaxQueryThreads;
-  EXPECT_TRUE(Select(planes, all, options).ok());
+  EXPECT_TRUE(Execute(SelectQuery(planes, all), options).ok());
 }
 
 // Requesting an ExecStats sink must not change the produced relation
@@ -259,13 +255,14 @@ TEST(ParallelOperators, StatsSinkDoesNotChangeOutput) {
     const auto& mp = std::get<MovingPoint>(t[std::size_t(kFlightAttrFlight)]);
     return mp.NumUnits() % 2 == 1;
   };
-  Relation plain = *Select(planes, pred);
+  const exec::LogicalQuery q = SelectQuery(planes, pred);
+  Relation plain = *Execute(q);
   for (int threads : kThreadCounts) {
     ThreadPool pool(threads);
     ExecStats stats;
     ExecOptions options = PoolOptions(&pool);
     options.stats = &stats;
-    ExpectByteIdentical(plain, *Select(planes, pred, options));
+    ExpectByteIdentical(plain, *Execute(q, options));
     EXPECT_EQ(stats.op, "select");
     EXPECT_EQ(stats.tuples_in, planes.NumTuples());
     EXPECT_EQ(stats.tuples_out, plain.NumTuples());

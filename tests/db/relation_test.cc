@@ -2,12 +2,46 @@
 
 #include <gtest/gtest.h>
 
-#include "db/query.h"
+#include "exec/planner.h"
 #include "gen/flights_gen.h"
 #include "temporal/lifted_ops.h"
 
 namespace modb {
 namespace {
+
+using JoinAlgorithm = exec::LogicalQuery::JoinSpec::Algorithm;
+
+// Plans and runs `q` on the exec engine; the output relation.
+Relation Execute(const exec::LogicalQuery& q) {
+  Result<exec::PhysicalPlan> plan = exec::PlanQuery(q);
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  Result<exec::PlanOutput> out = exec::RunPlan(*plan, ExecOptions{});
+  EXPECT_TRUE(out.ok()) << out.status();
+  return std::move(out->rows);
+}
+
+// σ_pred(rel) on the exec engine.
+Relation Select(const Relation& rel, std::function<bool(const Tuple&)> pred) {
+  exec::LogicalQuery q;
+  q.rel = &rel;
+  q.filters.push_back({std::move(pred), std::nullopt});
+  return Execute(q);
+}
+
+// The self join of `rel` on its flight attribute under `pred`.
+Relation SelfJoin(const Relation& rel, JoinAlgorithm algorithm,
+                  exec::JoinPred pred, double expand = 0) {
+  exec::LogicalQuery q;
+  q.rel = &rel;
+  q.join.emplace();
+  q.join->algorithm = algorithm;
+  q.join->inner = &rel;
+  q.join->attr_outer = kFlightAttrFlight;
+  q.join->attr_inner = kFlightAttrFlight;
+  q.join->expand = expand;
+  q.join->pred = std::move(pred);
+  return Execute(q);
+}
 
 Relation MakePlanesSmall() {
   // Two planes crossing paths (closest approach 0 at t=5, position (5,0))
@@ -53,15 +87,18 @@ TEST(RelationInsert, TypeChecking) {
 
 TEST(QueryOps, SelectAndProject) {
   Relation planes = MakePlanesSmall();
-  Relation lh = *Select(planes, [](const Tuple& t) {
+  Relation lh = Select(planes, [](const Tuple& t) {
     return std::get<StringValue>(t[0]).value() == "Lufthansa";
   });
   EXPECT_EQ(lh.NumTuples(), 2u);
-  auto ids = Project(lh, {"id"});
-  ASSERT_TRUE(ids.ok());
-  EXPECT_EQ(ids->schema().NumAttributes(), 1u);
-  EXPECT_EQ(std::get<StringValue>(ids->tuple(0)[0]).value(), "LH1");
-  EXPECT_FALSE(Project(lh, {"nope"}).ok());
+  exec::LogicalQuery project;
+  project.rel = &lh;
+  project.project = std::vector<int>{1};
+  Relation ids = Execute(project);
+  EXPECT_EQ(ids.schema().NumAttributes(), 1u);
+  EXPECT_EQ(std::get<StringValue>(ids.tuple(0)[0]).value(), "LH1");
+  project.project = std::vector<int>{3};
+  EXPECT_FALSE(exec::PlanQuery(project).ok());
 }
 
 // The paper's first query: SELECT airline, id FROM planes WHERE
@@ -74,7 +111,7 @@ TEST(PaperQueries, TrajectoryLengthFilter) {
                                      .speed = 800,
                                      .departure_window = 24,
                                      .seed = 1});
-  Relation result = *Select(planes, [](const Tuple& t) {
+  Relation result = Select(planes, [](const Tuple& t) {
     return std::get<StringValue>(t[kFlightAttrAirline]).value() ==
                "Lufthansa" &&
            Trajectory(std::get<MovingPoint>(t[kFlightAttrFlight])).Length() >
@@ -103,7 +140,7 @@ TEST(PaperQueries, SpatioTemporalJoin) {
     if (!am.ok()) return false;
     return am->Initial().val() < 0.5;
   };
-  Relation pairs = *NestedLoopJoin(planes, planes, close_pred);
+  Relation pairs = SelfJoin(planes, JoinAlgorithm::kNestedLoop, close_pred);
   ASSERT_EQ(pairs.NumTuples(), 1u);
   EXPECT_EQ(std::get<StringValue>(pairs.tuple(0)[1]).value(), "LH1");
   EXPECT_EQ(std::get<StringValue>(pairs.tuple(0)[4]).value(), "KL2");
@@ -127,9 +164,8 @@ TEST(QueryOps, IndexJoinMatchesNestedLoop) {
     auto mv = MinValue(*d);
     return mv.has_value() && *mv < kDist;
   };
-  Relation nl = *NestedLoopJoin(planes, planes, pred);
-  Relation ix = *IndexJoinOnMovingPoint(planes, kFlightAttrFlight, planes,
-                                        kFlightAttrFlight, kDist, pred);
+  Relation nl = SelfJoin(planes, JoinAlgorithm::kNestedLoop, pred, kDist);
+  Relation ix = SelfJoin(planes, JoinAlgorithm::kIndex, pred, kDist);
   EXPECT_EQ(ix.NumTuples(), nl.NumTuples());
   EXPECT_GT(nl.NumTuples(), 0u);
 }

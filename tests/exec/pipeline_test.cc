@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "db/parallel.h"
-#include "db/query.h"
 #include "db/relation_io.h"
 #include "exec/planner.h"
 #include "gen/flights_gen.h"
@@ -21,7 +20,7 @@ namespace {
 
 // AttributeValue has no operator==; compare through the storage
 // serialization, name and schema included — the "byte-identical"
-// contract the engine promises against the materializing operators.
+// contract the engine promises against composed single-operator plans.
 void ExpectByteIdentical(const Relation& a, const Relation& b) {
   EXPECT_EQ(a.name(), b.name());
   ASSERT_EQ(a.schema().NumAttributes(), b.schema().NumAttributes());
@@ -66,6 +65,33 @@ ExecOptions ThreadedOptions(ThreadPool* pool, ExecStats* stats = nullptr) {
   return options;
 }
 
+// Plans and runs `q` serially; the output relation. Composing these
+// (one materialized Relation per operator) is the reference the fused
+// pipelines are checked against.
+Relation Execute(const LogicalQuery& q) {
+  auto plan = PlanQuery(q);
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  auto out = RunPlan(*plan, ExecOptions{});
+  EXPECT_TRUE(out.ok()) << out.status();
+  return std::move(out->rows);
+}
+
+// σ_pred(rel) as its own plan.
+Relation Select(const Relation& rel, std::function<bool(const Tuple&)> pred) {
+  LogicalQuery q;
+  q.rel = &rel;
+  q.filters.push_back(Predicate{std::move(pred), std::nullopt});
+  return Execute(q);
+}
+
+// outer ⋈ join.inner as its own plan.
+Relation Join(const Relation& outer, LogicalQuery::JoinSpec join) {
+  LogicalQuery q;
+  q.rel = &outer;
+  q.join = std::move(join);
+  return Execute(q);
+}
+
 // Counter deltas can only be asserted when the metrics registry is
 // compiled in; under MODB_NO_METRICS every counter reads 0.
 std::uint64_t CounterValue(const char* name) {
@@ -78,20 +104,23 @@ std::uint64_t CounterValue(const char* name) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: fused pipelines vs composed materializing operators.
+// Differential: fused pipelines vs composed single-operator plans.
 // ---------------------------------------------------------------------------
 
-// Select → Project as ONE pipeline must equal Select() then Project()
-// (two materializing operator calls), byte-for-byte, at every thread
-// count — and must materialize exactly one Relation doing it.
+// Select → Project as ONE pipeline must equal a select plan then a
+// project plan (two materialized relations), byte-for-byte, at every
+// thread count — and must materialize exactly one Relation doing it.
 TEST(PipelinedPlans, SelectProjectMatchesComposedOperators) {
   Relation planes = TestPlanes(60, 11);
-  Relation composed = *Project(*Select(planes, EvenUnits),
-                               {"airline", "flight"});
+  const Relation selected = Select(planes, EvenUnits);
+  LogicalQuery project;
+  project.rel = &selected;
+  project.project = std::vector<int>{kFlightAttrAirline, kFlightAttrFlight};
+  Relation composed = Execute(project);
 
   LogicalQuery q;
   q.rel = &planes;
-  q.filters.push_back(Predicate{EvenUnits, "even_units", std::nullopt});
+  q.filters.push_back(Predicate{EvenUnits, std::nullopt});
   q.project = std::vector<int>{kFlightAttrAirline, kFlightAttrFlight};
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
@@ -103,7 +132,7 @@ TEST(PipelinedPlans, SelectProjectMatchesComposedOperators) {
         CounterValue("exec.relations_materialized");
     auto out = RunPlan(*plan, ThreadedOptions(&pool, &stats));
     ASSERT_TRUE(out.ok()) << out.status();
-    ExpectByteIdentical(composed, *out);
+    ExpectByteIdentical(composed, out->rows);
     // Zero intermediate materializations: the fused plan builds one
     // Relation (the sink) where the composed chain builds two.
     EXPECT_EQ(stats.materializations, 1u);
@@ -124,10 +153,10 @@ TEST(PipelinedPlans, SelectProjectMatchesComposedOperators) {
   }
 }
 
-// Select → IndexJoinOnMovingPoint as one pipeline vs the composed
-// two-operator chain. The join predicate must not depend on the outer
-// ordinal: the pipelined plan passes SOURCE row indices, the composed
-// chain passes post-select ordinals.
+// Select → index join as one pipeline vs the composed two-plan chain.
+// The join predicate must not depend on the outer ordinal: the fused
+// plan passes SOURCE row indices, the composed chain post-select
+// ordinals.
 TEST(PipelinedPlans, SelectIndexJoinMatchesComposedOperators) {
   Relation planes = TestPlanes(32, 12);
   Relation other = TestPlanes(32, 13);
@@ -138,33 +167,30 @@ TEST(PipelinedPlans, SelectIndexJoinMatchesComposedOperators) {
     return !ma.IsEmpty() && !mb.IsEmpty();
   };
 
-  Relation composed = *IndexJoinOnMovingPoint(
-      *Select(planes, EvenUnits), kFlightAttrFlight, other, kFlightAttrFlight,
-      500.0, join_pred);
-
-  LogicalQuery q;
-  q.rel = &planes;
-  q.filters.push_back(Predicate{EvenUnits, "even_units", std::nullopt});
   LogicalQuery::JoinSpec join;
   join.algorithm = LogicalQuery::JoinSpec::Algorithm::kIndex;
   join.inner = &other;
   join.attr_outer = kFlightAttrFlight;
   join.attr_inner = kFlightAttrFlight;
   join.expand = 500.0;
-  join.pred = JoinPred{join_pred, "nonempty_pair"};
+  join.pred = join_pred;
+  Relation composed = Join(Select(planes, EvenUnits), join);
+
+  LogicalQuery q;
+  q.rel = &planes;
+  q.filters.push_back(Predicate{EvenUnits, std::nullopt});
   q.join = std::move(join);
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
   // Index plan: a build step feeding the probe pipeline.
-  ASSERT_EQ(plan->steps.size(), 2u);
-  EXPECT_TRUE(plan->steps[0].build.has_value());
+  EXPECT_TRUE(plan->build.has_value());
 
   for (int threads : kThreadCounts) {
     ThreadPool pool(threads);
     ExecStats stats;
     auto out = RunPlan(*plan, ThreadedOptions(&pool, &stats));
     ASSERT_TRUE(out.ok()) << out.status();
-    ExpectByteIdentical(composed, *out);
+    ExpectByteIdentical(composed, out->rows);
     EXPECT_EQ(stats.materializations, 1u);
     EXPECT_EQ(stats.index_builds, 1u);
     ASSERT_EQ(stats.children.size(), 4u);
@@ -182,16 +208,15 @@ TEST(PipelinedPlans, SelectNestedLoopJoinMatchesComposedOperators) {
     return std::get<StringValue>(ta[std::size_t(kFlightAttrAirline)]) <
            std::get<StringValue>(tb[std::size_t(kFlightAttrAirline)]);
   };
-  Relation composed =
-      *NestedLoopJoin(*Select(planes, EvenUnits), other, join_pred);
-
-  LogicalQuery q;
-  q.rel = &planes;
-  q.filters.push_back(Predicate{EvenUnits, "even_units", std::nullopt});
   LogicalQuery::JoinSpec join;
   join.algorithm = LogicalQuery::JoinSpec::Algorithm::kNestedLoop;
   join.inner = &other;
-  join.pred = JoinPred{join_pred, "airline_lt"};
+  join.pred = join_pred;
+  Relation composed = Join(Select(planes, EvenUnits), join);
+
+  LogicalQuery q;
+  q.rel = &planes;
+  q.filters.push_back(Predicate{EvenUnits, std::nullopt});
   q.join = std::move(join);
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
@@ -199,7 +224,7 @@ TEST(PipelinedPlans, SelectNestedLoopJoinMatchesComposedOperators) {
     ThreadPool pool(threads);
     auto out = RunPlan(*plan, ThreadedOptions(&pool));
     ASSERT_TRUE(out.ok()) << out.status();
-    ExpectByteIdentical(composed, *out);
+    ExpectByteIdentical(composed, out->rows);
   }
 }
 
@@ -208,7 +233,7 @@ TEST(PipelinedPlans, EmptySourceProducesEmptyOutput) {
   Relation empty("planes", planes.schema());
   LogicalQuery q;
   q.rel = &empty;
-  q.filters.push_back(Predicate{EvenUnits, "even_units", std::nullopt});
+  q.filters.push_back(Predicate{EvenUnits, std::nullopt});
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
   ExecStats stats;
@@ -216,8 +241,8 @@ TEST(PipelinedPlans, EmptySourceProducesEmptyOutput) {
   options.stats = &stats;
   auto out = RunPlan(*plan, options);
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(out->NumTuples(), 0u);
-  EXPECT_EQ(out->name(), "planes_sel");
+  EXPECT_EQ(out->rows.NumTuples(), 0u);
+  EXPECT_EQ(out->rows.name(), "planes_sel");
   EXPECT_EQ(stats.workers, 1u);
 }
 
@@ -248,8 +273,8 @@ TEST(PipelinedPlans, SpilledScanPushdownSkipsColdRows) {
 
   LogicalQuery q;
   q.spilled = &*spilled;
-  q.filters.push_back(Predicate{
-      window_pred, "deftime_window", TimeWindow{kFlightAttrFlight, t0, t1}});
+  q.filters.push_back(
+      Predicate{window_pred, TimeWindow{kFlightAttrFlight, t0, t1}});
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
 
@@ -273,8 +298,8 @@ TEST(PipelinedPlans, SpilledScanPushdownSkipsColdRows) {
   // Byte-identical to the in-memory path over the fully loaded data.
   auto all = spilled->MaterializeAll();
   ASSERT_TRUE(all.ok()) << all.status();
-  Relation reference = *Select(*all, window_pred);
-  ExpectByteIdentical(reference, *out);
+  Relation reference = Select(*all, window_pred);
+  ExpectByteIdentical(reference, out->rows);
 }
 
 // Spilled scans stay byte-identical across thread counts (concurrent
@@ -289,19 +314,19 @@ TEST(PipelinedPlans, SpilledScanMatchesAcrossThreadCounts) {
 
   LogicalQuery q;
   q.spilled = &*spilled;
-  q.filters.push_back(Predicate{EvenUnits, "even_units", std::nullopt});
+  q.filters.push_back(Predicate{EvenUnits, std::nullopt});
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
 
   ExecOptions serial;
   auto baseline = RunPlan(*plan, serial);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
-  EXPECT_GT(baseline->NumTuples(), 0u);
+  EXPECT_GT(baseline->rows.NumTuples(), 0u);
   for (int threads : kThreadCounts) {
     ThreadPool tp(threads);
     auto out = RunPlan(*plan, ThreadedOptions(&tp));
     ASSERT_TRUE(out.ok()) << out.status();
-    ExpectByteIdentical(*baseline, *out);
+    ExpectByteIdentical(baseline->rows, out->rows);
   }
 }
 
@@ -320,8 +345,7 @@ TEST(PipelinedPlans, SpilledLoadErrorIsDeterministic) {
 
   LogicalQuery q;
   q.spilled = &*spilled;
-  q.filters.push_back(
-      Predicate{[](const Tuple&) { return true; }, "all", std::nullopt});
+  q.filters.push_back(Predicate{[](const Tuple&) { return true; }, std::nullopt});
   q.morsel_rows = 1;
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
@@ -349,7 +373,7 @@ TEST(PipelinedPlans, WorkStealingPermutationsAreByteIdentical) {
   Relation planes = TestPlanes(40, 20);
   LogicalQuery q;
   q.rel = &planes;
-  q.filters.push_back(Predicate{EvenUnits, "even_units", std::nullopt});
+  q.filters.push_back(Predicate{EvenUnits, std::nullopt});
   q.morsel_rows = 1;  // maximize scheduling freedom
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
@@ -374,7 +398,7 @@ TEST(PipelinedPlans, WorkStealingPermutationsAreByteIdentical) {
     auto out = RunPlan(*plan, options);
     SetExecTestHooks(nullptr);
     ASSERT_TRUE(out.ok()) << out.status();
-    ExpectByteIdentical(*baseline, *out);
+    ExpectByteIdentical(baseline->rows, out->rows);
     // Every morsel claimed exactly once regardless of who ran it.
     EXPECT_EQ(stats.morsels, 40u);
     total_stolen += stats.morsels_stolen;
@@ -390,31 +414,25 @@ TEST(PipelinedPlans, WorkStealingPermutationsAreByteIdentical) {
 
 TEST(RunPlanValidation, RejectsMalformedPlans) {
   Relation planes = TestPlanes(3, 21);
-  // No pipeline step.
-  PhysicalPlan no_pipe;
-  no_pipe.out_schema = planes.schema();
   ExecOptions options;
-  EXPECT_FALSE(RunPlan(no_pipe, options).ok());
+  // No source.
+  PhysicalPlan no_source;
+  no_source.out_schema = planes.schema();
+  EXPECT_FALSE(RunPlan(no_source, options).ok());
 
-  // Dependency cycle.
-  PhysicalPlan cycle;
-  cycle.out_name = "x";
-  cycle.out_schema = planes.schema();
-  PlanStep step;
-  step.pipe = Pipeline{};
-  step.pipe->rel = &planes;
-  step.deps = {0};  // depends on itself
-  cycle.steps.push_back(std::move(step));
-  EXPECT_FALSE(RunPlan(cycle, options).ok());
+  // Index probe with no index to probe: no layers, tree or build step.
+  PhysicalPlan no_index;
+  no_index.out_name = "x";
+  no_index.pipe.rel = &planes;
+  no_index.pipe.join = JoinProbeOp{};
+  no_index.pipe.join->inner = &planes;
+  EXPECT_FALSE(RunPlan(no_index, options).ok());
 
   // Thread-count sanity bound comes from the shared helper.
   PhysicalPlan ok_plan;
   ok_plan.out_name = "y";
   ok_plan.out_schema = planes.schema();
-  PlanStep ok_step;
-  ok_step.pipe = Pipeline{};
-  ok_step.pipe->rel = &planes;
-  ok_plan.steps.push_back(std::move(ok_step));
+  ok_plan.pipe.rel = &planes;
   ExecOptions absurd;
   absurd.parallel.num_threads = kMaxQueryThreads + 1;
   auto r = RunPlan(ok_plan, absurd);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "gen/flights_gen.h"
-#include "obs/metrics.h"
 #include "storage/page_store.h"
 
 namespace modb {
@@ -28,17 +27,6 @@ bool AnyPair(const Tuple&, std::size_t, const Tuple&, std::size_t) {
   return true;
 }
 
-// Counter deltas can only be asserted when the metrics registry is
-// compiled in; under MODB_NO_METRICS every counter reads 0.
-std::uint64_t CounterValue(const char* name) {
-#ifdef MODB_NO_METRICS
-  (void)name;
-  return 0;
-#else
-  return obs::Metrics::Global().counter(name)->value();
-#endif
-}
-
 LogicalQuery JoinQuery(const Relation* outer, const Relation* inner,
                        LogicalQuery::JoinSpec::Algorithm algorithm =
                            LogicalQuery::JoinSpec::Algorithm::kAuto) {
@@ -50,7 +38,7 @@ LogicalQuery JoinQuery(const Relation* outer, const Relation* inner,
   join.attr_outer = kFlightAttrFlight;
   join.attr_inner = kFlightAttrFlight;
   join.expand = 100.0;
-  join.pred = JoinPred{AnyPair, "any_pair"};
+  join.pred = AnyPair;
   q.join = std::move(join);
   return q;
 }
@@ -62,42 +50,54 @@ LogicalQuery JoinQuery(const Relation* outer, const Relation* inner,
 // Tiny join: outer×inner below the eval budget, nested loop wins (no
 // build step, probe kind kNestedLoop).
 TEST(Planner, AutoPicksNestedLoopForTinyJoin) {
-  PlanCacheClear();
   Relation a = TestPlanes(8, 1);
   Relation b = TestPlanes(8, 2);
   auto plan = PlanQuery(JoinQuery(&a, &b));
   ASSERT_TRUE(plan.ok()) << plan.status();
-  ASSERT_EQ(plan->steps.size(), 1u);
-  ASSERT_TRUE(plan->steps[0].pipe.has_value());
-  ASSERT_TRUE(plan->steps[0].pipe->join.has_value());
-  EXPECT_EQ(plan->steps[0].pipe->join->kind, JoinProbeOp::Kind::kNestedLoop);
+  EXPECT_FALSE(plan->build.has_value());
+  ASSERT_TRUE(plan->pipe.join.has_value());
+  EXPECT_EQ(plan->pipe.join->kind, JoinProbeOp::Kind::kNestedLoop);
   EXPECT_EQ(plan->out_name, "planes_x_planes");
 }
 
 // Large join: the index pays for its build; the plan grows a build step
-// the probe pipeline depends on.
+// whose tree the probe uses.
 TEST(Planner, AutoPicksIndexJoinForLargeJoin) {
-  PlanCacheClear();
   Relation a = TestPlanes(100, 3);
   Relation b = TestPlanes(100, 4);
   auto plan = PlanQuery(JoinQuery(&a, &b));
   ASSERT_TRUE(plan.ok()) << plan.status();
-  ASSERT_EQ(plan->steps.size(), 2u);
-  ASSERT_TRUE(plan->steps[0].build.has_value());
-  ASSERT_TRUE(plan->steps[1].pipe.has_value());
-  const Pipeline& pipe = *plan->steps[1].pipe;
+  ASSERT_TRUE(plan->build.has_value());
+  EXPECT_EQ(plan->build->rel, &b);
+  const Pipeline& pipe = plan->pipe;
   ASSERT_TRUE(pipe.join.has_value());
   EXPECT_EQ(pipe.join->kind, JoinProbeOp::Kind::kIndex);
-  EXPECT_EQ(pipe.join->build_step, 0);
-  ASSERT_EQ(plan->steps[1].deps.size(), 1u);
-  EXPECT_EQ(plan->steps[1].deps[0], 0u);
+  EXPECT_EQ(pipe.join->tree, nullptr);
   EXPECT_EQ(plan->out_name, "planes_ix_planes");
+}
+
+// A kAuto join's plan is a pure function of its query: planning a
+// 64×64 join first must not change the plan of a 64×127 join, whose
+// 8128 predicate evaluations are over the nested-loop budget.
+TEST(Planner, AutoJoinPlanDependsOnlyOnTheQuery) {
+  Relation a = TestPlanes(64, 9);
+  Relation small = TestPlanes(64, 10);
+  Relation large = TestPlanes(127, 10);
+  auto first = PlanQuery(JoinQuery(&a, &small));
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->out_name, "planes_x_planes");
+
+  auto plan = PlanQuery(JoinQuery(&a, &large));
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->out_name, "planes_ix_planes");
+  EXPECT_TRUE(plan->build.has_value());
+  ASSERT_TRUE(plan->pipe.join.has_value());
+  EXPECT_EQ(plan->pipe.join->kind, JoinProbeOp::Kind::kIndex);
 }
 
 // A prebuilt tree makes the index free: chosen even for tiny inputs,
 // with no build step.
 TEST(Planner, PrebuiltTreeForcesIndexJoinWithoutBuildStep) {
-  PlanCacheClear();
   Relation a = TestPlanes(4, 5);
   Relation b = TestPlanes(4, 6);
   auto tree = BuildMovingPointIndex(b, kFlightAttrFlight);
@@ -106,10 +106,10 @@ TEST(Planner, PrebuiltTreeForcesIndexJoinWithoutBuildStep) {
   q.join->prebuilt = &*tree;
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
-  ASSERT_EQ(plan->steps.size(), 1u);
-  ASSERT_TRUE(plan->steps[0].pipe->join.has_value());
-  EXPECT_EQ(plan->steps[0].pipe->join->kind, JoinProbeOp::Kind::kIndex);
-  EXPECT_EQ(plan->steps[0].pipe->join->tree, &*tree);
+  EXPECT_FALSE(plan->build.has_value());
+  ASSERT_TRUE(plan->pipe.join.has_value());
+  EXPECT_EQ(plan->pipe.join->kind, JoinProbeOp::Kind::kIndex);
+  EXPECT_EQ(plan->pipe.join->tree, &*tree);
 }
 
 // ---------------------------------------------------------------------------
@@ -117,7 +117,6 @@ TEST(Planner, PrebuiltTreeForcesIndexJoinWithoutBuildStep) {
 // ---------------------------------------------------------------------------
 
 TEST(Planner, PushesWindowIntersectionIntoSpilledScan) {
-  PlanCacheClear();
   Relation planes = TestPlanes(6, 7);
   PageStore store;
   BufferPool pool(&store, 64);
@@ -128,16 +127,15 @@ TEST(Planner, PushesWindowIntersectionIntoSpilledScan) {
   LogicalQuery q;
   q.spilled = &*spilled;
   q.filters.push_back(
-      Predicate{AnyTuple, "w1", TimeWindow{kFlightAttrFlight, 0.0, 10.0}});
+      Predicate{AnyTuple, TimeWindow{kFlightAttrFlight, 0.0, 10.0}});
   q.filters.push_back(
-      Predicate{AnyTuple, "w2", TimeWindow{kFlightAttrFlight, 4.0, 20.0}});
+      Predicate{AnyTuple, TimeWindow{kFlightAttrFlight, 4.0, 20.0}});
   // A window on a different attribute must not narrow the scan window.
   q.filters.push_back(
-      Predicate{AnyTuple, "w3", TimeWindow{kFlightAttrAirline, 99.0, 100.0}});
+      Predicate{AnyTuple, TimeWindow{kFlightAttrAirline, 99.0, 100.0}});
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
-  ASSERT_EQ(plan->steps.size(), 1u);
-  const Pipeline& pipe = *plan->steps[0].pipe;
+  const Pipeline& pipe = plan->pipe;
   ASSERT_TRUE(pipe.scan_window.has_value());
   EXPECT_EQ(pipe.scan_window->attr, kFlightAttrFlight);
   EXPECT_EQ(pipe.scan_window->t0, 4.0);
@@ -145,57 +143,14 @@ TEST(Planner, PushesWindowIntersectionIntoSpilledScan) {
 }
 
 TEST(Planner, NoPushdownForInMemorySource) {
-  PlanCacheClear();
   Relation planes = TestPlanes(4, 8);
   LogicalQuery q;
   q.rel = &planes;
   q.filters.push_back(
-      Predicate{AnyTuple, "w1", TimeWindow{kFlightAttrFlight, 0.0, 10.0}});
+      Predicate{AnyTuple, TimeWindow{kFlightAttrFlight, 0.0, 10.0}});
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_FALSE(plan->steps[0].pipe->scan_window.has_value());
-}
-
-// ---------------------------------------------------------------------------
-// Rule 3: the plan cache.
-// ---------------------------------------------------------------------------
-
-TEST(Planner, CachesDecisionsByQueryShape) {
-  PlanCacheClear();
-  ASSERT_EQ(PlanCacheSize(), 0u);
-  Relation a = TestPlanes(100, 9);
-  Relation b = TestPlanes(100, 10);
-  const LogicalQuery q = JoinQuery(&a, &b);
-
-  const std::uint64_t misses_before = CounterValue("exec.plan_cache.misses");
-  const std::uint64_t hits_before = CounterValue("exec.plan_cache.hits");
-  auto first = PlanQuery(q);
-  ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_EQ(PlanCacheSize(), 1u);
-#ifndef MODB_NO_METRICS
-  EXPECT_EQ(CounterValue("exec.plan_cache.misses"), misses_before + 1);
-#else
-  (void)misses_before;
-#endif
-
-  // Same shape again: a hit, no new entry, same physical shape.
-  auto second = PlanQuery(q);
-  ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_EQ(PlanCacheSize(), 1u);
-#ifndef MODB_NO_METRICS
-  EXPECT_EQ(CounterValue("exec.plan_cache.hits"), hits_before + 1);
-#else
-  (void)hits_before;
-#endif
-  EXPECT_EQ(second->steps.size(), first->steps.size());
-
-  // A different predicate shape is a different key → a new entry.
-  LogicalQuery q2 = JoinQuery(&a, &b);
-  q2.join->pred.shape = "close_pair";
-  EXPECT_NE(PlanCacheKey(q), PlanCacheKey(q2));
-  auto third = PlanQuery(q2);
-  ASSERT_TRUE(third.ok()) << third.status();
-  EXPECT_EQ(PlanCacheSize(), 2u);
+  EXPECT_FALSE(plan->pipe.scan_window.has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -213,7 +168,7 @@ TEST(Planner, RejectsMalformedQueries) {
   both_terminals.project = std::vector<int>{0};
   both_terminals.join = LogicalQuery::JoinSpec{};
   both_terminals.join->inner = &planes;
-  both_terminals.join->pred = JoinPred{AnyPair, "any"};
+  both_terminals.join->pred = AnyPair;
   EXPECT_FALSE(PlanQuery(both_terminals).ok());
 
   LogicalQuery bad_proj;
@@ -224,7 +179,7 @@ TEST(Planner, RejectsMalformedQueries) {
   LogicalQuery no_inner;
   no_inner.rel = &planes;
   no_inner.join = LogicalQuery::JoinSpec{};
-  no_inner.join->pred = JoinPred{AnyPair, "any"};
+  no_inner.join->pred = AnyPair;
   EXPECT_FALSE(PlanQuery(no_inner).ok());
 
   // Index join over a non-moving-point outer attribute.
@@ -239,6 +194,17 @@ TEST(Planner, RejectsMalformedQueries) {
   nl.join->attr_outer = -1;
   nl.join->attr_inner = -1;
   EXPECT_TRUE(PlanQuery(nl).ok());
+
+  // Batch and window terminals need a moving-point attribute.
+  LogicalQuery bad_batch;
+  bad_batch.rel = &planes;
+  bad_batch.batch = BatchOp{BatchOp::Kind::kPresent, kFlightAttrAirline, {}};
+  EXPECT_FALSE(PlanQuery(bad_batch).ok());
+  LogicalQuery bad_window;
+  bad_window.rel = &planes;
+  bad_window.window = WindowAggregateOp{kFlightAttrAirline, 0, 1, 1, 1,
+                                        0,                  0, -1, -1};
+  EXPECT_FALSE(PlanQuery(bad_window).ok());
 }
 
 }  // namespace

@@ -228,6 +228,43 @@ TEST(LiveDifferential, EveryQueryKindIsByteIdenticalToBulk) {
   }
 }
 
+// The serial ≡ parallel half of the contract over a live source: every
+// kind, and a filtered window with a rect, answers with the same bytes
+// at 1, 2, 4 and 8 workers while the relation is mid-ingest (tails,
+// delta and mem layers all populated).
+TEST(LiveDifferential, EveryQueryKindIsByteIdenticalAcrossThreadCounts) {
+  const int kObjects = 6, kSteps = 24;
+  const std::vector<Fix> fixes = FleetFixes(kObjects, kSteps, 13);
+  Db live;
+  ingest::LiveOptions opts;
+  opts.seal_units = 3;
+  ASSERT_TRUE(live.RegisterLive("fleet", opts).ok());
+  IngestAll(&live, "fleet", fixes, 7);
+
+  std::vector<QueryRequest> kinds = AllKinds("fleet", kSteps);
+  QueryRequest window = kinds.back();
+  ASSERT_EQ(window.kind, QueryRequest::Kind::kWindowAggregate);
+  window.filters.push_back({FilterSpec::Kind::kDeftimeIntersects, "trail", "",
+                            0, 2.0, double(kSteps)});
+  window.min_x = -20;
+  window.min_y = -40;
+  window.max_x = 40;
+  window.max_y = 20;
+  kinds.push_back(window);
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    const std::string expect = RunBlock(live, kinds[k]);
+    for (int threads : {2, 4, 8}) {
+      ExecOptions options;
+      options.parallel.num_threads = threads;
+      Result<QueryResult> r = live.Run(kinds[k], options);
+      ASSERT_TRUE(r.ok()) << r.status();
+      Result<std::string> block = serve::EncodeResultBlock(*r);
+      ASSERT_TRUE(block.ok());
+      EXPECT_EQ(*block, expect) << "kind #" << k << " threads " << threads;
+    }
+  }
+}
+
 TEST(LiveDifferential, SealPolicyNeverShowsInTheBytes) {
   // Two live Dbs with maximally different layering policies must agree
   // byte for byte: layering is an implementation detail of the union.

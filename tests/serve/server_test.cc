@@ -685,6 +685,85 @@ TEST_F(ServerTest, ExecutionDeadlineExceededRoundTripsWithMetrics) {
   EXPECT_TRUE(reply->status.ok()) << reply->status;
 }
 
+// Sends `req` at one worker with a 50ms deadline while every morsel
+// after the first `free_morsels` stalls 30ms, and returns the reply plus
+// how many morsels started. The deadline survives the first stalled
+// checkpoint and must fire at the third, between morsels.
+Result<Client::Reply> QueryWithStalledMorsels(Client* client,
+                                              QueryRequest req,
+                                              std::size_t free_morsels,
+                                              std::size_t* started) {
+  std::atomic<std::size_t> calls{0};
+  exec::ExecTestHooks hooks;
+  hooks.before_morsel = [&](std::size_t, std::size_t) {
+    if (calls.fetch_add(1) >= free_morsels) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    }
+  };
+  exec::SetExecTestHooks(&hooks);
+  req.num_threads = 1;
+  req.deadline_ms = 50;
+  Result<Client::Reply> reply = client->Query(req);
+  exec::SetExecTestHooks(nullptr);
+  *started = calls.load();
+  return reply;
+}
+
+// present_batch runs as a morsel-engine terminal: 12 flights at one
+// worker are 4 morsels of 3, and the deadline fires at a morsel boundary.
+TEST_F(ServerTest, PresentBatchDeadlineFiresAtAMorselBoundary) {
+  StartServer();
+  const std::uint64_t checks_before = CounterValue("exec.deadline_checks");
+  Client client = MustConnect();
+  std::size_t started = 0;
+  Result<Client::Reply> reply = QueryWithStalledMorsels(
+      &client, BatchRequest(QueryRequest::Kind::kPresentBatch), 0, &started);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->status.code(), StatusCode::kDeadlineExceeded)
+      << reply->status;
+  EXPECT_NE(reply->status.message().find("at morsel"), std::string::npos)
+      << reply->status;
+  EXPECT_GE(started, 2u);
+  EXPECT_LT(started, 4u);
+#ifndef MODB_NO_METRICS
+  EXPECT_GE(CounterValue("exec.deadline_checks"), checks_before + 2);
+#else
+  (void)checks_before;
+#endif
+}
+
+// window_aggregate's grid runs on the same scheduler: the row pass (4
+// morsels) runs unstalled, then the deadline fires between grid
+// morsels (24 windows at one worker are 4 morsels of 6).
+TEST_F(ServerTest, WindowAggregateDeadlineFiresAtAMorselBoundary) {
+  StartServer();
+  QueryRequest req;
+  req.kind = QueryRequest::Kind::kWindowAggregate;
+  req.relation = "planes";
+  req.attr = "flight";
+  req.window_t0 = 0;
+  req.window_t1 = 24;
+  req.window_width = 2;
+  req.window_step = 1;
+  Client client = MustConnect();
+  std::size_t started = 0;
+  Result<Client::Reply> reply =
+      QueryWithStalledMorsels(&client, req, 4, &started);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->status.code(), StatusCode::kDeadlineExceeded)
+      << reply->status;
+  EXPECT_NE(reply->status.message().find("of 4"), std::string::npos)
+      << reply->status;
+  EXPECT_GT(started, 4u);  // the grid pass had begun
+
+  // Without a deadline the same sweep completes on the same connection.
+  req.deadline_ms = 0;
+  reply = client.Query(req);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_TRUE(reply->status.ok()) << reply->status;
+  EXPECT_EQ(reply->result.rows.NumTuples(), 24u);
+}
+
 TEST_F(ServerTest, ClientClosingMidReplyDoesNotKillTheServer) {
   StartServer();
   // Pipeline a burst of queries and vanish: the server keeps writing
@@ -707,6 +786,10 @@ TEST_F(ServerTest, ClientClosingMidReplyDoesNotKillTheServer) {
     Result<Client::Reply> reply = probe->Query(Q1Select());
     return reply.ok() && reply->status.ok();
   }));
+  // The abandoned connection's thread may still be running its queued
+  // queries after the probe succeeds; wait for it to release its
+  // admission.
+  EXPECT_TRUE(WaitUntil([&] { return server_->admission().in_use() == 0; }));
   EXPECT_EQ(server_->admission().in_use(), 0);
 }
 

@@ -417,7 +417,7 @@ TEST(ReplyCodec, RejectsInconsistentReplies) {
 }
 
 // ---------------------------------------------------------------------------
-// Mutations: the v2 request payload and its ack block.
+// Mutations: the request payload and its ack block.
 // ---------------------------------------------------------------------------
 
 MutationRequest FullMutation() {
@@ -567,11 +567,8 @@ TEST(MutationAckCodec, ReplyRoundTripsOkAndError) {
 }
 
 // ---------------------------------------------------------------------------
-// Versioning: v2 peers must keep working against a v3 codec. v3
-// appended deadline_ms to the query payload and (client_id, batch_seq)
-// to the mutation payload, so a v2 payload is exactly a v3 payload with
-// the tail cut off — the decoders stop at the header version's last
-// field.
+// Versioning: the header's version range is the only gate; v3 is the
+// one version spoken.
 // ---------------------------------------------------------------------------
 
 TEST(Versioning, FrameHeaderRoundTripsEveryAcceptedVersion) {
@@ -592,45 +589,17 @@ TEST(Versioning, FrameHeaderRoundTripsEveryAcceptedVersion) {
                    .ok());
 }
 
-TEST(Versioning, V2QueryPayloadDecodesWithDefaultDeadline) {
-  QueryRequest req = FullRequest();
-  const std::string v3 = EncodeQueryRequest(req);
-  // A v2 encoder never wrote the trailing i64 deadline.
-  const std::string v2 = v3.substr(0, v3.size() - 8);
-
-  Result<QueryRequest> d = DecodeQueryRequest(v2, 2);
-  ASSERT_TRUE(d.ok()) << d.status();
-  EXPECT_EQ(d->deadline_ms, 0);  // default: no deadline
-  req.deadline_ms = 0;
-  ExpectRequestsEqual(req, *d);
-
-  // The same truncated bytes under a v3 header are short one field, and
-  // a full v3 payload under a v2 header has trailing bytes — both typed.
-  EXPECT_EQ(DecodeQueryRequest(v2, 3).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(DecodeQueryRequest(v3, 2).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(Versioning, V2MutationPayloadDecodesUnkeyed) {
-  MutationRequest req = FullMutation();
-  const std::string v3 = EncodeMutationRequest(req);
-  // v3 tail: u32 len + "tracker-07" + u64 batch_seq.
-  const std::size_t tail = 4 + req.client_id.size() + 8;
-  const std::string v2 = v3.substr(0, v3.size() - tail);
-
-  Result<MutationRequest> d = DecodeMutationRequest(v2, 2);
-  ASSERT_TRUE(d.ok()) << d.status();
-  EXPECT_TRUE(d->client_id.empty());  // unkeyed: no dedup window entry
-  EXPECT_EQ(d->batch_seq, 0u);
-  req.client_id.clear();
-  req.batch_seq = 0;
-  ExpectMutationsEqual(req, *d);
-
-  EXPECT_EQ(DecodeMutationRequest(v2, 3).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(DecodeMutationRequest(v3, 2).status().code(),
-            StatusCode::kInvalidArgument);
+// v2 is retired: its header is a typed error naming the accepted range,
+// not a payload decoded with defaults.
+TEST(Versioning, V2HeaderIsRejectedWithATypedError) {
+  Result<struct FrameHeader> d =
+      DecodeFrameHeader(EncodeFrameHeader(FrameType::kQuery, 0, 2));
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(d.status().message().find("version 2"), std::string::npos)
+      << d.status();
+  EXPECT_NE(d.status().message().find("3..3"), std::string::npos)
+      << d.status();
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "db/parallel.h"
 #include "storage/fault.h"
 #include "storage/mmap_device.h"
 #include "storage/page_store.h"
@@ -23,6 +22,14 @@ PageStore MakeDevice(int n) {
     store.Write(std::string(kPageSize, char('a' + i)));
   }
   return store;
+}
+
+// Runs fn(worker) on `workers` threads at once and joins them all.
+template <typename Fn>
+void RunConcurrently(std::size_t workers, Fn fn) {
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(fn, w);
+  for (std::thread& t : threads) t.join();
 }
 
 TEST(BufferPoolTest, MissThenHit) {
@@ -159,31 +166,29 @@ TEST(BufferPoolTest, ExtentContentByteIdenticalThroughPool) {
   EXPECT_EQ(through_pool, payload);
 }
 
-TEST(BufferPoolTest, PinCountsStayCorrectUnderParallelFor) {
+TEST(BufferPoolTest, PinCountsStayCorrectUnderConcurrentPins) {
   const int kPages = 8;
-  const std::size_t kChunks = 8;
-  const int kRoundsPerChunk = 200;
+  const std::size_t kWorkers = 8;
+  const int kRoundsPerWorker = 200;
   PageStore store = MakeDevice(kPages);
-  // 4 worker threads over 4 frames: pins and evictions race constantly,
-  // but with at most one pin held per thread the pool can always make
+  // 8 threads over 4 frames: pins and evictions race constantly, but
+  // with at most one pin held per thread the pool can always make
   // progress.
-  ThreadPool workers(4);
   BufferPool pool(&store, 4);
   std::atomic<int> failures{0};
   std::atomic<std::uint64_t> pins{0};
-  ParallelFor(workers, kChunks, kChunks,
-              [&](std::size_t chunk, std::size_t, std::size_t) {
-                for (int r = 0; r < kRoundsPerChunk; ++r) {
-                  uint32_t page = uint32_t((chunk * 31 + r) % kPages);
-                  auto ref = pool.Pin(page);
-                  if (!ref.ok()) {
-                    ++failures;
-                    continue;
-                  }
-                  ++pins;
-                  if (ref->data()[0] != char('a' + page)) ++failures;
-                }
-              });
+  RunConcurrently(kWorkers, [&](std::size_t worker) {
+    for (int r = 0; r < kRoundsPerWorker; ++r) {
+      uint32_t page = uint32_t((worker * 31 + r) % kPages);
+      auto ref = pool.Pin(page);
+      if (!ref.ok()) {
+        ++failures;
+        continue;
+      }
+      ++pins;
+      if (ref->data()[0] != char('a' + page)) ++failures;
+    }
+  });
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(pool.NumPinned(), 0u);  // every RAII ref released its pin
   BufferPoolStats stats = pool.stats();
@@ -199,7 +204,7 @@ TEST(BufferPoolTest, ParallelWritebackFailureNeverLosesDirtyBytes) {
   PageStore store = MakeDevice(8);
   BufferPool pool(&store, 4);
   // Dirty page 0, then arm one write fault: the first eviction that
-  // picks page 0 as victim fails its writeback mid-ParallelFor.
+  // picks page 0 as victim fails its writeback mid-run.
   {
     auto ref = pool.Pin(0);
     ASSERT_TRUE(ref.ok());
@@ -209,22 +214,20 @@ TEST(BufferPoolTest, ParallelWritebackFailureNeverLosesDirtyBytes) {
 
   std::atomic<int> injected_failures{0};
   std::atomic<int> other_failures{0};
-  ThreadPool workers(4);
-  ParallelFor(workers, 64, 8,
-              [&](std::size_t, std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                  auto ref = pool.Pin(std::uint32_t(1 + (i % 7)));
-                  if (!ref.ok()) {
-                    if (ref.status().code() == StatusCode::kInternal) {
-                      ++injected_failures;
-                    } else {
-                      ++other_failures;
-                    }
-                    continue;
-                  }
-                  EXPECT_EQ(ref->data()[0], char('a' + 1 + (i % 7)));
-                }
-              });
+  RunConcurrently(8, [&](std::size_t worker) {
+    for (std::size_t i = worker * 8; i < worker * 8 + 8; ++i) {
+      auto ref = pool.Pin(std::uint32_t(1 + (i % 7)));
+      if (!ref.ok()) {
+        if (ref.status().code() == StatusCode::kInternal) {
+          ++injected_failures;
+        } else {
+          ++other_failures;
+        }
+        continue;
+      }
+      EXPECT_EQ(ref->data()[0], char('a' + 1 + (i % 7)));
+    }
+  });
   FaultInjector::Global().Disarm();
 
   // The one-shot plan surfaced to exactly one pin; every other

@@ -4,8 +4,9 @@
 #   default       RelWithDebInfo, metrics off by default, fault hooks on
 #   asan-metrics  ASan+UBSan with the metrics registry enabled
 #   nometrics     metrics AND fault hooks compiled out (stub paths)
-# then a Release (-O3 -DNDEBUG) build runs the perf smoke + thread
-# scaling gates, re-recording the repo-root BENCH_*.json snapshots.
+# then runs the threaded suites under ThreadSanitizer (tsan preset), and
+# a Release (-O3 -DNDEBUG) build runs the perf smoke + thread scaling
+# gates, re-recording the repo-root BENCH_*.json snapshots.
 # Usage: tools/verify.sh [preset ...]   (defaults to all three)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -78,9 +79,25 @@ for preset in "${presets[@]}"; do
   cmake --build --preset "$preset" -j "$jobs"
   echo "==== [$preset] test ===="
   ctest --preset "$preset" -j "$jobs"
+  if [ "$preset" = default ]; then
+    # Flake hunt: the suites that run work on pool threads, repeated
+    # five times under full ctest parallelism, so a load-dependent test
+    # fails here rather than once in a hundred runs.
+    echo "==== [$preset] repeat exec/db/serve suites ===="
+    ctest --preset "$preset" -j "$jobs" -L '^(exec|db|serve)$' \
+      --repeat until-fail:5
+  fi
   run_device_smoke "$preset"
   run_crashloop "$preset"
 done
+
+# ThreadSanitizer over the code that moves query work onto pool
+# threads: the exec and db suites and the serving tests.
+echo "==== [tsan] configure + build + test ===="
+cmake --preset tsan
+cmake --build --preset tsan -j "$jobs"
+ctest --preset tsan -j "$jobs" -L '^(exec|db)$'
+ctest --preset tsan -j "$jobs" -R '^ServerTest\.'
 
 # Perf smoke on a Release (-O3 -DNDEBUG) build: export the key
 # query/batch benchmarks to repo-root BENCH_*.json snapshots and gate
