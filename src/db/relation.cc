@@ -83,24 +83,4 @@ Status Relation::Insert(Tuple tuple) {
   return Status::OK();
 }
 
-Status Relation::SetValue(std::size_t row, std::size_t slot,
-                          AttributeValue value) {
-  if (row >= tuples_.size()) {
-    return Status::OutOfRange("row " + std::to_string(row) +
-                              " out of range for relation " + name_);
-  }
-  if (slot >= schema_.NumAttributes()) {
-    return Status::OutOfRange("attribute slot " + std::to_string(slot) +
-                              " out of range for relation " + name_);
-  }
-  if (TypeOf(value) != schema_.attribute(slot).type) {
-    return Status::InvalidArgument(
-        "attribute " + schema_.attribute(slot).name + " expects type " +
-        AttributeTypeName(schema_.attribute(slot).type) + " but got " +
-        AttributeTypeName(TypeOf(value)));
-  }
-  tuples_[row][slot] = std::move(value);
-  return Status::OK();
-}
-
 }  // namespace modb

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/status.h"
@@ -62,10 +63,16 @@ class Relation {
   /// Appends a tuple after checking arity and attribute types.
   Status Insert(Tuple tuple);
 
-  /// Replaces one attribute of an existing tuple, type checked against
-  /// the schema (the live-ingest refresh path: a tail's trajectory
-  /// attribute is re-materialized in place after each absorbed batch).
-  Status SetValue(std::size_t row, std::size_t slot, AttributeValue value);
+  /// Mutable access to one attribute of an existing tuple as its stored
+  /// type T; nullptr when row or slot is out of range or the attribute
+  /// holds another type. Writing through the pointer cannot change the
+  /// attribute's type, so Insert's schema check keeps holding (the
+  /// live-ingest path appends to a trail in place).
+  template <typename T>
+  T* MutableValueAs(std::size_t row, std::size_t slot) {
+    if (row >= tuples_.size() || slot >= tuples_[row].size()) return nullptr;
+    return std::get_if<T>(&tuples_[row][slot]);
+  }
 
  private:
   std::string name_;

@@ -1,5 +1,6 @@
 #include "index/delta_index.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -27,6 +28,32 @@ IndexLayersView IndexLayersView::Over(const RTree3D* base, const RTree3D* delta,
   }
   for (std::size_t i = 0; i < mem_count; ++i) v.bounds.Extend(mem[i].cube);
   return v;
+}
+
+void IndexSnapshot::SetMemRow(std::int64_t id,
+                              const std::vector<RTree3D::Entry>& entries) {
+  const std::size_t row = std::size_t(id);
+  if (row >= mem_slots_.size()) mem_slots_.resize(row + 1);
+  std::vector<std::size_t>& slots = mem_slots_[row];
+  const std::size_t keep = std::min(slots.size(), entries.size());
+  for (std::size_t i = 0; i < keep; ++i) mem_[slots[i]] = entries[i];
+  for (std::size_t i = keep; i < entries.size(); ++i) {
+    slots.push_back(mem_.size());
+    mem_.push_back(entries[i]);
+  }
+  // Surplus entries leave by swap-with-last, so mem_ stays dense; the
+  // moved entry's owner learns its new slot.
+  while (slots.size() > entries.size()) {
+    const std::size_t hole = slots.back();
+    slots.pop_back();
+    const std::size_t last = mem_.size() - 1;
+    if (hole != last) {
+      mem_[hole] = mem_[last];
+      std::vector<std::size_t>& owner = mem_slots_[std::size_t(mem_[hole].id)];
+      *std::find(owner.begin(), owner.end(), last) = hole;
+    }
+    mem_.pop_back();
+  }
 }
 
 void IndexSnapshot::AppendToDelta(const std::vector<RTree3D::Entry>& sealed,
@@ -79,6 +106,7 @@ void IndexSnapshot::ResetBase(std::vector<RTree3D::Entry> entries, int fanout) {
   delta_entries_.clear();
   delta_ = RTree3D();
   mem_.clear();
+  mem_slots_.clear();
   ++generation_;
 }
 

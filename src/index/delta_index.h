@@ -98,9 +98,11 @@ class IndexSnapshot {
     return IndexLayersView::Over(&base_, &delta_, mem_.data(), mem_.size());
   }
 
-  /// Replaces the mem layer (rebuilt from the unsealed tail units after
-  /// every ingest batch).
-  void SetMem(std::vector<RTree3D::Entry> mem) { mem_ = std::move(mem); }
+  /// Replaces object `id`'s mem entries (its unsealed tail units) with
+  /// `entries`, whose ids must all be `id`. Costs O(old + new entries of
+  /// this object): the live path calls it for the rows a batch touched
+  /// only. Entry order inside mem is unspecified — probes dedupe by id.
+  void SetMemRow(std::int64_t id, const std::vector<RTree3D::Entry>& entries);
 
   /// Appends newly sealed units to the delta run and re-tiles it (STR
   /// bulk load over the accumulated run — small by construction).
@@ -135,6 +137,9 @@ class IndexSnapshot {
   RTree3D delta_;
   std::vector<RTree3D::Entry> delta_entries_;
   std::vector<RTree3D::Entry> mem_;
+  /// mem_slots_[id] = the positions in mem_ holding object id's entries
+  /// (ids are dense live-relation rows).
+  std::vector<std::vector<std::size_t>> mem_slots_;
   /// Bumped by every delta/base mutation; guards ApplyMerge.
   std::uint64_t generation_ = 0;
   std::uint64_t merges_ = 0;

@@ -1,11 +1,12 @@
 // A live relation: the ingest-facing owner of one fleet of moving
-// points. It glues together the three PR-8 pieces —
+// points. It glues together three pieces —
 //
-//   * per-object TailSeries (ingest/tail.h) absorbing fixes with the
-//     bitwise-identity guarantee,
 //   * the {id: string, trail: mpoint} Relation whose trail attribute is
-//     re-materialized in place after every batch (so every existing
-//     query operator works on live data unchanged), and
+//     the ONE home of each object's units: Ingest appends to it in place
+//     (so every existing query operator works on live data unchanged),
+//   * per-object TailSeries (ingest/tail.h) holding only the anchor and
+//     seal frontier, absorbing fixes into that trail with the
+//     bitwise-identity guarantee, and
 //   * the LSM-layered IndexSnapshot (index/delta_index.h) whose
 //     base/delta/mem union always equals the bulk entry set over the
 //     current relation: one {unit cube, row} entry per trajectory unit.
@@ -16,26 +17,39 @@
 // attached) and only then mutates — a rejected batch leaves relation,
 // tails and index untouched.
 //
+// Cost: a batch costs what it changed. Each fix replaces or appends one
+// unit of its trail (checked against its predecessor only — the prefix
+// is already a valid mapping), and only the touched rows' mem entries
+// are rewritten. Nothing per batch walks an object's history.
+//
 // Layer invariant (why live queries match batch queries byte for byte):
 // Absorb only ever mutates the LAST unit of a tail, and a right-bound
 // flip never moves that unit's cube; sealed units [0, frontier) are
-// frozen. So entries handed to delta on Seal() stay valid forever, mem
-// is rebuilt from the unsealed suffix after each batch, and
+// frozen. So entries handed to delta on Seal() stay valid forever, a
+// touched row's mem entries are rewritten from its unsealed suffix
+// after each batch, and
 //   base ∪ delta ∪ mem  =  { (unit cube, row) : all units of all rows }
 // which is exactly what RTree3D bulk-built over the relation holds. The
 // probe's sort+dedupe makes the layering invisible (delta_index.h).
 //
-// Durability (optional VersionedSpillStore): root 0 is a manifest
-// (object ids + the exact last fix per object — persisted verbatim
-// because recomputing the anchor from motion coefficients would round,
-// breaking bitwise resume); root i+1 is object row i's trajectory
-// (kMovingPoint), or a 1-byte kOpaque placeholder while the object has
-// a single fix and no units yet. Persist() restages dirty roots and
-// commits — one epoch per acknowledged batch, so an ingest ack implies
-// durability. Recovery reopens fully compacted: every persisted unit
-// except each tail's newest lands in base, the newest units form mem,
-// delta is empty. The index itself is never persisted — it is derived
-// state, rebuilt from the trajectories on open.
+// Durability (optional VersionedSpillStore), one epoch per acknowledged
+// batch, so an ingest ack implies durability. Root 0 is a manifest;
+// root i+1 is object row i's trajectory as of the last *checkpoint*
+// (kMovingPoint, or a 1-byte kOpaque placeholder while it had a single
+// fix and no units). The manifest (v3, layout in live_relation.cc)
+// carries each object's id and checkpoint anchor — the exact last fix
+// the checkpoint saw, verbatim, because recomputing it from motion
+// coefficients would round and break bitwise resume — the dedup window,
+// and the fix log: every fix absorbed since the checkpoint, in commit
+// order. A commit restages the manifest alone; a checkpoint also
+// rewrites the touched trails and empties the log, and runs when the
+// log bytes restaged since the last checkpoint reach the bytes the
+// checkpoint would write. Recovery resumes the checkpointed trails from
+// their anchors and replays the log through Absorb — deterministic, so
+// the trails come back byte for byte — and reopens fully compacted:
+// every unit except each tail's newest lands in base, the newest units
+// form mem, delta is empty. The index itself is never persisted — it is
+// derived state, rebuilt from the trajectories on open.
 
 #ifndef MODB_INGEST_LIVE_RELATION_H_
 #define MODB_INGEST_LIVE_RELATION_H_
@@ -47,6 +61,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "core/status.h"
@@ -122,15 +137,19 @@ class LiveRelation {
     return index_.ApplyMerge(plan, std::move(merged));
   }
 
-  /// Attaches a durability store. An empty store is adopted as-is; a
-  /// non-empty one must be attached to a fresh LiveRelation and is
-  /// recovered into it (rows in persisted order, fully compacted
-  /// index). The store must outlive this relation.
+  /// Attaches a durability store. An empty store is adopted as-is (the
+  /// first Persist checkpoints every object); a non-empty one must be
+  /// attached to a fresh LiveRelation and is recovered into it (rows in
+  /// persisted order, fully compacted index). A malformed manifest is
+  /// kDataLoss, after which the relation must be discarded. The store
+  /// must outlive this relation.
   Status AttachStore(VersionedSpillStore* store);
   bool HasStore() const { return store_ != nullptr; }
 
-  /// Stages the manifest and every dirty object and commits one epoch.
-  /// FailedPrecondition without an attached store.
+  /// Commits one epoch holding every absorbed fix: the manifest with
+  /// the fix log, or at a checkpoint the manifest with an empty log plus
+  /// every trail touched since the last checkpoint. FailedPrecondition
+  /// without an attached store.
   ///
   /// Concurrency: Persist serializes against other Persist calls on an
   /// internal mutex, and its reads of the in-memory state must not
@@ -158,6 +177,16 @@ class LiveRelation {
   /// Row of `object_id`, or nullopt.
   std::optional<std::size_t> RowOf(const std::string& object_id) const;
   const TailSeries& tail(std::size_t row) const { return objects_[row].tail; }
+  /// Row `row`'s trajectory: the relation's trail attribute.
+  const MovingPoint& trail(std::size_t row) const {
+    return std::get<MovingPoint>(rel_.tuple(row)[std::size_t(kTrailSlot)]);
+  }
+
+  /// Fixes absorbed since the last checkpoint (the fix log the next
+  /// commit carries); always 0 without a store.
+  std::size_t LogFixes() const { return log_.size(); }
+  /// Checkpoint commits that succeeded since the store was attached.
+  std::uint64_t checkpoints() const { return checkpoints_; }
 
   /// ---- ingest idempotency window -----------------------------------
   ///
@@ -166,7 +195,7 @@ class LiveRelation {
   /// kDedupMaxSeqsPerClient HIGHEST batch_seqs (lowest seq evicted
   /// first; when a new client would exceed the client cap, the least
   /// recently recording client is dropped). The window rides inside the
-  /// manifest (v2), so every Persist commits the batch and its dedup
+  /// manifest (since v2), so every Persist commits the batch and its dedup
   /// entry atomically and recovery re-acks exactly what a pre-crash
   /// server would have. A retry that fell out of the window is NOT
   /// silently re-applied: its fixes sit at or below the tail frontier,
@@ -186,17 +215,37 @@ class LiveRelation {
   std::size_t DedupEntries() const;
 
  private:
+  /// An object's exact last fix as a checkpoint recorded it.
+  struct Anchor {
+    Instant t = 0;
+    Point p;
+    bool has_units = false;
+  };
   struct ObjectState {
     TailSeries tail;
-    /// Set by Ingest, cleared by Persist: this object's root is stale.
+    /// Set by Ingest, cleared by a checkpoint: this object's root is
+    /// stale and the next checkpoint rewrites it.
     bool dirty = false;
+    /// Valid for rows < rooted_objects_.
+    Anchor checkpoint;
+  };
+  /// One fix of the log, by row.
+  struct LoggedFix {
+    std::uint32_t row = 0;
+    Instant t = 0;
+    Point p;
   };
 
   /// Registers a new object row (relation tuple + tail + row map).
   Result<std::size_t> AddObject(const std::string& object_id);
-  /// Rebuilds the mem layer from every tail's unsealed suffix.
-  void RebuildMem();
-  std::string EncodeManifest() const;
+  MovingPoint& TrailOf(std::size_t row) {
+    return *rel_.MutableValueAs<MovingPoint>(row, std::size_t(kTrailSlot));
+  }
+  /// Rewrites row `row`'s mem entries from its unsealed suffix.
+  void UpdateMem(std::size_t row);
+  /// Blob bytes the next checkpoint would stage.
+  std::size_t CheckpointBytes() const;
+  std::string EncodeManifest(bool checkpoint) const;
   Status RecoverFrom(VersionedSpillStore* store);
 
   LiveOptions options_;
@@ -221,10 +270,22 @@ class LiveRelation {
   std::uint64_t dedup_stamp_ = 0;
 
   VersionedSpillStore* store_ = nullptr;
-  /// Objects whose roots exist in the store (committed or staged);
-  /// rows >= this stage fresh roots on the next Persist.
-  std::size_t persisted_objects_ = 0;
   bool manifest_root_exists_ = false;
+  /// Rows whose root slot exists in the store (committed or staged);
+  /// rows >= this stage fresh roots at the next checkpoint. Unless a
+  /// checkpoint is pending, these are the rows the last checkpoint
+  /// wrote, and later rows are rebuilt from the log alone.
+  std::size_t rooted_objects_ = 0;
+  /// Fixes absorbed since the last checkpoint, in commit order.
+  std::vector<LoggedFix> log_;
+  /// Log bytes committed since the last checkpoint (each commit restages
+  /// the whole log) — the checkpoint rule's running cost.
+  std::size_t log_restaged_bytes_ = 0;
+  /// Set while a checkpoint has begun staging but not committed: its
+  /// staged roots ride whatever commits next, so that commit must be a
+  /// checkpoint too. Also set on attaching an empty store.
+  bool checkpoint_pending_ = false;
+  std::uint64_t checkpoints_ = 0;
   /// Serializes Persist against itself (writer-vs-writer); readers are
   /// never behind it.
   std::mutex persist_mu_;

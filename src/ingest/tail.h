@@ -19,11 +19,18 @@
 //     bound flip never moves an index entry.
 //
 // Consequence (the identity theorem the differential tests enforce):
-// after absorbing fixes (t_0,p_0)..(t_k,p_k) in order, units() equals —
+// after absorbing fixes (t_0,p_0)..(t_k,p_k) in order, the trail equals —
 // byte for byte — what MappingBuilder produces for the unit sequence
 //   FromEndpoints([t_i, t_{i+1}) right-open except the last, p_i, p_{i+1})
 // and therefore every query over the incrementally built state returns
 // byte-identical results to the batch-built one.
+//
+// One home per unit: a TailSeries holds no units. They live in the
+// object's trajectory (a MovingPoint — in a live relation, the trail
+// attribute itself), which Absorb extends in place through
+// Mapping::AppendUnit / ReplaceLastUnit, so a fix costs O(1) whatever
+// the history. The tail keeps only the metadata the next fix needs: the
+// exact last fix (the anchor) and the seal frontier.
 //
 // Sealing: sealed() is the index-layer frontier — units below it are
 // frozen (Absorb only ever mutates the LAST unit: a right-bound flip,
@@ -35,7 +42,6 @@
 #define MODB_INGEST_TAIL_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "core/status.h"
 #include "spatial/point.h"
@@ -49,43 +55,38 @@ class TailSeries {
  public:
   TailSeries() = default;
 
-  /// Absorbs one fix. The first fix only records an anchor (a linear
-  /// unit needs two observations); every later fix must be strictly
-  /// after the previous one — a stale or duplicate timestamp is
-  /// OutOfRange and leaves the tail untouched.
-  Status Absorb(Instant t, const Point& p);
-
-  /// The units built so far: interior units right-open, the last unit
-  /// right-closed (empty until the second fix).
-  const std::vector<UPoint>& units() const { return units_; }
-  std::size_t NumUnits() const { return units_.size(); }
+  /// Absorbs one fix into `trail`, which must hold exactly the units
+  /// this tail's earlier Absorb calls built (or the mapping it was
+  /// Resumed from). The first fix only records an anchor (a linear unit
+  /// needs two observations); every later fix must be strictly after
+  /// the previous one — a stale or duplicate timestamp is OutOfRange
+  /// and leaves tail and trail untouched. An accepted fix replaces the
+  /// trail's last unit and/or appends one, in place.
+  Status Absorb(Instant t, const Point& p, MovingPoint* trail);
 
   bool has_fix() const { return has_fix_; }
   Instant last_time() const { return last_t_; }
   const Point& last_point() const { return last_p_; }
 
-  /// Frontier of immutable units: units_[0, sealed()) will never change
-  /// again. Always < NumUnits() while the tail is non-empty.
+  /// Frontier of immutable units: the trail's units [0, sealed()) will
+  /// never change again. Always < the trail's unit count while it is
+  /// non-empty.
   std::size_t sealed() const { return sealed_; }
 
-  /// Advances the frontier to NumUnits() - 1 (the newest unit stays
-  /// mutable — the next Absorb may flip or merge into it). Returns the
-  /// new frontier.
-  std::size_t Seal();
+  /// Advances the frontier to trail.NumUnits() - 1 (the newest unit
+  /// stays mutable — the next Absorb may flip or merge into it).
+  /// Returns the new frontier.
+  std::size_t Seal(const MovingPoint& trail);
 
-  /// The full trajectory as a validated minimal mapping (empty mapping
-  /// with fewer than two fixes).
-  Result<MovingPoint> Materialize() const;
-
-  /// Rebuilds a tail from a persisted mapping plus the exact last fix
+  /// The tail of a persisted trajectory plus the exact last fix
   /// (persisted separately: recomputing the anchor from the motion
   /// coefficients would round, breaking bitwise resume). Every persisted
-  /// unit is immediately below the sealed frontier except the last.
+  /// unit is immediately below the sealed frontier except the last; the
+  /// caller keeps `persisted` as the trail later Absorb calls extend.
   static Result<TailSeries> Resume(const MovingPoint& persisted, Instant last_t,
                                    const Point& last_p);
 
  private:
-  std::vector<UPoint> units_;
   std::size_t sealed_ = 0;
   bool has_fix_ = false;
   Instant last_t_ = 0;

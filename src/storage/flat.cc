@@ -543,6 +543,14 @@ FlatValue ToFlat(const MovingPoint& m) {
   });
 }
 
+std::size_t SerializedFlatSize(const MovingPoint& m) {
+  // Blob header (magic, root size, array count), the u32 unit-count
+  // root, one u32 array length, then interval + 4 f64 motion per unit.
+  constexpr std::size_t kHeaderBytes = 3 * 4 + 4 + 4;
+  constexpr std::size_t kUnitBytes = kIntervalBytes + 4 * 8;
+  return kHeaderBytes + m.NumUnits() * kUnitBytes;
+}
+
 Result<MovingPoint> MovingPointFromFlat(const FlatValue& f) {
   return FixedMappingFromFlat<UPoint>(
       f, [](ByteReader* r, TimeInterval iv) -> Result<UPoint> {

@@ -136,6 +136,8 @@ FlatValue ToFlat(const MovingReal& m);
 Result<MovingReal> MovingRealFromFlat(const FlatValue& f);
 FlatValue ToFlat(const MovingPoint& m);
 Result<MovingPoint> MovingPointFromFlat(const FlatValue& f);
+/// SerializeFlat(ToFlat(m)).size(), without encoding anything.
+std::size_t SerializedFlatSize(const MovingPoint& m);
 FlatValue ToFlat(const MovingPoints& m);
 Result<MovingPoints> MovingPointsFromFlat(const FlatValue& f);
 FlatValue ToFlat(const MovingLine& m);

@@ -524,14 +524,16 @@ VersionedSpillStore::EpochPin VersionedSpillStore::PinEpoch() {
 }
 
 void VersionedSpillStore::EpochPin::Release() {
-  if (state_) {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    auto it = state_->pins.find(snapshot_->epoch);
-    if (it != state_->pins.end() && --(it->second) == 0) {
-      state_->pins.erase(it);
-      DrainRetiredLocked(state_.get());
+  // Take the reference out first and drop it only after the lock scope:
+  // when the store is gone this may be the last SharedState owner, and
+  // destroying it inside the lock_guard would unlock a freed mutex.
+  if (std::shared_ptr<SharedState> state = std::move(state_)) {
+    std::lock_guard<std::mutex> lock(state->mu);
+    auto it = state->pins.find(snapshot_->epoch);
+    if (it != state->pins.end() && --(it->second) == 0) {
+      state->pins.erase(it);
+      DrainRetiredLocked(state.get());
     }
-    state_.reset();
   }
   snapshot_.reset();
 }

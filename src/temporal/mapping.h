@@ -5,7 +5,10 @@
 //        functions,
 // stored as an array of unit records ordered by time interval (Section
 // 4.3, Figure 7). Units are located by binary search (the O(log n) step
-// of the atinstant algorithm, Section 5.1).
+// of the atinstant algorithm, Section 5.1). Make validates every
+// adjacent pair; the in-place growth of a live trail (AppendUnit,
+// ReplaceLastUnit) validates only the new unit against its predecessor,
+// which keeps the constraints by induction at O(1) per unit.
 //
 // A unit type U must provide:
 //   using ValueType = ...;
@@ -112,21 +115,42 @@ class Mapping {
       return a.interval() < b.interval();
     });
     for (std::size_t i = 0; i + 1 < units.size(); ++i) {
-      const TimeInterval& u = units[i].interval();
-      const TimeInterval& v = units[i + 1].interval();
-      if (!TimeInterval::Disjoint(u, v)) {
-        return Status::InvalidArgument(
-            "mapping units overlap in time: " + u.ToString() + " and " +
-            v.ToString());
-      }
-      if (TimeInterval::Adjacent(u, v) &&
-          U::FunctionEqual(units[i], units[i + 1])) {
-        return Status::InvalidArgument(
-            "adjacent mapping units with equal unit function (not minimal): " +
-            u.ToString() + " and " + v.ToString());
-      }
+      Status pair = CheckPair(units[i], units[i + 1]);
+      if (!pair.ok()) return pair;
     }
     return Mapping(std::move(units));
+  }
+
+  /// Appends `unit` in place — the O(1) `concat` of Section 5.2 (the
+  /// live-ingest path). `unit` must start after the last unit and pass
+  /// the pair test Make applies to every adjacent pair; the prefix was
+  /// already valid, so the whole mapping stays valid by induction. On
+  /// error the mapping is unchanged.
+  Status AppendUnit(U unit) {
+    if (!units_.empty()) {
+      Status next = CheckSuccessor(units_.back(), unit);
+      if (!next.ok()) return next;
+    }
+    index_.reset();
+    units_.push_back(std::move(unit));
+    return Status::OK();
+  }
+
+  /// Replaces the last unit in place (the live path's right-bound flip
+  /// or merge into the newest unit), checked against its predecessor
+  /// only, exactly as AppendUnit checks. On error the mapping is
+  /// unchanged.
+  Status ReplaceLastUnit(U unit) {
+    if (units_.empty()) {
+      return Status::FailedPrecondition("no last unit to replace");
+    }
+    if (units_.size() > 1) {
+      Status next = CheckSuccessor(units_[units_.size() - 2], unit);
+      if (!next.ok()) return next;
+    }
+    index_.reset();
+    units_.back() = std::move(unit);
+    return Status::OK();
   }
 
   /// Non-validating factory for the storage layer: `units` must already
@@ -141,8 +165,10 @@ class Mapping {
   const U& unit(std::size_t i) const { return units_[i]; }
 
   /// Builds the SoA search index (idempotent). Copies of the mapping
-  /// share the index; it stays valid because a Mapping's unit list never
-  /// changes after construction.
+  /// share the index and it is never mutated: AppendUnit and
+  /// ReplaceLastUnit drop this copy's pointer instead (copies taken
+  /// before keep theirs, which still describes their unit list), and
+  /// nothing else changes a Mapping's unit list after construction.
   void BuildSearchIndex() {
     if (index_) return;
     auto ix = std::make_shared<MappingSearchIndex>();
@@ -338,8 +364,37 @@ class Mapping {
   explicit Mapping(std::vector<U> sorted_units)
       : units_(std::move(sorted_units)) {}
 
+  /// CheckPair for a unit placed after `prev` without Make's sort: it
+  /// must also sort after `prev`.
+  static Status CheckSuccessor(const U& prev, const U& next) {
+    if (!(prev.interval() < next.interval())) {
+      return Status::InvalidArgument(
+          "mapping unit out of time order: " + next.interval().ToString() +
+          " after " + prev.interval().ToString());
+    }
+    return CheckPair(prev, next);
+  }
+
+  /// The Mapping(S) test for two units adjacent in time order: disjoint,
+  /// and not mergeable (adjacent intervals need distinct functions).
+  static Status CheckPair(const U& prev, const U& next) {
+    const TimeInterval& u = prev.interval();
+    const TimeInterval& v = next.interval();
+    if (!TimeInterval::Disjoint(u, v)) {
+      return Status::InvalidArgument("mapping units overlap in time: " +
+                                     u.ToString() + " and " + v.ToString());
+    }
+    if (TimeInterval::Adjacent(u, v) && U::FunctionEqual(prev, next)) {
+      return Status::InvalidArgument(
+          "adjacent mapping units with equal unit function (not minimal): " +
+          u.ToString() + " and " + v.ToString());
+    }
+    return Status::OK();
+  }
+
   std::vector<U> units_;
-  // Shared across copies; never mutated after construction.
+  // Shared across copies and never mutated; an in-place append or
+  // replace drops it.
   std::shared_ptr<const MappingSearchIndex> index_;
 };
 

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,6 +37,13 @@ std::vector<RTree3D::Entry> MakeEntries(int n, std::uint64_t seed) {
   return entries;
 }
 
+// Installs `entries` as the mem layer, one SetMemRow call per id.
+void SetMem(IndexSnapshot* stack, const std::vector<RTree3D::Entry>& entries) {
+  std::map<std::int64_t, std::vector<RTree3D::Entry>> by_id;
+  for (const RTree3D::Entry& e : entries) by_id[e.id].push_back(e);
+  for (const auto& [id, rows] : by_id) stack->SetMemRow(id, rows);
+}
+
 std::vector<std::int64_t> Collect(const IndexLayersView& view,
                                   const Cube& query) {
   std::vector<std::int64_t> ids;
@@ -59,8 +68,8 @@ TEST(DeltaIndex, AnyLayeringMatchesASingleBulkTree) {
       std::vector<RTree3D::Entry>(entries.begin() + base_end,
                                   entries.begin() + delta_end),
       16);
-  stack.SetMem(
-      std::vector<RTree3D::Entry>(entries.begin() + delta_end, entries.end()));
+  SetMem(&stack, std::vector<RTree3D::Entry>(entries.begin() + delta_end,
+                                             entries.end()));
 
   std::uint64_t probe_seed = 99;
   for (int i = 0; i < 50; ++i) {
@@ -82,6 +91,41 @@ TEST(DeltaIndex, AnyLayeringMatchesASingleBulkTree) {
     q.rect.max_y += 15;
     q.max_t += 15;
     EXPECT_EQ(Collect(single_view, q), Collect(stack.View(), q));
+  }
+}
+
+TEST(DeltaIndex, MemRowUpdatesKeepExactlyEachRowsLatestEntries) {
+  // Grow, shrink, clear and rewrite rows in a seeded order; after every
+  // update mem must hold exactly the union of each row's latest entries.
+  IndexSnapshot stack;
+  std::map<std::int64_t, std::vector<RTree3D::Entry>> model;
+  std::uint64_t s = 17;
+  for (int step = 0; step < 400; ++step) {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    const std::int64_t id = std::int64_t((s >> 33) % 7);
+    const std::size_t n = std::size_t((s >> 40) % 5);
+    std::vector<RTree3D::Entry> entries;
+    for (std::size_t i = 0; i < n; ++i) {
+      entries.push_back({UnitCube(double(step), double(i), double(id)), id});
+    }
+    stack.SetMemRow(id, entries);
+    model[id] = entries;
+
+    std::vector<std::tuple<double, double, std::int64_t>> want, got;
+    for (const auto& [row, row_entries] : model) {
+      for (const RTree3D::Entry& e : row_entries) {
+        want.emplace_back(e.cube.rect.min_x, e.cube.rect.min_y, e.id);
+      }
+    }
+    const IndexLayersView view = stack.View();
+    for (std::size_t i = 0; i < view.mem_count; ++i) {
+      got.emplace_back(view.mem[i].cube.rect.min_x,
+                       view.mem[i].cube.rect.min_y, view.mem[i].id);
+    }
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(want, got) << "step " << step;
+    EXPECT_EQ(want.size(), stack.MemEntries());
   }
 }
 
@@ -115,7 +159,7 @@ TEST(DeltaIndex, StaleMergePlanIsRejected) {
 TEST(DeltaIndex, EmptyDeltaHasNothingToMerge) {
   IndexSnapshot stack;
   EXPECT_FALSE(stack.PrepareMerge().has_value());
-  stack.SetMem(MakeEntries(5, 9));
+  SetMem(&stack, MakeEntries(5, 9));
   EXPECT_FALSE(stack.PrepareMerge().has_value())
       << "mem is not merge input - only sealed (delta) entries compact";
 }

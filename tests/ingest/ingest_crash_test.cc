@@ -21,22 +21,27 @@ namespace modb {
 namespace ingest {
 namespace {
 
+constexpr int kTicks = 16;
+constexpr int kLateObjectTick = 6;
+
+// One batch per tick: objects 0..2 from tick 0, object 3 first seen at
+// tick kLateObjectTick. Small on purpose — the campaign replays the
+// workload once per write site — yet long enough that the commits
+// include log-only ones and checkpoints the size rule triggers (the
+// clean pass asserts both), and that object 3 first lives in the log
+// alone.
 std::vector<std::vector<IngestFix>> Batches() {
-  // 3 objects x 8 steps, 4 batches of 6 fixes. Small on purpose: the
-  // campaign replays the workload once per write site.
   std::vector<std::vector<IngestFix>> batches;
-  std::vector<IngestFix> cur;
-  for (int t = 0; t < 8; ++t) {
-    for (int o = 0; o < 3; ++o) {
+  for (int t = 0; t < kTicks; ++t) {
+    std::vector<IngestFix> cur;
+    for (int o = 0; o < 4; ++o) {
+      if (o == 3 && t < kLateObjectTick) continue;
+      // A bend every tick (y grows with t*t) so no two units merge.
       cur.push_back({"obj" + std::to_string(o), double(t),
-                     double(o * 10 + t), double(o * -5 - t)});
-      if (cur.size() == 6) {
-        batches.push_back(cur);
-        cur.clear();
-      }
+                     double(o * 10 + t), double(o * -5 - t * t)});
     }
+    batches.push_back(cur);
   }
-  if (!cur.empty()) batches.push_back(cur);
   return batches;
 }
 
@@ -66,22 +71,22 @@ void ExpectTailsMatch(const LiveRelation& got, const LiveRelation& want) {
   for (std::size_t row = 0; row < want.NumObjects(); ++row) {
     const TailSeries& g = got.tail(row);
     const TailSeries& w = want.tail(row);
-    ASSERT_EQ(g.NumUnits(), w.NumUnits()) << "row " << row;
-    for (std::size_t i = 0; i < w.NumUnits(); ++i) {
-      const double gd[6] = {g.units()[i].interval().start(),
-                            g.units()[i].interval().end(),
-                            g.units()[i].motion().x0,
-                            g.units()[i].motion().x1,
-                            g.units()[i].motion().y0,
-                            g.units()[i].motion().y1};
-      const double wd[6] = {w.units()[i].interval().start(),
-                            w.units()[i].interval().end(),
-                            w.units()[i].motion().x0,
-                            w.units()[i].motion().x1,
-                            w.units()[i].motion().y0,
-                            w.units()[i].motion().y1};
+    const MovingPoint& gt = got.trail(row);
+    const MovingPoint& wt = want.trail(row);
+    ASSERT_EQ(gt.NumUnits(), wt.NumUnits()) << "row " << row;
+    for (std::size_t i = 0; i < wt.NumUnits(); ++i) {
+      const UPoint& gu = gt.unit(i);
+      const UPoint& wu = wt.unit(i);
+      const double gd[6] = {gu.interval().start(), gu.interval().end(),
+                            gu.motion().x0,        gu.motion().x1,
+                            gu.motion().y0,        gu.motion().y1};
+      const double wd[6] = {wu.interval().start(), wu.interval().end(),
+                            wu.motion().x0,        wu.motion().x1,
+                            wu.motion().y0,        wu.motion().y1};
       EXPECT_EQ(0, std::memcmp(gd, wd, sizeof gd))
           << "row " << row << " unit " << i;
+      EXPECT_EQ(gu.interval().left_closed(), wu.interval().left_closed());
+      EXPECT_EQ(gu.interval().right_closed(), wu.interval().right_closed());
     }
     const double ga[2] = {g.last_point().x, g.last_point().y};
     const double wa[2] = {w.last_point().x, w.last_point().y};
@@ -108,6 +113,10 @@ TEST(IngestCrash, EveryWriteSiteRecoversToACommittedBatchPrefix) {
     injector.Disarm();  // count from here: the workload's own writes
     ASSERT_EQ(batches.size(), RunWorkload(&live, batches));
     write_sites = injector.OpCount(FaultOp::kWrite);
+    // The campaign must cover both commit kinds: log-only commits, and
+    // checkpoints beyond the first commit (which always checkpoints).
+    EXPECT_GE(live.checkpoints(), 2u);
+    EXPECT_GE(batches.size() - live.checkpoints(), 1u);
   }
   ASSERT_GT(write_sites, 0u);
 
@@ -170,6 +179,86 @@ TEST(IngestCrash, EveryWriteSiteRecoversToACommittedBatchPrefix) {
   EXPECT_EQ(recoveries, crashes);
 }
 
+// An object first seen after the last checkpoint has no store root: it
+// lives in the manifest's fix log alone. Crash with such a log
+// committed (and the next batch in flight), and recovery must rebuild
+// that object from the log — bitwise, and able to go on ingesting.
+TEST(IngestCrash, ObjectFirstSeenAfterTheCheckpointRecoversFromTheLogAlone) {
+  if (!kFaultsEnabled) GTEST_SKIP() << "faults compiled out (MODB_FAULTS=OFF)";
+  const std::string path = ::testing::TempDir() + "/ingest_late_object.bin";
+  const std::vector<std::vector<IngestFix>> batches = Batches();
+  FaultInjector& injector = FaultInjector::Global();
+  injector.Disarm();
+
+  // A clean probe run finds the last commit before the first checkpoint
+  // after object 3's arrival; the crash run commits through it — every
+  // fix of object 3 then sits in the log — and dies inside the next
+  // Persist.
+  std::size_t committed = 0;
+  {
+    Result<VersionedSpillStore> probe_store = VersionedSpillStore::Create(path);
+    ASSERT_TRUE(probe_store.ok()) << probe_store.status();
+    LiveRelation probe("fleet", LiveOptions{2, 8, 16});
+    ASSERT_TRUE(probe.AttachStore(&*probe_store).ok());
+    std::uint64_t checkpoints_at_arrival = 0;
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      ASSERT_TRUE(probe.Ingest(batches[b]).ok());
+      ASSERT_TRUE(probe.Persist().ok());
+      if (b + 1 == std::size_t(kLateObjectTick)) {
+        checkpoints_at_arrival = probe.checkpoints();
+      }
+      if (b >= std::size_t(kLateObjectTick) &&
+          probe.checkpoints() > checkpoints_at_arrival) {
+        break;
+      }
+      committed = b + 1;
+    }
+  }
+  ASSERT_GE(committed, std::size_t(kLateObjectTick) + 2)
+      << "object 3 needs two logged fixes (one unit) before a checkpoint";
+  ASSERT_LT(committed, batches.size());
+  {
+    Result<VersionedSpillStore> store = VersionedSpillStore::Create(path);
+    ASSERT_TRUE(store.ok()) << store.status();
+    LiveRelation live("fleet", LiveOptions{2, 8, 16});
+    ASSERT_TRUE(live.AttachStore(&*store).ok());
+    for (std::size_t b = 0; b < committed; ++b) {
+      ASSERT_TRUE(live.Ingest(batches[b]).ok());
+      ASSERT_TRUE(live.Persist().ok());
+    }
+    ASSERT_GE(live.LogFixes(), committed - std::size_t(kLateObjectTick));
+
+    ASSERT_TRUE(live.Ingest(batches[committed]).ok());
+    injector.FailNth(FaultOp::kWrite, 0);
+    injector.HaltAfterFire();
+    EXPECT_FALSE(live.Persist().ok());
+    ASSERT_GT(injector.FiredCount(), 0u);
+    injector.Disarm();
+    store->Abandon();
+  }
+
+  Result<VersionedSpillStore> reopened = VersionedSpillStore::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ASSERT_TRUE(reopened->VerifyAccounting().ok());
+  LiveRelation recovered("fleet", LiveOptions{2, 8, 16});
+  ASSERT_TRUE(recovered.AttachStore(&*reopened).ok());
+  ASSERT_EQ(4u, recovered.NumObjects());
+  EXPECT_GE(recovered.LogFixes(), committed - std::size_t(kLateObjectTick));
+  LiveRelation reference("fleet", LiveOptions{2, 8, 16});
+  for (std::size_t b = 0; b < committed; ++b) {
+    ASSERT_TRUE(reference.Ingest(batches[b]).ok());
+  }
+  ExpectTailsMatch(recovered, reference);
+  EXPECT_GT(recovered.trail(3).NumUnits(), 0u);
+
+  for (std::size_t b = committed; b < batches.size(); ++b) {
+    ASSERT_TRUE(recovered.Ingest(batches[b]).ok());
+    ASSERT_TRUE(reference.Ingest(batches[b]).ok());
+    ASSERT_TRUE(recovered.Persist().ok());
+  }
+  ExpectTailsMatch(recovered, reference);
+}
+
 // The hostile-network schedule the idempotency window exists for:
 //
 //   1. client sends keyed batches 1 and 2; both acked and committed,
@@ -186,8 +275,8 @@ TEST(IngestCrash, EveryWriteSiteRecoversToACommittedBatchPrefix) {
 TEST(IngestCrash, PersistedDedupWindowReAcksLostAckExactlyOnceAfterCrash) {
   if (!kFaultsEnabled) GTEST_SKIP() << "faults compiled out (MODB_FAULTS=OFF)";
   const std::string path = ::testing::TempDir() + "/ingest_dedup_crash.bin";
-  const std::vector<std::vector<IngestFix>> batches = Batches();
-  ASSERT_GE(batches.size(), 4u);
+  std::vector<std::vector<IngestFix>> batches = Batches();
+  batches.resize(4);
   FaultInjector& injector = FaultInjector::Global();
   injector.Disarm();
   const std::string client = "tracker-A";

@@ -6,6 +6,7 @@
 // loadgen --verify compares over the wire, so nothing (row order, unit
 // slicing, float rounding, index layering) can hide.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "db/relation.h"
 #include "db/value.h"
 #include "gen/flights_gen.h"
+#include "ingest/live_relation.h"
 #include "serve/wire.h"
 #include "temporal/mapping.h"
 #include "temporal/upoint.h"
@@ -455,27 +457,23 @@ TEST(LiveDifferential, WindowValidationIsTyped) {
   EXPECT_EQ(StatusCode::kInvalidArgument, db.Run(q).status().code());
 }
 
-TEST(LiveDifferential, PersistAndRecoverResumeByteIdentically) {
-  // Ingest half the fixes into a store-backed Db, "crash" (drop the Db,
-  // reopen the store), ingest the other half, and compare every query
-  // kind against an uninterrupted bulk build of the full fix set.
-  const int kObjects = 4, kSteps = 16;
-  const std::vector<Fix> fixes = FleetFixes(kObjects, kSteps, 13);
-  const std::size_t half = fixes.size() / 2;
-  const std::vector<Fix> first(fixes.begin(), fixes.begin() + long(half));
-  const std::vector<Fix> second(fixes.begin() + long(half), fixes.end());
+// Ingests fixes[0, cut) into a store-backed Db, "crashes" (drops the
+// Db, reopens the store), ingests fixes[cut, end), and compares every
+// query kind against an uninterrupted bulk build of all the fixes.
+void ExpectResumeByteIdentical(const std::vector<Fix>& fixes, std::size_t cut,
+                               int objects, int steps, std::size_t batch,
+                               const ingest::LiveOptions& opts) {
+  const std::vector<Fix> first(fixes.begin(), fixes.begin() + long(cut));
+  const std::vector<Fix> second(fixes.begin() + long(cut), fixes.end());
   const std::string path =
       ::testing::TempDir() + "/live_differential_store.bin";
-
   {
     Result<VersionedSpillStore> store = VersionedSpillStore::Create(path);
     ASSERT_TRUE(store.ok());
     Db db;
-    ingest::LiveOptions opts;
-    opts.seal_units = 2;
     ASSERT_TRUE(db.RegisterLive("fleet", opts).ok());
     ASSERT_TRUE(db.AttachLiveStore("fleet", &*store).ok());
-    IngestAll(&db, "fleet", first, 6);
+    IngestAll(&db, "fleet", first, batch);
     // No DrainLive: the last acked batch IS the recovery point.
   }
 
@@ -483,18 +481,66 @@ TEST(LiveDifferential, PersistAndRecoverResumeByteIdentically) {
   ASSERT_TRUE(store.ok()) << store.status();
   ASSERT_TRUE(store->VerifyAccounting().ok());
   Db live;
-  ingest::LiveOptions opts;
-  opts.seal_units = 2;
   ASSERT_TRUE(live.RegisterLive("fleet", opts).ok());
   ASSERT_TRUE(live.AttachLiveStore("fleet", &*store).ok());
-  IngestAll(&live, "fleet", second, 6);
+  IngestAll(&live, "fleet", second, batch);
 
   Db bulk;
-  ASSERT_TRUE(bulk.Register(BulkRelation("fleet", fixes, kObjects)).ok());
+  ASSERT_TRUE(bulk.Register(BulkRelation("fleet", fixes, objects)).ok());
   ASSERT_TRUE(bulk.BuildIndex("fleet", "trail").ok());
-  for (const QueryRequest& q : AllKinds("fleet", kSteps)) {
-    EXPECT_EQ(RunBlock(bulk, q), RunBlock(live, q));
+  for (const QueryRequest& q : AllKinds("fleet", steps)) {
+    EXPECT_EQ(RunBlock(bulk, q), RunBlock(live, q)) << "cut at fix " << cut;
   }
+}
+
+TEST(LiveDifferential, PersistAndRecoverResumeByteIdentically) {
+  // Recovery at two kinds of points: mid-log (the last commits before
+  // the crash restaged only the manifest, so recovery replays logged
+  // fixes onto checkpointed trails) and right after a checkpoint (the
+  // log is empty, the roots hold everything).
+  const int kObjects = 4, kSteps = 16;
+  const std::size_t kBatch = 6;
+  const std::vector<Fix> fixes = FleetFixes(kObjects, kSteps, 13);
+  ingest::LiveOptions opts;
+  opts.seal_units = 2;
+
+  // Db::Apply persists each batch once, and which commits checkpoint
+  // depends on the batches alone, so a bare LiveRelation fed the same
+  // batches reports where the checkpoints fall.
+  std::vector<std::size_t> log_after;  // log fixes after each batch's commit
+  {
+    const std::string path = ::testing::TempDir() + "/live_probe_store.bin";
+    Result<VersionedSpillStore> store = VersionedSpillStore::Create(path);
+    ASSERT_TRUE(store.ok());
+    ingest::LiveRelation probe("fleet", opts);
+    ASSERT_TRUE(probe.AttachStore(&*store).ok());
+    for (std::size_t b = 0; b * kBatch < fixes.size(); ++b) {
+      std::vector<ingest::IngestFix> batch;
+      for (std::size_t i = b * kBatch;
+           i < std::min(fixes.size(), (b + 1) * kBatch); ++i) {
+        batch.push_back({fixes[i].id, fixes[i].t, fixes[i].x, fixes[i].y});
+      }
+      ASSERT_TRUE(probe.Ingest(batch).ok());
+      ASSERT_TRUE(probe.Persist().ok());
+      log_after.push_back(probe.LogFixes());
+    }
+  }
+  // Cut after batch b: mid-log once the log spans two commits, after a
+  // checkpoint once a later commit emptied it again.
+  std::size_t mid_log = 0, after_checkpoint = 0;
+  for (std::size_t b = 1; b + 1 < log_after.size(); ++b) {
+    if (mid_log == 0 && log_after[b] > log_after[b - 1] &&
+        log_after[b - 1] > 0) {
+      mid_log = b + 1;
+    }
+    if (after_checkpoint == 0 && log_after[b] == 0) after_checkpoint = b + 1;
+  }
+  ASSERT_GT(mid_log, 0u) << "no commit left a log spanning two batches";
+  ASSERT_GT(after_checkpoint, 0u) << "no checkpoint after the first commit";
+  ExpectResumeByteIdentical(fixes, mid_log * kBatch, kObjects, kSteps, kBatch,
+                            opts);
+  ExpectResumeByteIdentical(fixes, after_checkpoint * kBatch, kObjects, kSteps,
+                            kBatch, opts);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "core/interval.h"
 #include "temporal/mapping.h"
+#include "temporal/moving.h"
 #include "temporal/upoint.h"
 
 namespace modb {
@@ -88,84 +89,90 @@ void ExpectBitwiseEqual(const std::vector<UPoint>& got,
 TEST(TailSeries, StepwiseBitwiseIdentityWithBulkBuilder) {
   const std::vector<Fix> fixes = Walk();
   TailSeries tail;
+  MovingPoint trail;
   for (std::size_t n = 1; n <= fixes.size(); ++n) {
-    ASSERT_TRUE(tail.Absorb(fixes[n - 1].t, fixes[n - 1].p).ok());
-    ExpectBitwiseEqual(tail.units(), BulkUnits(fixes, n), n);
+    ASSERT_TRUE(tail.Absorb(fixes[n - 1].t, fixes[n - 1].p, &trail).ok());
+    ExpectBitwiseEqual(trail.units(), BulkUnits(fixes, n), n);
   }
   // The constant-velocity stretch merged: strictly fewer units than
   // fix gaps proves the merge rule fired at least once.
-  EXPECT_LT(tail.NumUnits(), fixes.size() - 1);
+  EXPECT_LT(trail.NumUnits(), fixes.size() - 1);
 }
 
 TEST(TailSeries, SealingNeverPerturbsTheIdentity) {
   const std::vector<Fix> fixes = Walk();
   TailSeries tail;
+  MovingPoint trail;
   for (std::size_t n = 1; n <= fixes.size(); ++n) {
-    ASSERT_TRUE(tail.Absorb(fixes[n - 1].t, fixes[n - 1].p).ok());
-    tail.Seal();  // seal after EVERY fix: the most adversarial policy
-    if (tail.NumUnits() > 0) {
-      EXPECT_EQ(tail.sealed(), tail.NumUnits() - 1)
+    ASSERT_TRUE(tail.Absorb(fixes[n - 1].t, fixes[n - 1].p, &trail).ok());
+    tail.Seal(trail);  // seal after EVERY fix: the most adversarial policy
+    if (trail.NumUnits() > 0) {
+      EXPECT_EQ(tail.sealed(), trail.NumUnits() - 1)
           << "the newest unit must stay hot";
     }
-    ExpectBitwiseEqual(tail.units(), BulkUnits(fixes, n), n);
+    ExpectBitwiseEqual(trail.units(), BulkUnits(fixes, n), n);
   }
 }
 
 TEST(TailSeries, StaleOrDuplicateTimestampIsOutOfRangeAndLeavesStateAlone) {
   TailSeries tail;
-  ASSERT_TRUE(tail.Absorb(1.0, Point(0, 0)).ok());
-  ASSERT_TRUE(tail.Absorb(2.0, Point(1, 1)).ok());
-  const std::size_t units_before = tail.NumUnits();
-  EXPECT_EQ(StatusCode::kOutOfRange, tail.Absorb(2.0, Point(2, 2)).code());
-  EXPECT_EQ(StatusCode::kOutOfRange, tail.Absorb(1.5, Point(2, 2)).code());
-  EXPECT_EQ(units_before, tail.NumUnits());
+  MovingPoint trail;
+  ASSERT_TRUE(tail.Absorb(1.0, Point(0, 0), &trail).ok());
+  ASSERT_TRUE(tail.Absorb(2.0, Point(1, 1), &trail).ok());
+  const std::vector<UPoint> before = trail.units();
+  EXPECT_EQ(StatusCode::kOutOfRange,
+            tail.Absorb(2.0, Point(2, 2), &trail).code());
+  EXPECT_EQ(StatusCode::kOutOfRange,
+            tail.Absorb(1.5, Point(2, 2), &trail).code());
+  ExpectBitwiseEqual(trail.units(), before, 2);
   EXPECT_EQ(2.0, tail.last_time());
 }
 
+// The trail Absorb extends in place IS the materialized mapping: it
+// equals the bulk one and passes Make's full re-validation, although
+// each append only checked the new unit against its predecessor.
 TEST(TailSeries, MaterializeMatchesBulkMapping) {
   const std::vector<Fix> fixes = Walk();
   TailSeries tail;
-  for (const Fix& f : fixes) ASSERT_TRUE(tail.Absorb(f.t, f.p).ok());
-  Result<MovingPoint> mp = tail.Materialize();
-  ASSERT_TRUE(mp.ok());
+  MovingPoint trail;
+  for (const Fix& f : fixes) ASSERT_TRUE(tail.Absorb(f.t, f.p, &trail).ok());
+  Result<MovingPoint> revalidated = MovingPoint::Make(trail.units());
+  ASSERT_TRUE(revalidated.ok()) << revalidated.status();
   const std::vector<UPoint> bulk = BulkUnits(fixes, fixes.size());
-  ExpectBitwiseEqual(
-      std::vector<UPoint>(mp->units().begin(), mp->units().end()), bulk,
-      fixes.size());
+  ExpectBitwiseEqual(revalidated->units(), bulk, fixes.size());
+  ExpectBitwiseEqual(trail.units(), bulk, fixes.size());
 }
 
 TEST(TailSeries, ResumeContinuesBitwiseIdentically) {
   const std::vector<Fix> fixes = Walk();
   const std::size_t cut = 5;
-  TailSeries full;
-  TailSeries before;
+  TailSeries full, before;
+  MovingPoint full_trail, before_trail;
   for (std::size_t i = 0; i < cut; ++i) {
-    ASSERT_TRUE(full.Absorb(fixes[i].t, fixes[i].p).ok());
-    ASSERT_TRUE(before.Absorb(fixes[i].t, fixes[i].p).ok());
+    ASSERT_TRUE(full.Absorb(fixes[i].t, fixes[i].p, &full_trail).ok());
+    ASSERT_TRUE(before.Absorb(fixes[i].t, fixes[i].p, &before_trail).ok());
   }
-  Result<MovingPoint> persisted = before.Materialize();
-  ASSERT_TRUE(persisted.ok());
+  MovingPoint persisted = before_trail;
   Result<TailSeries> resumed = TailSeries::Resume(
-      *persisted, before.last_time(), before.last_point());
+      persisted, before.last_time(), before.last_point());
   ASSERT_TRUE(resumed.ok());
-  // Same persisted units, and the exact anchor survived.
-  ExpectBitwiseEqual(resumed->units(), before.units(), cut);
+  // The exact anchor survived, and only the newest unit is hot.
   EXPECT_EQ(before.last_time(), resumed->last_time());
+  EXPECT_EQ(persisted.NumUnits() - 1, resumed->sealed());
   for (std::size_t i = cut; i < fixes.size(); ++i) {
-    ASSERT_TRUE(full.Absorb(fixes[i].t, fixes[i].p).ok());
-    ASSERT_TRUE(resumed->Absorb(fixes[i].t, fixes[i].p).ok());
-    ExpectBitwiseEqual(resumed->units(), full.units(), i + 1);
+    ASSERT_TRUE(full.Absorb(fixes[i].t, fixes[i].p, &full_trail).ok());
+    ASSERT_TRUE(resumed->Absorb(fixes[i].t, fixes[i].p, &persisted).ok());
+    ExpectBitwiseEqual(persisted.units(), full_trail.units(), i + 1);
   }
 }
 
 TEST(TailSeries, SingleFixHasAnchorButNoUnits) {
   TailSeries tail;
-  ASSERT_TRUE(tail.Absorb(3.0, Point(7, -7)).ok());
+  MovingPoint trail;
+  ASSERT_TRUE(tail.Absorb(3.0, Point(7, -7), &trail).ok());
   EXPECT_TRUE(tail.has_fix());
-  EXPECT_EQ(0u, tail.NumUnits());
-  Result<MovingPoint> mp = tail.Materialize();
-  ASSERT_TRUE(mp.ok());
-  EXPECT_EQ(0u, mp->units().size());
+  EXPECT_EQ(3.0, tail.last_time());
+  EXPECT_TRUE(trail.IsEmpty());
 }
 
 }  // namespace

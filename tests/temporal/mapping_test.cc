@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <random>
 
 #include "temporal/moving.h"
@@ -45,6 +46,46 @@ TEST(MappingMake, GapAllowsEqualValues) {
   // [0,1) and (1,2]: not adjacent (instant 1 missing) → equal values fine.
   EXPECT_TRUE(MovingBool::Make({UB(0, 1, true, true, false),
                                 UB(1, 2, true, false, true)}).ok());
+}
+
+TEST(MappingAppend, AppliesMakesPairTestToTheNewUnitOnly) {
+  MovingBool m;
+  ASSERT_TRUE(m.AppendUnit(UB(0, 1, true, true, false)).ok());
+  ASSERT_TRUE(m.AppendUnit(UB(1, 2, false)).ok());
+  // Overlap, out of order and a mergeable neighbour are rejected, and a
+  // rejected append leaves the mapping as it was.
+  EXPECT_FALSE(m.AppendUnit(UB(1.5, 3, true)).ok());
+  EXPECT_FALSE(m.AppendUnit(UB(-2, -1, true)).ok());
+  EXPECT_FALSE(m.AppendUnit(UB(2, 3, false, false, true)).ok());
+  ASSERT_EQ(2u, m.NumUnits());
+  ASSERT_TRUE(m.AppendUnit(UB(2, 3, true, false, true)).ok());
+  // Whatever the appends accepted, Make accepts too.
+  EXPECT_TRUE(MovingBool::Make(m.units()).ok());
+}
+
+TEST(MappingAppend, ReplaceLastChecksAgainstThePredecessor) {
+  MovingBool m;
+  EXPECT_FALSE(m.ReplaceLastUnit(UB(0, 1, true)).ok());
+  ASSERT_TRUE(m.AppendUnit(UB(0, 1, true, true, false)).ok());
+  ASSERT_TRUE(m.AppendUnit(UB(1, 2, false)).ok());
+  // Now mergeable with unit 0: rejected, unchanged.
+  EXPECT_FALSE(m.ReplaceLastUnit(UB(1, 2, true)).ok());
+  EXPECT_FALSE(m.unit(1).value());
+  ASSERT_TRUE(m.ReplaceLastUnit(UB(1, 4, false)).ok());
+  EXPECT_EQ(4, m.unit(1).interval().end());
+}
+
+TEST(MappingAppend, DropsOnlyThisCopysSearchIndex) {
+  MovingBool m = *MovingBool::Make({UB(0, 1, true, true, false)});
+  m.BuildSearchIndex();
+  const MovingBool copy = m;
+  ASSERT_TRUE(m.AppendUnit(UB(1, 2, false)).ok());
+  EXPECT_FALSE(m.HasSearchIndex());
+  EXPECT_EQ(std::optional<std::size_t>(1), m.FindUnit(1.5));
+  // The copy keeps the index that still describes its one unit.
+  ASSERT_TRUE(copy.HasSearchIndex());
+  EXPECT_EQ(1u, copy.search_index()->start.size());
+  EXPECT_FALSE(copy.FindUnit(1.5).has_value());
 }
 
 TEST(MappingFindUnit, BinaryVsLinearAgree) {

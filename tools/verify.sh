@@ -92,11 +92,13 @@ for preset in "${presets[@]}"; do
 done
 
 # ThreadSanitizer over the code that moves query work onto pool
-# threads: the exec and db suites and the serving tests.
+# threads and the storage tier readers share with ingest: the exec, db,
+# storage and ingest suites (sharded pool, epoch pins, live ingest and
+# its commits beside pinned readers) and the serving tests.
 echo "==== [tsan] configure + build + test ===="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs"
-ctest --preset tsan -j "$jobs" -L '^(exec|db)$'
+ctest --preset tsan -j "$jobs" -L '^(exec|db|storage|ingest)$'
 ctest --preset tsan -j "$jobs" -R '^ServerTest\.'
 
 # Perf smoke on a Release (-O3 -DNDEBUG) build: export the key
