@@ -1,11 +1,16 @@
 // Experiments Q1/Q2 (Section 2): the two example queries on the planes
 // relation, plus the D4 ablation (unit bounding cubes + R-tree for the
-// spatio-temporal join).
+// spatio-temporal join), and the reply codec on the results modbd
+// serves most.
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
+#include "db/modb.h"
 #include "exec/planner.h"
 #include "gen/flights_gen.h"
+#include "serve/wire.h"
 #include "temporal/lifted_ops.h"
 
 namespace modb {
@@ -128,6 +133,86 @@ void BM_Q2_PredicateOnly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Q2_PredicateOnly);
+
+// The reply codec: a result encoded into a reply payload (what modbd
+// does per query) and decoded back into a QueryResult (what its client
+// does), on the atinstant xy block of 1024 flights x 49 half-hourly
+// instants and on the rows of the 256-flight Q2 join.
+QueryResult RunOnPlanes(int flights, const QueryRequest& req) {
+  Db db;
+  (void)db.Register(Planes(flights));
+  (void)db.BuildIndex("planes", "flight");
+  return *db.Run(req);
+}
+
+const QueryResult& AtInstantXY() {
+  static const QueryResult result = [] {
+    QueryRequest req;
+    req.kind = QueryRequest::Kind::kAtInstantBatch;
+    req.relation = "planes";
+    req.attr = "flight";
+    for (int i = 0; i <= 48; ++i) req.instants.push_back(0.5 * i);
+    return RunOnPlanes(1024, req);
+  }();
+  return result;
+}
+
+const QueryResult& JoinRows() {
+  static const QueryResult result = [] {
+    QueryRequest req;
+    req.kind = QueryRequest::Kind::kIndexJoin;
+    req.relation = "planes";
+    req.join_relation = "planes";
+    req.attr = "flight";
+    req.join_attr = "flight";
+    req.distance = 50;
+    req.distinct_pairs = true;
+    return RunOnPlanes(256, req);
+  }();
+  return result;
+}
+
+void EncodeReplyLoop(benchmark::State& state, const QueryResult& result) {
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    Result<std::string> payload = serve::EncodeReply(Status::OK(), &result);
+    bytes = payload->size();
+    benchmark::DoNotOptimize(payload->data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(std::int64_t(state.iterations() * bytes));
+}
+
+void DecodeReplyLoop(benchmark::State& state, const QueryResult& result) {
+  const std::string payload = *serve::EncodeReply(Status::OK(), &result);
+  for (auto _ : state) {
+    Result<serve::WireReply> wire = serve::DecodeReply(payload);
+    Result<QueryResult> back = serve::DecodeResultBlock(wire->result_block);
+    if (!back.ok()) state.SkipWithError("reply did not decode");
+    benchmark::DoNotOptimize(back);
+  }
+  state.SetBytesProcessed(std::int64_t(state.iterations() * payload.size()));
+}
+
+void BM_EncodeReply_XY(benchmark::State& state) {
+  EncodeReplyLoop(state, AtInstantXY());
+}
+BENCHMARK(BM_EncodeReply_XY);
+
+void BM_DecodeReply_XY(benchmark::State& state) {
+  DecodeReplyLoop(state, AtInstantXY());
+}
+BENCHMARK(BM_DecodeReply_XY);
+
+void BM_EncodeReply_JoinRows(benchmark::State& state) {
+  EncodeReplyLoop(state, JoinRows());
+}
+BENCHMARK(BM_EncodeReply_JoinRows);
+
+void BM_DecodeReply_JoinRows(benchmark::State& state) {
+  DecodeReplyLoop(state, JoinRows());
+}
+BENCHMARK(BM_DecodeReply_JoinRows);
 
 }  // namespace
 }  // namespace modb

@@ -1,6 +1,7 @@
 #include "db/relation_io.h"
 
 #include <fstream>
+#include <variant>
 
 #include "storage/flat.h"
 
@@ -97,25 +98,41 @@ Result<AttributeValue> AttributeFromFlat(AttributeType type,
 
 }  // namespace
 
-Result<std::string> SerializeAttribute(const AttributeValue& value) {
+Status SerializeAttribute(const AttributeValue& value, std::string* out) {
   Result<FlatValue> flat = AttributeToFlat(value);
   if (!flat.ok()) return flat.status();
-  ByteWriter w;
-  w.PutU8(uint8_t(TypeOf(value)));
-  w.PutBytes(SerializeFlat(*flat));
-  return w.Take();
+  out->push_back(char(TypeOf(value)));
+  SerializeFlat(*flat, out);
+  return Status::OK();
+}
+
+Result<std::string> SerializeAttribute(const AttributeValue& value) {
+  std::string blob;
+  MODB_RETURN_IF_ERROR(SerializeAttribute(value, &blob));
+  return blob;
+}
+
+Result<std::size_t> SerializedAttributeSize(const AttributeValue& value) {
+  return std::visit(
+      [](const auto& v) -> Result<std::size_t> {
+        if constexpr (requires { SerializedFlatSize(v); }) {
+          return 1 + SerializedFlatSize(v);
+        } else {
+          Result<FlatValue> flat = ToFlat(v);
+          if (!flat.ok()) return flat.status();
+          return 1 + SerializedFlatSize(*flat);
+        }
+      },
+      value);
 }
 
 Result<AttributeValue> DeserializeAttribute(std::string_view blob) {
-  ByteReader r(blob);
-  uint8_t tag;
-  MODB_RETURN_IF_ERROR(r.GetU8(&tag));
+  if (blob.empty()) return Status::OutOfRange("short read");
+  const uint8_t tag = uint8_t(blob[0]);
   if (tag > uint8_t(AttributeType::kMovingRegion)) {
     return Status::InvalidArgument("bad attribute type tag");
   }
-  std::string rest;
-  MODB_RETURN_IF_ERROR(r.GetBytes(r.Remaining(), &rest));
-  Result<FlatValue> flat = ParseFlat(rest);
+  Result<FlatValue> flat = ParseFlat(blob.substr(1));
   if (!flat.ok()) return flat.status();
   return AttributeFromFlat(AttributeType(tag), *flat);
 }
@@ -132,12 +149,13 @@ Status SaveRelation(const Relation& rel, const std::string& path) {
     w.PutU8(uint8_t(d.type));
   }
   w.PutU32(uint32_t(rel.NumTuples()));
+  std::string blob;
   for (const Tuple& t : rel.tuples()) {
     for (const AttributeValue& v : t) {
-      Result<std::string> blob = SerializeAttribute(v);
-      if (!blob.ok()) return blob.status();
-      w.PutU32(uint32_t(blob->size()));
-      w.PutBytes(*blob);
+      blob.clear();
+      MODB_RETURN_IF_ERROR(SerializeAttribute(v, &blob));
+      w.PutU32(uint32_t(blob.size()));
+      w.PutBytes(blob);
     }
   }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -187,8 +205,8 @@ Result<Relation> LoadRelation(const std::string& path) {
     for (uint32_t a = 0; a < num_attrs; ++a) {
       uint32_t len;
       MODB_RETURN_IF_ERROR(r.GetU32(&len));
-      std::string blob;
-      MODB_RETURN_IF_ERROR(r.GetBytes(len, &blob));
+      std::string_view blob;
+      MODB_RETURN_IF_ERROR(r.GetView(len, &blob));
       Result<AttributeValue> v = DeserializeAttribute(blob);
       if (!v.ok()) return v.status();
       tuple.push_back(std::move(*v));

@@ -15,10 +15,17 @@
 
 namespace modb {
 
-/// Serializes one attribute value (type tag + flat blob).
+/// Serializes one attribute value (type tag + flat blob), appended to
+/// `*out`. On error nothing is appended.
+Status SerializeAttribute(const AttributeValue& value, std::string* out);
+/// SerializeAttribute into a fresh string.
 Result<std::string> SerializeAttribute(const AttributeValue& value);
+/// The size SerializeAttribute would append: closed form where the flat
+/// layout has one (a moving point, a string), otherwise the value is
+/// decomposed (ToFlat) and measured.
+Result<std::size_t> SerializedAttributeSize(const AttributeValue& value);
 
-/// Inverse of SerializeAttribute.
+/// Inverse of SerializeAttribute; reads `blob` in place.
 Result<AttributeValue> DeserializeAttribute(std::string_view blob);
 
 /// Writes the relation (name, schema, tuples) to a file.

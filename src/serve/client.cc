@@ -53,7 +53,7 @@ Result<Client::Reply> Client::Query(const QueryRequest& req) {
     return Status::InvalidArgument("expected a reply frame, got type " +
                                    std::to_string(int((*frame)->type)));
   }
-  Result<WireReply> wire = DecodeReply((*frame)->payload);
+  Result<WireReply> wire = DecodeReply(std::move((*frame)->payload));
   MODB_RETURN_IF_ERROR(wire.status());
   Reply reply;
   reply.status = wire->status;
@@ -88,7 +88,7 @@ Result<Client::MutationReply> Client::Mutate(const MutationRequest& req) {
     return Status::InvalidArgument("expected a reply frame, got type " +
                                    std::to_string(int((*frame)->type)));
   }
-  Result<WireReply> wire = DecodeReply((*frame)->payload);
+  Result<WireReply> wire = DecodeReply(std::move((*frame)->payload));
   MODB_RETURN_IF_ERROR(wire.status());
   MutationReply reply;
   reply.status = wire->status;

@@ -310,33 +310,29 @@ void CloseFd(int fd) {
 
 namespace {
 
-Status SealFrame(FrameType type, std::string_view payload,
-                 std::uint8_t version, std::string* msg) {
-  if (payload.size() > kMaxFramePayload) {
-    return Status::InvalidArgument(
-        "frame payload of " + std::to_string(payload.size()) +
-        " bytes exceeds the " + std::to_string(kMaxFramePayload) +
-        "-byte cap");
-  }
-  *msg = EncodeFrameHeader(type, std::uint32_t(payload.size()), version);
-  msg->append(payload.data(), payload.size());
-  return Status::OK();
+// Requests and error replies are small: the frame buffer costs one copy
+// of the payload. (modbd builds its replies in a frame buffer directly.)
+Status BuildFrame(FrameType type, std::string_view payload,
+                  std::uint8_t version, std::string* frame) {
+  StartFrame(frame);
+  frame->append(payload.data(), payload.size());
+  return SealFrame(type, version, frame);
 }
 
 }  // namespace
 
 Status WriteFrame(int fd, FrameType type, std::string_view payload,
                   std::uint8_t version) {
-  std::string msg;
-  MODB_RETURN_IF_ERROR(SealFrame(type, payload, version, &msg));
-  return WriteFull(fd, msg.data(), msg.size());
+  std::string frame;
+  MODB_RETURN_IF_ERROR(BuildFrame(type, payload, version, &frame));
+  return WriteFull(fd, frame.data(), frame.size());
 }
 
 Status WriteFrameTimeout(int fd, FrameType type, std::string_view payload,
                          int timeout_ms, std::uint8_t version) {
-  std::string msg;
-  MODB_RETURN_IF_ERROR(SealFrame(type, payload, version, &msg));
-  return WriteFullTimeout(fd, msg.data(), msg.size(), timeout_ms);
+  std::string frame;
+  MODB_RETURN_IF_ERROR(BuildFrame(type, payload, version, &frame));
+  return WriteFullTimeout(fd, frame.data(), frame.size(), timeout_ms);
 }
 
 Result<std::optional<Frame>> ReadFrame(int fd) {

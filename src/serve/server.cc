@@ -231,6 +231,15 @@ void Server::ServeConnection(int fd) {
   if (got.ok() && *got && std::string_view(sniff, 4) == "GET ") {
     ServeHttp(fd, std::string(sniff, 4));
   } else if (got.ok() && *got) {
+    // One frame buffer per connection, reused across requests: a reply
+    // is encoded straight into it behind its header and leaves in one
+    // write, and steady-state replies fault in no fresh pages.
+    std::string frame;
+    auto send_frame = [&](std::uint8_t version) {
+      Status s = SealFrame(FrameType::kReply, version, &frame);
+      if (s.ok()) s = WriteFullTimeout(fd, frame.data(), frame.size(), io_ms);
+      return s;
+    };
     bool first = true;
     for (;;) {
       char header[kFrameHeaderBytes];
@@ -259,9 +268,9 @@ void Server::ServeConnection(int fd) {
       if (!h.ok()) {
         // The stream cannot be resynchronized after a bad header; send
         // the typed error and drop the connection.
-        Result<std::string> reply = EncodeReply(h.status(), nullptr);
-        if (reply.ok()) {
-          (void)WriteFrameTimeout(fd, FrameType::kReply, *reply, io_ms);
+        StartFrame(&frame);
+        if (AppendReply(h.status(), nullptr, &frame).ok()) {
+          (void)send_frame(kWireVersion);
         }
         MODB_COUNTER_INC("serve.errors");
         break;
@@ -277,23 +286,22 @@ void Server::ServeConnection(int fd) {
           break;
         }
       }
-      std::string reply;
+      StartFrame(&frame);
+      Status handled;
       if (h->type == FrameType::kQuery) {
-        reply = HandleQuery(payload, h->version);
+        handled = HandleQuery(payload, h->version, &frame);
       } else if (h->type == FrameType::kMutation) {
-        reply = HandleMutation(payload, h->version);
+        handled = HandleMutation(payload, h->version, &frame);
       } else {
-        Result<std::string> r = EncodeReply(
+        handled = AppendReply(
             Status::InvalidArgument("expected a query or mutation frame"),
-            nullptr);
-        reply = r.ok() ? *std::move(r) : std::string();
+            nullptr, &frame);
         MODB_COUNTER_INC("serve.errors");
       }
-      if (reply.empty()) break;
+      if (!handled.ok()) break;
       // Answer in the version the request arrived with, so a client
       // never sees a frame header newer than its own.
-      Status s =
-          WriteFrameTimeout(fd, FrameType::kReply, reply, io_ms, h->version);
+      Status s = send_frame(h->version);
       if (!s.ok()) {
         (void)timed_out(s, /*idle_phase=*/false);
         break;
@@ -338,14 +346,13 @@ void Server::ServeHttp(int fd, const std::string& sniffed) {
   (void)WriteFullTimeout(fd, response.data(), response.size(), io_ms);
 }
 
-std::string Server::HandleQuery(const std::string& payload,
-                                std::uint8_t version) {
+Status Server::HandleQuery(std::string_view payload, std::uint8_t version,
+                          std::string* frame) {
   const auto start = std::chrono::steady_clock::now();
   MODB_COUNTER_INC("serve.requests");
-  auto reply_error = [](const Status& s) {
-    Result<std::string> r = EncodeReply(s, nullptr);
+  auto reply_error = [frame](const Status& s) {
     MODB_COUNTER_INC("serve.errors");
-    return r.ok() ? *std::move(r) : std::string();
+    return AppendReply(s, nullptr, frame);
   };
 
   Result<QueryRequest> req = DecodeQueryRequest(payload, version);
@@ -384,24 +391,26 @@ std::string Server::HandleQuery(const std::string& payload,
                               .count()));
   if (!result.ok()) return reply_error(result.status());
 
-  Result<std::string> reply = EncodeReply(Status::OK(), &*result);
-  if (!reply.ok()) return reply_error(reply.status());
+  // A result too large for one frame comes back as a typed kOutOfRange
+  // reply, and the connection stays usable.
+  if (Status s = AppendReply(Status::OK(), &*result, frame); !s.ok()) {
+    return reply_error(s);
+  }
   MODB_HISTOGRAM_RECORD(
       "serve.request_ns",
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  return *std::move(reply);
+  return Status::OK();
 }
 
-std::string Server::HandleMutation(const std::string& payload,
-                                   std::uint8_t version) {
+Status Server::HandleMutation(std::string_view payload, std::uint8_t version,
+                              std::string* frame) {
   const auto start = std::chrono::steady_clock::now();
   MODB_COUNTER_INC("serve.requests");
-  auto reply_error = [](const Status& s) {
-    Result<std::string> r = EncodeMutationReply(s, nullptr);
+  auto reply_error = [frame](const Status& s) {
     MODB_COUNTER_INC("serve.errors");
-    return r.ok() ? *std::move(r) : std::string();
+    return AppendMutationReply(s, nullptr, frame);
   };
 
   Result<MutationRequest> req = DecodeMutationRequest(payload, version);
@@ -422,14 +431,15 @@ std::string Server::HandleMutation(const std::string& payload,
                            .count()));
   if (!ack.ok()) return reply_error(ack.status());
 
-  Result<std::string> reply = EncodeMutationReply(Status::OK(), &*ack);
-  if (!reply.ok()) return reply_error(reply.status());
+  if (Status s = AppendMutationReply(Status::OK(), &*ack, frame); !s.ok()) {
+    return reply_error(s);
+  }
   MODB_HISTOGRAM_RECORD(
       "serve.request_ns",
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  return *std::move(reply);
+  return Status::OK();
 }
 
 }  // namespace serve

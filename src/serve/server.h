@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -134,14 +135,18 @@ class Server {
   void ServeConnection(int fd);
   /// Handles one already-sniffed HTTP connection (metrics endpoint).
   void ServeHttp(int fd, const std::string& sniffed);
-  /// Decodes, admits, executes, and encodes one query payload.
-  /// `version` is the frame header's protocol version — it selects the
-  /// payload decoder (the reply frame is stamped with it by the
-  /// caller, so each client is answered in its own version).
-  std::string HandleQuery(const std::string& payload, std::uint8_t version);
-  /// Decodes, admits, applies, and acks one mutation payload.
-  std::string HandleMutation(const std::string& payload,
-                             std::uint8_t version);
+  /// Decodes, admits, executes, and encodes one query payload: the
+  /// reply payload is appended to `frame`, a started frame buffer (see
+  /// StartFrame). `version` is the frame header's protocol version — it
+  /// selects the payload decoder (the caller seals the reply frame with
+  /// it, so each client is answered in its own version). Fails only if
+  /// not even an error reply could be encoded.
+  Status HandleQuery(std::string_view payload, std::uint8_t version,
+                     std::string* frame);
+  /// Decodes, admits, applies, and acks one mutation payload (reply
+  /// appended to `frame` as above).
+  Status HandleMutation(std::string_view payload, std::uint8_t version,
+                        std::string* frame);
 
   Db* const db_;
   const ServerOptions options_;

@@ -6,6 +6,7 @@
 
 #include "db/relation_io.h"
 #include "obs/exec_stats.h"
+#include "storage/flat.h"  // the little-endian host assertion
 
 namespace modb {
 namespace serve {
@@ -27,20 +28,32 @@ constexpr std::uint8_t kMaxAttributeType =
 /// QueryResult::Payload range, so DecodeResultBlock rejects it.
 constexpr std::uint8_t kAckBlockKind = 3;
 
+// A column of n f64s: one bounds check, one copy.
+Status ReadF64Column(WireReader* r, std::uint64_t n,
+                     std::vector<double>* out) {
+  std::string_view bytes;
+  MODB_RETURN_IF_ERROR(r->View(sizeof(double) * n, &bytes));
+  out->resize(n);
+  if (n > 0) std::memcpy(out->data(), bytes.data(), bytes.size());
+  return Status::OK();
+}
+
+void PutFrameHeader(FrameType type, std::uint32_t payload_len,
+                    std::uint8_t version, char* out) {
+  std::memcpy(out, kMagic, 4);
+  out[4] = char(version);
+  out[5] = char(std::uint8_t(type));
+  out[6] = 0;
+  out[7] = 0;
+  std::memcpy(out + 8, &payload_len, sizeof payload_len);
+}
+
 }  // namespace
 
 std::string EncodeFrameHeader(FrameType type, std::uint32_t payload_len,
                               std::uint8_t version) {
   std::string h(kFrameHeaderBytes, '\0');
-  std::memcpy(h.data(), kMagic, 4);
-  h[4] = char(version);
-  h[5] = char(std::uint8_t(type));
-  h[6] = 0;
-  h[7] = 0;
-  h[8] = char(payload_len & 0xff);
-  h[9] = char((payload_len >> 8) & 0xff);
-  h[10] = char((payload_len >> 16) & 0xff);
-  h[11] = char((payload_len >> 24) & 0xff);
+  PutFrameHeader(type, payload_len, version, h.data());
   return h;
 }
 
@@ -71,10 +84,8 @@ Result<FrameHeader> DecodeFrameHeader(std::string_view bytes) {
   if (bytes[6] != 0 || bytes[7] != 0) {
     return Status::InvalidArgument("reserved frame header bytes must be 0");
   }
-  const std::uint32_t len = std::uint32_t(std::uint8_t(bytes[8])) |
-                            std::uint32_t(std::uint8_t(bytes[9])) << 8 |
-                            std::uint32_t(std::uint8_t(bytes[10])) << 16 |
-                            std::uint32_t(std::uint8_t(bytes[11])) << 24;
+  std::uint32_t len;
+  std::memcpy(&len, bytes.data() + 8, sizeof len);
   if (len > kMaxFramePayload) {
     return Status::InvalidArgument(
         "frame payload length " + std::to_string(len) +
@@ -83,32 +94,20 @@ Result<FrameHeader> DecodeFrameHeader(std::string_view bytes) {
   return FrameHeader{FrameType(type), version, len};
 }
 
-void WireWriter::U8(std::uint8_t v) { buf_.push_back(char(v)); }
-
-void WireWriter::U16(std::uint16_t v) {
-  U8(std::uint8_t(v & 0xff));
-  U8(std::uint8_t(v >> 8));
+void StartFrame(std::string* frame) {
+  frame->assign(kFrameHeaderBytes, '\0');
 }
 
-void WireWriter::U32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) U8(std::uint8_t((v >> (8 * i)) & 0xff));
-}
-
-void WireWriter::U64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) U8(std::uint8_t((v >> (8 * i)) & 0xff));
-}
-
-void WireWriter::I64(std::int64_t v) { U64(std::uint64_t(v)); }
-
-void WireWriter::F64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  U64(bits);
-}
-
-void WireWriter::Str(std::string_view v) {
-  U32(std::uint32_t(v.size()));
-  buf_.append(v.data(), v.size());
+Status SealFrame(FrameType type, std::uint8_t version, std::string* frame) {
+  const std::size_t payload = frame->size() - kFrameHeaderBytes;
+  if (payload > kMaxFramePayload) {
+    return Status::InvalidArgument(
+        "frame payload of " + std::to_string(payload) +
+        " bytes exceeds the " + std::to_string(kMaxFramePayload) +
+        "-byte cap");
+  }
+  PutFrameHeader(type, std::uint32_t(payload), version, frame->data());
+  return Status::OK();
 }
 
 Status WireReader::Need(std::size_t n) const {
@@ -120,60 +119,23 @@ Status WireReader::Need(std::size_t n) const {
   return Status::OK();
 }
 
-Status WireReader::U8(std::uint8_t* v) {
-  MODB_RETURN_IF_ERROR(Need(1));
-  *v = std::uint8_t(data_[pos_++]);
+Status WireReader::View(std::size_t n, std::string_view* v) {
+  MODB_RETURN_IF_ERROR(Need(n));
+  *v = data_.substr(pos_, n);
+  pos_ += n;
   return Status::OK();
 }
 
-Status WireReader::U16(std::uint16_t* v) {
-  MODB_RETURN_IF_ERROR(Need(2));
-  *v = std::uint16_t(std::uint8_t(data_[pos_])) |
-       std::uint16_t(std::uint8_t(data_[pos_ + 1])) << 8;
-  pos_ += 2;
-  return Status::OK();
-}
-
-Status WireReader::U32(std::uint32_t* v) {
-  MODB_RETURN_IF_ERROR(Need(4));
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= std::uint32_t(std::uint8_t(data_[pos_ + i])) << (8 * i);
-  }
-  pos_ += 4;
-  return Status::OK();
-}
-
-Status WireReader::U64(std::uint64_t* v) {
-  MODB_RETURN_IF_ERROR(Need(8));
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= std::uint64_t(std::uint8_t(data_[pos_ + i])) << (8 * i);
-  }
-  pos_ += 8;
-  return Status::OK();
-}
-
-Status WireReader::I64(std::int64_t* v) {
-  std::uint64_t u;
-  MODB_RETURN_IF_ERROR(U64(&u));
-  *v = std::int64_t(u);
-  return Status::OK();
-}
-
-Status WireReader::F64(double* v) {
-  std::uint64_t bits;
-  MODB_RETURN_IF_ERROR(U64(&bits));
-  std::memcpy(v, &bits, sizeof *v);
-  return Status::OK();
+Status WireReader::StrView(std::string_view* v) {
+  std::uint32_t len;
+  MODB_RETURN_IF_ERROR(U32(&len));
+  return View(len, v);
 }
 
 Status WireReader::Str(std::string* v) {
-  std::uint32_t len;
-  MODB_RETURN_IF_ERROR(U32(&len));
-  MODB_RETURN_IF_ERROR(Need(len));
-  v->assign(data_.data() + pos_, len);
-  pos_ += len;
+  std::string_view view;
+  MODB_RETURN_IF_ERROR(StrView(&view));
+  v->assign(view.data(), view.size());
   return Status::OK();
 }
 
@@ -206,7 +168,7 @@ std::string EncodeQueryRequest(const QueryRequest& req) {
   w.F64(req.distance);
   w.U8(req.distinct_pairs ? 1 : 0);
   w.U32(std::uint32_t(req.instants.size()));
-  for (Instant t : req.instants) w.F64(t);
+  w.Bytes(req.instants.data(), sizeof(Instant) * req.instants.size());
   w.I64(req.num_threads);
   // The window-aggregate fields ride at the end of every query payload
   // (fixed size, defaults for the other kinds).
@@ -275,11 +237,7 @@ Result<QueryRequest> DecodeQueryRequest(std::string_view payload,
   req.distinct_pairs = distinct != 0;
   std::uint32_t num_instants;
   MODB_RETURN_IF_ERROR(r.U32(&num_instants));
-  for (std::uint32_t i = 0; i < num_instants; ++i) {
-    double t;
-    MODB_RETURN_IF_ERROR(r.F64(&t));
-    req.instants.push_back(t);
-  }
+  MODB_RETURN_IF_ERROR(ReadF64Column(&r, num_instants, &req.instants));
   MODB_RETURN_IF_ERROR(r.I64(&req.num_threads));
   MODB_RETURN_IF_ERROR(r.F64(&req.window_t0));
   MODB_RETURN_IF_ERROR(r.F64(&req.window_t1));
@@ -341,16 +299,27 @@ Result<MutationRequest> DecodeMutationRequest(
   return req;
 }
 
+namespace {
+
+constexpr std::size_t kAckBlockBytes = 1 + 7 * sizeof(std::uint64_t);
+
+void WriteMutationAck(const MutationResult& ack, WireWriter* w) {
+  w->U8(kAckBlockKind);
+  w->U64(ack.accepted);
+  w->U64(ack.objects);
+  w->U64(ack.mem_units);
+  w->U64(ack.delta_entries);
+  w->U64(ack.base_entries);
+  w->U64(ack.merges);
+  w->U64(ack.epoch);
+}
+
+}  // namespace
+
 std::string EncodeMutationAck(const MutationResult& ack) {
   WireWriter w;
-  w.U8(kAckBlockKind);
-  w.U64(ack.accepted);
-  w.U64(ack.objects);
-  w.U64(ack.mem_units);
-  w.U64(ack.delta_entries);
-  w.U64(ack.base_entries);
-  w.U64(ack.merges);
-  w.U64(ack.epoch);
+  w.Reserve(kAckBlockBytes);
+  WriteMutationAck(ack, &w);
   return w.Take();
 }
 
@@ -374,43 +343,119 @@ Result<MutationResult> DecodeMutationAck(std::string_view block) {
   return ack;
 }
 
-Result<std::string> EncodeResultBlock(const QueryResult& result) {
-  WireWriter w;
-  w.U8(std::uint8_t(result.payload));
+namespace {
+
+// The size pass: exactly the bytes WriteResultBlock appends, so a reply
+// reserves its buffer once and an oversized one is refused before any
+// of it is written.
+Result<std::size_t> ResultBlockSize(const QueryResult& result) {
+  std::size_t n = 1;  // payload kind
   switch (result.payload) {
     case QueryResult::Payload::kRows: {
       const Relation& rel = result.rows;
-      w.Str(rel.name());
-      w.U32(std::uint32_t(rel.schema().NumAttributes()));
+      n += 4 + rel.name().size() + 4;
       for (const AttributeDef& attr : rel.schema().attributes()) {
-        w.Str(attr.name);
-        w.U8(std::uint8_t(attr.type));
+        n += 4 + attr.name.size() + 1;
       }
-      w.U32(std::uint32_t(rel.NumTuples()));
+      n += 4;
       for (const Tuple& t : rel.tuples()) {
         for (const AttributeValue& v : t) {
-          Result<std::string> blob = SerializeAttribute(v);
+          Result<std::size_t> blob = SerializedAttributeSize(v);
           MODB_RETURN_IF_ERROR(blob.status());
-          w.Str(*blob);
+          n += 4 + *blob;
+        }
+      }
+      return n;
+    }
+    case QueryResult::Payload::kXY:
+      return n + 2 * sizeof(std::uint64_t) +
+             sizeof(double) * (result.xs.size() + result.ys.size()) +
+             result.defined.size();
+    case QueryResult::Payload::kPresent:
+      return n + 2 * sizeof(std::uint64_t) + result.present.size();
+  }
+  return Status::Internal("unknown result payload kind");
+}
+
+// Writes the block: each attribute serialized straight into the buffer
+// behind a patched length prefix, each xy / present column one copy.
+Status WriteResultBlock(const QueryResult& result, WireWriter* w) {
+  w->U8(std::uint8_t(result.payload));
+  switch (result.payload) {
+    case QueryResult::Payload::kRows: {
+      const Relation& rel = result.rows;
+      w->Str(rel.name());
+      w->U32(std::uint32_t(rel.schema().NumAttributes()));
+      for (const AttributeDef& attr : rel.schema().attributes()) {
+        w->Str(attr.name);
+        w->U8(std::uint8_t(attr.type));
+      }
+      w->U32(std::uint32_t(rel.NumTuples()));
+      for (const Tuple& t : rel.tuples()) {
+        for (const AttributeValue& v : t) {
+          const std::size_t at = w->BeginLength();
+          MODB_RETURN_IF_ERROR(SerializeAttribute(v, w->buffer()));
+          w->PatchLength(at);
         }
       }
       break;
     }
-    case QueryResult::Payload::kXY: {
-      w.U64(result.batch_tuples);
-      w.U64(result.batch_instants);
-      for (double x : result.xs) w.F64(x);
-      for (double y : result.ys) w.F64(y);
-      for (std::uint8_t d : result.defined) w.U8(d);
+    case QueryResult::Payload::kXY:
+      w->U64(result.batch_tuples);
+      w->U64(result.batch_instants);
+      w->Bytes(result.xs.data(), sizeof(double) * result.xs.size());
+      w->Bytes(result.ys.data(), sizeof(double) * result.ys.size());
+      w->Bytes(result.defined.data(), result.defined.size());
       break;
-    }
-    case QueryResult::Payload::kPresent: {
-      w.U64(result.batch_tuples);
-      w.U64(result.batch_instants);
-      for (std::uint8_t p : result.present) w.U8(p);
+    case QueryResult::Payload::kPresent:
+      w->U64(result.batch_tuples);
+      w->U64(result.batch_instants);
+      w->Bytes(result.present.data(), result.present.size());
       break;
-    }
   }
+  return Status::OK();
+}
+
+// The xy / present geometry header. The cell count is overflow-checked
+// against the frame cap, so the column reads below can neither wrap
+// nor size an allocation the block could not possibly back.
+Status ReadGeometry(WireReader* r, const char* what, QueryResult* result,
+                    std::uint64_t* cells) {
+  MODB_RETURN_IF_ERROR(r->U64(&result->batch_tuples));
+  MODB_RETURN_IF_ERROR(r->U64(&result->batch_instants));
+  if (result->batch_instants != 0 &&
+      result->batch_tuples > kMaxFramePayload / result->batch_instants) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " payload geometry overflows");
+  }
+  *cells = result->batch_tuples * result->batch_instants;
+  return Status::OK();
+}
+
+// A column of n flag bytes, each 0 or 1: one bounds check, one
+// validating pass, one copy.
+Status ReadFlagColumn(WireReader* r, std::uint64_t n, const char* what,
+                      std::vector<std::uint8_t>* out) {
+  std::string_view bytes;
+  MODB_RETURN_IF_ERROR(r->View(n, &bytes));
+  std::uint8_t high = 0;
+  for (char c : bytes) high |= std::uint8_t(c) & 0xfe;
+  if (high != 0) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " byte must be 0 or 1");
+  }
+  out->assign(bytes.begin(), bytes.end());
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::string> EncodeResultBlock(const QueryResult& result) {
+  Result<std::size_t> size = ResultBlockSize(result);
+  MODB_RETURN_IF_ERROR(size.status());
+  WireWriter w;
+  w.Reserve(*size);
+  MODB_RETURN_IF_ERROR(WriteResultBlock(result, &w));
   return w.Take();
 }
 
@@ -446,11 +491,11 @@ Result<QueryResult> DecodeResultBlock(std::string_view block) {
       Relation rel(std::move(name), Schema(std::move(attrs)));
       std::uint32_t num_tuples;
       MODB_RETURN_IF_ERROR(r.U32(&num_tuples));
-      std::string blob;
+      std::string_view blob;
       for (std::uint32_t i = 0; i < num_tuples; ++i) {
         Tuple t;
-        for (std::size_t a = 0; a < rel.schema().NumAttributes(); ++a) {
-          MODB_RETURN_IF_ERROR(r.Str(&blob));
+        for (std::uint32_t a = 0; a < num_attrs; ++a) {
+          MODB_RETURN_IF_ERROR(r.StrView(&blob));
           Result<AttributeValue> v = DeserializeAttribute(blob);
           MODB_RETURN_IF_ERROR(v.status());
           t.push_back(*std::move(v));
@@ -462,48 +507,19 @@ Result<QueryResult> DecodeResultBlock(std::string_view block) {
       break;
     }
     case QueryResult::Payload::kXY: {
-      MODB_RETURN_IF_ERROR(r.U64(&result.batch_tuples));
-      MODB_RETURN_IF_ERROR(r.U64(&result.batch_instants));
-      if (result.batch_instants != 0 &&
-          result.batch_tuples > kMaxFramePayload / result.batch_instants) {
-        return Status::InvalidArgument("xy payload geometry overflows");
-      }
-      const std::uint64_t cells = result.batch_tuples * result.batch_instants;
-      double v;
-      for (std::uint64_t i = 0; i < cells; ++i) {
-        MODB_RETURN_IF_ERROR(r.F64(&v));
-        result.xs.push_back(v);
-      }
-      for (std::uint64_t i = 0; i < cells; ++i) {
-        MODB_RETURN_IF_ERROR(r.F64(&v));
-        result.ys.push_back(v);
-      }
-      std::uint8_t d;
-      for (std::uint64_t i = 0; i < cells; ++i) {
-        MODB_RETURN_IF_ERROR(r.U8(&d));
-        if (d > 1) {
-          return Status::InvalidArgument("defined byte must be 0 or 1");
-        }
-        result.defined.push_back(d);
-      }
+      std::uint64_t cells;
+      MODB_RETURN_IF_ERROR(ReadGeometry(&r, "xy", &result, &cells));
+      MODB_RETURN_IF_ERROR(ReadF64Column(&r, cells, &result.xs));
+      MODB_RETURN_IF_ERROR(ReadF64Column(&r, cells, &result.ys));
+      MODB_RETURN_IF_ERROR(
+          ReadFlagColumn(&r, cells, "defined", &result.defined));
       break;
     }
     case QueryResult::Payload::kPresent: {
-      MODB_RETURN_IF_ERROR(r.U64(&result.batch_tuples));
-      MODB_RETURN_IF_ERROR(r.U64(&result.batch_instants));
-      if (result.batch_instants != 0 &&
-          result.batch_tuples > kMaxFramePayload / result.batch_instants) {
-        return Status::InvalidArgument("present payload geometry overflows");
-      }
-      const std::uint64_t cells = result.batch_tuples * result.batch_instants;
-      std::uint8_t p;
-      for (std::uint64_t i = 0; i < cells; ++i) {
-        MODB_RETURN_IF_ERROR(r.U8(&p));
-        if (p > 1) {
-          return Status::InvalidArgument("present byte must be 0 or 1");
-        }
-        result.present.push_back(p);
-      }
+      std::uint64_t cells;
+      MODB_RETURN_IF_ERROR(ReadGeometry(&r, "present", &result, &cells));
+      MODB_RETURN_IF_ERROR(
+          ReadFlagColumn(&r, cells, "present", &result.present));
       break;
     }
   }
@@ -513,44 +529,87 @@ Result<QueryResult> DecodeResultBlock(std::string_view block) {
 
 namespace {
 
-// Shared reply layout: u32 code, string message, string block, string
-// stats JSON. Errors always carry empty block and stats.
-std::string EncodeReplyFrom(const Status& status, std::string_view block,
-                            std::string_view stats_json) {
-  WireWriter w;
+// The shared reply layout around a result block of `block_size` bytes
+// that `write_block` appends: u32 code, string message, string block,
+// string stats JSON. Errors always carry empty block and stats.
+template <typename WriteBlock>
+Status AppendReplyFrom(const Status& status, std::size_t block_size,
+                       const WriteBlock& write_block,
+                       std::string_view stats_json, std::string* out) {
+  const bool ok = status.ok();
+  if (!ok) {
+    block_size = 0;
+    stats_json = {};
+  }
+  const std::size_t payload = 4 + 4 + status.message().size() + 4 +
+                              block_size + 4 + stats_json.size();
+  if (payload > kMaxFramePayload) {
+    return Status::OutOfRange(
+        "reply of " + std::to_string(payload) + " bytes exceeds the " +
+        std::to_string(kMaxFramePayload) +
+        "-byte frame cap; narrow the query (fewer tuples or instants)");
+  }
+  const std::size_t start = out->size();
+  WireWriter w(std::move(*out));
+  w.Reserve(payload);
   w.U32(std::uint32_t(status.code()));
   w.Str(status.message());
-  if (status.ok()) {
-    w.Str(block);
-    w.Str(stats_json);
-  } else {
-    w.Str("");
-    w.Str("");
+  w.U32(std::uint32_t(block_size));
+  Status written = ok ? write_block(&w) : Status::OK();
+  if (written.ok()) w.Str(stats_json);
+  *out = w.Take();
+  if (written.ok() && out->size() - start != payload) {
+    written = Status::Internal("reply encoder wrote " +
+                               std::to_string(out->size() - start) +
+                               " bytes, its size pass " +
+                               std::to_string(payload));
   }
-  return w.Take();
+  if (!written.ok()) out->resize(start);
+  return written;
 }
 
 }  // namespace
 
+Status AppendReply(const Status& status, const QueryResult* result,
+                   std::string* out) {
+  if (!status.ok() || result == nullptr) {
+    return AppendReplyFrom(
+        status, 0, [](WireWriter*) { return Status::OK(); }, "", out);
+  }
+  Result<std::size_t> block_size = ResultBlockSize(*result);
+  MODB_RETURN_IF_ERROR(block_size.status());
+  return AppendReplyFrom(
+      status, *block_size,
+      [&](WireWriter* w) { return WriteResultBlock(*result, w); },
+      result->stats.ToJson(), out);
+}
+
+Status AppendMutationReply(const Status& status, const MutationResult* ack,
+                           std::string* out) {
+  return AppendReplyFrom(
+      status, ack != nullptr ? kAckBlockBytes : 0,
+      [&](WireWriter* w) {
+        if (ack != nullptr) WriteMutationAck(*ack, w);
+        return Status::OK();
+      },
+      "", out);
+}
+
 Result<std::string> EncodeReply(const Status& status,
                                 const QueryResult* result) {
-  if (status.ok() && result != nullptr) {
-    Result<std::string> block = EncodeResultBlock(*result);
-    MODB_RETURN_IF_ERROR(block.status());
-    return EncodeReplyFrom(status, *block, result->stats.ToJson());
-  }
-  return EncodeReplyFrom(status, "", "");
+  std::string payload;
+  MODB_RETURN_IF_ERROR(AppendReply(status, result, &payload));
+  return payload;
 }
 
 Result<std::string> EncodeMutationReply(const Status& status,
                                         const MutationResult* ack) {
-  if (status.ok() && ack != nullptr) {
-    return EncodeReplyFrom(status, EncodeMutationAck(*ack), "");
-  }
-  return EncodeReplyFrom(status, "", "");
+  std::string payload;
+  MODB_RETURN_IF_ERROR(AppendMutationReply(status, ack, &payload));
+  return payload;
 }
 
-Result<WireReply> DecodeReply(std::string_view payload) {
+Result<WireReply> DecodeReply(std::string payload) {
   WireReader r(payload);
   WireReply reply;
   std::uint32_t code;
@@ -562,16 +621,21 @@ Result<WireReply> DecodeReply(std::string_view payload) {
   std::string message;
   MODB_RETURN_IF_ERROR(r.Str(&message));
   reply.status = Status(StatusCode(code), std::move(message));
-  MODB_RETURN_IF_ERROR(r.Str(&reply.result_block));
+  std::string_view block;
+  MODB_RETURN_IF_ERROR(r.StrView(&block));
   MODB_RETURN_IF_ERROR(r.Str(&reply.stats_json));
   MODB_RETURN_IF_ERROR(r.ExpectEnd());
-  if (reply.status.ok() && reply.result_block.empty()) {
+  if (reply.status.ok() && block.empty()) {
     return Status::InvalidArgument("OK reply carries no result block");
   }
-  if (!reply.status.ok() &&
-      !(reply.result_block.empty() && reply.stats_json.empty())) {
+  if (!reply.status.ok() && !(block.empty() && reply.stats_json.empty())) {
     return Status::InvalidArgument("error reply carries a result block");
   }
+  const std::size_t at = std::size_t(block.data() - payload.data());
+  const std::size_t len = block.size();
+  payload.erase(0, at);
+  payload.resize(len);
+  reply.result_block = std::move(payload);
   return reply;
 }
 

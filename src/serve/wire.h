@@ -23,8 +23,10 @@
 #define MODB_SERVE_WIRE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "core/status.h"
 #include "db/modb.h"
@@ -75,18 +77,55 @@ std::string EncodeFrameHeader(FrameType type, std::uint32_t payload_len,
 /// reserved, oversized length) is InvalidArgument.
 Result<FrameHeader> DecodeFrameHeader(std::string_view bytes);
 
-/// Little-endian payload writer.
+/// A frame buffer holds the 12 header bytes followed by the payload, so
+/// a frame is encoded in place and leaves in one write, with no
+/// header + payload copy. StartFrame resets `frame` to a blank header
+/// (keeping its capacity); the payload is appended after it, then
+/// SealFrame writes the header for it — InvalidArgument if the payload
+/// exceeds kMaxFramePayload.
+void StartFrame(std::string* frame);
+Status SealFrame(FrameType type, std::uint8_t version, std::string* frame);
+
+/// Little-endian payload writer. Fixed-width values and whole columns
+/// are memcpy'd (the codecs assume a little-endian host; see
+/// storage/flat.h). A writer constructed from a buffer appends after
+/// its bytes — a frame header, earlier fields — and Take() hands it
+/// back.
 class WireWriter {
  public:
-  void U8(std::uint8_t v);
-  void U16(std::uint16_t v);
-  void U32(std::uint32_t v);
-  void U64(std::uint64_t v);
-  void I64(std::int64_t v);
-  void F64(double v);
-  /// u32 length prefix + raw bytes.
-  void Str(std::string_view v);
+  WireWriter() = default;
+  explicit WireWriter(std::string buf) : buf_(std::move(buf)) {}
 
+  /// Makes room for `n` more bytes.
+  void Reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+  void U8(std::uint8_t v) { buf_.push_back(char(v)); }
+  void U32(std::uint32_t v) { Bytes(&v, sizeof v); }
+  void U64(std::uint64_t v) { Bytes(&v, sizeof v); }
+  void I64(std::int64_t v) { Bytes(&v, sizeof v); }
+  void F64(double v) { Bytes(&v, sizeof v); }
+  /// Raw bytes, no length prefix.
+  void Bytes(const void* data, std::size_t n) {
+    if (n > 0) buf_.append(static_cast<const char*>(data), n);
+  }
+  /// u32 length prefix + raw bytes.
+  void Str(std::string_view v) {
+    U32(std::uint32_t(v.size()));
+    Bytes(v.data(), v.size());
+  }
+  /// Writes a placeholder u32 length prefix and returns its offset;
+  /// PatchLength(at) fills in the number of bytes appended since.
+  std::size_t BeginLength() {
+    const std::size_t at = buf_.size();
+    U32(0);
+    return at;
+  }
+  void PatchLength(std::size_t at) {
+    const std::uint32_t n = std::uint32_t(buf_.size() - at - sizeof n);
+    std::memcpy(buf_.data() + at, &n, sizeof n);
+  }
+
+  /// The buffer, for serializers that append to a std::string.
+  std::string* buffer() { return &buf_; }
   const std::string& bytes() const { return buf_; }
   std::string Take() { return std::move(buf_); }
 
@@ -100,13 +139,16 @@ class WireReader {
  public:
   explicit WireReader(std::string_view data) : data_(data) {}
 
-  Status U8(std::uint8_t* v);
-  Status U16(std::uint16_t* v);
-  Status U32(std::uint32_t* v);
-  Status U64(std::uint64_t* v);
-  Status I64(std::int64_t* v);
-  Status F64(double* v);
+  Status U8(std::uint8_t* v) { return Bytes(v, sizeof *v); }
+  Status U32(std::uint32_t* v) { return Bytes(v, sizeof *v); }
+  Status U64(std::uint64_t* v) { return Bytes(v, sizeof *v); }
+  Status I64(std::int64_t* v) { return Bytes(v, sizeof *v); }
+  Status F64(double* v) { return Bytes(v, sizeof *v); }
   Status Str(std::string* v);
+  /// Like Str, but the bytes stay in place (valid while the payload is).
+  Status StrView(std::string_view* v);
+  /// The next n bytes in place.
+  Status View(std::size_t n, std::string_view* v);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   /// InvalidArgument unless the payload was consumed exactly.
@@ -114,6 +156,12 @@ class WireReader {
 
  private:
   Status Need(std::size_t n) const;
+  Status Bytes(void* out, std::size_t n) {
+    MODB_RETURN_IF_ERROR(Need(n));
+    std::memcpy(out, data_.data() + pos_, n);
+    pos_ += n;
+    return Status::OK();
+  }
   std::string_view data_;
   std::size_t pos_ = 0;
 };
@@ -156,14 +204,28 @@ struct WireReply {
 };
 
 /// Reply payload: u32 status code, string message, string result block
-/// (empty on error), string stats JSON.
-Result<std::string> EncodeReply(const Status& status,
-                                const QueryResult* result);
+/// (empty on error), string stats JSON — appended to `*out` (after a
+/// frame header, say) in one pass: the reply's size is computed first,
+/// the buffer reserved once, and every field and result-block column
+/// written straight into it. A reply whose payload would exceed
+/// kMaxFramePayload is not encoded: AppendReply returns kOutOfRange
+/// naming the size and the cap, which the server sends back as the
+/// (terminal) error reply. On error nothing is appended.
+Status AppendReply(const Status& status, const QueryResult* result,
+                   std::string* out);
 /// Reply to a mutation: same layout, the block is a mutation ack and
 /// the stats JSON is empty.
+Status AppendMutationReply(const Status& status, const MutationResult* ack,
+                           std::string* out);
+/// AppendReply / AppendMutationReply into a fresh string.
+Result<std::string> EncodeReply(const Status& status,
+                                const QueryResult* result);
 Result<std::string> EncodeMutationReply(const Status& status,
                                         const MutationResult* ack);
-Result<WireReply> DecodeReply(std::string_view payload);
+/// Takes the payload by value and cuts the result block out of it in
+/// place, so a caller that moves its frame payload in (Client does)
+/// gets the block without a copy.
+Result<WireReply> DecodeReply(std::string payload);
 
 }  // namespace serve
 }  // namespace modb

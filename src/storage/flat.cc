@@ -1,5 +1,6 @@
 #include "storage/flat.h"
 
+#include <cassert>
 #include <utility>
 
 namespace modb {
@@ -7,17 +8,23 @@ namespace modb {
 namespace {
 
 constexpr uint32_t kMagic = 0x4d4f4442;  // "MODB"
+// A blob's header: magic, root size, array count.
+constexpr std::size_t kBlobHeaderBytes = 3 * sizeof(uint32_t);
 
 // -- shared record helpers ---------------------------------------------------
 
-void PutInterval(ByteWriter* w, const TimeInterval& iv) {
+// The interval and motion helpers serve both the appending ByteWriter /
+// ByteReader and the fixed-record RecordWriter / RecordReader below.
+template <typename Writer>
+void PutInterval(Writer* w, const TimeInterval& iv) {
   w->PutF64(iv.start());
   w->PutF64(iv.end());
   w->PutU8(iv.left_closed() ? 1 : 0);
   w->PutU8(iv.right_closed() ? 1 : 0);
 }
 
-Result<TimeInterval> GetInterval(ByteReader* r) {
+template <typename Reader>
+Result<TimeInterval> GetInterval(Reader* r) {
   double s, e;
   uint8_t lc, rc;
   MODB_RETURN_IF_ERROR(r->GetF64(&s));
@@ -27,14 +34,16 @@ Result<TimeInterval> GetInterval(ByteReader* r) {
   return TimeInterval::Make(s, e, lc != 0, rc != 0);
 }
 
-void PutMotion(ByteWriter* w, const LinearMotion& m) {
+template <typename Writer>
+void PutMotion(Writer* w, const LinearMotion& m) {
   w->PutF64(m.x0);
   w->PutF64(m.x1);
   w->PutF64(m.y0);
   w->PutF64(m.y1);
 }
 
-Status GetMotion(ByteReader* r, LinearMotion* m) {
+template <typename Reader>
+Status GetMotion(Reader* r, LinearMotion* m) {
   MODB_RETURN_IF_ERROR(r->GetF64(&m->x0));
   MODB_RETURN_IF_ERROR(r->GetF64(&m->x1));
   MODB_RETURN_IF_ERROR(r->GetF64(&m->y0));
@@ -120,17 +129,28 @@ constexpr std::size_t kSubarrayRefBytes = 8; // offset u32 + count u32
 
 // -- blob packing ------------------------------------------------------------
 
-std::string SerializeFlat(const FlatValue& value) {
-  ByteWriter w;
-  w.PutU32(kMagic);
-  w.PutU32(uint32_t(value.root.size()));
-  w.PutU32(uint32_t(value.arrays.size()));
-  w.PutBytes(value.root);
+void SerializeFlat(const FlatValue& value, std::string* out) {
+  const uint32_t header[3] = {kMagic, uint32_t(value.root.size()),
+                              uint32_t(value.arrays.size())};
+  out->append(reinterpret_cast<const char*>(header), sizeof header);
+  out->append(value.root);
   for (const std::string& a : value.arrays) {
-    w.PutU32(uint32_t(a.size()));
-    w.PutBytes(a);
+    const uint32_t n = uint32_t(a.size());
+    out->append(reinterpret_cast<const char*>(&n), sizeof n);
+    out->append(a);
   }
-  return w.Take();
+}
+
+std::string SerializeFlat(const FlatValue& value) {
+  std::string blob;
+  blob.reserve(SerializedFlatSize(value));
+  SerializeFlat(value, &blob);
+  return blob;
+}
+
+std::size_t SerializedFlatSize(const FlatValue& value) {
+  return kBlobHeaderBytes + value.TotalBytes() +
+         value.arrays.size() * sizeof(uint32_t);
 }
 
 Result<FlatValue> ParseFlat(std::string_view blob) {
@@ -203,17 +223,19 @@ Result<FlatValue> ToFlat(const StringValue& v) {
   if (v.defined() && !FitsFlatString(v.value())) {
     return Status::InvalidArgument("string exceeds fixed attribute length");
   }
-  ByteWriter w;
-  w.PutU8(v.defined() ? 1 : 0);
-  std::string padded(kMaxStringLength, '\0');
-  uint8_t len = 0;
+  // Root: defined u8, length u8, the characters padded with NULs to the
+  // fixed kMaxStringLength.
+  std::string root(2 + kMaxStringLength, '\0');
   if (v.defined()) {
-    len = uint8_t(v.value().size());
-    padded.replace(0, v.value().size(), v.value());
+    root[0] = 1;
+    root[1] = char(uint8_t(v.value().size()));
+    v.value().copy(root.data() + 2, v.value().size());
   }
-  w.PutU8(len);
-  w.PutBytes(padded);
-  return FlatValue{w.Take(), {}};
+  return FlatValue{std::move(root), {}};
+}
+
+std::size_t SerializedFlatSize(const StringValue&) {
+  return kBlobHeaderBytes + 2 + kMaxStringLength;
 }
 
 Result<StringValue> StringFromFlat(const FlatValue& f) {
@@ -221,11 +243,11 @@ Result<StringValue> StringFromFlat(const FlatValue& f) {
   uint8_t defined, len;
   MODB_RETURN_IF_ERROR(r.GetU8(&defined));
   MODB_RETURN_IF_ERROR(r.GetU8(&len));
-  std::string padded;
-  MODB_RETURN_IF_ERROR(r.GetBytes(kMaxStringLength, &padded));
+  std::string_view padded;
+  MODB_RETURN_IF_ERROR(r.GetView(kMaxStringLength, &padded));
   if (len > kMaxStringLength) return Status::InvalidArgument("bad length");
   if (!defined) return StringValue::Undefined();
-  return StringValue(padded.substr(0, len));
+  return StringValue(std::string(padded.substr(0, len)));
 }
 
 // -- spatial types -----------------------------------------------------------
@@ -422,28 +444,84 @@ Result<Periods> PeriodsFromFlat(const FlatValue& f) {
 
 namespace {
 
+// Unit record sizes after the interval, per fixed-size unit type.
+constexpr std::size_t kUBoolBytes = 1;
+constexpr std::size_t kUIntBytes = 8;
+constexpr std::size_t kUStringBytes = 1 + kMaxStringLength;
+constexpr std::size_t kURealBytes = 3 * 8 + 1;
+constexpr std::size_t kUPointBytes = 4 * 8;
+
+// Fixed-record access to a database array whose size was settled once
+// for the whole array: the writer's buffer is allocated at its final
+// size, the reader's was checked against the record count, so each
+// field is one plain copy with no per-field capacity or bounds check.
+class RecordWriter {
+ public:
+  explicit RecordWriter(char* p) : p_(p) {}
+  void PutU8(uint8_t v) { *p_++ = char(v); }
+  void PutI64(int64_t v) { Put(&v, sizeof v); }
+  void PutF64(double v) { Put(&v, sizeof v); }
+  void PutBytes(std::string_view s) { Put(s.data(), s.size()); }
+  const char* pos() const { return p_; }
+
+ private:
+  void Put(const void* v, std::size_t n) {
+    std::memcpy(p_, v, n);
+    p_ += n;
+  }
+  char* p_;
+};
+
+class RecordReader {
+ public:
+  explicit RecordReader(const char* p) : p_(p) {}
+  Status GetU8(uint8_t* v) { return Get(v, sizeof *v); }
+  Status GetI64(int64_t* v) { return Get(v, sizeof *v); }
+  Status GetF64(double* v) { return Get(v, sizeof *v); }
+  Status GetView(std::size_t n, std::string_view* out) {
+    *out = std::string_view(p_, n);
+    p_ += n;
+    return Status::OK();
+  }
+
+ private:
+  Status Get(void* v, std::size_t n) {
+    std::memcpy(v, p_, n);
+    p_ += n;
+    return Status::OK();
+  }
+  const char* p_;
+};
+
 // Fixed-size-unit mappings: one `units` array (Figure 7 with k = 0
-// subarrays).
+// subarrays) of records of an interval plus `value_bytes` written by
+// `put` / read by `get`.
 template <typename U, typename PutUnit>
-FlatValue FixedMappingToFlat(const Mapping<U>& m, PutUnit put) {
+FlatValue FixedMappingToFlat(const Mapping<U>& m, std::size_t value_bytes,
+                             PutUnit put) {
   ByteWriter root;
   root.PutU32(uint32_t(m.NumUnits()));
-  ByteWriter units;
+  std::string units(m.NumUnits() * (kIntervalBytes + value_bytes), '\0');
+  RecordWriter w(units.data());
   for (const U& u : m.units()) {
-    PutInterval(&units, u.interval());
-    put(&units, u);
+    PutInterval(&w, u.interval());
+    put(&w, u);
   }
-  return FlatValue{root.Take(), {units.Take()}};
+  assert(w.pos() == units.data() + units.size());
+  return FlatValue{root.Take(), {std::move(units)}};
 }
 
 template <typename U, typename GetUnit>
-Result<Mapping<U>> FixedMappingFromFlat(const FlatValue& f, GetUnit get) {
+Result<Mapping<U>> FixedMappingFromFlat(const FlatValue& f,
+                                        std::size_t value_bytes,
+                                        GetUnit get) {
   if (f.arrays.size() != 1) return Status::InvalidArgument("mapping arity");
   ByteReader root(f.root);
   uint32_t n;
   MODB_RETURN_IF_ERROR(root.GetU32(&n));
-  MODB_RETURN_IF_ERROR(CheckCount(n, f.arrays[0].size(), kIntervalBytes));
-  ByteReader units(f.arrays[0]);
+  MODB_RETURN_IF_ERROR(
+      CheckCount(n, f.arrays[0].size(), kIntervalBytes + value_bytes));
+  RecordReader units(f.arrays[0].data());
   std::vector<U> out;
   out.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -459,14 +537,14 @@ Result<Mapping<U>> FixedMappingFromFlat(const FlatValue& f, GetUnit get) {
 }  // namespace
 
 FlatValue ToFlat(const MovingBool& m) {
-  return FixedMappingToFlat(m, [](ByteWriter* w, const UBool& u) {
+  return FixedMappingToFlat(m, kUBoolBytes, [](auto* w, const UBool& u) {
     w->PutU8(u.value() ? 1 : 0);
   });
 }
 
 Result<MovingBool> MovingBoolFromFlat(const FlatValue& f) {
   return FixedMappingFromFlat<UBool>(
-      f, [](ByteReader* r, TimeInterval iv) -> Result<UBool> {
+      f, kUBoolBytes, [](auto* r, TimeInterval iv) -> Result<UBool> {
         uint8_t v;
         MODB_RETURN_IF_ERROR(r->GetU8(&v));
         return UBool::Make(iv, v != 0);
@@ -475,12 +553,12 @@ Result<MovingBool> MovingBoolFromFlat(const FlatValue& f) {
 
 FlatValue ToFlat(const MovingInt& m) {
   return FixedMappingToFlat(
-      m, [](ByteWriter* w, const UInt& u) { w->PutI64(u.value()); });
+      m, kUIntBytes, [](auto* w, const UInt& u) { w->PutI64(u.value()); });
 }
 
 Result<MovingInt> MovingIntFromFlat(const FlatValue& f) {
   return FixedMappingFromFlat<UInt>(
-      f, [](ByteReader* r, TimeInterval iv) -> Result<UInt> {
+      f, kUIntBytes, [](auto* r, TimeInterval iv) -> Result<UInt> {
         int64_t v;
         MODB_RETURN_IF_ERROR(r->GetI64(&v));
         return UInt::Make(iv, v);
@@ -493,30 +571,31 @@ Result<FlatValue> ToFlat(const MovingString& m) {
       return Status::InvalidArgument("string exceeds fixed attribute length");
     }
   }
-  return FixedMappingToFlat(m, [](ByteWriter* w, const UString& u) {
-    std::string padded(kMaxStringLength, '\0');
-    padded.replace(0, u.value().size(), u.value());
-    w->PutU8(uint8_t(u.value().size()));
-    w->PutBytes(padded);
-  });
+  return FixedMappingToFlat(
+      m, kUStringBytes, [](auto* w, const UString& u) {
+        std::string padded(kMaxStringLength, '\0');
+        padded.replace(0, u.value().size(), u.value());
+        w->PutU8(uint8_t(u.value().size()));
+        w->PutBytes(padded);
+      });
 }
 
 Result<MovingString> MovingStringFromFlat(const FlatValue& f) {
   return FixedMappingFromFlat<UString>(
-      f, [](ByteReader* r, TimeInterval iv) -> Result<UString> {
+      f, kUStringBytes, [](auto* r, TimeInterval iv) -> Result<UString> {
         uint8_t len;
         MODB_RETURN_IF_ERROR(r->GetU8(&len));
-        std::string padded;
-        MODB_RETURN_IF_ERROR(r->GetBytes(kMaxStringLength, &padded));
+        std::string_view padded;
+        MODB_RETURN_IF_ERROR(r->GetView(kMaxStringLength, &padded));
         if (len > kMaxStringLength) {
           return Status::InvalidArgument("bad string length");
         }
-        return UString::Make(iv, padded.substr(0, len));
+        return UString::Make(iv, std::string(padded.substr(0, len)));
       });
 }
 
 FlatValue ToFlat(const MovingReal& m) {
-  return FixedMappingToFlat(m, [](ByteWriter* w, const UReal& u) {
+  return FixedMappingToFlat(m, kURealBytes, [](auto* w, const UReal& u) {
     w->PutF64(u.a());
     w->PutF64(u.b());
     w->PutF64(u.c());
@@ -526,7 +605,7 @@ FlatValue ToFlat(const MovingReal& m) {
 
 Result<MovingReal> MovingRealFromFlat(const FlatValue& f) {
   return FixedMappingFromFlat<UReal>(
-      f, [](ByteReader* r, TimeInterval iv) -> Result<UReal> {
+      f, kURealBytes, [](auto* r, TimeInterval iv) -> Result<UReal> {
         double a, b, c;
         uint8_t root;
         MODB_RETURN_IF_ERROR(r->GetF64(&a));
@@ -538,22 +617,21 @@ Result<MovingReal> MovingRealFromFlat(const FlatValue& f) {
 }
 
 FlatValue ToFlat(const MovingPoint& m) {
-  return FixedMappingToFlat(m, [](ByteWriter* w, const UPoint& u) {
+  return FixedMappingToFlat(m, kUPointBytes, [](auto* w, const UPoint& u) {
     PutMotion(w, u.motion());
   });
 }
 
 std::size_t SerializedFlatSize(const MovingPoint& m) {
-  // Blob header (magic, root size, array count), the u32 unit-count
-  // root, one u32 array length, then interval + 4 f64 motion per unit.
-  constexpr std::size_t kHeaderBytes = 3 * 4 + 4 + 4;
-  constexpr std::size_t kUnitBytes = kIntervalBytes + 4 * 8;
-  return kHeaderBytes + m.NumUnits() * kUnitBytes;
+  // Blob header, the u32 unit-count root, one u32 array length, then
+  // interval + 4 f64 motion per unit.
+  return kBlobHeaderBytes + 4 + 4 +
+         m.NumUnits() * (kIntervalBytes + kUPointBytes);
 }
 
 Result<MovingPoint> MovingPointFromFlat(const FlatValue& f) {
   return FixedMappingFromFlat<UPoint>(
-      f, [](ByteReader* r, TimeInterval iv) -> Result<UPoint> {
+      f, kUPointBytes, [](auto* r, TimeInterval iv) -> Result<UPoint> {
         LinearMotion mo;
         MODB_RETURN_IF_ERROR(GetMotion(r, &mo));
         return UPoint::Make(iv, mo);

@@ -10,6 +10,7 @@
 #ifndef MODB_STORAGE_FLAT_H_
 #define MODB_STORAGE_FLAT_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -26,6 +27,14 @@
 #include "temporal/moving.h"
 
 namespace modb {
+
+// Every byte codec in the repository — ByteWriter/ByteReader below and
+// the serve wire codec's WireWriter/WireReader — copies native integers
+// and doubles with memcpy, in bulk where a column allows. That is the
+// little-endian layout the flat blobs and the wire protocol specify
+// only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the flat and wire codecs memcpy native little-endian values");
 
 /// A root record plus database arrays — the decomposition the paper
 /// requires of every attribute type.
@@ -71,8 +80,15 @@ class ByteReader {
   Status GetI64(int64_t* v) { return Get(v, sizeof *v); }
   Status GetF64(double* v) { return Get(v, sizeof *v); }
   Status GetBytes(std::size_t n, std::string* out) {
-    if (pos_ + n > data_.size()) return Status::OutOfRange("short read");
-    out->assign(data_.data() + pos_, n);
+    std::string_view v;
+    MODB_RETURN_IF_ERROR(GetView(n, &v));
+    out->assign(v.data(), v.size());
+    return Status::OK();
+  }
+  /// The next n bytes, in place (valid while the underlying data is).
+  Status GetView(std::size_t n, std::string_view* out) {
+    if (n > Remaining()) return Status::OutOfRange("short read");
+    *out = data_.substr(pos_, n);
     pos_ += n;
     return Status::OK();
   }
@@ -90,8 +106,12 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Packs a FlatValue into one contiguous blob.
+/// Packs a FlatValue into one contiguous blob, appended to `*out`.
+void SerializeFlat(const FlatValue& value, std::string* out);
+/// SerializeFlat into a fresh string.
 std::string SerializeFlat(const FlatValue& value);
+/// SerializeFlat(value).size(), without packing anything.
+std::size_t SerializedFlatSize(const FlatValue& value);
 /// Inverse of SerializeFlat.
 Result<FlatValue> ParseFlat(std::string_view blob);
 
@@ -107,6 +127,9 @@ Result<BoolValue> BoolFromFlat(const FlatValue& f);
 /// length array of characters, Section 4.1 footnote).
 Result<FlatValue> ToFlat(const StringValue& v);
 Result<StringValue> StringFromFlat(const FlatValue& f);
+/// SerializeFlat(ToFlat(v)).size(), without encoding anything (the
+/// root is fixed-length, so the value itself does not matter).
+std::size_t SerializedFlatSize(const StringValue& v);
 
 // -- spatial types -----------------------------------------------------------
 

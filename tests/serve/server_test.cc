@@ -131,9 +131,9 @@ TEST(AdmissionController, WaitersAdmitInFifoOrder) {
 
 class ServerTest : public ::testing::Test {
  protected:
-  void StartServer(ServerOptions options = {}) {
+  void StartServer(ServerOptions options = {}, int num_flights = 12) {
     FlightsOptions gen;
-    gen.num_flights = 12;
+    gen.num_flights = num_flights;
     gen.seed = 99;
     Result<Relation> planes = GeneratePlanes(gen);
     ASSERT_TRUE(planes.ok()) << planes.status();
@@ -257,6 +257,46 @@ TEST_F(ServerTest, EightConcurrentClientsAreByteIdentical) {
     ASSERT_TRUE(verdicts[i].ok()) << "client " << i << ": " << verdicts[i];
     EXPECT_EQ(blocks[i], *expect) << "client " << i;
   }
+}
+
+// A result too large for one frame: 64 flights x 62 000 instants is
+// an xy block of about 67.5 MB, past the 64 MiB payload cap. The server
+// must answer with a typed, terminal error naming the size and the
+// cap, and keep the connection open.
+TEST_F(ServerTest, ReplyOverTheFrameCapIsATypedErrorAndConnectionSurvives) {
+  StartServer({}, /*num_flights=*/64);
+  Client client = MustConnect();
+  QueryRequest huge = BatchRequest(QueryRequest::Kind::kAtInstantBatch);
+  huge.instants.clear();
+  constexpr int kInstants = 62000;
+  for (int i = 0; i < kInstants; ++i) {
+    huge.instants.push_back(24.0 * i / kInstants);
+  }
+  Result<Client::Reply> reply = client.Query(huge);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(reply->status.code(), StatusCode::kOutOfRange) << reply->status;
+  EXPECT_FALSE(IsRetryableStatus(reply->status));
+  // "reply of <N> bytes exceeds the <cap>-byte frame cap ...", where N
+  // is the payload: the xy block plus the reply fields around it.
+  const std::string& msg = reply->status.message();
+  EXPECT_NE(msg.find(std::to_string(kMaxFramePayload) + "-byte"),
+            std::string::npos)
+      << msg;
+  const std::size_t at = msg.find("reply of ");
+  ASSERT_NE(at, std::string::npos) << msg;
+  const std::uint64_t size = std::stoull(msg.substr(at + 9));
+  const std::uint64_t block = 1 + 16 + std::uint64_t(64) * kInstants * 17;
+  EXPECT_GT(size, block) << msg;
+  EXPECT_LT(size, block + 4096) << msg;
+
+  // The same connection still serves.
+  const QueryRequest normal = BatchRequest(QueryRequest::Kind::kAtInstantBatch);
+  Result<QueryResult> direct = db_.Run(normal);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  reply = client.Query(normal);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  ASSERT_TRUE(reply->status.ok()) << reply->status;
+  EXPECT_EQ(reply->result_block, *EncodeResultBlock(*direct));
 }
 
 TEST_F(ServerTest, InvalidThreadCountRoundTripsAsInvalidArgument) {

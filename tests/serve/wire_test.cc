@@ -8,13 +8,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "db/modb.h"
 #include "db/relation.h"
+#include "gen/region_gen.h"
+#include "gen/trajectory_gen.h"
+#include "obs/exec_stats.h"
 #include "spatial/point.h"
+#include "storage/flat.h"
 #include "temporal/moving.h"
 
 namespace modb {
@@ -336,6 +344,50 @@ TEST(ResultBlockCodec, RejectsGeometryOverflowAndBadFlagBytes) {
   d = DecodeResultBlock(bytes);
   ASSERT_FALSE(d.ok());
   EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+
+  auto expect_typed_failure = [](const std::string& bytes,
+                                 const std::string& why) {
+    Result<QueryResult> d = DecodeResultBlock(bytes);
+    ASSERT_FALSE(d.ok()) << why;
+    EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument)
+        << why << ": " << d.status();
+  };
+
+  // The bulk flag check must cover the whole column: a bad flag in the
+  // last of six defined cells.
+  QueryResult wide;
+  wide.payload = QueryResult::Payload::kXY;
+  wide.batch_tuples = 2;
+  wide.batch_instants = 3;
+  wide.xs = {1, 2, 3, 4, 5, 6};
+  wide.ys = {6, 5, 4, 3, 2, 1};
+  wide.defined = {1, 0, 1, 1, 0, 1};
+  block = EncodeResultBlock(wide);
+  ASSERT_TRUE(block.ok());
+  bytes = *block;
+  bytes.back() = char(0xff);
+  expect_typed_failure(bytes, "bad flag in the last defined cell");
+
+  // ... and from its first byte: a bad flag in the first present cell.
+  QueryResult present;
+  present.payload = QueryResult::Payload::kPresent;
+  present.batch_tuples = 2;
+  present.batch_instants = 2;
+  present.present = {1, 0, 0, 1};
+  block = EncodeResultBlock(present);
+  ASSERT_TRUE(block.ok());
+  bytes = *block;
+  bytes[1 + 2 * sizeof(std::uint64_t)] = char(2);
+  expect_typed_failure(bytes, "bad flag in the first present cell");
+
+  // A block one byte short of its geometry, and one byte long.
+  for (const QueryResult* r : {&wide, &present}) {
+    block = EncodeResultBlock(*r);
+    ASSERT_TRUE(block.ok());
+    expect_typed_failure(block->substr(0, block->size() - 1),
+                         "one byte short");
+    expect_typed_failure(*block + '\0', "one byte long");
+  }
 }
 
 TEST(ResultBlockCodec, EveryStrictPrefixFailsTyped) {
@@ -600,6 +652,379 @@ TEST(Versioning, V2HeaderIsRejectedWithATypedError) {
       << d.status();
   EXPECT_NE(d.status().message().find("3..3"), std::string::npos)
       << d.status();
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes: replies assembled by hand from docs/PROTOCOL.md §5, and
+// a per-field reference encoder. The round-trip tests above (and
+// loadgen --verify) check the codec against itself, so a layout drift
+// made symmetrically in encoder and decoder would pass them; these
+// pin the layout itself.
+// ---------------------------------------------------------------------------
+
+// "0a ff 3f" -> the three bytes; whitespace is ignored.
+std::string Hex(std::string_view hex) {
+  std::string out;
+  int nibbles = 0;
+  unsigned byte = 0;
+  for (char c : hex) {
+    if (c == ' ' || c == '\n') continue;
+    byte = byte * 16 + unsigned(c <= '9' ? c - '0' : c - 'a' + 10);
+    if (++nibbles == 2) {
+      out.push_back(char(byte));
+      nibbles = 0;
+      byte = 0;
+    }
+  }
+  return out;
+}
+
+// The stats JSON string field that ends every OK query reply.
+std::string StatsField(const QueryResult& result) {
+  const std::string json = result.stats.ToJson();
+  const std::uint32_t n = std::uint32_t(json.size());
+  std::string out;
+  for (int i = 0; i < 4; ++i) out.push_back(char((n >> (8 * i)) & 0xff));
+  return out + json;
+}
+
+// Little-endian f64 bit patterns used below.
+constexpr std::string_view k0_0 = "00 00 00 00 00 00 00 00";
+constexpr std::string_view k0_5 = "00 00 00 00 00 00 e0 3f";
+constexpr std::string_view k1_0 = "00 00 00 00 00 00 f0 3f";
+constexpr std::string_view k1_5 = "00 00 00 00 00 00 f8 3f";
+constexpr std::string_view k2_0 = "00 00 00 00 00 00 00 40";
+constexpr std::string_view kMinus1_0 = "00 00 00 00 00 00 f0 bf";
+// The flat blob magic "MODB" as a little-endian u32.
+constexpr std::string_view kFlatMagic = "42 44 4f 4d";
+
+void ExpectReplyBytes(const Result<std::string>& encoded,
+                      const std::string& golden) {
+  ASSERT_TRUE(encoded.ok()) << encoded.status();
+  EXPECT_EQ(*encoded, golden);
+  Result<WireReply> decoded = DecodeReply(golden);
+  EXPECT_TRUE(decoded.ok()) << decoded.status();
+}
+
+TEST(WireGolden, RowsReplyWithIntRealStringAndMPointColumns) {
+  Relation rel("r", Schema({{"i", AttributeType::kInt},
+                            {"x", AttributeType::kReal},
+                            {"s", AttributeType::kString},
+                            {"m", AttributeType::kMovingPoint}}));
+  const LinearMotion motion{1.0, 2.0, 0.5, -1.0};
+  const MovingPoint m =
+      *MovingPoint::Make({*UPoint::Make(TI(0, 2), motion)});
+  ASSERT_TRUE(
+      rel.Insert({IntValue(7), RealValue(1.5), StringValue{"LH"}, m}).ok());
+  QueryResult result;
+  result.payload = QueryResult::Payload::kRows;
+  result.rows = rel;
+
+  const std::string block =
+      Hex("00"                          // payload kind: rows
+          "01 00 00 00 72"              // relation name "r"
+          "04 00 00 00"                 // 4 attributes
+          "01 00 00 00 69 00"           // "i" int
+          "01 00 00 00 78 01"           // "x" real
+          "01 00 00 00 73 03"           // "s" string
+          "01 00 00 00 6d 0d"           // "m" mpoint
+          "01 00 00 00") +              // 1 tuple
+      // int 7: tag, flat header (magic, root 9 bytes, 0 arrays), root.
+      Hex("16 00 00 00 00") + Hex(kFlatMagic) +
+      Hex("09 00 00 00 00 00 00 00 01 07 00 00 00 00 00 00 00") +
+      // real 1.5
+      Hex("16 00 00 00 01") + Hex(kFlatMagic) +
+      Hex("09 00 00 00 00 00 00 00 01") + Hex(k1_5) +
+      // string "LH": defined, length, 48-byte padded character array.
+      Hex("3f 00 00 00 03") + Hex(kFlatMagic) +
+      Hex("32 00 00 00 00 00 00 00 01 02 4c 48") +
+      std::string(kMaxStringLength - 2, '\0') +
+      // mpoint: root = unit count, one units array of 50-byte units
+      // (interval start, end, closedness; motion x0, x1, y0, y1).
+      Hex("47 00 00 00 0d") + Hex(kFlatMagic) +
+      Hex("04 00 00 00 01 00 00 00 01 00 00 00 32 00 00 00") + Hex(k0_0) +
+      Hex(k2_0) + Hex("01 01") + Hex(k1_0) + Hex(k2_0) + Hex(k0_5) +
+      Hex(kMinus1_0);
+  ASSERT_EQ(block.size(), 0xe8u);
+  Result<std::string> encoded = EncodeResultBlock(result);
+  ASSERT_TRUE(encoded.ok()) << encoded.status();
+  EXPECT_EQ(*encoded, block);
+
+  const std::string reply = Hex("00 00 00 00"     // status code kOk
+                                "00 00 00 00"     // empty message
+                                "e8 00 00 00") +  // block length
+                            block + StatsField(result);
+  ExpectReplyBytes(EncodeReply(Status::OK(), &result), reply);
+  Result<QueryResult> back = DecodeResultBlock(block);
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->rows.NumTuples(), 1u);
+  EXPECT_EQ(std::get<IntValue>(back->rows.tuple(0)[0]).value(), 7);
+  EXPECT_EQ(std::get<StringValue>(back->rows.tuple(0)[2]).value(), "LH");
+  const MovingPoint& m_back = std::get<MovingPoint>(back->rows.tuple(0)[3]);
+  EXPECT_EQ(m_back.units()[0].motion().y1, -1.0);
+}
+
+TEST(WireGolden, XYReply) {
+  QueryResult result;
+  result.payload = QueryResult::Payload::kXY;
+  result.batch_tuples = 1;
+  result.batch_instants = 2;
+  result.xs = {1.0, 2.0};
+  result.ys = {-1.0, 0.5};
+  result.defined = {1, 0};
+  const std::string block = Hex("01"                         // xy
+                                "01 00 00 00 00 00 00 00"    // 1 tuple
+                                "02 00 00 00 00 00 00 00") + // 2 instants
+                            Hex(k1_0) + Hex(k2_0) +          // xs
+                            Hex(kMinus1_0) + Hex(k0_5) +     // ys
+                            Hex("01 00");                    // defined
+  const std::string reply =
+      Hex("00 00 00 00 00 00 00 00 33 00 00 00") + block + StatsField(result);
+  ExpectReplyBytes(EncodeReply(Status::OK(), &result), reply);
+}
+
+TEST(WireGolden, PresentReply) {
+  QueryResult result;
+  result.payload = QueryResult::Payload::kPresent;
+  result.batch_tuples = 2;
+  result.batch_instants = 2;
+  result.present = {1, 0, 0, 1};
+  const std::string block = Hex("02"                        // present
+                                "02 00 00 00 00 00 00 00"   // 2 tuples
+                                "02 00 00 00 00 00 00 00"   // 2 instants
+                                "01 00 00 01");
+  const std::string reply =
+      Hex("00 00 00 00 00 00 00 00 15 00 00 00") + block + StatsField(result);
+  ExpectReplyBytes(EncodeReply(Status::OK(), &result), reply);
+}
+
+TEST(WireGolden, ErrorReply) {
+  const Status missing = Status::NotFound("no relation 'ships'");
+  const std::string reply = Hex("03 00 00 00"      // kNotFound
+                                "13 00 00 00") +   // message length 19
+                            "no relation 'ships'" +
+                            Hex("00 00 00 00"      // no block
+                                "00 00 00 00");    // no stats
+  ExpectReplyBytes(EncodeReply(missing, nullptr), reply);
+}
+
+TEST(WireGolden, MutationAckReply) {
+  MutationResult ack;
+  ack.accepted = 5;
+  ack.objects = 2;
+  ack.mem_units = 7;
+  ack.delta_entries = 3;
+  ack.base_entries = 11;
+  ack.merges = 1;
+  ack.epoch = 9;
+  const std::string reply = Hex(
+      "00 00 00 00 00 00 00 00"   // kOk, empty message
+      "39 00 00 00"               // 57-byte block
+      "03"                        // block kind: mutation ack
+      "05 00 00 00 00 00 00 00 02 00 00 00 00 00 00 00"
+      "07 00 00 00 00 00 00 00 03 00 00 00 00 00 00 00"
+      "0b 00 00 00 00 00 00 00 01 00 00 00 00 00 00 00"
+      "09 00 00 00 00 00 00 00"
+      "00 00 00 00");             // no stats
+  ExpectReplyBytes(EncodeMutationReply(Status::OK(), &ack), reply);
+}
+
+// The per-field reference encoder: one byte at a time, from the
+// protocol text, sharing nothing with the codec but ToFlat (the value
+// decomposition itself).
+class RefWriter {
+ public:
+  void U8(std::uint8_t v) { buf_.push_back(char(v)); }
+  void U32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) U8(std::uint8_t((v >> (8 * i)) & 0xff));
+  }
+  void U64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) U8(std::uint8_t((v >> (8 * i)) & 0xff));
+  }
+  void F64(double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    U64(bits);
+  }
+  void Str(std::string_view v) {
+    U32(std::uint32_t(v.size()));
+    for (char c : v) U8(std::uint8_t(c));
+  }
+  std::string Take() { return std::move(buf_); }
+
+ private:
+  std::string buf_;
+};
+
+std::string RefAttribute(const AttributeValue& value) {
+  const FlatValue flat = std::visit(
+      [](const auto& v) -> FlatValue {
+        auto f = ToFlat(v);
+        if constexpr (std::is_same_v<decltype(f), FlatValue>) {
+          return f;
+        } else {
+          return *std::move(f);
+        }
+      },
+      value);
+  RefWriter w;
+  w.U8(std::uint8_t(TypeOf(value)));
+  w.U32(0x4d4f4442);  // flat blob magic
+  w.U32(std::uint32_t(flat.root.size()));
+  w.U32(std::uint32_t(flat.arrays.size()));
+  for (char c : flat.root) w.U8(std::uint8_t(c));
+  for (const std::string& a : flat.arrays) w.Str(a);
+  return w.Take();
+}
+
+std::string RefResultBlock(const QueryResult& result) {
+  RefWriter w;
+  w.U8(std::uint8_t(result.payload));
+  switch (result.payload) {
+    case QueryResult::Payload::kRows:
+      w.Str(result.rows.name());
+      w.U32(std::uint32_t(result.rows.schema().NumAttributes()));
+      for (const AttributeDef& attr : result.rows.schema().attributes()) {
+        w.Str(attr.name);
+        w.U8(std::uint8_t(attr.type));
+      }
+      w.U32(std::uint32_t(result.rows.NumTuples()));
+      for (const Tuple& t : result.rows.tuples()) {
+        for (const AttributeValue& v : t) w.Str(RefAttribute(v));
+      }
+      break;
+    case QueryResult::Payload::kXY:
+      w.U64(result.batch_tuples);
+      w.U64(result.batch_instants);
+      for (double x : result.xs) w.F64(x);
+      for (double y : result.ys) w.F64(y);
+      for (std::uint8_t d : result.defined) w.U8(d);
+      break;
+    case QueryResult::Payload::kPresent:
+      w.U64(result.batch_tuples);
+      w.U64(result.batch_instants);
+      for (std::uint8_t p : result.present) w.U8(p);
+      break;
+  }
+  return w.Take();
+}
+
+std::string RefReply(const QueryResult& result) {
+  RefWriter w;
+  w.U32(std::uint32_t(StatusCode::kOk));
+  w.Str("");
+  w.Str(RefResultBlock(result));
+  w.Str(result.stats.ToJson());
+  return w.Take();
+}
+
+AttributeValue RandomValue(std::mt19937_64& rng, AttributeType type) {
+  std::uniform_real_distribution<double> coord(-1e4, 1e4);
+  const bool undefined = rng() % 8 == 0;
+  switch (type) {
+    case AttributeType::kInt:
+      return undefined ? IntValue::Undefined()
+                       : IntValue(std::int64_t(rng()));
+    case AttributeType::kReal:
+      return undefined ? RealValue::Undefined() : RealValue(coord(rng));
+    case AttributeType::kBool:
+      return undefined ? BoolValue::Undefined() : BoolValue(rng() % 2 == 0);
+    case AttributeType::kString:
+      return undefined ? StringValue::Undefined()
+                       : StringValue{std::string(rng() % (kMaxStringLength + 1),
+                                                 char('a' + rng() % 26))};
+    case AttributeType::kPoint:
+      return Point(coord(rng), coord(rng));
+    case AttributeType::kRegion: {
+      RegionGenOptions opts;
+      opts.num_vertices = 3 + int(rng() % 12);
+      opts.with_hole = rng() % 2 == 0;
+      return *GenerateRegion(rng, opts);
+    }
+    default: {
+      TrajectoryOptions opts;
+      opts.num_units = int(rng() % 40);
+      opts.stop_probability = 0.2;
+      return *RandomWalkPoint(rng, opts);
+    }
+  }
+}
+
+QueryResult RandomRows(std::mt19937_64& rng) {
+  constexpr AttributeType kTypes[] = {
+      AttributeType::kInt,    AttributeType::kReal,  AttributeType::kBool,
+      AttributeType::kString, AttributeType::kPoint, AttributeType::kRegion,
+      AttributeType::kMovingPoint};
+  std::vector<AttributeDef> attrs;
+  const int arity = 1 + int(rng() % 5);
+  for (int a = 0; a < arity; ++a) {
+    attrs.push_back({"a" + std::to_string(a),
+                     kTypes[rng() % std::size(kTypes)]});
+  }
+  Relation rel("rel" + std::to_string(rng() % 100), Schema(attrs));
+  const int tuples = int(rng() % 12);
+  for (int i = 0; i < tuples; ++i) {
+    Tuple t;
+    for (const AttributeDef& attr : attrs) {
+      t.push_back(RandomValue(rng, attr.type));
+    }
+    EXPECT_TRUE(rel.Insert(std::move(t)).ok());
+  }
+  QueryResult result;
+  result.payload = QueryResult::Payload::kRows;
+  result.rows = std::move(rel);
+  result.stats.op = "select";
+  result.stats.tuples_out = std::uint64_t(tuples);
+  return result;
+}
+
+QueryResult RandomBatch(std::mt19937_64& rng) {
+  QueryResult result;
+  result.payload = rng() % 2 == 0 ? QueryResult::Payload::kXY
+                                  : QueryResult::Payload::kPresent;
+  result.batch_tuples = rng() % 40;
+  result.batch_instants = rng() % 60;
+  const std::size_t cells = result.batch_tuples * result.batch_instants;
+  std::uniform_real_distribution<double> coord(-1e4, 1e4);
+  for (std::size_t i = 0; i < cells; ++i) {
+    const std::uint8_t flag = std::uint8_t(rng() % 2);
+    if (result.payload == QueryResult::Payload::kXY) {
+      result.xs.push_back(flag != 0 ? coord(rng) : 0.0);
+      result.ys.push_back(flag != 0 ? coord(rng) : 0.0);
+      result.defined.push_back(flag);
+    } else {
+      result.present.push_back(flag);
+    }
+  }
+  return result;
+}
+
+TEST(WireGolden, EncoderMatchesPerFieldReferenceOnRandomResults) {
+  std::mt19937_64 rng(20261017);
+  for (int iter = 0; iter < 200; ++iter) {
+    const QueryResult result =
+        iter % 2 == 0 ? RandomRows(rng) : RandomBatch(rng);
+    const std::string expected = RefResultBlock(result);
+    Result<std::string> block = EncodeResultBlock(result);
+    ASSERT_TRUE(block.ok()) << block.status();
+    ASSERT_EQ(*block, expected) << "iteration " << iter;
+    Result<std::string> reply = EncodeReply(Status::OK(), &result);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    ASSERT_EQ(*reply, RefReply(result)) << "iteration " << iter;
+
+    // The reply also appends after bytes already in the buffer (a frame
+    // header), leaving them untouched.
+    std::string frame = "prefix";
+    ASSERT_TRUE(AppendReply(Status::OK(), &result, &frame).ok());
+    EXPECT_EQ(frame, "prefix" + *reply);
+
+    // The bulk decoder reads back what the reference wrote.
+    Result<QueryResult> back = DecodeResultBlock(expected);
+    ASSERT_TRUE(back.ok()) << back.status();
+    Result<std::string> again = EncodeResultBlock(*back);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*again, expected) << "iteration " << iter;
+  }
 }
 
 // ---------------------------------------------------------------------------
