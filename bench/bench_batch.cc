@@ -145,14 +145,12 @@ Relation Planes(int flights, std::uint64_t seed) {
   return *GeneratePlanes(opts);
 }
 
+// The Q2 predicate modbd runs: the fused EverWithin sweep.
 bool ClosePred(const Tuple& a, std::size_t i, const Tuple& b, std::size_t j,
-               double dist) {
+               double dist, EverWithinStats* stats) {
   if (i >= j) return false;
-  auto d = LiftedDistance(std::get<MovingPoint>(a[kFlightAttrFlight]),
-                          std::get<MovingPoint>(b[kFlightAttrFlight]));
-  if (!d.ok() || d->IsEmpty()) return false;
-  auto am = AtMin(*d);
-  return am.ok() && !am->IsEmpty() && am->Initial().val() < dist;
+  return EverWithin(std::get<MovingPoint>(a[kFlightAttrFlight]),
+                    std::get<MovingPoint>(b[kFlightAttrFlight]), dist, stats);
 }
 
 // One-time check that the parallel join is byte-identical to serial
@@ -197,7 +195,9 @@ void BM_IndexJoin_Parallel(benchmark::State& state) {
   q.join->attr_inner = kFlightAttrFlight;
   q.join->expand = 50;
   q.join->pred = [](const Tuple& a, std::size_t i, const Tuple& b,
-                    std::size_t j) { return ClosePred(a, i, b, j, 50); };
+                    std::size_t j, EverWithinStats* stats) {
+    return ClosePred(a, i, b, j, 50, stats);
+  };
   const exec::PhysicalPlan plan = *exec::PlanQuery(q);
   if (threads > 0) {
     ThreadPool pool(threads);

@@ -5,11 +5,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <random>
 #include <string>
 
 #include "db/modb.h"
 #include "exec/planner.h"
 #include "gen/flights_gen.h"
+#include "gen/trajectory_gen.h"
 #include "serve/wire.h"
 #include "temporal/lifted_ops.h"
 
@@ -59,14 +61,12 @@ void BM_Q1_TrajectoryLength(benchmark::State& state) {
 BENCHMARK(BM_Q1_TrajectoryLength)->RangeMultiplier(2)->Range(16, 256)
     ->Complexity(benchmark::oN);
 
+// The Q2 predicate modbd runs: the fused EverWithin sweep.
 bool ClosePred(const Tuple& a, std::size_t i, const Tuple& b, std::size_t j,
-               double dist) {
+               double dist, EverWithinStats* stats) {
   if (i >= j) return false;
-  auto d = LiftedDistance(std::get<MovingPoint>(a[kFlightAttrFlight]),
-                          std::get<MovingPoint>(b[kFlightAttrFlight]));
-  if (!d.ok() || d->IsEmpty()) return false;
-  auto am = AtMin(*d);
-  return am.ok() && !am->IsEmpty() && am->Initial().val() < dist;
+  return EverWithin(std::get<MovingPoint>(a[kFlightAttrFlight]),
+                    std::get<MovingPoint>(b[kFlightAttrFlight]), dist, stats);
 }
 
 // The Q2 self-join of `planes` at distance 50.
@@ -81,7 +81,9 @@ exec::LogicalQuery Q2(const Relation& planes, JoinAlgorithm algorithm,
   q.join->attr_inner = kFlightAttrFlight;
   q.join->expand = 50;
   q.join->pred = [](const Tuple& a, std::size_t i, const Tuple& b,
-                    std::size_t j) { return ClosePred(a, i, b, j, 50); };
+                    std::size_t j, EverWithinStats* stats) {
+    return ClosePred(a, i, b, j, 50, stats);
+  };
   q.join->prebuilt = prebuilt;
   return q;
 }
@@ -115,24 +117,69 @@ void BM_Q2_Join_RTree_Prebuilt(benchmark::State& state) {
 BENCHMARK(BM_Q2_Join_RTree_Prebuilt)->RangeMultiplier(2)->Range(16, 256)
     ->Complexity();
 
-// The join predicate in isolation: distance + atmin + initial pipeline.
-void BM_Q2_PredicateOnly(benchmark::State& state) {
+// The join predicate in isolation, composed as the paper writes it:
+// distance + atmin + initial. The reference EverWithin must agree with.
+bool ComposedClose(const MovingPoint& p, const MovingPoint& q, double dist) {
+  auto d = LiftedDistance(p, q);
+  if (!d.ok() || d->IsEmpty()) return false;
+  auto am = AtMin(*d);
+  return am.ok() && !am->IsEmpty() && am->Initial().val() < dist;
+}
+
+// Flight 0 against every other flight of planes(64) at distance 50.
+template <bool (*Close)(const MovingPoint&, const MovingPoint&, double)>
+void PlanesPredicateLoop(benchmark::State& state) {
   Relation planes = Planes(64);
+  const auto& p = std::get<MovingPoint>(planes.tuple(0)[kFlightAttrFlight]);
   for (auto _ : state) {
     int hits = 0;
-    const auto& p = std::get<MovingPoint>(planes.tuple(0)[kFlightAttrFlight]);
     for (std::size_t j = 1; j < planes.NumTuples(); ++j) {
       const auto& q =
           std::get<MovingPoint>(planes.tuple(j)[kFlightAttrFlight]);
-      auto d = LiftedDistance(p, q);
-      if (!d.ok() || d->IsEmpty()) continue;
-      auto am = AtMin(*d);
-      if (am.ok() && !am->IsEmpty() && am->Initial().val() < 50) ++hits;
+      if (Close(p, q, 50)) ++hits;
     }
     benchmark::DoNotOptimize(hits);
   }
 }
+
+// One pair of fleet-like trails: random walks of state.range(0) units
+// over the same period, tested at distance 50.
+template <bool (*Close)(const MovingPoint&, const MovingPoint&, double)>
+void TrailPairPredicateLoop(benchmark::State& state) {
+  std::mt19937_64 rng(7);
+  TrajectoryOptions opts;
+  opts.num_units = int(state.range(0));
+  const MovingPoint p = *RandomWalkPoint(rng, opts);
+  const MovingPoint q = *RandomWalkPoint(rng, opts);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Close(p, q, 50));
+  }
+}
+
+bool FusedClose(const MovingPoint& p, const MovingPoint& q, double dist) {
+  return EverWithin(p, q, dist);
+}
+
+void BM_Q2_PredicateOnly(benchmark::State& state) {
+  PlanesPredicateLoop<ComposedClose>(state);
+}
 BENCHMARK(BM_Q2_PredicateOnly);
+
+void BM_Q2_PredicateOnly_Trails(benchmark::State& state) {
+  TrailPairPredicateLoop<ComposedClose>(state);
+}
+BENCHMARK(BM_Q2_PredicateOnly_Trails)->Arg(1250);
+
+// The fused kernel on the same inputs.
+void BM_Q2_EverWithinOnly(benchmark::State& state) {
+  PlanesPredicateLoop<FusedClose>(state);
+}
+BENCHMARK(BM_Q2_EverWithinOnly);
+
+void BM_Q2_EverWithinOnly_Trails(benchmark::State& state) {
+  TrailPairPredicateLoop<FusedClose>(state);
+}
+BENCHMARK(BM_Q2_EverWithinOnly_Trails)->Arg(1250);
 
 // The reply codec: a result encoded into a reply payload (what modbd
 // does per query) and decoded back into a QueryResult (what its client

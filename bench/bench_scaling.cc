@@ -55,14 +55,12 @@ bool Q1Pred(const Tuple& t) {
              5000;
 }
 
+// The Q2 predicate modbd runs: the fused EverWithin sweep.
 bool ClosePred(const Tuple& a, std::size_t i, const Tuple& b, std::size_t j,
-               double dist) {
+               double dist, EverWithinStats* stats) {
   if (i >= j) return false;
-  auto d = LiftedDistance(std::get<MovingPoint>(a[kFlightAttrFlight]),
-                          std::get<MovingPoint>(b[kFlightAttrFlight]));
-  if (!d.ok() || d->IsEmpty()) return false;
-  auto am = AtMin(*d);
-  return am.ok() && !am->IsEmpty() && am->Initial().val() < dist;
+  return EverWithin(std::get<MovingPoint>(a[kFlightAttrFlight]),
+                    std::get<MovingPoint>(b[kFlightAttrFlight]), dist, stats);
 }
 
 // Relations, prebuilt trees, and the fused plan live here; the plan
@@ -93,7 +91,9 @@ exec::PhysicalPlan CloseJoinPlan(const Relation* src, const RTree3D* tree,
   q.join->attr_inner = kFlightAttrFlight;
   q.join->expand = 50;
   q.join->pred = [](const Tuple& a, std::size_t i, const Tuple& b,
-                    std::size_t j) { return ClosePred(a, i, b, j, 50); };
+                    std::size_t j, EverWithinStats* stats) {
+    return ClosePred(a, i, b, j, 50, stats);
+  };
   q.join->prebuilt = tree;
   return *exec::PlanQuery(q);
 }

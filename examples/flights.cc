@@ -64,7 +64,7 @@ int main() {
   // ---- Q2: close encounters ----------------------------------------------
   const double kCloser = 50;  // "closer than 50 km" for the synthetic data.
   auto close_pred = [kCloser](const Tuple& a, std::size_t i, const Tuple& b,
-                              std::size_t j) {
+                              std::size_t j, EverWithinStats*) {
     if (i >= j) return false;
     auto d = LiftedDistance(std::get<MovingPoint>(a[kFlightAttrFlight]),
                             std::get<MovingPoint>(b[kFlightAttrFlight]));

@@ -116,13 +116,11 @@ MutationResult FromIngestAck(const ingest::IngestAck& a) {
 exec::JoinPred EverCloserPred(int slot_a, int slot_b, double dist,
                               bool distinct_pairs) {
   return [slot_a, slot_b, dist, distinct_pairs](
-             const Tuple& a, std::size_t i, const Tuple& b, std::size_t j) {
+             const Tuple& a, std::size_t i, const Tuple& b, std::size_t j,
+             EverWithinStats* stats) {
     if (distinct_pairs && i >= j) return false;
-    Result<MovingReal> d = LiftedDistance(std::get<MovingPoint>(a[slot_a]),
-                                          std::get<MovingPoint>(b[slot_b]));
-    if (!d.ok() || d->IsEmpty()) return false;
-    Result<MovingReal> am = AtMin(*d);
-    return am.ok() && !am->IsEmpty() && am->Initial().val() < dist;
+    return EverWithin(std::get<MovingPoint>(a[slot_a]),
+                      std::get<MovingPoint>(b[slot_b]), dist, stats);
   };
 }
 

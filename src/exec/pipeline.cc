@@ -10,6 +10,7 @@
 
 #include "obs/metrics.h"
 #include "temporal/batch_ops.h"
+#include "temporal/lifted_ops.h"
 
 namespace modb {
 namespace exec {
@@ -27,6 +28,9 @@ struct StageCounters {
   std::uint64_t index_hits = 0;
   std::uint64_t units_scanned = 0;
   std::uint64_t pushdown_skips = 0;
+  // The join predicate's EverWithin work (predicate_intervals and
+  // predicate_fallbacks in ExecStats).
+  EverWithinStats predicate;
 };
 
 // A morsel output slot (see MakeSlots); the sink concatenates slots in
@@ -201,7 +205,8 @@ void ProbeIndexJoinRow(const Tuple& outer, std::size_t outer_row,
   s->index_candidates += candidates->size();
   for (int64_t j : *candidates) {
     ++s->predicate_evals;
-    if (!op.pred(outer, outer_row, b.tuple(std::size_t(j)), std::size_t(j))) {
+    if (!op.pred(outer, outer_row, b.tuple(std::size_t(j)), std::size_t(j),
+                 &s->predicate)) {
       continue;
     }
     ++s->index_hits;
@@ -218,7 +223,7 @@ void ProbeNestedLoopRow(const Tuple& outer, std::size_t outer_row,
   const Relation& b = *op.inner;
   for (std::size_t j = 0; j < b.NumTuples(); ++j) {
     ++s->predicate_evals;
-    if (!op.pred(outer, outer_row, b.tuple(j), j)) continue;
+    if (!op.pred(outer, outer_row, b.tuple(j), j, &s->predicate)) continue;
     Tuple joined = outer;
     joined.insert(joined.end(), b.tuple(j).begin(), b.tuple(j).end());
     out->push_back(std::move(joined));
@@ -644,6 +649,8 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
       t.index_hits += c.index_hits;
       t.units_scanned += c.units_scanned;
       t.pushdown_skips += c.pushdown_skips;
+      t.predicate.intervals += c.predicate.intervals;
+      t.predicate.fallbacks += c.predicate.fallbacks;
     }
   }
 
@@ -660,6 +667,8 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
     s.index_hits = c.index_hits;
     s.units_scanned = c.units_scanned;
     s.pushdown_skips = c.pushdown_skips;
+    s.predicate_intervals = c.predicate.intervals;
+    s.predicate_fallbacks = c.predicate.fallbacks;
     node->children.push_back(std::move(s));
   };
   stage_node("scan", totals[0]);
@@ -675,6 +684,8 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
     node->index_hits += c.index_hits;
     node->units_scanned += c.units_scanned;
     node->pushdown_skips += c.pushdown_skips;
+    node->predicate_intervals += c.predicate.intervals;
+    node->predicate_fallbacks += c.predicate.fallbacks;
   }
 
   MODB_COUNTER_ADD("exec.morsels_scheduled", morsels);

@@ -47,6 +47,9 @@
 #include "obs/exec_stats.h"
 
 namespace modb {
+
+struct EverWithinStats;  // temporal/lifted_ops.h
+
 namespace exec {
 
 /// A conservative time-window annotation on a predicate: the predicate
@@ -70,9 +73,10 @@ struct Predicate {
 /// A join predicate over (outer tuple, outer row, inner tuple, inner
 /// row). In a pipelined plan the outer row id is the SOURCE row index
 /// (stable under upstream filters), not the ordinal within the
-/// filtered stream.
-using JoinPred =
-    std::function<bool(const Tuple&, std::size_t, const Tuple&, std::size_t)>;
+/// filtered stream. A predicate that runs EverWithin passes it the
+/// last argument, the join stage's counters; others ignore it.
+using JoinPred = std::function<bool(const Tuple&, std::size_t, const Tuple&,
+                                    std::size_t, EverWithinStats*)>;
 
 /// Terminal projection stage: emit the given attribute slots, in order.
 struct ProjectOp {

@@ -11,6 +11,8 @@ void ExecStats::MergeCountersFrom(const ExecStats& other) {
   tuples_in += other.tuples_in;
   tuples_out += other.tuples_out;
   predicate_evals += other.predicate_evals;
+  predicate_intervals += other.predicate_intervals;
+  predicate_fallbacks += other.predicate_fallbacks;
   index_candidates += other.index_candidates;
   index_hits += other.index_hits;
   index_builds += other.index_builds;
@@ -33,6 +35,8 @@ JsonValue ToJsonValue(const ExecStats& s) {
   set_if("tuples_in", s.tuples_in);
   set_if("tuples_out", s.tuples_out);
   set_if("predicate_evals", s.predicate_evals);
+  set_if("predicate_intervals", s.predicate_intervals);
+  set_if("predicate_fallbacks", s.predicate_fallbacks);
   set_if("index_candidates", s.index_candidates);
   set_if("index_hits", s.index_hits);
   set_if("index_builds", s.index_builds);
@@ -82,6 +86,8 @@ Result<ExecStats> FromJsonValue(const JsonValue& v) {
       if (key == "tuples_in") out.tuples_in = n;
       else if (key == "tuples_out") out.tuples_out = n;
       else if (key == "predicate_evals") out.predicate_evals = n;
+      else if (key == "predicate_intervals") out.predicate_intervals = n;
+      else if (key == "predicate_fallbacks") out.predicate_fallbacks = n;
       else if (key == "index_candidates") out.index_candidates = n;
       else if (key == "index_hits") out.index_hits = n;
       else if (key == "index_builds") out.index_builds = n;

@@ -36,6 +36,13 @@ struct ExecStats {
   /// Times the caller's predicate ran (after any index pruning).
   std::uint64_t predicate_evals = 0;
 
+  /// Q2's EverWithin join predicate: refinement intervals its sweep
+  /// examined, and pairs it handed to the composed operators because
+  /// the minimum distance was too close to call. Always 0 under
+  /// MODB_NO_METRICS.
+  std::uint64_t predicate_intervals = 0;
+  std::uint64_t predicate_fallbacks = 0;
+
   /// Index join: candidate tuples the index produced, and candidates
   /// that survived the exact predicate. candidates - hits = wasted
   /// refinements; tuples_in(outer) - candidates = pruning power.

@@ -449,6 +449,202 @@ Result<MovingReal> AtExtremum(const MovingReal& m, bool minimum) {
 Result<MovingReal> AtMin(const MovingReal& m) { return AtExtremum(m, true); }
 Result<MovingReal> AtMax(const MovingReal& m) { return AtExtremum(m, false); }
 
+namespace {
+
+// The composed Q2 test EverWithin must agree with, and the path it
+// hands near-ties to.
+bool ComposedEverWithin(const MovingPoint& a, const MovingPoint& b,
+                        double d) {
+  Result<MovingReal> dist = LiftedDistance(a, b);
+  if (!dist.ok() || dist->IsEmpty()) return false;
+  Result<MovingReal> at_min = AtMin(*dist);
+  return at_min.ok() && !at_min->IsEmpty() && at_min->Initial().val() < d;
+}
+
+// The radicand of a distance ureal at t, written exactly as
+// UReal::ValueAt evaluates it, so every value the sweep compares is
+// bitwise the one the composed operators compute.
+double Radicand(const DistQuad& q, double t) {
+  return q.a * t * t + q.b * t + q.c;
+}
+
+// UReal::Make's non-negative radicand test. A NaN or infinite radicand
+// fails too: the composed path decides such a pair.
+bool RadicandOk(const DistQuad& q, double v) {
+  return v >= -kEpsilon * (1 + std::fabs(q.c)) && v < kInfinity;
+}
+
+// The EverWithin sweep. It sees the units of distance(a, b) in time
+// order, merged as MappingBuilder<UReal> merges them, and keeps what
+// AtMin's answer depends on. Values are radicands clamped at 0, the
+// squares of UReal::ValueAt; square roots are taken only in Decide.
+//
+// AtMin collects the candidates (unit endpoints and interior vertex)
+// within its tolerance of the global minimum m, and Initial() reads
+// the earliest instant of the moving real restricted to them. A
+// candidate at a closed endpoint or the vertex is such an instant, with
+// a value within the tolerance of m. A candidate at an open endpoint is
+// one only when the neighbouring unit is closed there ("continued"),
+// and then carries the neighbour's value; otherwise ("stranded") it
+// adds no instant at all. A constant unit equal to m is kept whole.
+class EverWithinSweep {
+ public:
+  enum class Verdict { kFalse, kTrue, kUnsure };
+
+  // One refinement interval on which both points are defined, with the
+  // squared-distance quadratic of its unit pair.
+  void Add(const TimeInterval& iv, const DistQuad& q) {
+    const double v_start = Radicand(q, iv.start());
+    const double v_end = Radicand(q, iv.end());
+    // LiftedDistance makes (and so checks) a ureal per interval.
+    if (!RadicandOk(q, v_start) || !RadicandOk(q, v_end)) unsure_ = true;
+    // MappingBuilder::Append merges an adjacent unit with an equal
+    // function (UReal::FunctionEqual; the root flag is always set).
+    if (has_cur_ && cur_.q.a == q.a && cur_.q.b == q.b && cur_.q.c == q.c &&
+        TimeInterval::Adjacent(cur_.iv, iv)) {
+      cur_.iv = TimeInterval::Merge(cur_.iv, iv);
+      cur_.v_end = v_end;
+      return;
+    }
+    if (has_cur_) Close();
+    cur_ = {iv, q, v_start, v_end};
+    has_cur_ = true;
+  }
+
+  // The composed answer for threshold d > 0, or kUnsure when only the
+  // composed operators can tell: a minimum within twice the tolerance
+  // of d, a candidate near the minimum on a stranded open endpoint, a
+  // continued one whose neighbour might reach d, or a radicand
+  // UReal::Make rejects.
+  Verdict Decide(double d) {
+    if (has_cur_) Close();
+    if (open_end_pending_) Stranded(open_end_);
+    if (!has_prev_) return Verdict::kFalse;  // distance(a, b) is empty
+    if (unsure_) return Verdict::kUnsure;
+    const double m = std::sqrt(min_);
+    // Initial() reads one of the candidate values, all >= m.
+    if (!(m < d)) return Verdict::kFalse;
+    // Every candidate AtMin keeps has a value below `band`.
+    const double band = m + 2 * kEpsilon * (1 + m);
+    if (!(band < d)) return Verdict::kUnsure;
+    if (std::sqrt(stranded_min_) <= band) return Verdict::kUnsure;
+    if (std::sqrt(continued_min_) <= band &&
+        !(std::sqrt(band * band + jump_) * (1 + 1e-12) < d)) {
+      return Verdict::kUnsure;
+    }
+    return Verdict::kTrue;
+  }
+
+ private:
+  struct Unit {
+    TimeInterval iv = TimeInterval::At(0);
+    DistQuad q{};
+    double v_start = 0;
+    double v_end = 0;
+  };
+
+  // Folds the finished unit cur_ into the state.
+  void Close() {
+    has_cur_ = false;
+    const Unit& u = cur_;
+    const double w_start = std::max(u.v_start, 0.0);
+    const double w_end = std::max(u.v_end, 0.0);
+    min_ = std::min({min_, w_start, w_end});
+    if (u.q.a != 0) {
+      const double vertex = -u.q.b / (2 * u.q.a);
+      if (u.iv.ContainsOpen(vertex)) {
+        const double v = Radicand(u.q, vertex);
+        if (!RadicandOk(u.q, v)) unsure_ = true;
+        min_ = std::min(min_, std::max(v, 0.0));
+      }
+    }
+    // UReal::EqualsEverywhere(ValueAt(start)): AtMin keeps such a unit
+    // whole, so its endpoints are never point candidates.
+    bool whole = false;
+    if (u.q.a == 0 && u.q.b == 0) {
+      const double value = u.v_start <= 0 ? 0 : std::sqrt(u.v_start);
+      whole = std::fabs(u.q.c - value * value) <= kEpsilon;
+    }
+    const bool adjacent =
+        has_prev_ && TimeInterval::Adjacent(prev_iv_, u.iv);
+    if (open_end_pending_) {
+      open_end_pending_ = false;
+      if (adjacent && u.iv.left_closed()) {
+        Continued(open_end_, w_start);
+      } else {
+        Stranded(open_end_);
+      }
+    }
+    if (!whole && !u.iv.left_closed()) {
+      if (adjacent && prev_iv_.right_closed()) {
+        Continued(w_start, prev_end_);
+      } else {
+        Stranded(w_start);
+      }
+    }
+    if (!whole && !u.iv.right_closed()) {
+      open_end_pending_ = true;
+      open_end_ = w_end;
+    }
+    has_prev_ = true;
+    prev_iv_ = u.iv;
+    prev_end_ = w_end;
+  }
+
+  void Continued(double own, double neighbour) {
+    continued_min_ = std::min(continued_min_, own);
+    jump_ = std::max(jump_, neighbour - own);
+  }
+  void Stranded(double own) { stranded_min_ = std::min(stranded_min_, own); }
+
+  Unit cur_;
+  bool has_cur_ = false;
+  // The last finished unit: its interval and end value, and its open
+  // end awaiting the next unit.
+  TimeInterval prev_iv_ = TimeInterval::At(0);
+  double prev_end_ = 0;
+  bool has_prev_ = false;
+  bool open_end_pending_ = false;
+  double open_end_ = 0;
+  // Minimum over all candidates, over stranded and continued open-end
+  // candidates, and the largest rise from a continued candidate to its
+  // neighbour's value.
+  double min_ = kInfinity;
+  double stranded_min_ = kInfinity;
+  double continued_min_ = kInfinity;
+  double jump_ = 0;
+  bool unsure_ = false;
+};
+
+}  // namespace
+
+bool EverWithin(const MovingPoint& a, const MovingPoint& b, double d,
+                EverWithinStats* stats) {
+  // Every distance is >= 0, and NaN compares false.
+  if (!(d > 0)) return false;
+  EverWithinSweep sweep;
+  std::uint64_t intervals = 0;
+  ForEachCommonInterval(
+      a, b, [&](const TimeInterval& iv, std::size_t i, std::size_t j) {
+        ++intervals;
+        sweep.Add(iv, SquaredDistanceQuad(a.unit(i).motion(),
+                                          b.unit(j).motion()));
+      });
+  const EverWithinSweep::Verdict verdict = sweep.Decide(d);
+  const bool unsure = verdict == EverWithinSweep::Verdict::kUnsure;
+#ifndef MODB_NO_METRICS
+  if (stats != nullptr) {
+    stats->intervals += intervals;
+    stats->fallbacks += unsure ? 1 : 0;
+  }
+#else
+  (void)stats;
+  (void)intervals;
+#endif
+  if (unsure) return ComposedEverWithin(a, b, d);
+  return verdict == EverWithinSweep::Verdict::kTrue;
+}
+
 Result<MovingBool> Compare(const MovingReal& m, double c, CmpOp op) {
   MappingBuilder<UBool> builder;
   for (const UReal& u : m.units()) {

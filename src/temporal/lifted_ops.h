@@ -9,6 +9,8 @@
 #ifndef MODB_TEMPORAL_LIFTED_OPS_H_
 #define MODB_TEMPORAL_LIFTED_OPS_H_
 
+#include <cstdint>
+
 #include "core/range_set.h"
 #include "spatial/line.h"
 #include "spatial/region.h"
@@ -62,6 +64,32 @@ Result<MovingReal> AtMin(const MovingReal& m);
 Result<MovingReal> AtMax(const MovingReal& m);
 
 enum class CmpOp { kLt, kLe, kGt, kGe, kEq, kNe };
+
+/// Work counters of EverWithin, summed by the caller (the join stage
+/// reports them in its ExecStats).
+struct EverWithinStats {
+  /// Refinement intervals on which both moving points are defined that
+  /// the sweep examined.
+  std::uint64_t intervals = 0;
+  /// Pairs too close to call that the composed operators decided.
+  std::uint64_t fallbacks = 0;
+};
+
+/// Q2's join predicate (Section 2), "were a and b ever closer than d":
+///   val(initial(atmin(distance(a, b)))) < d.
+/// Returns exactly what LiftedDistance → AtMin → Initial().val() < d
+/// returns, without building either moving real. One merge sweep over
+/// the two unit arrays walks the refinement partition (Section 5.2,
+/// Figure 8) in place, merges value-equal adjacent units as the
+/// MappingBuilder would, and takes each unit's closed-form minimum of
+/// the squared-distance quadratic at its endpoints and vertex. A pair
+/// whose minimum lies within the core/real.h tolerance of d, or whose
+/// minimum sits on an open endpoint that a neighbouring unit does not
+/// continue, is handed to the composed operators (counted in
+/// `stats->fallbacks`). d <= 0 and NaN give false. Allocates nothing
+/// unless it falls back.
+bool EverWithin(const MovingPoint& a, const MovingPoint& b, double d,
+                EverWithinStats* stats = nullptr);
 
 /// Lifted comparison of a moving real against a constant, e.g.
 /// distance(p, q) < 0.5.

@@ -163,6 +163,37 @@ Status RefinementPartitionInto(const Mapping<UA>& a, const Mapping<UB>& b,
   return Status::OK();
 }
 
+/// The refinement partition walked in place, restricted to where both
+/// mappings are defined: calls fn(interval, i, j) for exactly the
+/// HasBoth() entries of RefinementPartitionInto, in the same order,
+/// without building the partition. Each such interval is the non-empty
+/// intersection of unit i of `a` with unit j of `b`. The scan advances
+/// whichever unit ends first, O(n + m): on a tie the one open there, or
+/// both when they end alike, as units on a shared time grid do. A
+/// disjoint pair intersects to nothing and is skipped the same way.
+template <typename UA, typename UB, typename Fn>
+void ForEachCommonInterval(const Mapping<UA>& a, const Mapping<UB>& b,
+                           Fn&& fn) {
+  const std::size_t n = a.NumUnits(), m = b.NumUnits();
+  std::size_t i = 0, j = 0;
+  while (i < n && j < m) {
+    const TimeInterval& u = a.unit(i).interval();
+    const TimeInterval& v = b.unit(j).interval();
+    if (std::optional<TimeInterval> common = TimeInterval::Intersect(u, v)) {
+      fn(*common, i, j);
+    }
+    if (u.end() == v.end() && u.right_closed() == v.right_closed()) {
+      ++i;
+      ++j;
+    } else if (u.end() < v.end() ||
+               (u.end() == v.end() && !u.right_closed())) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+}
+
 /// Allocating convenience wrapper around RefinementPartitionInto.
 template <typename UA, typename UB>
 std::vector<RefinementEntry> RefinementPartition(const Mapping<UA>& a,

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -267,6 +269,76 @@ TEST(DbRun, IndexJoinMatchesNestedLoopJoin) {
   EXPECT_EQ(Block(renamed(*nested)), Block(renamed(*indexed)));
   // The prebuilt index was reused, not rebuilt inside the plan.
   EXPECT_EQ(indexed->stats.index_builds, 0u);
+}
+
+// Q2's distance edge semantics, the same for both join kinds: no
+// distance is below d <= 0 or d = NaN, and every pair of flights that
+// share an instant is closer than +inf and than 1e300 (whose square
+// overflows).
+TEST(DbRun, JoinDistanceEdgeSemantics) {
+  const Relation planes = Planes(64);
+  std::uint64_t coexisting = 0;
+  for (std::size_t i = 0; i < planes.NumTuples(); ++i) {
+    for (std::size_t j = i + 1; j < planes.NumTuples(); ++j) {
+      if (!LiftedDistance(Flight(planes, i), Flight(planes, j))->IsEmpty()) {
+        ++coexisting;
+      }
+    }
+  }
+  EXPECT_EQ(coexisting, 747u);
+
+  Db db;
+  ASSERT_TRUE(db.Register(Planes(64)).ok());
+  ASSERT_TRUE(db.BuildIndex("planes", "flight").ok());
+  QueryRequest req;
+  req.relation = "planes";
+  req.join_relation = "planes";
+  req.attr = "flight";
+  req.join_attr = "flight";
+  req.distinct_pairs = true;
+  for (QueryRequest::Kind kind :
+       {QueryRequest::Kind::kJoin, QueryRequest::Kind::kIndexJoin}) {
+    req.kind = kind;
+    for (double d : {-50.0, 0.0, std::nan("")}) {
+      req.distance = d;
+      Result<QueryResult> r = db.Run(req);
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(r->rows.NumTuples(), 0u) << "d=" << d;
+    }
+    for (double d : {std::numeric_limits<double>::infinity(), 1e300}) {
+      req.distance = d;
+      Result<QueryResult> r = db.Run(req);
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(r->rows.NumTuples(), coexisting) << "d=" << d;
+    }
+  }
+}
+
+// The join stage reports the EverWithin sweep's work in its ExecStats.
+TEST(DbRun, JoinStatsCountPredicateIntervals) {
+  Db db;
+  ASSERT_TRUE(db.Register(Planes(64)).ok());
+  ASSERT_TRUE(db.BuildIndex("planes", "flight").ok());
+  QueryRequest req;
+  req.kind = QueryRequest::Kind::kIndexJoin;
+  req.relation = "planes";
+  req.join_relation = "planes";
+  req.attr = "flight";
+  req.join_attr = "flight";
+  req.distance = 50;
+  req.distinct_pairs = true;
+  Result<QueryResult> r = db.Run(req);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_FALSE(r->stats.children.empty());
+  const ExecStats& join = r->stats.children.back();
+  EXPECT_EQ(join.op, "join_probe");
+#ifdef MODB_NO_METRICS
+  EXPECT_EQ(join.predicate_intervals, 0u);
+#else
+  EXPECT_GT(join.predicate_intervals, 0u);
+#endif
+  EXPECT_EQ(r->stats.predicate_intervals, join.predicate_intervals);
+  EXPECT_EQ(r->stats.predicate_fallbacks, join.predicate_fallbacks);
 }
 
 TEST(DbRun, AtInstantBatchMatchesPerTupleKernels) {

@@ -148,7 +148,7 @@ TEST(ParallelOperators, NestedLoopJoinMatchesSerial) {
   Relation b = TestPlanes(24, 3);
   // Join flights whose deftimes overlap.
   auto pred = [&](const Tuple& ta, std::size_t, const Tuple& tb,
-                  std::size_t) {
+                  std::size_t, EverWithinStats*) {
     const auto& ma = std::get<MovingPoint>(ta[std::size_t(kFlightAttrFlight)]);
     const auto& mb = std::get<MovingPoint>(tb[std::size_t(kFlightAttrFlight)]);
     if (ma.IsEmpty() || mb.IsEmpty()) return false;
@@ -170,7 +170,8 @@ TEST(ParallelOperators, NestedLoopJoinMatchesSerial) {
 TEST(ParallelOperators, IndexJoinMatchesSerial) {
   Relation a = TestPlanes(32, 4);
   Relation b = TestPlanes(32, 5);
-  auto pred = [](const Tuple&, std::size_t i, const Tuple&, std::size_t j) {
+  auto pred = [](const Tuple&, std::size_t i, const Tuple&, std::size_t j,
+                 EverWithinStats*) {
     return i != j;
   };
   const exec::LogicalQuery q = JoinQuery(a, b, JoinAlgorithm::kIndex, pred);
@@ -188,7 +189,8 @@ TEST(ParallelOperators, IndexJoinMatchesSerial) {
 TEST(ParallelOperators, PrebuiltIndexMatchesBuildingOverload) {
   Relation a = TestPlanes(32, 4);
   Relation b = TestPlanes(32, 5);
-  auto pred = [](const Tuple&, std::size_t i, const Tuple&, std::size_t j) {
+  auto pred = [](const Tuple&, std::size_t i, const Tuple&, std::size_t j,
+                 EverWithinStats*) {
     return i != j;
   };
   exec::LogicalQuery q = JoinQuery(a, b, JoinAlgorithm::kIndex, pred);

@@ -131,7 +131,7 @@ TEST(PaperQueries, TrajectoryLengthFilter) {
 TEST(PaperQueries, SpatioTemporalJoin) {
   Relation planes = MakePlanesSmall();
   auto close_pred = [](const Tuple& a, std::size_t i, const Tuple& b,
-                       std::size_t j) {
+                       std::size_t j, EverWithinStats*) {
     if (i >= j) return false;  // Dedup self-join pairs.
     auto d = LiftedDistance(std::get<MovingPoint>(a[2]),
                             std::get<MovingPoint>(b[2]));
@@ -156,7 +156,7 @@ TEST(QueryOps, IndexJoinMatchesNestedLoop) {
                                      .seed = 3});
   const double kDist = 40;
   auto pred = [kDist](const Tuple& a, std::size_t i, const Tuple& b,
-                      std::size_t j) {
+                      std::size_t j, EverWithinStats*) {
     if (i >= j) return false;
     auto d = LiftedDistance(std::get<MovingPoint>(a[2]),
                             std::get<MovingPoint>(b[2]));

@@ -161,7 +161,7 @@ TEST(PipelinedPlans, SelectIndexJoinMatchesComposedOperators) {
   Relation planes = TestPlanes(32, 12);
   Relation other = TestPlanes(32, 13);
   auto join_pred = [](const Tuple& ta, std::size_t, const Tuple& tb,
-                      std::size_t) {
+                      std::size_t, EverWithinStats*) {
     const auto& ma = std::get<MovingPoint>(ta[std::size_t(kFlightAttrFlight)]);
     const auto& mb = std::get<MovingPoint>(tb[std::size_t(kFlightAttrFlight)]);
     return !ma.IsEmpty() && !mb.IsEmpty();
@@ -204,7 +204,7 @@ TEST(PipelinedPlans, SelectNestedLoopJoinMatchesComposedOperators) {
   Relation planes = TestPlanes(16, 14);
   Relation other = TestPlanes(12, 15);
   auto join_pred = [](const Tuple& ta, std::size_t, const Tuple& tb,
-                      std::size_t) {
+                      std::size_t, EverWithinStats*) {
     return std::get<StringValue>(ta[std::size_t(kFlightAttrAirline)]) <
            std::get<StringValue>(tb[std::size_t(kFlightAttrAirline)]);
   };

@@ -23,7 +23,8 @@ Relation TestPlanes(int num_flights, std::uint64_t seed) {
 
 bool AnyTuple(const Tuple&) { return true; }
 
-bool AnyPair(const Tuple&, std::size_t, const Tuple&, std::size_t) {
+bool AnyPair(const Tuple&, std::size_t, const Tuple&, std::size_t,
+             EverWithinStats*) {
   return true;
 }
 

@@ -1,0 +1,410 @@
+// EverWithin against the composed Q2 predicate it replaces,
+//   val(initial(atmin(distance(a, b)))) < d,
+// on hand-built edge cases and generated trail pairs. The composed
+// operators are the spec: every case must give the same boolean.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <new>
+#include <random>
+#include <vector>
+
+#include "gen/flights_gen.h"
+#include "gen/trajectory_gen.h"
+#include "temporal/lifted_ops.h"
+#include "temporal/refinement.h"
+
+// Counts heap allocations, to check that the sweep makes none. The
+// sanitizer runtimes bring their own operator new, so the count (and
+// the test reading it) exists only in plain builds.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+#define MODB_COUNT_ALLOCATIONS 1
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#endif
+
+namespace modb {
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+bool Composed(const MovingPoint& a, const MovingPoint& b, double d) {
+  Result<MovingReal> dist = LiftedDistance(a, b);
+  if (!dist.ok() || dist->IsEmpty()) return false;
+  Result<MovingReal> am = AtMin(*dist);
+  return am.ok() && !am->IsEmpty() && am->Initial().val() < d;
+}
+
+TimeInterval TI(double s, double e, bool lc = true, bool rc = true) {
+  return *TimeInterval::Make(s, e, lc, rc);
+}
+
+UPoint U(TimeInterval iv, Point p0, Point p1) {
+  return *UPoint::FromEndpoints(iv, p0, p1);
+}
+
+MovingPoint MP(std::vector<UPoint> units) {
+  return *MovingPoint::Make(std::move(units));
+}
+
+// Thresholds around everything the composed answer can turn on: the
+// global minimum, the value AtMin's Initial() reads, and the edge
+// values of d.
+std::vector<double> Thresholds(const MovingPoint& a, const MovingPoint& b) {
+  std::vector<double> ds = {-50, 0,    kNaN, kInf, 1e300,
+                            1,   50,   400,  1e-300, 5e-324};
+  Result<MovingReal> dist = LiftedDistance(a, b);
+  if (!dist.ok() || dist->IsEmpty()) return ds;
+  std::vector<double> anchors = {*MinValue(*dist)};
+  Result<MovingReal> am = AtMin(*dist);
+  if (am.ok() && !am->IsEmpty()) anchors.push_back(am->Initial().val());
+  for (double x : anchors) {
+    for (double v : {x, std::nextafter(x, kInf), std::nextafter(x, -kInf),
+                     x * (1 + 1e-9), x * (1 - 1e-9), x + 1e-9, x + 2e-9,
+                     x + 3e-9, x * (1 + 1e-6), x * 0.5, x * 2, x + 1}) {
+      ds.push_back(v);
+    }
+  }
+  return ds;
+}
+
+// Checks every threshold; returns the number of disagreements (each is
+// also reported).
+int ExpectAgree(const MovingPoint& a, const MovingPoint& b,
+                const char* what) {
+  int mismatches = 0;
+  for (double d : Thresholds(a, b)) {
+    for (bool swap : {false, true}) {
+      const MovingPoint& x = swap ? b : a;
+      const MovingPoint& y = swap ? a : b;
+      const bool composed = Composed(x, y, d);
+      const bool fused = EverWithin(x, y, d);
+      if (composed != fused) {
+        ++mismatches;
+        ADD_FAILURE() << what << ": d=" << d << " swap=" << swap
+                      << " composed=" << composed << " fused=" << fused;
+      }
+    }
+  }
+  return mismatches;
+}
+
+// -- hand-built edge cases ---------------------------------------------------
+
+TEST(EverWithinTest, TangentApproachAtExactlyD) {
+  // a passes (0, 0) at t = 10; b waits at (0, 50): the minimum is
+  // exactly 50, reached at a vertex.
+  MovingPoint a = MP({U(TI(0, 20), Point(-10, 0), Point(10, 0))});
+  MovingPoint b = MP({U(TI(0, 20), Point(0, 50), Point(0, 50))});
+  EXPECT_FALSE(EverWithin(a, b, 50));
+  EXPECT_TRUE(EverWithin(a, b, std::nextafter(50.0, kInf)));
+  ExpectAgree(a, b, "tangent vertex");
+  // The same tangent reached at a unit boundary shared by both points.
+  MovingPoint c = MP({U(TI(0, 10, true, false), Point(-10, 0), Point(0, 0)),
+                      U(TI(10, 20), Point(0, 0), Point(0, -10))});
+  ExpectAgree(c, b, "tangent at shared boundary");
+}
+
+TEST(EverWithinTest, SingleInstantUnits) {
+  MovingPoint a = MP({U(TI(5, 5), Point(0, 0), Point(0, 0))});
+  MovingPoint b = MP({U(TI(0, 10), Point(-5, 3), Point(5, 3))});
+  EXPECT_TRUE(EverWithin(a, b, 3.5));
+  EXPECT_FALSE(EverWithin(a, b, 3));
+  ExpectAgree(a, b, "instant inside unit");
+  // An instant unit between two open ends, with a jump on each side.
+  MovingPoint c = MP({U(TI(0, 5, true, false), Point(0, 0), Point(0, 1)),
+                      U(TI(5, 5), Point(40, 0), Point(40, 0)),
+                      U(TI(5, 10, false, true), Point(0, 1), Point(0, 2))});
+  ExpectAgree(c, b, "instant between open ends");
+  ExpectAgree(c, a, "instant against instant");
+}
+
+TEST(EverWithinTest, DisjointAndTouchingDeftimes) {
+  const Point p0(0, 0), p1(1, 0), q0(0, 2), q1(1, 2);
+  for (bool a_rc : {false, true}) {
+    for (bool b_lc : {false, true}) {
+      MovingPoint a = MP({U(TI(0, 1, true, a_rc), p0, p1)});
+      MovingPoint b = MP({U(TI(1, 2, b_lc, true), q1, q0)});
+      // They share instant 1 only when both ends are closed.
+      EXPECT_EQ(EverWithin(a, b, 10), a_rc && b_lc);
+      ExpectAgree(a, b, "touching");
+    }
+  }
+  MovingPoint a = MP({U(TI(0, 1), p0, p1)});
+  MovingPoint b = MP({U(TI(2, 3), q0, q1)});
+  EXPECT_FALSE(EverWithin(a, b, kInf));
+  ExpectAgree(a, b, "disjoint");
+}
+
+TEST(EverWithinTest, MinimumOnOpenEndpoints) {
+  // a closes in on b until the open end of the overlap at t = 10:
+  // AtMin's minimum sits on an instant no unit contains, so the
+  // composed predicate says false for every d.
+  MovingPoint a = MP({U(TI(0, 10, true, false), Point(0, 0), Point(9, 0))});
+  MovingPoint b = MP({U(TI(0, 20), Point(10, 0), Point(10, 0))});
+  EXPECT_FALSE(EverWithin(a, b, kInf));
+  ExpectAgree(a, b, "stranded open end");
+  // A dip under d earlier does not change that.
+  MovingPoint dip = MP({U(TI(0, 5), Point(0, 0), Point(9, 0)),
+                        U(TI(5, 10, false, false), Point(5, 0), Point(9.5, 0))});
+  ExpectAgree(dip, b, "dip then stranded end");
+  // A gap in a's deftime strands the minimum the same way.
+  MovingPoint gap = MP({U(TI(0, 4, true, false), Point(0, 0), Point(9, 0)),
+                        U(TI(6, 10), Point(0, 0), Point(1, 0))});
+  ExpectAgree(gap, b, "stranded before a gap");
+  // A jump: the open end is continued by a unit that starts far away,
+  // and Initial() reads that unit's value.
+  MovingPoint jump = MP({U(TI(0, 10, true, false), Point(0, 0), Point(9.9, 0)),
+                         U(TI(10, 20), Point(-90, 0), Point(-80, 0))});
+  ExpectAgree(jump, b, "jump after open end");
+  // Left-open start continued by a closed end before it.
+  MovingPoint left = MP({U(TI(0, 10), Point(-90, 0), Point(-80, 0)),
+                         U(TI(10, 20, false, true), Point(9.9, 0), Point(0, 0))});
+  ExpectAgree(left, b, "jump before open start");
+}
+
+TEST(EverWithinTest, StationaryAndIdenticalTrails) {
+  MovingPoint s = MP({U(TI(0, 10), Point(3, 4), Point(3, 4))});
+  MovingPoint o = MP({U(TI(0, 10), Point(0, 0), Point(0, 0))});
+  EXPECT_TRUE(EverWithin(s, o, 5.5));
+  EXPECT_FALSE(EverWithin(s, o, 5));
+  ExpectAgree(s, o, "stationary pair");
+  std::mt19937_64 rng(3);
+  TrajectoryOptions opts;
+  opts.num_units = 40;
+  opts.stop_probability = 0.3;
+  MovingPoint w = *RandomWalkPoint(rng, opts);
+  EXPECT_TRUE(EverWithin(w, w, 1e-300));
+  EXPECT_FALSE(EverWithin(w, w, 0));
+  ExpectAgree(w, w, "identical trails");
+  // A constant distance large enough that AtMin does not keep the unit
+  // whole (UReal::EqualsEverywhere misses by rounding).
+  MovingPoint far = MP({U(TI(0, 10, false, false), Point(1e5 + 0.1, 7),
+                          Point(1e5 + 0.1, 7))});
+  ExpectAgree(far, o, "constant far distance, open unit");
+}
+
+TEST(EverWithinTest, SharedEndpoints) {
+  // Both trails change motion at the same instants; b's units mirror
+  // a's, so every refinement interval has a different quadratic.
+  std::vector<UPoint> ua, ub;
+  for (int k = 0; k < 6; ++k) {
+    const bool last = k == 5;
+    TimeInterval iv = TI(k, k + 1, true, last);
+    ua.push_back(U(iv, Point(k, k % 2), Point(k + 1, (k + 1) % 2)));
+    ub.push_back(U(iv, Point(k, 3 - k % 2), Point(k + 1, 3 - (k + 1) % 2)));
+  }
+  MovingPoint a = MP(ua), b = MP(ub);
+  ExpectAgree(a, b, "shared endpoints");
+  // Translated copies: equal quadratics on adjacent intervals, which
+  // the composed builder merges into one unit.
+  std::vector<UPoint> uc;
+  for (const UPoint& u : ua) {
+    const LinearMotion& m = u.motion();
+    uc.push_back(*UPoint::Make(u.interval(),
+                               LinearMotion{m.x0 + 5, m.x1, m.y0, m.y1}));
+  }
+  ExpectAgree(a, MP(uc), "merged equal quadratics");
+}
+
+TEST(EverWithinTest, MergedUnitsHideTheirInnerBoundary) {
+  // Both points turn at tb by the same velocity change, so the two
+  // refinement intervals carry one quadratic and the composed builder
+  // merges them: the boundary tb is no candidate of AtMin. At t ~ 2e6
+  // the radicand loses its low digits, and its value at tb is far below
+  // the merged unit's minimum, so a sweep that does not merge as the
+  // builder does would answer differently.
+  const double tb = 2097145;
+  auto pair = [tb](LinearMotion m1, LinearMotion m2) {
+    return MP({*UPoint::Make(TI(tb - 4, tb, true, false), m1),
+               *UPoint::Make(TI(tb, tb + 4), m2)});
+  };
+  MovingPoint a = pair({-79692259.203338966, 38, 92274896.235980287, -44},
+                       {-94372274.203338966, 45, 75497736.235980287, -36});
+  MovingPoint b = pair({-749, 0, 516, 0}, {-14680764, 7, -16776644, 8});
+  ASSERT_EQ(LiftedDistance(a, b)->NumUnits(), 1u);
+  ExpectAgree(a, b, "merged units at large t");
+}
+
+TEST(EverWithinTest, ConstantDistanceOnOpenUnitNeedsNoFallback) {
+  // AtMin keeps a constant unit at the minimum whole, open ends
+  // included, so the sweep decides it alone.
+  MovingPoint s = MP({U(TI(0, 10, false, false), Point(3, 4), Point(3, 4))});
+  MovingPoint o = MP({U(TI(0, 10), Point(0, 0), Point(0, 0))});
+  EverWithinStats stats;
+  EXPECT_TRUE(EverWithin(s, o, 6, &stats));
+  EXPECT_FALSE(EverWithin(s, o, 4, &stats));
+  EXPECT_EQ(stats.fallbacks, 0u);
+  ExpectAgree(s, o, "constant open unit");
+}
+
+TEST(EverWithinTest, EdgeThresholds) {
+  MovingPoint a = MP({U(TI(0, 10), Point(0, 0), Point(10, 0))});
+  MovingPoint b = MP({U(TI(0, 10), Point(10, 30), Point(0, 30))});
+  for (double d : {-50.0, 0.0, -0.0, kNaN, -kInf}) {
+    EXPECT_FALSE(EverWithin(a, b, d)) << d;
+  }
+  for (double d : {kInf, 1e300, std::numeric_limits<double>::max()}) {
+    EXPECT_TRUE(EverWithin(a, b, d)) << d;
+  }
+  ExpectAgree(a, b, "edge thresholds");
+}
+
+// -- generated pairs -----------------------------------------------------------
+
+// A trail on a coarse time grid (so the two trails share endpoints),
+// with random open/closed ends, single-instant units, gaps, jumps and
+// stops. Each unit starts where the previous one ended unless it jumps.
+MovingPoint IrregularTrail(std::mt19937_64& rng, int units, double extent) {
+  std::uniform_int_distribution<int> step(1, 3);
+  std::uniform_real_distribution<double> coord(0, extent);
+  std::uniform_real_distribution<double> move(-extent / 8, extent / 8);
+  std::uniform_real_distribution<double> unit01(0, 1);
+  MappingBuilder<UPoint> out;
+  double t = std::uniform_int_distribution<int>(0, 4)(rng);
+  bool prev_rc = false;
+  Point pos(coord(rng), coord(rng));
+  for (int k = 0; k < units; ++k) {
+    const double r = unit01(rng);
+    if (r < 0.1) {
+      t += step(rng);  // gap
+      prev_rc = false;
+    }
+    const bool instant = unit01(rng) < 0.1;
+    // A unit may start closed only if the previous one ended open here.
+    const bool lc = !prev_rc && unit01(rng) < 0.7;
+    if (instant && !lc) {
+      t += 1;
+      prev_rc = false;
+    }
+    const double end = instant ? t : t + step(rng);
+    const bool rc = instant || unit01(rng) < 0.3;
+    if (unit01(rng) < 0.15) pos = Point(coord(rng), coord(rng));  // jump
+    Point next = pos;
+    if (!instant && unit01(rng) > 0.2) {
+      next = Point(pos.x + move(rng), pos.y + move(rng));
+    }
+    Result<TimeInterval> iv = TimeInterval::Make(t, end, instant || lc, rc);
+    if (!iv.ok()) break;
+    // The builder merges a stop that repeats the previous one.
+    if (!out.Append(*UPoint::FromEndpoints(*iv, pos, next)).ok()) break;
+    pos = next;
+    t = end;
+    prev_rc = rc;
+  }
+  Result<MovingPoint> mp = out.Build();
+  return mp.ok() ? *mp : MovingPoint();
+}
+
+TEST(EverWithinDifferential, IrregularTrailPairs) {
+  std::mt19937_64 rng(20240517);
+  int pairs = 0;
+  for (int n = 0; n < 400; ++n) {
+    const double extent = n % 2 ? 20 : 200;
+    MovingPoint a = IrregularTrail(rng, 1 + n % 12, extent);
+    MovingPoint b = IrregularTrail(rng, 1 + (n / 3) % 12, extent);
+    if (a.IsEmpty() || b.IsEmpty()) continue;
+    ++pairs;
+    ASSERT_EQ(ExpectAgree(a, b, "irregular pair"), 0) << "pair " << n;
+  }
+  EXPECT_GT(pairs, 300);
+}
+
+TEST(EverWithinDifferential, FleetLikeTrails) {
+  std::mt19937_64 rng(11);
+  TrajectoryOptions opts;
+  opts.num_units = 1250;
+  opts.stop_probability = 0.05;
+  opts.extent = 500;
+  for (int n = 0; n < 6; ++n) {
+    MovingPoint a = *RandomWalkPoint(rng, opts);
+    MovingPoint b = *RandomWalkPoint(rng, opts);
+    ASSERT_EQ(ExpectAgree(a, b, "fleet pair"), 0) << "pair " << n;
+  }
+}
+
+TEST(EverWithinDifferential, PlanesPairs) {
+  FlightsOptions opts;
+  opts.num_flights = 48;
+  opts.seed = 99;
+  Relation planes = *GeneratePlanes(opts);
+  EverWithinStats stats;
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i < planes.NumTuples(); ++i) {
+    const auto& a = std::get<MovingPoint>(planes.tuple(i)[kFlightAttrFlight]);
+    for (std::size_t j = i + 1; j < planes.NumTuples(); ++j) {
+      const auto& b =
+          std::get<MovingPoint>(planes.tuple(j)[kFlightAttrFlight]);
+      for (double d : {1.0, 50.0, 400.0, 2000.0}) {
+        ASSERT_EQ(EverWithin(a, b, d, &stats), Composed(a, b, d))
+            << i << "," << j << " d=" << d;
+        ++pairs;
+      }
+    }
+  }
+#ifdef MODB_NO_METRICS
+  EXPECT_EQ(stats.intervals, 0u);
+  EXPECT_EQ(stats.fallbacks, 0u);
+#else
+  EXPECT_GT(stats.intervals, pairs);
+  // Contiguous straight flights leave nothing too close to call.
+  EXPECT_LT(stats.fallbacks * 100, pairs);
+#endif
+}
+
+TEST(ForEachCommonIntervalTest, MatchesRefinementPartition) {
+  std::mt19937_64 rng(5);
+  for (int n = 0; n < 300; ++n) {
+    MovingPoint a = IrregularTrail(rng, 1 + n % 9, 50);
+    MovingPoint b = IrregularTrail(rng, 1 + n % 7, 50);
+    std::vector<RefinementEntry> want;
+    for (const RefinementEntry& e : RefinementPartition(a, b)) {
+      if (e.HasBoth()) want.push_back(e);
+    }
+    std::size_t k = 0;
+    ForEachCommonInterval(
+        a, b, [&](const TimeInterval& iv, std::size_t i, std::size_t j) {
+          ASSERT_LT(k, want.size());
+          EXPECT_EQ(iv, want[k].interval);
+          EXPECT_EQ(i, std::size_t(want[k].unit_a));
+          EXPECT_EQ(j, std::size_t(want[k].unit_b));
+          ++k;
+        });
+    EXPECT_EQ(k, want.size());
+  }
+}
+
+#ifdef MODB_COUNT_ALLOCATIONS
+TEST(EverWithinTest, SweepAllocatesNothing) {
+  std::mt19937_64 rng(9);
+  TrajectoryOptions opts;
+  opts.num_units = 1250;
+  MovingPoint a = *RandomWalkPoint(rng, opts);
+  MovingPoint b = *RandomWalkPoint(rng, opts);
+  EverWithinStats stats;
+  const long before = g_allocations.load();
+  bool any = false;
+  for (double d : {1.0, 50.0, 400.0, kInf}) any |= EverWithin(a, b, d, &stats);
+  const long after = g_allocations.load();
+  ASSERT_EQ(stats.fallbacks, 0u);
+  EXPECT_EQ(after - before, 0);
+  EXPECT_TRUE(any);
+}
+#endif
+
+}  // namespace
+}  // namespace modb
