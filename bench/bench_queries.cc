@@ -63,26 +63,27 @@ BENCHMARK(BM_Q1_TrajectoryLength)->RangeMultiplier(2)->Range(16, 256)
 
 // The Q2 predicate modbd runs: the fused EverWithin sweep.
 bool ClosePred(const Tuple& a, std::size_t i, const Tuple& b, std::size_t j,
-               double dist, EverWithinStats* stats) {
+               int attr, double dist, EverWithinStats* stats) {
   if (i >= j) return false;
-  return EverWithin(std::get<MovingPoint>(a[kFlightAttrFlight]),
-                    std::get<MovingPoint>(b[kFlightAttrFlight]), dist, stats);
+  return EverWithin(std::get<MovingPoint>(a[std::size_t(attr)]),
+                    std::get<MovingPoint>(b[std::size_t(attr)]), dist, stats);
 }
 
-// The Q2 self-join of `planes` at distance 50.
-exec::LogicalQuery Q2(const Relation& planes, JoinAlgorithm algorithm,
-                      const RTree3D* prebuilt = nullptr) {
+// The Q2 self-join of `rel` on its moving point `attr` at distance 50.
+exec::LogicalQuery Q2(const Relation& rel, JoinAlgorithm algorithm,
+                      const RTree3D* prebuilt = nullptr,
+                      int attr = kFlightAttrFlight) {
   exec::LogicalQuery q;
-  q.rel = &planes;
+  q.rel = &rel;
   q.join.emplace();
   q.join->algorithm = algorithm;
-  q.join->inner = &planes;
-  q.join->attr_outer = kFlightAttrFlight;
-  q.join->attr_inner = kFlightAttrFlight;
+  q.join->inner = &rel;
+  q.join->attr_outer = attr;
+  q.join->attr_inner = attr;
   q.join->expand = 50;
-  q.join->pred = [](const Tuple& a, std::size_t i, const Tuple& b,
-                    std::size_t j, EverWithinStats* stats) {
-    return ClosePred(a, i, b, j, 50, stats);
+  q.join->pred = [attr](const Tuple& a, std::size_t i, const Tuple& b,
+                        std::size_t j, EverWithinStats* stats) {
+    return ClosePred(a, i, b, j, attr, 50, stats);
   };
   q.join->prebuilt = prebuilt;
   return q;
@@ -116,6 +117,35 @@ void BM_Q2_Join_RTree_Prebuilt(benchmark::State& state) {
 }
 BENCHMARK(BM_Q2_Join_RTree_Prebuilt)->RangeMultiplier(2)->Range(16, 256)
     ->Complexity();
+
+// The fleet workload's relation: eight yard tractors, random walks of
+// `units` 10 s units at up to 15 m/s on a 2 km site, so every pair
+// passes within 50 m many times.
+constexpr int kTrailAttr = 1;
+
+Relation FleetTrails(int units) {
+  std::mt19937_64 rng(5);
+  TrajectoryOptions opts;
+  opts.num_units = units;
+  opts.unit_duration = 10;
+  opts.extent = 2000;
+  opts.max_step = 150;
+  Relation rel("fleet", Schema({{"id", AttributeType::kInt},
+                                {"trail", AttributeType::kMovingPoint}}));
+  for (int i = 0; i < 8; ++i) {
+    (void)rel.Insert({IntValue(i), *RandomWalkPoint(rng, opts)});
+  }
+  return rel;
+}
+
+// The fleet's Q2 over a prebuilt tree: a probe that finds every other
+// tractor within a few units of each trail, then 28 refinements.
+void BM_IndexJoinProbe_FleetTrails(benchmark::State& state) {
+  const Relation fleet = FleetTrails(int(state.range(0)));
+  RTree3D index = *exec::BuildMovingPointIndex(fleet, kTrailAttr);
+  RunQueryLoop(state, Q2(fleet, JoinAlgorithm::kIndex, &index, kTrailAttr));
+}
+BENCHMARK(BM_IndexJoinProbe_FleetTrails)->Arg(4600);
 
 // The join predicate in isolation, composed as the paper writes it:
 // distance + atmin + initial. The reference EverWithin must agree with.
@@ -184,7 +214,8 @@ BENCHMARK(BM_Q2_EverWithinOnly_Trails)->Arg(1250);
 // The reply codec: a result encoded into a reply payload (what modbd
 // does per query) and decoded back into a QueryResult (what its client
 // does), on the atinstant xy block of 1024 flights x 49 half-hourly
-// instants and on the rows of the 256-flight Q2 join.
+// instants, on the rows of the 256-flight Q2 join and on the fleet
+// join's rows of whole trails.
 QueryResult RunOnPlanes(int flights, const QueryRequest& req) {
   Db db;
   (void)db.Register(Planes(flights));
@@ -215,6 +246,25 @@ const QueryResult& JoinRows() {
     req.distance = 50;
     req.distinct_pairs = true;
     return RunOnPlanes(256, req);
+  }();
+  return result;
+}
+
+// The fleet join's reply: both 4600-unit trails of every pair.
+const QueryResult& FleetJoinRows() {
+  static const QueryResult result = [] {
+    Db db;
+    (void)db.Register(FleetTrails(4600));
+    (void)db.BuildIndex("fleet", "trail");
+    QueryRequest req;
+    req.kind = QueryRequest::Kind::kIndexJoin;
+    req.relation = "fleet";
+    req.join_relation = "fleet";
+    req.attr = "trail";
+    req.join_attr = "trail";
+    req.distance = 50;
+    req.distinct_pairs = true;
+    return *db.Run(req);
   }();
   return result;
 }
@@ -260,6 +310,11 @@ void BM_DecodeReply_JoinRows(benchmark::State& state) {
   DecodeReplyLoop(state, JoinRows());
 }
 BENCHMARK(BM_DecodeReply_JoinRows);
+
+void BM_DecodeReply_FleetJoinRows(benchmark::State& state) {
+  DecodeReplyLoop(state, FleetJoinRows());
+}
+BENCHMARK(BM_DecodeReply_FleetJoinRows);
 
 }  // namespace
 }  // namespace modb

@@ -11,48 +11,8 @@ namespace {
 
 constexpr uint32_t kRelationMagic = 0x4d4f4452;  // "MODR".
 
-Result<FlatValue> AttributeToFlat(const AttributeValue& value) {
-  switch (TypeOf(value)) {
-    case AttributeType::kInt:
-      return ToFlat(std::get<IntValue>(value));
-    case AttributeType::kReal:
-      return ToFlat(std::get<RealValue>(value));
-    case AttributeType::kBool:
-      return ToFlat(std::get<BoolValue>(value));
-    case AttributeType::kString:
-      return ToFlat(std::get<StringValue>(value));
-    case AttributeType::kPoint:
-      return ToFlat(std::get<Point>(value));
-    case AttributeType::kPoints:
-      return ToFlat(std::get<Points>(value));
-    case AttributeType::kLine:
-      return ToFlat(std::get<Line>(value));
-    case AttributeType::kRegion:
-      return ToFlat(std::get<Region>(value));
-    case AttributeType::kPeriods:
-      return ToFlat(std::get<Periods>(value));
-    case AttributeType::kMovingBool:
-      return ToFlat(std::get<MovingBool>(value));
-    case AttributeType::kMovingInt:
-      return ToFlat(std::get<MovingInt>(value));
-    case AttributeType::kMovingString:
-      return ToFlat(std::get<MovingString>(value));
-    case AttributeType::kMovingReal:
-      return ToFlat(std::get<MovingReal>(value));
-    case AttributeType::kMovingPoint:
-      return ToFlat(std::get<MovingPoint>(value));
-    case AttributeType::kMovingPoints:
-      return ToFlat(std::get<MovingPoints>(value));
-    case AttributeType::kMovingLine:
-      return ToFlat(std::get<MovingLine>(value));
-    case AttributeType::kMovingRegion:
-      return ToFlat(std::get<MovingRegion>(value));
-  }
-  return Status::Internal("unknown attribute type");
-}
-
 Result<AttributeValue> AttributeFromFlat(AttributeType type,
-                                         const FlatValue& flat) {
+                                         const FlatView& flat) {
   auto wrap = [](auto result) -> Result<AttributeValue> {
     if (!result.ok()) return result.status();
     return AttributeValue(std::move(*result));
@@ -99,11 +59,24 @@ Result<AttributeValue> AttributeFromFlat(AttributeType type,
 }  // namespace
 
 Status SerializeAttribute(const AttributeValue& value, std::string* out) {
-  Result<FlatValue> flat = AttributeToFlat(value);
-  if (!flat.ok()) return flat.status();
+  const std::size_t at = out->size();
   out->push_back(char(TypeOf(value)));
-  SerializeFlat(*flat, out);
-  return Status::OK();
+  Status s = std::visit(
+      [out](const auto& v) -> Status {
+        // Strings and fixed-size-unit mappings are written in place;
+        // the other types go through their FlatValue.
+        if constexpr (requires { AppendFlat(v, out); }) {
+          return AppendFlat(v, out);
+        } else {
+          Result<FlatValue> flat = ToFlat(v);
+          if (!flat.ok()) return flat.status();
+          SerializeFlat(*flat, out);
+          return Status::OK();
+        }
+      },
+      value);
+  if (!s.ok()) out->resize(at);
+  return s;
 }
 
 Result<std::string> SerializeAttribute(const AttributeValue& value) {
@@ -132,7 +105,7 @@ Result<AttributeValue> DeserializeAttribute(std::string_view blob) {
   if (tag > uint8_t(AttributeType::kMovingRegion)) {
     return Status::InvalidArgument("bad attribute type tag");
   }
-  Result<FlatValue> flat = ParseFlat(blob.substr(1));
+  Result<FlatView> flat = ParseFlat(blob.substr(1));
   if (!flat.ok()) return flat.status();
   return AttributeFromFlat(AttributeType(tag), *flat);
 }

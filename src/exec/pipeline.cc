@@ -46,12 +46,22 @@ struct MorselOutput {
   std::vector<const MovingPoint*> points;
 };
 
+// The index-join probe's per-worker candidate set. seen[j] == stamp
+// marks inner row j as already a candidate of the outer row being
+// probed, so each id is kept once however many of its units hit; the
+// stamp advances per outer row, so the array is never cleared.
+struct ProbeScratch {
+  std::vector<int64_t> candidates;
+  std::vector<std::uint64_t> seen;  // sized to the inner relation
+  std::uint64_t stamp = 0;
+};
+
 // Worker-private buffers reused across the morsels a worker claims; a
 // warm worker allocates nothing per morsel.
 struct WorkerState {
   std::vector<std::size_t> rows;  // surviving source row ids
   std::vector<Tuple> mat;         // materialized tuples (spilled scan)
-  std::vector<int64_t> candidates;  // index-probe candidate ids
+  ProbeScratch probe;
   BatchScratch batch;
   BatchXYOutput xy;
   std::vector<std::uint8_t> present;
@@ -178,16 +188,32 @@ Status DriveMorsels(
 }
 
 // Joined tuples for one surviving outer row of the index-join probe,
-// appended in ascending candidate order.
+// appended in ascending candidate order. Candidates are deduplicated as
+// they arrive, and the probe stops at the first unit that finds every
+// inner row already a candidate: no later unit could add one.
 void ProbeIndexJoinRow(const Tuple& outer, std::size_t outer_row,
                        const JoinProbeOp& op, const IndexLayersView& view,
                        std::vector<Tuple>* out, StageCounters* s,
-                       std::vector<int64_t>* candidates) {
+                       ProbeScratch* scratch) {
   const Relation& b = *op.inner;
   const auto& mp = std::get<MovingPoint>(outer[std::size_t(op.attr_outer)]);
+  const std::size_t inner_rows = b.NumTuples();
+  if (scratch->seen.size() != inner_rows) scratch->seen.assign(inner_rows, 0);
+  const std::uint64_t stamp = ++scratch->stamp;
+  std::vector<int64_t>* candidates = &scratch->candidates;
   candidates->clear();
+  auto collect = [scratch, candidates, stamp](int64_t id) {
+    std::uint64_t& seen = scratch->seen[std::size_t(id)];
+    if (seen == stamp) return;
+    seen = stamp;
+    candidates->push_back(id);
+  };
+  RTree3D::QueryCounters counters;
   const Cube& bounds = view.Bounds();
+  std::size_t probed = 0;
   for (const UPoint& u : mp.units()) {
+    if (candidates->size() == inner_rows) break;
+    ++probed;
     Cube c = u.BoundingCube();
     c.rect.min_x -= op.expand;
     c.rect.min_y -= op.expand;
@@ -196,12 +222,11 @@ void ProbeIndexJoinRow(const Tuple& outer, std::size_t outer_row,
     // Bbox prefilter: a probe cube disjoint from every layer cannot
     // produce candidates; skip the descent outright.
     if (!Cube::Intersect(c, bounds)) continue;
-    view.QueryVisit(c, [candidates](int64_t id) { candidates->push_back(id); });
+    view.QueryVisit(c, collect, &counters);
   }
+  counters.Flush();
   std::sort(candidates->begin(), candidates->end());
-  candidates->erase(std::unique(candidates->begin(), candidates->end()),
-                    candidates->end());
-  s->units_scanned += mp.units().size();
+  s->units_scanned += probed;
   s->index_candidates += candidates->size();
   for (int64_t j : *candidates) {
     ++s->predicate_evals;
@@ -350,7 +375,7 @@ Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
     for (std::size_t k = 0; k < survivors; ++k) {
       if (pipe.join->kind == JoinProbeOp::Kind::kIndex) {
         ProbeIndexJoinRow(tuple_at(k), w->rows[k], *pipe.join, view,
-                          &out->tuples, &term, &w->candidates);
+                          &out->tuples, &term, &w->probe);
       } else {
         ProbeNestedLoopRow(tuple_at(k), w->rows[k], *pipe.join, &out->tuples,
                            &term);

@@ -10,13 +10,14 @@
 //          (bounded by objects x seal threshold, so a scan beats a tree)
 //
 // Correctness rests on a set-union argument, not on tree shape: the
-// index-join probe collects candidate ids across layers, then sorts and
-// deduplicates them (exec/pipeline.cc) before evaluating the exact
-// predicate in ascending id order. Two indexes over the same entry set
-// therefore produce byte-identical join output no matter how the
-// entries are partitioned into layers — which is why a bulk-built
-// single tree and an incrementally grown base+delta+mem stack are
-// interchangeable, the property the differential tests pin down.
+// index-join probe collects candidate ids across layers, deduplicating
+// them as they arrive, and sorts them (exec/pipeline.cc) before
+// evaluating the exact predicate in ascending id order. Two indexes
+// over the same entry set therefore produce byte-identical join output
+// no matter how the entries are partitioned into layers — which is why
+// a bulk-built single tree and an incrementally grown base+delta+mem
+// stack are interchangeable, the property the differential tests pin
+// down.
 //
 // Concurrency: a snapshot is mutated only under the owning Db's writer
 // lock; queries run under the reader lock and see a frozen layer stack.
@@ -76,6 +77,22 @@ struct IndexLayersView {
   void QueryVisit(const Cube& query, Fn&& fn) const {
     if (base != nullptr) base->QueryVisit(query, fn);
     if (delta != nullptr) delta->QueryVisit(query, fn);
+    VisitMem(query, fn);
+  }
+
+  /// QueryVisit that adds the trees' traversal work to `*counters`
+  /// instead of flushing it per layer and query; the caller flushes.
+  template <typename Fn>
+  void QueryVisit(const Cube& query, Fn&& fn,
+                  RTree3D::QueryCounters* counters) const {
+    if (base != nullptr) base->QueryVisit(query, fn, counters);
+    if (delta != nullptr) delta->QueryVisit(query, fn, counters);
+    VisitMem(query, fn);
+  }
+
+ private:
+  template <typename Fn>
+  void VisitMem(const Cube& query, Fn& fn) const {
     for (std::size_t i = 0; i < mem_count; ++i) {
       if (Cube::Intersect(mem[i].cube, query)) fn(mem[i].id);
     }

@@ -136,7 +136,7 @@ MaskFn ActiveMaskFn() {
 
 #ifndef MODB_NO_METRICS
 void RTree3D::QueryCounters::Flush() const {
-  MODB_COUNTER_INC("index.rtree3d.queries");
+  MODB_COUNTER_ADD("index.rtree3d.queries", queries);
   MODB_COUNTER_ADD("index.rtree3d.node_visits", node_visits);
   MODB_COUNTER_ADD("index.rtree3d.leaf_entry_tests", leaf_entry_tests);
   MODB_COUNTER_ADD("index.rtree3d.leaf_hits", leaf_hits);

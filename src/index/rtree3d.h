@@ -74,6 +74,23 @@ class RTree3D {
   /// ids, reusing its capacity. Zero allocations after warmup.
   void Query(const Cube& query, std::vector<int64_t>* out) const;
 
+  /// Traversal tallies of one or more queries; Flush (rtree3d.cc) adds
+  /// them to the "index.rtree3d.*" counters and is empty under
+  /// MODB_NO_METRICS.
+  struct QueryCounters {
+    std::uint64_t queries = 0;
+    std::uint64_t node_visits = 0;
+    std::uint64_t leaf_entry_tests = 0;
+    std::uint64_t leaf_hits = 0;
+#ifdef MODB_NO_METRICS
+    // Inline no-op so the local tallies above are provably dead and the
+    // compiler strips the increments from the traversal.
+    void Flush() const {}
+#else
+    void Flush() const;  // rtree3d.cc
+#endif
+  };
+
   /// Visits intersecting entries without materializing the id vector.
   /// Traversal work (node visits, leaf entry tests/hits) is accumulated
   /// in locals and flushed to the obs metrics registry once per query —
@@ -81,6 +98,17 @@ class RTree3D {
   template <typename Fn>
   void QueryVisit(const Cube& query, Fn&& fn) const {
     QueryCounters counters;
+    QueryVisit(query, fn, &counters);
+    counters.Flush();
+  }
+
+  /// QueryVisit that adds its traversal work to `*counters` instead of
+  /// flushing it, so a caller issuing many queries flushes once.
+  template <typename Fn>
+  void QueryVisit(const Cube& query, Fn&& fn, QueryCounters* counters) const {
+    // Tallied in locals (the visitor could alias *counters) and added
+    // once at the end.
+    std::uint64_t node_visits = 0, leaf_entry_tests = 0, leaf_hits = 0;
     if (!leaf_.empty() && Cube::Intersect(bounds_, query)) {
       const rtree_internal::MaskFn mask_fn = rtree_internal::ActiveMaskFn();
       const rtree_internal::Planes planes{min_x_.data(), min_y_.data(),
@@ -93,12 +121,12 @@ class RTree3D {
       stack[sp++] = 0;
       while (sp > 0) {
         const std::int32_t n = stack[--sp];
-        ++counters.node_visits;
+        ++node_visits;
         const std::size_t base = std::size_t(n) * std::size_t(stride_);
         std::uint32_t mask = mask_fn(planes, base, stride_, query);
         if (leaf_[std::size_t(n)]) {
-          counters.leaf_entry_tests += count_[std::size_t(n)];
-          counters.leaf_hits += std::uint32_t(std::popcount(mask));
+          leaf_entry_tests += count_[std::size_t(n)];
+          leaf_hits += std::uint32_t(std::popcount(mask));
           while (mask != 0) {
             const int s = std::countr_zero(mask);
             mask &= mask - 1;
@@ -115,7 +143,10 @@ class RTree3D {
         }
       }
     }
-    counters.Flush();
+    ++counters->queries;
+    counters->node_visits += node_visits;
+    counters->leaf_entry_tests += leaf_entry_tests;
+    counters->leaf_hits += leaf_hits;
   }
 
   /// Bounding cube of the whole tree (empty cube when no entries). Lets
@@ -133,21 +164,6 @@ class RTree3D {
   // With fanout >= 2 every level at least halves the node count, so
   // int32 node indices bound the height well under 32.
   static constexpr int kMaxHeight = 32;
-
-  // Per-query traversal tallies; Flush (rtree3d.cc) adds them to the
-  // "index.rtree3d.*" counters and is empty under MODB_NO_METRICS.
-  struct QueryCounters {
-    std::uint64_t node_visits = 0;
-    std::uint64_t leaf_entry_tests = 0;
-    std::uint64_t leaf_hits = 0;
-#ifdef MODB_NO_METRICS
-    // Inline no-op so the local tallies above are provably dead and the
-    // compiler strips the increments from the traversal.
-    void Flush() const {}
-#else
-    void Flush() const;  // rtree3d.cc
-#endif
-  };
 
   // Level-ordered flat arrays. Node i owns child slots
   // [i * stride_, (i + 1) * stride_); the root is node 0 and every

@@ -53,8 +53,10 @@ struct ExecStats {
   /// index was reused — the rebuild-per-call antipattern shows up here).
   std::uint64_t index_builds = 0;
 
-  /// Moving-object units touched while probing/evaluating (e.g. units
-  /// whose bounding cubes were used as index query windows).
+  /// Moving-object units touched while probing/evaluating: for the
+  /// index join, the outer units actually probed. The probe of an outer
+  /// row stops once every inner row is a candidate, so this can be less
+  /// than the outer relation's unit total.
   std::uint64_t units_scanned = 0;
 
   /// Workers the operator ran on (1 = serial inline).

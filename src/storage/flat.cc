@@ -11,6 +11,15 @@ constexpr uint32_t kMagic = 0x4d4f4442;  // "MODB"
 // A blob's header: magic, root size, array count.
 constexpr std::size_t kBlobHeaderBytes = 3 * sizeof(uint32_t);
 
+// Appends the blob header of a value with `root_bytes` of root record
+// and `num_arrays` database arrays.
+void AppendBlobHeader(std::size_t root_bytes, std::size_t num_arrays,
+                      std::string* out) {
+  const uint32_t header[3] = {kMagic, uint32_t(root_bytes),
+                              uint32_t(num_arrays)};
+  out->append(reinterpret_cast<const char*>(header), sizeof header);
+}
+
 // -- shared record helpers ---------------------------------------------------
 
 // The interval and motion helpers serve both the appending ByteWriter /
@@ -103,15 +112,20 @@ FlatValue BaseToFlat(const BaseValue<T>& v, PutFn put) {
   return FlatValue{w.Take(), {}};
 }
 
-// A corrupted count field must not drive a huge allocation before the
-// per-record short-read checks get a chance to fire: every record
-// consumes at least `min_record_bytes` of the backing array, so any
-// count beyond remaining/min_record_bytes is corruption — reject it up
-// front instead of reserving for it.
-Status CheckCount(uint32_t n, std::size_t remaining,
-                  std::size_t min_record_bytes) {
-  if (std::size_t(n) > remaining / min_record_bytes) {
+// A count-driven database array holds exactly `n` records of
+// `record_bytes` each. A corrupted count must not drive a huge
+// allocation, so a count beyond the array is rejected before anything
+// is reserved for it; bytes left after the n-th record are corruption
+// too.
+Status CheckArrayCount(uint32_t n, std::size_t array_bytes,
+                       std::size_t record_bytes) {
+  if (std::size_t(n) > array_bytes / record_bytes) {
     return Status::InvalidArgument("count field exceeds its database array");
+  }
+  if (std::size_t(n) * record_bytes != array_bytes) {
+    return Status::InvalidArgument(
+        "database array has trailing bytes after its " + std::to_string(n) +
+        " records");
   }
   return Status::OK();
 }
@@ -130,9 +144,7 @@ constexpr std::size_t kSubarrayRefBytes = 8; // offset u32 + count u32
 // -- blob packing ------------------------------------------------------------
 
 void SerializeFlat(const FlatValue& value, std::string* out) {
-  const uint32_t header[3] = {kMagic, uint32_t(value.root.size()),
-                              uint32_t(value.arrays.size())};
-  out->append(reinterpret_cast<const char*>(header), sizeof header);
+  AppendBlobHeader(value.root.size(), value.arrays.size(), out);
   out->append(value.root);
   for (const std::string& a : value.arrays) {
     const uint32_t n = uint32_t(a.size());
@@ -153,21 +165,21 @@ std::size_t SerializedFlatSize(const FlatValue& value) {
          value.arrays.size() * sizeof(uint32_t);
 }
 
-Result<FlatValue> ParseFlat(std::string_view blob) {
+Result<FlatView> ParseFlat(std::string_view blob) {
   ByteReader r(blob);
   uint32_t magic, root_size, num_arrays;
   MODB_RETURN_IF_ERROR(r.GetU32(&magic));
   if (magic != kMagic) return Status::InvalidArgument("bad magic");
   MODB_RETURN_IF_ERROR(r.GetU32(&root_size));
   MODB_RETURN_IF_ERROR(r.GetU32(&num_arrays));
-  FlatValue out;
-  MODB_RETURN_IF_ERROR(r.GetBytes(root_size, &out.root));
+  FlatView out;
+  MODB_RETURN_IF_ERROR(r.GetView(root_size, &out.root));
   for (uint32_t i = 0; i < num_arrays; ++i) {
     uint32_t n;
     MODB_RETURN_IF_ERROR(r.GetU32(&n));
-    std::string a;
-    MODB_RETURN_IF_ERROR(r.GetBytes(n, &a));
-    out.arrays.push_back(std::move(a));
+    std::string_view a;
+    MODB_RETURN_IF_ERROR(r.GetView(n, &a));
+    out.arrays.push_back(a);
   }
   if (!r.AtEnd()) return Status::InvalidArgument("trailing bytes");
   return out;
@@ -181,7 +193,7 @@ FlatValue ToFlat(const IntValue& v) {
   });
 }
 
-Result<IntValue> IntFromFlat(const FlatValue& f) {
+Result<IntValue> IntFromFlat(const FlatView& f) {
   ByteReader r(f.root);
   uint8_t defined;
   int64_t value;
@@ -196,7 +208,7 @@ FlatValue ToFlat(const RealValue& v) {
   });
 }
 
-Result<RealValue> RealFromFlat(const FlatValue& f) {
+Result<RealValue> RealFromFlat(const FlatView& f) {
   ByteReader r(f.root);
   uint8_t defined;
   double value;
@@ -211,7 +223,7 @@ FlatValue ToFlat(const BoolValue& v) {
   });
 }
 
-Result<BoolValue> BoolFromFlat(const FlatValue& f) {
+Result<BoolValue> BoolFromFlat(const FlatView& f) {
   ByteReader r(f.root);
   uint8_t defined, value;
   MODB_RETURN_IF_ERROR(r.GetU8(&defined));
@@ -219,26 +231,49 @@ Result<BoolValue> BoolFromFlat(const FlatValue& f) {
   return defined ? BoolValue(value != 0) : BoolValue::Undefined();
 }
 
-Result<FlatValue> ToFlat(const StringValue& v) {
+namespace {
+
+constexpr std::size_t kStringRootBytes = 2 + kMaxStringLength;
+
+Status CheckFlatString(const StringValue& v) {
   if (v.defined() && !FitsFlatString(v.value())) {
     return Status::InvalidArgument("string exceeds fixed attribute length");
   }
-  // Root: defined u8, length u8, the characters padded with NULs to the
-  // fixed kMaxStringLength.
-  std::string root(2 + kMaxStringLength, '\0');
-  if (v.defined()) {
-    root[0] = 1;
-    root[1] = char(uint8_t(v.value().size()));
-    v.value().copy(root.data() + 2, v.value().size());
-  }
+  return Status::OK();
+}
+
+// Root: defined u8, length u8, the characters padded to the fixed
+// kMaxStringLength. `root` holds kStringRootBytes NULs on entry.
+void WriteStringRoot(const StringValue& v, char* root) {
+  if (!v.defined()) return;
+  root[0] = 1;
+  root[1] = char(uint8_t(v.value().size()));
+  v.value().copy(root + 2, v.value().size());
+}
+
+}  // namespace
+
+Result<FlatValue> ToFlat(const StringValue& v) {
+  MODB_RETURN_IF_ERROR(CheckFlatString(v));
+  std::string root(kStringRootBytes, '\0');
+  WriteStringRoot(v, root.data());
   return FlatValue{std::move(root), {}};
 }
 
-std::size_t SerializedFlatSize(const StringValue&) {
-  return kBlobHeaderBytes + 2 + kMaxStringLength;
+Status AppendFlat(const StringValue& v, std::string* out) {
+  MODB_RETURN_IF_ERROR(CheckFlatString(v));
+  AppendBlobHeader(kStringRootBytes, 0, out);
+  const std::size_t at = out->size();
+  out->resize(at + kStringRootBytes);
+  WriteStringRoot(v, out->data() + at);
+  return Status::OK();
 }
 
-Result<StringValue> StringFromFlat(const FlatValue& f) {
+std::size_t SerializedFlatSize(const StringValue&) {
+  return kBlobHeaderBytes + kStringRootBytes;
+}
+
+Result<StringValue> StringFromFlat(const FlatView& f) {
   ByteReader r(f.root);
   uint8_t defined, len;
   MODB_RETURN_IF_ERROR(r.GetU8(&defined));
@@ -259,7 +294,7 @@ FlatValue ToFlat(const Point& p) {
   return FlatValue{w.Take(), {}};
 }
 
-Result<Point> PointFromFlat(const FlatValue& f) {
+Result<Point> PointFromFlat(const FlatView& f) {
   ByteReader r(f.root);
   Point p;
   MODB_RETURN_IF_ERROR(r.GetF64(&p.x));
@@ -279,12 +314,12 @@ FlatValue ToFlat(const Points& ps) {
   return FlatValue{root.Take(), {arr.Take()}};
 }
 
-Result<Points> PointsFromFlat(const FlatValue& f) {
+Result<Points> PointsFromFlat(const FlatView& f) {
   if (f.arrays.size() != 1) return Status::InvalidArgument("points arity");
   ByteReader root(f.root);
   uint32_t n;
   MODB_RETURN_IF_ERROR(root.GetU32(&n));
-  MODB_RETURN_IF_ERROR(CheckCount(n, f.arrays[0].size(), kPointBytes));
+  MODB_RETURN_IF_ERROR(CheckArrayCount(n, f.arrays[0].size(), kPointBytes));
   ByteReader arr(f.arrays[0]);
   std::vector<Point> pts(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -308,12 +343,14 @@ FlatValue ToFlat(const Line& l) {
   return FlatValue{root.Take(), {arr.Take()}};
 }
 
-Result<Line> LineFromFlat(const FlatValue& f) {
+Result<Line> LineFromFlat(const FlatView& f) {
   if (f.arrays.size() != 1) return Status::InvalidArgument("line arity");
   ByteReader root(f.root);
   uint32_t n;
   MODB_RETURN_IF_ERROR(root.GetU32(&n));
-  MODB_RETURN_IF_ERROR(CheckCount(n, f.arrays[0].size() / 2, kLineHsBytes));
+  // Two halfsegments per segment.
+  MODB_RETURN_IF_ERROR(
+      CheckArrayCount(n, f.arrays[0].size(), 2 * kLineHsBytes));
   ByteReader arr(f.arrays[0]);
   std::vector<Seg> segs;
   segs.reserve(n);
@@ -360,7 +397,7 @@ FlatValue ToFlat(const Region& reg) {
   return FlatValue{root.Take(), {hs.Take(), cy.Take(), fa.Take()}};
 }
 
-Result<Region> RegionFromFlat(const FlatValue& f) {
+Result<Region> RegionFromFlat(const FlatView& f) {
   if (f.arrays.size() != 3) return Status::InvalidArgument("region arity");
   ByteReader root(f.root);
   uint32_t n_hs, n_cy, n_fa;
@@ -372,10 +409,13 @@ Result<Region> RegionFromFlat(const FlatValue& f) {
   MODB_RETURN_IF_ERROR(root.GetF64(&area));
   MODB_RETURN_IF_ERROR(root.GetF64(&perimeter));
   MODB_RETURN_IF_ERROR(GetRect(&root, &bbox));
+  MODB_RETURN_IF_ERROR(
+      CheckArrayCount(n_hs, f.arrays[0].size(), kRegionHsBytes));
+  MODB_RETURN_IF_ERROR(
+      CheckArrayCount(n_cy, f.arrays[1].size(), kCycleRecBytes));
+  MODB_RETURN_IF_ERROR(
+      CheckArrayCount(n_fa, f.arrays[2].size(), kFaceRecBytes));
   if (n_hs == 0) return Region();
-  MODB_RETURN_IF_ERROR(CheckCount(n_hs, f.arrays[0].size(), kRegionHsBytes));
-  MODB_RETURN_IF_ERROR(CheckCount(n_cy, f.arrays[1].size(), kCycleRecBytes));
-  MODB_RETURN_IF_ERROR(CheckCount(n_fa, f.arrays[2].size(), kFaceRecBytes));
   ByteReader hsr(f.arrays[0]);
   std::vector<HalfSegment> hs;
   hs.reserve(n_hs);
@@ -423,12 +463,13 @@ FlatValue ToFlat(const Periods& p) {
   return FlatValue{root.Take(), {arr.Take()}};
 }
 
-Result<Periods> PeriodsFromFlat(const FlatValue& f) {
+Result<Periods> PeriodsFromFlat(const FlatView& f) {
   if (f.arrays.size() != 1) return Status::InvalidArgument("periods arity");
   ByteReader root(f.root);
   uint32_t n;
   MODB_RETURN_IF_ERROR(root.GetU32(&n));
-  MODB_RETURN_IF_ERROR(CheckCount(n, f.arrays[0].size(), kIntervalBytes));
+  MODB_RETURN_IF_ERROR(
+      CheckArrayCount(n, f.arrays[0].size(), kIntervalBytes));
   ByteReader arr(f.arrays[0]);
   std::vector<TimeInterval> ivs;
   ivs.reserve(n);
@@ -496,23 +537,81 @@ class RecordReader {
 // Fixed-size-unit mappings: one `units` array (Figure 7 with k = 0
 // subarrays) of records of an interval plus `value_bytes` written by
 // `put` / read by `get`.
+template <typename U>
+std::size_t FixedUnitsBytes(const Mapping<U>& m, std::size_t value_bytes) {
+  return m.NumUnits() * (kIntervalBytes + value_bytes);
+}
+
+// Writes the units array into the FixedUnitsBytes(m, value_bytes) bytes
+// at `p`.
+template <typename U, typename PutUnit>
+void WriteFixedUnits(const Mapping<U>& m, std::size_t value_bytes,
+                     PutUnit put, char* p) {
+  RecordWriter w(p);
+  for (const U& u : m.units()) {
+    PutInterval(&w, u.interval());
+    put(&w, u);
+  }
+  assert(w.pos() == p + FixedUnitsBytes(m, value_bytes));
+  (void)value_bytes;
+}
+
 template <typename U, typename PutUnit>
 FlatValue FixedMappingToFlat(const Mapping<U>& m, std::size_t value_bytes,
                              PutUnit put) {
   ByteWriter root;
   root.PutU32(uint32_t(m.NumUnits()));
-  std::string units(m.NumUnits() * (kIntervalBytes + value_bytes), '\0');
-  RecordWriter w(units.data());
-  for (const U& u : m.units()) {
-    PutInterval(&w, u.interval());
-    put(&w, u);
-  }
-  assert(w.pos() == units.data() + units.size());
+  std::string units(FixedUnitsBytes(m, value_bytes), '\0');
+  WriteFixedUnits(m, value_bytes, put, units.data());
   return FlatValue{root.Take(), {std::move(units)}};
 }
 
+// SerializeFlat(FixedMappingToFlat(m, value_bytes, put)) appended to
+// `*out`, the units written in place.
+template <typename U, typename PutUnit>
+void AppendFixedMapping(const Mapping<U>& m, std::size_t value_bytes,
+                        PutUnit put, std::string* out) {
+  const std::size_t units_bytes = FixedUnitsBytes(m, value_bytes);
+  AppendBlobHeader(sizeof(uint32_t), 1, out);
+  const uint32_t sizes[2] = {uint32_t(m.NumUnits()), uint32_t(units_bytes)};
+  out->append(reinterpret_cast<const char*>(sizes), sizeof sizes);
+  const std::size_t at = out->size();
+  out->resize(at + units_bytes);
+  WriteFixedUnits(m, value_bytes, put, out->data() + at);
+}
+
+// The per-unit value writers, shared by ToFlat and AppendFlat.
+constexpr auto kPutUBool = [](auto* w, const UBool& u) {
+  w->PutU8(u.value() ? 1 : 0);
+};
+constexpr auto kPutUInt = [](auto* w, const UInt& u) { w->PutI64(u.value()); };
+constexpr auto kPutUString = [](auto* w, const UString& u) {
+  std::string padded(kMaxStringLength, '\0');
+  padded.replace(0, u.value().size(), u.value());
+  w->PutU8(uint8_t(u.value().size()));
+  w->PutBytes(padded);
+};
+constexpr auto kPutUReal = [](auto* w, const UReal& u) {
+  w->PutF64(u.a());
+  w->PutF64(u.b());
+  w->PutF64(u.c());
+  w->PutU8(u.root() ? 1 : 0);
+};
+constexpr auto kPutUPoint = [](auto* w, const UPoint& u) {
+  PutMotion(w, u.motion());
+};
+
+Status CheckFlatStrings(const MovingString& m) {
+  for (const UString& u : m.units()) {
+    if (!FitsFlatString(u.value())) {
+      return Status::InvalidArgument("string exceeds fixed attribute length");
+    }
+  }
+  return Status::OK();
+}
+
 template <typename U, typename GetUnit>
-Result<Mapping<U>> FixedMappingFromFlat(const FlatValue& f,
+Result<Mapping<U>> FixedMappingFromFlat(const FlatView& f,
                                         std::size_t value_bytes,
                                         GetUnit get) {
   if (f.arrays.size() != 1) return Status::InvalidArgument("mapping arity");
@@ -520,7 +619,7 @@ Result<Mapping<U>> FixedMappingFromFlat(const FlatValue& f,
   uint32_t n;
   MODB_RETURN_IF_ERROR(root.GetU32(&n));
   MODB_RETURN_IF_ERROR(
-      CheckCount(n, f.arrays[0].size(), kIntervalBytes + value_bytes));
+      CheckArrayCount(n, f.arrays[0].size(), kIntervalBytes + value_bytes));
   RecordReader units(f.arrays[0].data());
   std::vector<U> out;
   out.reserve(n);
@@ -537,12 +636,15 @@ Result<Mapping<U>> FixedMappingFromFlat(const FlatValue& f,
 }  // namespace
 
 FlatValue ToFlat(const MovingBool& m) {
-  return FixedMappingToFlat(m, kUBoolBytes, [](auto* w, const UBool& u) {
-    w->PutU8(u.value() ? 1 : 0);
-  });
+  return FixedMappingToFlat(m, kUBoolBytes, kPutUBool);
 }
 
-Result<MovingBool> MovingBoolFromFlat(const FlatValue& f) {
+Status AppendFlat(const MovingBool& m, std::string* out) {
+  AppendFixedMapping(m, kUBoolBytes, kPutUBool, out);
+  return Status::OK();
+}
+
+Result<MovingBool> MovingBoolFromFlat(const FlatView& f) {
   return FixedMappingFromFlat<UBool>(
       f, kUBoolBytes, [](auto* r, TimeInterval iv) -> Result<UBool> {
         uint8_t v;
@@ -552,11 +654,15 @@ Result<MovingBool> MovingBoolFromFlat(const FlatValue& f) {
 }
 
 FlatValue ToFlat(const MovingInt& m) {
-  return FixedMappingToFlat(
-      m, kUIntBytes, [](auto* w, const UInt& u) { w->PutI64(u.value()); });
+  return FixedMappingToFlat(m, kUIntBytes, kPutUInt);
 }
 
-Result<MovingInt> MovingIntFromFlat(const FlatValue& f) {
+Status AppendFlat(const MovingInt& m, std::string* out) {
+  AppendFixedMapping(m, kUIntBytes, kPutUInt, out);
+  return Status::OK();
+}
+
+Result<MovingInt> MovingIntFromFlat(const FlatView& f) {
   return FixedMappingFromFlat<UInt>(
       f, kUIntBytes, [](auto* r, TimeInterval iv) -> Result<UInt> {
         int64_t v;
@@ -566,21 +672,17 @@ Result<MovingInt> MovingIntFromFlat(const FlatValue& f) {
 }
 
 Result<FlatValue> ToFlat(const MovingString& m) {
-  for (const UString& u : m.units()) {
-    if (!FitsFlatString(u.value())) {
-      return Status::InvalidArgument("string exceeds fixed attribute length");
-    }
-  }
-  return FixedMappingToFlat(
-      m, kUStringBytes, [](auto* w, const UString& u) {
-        std::string padded(kMaxStringLength, '\0');
-        padded.replace(0, u.value().size(), u.value());
-        w->PutU8(uint8_t(u.value().size()));
-        w->PutBytes(padded);
-      });
+  MODB_RETURN_IF_ERROR(CheckFlatStrings(m));
+  return FixedMappingToFlat(m, kUStringBytes, kPutUString);
 }
 
-Result<MovingString> MovingStringFromFlat(const FlatValue& f) {
+Status AppendFlat(const MovingString& m, std::string* out) {
+  MODB_RETURN_IF_ERROR(CheckFlatStrings(m));
+  AppendFixedMapping(m, kUStringBytes, kPutUString, out);
+  return Status::OK();
+}
+
+Result<MovingString> MovingStringFromFlat(const FlatView& f) {
   return FixedMappingFromFlat<UString>(
       f, kUStringBytes, [](auto* r, TimeInterval iv) -> Result<UString> {
         uint8_t len;
@@ -595,15 +697,15 @@ Result<MovingString> MovingStringFromFlat(const FlatValue& f) {
 }
 
 FlatValue ToFlat(const MovingReal& m) {
-  return FixedMappingToFlat(m, kURealBytes, [](auto* w, const UReal& u) {
-    w->PutF64(u.a());
-    w->PutF64(u.b());
-    w->PutF64(u.c());
-    w->PutU8(u.root() ? 1 : 0);
-  });
+  return FixedMappingToFlat(m, kURealBytes, kPutUReal);
 }
 
-Result<MovingReal> MovingRealFromFlat(const FlatValue& f) {
+Status AppendFlat(const MovingReal& m, std::string* out) {
+  AppendFixedMapping(m, kURealBytes, kPutUReal, out);
+  return Status::OK();
+}
+
+Result<MovingReal> MovingRealFromFlat(const FlatView& f) {
   return FixedMappingFromFlat<UReal>(
       f, kURealBytes, [](auto* r, TimeInterval iv) -> Result<UReal> {
         double a, b, c;
@@ -617,9 +719,12 @@ Result<MovingReal> MovingRealFromFlat(const FlatValue& f) {
 }
 
 FlatValue ToFlat(const MovingPoint& m) {
-  return FixedMappingToFlat(m, kUPointBytes, [](auto* w, const UPoint& u) {
-    PutMotion(w, u.motion());
-  });
+  return FixedMappingToFlat(m, kUPointBytes, kPutUPoint);
+}
+
+Status AppendFlat(const MovingPoint& m, std::string* out) {
+  AppendFixedMapping(m, kUPointBytes, kPutUPoint, out);
+  return Status::OK();
 }
 
 std::size_t SerializedFlatSize(const MovingPoint& m) {
@@ -629,7 +734,7 @@ std::size_t SerializedFlatSize(const MovingPoint& m) {
          m.NumUnits() * (kIntervalBytes + kUPointBytes);
 }
 
-Result<MovingPoint> MovingPointFromFlat(const FlatValue& f) {
+Result<MovingPoint> MovingPointFromFlat(const FlatView& f) {
   return FixedMappingFromFlat<UPoint>(
       f, kUPointBytes, [](auto* r, TimeInterval iv) -> Result<UPoint> {
         LinearMotion mo;
@@ -656,7 +761,7 @@ FlatValue ToFlat(const MovingPoints& m) {
   return FlatValue{root.Take(), {units.Take(), motions.Take()}};
 }
 
-Result<MovingPoints> MovingPointsFromFlat(const FlatValue& f) {
+Result<MovingPoints> MovingPointsFromFlat(const FlatView& f) {
   if (f.arrays.size() != 2) return Status::InvalidArgument("mpoints arity");
   ByteReader root(f.root);
   uint32_t n;
@@ -670,8 +775,8 @@ Result<MovingPoints> MovingPointsFromFlat(const FlatValue& f) {
     MODB_RETURN_IF_ERROR(GetMotion(&motions, &mo));
     all.push_back(mo);
   }
-  MODB_RETURN_IF_ERROR(
-      CheckCount(n, f.arrays[0].size(), kIntervalBytes + kSubarrayRefBytes));
+  MODB_RETURN_IF_ERROR(CheckArrayCount(n, f.arrays[0].size(),
+                                       kIntervalBytes + kSubarrayRefBytes));
   std::vector<UPoints> out;
   out.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -706,7 +811,7 @@ FlatValue ToFlat(const MovingLine& m) {
   return FlatValue{root.Take(), {units.Take(), msegs.Take()}};
 }
 
-Result<MovingLine> MovingLineFromFlat(const FlatValue& f) {
+Result<MovingLine> MovingLineFromFlat(const FlatView& f) {
   if (f.arrays.size() != 2) return Status::InvalidArgument("mline arity");
   ByteReader root(f.root);
   uint32_t n;
@@ -719,8 +824,8 @@ Result<MovingLine> MovingLineFromFlat(const FlatValue& f) {
     if (!ms.ok()) return ms.status();
     all.push_back(*ms);
   }
-  MODB_RETURN_IF_ERROR(
-      CheckCount(n, f.arrays[0].size(), kIntervalBytes + kSubarrayRefBytes));
+  MODB_RETURN_IF_ERROR(CheckArrayCount(n, f.arrays[0].size(),
+                                       kIntervalBytes + kSubarrayRefBytes));
   std::vector<ULine> out;
   out.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -771,7 +876,7 @@ FlatValue ToFlat(const MovingRegion& m) {
       {units.Take(), mfaces.Take(), mcycles.Take(), msegs.Take()}};
 }
 
-Result<MovingRegion> MovingRegionFromFlat(const FlatValue& f) {
+Result<MovingRegion> MovingRegionFromFlat(const FlatView& f) {
   if (f.arrays.size() != 4) return Status::InvalidArgument("mregion arity");
   ByteReader root(f.root);
   uint32_t n;
@@ -820,8 +925,8 @@ Result<MovingRegion> MovingRegionFromFlat(const FlatValue& f) {
     return MCycle(all_msegs.begin() + c.start,
                   all_msegs.begin() + c.start + c.count);
   };
-  MODB_RETURN_IF_ERROR(
-      CheckCount(n, f.arrays[0].size(), kIntervalBytes + kSubarrayRefBytes));
+  MODB_RETURN_IF_ERROR(CheckArrayCount(n, f.arrays[0].size(),
+                                       kIntervalBytes + kSubarrayRefBytes));
   std::vector<URegion> out;
   out.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

@@ -49,6 +49,20 @@ struct FlatValue {
   }
 };
 
+/// A flat value read in place: the root record and database arrays as
+/// views into bytes someone else owns — a blob (ParseFlat) or a
+/// FlatValue's strings. Valid only while those bytes are; the values the
+/// *FromFlat decoders build from it copy what they keep.
+struct FlatView {
+  std::string_view root;
+  std::vector<std::string_view> arrays;
+
+  FlatView() = default;
+  /// Views `value`'s strings, so every decoder takes a FlatValue too.
+  FlatView(const FlatValue& value)  // NOLINT(google-explicit-constructor)
+      : root(value.root), arrays(value.arrays.begin(), value.arrays.end()) {}
+};
+
 /// Little-endian append-only byte writer.
 class ByteWriter {
  public:
@@ -112,21 +126,32 @@ void SerializeFlat(const FlatValue& value, std::string* out);
 std::string SerializeFlat(const FlatValue& value);
 /// SerializeFlat(value).size(), without packing anything.
 std::size_t SerializedFlatSize(const FlatValue& value);
-/// Inverse of SerializeFlat.
-Result<FlatValue> ParseFlat(std::string_view blob);
+/// Inverse of SerializeFlat, in place: the view's root and arrays point
+/// into `blob`.
+Result<FlatView> ParseFlat(std::string_view blob);
+
+/// SerializeFlat(ToFlat(v)) appended to `*out`, written straight into it
+/// without building the FlatValue: strings and the fixed-size-unit
+/// mappings. On error `*out` is unchanged.
+Status AppendFlat(const StringValue& v, std::string* out);
+Status AppendFlat(const MovingBool& m, std::string* out);
+Status AppendFlat(const MovingInt& m, std::string* out);
+Status AppendFlat(const MovingString& m, std::string* out);
+Status AppendFlat(const MovingReal& m, std::string* out);
+Status AppendFlat(const MovingPoint& m, std::string* out);
 
 // -- base types --------------------------------------------------------------
 
 FlatValue ToFlat(const IntValue& v);
-Result<IntValue> IntFromFlat(const FlatValue& f);
+Result<IntValue> IntFromFlat(const FlatView& f);
 FlatValue ToFlat(const RealValue& v);
-Result<RealValue> RealFromFlat(const FlatValue& f);
+Result<RealValue> RealFromFlat(const FlatView& f);
 FlatValue ToFlat(const BoolValue& v);
-Result<BoolValue> BoolFromFlat(const FlatValue& f);
+Result<BoolValue> BoolFromFlat(const FlatView& f);
 /// Strings longer than kMaxStringLength are rejected on write (fixed
 /// length array of characters, Section 4.1 footnote).
 Result<FlatValue> ToFlat(const StringValue& v);
-Result<StringValue> StringFromFlat(const FlatValue& f);
+Result<StringValue> StringFromFlat(const FlatView& f);
 /// SerializeFlat(ToFlat(v)).size(), without encoding anything (the
 /// root is fixed-length, so the value itself does not matter).
 std::size_t SerializedFlatSize(const StringValue& v);
@@ -134,39 +159,39 @@ std::size_t SerializedFlatSize(const StringValue& v);
 // -- spatial types -----------------------------------------------------------
 
 FlatValue ToFlat(const Point& p);
-Result<Point> PointFromFlat(const FlatValue& f);
+Result<Point> PointFromFlat(const FlatView& f);
 FlatValue ToFlat(const Points& ps);
-Result<Points> PointsFromFlat(const FlatValue& f);
+Result<Points> PointsFromFlat(const FlatView& f);
 FlatValue ToFlat(const Line& l);
-Result<Line> LineFromFlat(const FlatValue& f);
+Result<Line> LineFromFlat(const FlatView& f);
 FlatValue ToFlat(const Region& r);
-Result<Region> RegionFromFlat(const FlatValue& f);
+Result<Region> RegionFromFlat(const FlatView& f);
 
 // -- range types -------------------------------------------------------------
 
 FlatValue ToFlat(const Periods& p);
-Result<Periods> PeriodsFromFlat(const FlatValue& f);
+Result<Periods> PeriodsFromFlat(const FlatView& f);
 
 // -- sliced representations (Figure 7) ---------------------------------------
 
 FlatValue ToFlat(const MovingBool& m);
-Result<MovingBool> MovingBoolFromFlat(const FlatValue& f);
+Result<MovingBool> MovingBoolFromFlat(const FlatView& f);
 FlatValue ToFlat(const MovingInt& m);
-Result<MovingInt> MovingIntFromFlat(const FlatValue& f);
+Result<MovingInt> MovingIntFromFlat(const FlatView& f);
 Result<FlatValue> ToFlat(const MovingString& m);
-Result<MovingString> MovingStringFromFlat(const FlatValue& f);
+Result<MovingString> MovingStringFromFlat(const FlatView& f);
 FlatValue ToFlat(const MovingReal& m);
-Result<MovingReal> MovingRealFromFlat(const FlatValue& f);
+Result<MovingReal> MovingRealFromFlat(const FlatView& f);
 FlatValue ToFlat(const MovingPoint& m);
-Result<MovingPoint> MovingPointFromFlat(const FlatValue& f);
+Result<MovingPoint> MovingPointFromFlat(const FlatView& f);
 /// SerializeFlat(ToFlat(m)).size(), without encoding anything.
 std::size_t SerializedFlatSize(const MovingPoint& m);
 FlatValue ToFlat(const MovingPoints& m);
-Result<MovingPoints> MovingPointsFromFlat(const FlatValue& f);
+Result<MovingPoints> MovingPointsFromFlat(const FlatView& f);
 FlatValue ToFlat(const MovingLine& m);
-Result<MovingLine> MovingLineFromFlat(const FlatValue& f);
+Result<MovingLine> MovingLineFromFlat(const FlatView& f);
 FlatValue ToFlat(const MovingRegion& m);
-Result<MovingRegion> MovingRegionFromFlat(const FlatValue& f);
+Result<MovingRegion> MovingRegionFromFlat(const FlatView& f);
 
 // -- [DG98]-style tuple placement --------------------------------------------
 

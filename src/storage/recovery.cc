@@ -134,7 +134,7 @@ bool PageIsAllZero(const char* page) {
 }
 
 template <typename M, typename Validator>
-Status DecodeThenValidate(const FlatValue& flat, Validator&& validator) {
+Status DecodeThenValidate(const FlatView& flat, Validator&& validator) {
   Result<M> value = FlatCodec<M>::FromFlat(flat);
   if (!value.ok()) return value.status();
   return validator(*value);
@@ -163,7 +163,7 @@ Result<std::unique_ptr<PageDevice>> MakeDevice(StoreDeviceKind kind,
 
 Status DecodeAndValidateRootBlob(SpillValueType type, std::string_view blob) {
   if (type == SpillValueType::kOpaque) return Status::OK();
-  Result<FlatValue> flat = ParseFlat(blob);
+  Result<FlatView> flat = ParseFlat(blob);
   if (!flat.ok()) return flat.status();
   const validate::MappingValidator vmap;
   switch (type) {

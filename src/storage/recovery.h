@@ -312,7 +312,7 @@ class VersionedSpillStore {
     }
     Result<std::string> blob = ReadRootBlob(i);
     if (!blob.ok()) return blob.status();
-    Result<FlatValue> flat = ParseFlat(*blob);
+    Result<FlatView> flat = ParseFlat(*blob);
     if (!flat.ok()) return flat.status();
     return FlatCodec<M>::FromFlat(*flat);
   }
@@ -327,7 +327,7 @@ class VersionedSpillStore {
     }
     Result<std::string> blob = ReadRootBlob(pin, i);
     if (!blob.ok()) return blob.status();
-    Result<FlatValue> flat = ParseFlat(*blob);
+    Result<FlatView> flat = ParseFlat(*blob);
     if (!flat.ok()) return flat.status();
     return FlatCodec<M>::FromFlat(*flat);
   }

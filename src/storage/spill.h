@@ -91,7 +91,7 @@ struct FlatCodec;
 #define MODB_SPILL_CODEC(M, FromFn)                  \
   template <>                                        \
   struct FlatCodec<M> {                              \
-    static Result<M> FromFlat(const FlatValue& f) {  \
+    static Result<M> FromFlat(const FlatView& f) {   \
       return FromFn(f);                              \
     }                                                \
   }
@@ -136,7 +136,7 @@ class Spilled {
     if (!cached_) {
       Result<std::string> blob = ReadSpilledBlob(pool, loc_);
       if (!blob.ok()) return blob.status();
-      Result<FlatValue> flat = ParseFlat(*blob);
+      Result<FlatView> flat = ParseFlat(*blob);
       if (!flat.ok()) return flat.status();
       Result<M> value = FlatCodec<M>::FromFlat(*flat);
       if (!value.ok()) return value.status();

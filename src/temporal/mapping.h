@@ -109,11 +109,16 @@ class Mapping {
   /// The empty mapping (a moving value that is nowhere defined).
   Mapping() = default;
 
-  /// Validating factory: enforces the Mapping(S) constraints.
+  /// Validating factory: enforces the Mapping(S) constraints. Units
+  /// already in time order (a decoded trail, a builder's output) are
+  /// checked in place; only out-of-order input is sorted first.
   static Result<Mapping> Make(std::vector<U> units) {
-    std::sort(units.begin(), units.end(), [](const U& a, const U& b) {
+    auto by_interval = [](const U& a, const U& b) {
       return a.interval() < b.interval();
-    });
+    };
+    if (!std::is_sorted(units.begin(), units.end(), by_interval)) {
+      std::sort(units.begin(), units.end(), by_interval);
+    }
     for (std::size_t i = 0; i + 1 < units.size(); ++i) {
       Status pair = CheckPair(units[i], units[i + 1]);
       if (!pair.ok()) return pair;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -11,6 +14,8 @@
 #include "db/relation_io.h"
 #include "exec/planner.h"
 #include "gen/flights_gen.h"
+#include "gen/trajectory_gen.h"
+#include "index/delta_index.h"
 #include "obs/metrics.h"
 #include "storage/page_store.h"
 
@@ -406,6 +411,203 @@ TEST(PipelinedPlans, WorkStealingPermutationsAreByteIdentical) {
   // A stalled worker sheds most of its shard: across the four
   // permutations stealing must have happened.
   EXPECT_GT(total_stolen, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Index probe: candidates deduplicated as they arrive, and an outer
+// row's probe stops once every inner row is a candidate.
+// ---------------------------------------------------------------------------
+
+constexpr int kTrailAttr = 1;
+
+// {id, trail}: `n` random walks of `units` 10 s units at up to 15 m/s
+// on a `site` m square — the fleet workload's yard tractors.
+Relation WalkTrails(int n, int units, double site, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  TrajectoryOptions opts;
+  opts.num_units = units;
+  opts.unit_duration = 10;
+  opts.extent = site;
+  opts.max_step = 150;
+  Relation rel("trails", Schema({{"id", AttributeType::kInt},
+                                 {"trail", AttributeType::kMovingPoint}}));
+  for (int i = 0; i < n; ++i) {
+    Tuple t;
+    t.emplace_back(IntValue(i));
+    t.emplace_back(*RandomWalkPoint(rng, opts));
+    EXPECT_TRUE(rel.Insert(std::move(t)).ok());
+  }
+  return rel;
+}
+
+// The probe cube of unit `u`: its bounding cube grown by `expand`.
+Cube ProbeCube(const UPoint& u, double expand) {
+  Cube c = u.BoundingCube();
+  c.rect.min_x -= expand;
+  c.rect.min_y -= expand;
+  c.rect.max_x += expand;
+  c.rect.max_y += expand;
+  return c;
+}
+
+// The probe as it ran before the early exit: one query per outer unit
+// (each flushing its own counters), every raw hit kept, then
+// sort + unique.
+std::vector<std::int64_t> ReferenceCandidates(const MovingPoint& mp,
+                                              double expand,
+                                              const IndexLayersView& view) {
+  std::vector<std::int64_t> ids;
+  for (const UPoint& u : mp.units()) {
+    const Cube c = ProbeCube(u, expand);
+    if (!Cube::Intersect(c, view.Bounds())) continue;
+    view.QueryVisit(c, [&ids](std::int64_t id) { ids.push_back(id); });
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+// outer ⋈ inner through `view`, with a predicate that accepts every
+// candidate: the output is then each outer row joined to its candidate
+// list, in order.
+LogicalQuery AcceptAllJoin(const Relation& outer, const Relation& inner,
+                           int attr, double expand,
+                           const IndexLayersView& view) {
+  LogicalQuery q;
+  q.rel = &outer;
+  q.join.emplace();
+  q.join->algorithm = LogicalQuery::JoinSpec::Algorithm::kIndex;
+  q.join->inner = &inner;
+  q.join->attr_outer = attr;
+  q.join->attr_inner = attr;
+  q.join->expand = expand;
+  q.join->pred = [](const Tuple&, std::size_t, const Tuple&, std::size_t,
+                    EverWithinStats*) { return true; };
+  q.join->layers = view;
+  return q;
+}
+
+// Checks the probe's candidate lists, index_candidates and
+// predicate_evals against ReferenceCandidates, serially and in
+// parallel; returns units_scanned, which must not depend on the
+// schedule either.
+std::uint64_t ExpectReferenceCandidates(const Relation& outer,
+                                        const Relation& inner, int attr,
+                                        double expand,
+                                        const IndexLayersView& view) {
+  auto plan = PlanQuery(AcceptAllJoin(outer, inner, attr, expand, view));
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  std::uint64_t units_scanned = 0;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    ThreadPool pool(threads);
+    ExecStats stats;
+    auto out = RunPlan(*plan, ThreadedOptions(&pool, &stats));
+    EXPECT_TRUE(out.ok()) << out.status();
+    if (!out.ok()) return 0;
+    Relation expected(out->rows.name(), out->rows.schema());
+    std::uint64_t candidates = 0;
+    for (std::size_t i = 0; i < outer.NumTuples(); ++i) {
+      const auto& mp = std::get<MovingPoint>(outer.tuple(i)[std::size_t(attr)]);
+      for (std::int64_t j : ReferenceCandidates(mp, expand, view)) {
+        Tuple joined = outer.tuple(i);
+        const Tuple& b = inner.tuple(std::size_t(j));
+        joined.insert(joined.end(), b.begin(), b.end());
+        EXPECT_TRUE(expected.Insert(std::move(joined)).ok());
+        ++candidates;
+      }
+    }
+    ExpectByteIdentical(expected, out->rows);
+    EXPECT_EQ(stats.index_candidates, candidates);
+    EXPECT_EQ(stats.predicate_evals, candidates);
+    if (threads > 1) EXPECT_EQ(stats.units_scanned, units_scanned);
+    units_scanned = stats.units_scanned;
+  }
+  return units_scanned;
+}
+
+std::uint64_t TotalUnits(const Relation& rel, int attr) {
+  std::uint64_t n = 0;
+  for (const Tuple& t : rel.tuples()) {
+    n += std::get<MovingPoint>(t[std::size_t(attr)]).NumUnits();
+  }
+  return n;
+}
+
+// Eight tractors on a 2 km site all meet within 50 m early on, so each
+// outer row's probe ends long before its last unit.
+TEST(IndexProbe, SaturatingFleetStopsEarlyWithTheSameCandidates) {
+  const Relation fleet = WalkTrails(8, 600, 2000, 3);
+  auto tree = BuildMovingPointIndex(fleet, kTrailAttr);
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  const std::uint64_t scanned = ExpectReferenceCandidates(
+      fleet, fleet, kTrailAttr, 50, IndexLayersView::Single(&*tree));
+  EXPECT_GT(scanned, 0u);
+  EXPECT_LT(scanned, TotalUnits(fleet, kTrailAttr));
+}
+
+// On 64 flights no flight comes near every other, so the exit never
+// fires: every outer unit is probed, and the one counter flush per row
+// adds exactly what one flush per query added.
+TEST(IndexProbe, PlanesNeverSaturateAndCountTheSameTreeWork) {
+  const Relation planes = TestPlanes(64, 22);
+  auto tree = BuildMovingPointIndex(planes, kFlightAttrFlight);
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  const IndexLayersView view = IndexLayersView::Single(&*tree);
+  EXPECT_EQ(ExpectReferenceCandidates(planes, planes, kFlightAttrFlight, 50,
+                                      view),
+            TotalUnits(planes, kFlightAttrFlight));
+
+#ifndef MODB_NO_METRICS
+  static constexpr const char* kNames[4] = {
+      "index.rtree3d.queries", "index.rtree3d.node_visits",
+      "index.rtree3d.leaf_entry_tests", "index.rtree3d.leaf_hits"};
+  auto deltas = [](auto run) {
+    std::array<std::uint64_t, 4> before, delta;
+    for (int i = 0; i < 4; ++i) before[i] = CounterValue(kNames[i]);
+    run();
+    for (int i = 0; i < 4; ++i) delta[i] = CounterValue(kNames[i]) - before[i];
+    return delta;
+  };
+  const auto reference = deltas([&] {
+    for (const Tuple& t : planes.tuples()) {
+      (void)ReferenceCandidates(
+          std::get<MovingPoint>(t[std::size_t(kFlightAttrFlight)]), 50, view);
+    }
+  });
+  auto plan = PlanQuery(
+      AcceptAllJoin(planes, planes, kFlightAttrFlight, 50, view));
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const auto probe = deltas([&] { ASSERT_TRUE(RunPlan(*plan, {}).ok()); });
+  EXPECT_EQ(probe, reference);
+  EXPECT_GT(reference[0], 0u);
+#endif
+}
+
+// A live view: each trail's units split across base, delta and mem, so
+// every id repeats within and across layers.
+TEST(IndexProbe, LiveLayersWithRepeatedIdsMatchTheReference) {
+  const Relation fleet = WalkTrails(8, 300, 6000, 5);
+  std::vector<RTree3D::Entry> base, delta;
+  IndexSnapshot stack;
+  std::vector<std::vector<RTree3D::Entry>> mem(fleet.NumTuples());
+  for (std::size_t j = 0; j < fleet.NumTuples(); ++j) {
+    const auto& units =
+        std::get<MovingPoint>(fleet.tuple(j)[kTrailAttr]).units();
+    for (std::size_t k = 0; k < units.size(); ++k) {
+      const RTree3D::Entry e{units[k].BoundingCube(), std::int64_t(j)};
+      const std::size_t part = k * 10 / units.size();
+      (part < 6 ? base : part < 9 ? delta : mem[j]).push_back(e);
+    }
+  }
+  stack.ResetBase(std::move(base), 16);
+  stack.AppendToDelta(delta, 16);
+  for (std::size_t j = 0; j < mem.size(); ++j) {
+    stack.SetMemRow(std::int64_t(j), mem[j]);
+  }
+  ASSERT_GT(stack.MemEntries(), 0u);
+  ASSERT_GT(stack.DeltaEntries(), 0u);
+  ExpectReferenceCandidates(fleet, fleet, kTrailAttr, 50, stack.View());
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
 
 #include "core/simd.h"
+#include "obs/metrics.h"
 
 namespace modb {
 namespace {
@@ -284,6 +286,63 @@ TEST(RTree3D, CallerBufferOverload) {
     tree.Query(query, &buf);
     EXPECT_EQ(buf, tree.Query(query));
   }
+}
+
+// The index.rtree3d.* query counters' growth across `run`.
+template <typename Fn>
+std::array<std::uint64_t, 4> QueryCounterDeltas(Fn run) {
+#ifdef MODB_NO_METRICS
+  run();
+  return {};
+#else
+  static constexpr const char* kNames[4] = {
+      "index.rtree3d.queries", "index.rtree3d.node_visits",
+      "index.rtree3d.leaf_entry_tests", "index.rtree3d.leaf_hits"};
+  std::array<std::uint64_t, 4> before;
+  for (int i = 0; i < 4; ++i) {
+    before[i] = obs::Metrics::Global().counter(kNames[i])->value();
+  }
+  run();
+  std::array<std::uint64_t, 4> delta;
+  for (int i = 0; i < 4; ++i) {
+    delta[i] = obs::Metrics::Global().counter(kNames[i])->value() - before[i];
+  }
+  return delta;
+#endif
+}
+
+// Accumulating the traversal tallies over many queries and flushing once
+// visits the same ids and adds the same registry totals as flushing
+// after every query.
+TEST(RTree3D, OneFlushPerBatchAddsThePerQueryTotals) {
+#ifdef MODB_NO_METRICS
+  GTEST_SKIP() << "metrics registry compiled out";
+#endif
+  std::mt19937_64 rng(11);
+  RTree3D tree = RTree3D::BulkLoad(RandomEntries(&rng, 500), 8);
+  std::uniform_real_distribution<double> pos(0, 100);
+  std::vector<Cube> queries;
+  for (int q = 0; q < 40; ++q) {
+    queries.push_back(MakeCube(pos(rng), pos(rng), pos(rng), 15));
+  }
+  std::vector<int64_t> per_query_ids, batched_ids;
+  const auto per_query = QueryCounterDeltas([&] {
+    for (const Cube& q : queries) {
+      tree.QueryVisit(q, [&](int64_t id) { per_query_ids.push_back(id); });
+    }
+  });
+  const auto batched = QueryCounterDeltas([&] {
+    RTree3D::QueryCounters counters;
+    for (const Cube& q : queries) {
+      tree.QueryVisit(
+          q, [&](int64_t id) { batched_ids.push_back(id); }, &counters);
+    }
+    counters.Flush();
+  });
+  EXPECT_EQ(batched_ids, per_query_ids);
+  EXPECT_EQ(batched, per_query);
+  EXPECT_EQ(per_query[0], queries.size());
+  EXPECT_GT(per_query[3], 0u);
 }
 
 }  // namespace

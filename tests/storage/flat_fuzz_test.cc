@@ -88,6 +88,32 @@ TEST(FlatFuzz, RegionCorruptionNeverCrashes) {
   SUCCEED();
 }
 
+// Random bytes added after the last record of a count-driven database
+// array, with the array's length prefix grown to match so the blob
+// itself stays well-formed, never decode.
+TEST(FlatFuzz, BytesAfterCountedRecordsAlwaysError) {
+  const std::string mpoint = SampleMovingPointBlob();
+  const std::string region = SampleRegionBlob();
+  std::mt19937_64 rng(6);
+  for (int trial = 0; trial < 200; ++trial) {
+    const bool is_region = trial % 2 == 1;
+    Result<FlatView> view = ParseFlat(is_region ? region : mpoint);
+    ASSERT_TRUE(view.ok());
+    FlatValue grown{std::string(view->root),
+                    {view->arrays.begin(), view->arrays.end()}};
+    std::string& array = grown.arrays[is_region ? rng() % 3 : 0];
+    for (std::size_t extra = 1 + rng() % 64; extra > 0; --extra) {
+      array.push_back(char(rng()));
+    }
+    const std::string blob = SerializeFlat(grown);
+    Result<FlatView> parsed = ParseFlat(blob);
+    ASSERT_TRUE(parsed.ok());
+    const Status s = is_region ? RegionFromFlat(*parsed).status()
+                               : MovingPointFromFlat(*parsed).status();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "trial " << trial;
+  }
+}
+
 TEST(FlatFuzz, AttributeBlobCorruption) {
   std::mt19937_64 rng(5);
   TrajectoryOptions opts;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <random>
 
+#include "db/relation_io.h"
 #include "gen/region_gen.h"
 #include "gen/trajectory_gen.h"
 #include "spatial/region_builder.h"
@@ -195,6 +198,182 @@ TEST(FlatMoving, RegionRoundTripWithHoles) {
     double ba = back->unit(*back->FindUnit(t)).ValueAt(t).Area();
     EXPECT_NEAR(ba, oa, 1e-9);
   }
+}
+
+// -- count-driven database arrays --------------------------------------------
+
+// A flat value one of whose database arrays holds exactly the record
+// count its root names, and the decoder that must hold it to that.
+struct CountedArraySample {
+  std::string name;
+  FlatValue flat;
+  std::size_t array;
+  std::function<Status(const FlatView&)> decode;
+};
+
+template <typename Fn>
+std::function<Status(const FlatView&)> StatusOf(Fn from_flat) {
+  return [from_flat](const FlatView& f) { return from_flat(f).status(); };
+}
+
+std::vector<CountedArraySample> CountedArraySamples() {
+  std::vector<CountedArraySample> out;
+  std::mt19937_64 rng(17);
+  TrajectoryOptions walk;
+  walk.num_units = 12;
+  out.push_back({"mpoint", ToFlat(*RandomWalkPoint(rng, walk)), 0,
+                 StatusOf(MovingPointFromFlat)});
+  out.push_back({"mbool",
+                 ToFlat(*MovingBool::Make(
+                     {*UBool::Make(TI(0, 1, true, false), true),
+                      *UBool::Make(TI(1, 2), false)})),
+                 0, StatusOf(MovingBoolFromFlat)});
+  out.push_back({"mint", ToFlat(*MovingInt::Make({*UInt::Make(TI(0, 5), 7)})),
+                 0, StatusOf(MovingIntFromFlat)});
+  out.push_back({"mstring",
+                 *ToFlat(*MovingString::Make(
+                     {*UString::Make(TI(0, 1, true, false), "taxi"),
+                      *UString::Make(TI(1, 2), "idle")})),
+                 0, StatusOf(MovingStringFromFlat)});
+  out.push_back({"mreal",
+                 ToFlat(*MovingReal::Make(
+                     {*UReal::Make(TI(0, 1), 1, 2, 3, false)})),
+                 0, StatusOf(MovingRealFromFlat)});
+  out.push_back({"periods",
+                 ToFlat(Periods::FromIntervals(
+                     {TI(0, 1, true, false), TimeInterval::At(9)})),
+                 0, StatusOf(PeriodsFromFlat)});
+  out.push_back({"points", ToFlat(Points::FromVector({{1, 2}, {3, 4}})), 0,
+                 StatusOf(PointsFromFlat)});
+  out.push_back({"line",
+                 ToFlat(*Line::Make({*Seg::Make(Point(0, 0), Point(1, 1)),
+                                     *Seg::Make(Point(2, 0), Point(3, 5))})),
+                 0, StatusOf(LineFromFlat)});
+  const Region region = *Region::FromRings(
+      {Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10)},
+      {{Point(2, 2), Point(4, 2), Point(4, 4), Point(2, 4)}});
+  for (std::size_t a = 0; a < 3; ++a) {
+    out.push_back({"region array " + std::to_string(a), ToFlat(region), a,
+                   StatusOf(RegionFromFlat)});
+  }
+  out.push_back({"mpoints",
+                 ToFlat(*MovingPoints::Make({*UPoints::Make(
+                     TI(0, 1), {LinearMotion{0, 1, 0, 0},
+                                LinearMotion{5, 0, 5, 0}})})),
+                 0, StatusOf(MovingPointsFromFlat)});
+  MSeg mseg = *MSeg::FromEndSegments(0, *Seg::Make(Point(0, 0), Point(1, 0)),
+                                     10, *Seg::Make(Point(5, 5), Point(6, 5)));
+  out.push_back({"mline",
+                 ToFlat(*MovingLine::Make({*ULine::Make(TI(0, 10), {mseg})})),
+                 0, StatusOf(MovingLineFromFlat)});
+  MovingRegionOptions mr;
+  mr.shape.num_vertices = 6;
+  mr.num_units = 2;
+  out.push_back({"mregion", ToFlat(*GenerateMovingRegion(rng, mr)), 0,
+                 StatusOf(MovingRegionFromFlat)});
+  return out;
+}
+
+TEST(FlatArrays, BytesAfterTheLastCountedRecordAreRejected) {
+  for (const CountedArraySample& sample : CountedArraySamples()) {
+    SCOPED_TRACE(sample.name);
+    ASSERT_TRUE(sample.decode(sample.flat).ok());
+    for (std::size_t extra : {1, 7, 50}) {
+      FlatValue padded = sample.flat;
+      padded.arrays[sample.array].append(extra, '\0');
+      EXPECT_EQ(sample.decode(padded).code(), StatusCode::kInvalidArgument)
+          << extra << " trailing bytes";
+      // The blob path reads the same arrays in place.
+      const std::string blob = SerializeFlat(padded);
+      Result<FlatView> view = ParseFlat(blob);
+      ASSERT_TRUE(view.ok()) << view.status();
+      EXPECT_EQ(sample.decode(*view).code(), StatusCode::kInvalidArgument)
+          << extra << " trailing bytes";
+    }
+  }
+}
+
+// -- in-place decode and encode ----------------------------------------------
+
+// One value of every attribute type.
+std::vector<AttributeValue> OneOfEveryType() {
+  std::mt19937_64 rng(23);
+  TrajectoryOptions walk;
+  walk.num_units = 40;
+  std::vector<AttributeValue> out;
+  out.emplace_back(IntValue(-42));
+  out.emplace_back(RealValue(3.25));
+  out.emplace_back(BoolValue(true));
+  out.emplace_back(StringValue(std::string("Lufthansa")));
+  out.emplace_back(StringValue::Undefined());
+  out.emplace_back(Point(1.5, -2.5));
+  out.emplace_back(Points::FromVector({{1, 2}, {3, 4}}));
+  out.emplace_back(*Line::Make({*Seg::Make(Point(0, 0), Point(1, 1))}));
+  out.emplace_back(*Region::FromRings(
+      {Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10)}, {}));
+  out.emplace_back(Periods::FromIntervals({TI(0, 1), TI(2, 3)}));
+  out.emplace_back(*MovingBool::Make({*UBool::Make(TI(0, 1), true)}));
+  out.emplace_back(*MovingInt::Make({*UInt::Make(TI(0, 5), 7)}));
+  out.emplace_back(*MovingString::Make(
+      {*UString::Make(TI(0, 1, true, false), "taxi"),
+       *UString::Make(TI(1, 2), "idle")}));
+  out.emplace_back(*MovingReal::Make({*UReal::Make(TI(0, 1), 1, 2, 3, true)}));
+  out.emplace_back(*RandomWalkPoint(rng, walk));
+  out.emplace_back(MovingPoint());
+  out.emplace_back(*MovingPoints::Make(
+      {*UPoints::Make(TI(0, 1), {LinearMotion{0, 1, 0, 0}})}));
+  MSeg mseg = *MSeg::FromEndSegments(0, *Seg::Make(Point(0, 0), Point(1, 0)),
+                                     10, *Seg::Make(Point(5, 5), Point(6, 5)));
+  out.emplace_back(*MovingLine::Make({*ULine::Make(TI(0, 10), {mseg})}));
+  MovingRegionOptions mr;
+  mr.num_units = 2;
+  out.emplace_back(*GenerateMovingRegion(rng, mr));
+  return out;
+}
+
+// Decoders read the blob in place but the values they return own their
+// bytes: overwriting and then freeing the blob leaves them intact (and
+// AddressSanitizer silent).
+TEST(FlatInPlace, DecodedValuesOwnTheirBytes) {
+  for (const AttributeValue& v : OneOfEveryType()) {
+    const std::string want = *SerializeAttribute(v);
+    auto blob = std::make_unique<std::string>(want);
+    Result<AttributeValue> back = DeserializeAttribute(*blob);
+    ASSERT_TRUE(back.ok()) << back.status();
+    std::fill(blob->begin(), blob->end(), char(0xa5));
+    blob.reset();
+    EXPECT_EQ(*SerializeAttribute(*back), want)
+        << "type " << int(TypeOf(v));
+  }
+}
+
+// The types written straight into the caller's buffer produce the
+// bytes their FlatValue would, appended after what the buffer holds.
+TEST(FlatInPlace, AppendFlatMatchesSerializeFlat) {
+  auto check = [](const auto& v, const FlatValue& flat) {
+    std::string out = "prefix";
+    ASSERT_TRUE(AppendFlat(v, &out).ok());
+    EXPECT_EQ(out, "prefix" + SerializeFlat(flat));
+  };
+  for (const AttributeValue& value : OneOfEveryType()) {
+    std::visit(
+        [&](const auto& v) {
+          if constexpr (requires(std::string* o) { AppendFlat(v, o); }) {
+            Result<FlatValue> flat = ToFlat(v);
+            ASSERT_TRUE(flat.ok());
+            check(v, *flat);
+          }
+        },
+        value);
+  }
+  // Too-long strings are refused without touching the buffer.
+  std::string out = "prefix";
+  EXPECT_FALSE(AppendFlat(StringValue(std::string(100, 'x')), &out).ok());
+  EXPECT_FALSE(AppendFlat(*MovingString::Make({*UString::Make(
+                              TI(0, 1), std::string(100, 'x'))}),
+                          &out)
+                   .ok());
+  EXPECT_EQ(out, "prefix");
 }
 
 TEST(AttributeStoreTest, SmallArraysInline) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <random>
@@ -46,6 +47,62 @@ TEST(MappingMake, GapAllowsEqualValues) {
   // [0,1) and (1,2]: not adjacent (instant 1 missing) → equal values fine.
   EXPECT_TRUE(MovingBool::Make({UB(0, 1, true, true, false),
                                 UB(1, 2, true, false, true)}).ok());
+}
+
+// Make as it behaved before it skipped the sort of in-order input:
+// sort, then check every adjacent pair.
+Result<MovingBool> SortThenMake(std::vector<UBool> units) {
+  std::sort(units.begin(), units.end(), [](const UBool& a, const UBool& b) {
+    return a.interval() < b.interval();
+  });
+  return MovingBool::Make(std::move(units));
+}
+
+void ExpectSameMake(const Result<MovingBool>& got,
+                    const Result<MovingBool>& want) {
+  ASSERT_EQ(got.ok(), want.ok());
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+    return;
+  }
+  ASSERT_EQ(got->NumUnits(), want->NumUnits());
+  for (std::size_t i = 0; i < got->NumUnits(); ++i) {
+    EXPECT_EQ(got->unit(i).interval(), want->unit(i).interval());
+    EXPECT_EQ(got->unit(i).value(), want->unit(i).value());
+  }
+}
+
+TEST(MappingMake, InOrderInputSkipsOnlyTheSort) {
+  std::mt19937_64 rng(31);
+  int valid = 0, invalid = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    // Units in time order with random gaps: positive (disjoint), zero
+    // (adjacent, or touching at a shared closed end) or negative
+    // (overlapping), plus the odd exact duplicate.
+    std::vector<UBool> units;
+    double t = 0;
+    const int n = 1 + int(rng() % 8);
+    for (int i = 0; i < n; ++i) {
+      const int gap = int(rng() % 4) - 1;  // -1, 0, 1 or 2
+      const double start = units.empty() ? 0 : t + 0.5 * gap;
+      const bool lc = rng() % 2 == 0;
+      const bool rc = rng() % 2 == 0;
+      units.push_back(UB(start, start + 1, rng() % 2 == 0, lc, rc));
+      if (rng() % 10 == 0) units.push_back(units.back());
+      t = start + 1;
+    }
+    const Result<MovingBool> in_order = MovingBool::Make(units);
+    ExpectSameMake(in_order, SortThenMake(units));
+    (in_order.ok() ? valid : invalid) += 1;
+    std::vector<UBool> shuffled = units;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    ExpectSameMake(MovingBool::Make(shuffled), SortThenMake(shuffled));
+    ExpectSameMake(MovingBool::Make(shuffled), in_order);
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(valid, 20);
+  EXPECT_GT(invalid, 20);
 }
 
 TEST(MappingAppend, AppliesMakesPairTestToTheNewUnitOnly) {
