@@ -215,7 +215,7 @@ BENCHMARK(BM_Q2_EverWithinOnly_Trails)->Arg(1250);
 // does per query) and decoded back into a QueryResult (what its client
 // does), on the atinstant xy block of 1024 flights x 49 half-hourly
 // instants, on the rows of the 256-flight Q2 join and on the fleet
-// join's rows of whole trails.
+// join's rows of 4600-unit trails.
 QueryResult RunOnPlanes(int flights, const QueryRequest& req) {
   Db db;
   (void)db.Register(Planes(flights));
@@ -250,7 +250,8 @@ const QueryResult& JoinRows() {
   return result;
 }
 
-// The fleet join's reply: both 4600-unit trails of every pair.
+// The fleet join's reply: both 4600-unit trails of every pair, each
+// trail sent once and referenced by every later row that repeats it.
 const QueryResult& FleetJoinRows() {
   static const QueryResult result = [] {
     Db db;
@@ -310,6 +311,11 @@ void BM_DecodeReply_JoinRows(benchmark::State& state) {
   DecodeReplyLoop(state, JoinRows());
 }
 BENCHMARK(BM_DecodeReply_JoinRows);
+
+void BM_EncodeReply_FleetJoinRows(benchmark::State& state) {
+  EncodeReplyLoop(state, FleetJoinRows());
+}
+BENCHMARK(BM_EncodeReply_FleetJoinRows);
 
 void BM_DecodeReply_FleetJoinRows(benchmark::State& state) {
   DecodeReplyLoop(state, FleetJoinRows());

@@ -384,6 +384,16 @@ Status Db::DrainLive(const std::string& name) {
 
 Result<QueryResult> Db::Run(const QueryRequest& req,
                             const ExecOptions& options) const {
+  Result<QueryResult> out = Status::Internal("query produced no result");
+  MODB_RETURN_IF_ERROR(Run(req, options, [&out](QueryResult& r) {
+    out = std::move(r);
+    return Status::OK();
+  }));
+  return out;
+}
+
+Status Db::Run(const QueryRequest& req, const ExecOptions& options,
+               const std::function<Status(QueryResult&)>& consume) const {
   MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
   // Expired-on-arrival fails before touching any relation (the morsel
   // engine re-checks cooperatively at every morsel boundary).
@@ -517,6 +527,8 @@ Result<QueryResult> Db::Run(const QueryRequest& req,
                                      std::to_string(int(req.kind)));
   }
 
+  // Declared after the lock, so consume runs and the result is dropped
+  // before the lock is released.
   QueryResult result;
   ExecOptions run = options;
   run.stats = &result.stats;
@@ -542,7 +554,7 @@ Result<QueryResult> Db::Run(const QueryRequest& req,
   }
 
   if (options.stats != nullptr) *options.stats = result.stats;
-  return result;
+  return consume(result);
 }
 
 }  // namespace modb

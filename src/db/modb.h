@@ -22,6 +22,7 @@
 #define MODB_DB_MODB_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -284,6 +285,14 @@ class Db {
   /// byte-identical for every valid options.parallel.num_threads.
   Result<QueryResult> Run(const QueryRequest& req,
                           const ExecOptions& options = {}) const;
+
+  /// Run, handing the result to `consume` before the query releases the
+  /// Db: the result, whose values share unit arrays with the relations,
+  /// is dropped while no writer can run, so no writer ever clones a
+  /// trail for it. modbd encodes its reply here. Returns the query's
+  /// error or consume's.
+  Status Run(const QueryRequest& req, const ExecOptions& options,
+             const std::function<Status(QueryResult&)>& consume) const;
 
  private:
   struct Entry {

@@ -528,9 +528,18 @@ struct WindowRowAgg {
 WindowRowAgg AggregateRowWindow(const MovingPoint& mp, const TRange& window,
                                 const WindowAggregateOp& op, bool has_rect) {
   WindowRowAgg agg;
-  for (const UPoint& u : mp.units()) {
+  // The units ending before the window are skipped by binary search,
+  // not visited: a window costs the units it overlaps, not its offset
+  // into the trail. Ends ascend with the units (they are disjoint and
+  // in time order), and the sums below see the same units in the same
+  // order as a scan from the first unit.
+  const std::vector<UPoint>& units = mp.units();
+  const auto first = std::partition_point(
+      units.begin(), units.end(),
+      [&window](const UPoint& u) { return u.interval().end() < window.lo; });
+  for (auto it = first; it != units.end(); ++it) {
+    const UPoint& u = *it;
     const TimeInterval& iv = u.interval();
-    if (iv.end() < window.lo) continue;
     if (iv.start() > window.hi) break;
     const TRange clip = IntersectRanges(RangeOfInterval(iv), window);
     if (clip.empty) continue;

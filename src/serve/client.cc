@@ -211,17 +211,19 @@ Result<std::string> FetchMetricsJson(const std::string& host, int port,
     CloseFd(*fd);
     return sent;
   }
+  constexpr std::size_t kMaxResponse = 8u << 20;
   std::string response;
   char buf[4096];
   for (;;) {
-    Result<bool> got = ReadFullOrEofTimeout(*fd, buf, 1, timeout_ms);
+    Result<std::size_t> got =
+        ReadSomeTimeout(*fd, buf, sizeof buf, timeout_ms);
     if (!got.ok()) {
       CloseFd(*fd);
       return got.status();
     }
-    if (!*got) break;
-    response.push_back(buf[0]);
-    if (response.size() > (8u << 20)) {
+    if (*got == 0) break;
+    response.append(buf, *got);
+    if (response.size() > kMaxResponse) {
       CloseFd(*fd);
       return Status::InvalidArgument("metrics response exceeds 8 MiB");
     }

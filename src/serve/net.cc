@@ -268,6 +268,19 @@ Result<bool> ReadFullOrEofTimeout(int fd, void* buf, std::size_t n,
   return true;
 }
 
+Result<std::size_t> ReadSomeTimeout(int fd, void* buf, std::size_t n,
+                                    int timeout_ms) {
+  const IoDeadline dl = DeadlineIn(timeout_ms);
+  for (;;) {
+    MODB_RETURN_IF_ERROR(AwaitFd(fd, POLLIN, dl, "read", 0, n));
+    const ssize_t r = ::read(fd, buf, n);
+    if (r >= 0) return std::size_t(r);
+    if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
+      return Errno("read");
+    }
+  }
+}
+
 Status ReadFullTimeout(int fd, void* buf, std::size_t n, int timeout_ms) {
   Result<bool> r = ReadFullOrEofTimeout(fd, buf, n, timeout_ms);
   MODB_RETURN_IF_ERROR(r.status());

@@ -53,6 +53,10 @@ Status WriteFull(int fd, const void* buf, std::size_t n);
 Result<bool> ReadFullOrEofTimeout(int fd, void* buf, std::size_t n,
                                   int timeout_ms);
 Status ReadFullTimeout(int fd, void* buf, std::size_t n, int timeout_ms);
+/// Reads what one read() returns, up to n bytes, after waiting at most
+/// timeout_ms for the fd to become readable: the count, 0 at EOF.
+Result<std::size_t> ReadSomeTimeout(int fd, void* buf, std::size_t n,
+                                    int timeout_ms);
 Status WriteFullTimeout(int fd, const void* buf, std::size_t n,
                         int timeout_ms);
 

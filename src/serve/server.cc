@@ -384,18 +384,18 @@ Status Server::HandleQuery(std::string_view payload, std::uint8_t version,
     return reply_error(s);
   }
   const auto acquired = std::chrono::steady_clock::now();
-  Result<QueryResult> result = db_->Run(*req, options);
+  // The reply is encoded while the query still holds the Db, so the
+  // result's trails are never shared when a writer runs. A result too
+  // large for one frame comes back as a typed kOutOfRange reply, and the
+  // connection stays usable.
+  Status s = db_->Run(*req, options, [frame](QueryResult& result) {
+    return AppendReply(Status::OK(), &result, frame);
+  });
   admission_.Release(
       cost, std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                               std::chrono::steady_clock::now() - acquired)
                               .count()));
-  if (!result.ok()) return reply_error(result.status());
-
-  // A result too large for one frame comes back as a typed kOutOfRange
-  // reply, and the connection stays usable.
-  if (Status s = AppendReply(Status::OK(), &*result, frame); !s.ok()) {
-    return reply_error(s);
-  }
+  if (!s.ok()) return reply_error(s);
   MODB_HISTOGRAM_RECORD(
       "serve.request_ns",
       std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -1,7 +1,12 @@
 #include "serve/wire.h"
 
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "db/relation_io.h"
@@ -27,6 +32,21 @@ constexpr std::uint8_t kMaxAttributeType =
 /// Result-block kind of a mutation ack: first value outside the
 /// QueryResult::Payload range, so DecodeResultBlock rejects it.
 constexpr std::uint8_t kAckBlockKind = 3;
+/// First byte of a reference cell in a rows block (v4): outside the
+/// attribute type tags, then u32 row and u32 column of the earlier cell
+/// whose value this one repeats.
+constexpr std::uint8_t kRefCellTag = 0xff;
+constexpr std::size_t kRefCellBytes = 1 + 2 * sizeof(std::uint32_t);
+
+template <typename T>
+constexpr bool kIsMapping = false;
+template <typename U>
+constexpr bool kIsMapping<Mapping<U>> = true;
+
+bool IsMappingType(AttributeType type) {
+  return type >= AttributeType::kMovingBool &&
+         type <= AttributeType::kMovingRegion;
+}
 
 // A column of n f64s: one bounds check, one copy.
 Status ReadF64Column(WireReader* r, std::uint64_t n,
@@ -185,8 +205,9 @@ std::string EncodeQueryRequest(const QueryRequest& req) {
   return w.Take();
 }
 
-// Every accepted version has the v3 field set; a later version's
-// trailing fields would be read here under `version >= 4`.
+// Every accepted version has the v3 field set (v4 changed only the
+// rows block); a later version's trailing fields would be read here
+// under `version >= 5`.
 Result<QueryRequest> DecodeQueryRequest(std::string_view payload,
                                         [[maybe_unused]] std::uint8_t version) {
   WireReader r(payload);
@@ -345,54 +366,229 @@ Result<MutationResult> DecodeMutationAck(std::string_view block) {
 
 namespace {
 
+// The repeated-value rule of a rows block (v4): a mapping-typed cell
+// whose serialisation equals that of an earlier cell of the same type,
+// in row-major order, is written as a reference to the first such cell.
+// The rule is by value, so the block stays a function of the relation's
+// values; sharing only makes it cheap. Every cell is keyed by its type,
+// unit count and first and last units (O(1)); a cell whose key and unit
+// array are those of an earlier cell is a repeat outright. Cells that
+// share a key but not an array are compared by a hash of their whole
+// serialisation and then byte for byte: every cell is serialised at
+// most a bounded number of times, never once per earlier cell.
+class RepeatFinder {
+ public:
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+  /// `mapping_cells` sizes the table: the number of cells that will be
+  /// offered.
+  RepeatFinder(const Relation& rel, std::size_t mapping_cells)
+      : rel_(rel), arity_(rel.schema().NumAttributes()) {
+    by_key_.reserve(mapping_cells);
+  }
+
+  /// The earlier cell that `v`, cell `cell` (row-major), repeats, or
+  /// kNone. Cells must be offered in row-major order.
+  Result<std::size_t> Offer(std::size_t cell, const AttributeValue& v) {
+    const void* array = nullptr;
+    const std::uint64_t key = Key(v, &array);
+    if (array == nullptr) return kNone;
+    auto [first, fresh] = by_key_.try_emplace(key, First{cell, array, false});
+    if (fresh) return kNone;
+    if (first->second.array == array) return first->second.cell;
+    // Same key, another array: compare whole serialisations, by hash
+    // first. A key's first cell is hashed when such a cell comes.
+    if (!first->second.hashed) {
+      Result<std::uint64_t> h = FullHash(Cell(first->second.cell), &other_);
+      MODB_RETURN_IF_ERROR(h.status());
+      by_blob_.emplace(*h, first->second.cell);
+      first->second.hashed = true;
+    }
+    Result<std::uint64_t> hash = FullHash(v, &bytes_);
+    MODB_RETURN_IF_ERROR(hash.status());
+    auto [lo, hi] = by_blob_.equal_range(*hash);
+    for (auto it = lo; it != hi; ++it) {
+      other_.clear();
+      MODB_RETURN_IF_ERROR(SerializeAttribute(Cell(it->second), &other_));
+      if (other_ == bytes_) return it->second;
+    }
+    by_blob_.emplace(*hash, cell);
+    return kNone;
+  }
+
+ private:
+  /// The first cell offered with a key.
+  struct First {
+    std::size_t cell;
+    const void* array;  // its unit array
+    bool hashed;        // its whole-blob hash is in by_blob_
+  };
+
+  const AttributeValue& Cell(std::size_t cell) const {
+    return rel_.tuple(cell / arity_)[cell % arity_];
+  }
+
+  // Mixes `v` into the hash `h`.
+  static void Mix(std::uint64_t* h, std::uint64_t v) {
+    *h ^= v + 0x9e3779b97f4a7c15ULL + (*h << 6) + (*h >> 2);
+  }
+  static std::uint64_t Bits(double d) {
+    std::uint64_t b;
+    std::memcpy(&b, &d, sizeof b);
+    return b;
+  }
+
+  // The unit's interval and, for a moving point, its motion: trails
+  // sampled at the same ticks differ only there. Other unit types add
+  // their interval alone and fall back to the whole-blob comparison
+  // more often.
+  template <typename U>
+  static void MixUnit(std::uint64_t* h, const U& u) {
+    const TimeInterval& iv = u.interval();
+    Mix(h, Bits(iv.start()));
+    Mix(h, Bits(iv.end()));
+    Mix(h, (iv.left_closed() ? 1 : 0) | (iv.right_closed() ? 2 : 0));
+    if constexpr (std::is_same_v<U, UPoint>) {
+      Mix(h, Bits(u.motion().x0));
+      Mix(h, Bits(u.motion().x1));
+      Mix(h, Bits(u.motion().y0));
+      Mix(h, Bits(u.motion().y1));
+    }
+  }
+
+  // Type, unit count, and the first and last units: equal values have
+  // equal keys. Allocation-free. `*array` is set to the unit array of a
+  // mapping and left null for any other value.
+  static std::uint64_t Key(const AttributeValue& v, const void** array) {
+    std::uint64_t h = v.index();
+    std::visit(
+        [&h, array](const auto& m) {
+          if constexpr (kIsMapping<std::decay_t<decltype(m)>>) {
+            *array = &m.units();
+            Mix(&h, m.NumUnits());
+            if (!m.IsEmpty()) {
+              MixUnit(&h, m.units().front());
+              MixUnit(&h, m.units().back());
+            }
+          }
+        },
+        v);
+    return h;
+  }
+
+  static Result<std::uint64_t> FullHash(const AttributeValue& v,
+                                        std::string* buf) {
+    buf->clear();
+    MODB_RETURN_IF_ERROR(SerializeAttribute(v, buf));
+    return std::uint64_t(std::hash<std::string_view>{}(*buf));
+  }
+
+  const Relation& rel_;
+  const std::size_t arity_;
+  std::unordered_map<std::uint64_t, First> by_key_;
+  // Whole-blob hash -> the first cell of each distinct value hashed.
+  std::unordered_multimap<std::uint64_t, std::size_t> by_blob_;
+  std::string bytes_;  // the offered cell's blob, on a key collision
+  std::string other_;  // an earlier cell's blob
+};
+
+// The block as the size pass settled it: its exact byte count, and for
+// a rows block the reference target of every cell (row-major; kNone
+// for a cell written in full, and empty when no column is a mapping).
+struct BlockPlan {
+  std::size_t bytes = 0;
+  std::vector<std::size_t> refs;
+};
+
 // The size pass: exactly the bytes WriteResultBlock appends, so a reply
 // reserves its buffer once and an oversized one is refused before any
-// of it is written.
-Result<std::size_t> ResultBlockSize(const QueryResult& result) {
-  std::size_t n = 1;  // payload kind
+// of it is written. It also decides which cells are references.
+Result<BlockPlan> PlanResultBlock(const QueryResult& result) {
+  BlockPlan plan;
+  std::size_t& n = plan.bytes;
+  n = 1;  // payload kind
   switch (result.payload) {
     case QueryResult::Payload::kRows: {
       const Relation& rel = result.rows;
+      const std::size_t arity = rel.schema().NumAttributes();
+      if (arity == 0 && rel.NumTuples() > 0) {
+        return Status::InvalidArgument(
+            "a rows block cannot carry tuples without attributes");
+      }
       n += 4 + rel.name().size() + 4;
+      std::size_t mapping_columns = 0;
       for (const AttributeDef& attr : rel.schema().attributes()) {
         n += 4 + attr.name.size() + 1;
+        if (IsMappingType(attr.type)) ++mapping_columns;
       }
       n += 4;
+      const bool has_mapping = mapping_columns > 0;
+      if (has_mapping) {
+        plan.refs.assign(arity * rel.NumTuples(), RepeatFinder::kNone);
+      }
+      RepeatFinder repeats(rel, mapping_columns * rel.NumTuples());
+      std::size_t cell = 0;
       for (const Tuple& t : rel.tuples()) {
         for (const AttributeValue& v : t) {
-          Result<std::size_t> blob = SerializedAttributeSize(v);
-          MODB_RETURN_IF_ERROR(blob.status());
-          n += 4 + *blob;
+          if (has_mapping) {
+            Result<std::size_t> ref = repeats.Offer(cell, v);
+            MODB_RETURN_IF_ERROR(ref.status());
+            plan.refs[cell] = *ref;
+          }
+          if (has_mapping && plan.refs[cell] != RepeatFinder::kNone) {
+            n += 4 + kRefCellBytes;
+          } else {
+            Result<std::size_t> blob = SerializedAttributeSize(v);
+            MODB_RETURN_IF_ERROR(blob.status());
+            n += 4 + *blob;
+          }
+          ++cell;
         }
       }
-      return n;
+      return plan;
     }
     case QueryResult::Payload::kXY:
-      return n + 2 * sizeof(std::uint64_t) +
-             sizeof(double) * (result.xs.size() + result.ys.size()) +
-             result.defined.size();
+      n += 2 * sizeof(std::uint64_t) +
+           sizeof(double) * (result.xs.size() + result.ys.size()) +
+           result.defined.size();
+      return plan;
     case QueryResult::Payload::kPresent:
-      return n + 2 * sizeof(std::uint64_t) + result.present.size();
+      n += 2 * sizeof(std::uint64_t) + result.present.size();
+      return plan;
   }
   return Status::Internal("unknown result payload kind");
 }
 
 // Writes the block: each attribute serialized straight into the buffer
-// behind a patched length prefix, each xy / present column one copy.
-Status WriteResultBlock(const QueryResult& result, WireWriter* w) {
+// behind a patched length prefix (or a reference cell where the plan
+// found a repeat), each xy / present column one copy.
+Status WriteResultBlock(const QueryResult& result, const BlockPlan& plan,
+                        WireWriter* w) {
   w->U8(std::uint8_t(result.payload));
   switch (result.payload) {
     case QueryResult::Payload::kRows: {
       const Relation& rel = result.rows;
+      const std::size_t arity = rel.schema().NumAttributes();
       w->Str(rel.name());
-      w->U32(std::uint32_t(rel.schema().NumAttributes()));
+      w->U32(std::uint32_t(arity));
       for (const AttributeDef& attr : rel.schema().attributes()) {
         w->Str(attr.name);
         w->U8(std::uint8_t(attr.type));
       }
       w->U32(std::uint32_t(rel.NumTuples()));
+      std::size_t cell = 0;
       for (const Tuple& t : rel.tuples()) {
         for (const AttributeValue& v : t) {
+          const std::size_t ref =
+              plan.refs.empty() ? RepeatFinder::kNone : plan.refs[cell];
+          ++cell;
+          if (ref != RepeatFinder::kNone) {
+            w->U32(std::uint32_t(kRefCellBytes));
+            w->U8(kRefCellTag);
+            w->U32(std::uint32_t(ref / arity));
+            w->U32(std::uint32_t(ref % arity));
+            continue;
+          }
           const std::size_t at = w->BeginLength();
           MODB_RETURN_IF_ERROR(SerializeAttribute(v, w->buffer()));
           w->PatchLength(at);
@@ -414,6 +610,47 @@ Status WriteResultBlock(const QueryResult& result, WireWriter* w) {
       break;
   }
   return Status::OK();
+}
+
+// A reference cell of the rows block (row `i`, column `a`): checks that
+// it names a strictly earlier cell of the same mapping type and returns
+// that cell's value, which shares its unit array with the copy.
+Result<AttributeValue> ReadRefCell(std::string_view blob,
+                                   const std::vector<AttributeDef>& attrs,
+                                   const Relation& rel, const Tuple& row,
+                                   std::uint32_t i, std::uint32_t a,
+                                   std::uint32_t num_tuples) {
+  if (blob.size() != kRefCellBytes) {
+    return Status::InvalidArgument(
+        "reference cell must be " + std::to_string(kRefCellBytes) +
+        " bytes, got " + std::to_string(blob.size()));
+  }
+  std::uint32_t ref_row, ref_col;
+  std::memcpy(&ref_row, blob.data() + 1, sizeof ref_row);
+  std::memcpy(&ref_col, blob.data() + 1 + sizeof ref_row, sizeof ref_col);
+  auto refuse = [&](const std::string& why) {
+    return Status::InvalidArgument(
+        "reference cell (" + std::to_string(i) + ", " + std::to_string(a) +
+        ") -> (" + std::to_string(ref_row) + ", " + std::to_string(ref_col) +
+        ") " + why);
+  };
+  if (!IsMappingType(attrs[a].type)) {
+    return refuse(std::string("in non-mapping column of type ") +
+                  AttributeTypeName(attrs[a].type));
+  }
+  if (ref_row >= num_tuples || ref_col >= attrs.size()) {
+    return refuse("is out of range");
+  }
+  if (ref_row == i && ref_col == a) return refuse("refers to itself");
+  if (ref_row > i || (ref_row == i && ref_col > a)) {
+    return refuse("refers to a later cell");
+  }
+  if (attrs[ref_col].type != attrs[a].type) {
+    return refuse(std::string("refers to a cell of type ") +
+                  AttributeTypeName(attrs[ref_col].type) + ", not " +
+                  AttributeTypeName(attrs[a].type));
+  }
+  return ref_row == i ? row[ref_col] : rel.tuple(ref_row)[ref_col];
 }
 
 // The xy / present geometry header. The cell count is overflow-checked
@@ -451,11 +688,11 @@ Status ReadFlagColumn(WireReader* r, std::uint64_t n, const char* what,
 }  // namespace
 
 Result<std::string> EncodeResultBlock(const QueryResult& result) {
-  Result<std::size_t> size = ResultBlockSize(result);
-  MODB_RETURN_IF_ERROR(size.status());
+  Result<BlockPlan> plan = PlanResultBlock(result);
+  MODB_RETURN_IF_ERROR(plan.status());
   WireWriter w;
-  w.Reserve(*size);
-  MODB_RETURN_IF_ERROR(WriteResultBlock(result, &w));
+  w.Reserve(plan->bytes);
+  MODB_RETURN_IF_ERROR(WriteResultBlock(result, *plan, &w));
   return w.Take();
 }
 
@@ -491,12 +728,24 @@ Result<QueryResult> DecodeResultBlock(std::string_view block) {
       Relation rel(std::move(name), Schema(std::move(attrs)));
       std::uint32_t num_tuples;
       MODB_RETURN_IF_ERROR(r.U32(&num_tuples));
+      // Tuples without attributes take no bytes, so their count would be
+      // unbounded by the block: a 13-byte block could ask for 2^32 rows.
+      if (num_attrs == 0 && num_tuples > 0) {
+        return Status::InvalidArgument(
+            "rows block without attributes carries " +
+            std::to_string(num_tuples) + " tuples");
+      }
+      const std::vector<AttributeDef>& defs = rel.schema().attributes();
       std::string_view blob;
       for (std::uint32_t i = 0; i < num_tuples; ++i) {
         Tuple t;
+        t.reserve(num_attrs);
         for (std::uint32_t a = 0; a < num_attrs; ++a) {
           MODB_RETURN_IF_ERROR(r.StrView(&blob));
-          Result<AttributeValue> v = DeserializeAttribute(blob);
+          Result<AttributeValue> v =
+              !blob.empty() && std::uint8_t(blob[0]) == kRefCellTag
+                  ? ReadRefCell(blob, defs, rel, t, i, a, num_tuples)
+                  : DeserializeAttribute(blob);
           MODB_RETURN_IF_ERROR(v.status());
           t.push_back(*std::move(v));
         }
@@ -576,11 +825,11 @@ Status AppendReply(const Status& status, const QueryResult* result,
     return AppendReplyFrom(
         status, 0, [](WireWriter*) { return Status::OK(); }, "", out);
   }
-  Result<std::size_t> block_size = ResultBlockSize(*result);
-  MODB_RETURN_IF_ERROR(block_size.status());
+  Result<BlockPlan> plan = PlanResultBlock(*result);
+  MODB_RETURN_IF_ERROR(plan.status());
   return AppendReplyFrom(
-      status, *block_size,
-      [&](WireWriter* w) { return WriteResultBlock(*result, w); },
+      status, plan->bytes,
+      [&](WireWriter* w) { return WriteResultBlock(*result, *plan, w); },
       result->stats.ToJson(), out);
 }
 

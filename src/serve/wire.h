@@ -35,15 +35,16 @@ namespace modb {
 namespace serve {
 
 inline constexpr char kMagic[4] = {'M', 'O', 'D', 'B'};
-/// v3 is the only version spoken: mutation frames, the window-aggregate
-/// query fields, the query deadline (deadline_ms) and the ingest
-/// idempotency key (client_id, batch_seq). Frames from any version in
+/// v4 is the only version spoken: mutation frames, the window-aggregate
+/// query fields, the query deadline (deadline_ms), the ingest
+/// idempotency key (client_id, batch_seq), and reference cells for
+/// repeated mapping values in a rows block. Frames from any version in
 /// [kMinWireVersion, kWireVersion] are accepted — the payload decoders
 /// take the header's version, so a later version's trailing fields can
 /// be read only when present — and a server answers in the version the
 /// request arrived with (see docs/PROTOCOL.md, "Versioning").
-inline constexpr std::uint8_t kWireVersion = 3;
-inline constexpr std::uint8_t kMinWireVersion = 3;
+inline constexpr std::uint8_t kWireVersion = 4;
+inline constexpr std::uint8_t kMinWireVersion = 4;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 /// Upper bound on a frame payload; larger length fields are rejected
 /// before any allocation.
@@ -189,7 +190,10 @@ Result<MutationResult> DecodeMutationAck(std::string_view block);
 /// (rows / xy / present geometry), NOT including stats — two runs of the
 /// same query produce byte-identical result blocks for any thread
 /// count, which is what the concurrent-client determinism tests and
-/// loadgen --verify compare.
+/// loadgen --verify compare. A mapping cell of a rows block whose
+/// serialisation repeats an earlier cell's of the same type is sent as
+/// a reference to the first one, and decodes to a copy sharing that
+/// cell's unit array (docs/PROTOCOL.md §5).
 Result<std::string> EncodeResultBlock(const QueryResult& result);
 Result<QueryResult> DecodeResultBlock(std::string_view block);
 

@@ -10,6 +10,13 @@
 // ReplaceLastUnit) validates only the new unit against its predecessor,
 // which keeps the constraints by induction at O(1) per unit.
 //
+// The unit array is a shared database array (Section 4, core/cow_array.h):
+// copying a mapping — into a join row, a query result, a decoded reply —
+// bumps a count instead of copying units. A live trail is the only owner
+// of its array at rest, so AppendUnit and ReplaceLastUnit write in place;
+// while a copy is alive they clone the array first, and the copy keeps
+// the units it was taken with.
+//
 // A unit type U must provide:
 //   using ValueType = ...;
 //   const TimeInterval& interval() const;
@@ -30,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cow_array.h"
 #include "core/interval.h"
 #include "core/intime.h"
 #include "core/range_set.h"
@@ -132,12 +140,12 @@ class Mapping {
   /// already valid, so the whole mapping stays valid by induction. On
   /// error the mapping is unchanged.
   Status AppendUnit(U unit) {
-    if (!units_.empty()) {
-      Status next = CheckSuccessor(units_.back(), unit);
+    if (!IsEmpty()) {
+      Status next = CheckSuccessor(units().back(), unit);
       if (!next.ok()) return next;
     }
     index_.reset();
-    units_.push_back(std::move(unit));
+    units_.Mutable().push_back(std::move(unit));
     return Status::OK();
   }
 
@@ -146,15 +154,16 @@ class Mapping {
   /// only, exactly as AppendUnit checks. On error the mapping is
   /// unchanged.
   Status ReplaceLastUnit(U unit) {
-    if (units_.empty()) {
+    const std::vector<U>& us = units();
+    if (us.empty()) {
       return Status::FailedPrecondition("no last unit to replace");
     }
-    if (units_.size() > 1) {
-      Status next = CheckSuccessor(units_[units_.size() - 2], unit);
+    if (us.size() > 1) {
+      Status next = CheckSuccessor(us[us.size() - 2], unit);
       if (!next.ok()) return next;
     }
     index_.reset();
-    units_.back() = std::move(unit);
+    units_.Mutable().back() = std::move(unit);
     return Status::OK();
   }
 
@@ -164,10 +173,12 @@ class Mapping {
     return Mapping(std::move(units));
   }
 
-  bool IsEmpty() const { return units_.empty(); }
-  std::size_t NumUnits() const { return units_.size(); }
-  const std::vector<U>& units() const { return units_; }
-  const U& unit(std::size_t i) const { return units_[i]; }
+  bool IsEmpty() const { return units().empty(); }
+  std::size_t NumUnits() const { return units().size(); }
+  /// The unit array. Copies of a mapping return the same vector until
+  /// one of them is written, so `&units()` identifies a shared array.
+  const std::vector<U>& units() const { return units_.get(); }
+  const U& unit(std::size_t i) const { return units()[i]; }
 
   /// Builds the SoA search index (idempotent). Copies of the mapping
   /// share the index and it is never mutated: AppendUnit and
@@ -176,14 +187,15 @@ class Mapping {
   /// nothing else changes a Mapping's unit list after construction.
   void BuildSearchIndex() {
     if (index_) return;
+    const std::vector<U>& us = units();
     auto ix = std::make_shared<MappingSearchIndex>();
-    ix->start.reserve(units_.size());
-    ix->end.reserve(units_.size());
-    ix->closed.reserve(units_.size());
-    ix->start_key.reserve(units_.size() + 1);
-    ix->end_key.reserve(units_.size() + 1);
+    ix->start.reserve(us.size());
+    ix->end.reserve(us.size());
+    ix->closed.reserve(us.size());
+    ix->start_key.reserve(us.size() + 1);
+    ix->end_key.reserve(us.size() + 1);
     constexpr Instant kInf = std::numeric_limits<Instant>::infinity();
-    for (const U& u : units_) {
+    for (const U& u : us) {
       const TimeInterval& iv = u.interval();
       ix->start.push_back(iv.start());
       ix->end.push_back(iv.end());
@@ -214,7 +226,7 @@ class Mapping {
         ix->motion_y1.push_back(u.motion().y1);
       }
     }
-    if (!units_.empty()) {
+    if (!us.empty()) {
       ix->min_start = ix->start.front();
       ix->max_end = ix->end.back();
     }
@@ -247,25 +259,27 @@ class Mapping {
       if (ix->start_key[idx] <= t) return idx;
       return std::nullopt;
     }
+    const std::vector<U>& us = units();
     auto it = std::upper_bound(
-        units_.begin(), units_.end(), t, [](Instant v, const U& u) {
+        us.begin(), us.end(), t, [](Instant v, const U& u) {
           return v < u.interval().start();
         });
-    if (it == units_.begin()) return std::nullopt;
-    std::size_t idx = std::size_t(std::distance(units_.begin(), it)) - 1;
-    if (units_[idx].interval().Contains(t)) return idx;
-    // t may coincide with the left-open start of units_[idx] while the
+    if (it == us.begin()) return std::nullopt;
+    std::size_t idx = std::size_t(std::distance(us.begin(), it)) - 1;
+    if (us[idx].interval().Contains(t)) return idx;
+    // t may coincide with the left-open start of unit idx while the
     // previous unit ends (closed) exactly there.
-    if (idx > 0 && units_[idx - 1].interval().Contains(t)) return idx - 1;
+    if (idx > 0 && us[idx - 1].interval().Contains(t)) return idx - 1;
     return std::nullopt;
   }
 
   /// Linear-scan variant (the baseline against which bench_atinstant
   /// demonstrates the O(log n) claim).
   std::optional<std::size_t> FindUnitLinear(Instant t) const {
-    for (std::size_t i = 0; i < units_.size(); ++i) {
-      if (units_[i].interval().Contains(t)) return i;
-      if (units_[i].interval().start() > t) break;
+    const std::vector<U>& us = units();
+    for (std::size_t i = 0; i < us.size(); ++i) {
+      if (us[i].interval().Contains(t)) return i;
+      if (us[i].interval().start() > t) break;
     }
     return std::nullopt;
   }
@@ -274,7 +288,7 @@ class Mapping {
   Intime<ValueType> AtInstant(Instant t) const {
     std::optional<std::size_t> idx = FindUnit(t);
     if (!idx) return Intime<ValueType>::Undefined();
-    return Intime<ValueType>(t, units_[*idx].ValueAt(t));
+    return Intime<ValueType>(t, unit(*idx).ValueAt(t));
   }
 
   /// present: is the moving value defined at t?
@@ -284,10 +298,11 @@ class Mapping {
   /// Two-pointer merge over the two sorted interval sequences, O(n + m)
   /// (Section 5.2).
   bool Present(const Periods& periods) const {
+    const std::vector<U>& us = units();
     const std::vector<TimeInterval>& ivs = periods.intervals();
     std::size_t i = 0, j = 0;
-    while (i < units_.size() && j < ivs.size()) {
-      const TimeInterval& u = units_[i].interval();
+    while (i < us.size() && j < ivs.size()) {
+      const TimeInterval& u = us[i].interval();
       const TimeInterval& v = ivs[j];
       if (TimeInterval::RDisjoint(u, v)) {
         ++i;
@@ -302,9 +317,10 @@ class Mapping {
 
   /// deftime: the projection onto the time domain.
   Periods DefTime() const {
+    const std::vector<U>& us = units();
     std::vector<TimeInterval> ivs;
-    ivs.reserve(units_.size());
-    for (const U& u : units_) ivs.push_back(u.interval());
+    ivs.reserve(us.size());
+    for (const U& u : us) ivs.push_back(u.interval());
     return Periods::FromIntervals(std::move(ivs));
   }
 
@@ -312,11 +328,12 @@ class Mapping {
   /// Two-pointer merge over the sorted unit and period sequences,
   /// O(n + m + output) (Section 5.2).
   Result<Mapping> AtPeriods(const Periods& periods) const {
+    const std::vector<U>& us = units();
     const std::vector<TimeInterval>& ivs = periods.intervals();
     std::vector<U> out;
     std::size_t i = 0, j = 0;
-    while (i < units_.size() && j < ivs.size()) {
-      const TimeInterval& u = units_[i].interval();
+    while (i < us.size() && j < ivs.size()) {
+      const TimeInterval& u = us[i].interval();
       const TimeInterval& v = ivs[j];
       if (TimeInterval::RDisjoint(u, v)) {
         ++i;
@@ -327,7 +344,7 @@ class Mapping {
         continue;
       }
       if (auto inter = TimeInterval::Intersect(u, v)) {
-        Result<U> piece = units_[i].WithInterval(*inter);
+        Result<U> piece = us[i].WithInterval(*inter);
         if (!piece.ok()) return piece.status();
         out.push_back(std::move(*piece));
       }
@@ -345,23 +362,23 @@ class Mapping {
 
   /// initial: the (instant, value) pair at the earliest defined instant.
   Intime<ValueType> Initial() const {
-    if (units_.empty()) return Intime<ValueType>::Undefined();
-    const U& u = units_.front();
+    if (IsEmpty()) return Intime<ValueType>::Undefined();
+    const U& u = units().front();
     return Intime<ValueType>(u.interval().start(),
                              u.ValueAt(u.interval().start()));
   }
 
   /// final: the (instant, value) pair at the latest defined instant.
   Intime<ValueType> Final() const {
-    if (units_.empty()) return Intime<ValueType>::Undefined();
-    const U& u = units_.back();
+    if (IsEmpty()) return Intime<ValueType>::Undefined();
+    const U& u = units().back();
     return Intime<ValueType>(u.interval().end(), u.ValueAt(u.interval().end()));
   }
 
   /// Total time span covered.
   double TotalDuration() const {
     double d = 0;
-    for (const U& u : units_) d += Duration(u.interval());
+    for (const U& u : units()) d += Duration(u.interval());
     return d;
   }
 
@@ -397,7 +414,7 @@ class Mapping {
     return Status::OK();
   }
 
-  std::vector<U> units_;
+  CowArray<U> units_;
   // Shared across copies and never mutated; an in-place append or
   // replace drops it.
   std::shared_ptr<const MappingSearchIndex> index_;

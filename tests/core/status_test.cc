@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 namespace modb {
@@ -57,6 +58,43 @@ TEST(ResultTest, MoveOnlyValue) {
   ASSERT_TRUE(r.ok());
   std::unique_ptr<int> v = std::move(r).value();
   EXPECT_EQ(*v, 7);
+}
+
+// `*std::move(r)` binds the rvalue operator* and moves the value out: a
+// move-only type compiles, and a copy-counting one is never copied.
+TEST(ResultTest, DereferencedRvalueMovesTheValueOut) {
+  Result<std::unique_ptr<int>> r = std::make_unique<int>(9);
+  std::unique_ptr<int> v = *std::move(r);
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(*v, 9);
+
+  struct Counted {
+    int* copies;
+    explicit Counted(int* c) : copies(c) {}
+    Counted(const Counted& o) : copies(o.copies) { ++*copies; }
+    Counted(Counted&& o) noexcept = default;
+    Counted& operator=(const Counted& o) {
+      copies = o.copies;
+      ++*copies;
+      return *this;
+    }
+    Counted& operator=(Counted&&) noexcept = default;
+  };
+  int copies = 0;
+  Result<Counted> c = Counted(&copies);
+  EXPECT_EQ(copies, 0);
+  Counted moved = *std::move(c);
+  EXPECT_EQ(copies, 0);
+  Counted assigned(&copies);
+  Result<Counted> d = Counted(&copies);
+  assigned = *std::move(d);
+  EXPECT_EQ(copies, 0);
+  // An lvalue still copies.
+  Result<Counted> e = Counted(&copies);
+  Counted copied = *e;
+  EXPECT_EQ(copies, 1);
+  (void)moved;
+  (void)copied;
 }
 
 TEST(ResultTest, ArrowOperator) {

@@ -12,6 +12,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -916,6 +917,88 @@ TEST_F(ServerTest, MetricsEndpointServesJsonOverHttp) {
   // Metrics compiled out: the endpoint still serves the empty registry.
   EXPECT_NE(metrics->find("\"counters\""), std::string::npos);
 #endif
+}
+
+// A one-shot HTTP peer on an ephemeral port: accepts one connection,
+// reads the request head, writes `response` in `piece`-byte writes and
+// closes.
+class HttpPeer {
+ public:
+  HttpPeer(std::string response, std::size_t piece) {
+    Result<int> fd = ListenTcp("127.0.0.1", 0);
+    EXPECT_TRUE(fd.ok()) << fd.status();
+    listen_fd_ = fd.ok() ? *fd : -1;
+    Result<int> port = BoundPort(listen_fd_);
+    EXPECT_TRUE(port.ok()) << port.status();
+    port_ = port.ok() ? *port : 0;
+    thread_ = std::thread([this, response = std::move(response), piece] {
+      const int conn = ::accept(listen_fd_, nullptr, nullptr);
+      if (conn < 0) return;
+      std::string head;
+      char c;
+      while (head.find("\r\n\r\n") == std::string::npos &&
+             ReadFull(conn, &c, 1).ok()) {
+        head.push_back(c);
+      }
+      for (std::size_t at = 0; at < response.size(); at += piece) {
+        const std::size_t n = std::min(piece, response.size() - at);
+        if (!WriteFull(conn, response.data() + at, n).ok()) break;
+      }
+      CloseFd(conn);
+    });
+  }
+  ~HttpPeer() {
+    thread_.join();
+    CloseFd(listen_fd_);
+  }
+  HttpPeer(const HttpPeer&) = delete;
+  HttpPeer& operator=(const HttpPeer&) = delete;
+  int port() const { return port_; }
+
+ private:
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::thread thread_;
+};
+
+TEST(FetchMetricsJson, ReadsAResponseArrivingInSmallPieces) {
+  std::string body = "{\"counters\": {";
+  for (int i = 0; i < 200; ++i) {
+    body += "\"c" + std::to_string(i) + "\": " + std::to_string(i) + ", ";
+  }
+  body += "\"end\": 0}}";
+  HttpPeer peer("HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" +
+                    body,
+                7);
+  Result<std::string> metrics = FetchMetricsJson("127.0.0.1", peer.port());
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  EXPECT_EQ(*metrics, body);
+}
+
+TEST(FetchMetricsJson, RefusesAResponseOverTheCap) {
+  HttpPeer peer("HTTP/1.0 200 OK\r\n\r\n" + std::string((8u << 20) + 1, 'x'),
+                64 << 10);
+  Result<std::string> metrics = FetchMetricsJson("127.0.0.1", peer.port());
+  ASSERT_FALSE(metrics.ok());
+  EXPECT_EQ(metrics.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(metrics.status().message().find("8 MiB"), std::string::npos)
+      << metrics.status();
+}
+
+TEST(FetchMetricsJson, ChecksTheStatusLineAndTheHeaderTerminator) {
+  {
+    HttpPeer peer("HTTP/1.0 404 Not Found\r\n\r\nnope", 3);
+    Result<std::string> metrics = FetchMetricsJson("127.0.0.1", peer.port());
+    ASSERT_FALSE(metrics.ok());
+    EXPECT_EQ(metrics.status().code(), StatusCode::kInternal);
+    EXPECT_NE(metrics.status().message().find("404"), std::string::npos);
+  }
+  {
+    HttpPeer peer("HTTP/1.0 200 OK\r\nno terminator", 5);
+    Result<std::string> metrics = FetchMetricsJson("127.0.0.1", peer.port());
+    ASSERT_FALSE(metrics.ok());
+    EXPECT_EQ(metrics.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 }  // namespace

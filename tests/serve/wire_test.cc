@@ -619,7 +619,7 @@ TEST(MutationAckCodec, ReplyRoundTripsOkAndError) {
 }
 
 // ---------------------------------------------------------------------------
-// Versioning: the header's version range is the only gate; v3 is the
+// Versioning: the header's version range is the only gate; v4 is the
 // one version spoken.
 // ---------------------------------------------------------------------------
 
@@ -650,8 +650,24 @@ TEST(Versioning, V2HeaderIsRejectedWithATypedError) {
   EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(d.status().message().find("version 2"), std::string::npos)
       << d.status();
-  EXPECT_NE(d.status().message().find("3..3"), std::string::npos)
+  EXPECT_NE(d.status().message().find("4..4"), std::string::npos)
       << d.status();
+}
+
+// v3 is retired too: a v3 peer would misread a rows block carrying
+// reference cells, so its header is refused before any payload.
+TEST(Versioning, V3HeaderIsRejectedWithATypedError) {
+  for (FrameType type :
+       {FrameType::kQuery, FrameType::kReply, FrameType::kMutation}) {
+    Result<struct FrameHeader> d =
+        DecodeFrameHeader(EncodeFrameHeader(type, 0, 3));
+    ASSERT_FALSE(d.ok());
+    EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(d.status().message().find("version 3"), std::string::npos)
+        << d.status();
+    EXPECT_NE(d.status().message().find("4..4"), std::string::npos)
+        << d.status();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -877,11 +893,25 @@ std::string RefAttribute(const AttributeValue& value) {
   return w.Take();
 }
 
+bool IsMapping(AttributeType type) {
+  return type >= AttributeType::kMovingBool &&
+         type <= AttributeType::kMovingRegion;
+}
+
+// A v4 reference cell: tag 0xff, row, column.
+std::string RefCell(std::uint32_t row, std::uint32_t col) {
+  RefWriter w;
+  w.U8(0xff);
+  w.U32(row);
+  w.U32(col);
+  return w.Take();
+}
+
 std::string RefResultBlock(const QueryResult& result) {
   RefWriter w;
   w.U8(std::uint8_t(result.payload));
   switch (result.payload) {
-    case QueryResult::Payload::kRows:
+    case QueryResult::Payload::kRows: {
       w.Str(result.rows.name());
       w.U32(std::uint32_t(result.rows.schema().NumAttributes()));
       for (const AttributeDef& attr : result.rows.schema().attributes()) {
@@ -889,10 +919,37 @@ std::string RefResultBlock(const QueryResult& result) {
         w.U8(std::uint8_t(attr.type));
       }
       w.U32(std::uint32_t(result.rows.NumTuples()));
-      for (const Tuple& t : result.rows.tuples()) {
-        for (const AttributeValue& v : t) w.Str(RefAttribute(v));
+      // §5's repeat rule, by brute force: a mapping cell whose bytes
+      // equal an earlier full cell's of the same type is a reference to
+      // it (the earlier full cells are the first occurrences).
+      struct Full {
+        AttributeType type;
+        std::string bytes;
+        std::uint32_t row, col;
+      };
+      std::vector<Full> firsts;
+      for (std::uint32_t i = 0; i < result.rows.NumTuples(); ++i) {
+        const Tuple& t = result.rows.tuple(i);
+        for (std::uint32_t a = 0; a < t.size(); ++a) {
+          const AttributeType type = TypeOf(t[a]);
+          const std::string bytes = RefAttribute(t[a]);
+          const Full* first = nullptr;
+          for (const Full& f : firsts) {
+            if (IsMapping(type) && f.type == type && f.bytes == bytes) {
+              first = &f;
+              break;
+            }
+          }
+          if (first != nullptr) {
+            w.Str(RefCell(first->row, first->col));
+          } else {
+            w.Str(bytes);
+            if (IsMapping(type)) firsts.push_back({type, bytes, i, a});
+          }
+        }
       }
       break;
+    }
     case QueryResult::Payload::kXY:
       w.U64(result.batch_tuples);
       w.U64(result.batch_instants);
@@ -1028,6 +1085,312 @@ TEST(WireGolden, EncoderMatchesPerFieldReferenceOnRandomResults) {
 }
 
 // ---------------------------------------------------------------------------
+// Repeated values (v4): a mapping cell whose serialisation equals an
+// earlier cell's of the same type travels as a reference to the first.
+// ---------------------------------------------------------------------------
+
+MovingPoint OneUnitMP(const LinearMotion& motion) {
+  return *MovingPoint::Make({*UPoint::Make(TI(0, 2), motion)});
+}
+
+// A join-shaped block: the two trails of every pair, each trail sent in
+// full once. Row 2's first cell is an equal value built separately (no
+// shared array), and still becomes a reference: the rule is by value.
+TEST(WireGolden, JoinRowsWithRepeatedMPointCells) {
+  const LinearMotion ma{1.0, 2.0, 0.5, -1.0};
+  const LinearMotion mb{0.0, 1.0, 2.0, 0.5};
+  const MovingPoint a = OneUnitMP(ma);
+  const MovingPoint b = OneUnitMP(mb);
+  Relation rel("j", Schema({{"p", AttributeType::kMovingPoint},
+                            {"q", AttributeType::kMovingPoint}}));
+  ASSERT_TRUE(rel.Insert({a, b}).ok());
+  ASSERT_TRUE(rel.Insert({b, a}).ok());
+  ASSERT_TRUE(rel.Insert({OneUnitMP(ma), a}).ok());
+  QueryResult result;
+  result.payload = QueryResult::Payload::kRows;
+  result.rows = rel;
+
+  auto full = [](std::string_view x0, std::string_view x1,
+                 std::string_view y0, std::string_view y1) {
+    return Hex("47 00 00 00 0d") + Hex(kFlatMagic) +
+           Hex("04 00 00 00 01 00 00 00 01 00 00 00 32 00 00 00") +
+           Hex(k0_0) + Hex(k2_0) + Hex("01 01") + Hex(x0) + Hex(x1) +
+           Hex(y0) + Hex(y1);
+  };
+  const std::string block =
+      Hex("00"                    // payload kind: rows
+          "01 00 00 00 6a"        // relation name "j"
+          "02 00 00 00"           // 2 attributes
+          "01 00 00 00 70 0d"     // "p" mpoint
+          "01 00 00 00 71 0d"     // "q" mpoint
+          "03 00 00 00") +        // 3 tuples
+      full(k1_0, k2_0, k0_5, kMinus1_0) +           // (0, 0): a
+      full(k0_0, k1_0, k2_0, k0_5) +                // (0, 1): b
+      Hex("09 00 00 00 ff 00 00 00 00 01 00 00 00"  // (1, 0) -> (0, 1)
+          "09 00 00 00 ff 00 00 00 00 00 00 00 00"  // (1, 1) -> (0, 0)
+          "09 00 00 00 ff 00 00 00 00 00 00 00 00"  // (2, 0) -> (0, 0)
+          "09 00 00 00 ff 00 00 00 00 00 00 00 00"  // (2, 1) -> (0, 0)
+      );
+  ASSERT_EQ(block.size(), 0xe4u);
+  Result<std::string> encoded = EncodeResultBlock(result);
+  ASSERT_TRUE(encoded.ok()) << encoded.status();
+  EXPECT_EQ(*encoded, block);
+  EXPECT_EQ(RefResultBlock(result), block);
+  const std::string reply = Hex("00 00 00 00 00 00 00 00 e4 00 00 00") +
+                            block + StatsField(result);
+  ExpectReplyBytes(EncodeReply(Status::OK(), &result), reply);
+
+  // Decoded repeats are the values they name, sharing one unit array.
+  Result<QueryResult> back = DecodeResultBlock(block);
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->rows.NumTuples(), 3u);
+  auto trail = [&](std::size_t i, std::size_t j) -> const MovingPoint& {
+    return std::get<MovingPoint>(back->rows.tuple(i)[j]);
+  };
+  EXPECT_EQ(trail(1, 0).units()[0].motion().y0, 2.0);
+  EXPECT_EQ(trail(2, 0).units()[0].motion().y1, -1.0);
+  EXPECT_EQ(&trail(1, 0).units(), &trail(0, 1).units());
+  EXPECT_EQ(&trail(1, 1).units(), &trail(0, 0).units());
+  EXPECT_EQ(&trail(2, 0).units(), &trail(0, 0).units());
+  EXPECT_EQ(&trail(2, 1).units(), &trail(0, 0).units());
+  EXPECT_NE(&trail(0, 1).units(), &trail(0, 0).units());
+  Result<std::string> again = EncodeResultBlock(*back);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, block);
+}
+
+// Only mapping cells are references: equal ints and strings are sent in
+// full every time.
+TEST(WireRepeats, NonMappingCellsAreNeverReferences) {
+  Relation rel("r", Schema({{"i", AttributeType::kInt},
+                            {"s", AttributeType::kString}}));
+  ASSERT_TRUE(rel.Insert({IntValue(7), StringValue{"LH"}}).ok());
+  ASSERT_TRUE(rel.Insert({IntValue(7), StringValue{"LH"}}).ok());
+  QueryResult result;
+  result.payload = QueryResult::Payload::kRows;
+  result.rows = rel;
+  Result<std::string> block = EncodeResultBlock(result);
+  ASSERT_TRUE(block.ok()) << block.status();
+  EXPECT_EQ(*block, RefResultBlock(result));
+  EXPECT_EQ(block->find(RefCell(0, 0)), std::string::npos);
+}
+
+// A rows block assembled by hand: attribute i is named "a<i>" and has
+// type types[i]; `cells` are the cell strings, row-major.
+std::string HandRowsBlock(const std::vector<AttributeType>& types,
+                          std::uint32_t tuples,
+                          const std::vector<std::string>& cells) {
+  RefWriter w;
+  w.U8(0);
+  w.Str("h");
+  w.U32(std::uint32_t(types.size()));
+  for (std::size_t i = 0; i < types.size(); ++i) {
+    w.Str("a" + std::to_string(i));
+    w.U8(std::uint8_t(types[i]));
+  }
+  w.U32(tuples);
+  for (const std::string& c : cells) w.Str(c);
+  return w.Take();
+}
+
+// Tuples without attributes occupy no bytes, so their count is not
+// bounded by the block: both directions refuse such a rows block.
+TEST(ResultBlockCodec, RowsWithoutAttributesCarryNoTuples) {
+  const std::string block = HandRowsBlock({}, 0xffffffffu, {});
+  Result<QueryResult> d = DecodeResultBlock(block);
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(DecodeResultBlock(HandRowsBlock({}, 0, {})).ok());
+
+  Relation rel("r", Schema(std::vector<AttributeDef>{}));
+  ASSERT_TRUE(rel.Insert(Tuple{}).ok());
+  QueryResult result;
+  result.payload = QueryResult::Payload::kRows;
+  result.rows = rel;
+  EXPECT_EQ(EncodeResultBlock(result).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(WireRepeats, DecoderRefusesBadReferencesTyped) {
+  const std::string mp = RefAttribute(MP(0, 1, Point(0, 0), Point(1, 1)));
+  const std::string mr =
+      RefAttribute(*MovingReal::Make({*UReal::Constant(TI(0, 1), 3.0)}));
+  const std::string one = RefAttribute(IntValue(1));
+  constexpr AttributeType kMP = AttributeType::kMovingPoint;
+  constexpr AttributeType kMR = AttributeType::kMovingReal;
+  constexpr AttributeType kInt = AttributeType::kInt;
+
+  // The hand-built shape itself decodes: a repeat of the cell above.
+  Result<QueryResult> ok =
+      DecodeResultBlock(HandRowsBlock({kMP}, 2, {mp, RefCell(0, 0)}));
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(&std::get<MovingPoint>(ok->rows.tuple(1)[0]).units(),
+            &std::get<MovingPoint>(ok->rows.tuple(0)[0]).units());
+
+  struct Case {
+    const char* what;
+    std::string block;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"itself", HandRowsBlock({kMP}, 1, {RefCell(0, 0)}), "itself"},
+      {"later column", HandRowsBlock({kMP, kMP}, 1, {RefCell(0, 1), mp}),
+       "later cell"},
+      {"later row", HandRowsBlock({kMP}, 2, {RefCell(1, 0), mp}),
+       "later cell"},
+      {"row out of range", HandRowsBlock({kMP}, 2, {mp, RefCell(5, 0)}),
+       "out of range"},
+      {"column out of range", HandRowsBlock({kMP}, 2, {mp, RefCell(0, 3)}),
+       "out of range"},
+      {"another type", HandRowsBlock({kMR, kMP}, 1, {mr, RefCell(0, 0)}),
+       "of type mreal, not mpoint"},
+      {"non-mapping column",
+       HandRowsBlock({kInt, kInt}, 1, {one, RefCell(0, 0)}),
+       "non-mapping column"},
+      {"short reference",
+       HandRowsBlock({kMP}, 2, {mp, RefCell(0, 0).substr(0, 5)}),
+       "reference cell must be 9 bytes"},
+      {"long reference", HandRowsBlock({kMP}, 2, {mp, RefCell(0, 0) + "x"}),
+       "reference cell must be 9 bytes"},
+  };
+  for (const Case& c : cases) {
+    Result<QueryResult> d = DecodeResultBlock(c.block);
+    ASSERT_FALSE(d.ok()) << c.what;
+    EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument) << c.what;
+    EXPECT_NE(d.status().message().find(c.message), std::string::npos)
+        << c.what << ": " << d.status();
+  }
+}
+
+// An equal value with its own unit array.
+AttributeValue Unshared(const AttributeValue& v) {
+  return std::visit(
+      [](const auto& x) -> AttributeValue {
+        using V = std::decay_t<decltype(x)>;
+        if constexpr (requires { typename V::UnitType; }) {
+          using U = typename V::UnitType;
+          return V::MakeTrusted(std::vector<U>(x.units()));
+        } else {
+          return x;
+        }
+      },
+      v);
+}
+
+// Random relations whose mapping cells repeat, as shared copies and as
+// equal values with their own arrays: the block is the brute-force
+// reference's, it decodes to the input values with every repeat sharing
+// its first occurrence's array, re-encodes to the same bytes, and does
+// not depend on which equal cells happened to share an array.
+TEST(WireRepeats, RandomRelationsWithRepeatsRoundTrip) {
+  std::mt19937_64 rng(20261018);
+  constexpr AttributeType kTypes[] = {
+      AttributeType::kInt, AttributeType::kString,
+      AttributeType::kMovingPoint, AttributeType::kMovingReal};
+  auto fresh = [&rng](AttributeType type) -> AttributeValue {
+    switch (type) {
+      case AttributeType::kInt:
+        return IntValue(std::int64_t(rng() % 3));
+      case AttributeType::kString:
+        return StringValue{"s" + std::to_string(rng() % 3)};
+      case AttributeType::kMovingReal: {
+        std::vector<UReal> units;
+        const int n = int(rng() % 4);
+        for (int k = 0; k < n; ++k) {
+          units.push_back(
+              *UReal::Constant(TI(2 * k, 2 * k + 1), double(rng() % 2)));
+        }
+        return *MovingReal::Make(std::move(units));
+      }
+      default: {
+        TrajectoryOptions opts;
+        opts.num_units = int(rng() % 6);
+        return *RandomWalkPoint(rng, opts);
+      }
+    }
+  };
+  int references = 0;
+  for (int iter = 0; iter < 150; ++iter) {
+    std::vector<AttributeDef> attrs;
+    const int arity = 1 + int(rng() % 4);
+    for (int a = 0; a < arity; ++a) {
+      attrs.push_back({"a" + std::to_string(a),
+                       kTypes[rng() % std::size(kTypes)]});
+    }
+    Relation shared("rel", Schema(attrs));
+    Relation unshared("rel", Schema(attrs));
+    std::vector<AttributeValue> earlier;  // every cell so far
+    const int tuples = int(rng() % 10);
+    for (int i = 0; i < tuples; ++i) {
+      Tuple t, u;
+      for (const AttributeDef& attr : attrs) {
+        // Repeat an earlier cell of this type half the time, as a
+        // shared copy or as an equal value with its own array.
+        std::vector<const AttributeValue*> same;
+        for (const AttributeValue& e : earlier) {
+          if (TypeOf(e) == attr.type) same.push_back(&e);
+        }
+        AttributeValue v = !same.empty() && rng() % 2 == 0
+                               ? *same[rng() % same.size()]
+                               : fresh(attr.type);
+        if (rng() % 3 == 0) v = Unshared(v);
+        t.push_back(v);
+        u.push_back(Unshared(v));
+        earlier.push_back(v);
+      }
+      ASSERT_TRUE(shared.Insert(std::move(t)).ok());
+      ASSERT_TRUE(unshared.Insert(std::move(u)).ok());
+    }
+    QueryResult result;
+    result.payload = QueryResult::Payload::kRows;
+    result.rows = shared;
+    Result<std::string> block = EncodeResultBlock(result);
+    ASSERT_TRUE(block.ok()) << block.status();
+    ASSERT_EQ(*block, RefResultBlock(result)) << "iteration " << iter;
+
+    QueryResult deep;
+    deep.payload = QueryResult::Payload::kRows;
+    deep.rows = unshared;
+    Result<std::string> deep_block = EncodeResultBlock(deep);
+    ASSERT_TRUE(deep_block.ok());
+    EXPECT_EQ(*deep_block, *block) << "iteration " << iter;
+
+    Result<QueryResult> back = DecodeResultBlock(*block);
+    ASSERT_TRUE(back.ok()) << back.status();
+    ASSERT_EQ(back->rows.NumTuples(), shared.NumTuples());
+    const std::size_t cells = shared.NumTuples() * std::size_t(arity);
+    std::vector<std::string> bytes(cells);
+    for (std::size_t c = 0; c < cells; ++c) {
+      const AttributeValue& want = shared.tuple(c / arity)[c % arity];
+      const AttributeValue& got = back->rows.tuple(c / arity)[c % arity];
+      bytes[c] = RefAttribute(want);
+      ASSERT_EQ(RefAttribute(got), bytes[c]) << "iteration " << iter;
+      if (!IsMapping(TypeOf(got))) continue;
+      // A repeat shares the array of the first equal cell.
+      for (std::size_t e = 0; e < c; ++e) {
+        const AttributeValue& first = back->rows.tuple(e / arity)[e % arity];
+        if (TypeOf(first) != TypeOf(got) || bytes[e] != bytes[c]) continue;
+        ++references;
+        std::visit(
+            [&](const auto& g) {
+              using V = std::decay_t<decltype(g)>;
+              if constexpr (requires { typename V::UnitType; }) {
+                EXPECT_EQ(&g.units(), &std::get<V>(first).units())
+                    << "iteration " << iter << " cell " << c;
+              }
+            },
+            got);
+        break;
+      }
+    }
+    Result<std::string> again = EncodeResultBlock(*back);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*again, *block) << "iteration " << iter;
+  }
+  EXPECT_GT(references, 100);
+}
+
+// ---------------------------------------------------------------------------
 // Fuzz: random garbage through every decoder. The contract is "typed
 // error or a valid decode", never a crash, hang, or over-read.
 // ---------------------------------------------------------------------------
@@ -1109,6 +1472,39 @@ TEST(WireFuzz, MutatedValidRepliesNeverCrash) {
       // An accepted OK reply must carry a decodable-or-rejected block —
       // decoding it must not crash either way.
       (void)DecodeResultBlock(d->result_block);
+    }
+  }
+}
+
+// Reference cells under mutation: a join-shaped block (trails repeated
+// across rows and columns) with random bytes flipped decodes or fails
+// typed, and whatever decodes re-encodes.
+TEST(WireFuzz, MutatedRowsBlocksWithReferencesNeverCrash) {
+  Relation rel("j", Schema({{"p", AttributeType::kMovingPoint},
+                            {"q", AttributeType::kMovingPoint}}));
+  const MovingPoint a = MP(0, 4, Point(0, 0), Point(4, 4));
+  const MovingPoint b = MP(1, 3, Point(2, 0), Point(0, 2));
+  ASSERT_TRUE(rel.Insert({a, b}).ok());
+  ASSERT_TRUE(rel.Insert({b, a}).ok());
+  ASSERT_TRUE(rel.Insert({a, a}).ok());
+  QueryResult result;
+  result.payload = QueryResult::Payload::kRows;
+  result.rows = rel;
+  Result<std::string> block = EncodeResultBlock(result);
+  ASSERT_TRUE(block.ok());
+  ASSERT_NE(block->find(RefCell(0, 0)), std::string::npos);
+  const std::string base = *block;
+  std::mt19937_64 rng(4242);
+  std::uniform_int_distribution<int> byte(0, 255);
+  std::uniform_int_distribution<std::size_t> pos(0, base.size() - 1);
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::string bytes = base;
+    for (int k = 0; k < 1 + iter % 3; ++k) bytes[pos(rng)] = char(byte(rng));
+    Result<QueryResult> d = DecodeResultBlock(bytes);
+    if (d.ok()) {
+      EXPECT_TRUE(EncodeResultBlock(*d).ok());
+    } else {
+      EXPECT_NE(d.status().code(), StatusCode::kOk);
     }
   }
 }

@@ -145,6 +145,77 @@ TEST(MappingAppend, DropsOnlyThisCopysSearchIndex) {
   EXPECT_FALSE(copy.FindUnit(1.5).has_value());
 }
 
+// Copies share one unit array until either side is written; the write
+// clones it first, so whichever side did not write keeps its units and
+// its search index, and the writer sees only its own change.
+TEST(MappingSharedUnits, WritesOnEitherSideOfACopyStayOnThatSide) {
+  const std::vector<UBool> base = {UB(0, 1, true, true, false),
+                                   UB(1, 2, false, true, false)};
+  enum class Op { kAppend, kReplace };
+  for (Op op : {Op::kAppend, Op::kReplace}) {
+    for (bool write_original : {true, false}) {
+      MovingBool m = *MovingBool::Make(base);
+      m.BuildSearchIndex();
+      MovingBool copy = m;
+      EXPECT_EQ(&m.units(), &copy.units());
+      EXPECT_EQ(m.search_index(), copy.search_index());
+
+      MovingBool& writer = write_original ? m : copy;
+      const MovingBool& other = write_original ? copy : m;
+      const std::vector<UBool>* other_units = &other.units();
+      const MappingSearchIndex* other_index = other.search_index();
+      if (op == Op::kAppend) {
+        ASSERT_TRUE(writer.AppendUnit(UB(2, 3, true)).ok());
+      } else {
+        ASSERT_TRUE(writer.ReplaceLastUnit(UB(1, 5, false)).ok());
+      }
+      // The writer cloned.
+      EXPECT_NE(&writer.units(), other_units);
+      EXPECT_FALSE(writer.HasSearchIndex());
+      // The other side is untouched: same array, same units, same index.
+      EXPECT_EQ(&other.units(), other_units);
+      EXPECT_EQ(other.search_index(), other_index);
+      ASSERT_EQ(2u, other.NumUnits());
+      EXPECT_EQ(2, other.unit(1).interval().end());
+      EXPECT_EQ(2u, other.search_index()->start.size());
+      EXPECT_EQ(std::optional<std::size_t>(1), other.FindUnit(1.5));
+      EXPECT_FALSE(other.FindUnit(2.5).has_value());
+      EXPECT_FALSE(other.FindUnit(4).has_value());
+      // The writer has its change.
+      if (op == Op::kAppend) {
+        ASSERT_EQ(3u, writer.NumUnits());
+        EXPECT_EQ(std::optional<std::size_t>(2), writer.FindUnit(2.5));
+      } else {
+        ASSERT_EQ(2u, writer.NumUnits());
+        EXPECT_EQ(std::optional<std::size_t>(1), writer.FindUnit(4));
+      }
+    }
+  }
+}
+
+// A sole owner writes in place: no clone, the same array throughout.
+TEST(MappingSharedUnits, SoleOwnerAppendsInPlace) {
+  MovingBool m;
+  ASSERT_TRUE(m.AppendUnit(UB(0, 1, true, true, false)).ok());
+  const std::vector<UBool>* array = &m.units();
+  for (int i = 1; i < 50; ++i) {
+    ASSERT_TRUE(m.AppendUnit(UB(i, i + 1, i % 2 == 0, true, false)).ok());
+    ASSERT_TRUE(
+        m.ReplaceLastUnit(UB(i, i + 1, i % 2 == 0, true, i % 3 == 0)).ok());
+    ASSERT_TRUE(m.ReplaceLastUnit(UB(i, i + 1, i % 2 == 0, true, false)).ok());
+  }
+  EXPECT_EQ(&m.units(), array);
+  EXPECT_EQ(50u, m.NumUnits());
+  // A copy that has died no longer counts as a sharer.
+  { const MovingBool copy = m; }
+  ASSERT_TRUE(m.AppendUnit(UB(50, 51, true)).ok());
+  EXPECT_EQ(&m.units(), array);
+  // Moving hands the array over, unshared.
+  MovingBool moved = std::move(m);
+  ASSERT_TRUE(moved.ReplaceLastUnit(UB(50, 52, true)).ok());
+  EXPECT_EQ(&moved.units(), array);
+}
+
 TEST(MappingFindUnit, BinaryVsLinearAgree) {
   std::vector<UBool> units;
   for (int i = 0; i < 20; ++i) {
