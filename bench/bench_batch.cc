@@ -1,7 +1,7 @@
 // Batch/parallel execution experiments: the O(n+k) AtInstantBatch merge
 // sweep vs. k independent O(log n) AtInstant searches, the SoA search
-// index, the refinement scratch buffer, and parallel query plans on the
-// morsel engine.
+// index, the in-place co-defined interval walk, and parallel query plans
+// on the morsel engine.
 
 #include <benchmark/benchmark.h>
 
@@ -118,21 +118,21 @@ void BM_Refinement_Alloc(benchmark::State& state) {
 }
 BENCHMARK(BM_Refinement_Alloc)->Arg(256)->Arg(2048);
 
-void BM_Refinement_Scratch(benchmark::State& state) {
+// The co-defined intervals of the same pair, walked in place with no
+// partition vector.
+void BM_Refinement_CommonIntervals(benchmark::State& state) {
   MovingReal a = DenseReal(int(state.range(0)), 0.0);
   MovingReal b = DenseReal(int(state.range(0)), 0.25);
-  RefinementScratch scratch;
   for (auto _ : state) {
     std::size_t pairs = 0;
-    (void)ForEachRefinementPair(a, b, &scratch,
-                                [&pairs](const RefinementEntry&) {
-                                  ++pairs;
-                                  return Status::OK();
-                                });
+    ForEachCommonInterval(
+        a, b, [&pairs](const TimeInterval&, std::size_t, std::size_t) {
+          ++pairs;
+        });
     benchmark::DoNotOptimize(pairs);
   }
 }
-BENCHMARK(BM_Refinement_Scratch)->Arg(256)->Arg(2048);
+BENCHMARK(BM_Refinement_CommonIntervals)->Arg(256)->Arg(2048);
 
 // ---------------------------------------------------------------------------
 // Parallel operators. arg = thread count (0 = serial operator).

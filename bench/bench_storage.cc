@@ -16,7 +16,6 @@
 #include "gen/trajectory_gen.h"
 #include "storage/buffer_pool.h"
 #include "storage/flat.h"
-#include "storage/mmap_device.h"
 #include "storage/page_store.h"
 #include "storage/recovery.h"
 #include "storage/spill.h"
@@ -115,16 +114,13 @@ void BM_AttributeStore_PutGet(benchmark::State& state) {
 }
 BENCHMARK(BM_AttributeStore_PutGet)->RangeMultiplier(4)->Range(4, 4096);
 
-// -- device scan experiments (EXPERIMENTS.md, mmap vs file) ------------------
+// -- device scan experiments (EXPERIMENTS.md) ---------------------------------
 //
 // One MODBPAGE file of spilled blobs, scanned through a BufferPool far
-// smaller than the working set, so every scan pays real device reads.
-// FilePageDevice pays a pread syscall + copy-in per page; MmapPageDevice
-// serves the same page as a pointer into the mapping. "Warm" means the
-// OS cache (and mapping) is primed — the steady state of a resident
-// server — and is what the bench_compare --storage ratio gate reads.
-// "Cold" re-opens the device and pool per iteration, adding the open +
-// first-fault cost.
+// smaller than the working set, so every scan pays real device reads:
+// a pread syscall + copy-in per page. "Warm" means the OS page cache is
+// primed — the steady state of a resident server. "Cold" re-opens the
+// device and pool per iteration, adding the open + first-read cost.
 
 constexpr int kScanBlobs = 64;
 constexpr std::size_t kScanBlobBytes = 3 * kSpillPayloadSize + 1000;
@@ -135,8 +131,7 @@ struct ScanFile {
   bool ok = false;
 };
 
-// Written once per process (FilePageDevice and MmapPageDevice share the
-// format, so both benches open the same file).
+// Written once per process; every scan bench opens the same file.
 const ScanFile& GetScanFile() {
   static const ScanFile* file = [] {
     auto* f = new ScanFile;
@@ -161,10 +156,8 @@ const ScanFile& GetScanFile() {
 
 // Page-granular sequential scan: pin every data page in order through
 // the pool (with a readahead hint window) and read every byte. This is
-// the device contract itself — what the file device answers with a
-// pread + copy-in and the mmap device with a pointer into the mapping —
-// and the shape paged unit scans (temporal/paged_ops.h) put on the
-// pool. The bench_compare --storage warm ratio gate reads these rows.
+// the device contract itself and the shape paged unit scans
+// (temporal/paged_ops.h) put on the pool.
 bool ScanPagesOnce(BufferPool* pool, std::uint32_t num_pages) {
   constexpr std::uint32_t kWindow = 16;
   std::uint64_t sum = 0;
@@ -183,22 +176,20 @@ bool ScanPagesOnce(BufferPool* pool, std::uint32_t num_pages) {
   return true;
 }
 
-template <typename Device>
-void RunWarmScan(benchmark::State& state,
-                 Result<Device> (*open)(const std::string&)) {
+void BM_SpilledScanWarm_File(benchmark::State& state) {
   const ScanFile& f = GetScanFile();
   if (!f.ok) {
     state.SkipWithError("scan file setup failed");
     return;
   }
-  Result<Device> dev = open(f.path);
+  Result<FilePageDevice> dev = FilePageDevice::Open(f.path);
   if (!dev.ok()) {
     state.SkipWithError("device open failed");
     return;
   }
   const std::uint32_t num_pages = std::uint32_t(dev->NumPages());
   BufferPool pool(&*dev, 8);  // << working set: every scan hits the device
-  if (!ScanPagesOnce(&pool, num_pages)) {  // prime the OS cache / mapping
+  if (!ScanPagesOnce(&pool, num_pages)) {  // prime the OS cache
     state.SkipWithError("prime scan failed");
     return;
   }
@@ -209,27 +200,16 @@ void RunWarmScan(benchmark::State& state,
   state.SetBytesProcessed(int64_t(state.iterations()) * num_pages *
                           int64_t(kPageSize));
 }
-
-void BM_SpilledScanWarm_File(benchmark::State& state) {
-  RunWarmScan<FilePageDevice>(state, &FilePageDevice::Open);
-}
 BENCHMARK(BM_SpilledScanWarm_File);
 
-void BM_SpilledScanWarm_Mmap(benchmark::State& state) {
-  RunWarmScan<MmapPageDevice>(state, &MmapPageDevice::Open);
-}
-BENCHMARK(BM_SpilledScanWarm_Mmap);
-
-template <typename Device>
-void RunColdScan(benchmark::State& state,
-                 Result<Device> (*open)(const std::string&)) {
+void BM_SpilledScanCold_File(benchmark::State& state) {
   const ScanFile& f = GetScanFile();
   if (!f.ok) {
     state.SkipWithError("scan file setup failed");
     return;
   }
   for (auto _ : state) {
-    Result<Device> dev = open(f.path);
+    Result<FilePageDevice> dev = FilePageDevice::Open(f.path);
     if (!dev.ok()) {
       state.SkipWithError("device open failed");
       return;
@@ -241,30 +221,19 @@ void RunColdScan(benchmark::State& state,
   }
   state.SetItemsProcessed(int64_t(state.iterations()));
 }
-
-void BM_SpilledScanCold_File(benchmark::State& state) {
-  RunColdScan<FilePageDevice>(state, &FilePageDevice::Open);
-}
 BENCHMARK(BM_SpilledScanCold_File);
-
-void BM_SpilledScanCold_Mmap(benchmark::State& state) {
-  RunColdScan<MmapPageDevice>(state, &MmapPageDevice::Open);
-}
-BENCHMARK(BM_SpilledScanCold_Mmap);
 
 // Blob-level warm scan: the same pages pulled through ReadSpilledBlob,
 // adding per-page header verification (CRC over the payload) and the
 // payload reassembly copy on top of the device read. Informational —
 // it shows how much of the end-to-end spill read the device itself is.
-template <typename Device>
-void RunBlobScan(benchmark::State& state,
-                 Result<Device> (*open)(const std::string&)) {
+void BM_SpilledBlobScanWarm_File(benchmark::State& state) {
   const ScanFile& f = GetScanFile();
   if (!f.ok) {
     state.SkipWithError("scan file setup failed");
     return;
   }
-  Result<Device> dev = open(f.path);
+  Result<FilePageDevice> dev = FilePageDevice::Open(f.path);
   if (!dev.ok()) {
     state.SkipWithError("device open failed");
     return;
@@ -283,19 +252,10 @@ void RunBlobScan(benchmark::State& state,
   state.SetBytesProcessed(int64_t(state.iterations()) * kScanBlobs *
                           int64_t(kScanBlobBytes));
 }
-
-void BM_SpilledBlobScanWarm_File(benchmark::State& state) {
-  RunBlobScan<FilePageDevice>(state, &FilePageDevice::Open);
-}
 BENCHMARK(BM_SpilledBlobScanWarm_File);
 
-void BM_SpilledBlobScanWarm_Mmap(benchmark::State& state) {
-  RunBlobScan<MmapPageDevice>(state, &MmapPageDevice::Open);
-}
-BENCHMARK(BM_SpilledBlobScanWarm_Mmap);
-
-// Epoch-pinned snapshot readers against a committed store (mmap device):
-// each operation pins the current epoch, reads one root through the pin,
+// Epoch-pinned snapshot readers against a committed store: each
+// operation pins the current epoch, reads one root through the pin,
 // and releases — the per-request pattern Db::Run uses. Run at 4 threads
 // to expose the lock-free pin-read path; the items/s floor in
 // bench_compare --storage warn-skips on hosts with fewer than 4 CPUs.
@@ -305,7 +265,6 @@ void BM_EpochPinnedReaders(benchmark::State& state) {
                               "modb_bench_pin_store.bin")
                                  .string();
     VersionedSpillStore::Options options;
-    options.device = StoreDeviceKind::kMmap;
     options.pool_capacity = 64;
     auto created = VersionedSpillStore::Create(path, options);
     if (!created.ok()) return static_cast<VersionedSpillStore*>(nullptr);

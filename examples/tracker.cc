@@ -8,16 +8,11 @@
 // Also demonstrates the storage layer: each track becomes one tuple whose
 // large unit array lives in page extents ([DG98] behavior), and the
 // simplified fleet is committed to a crash-consistent VersionedSpillStore
-// and read back through a pinned epoch. --device picks the PageDevice
-// backing that store: `file` (pread/pwrite, the default) or `mmap`
-// (reads served zero-copy out of a shared mapping). Both write the
-// identical MODBPAGE format, so a store created under one reopens under
-// the other.
+// and read back through a pinned epoch.
 //
-// Build & run:  ./build/examples/tracker [--device=file|mmap]
+// Build & run:  ./build/examples/tracker
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -74,19 +69,11 @@ Result<MovingPoint> IngestTrack(const std::vector<Fix>& fixes) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  StoreDeviceKind device = StoreDeviceKind::kFile;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--device=file") == 0) {
-      device = StoreDeviceKind::kFile;
-    } else if (std::strcmp(argv[i], "--device=mmap") == 0) {
-      device = StoreDeviceKind::kMmap;
-    } else {
-      std::fprintf(stderr, "usage: tracker [--device=file|mmap]\n");
-      return 2;
-    }
+int main(int argc, char**) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: tracker\n");
+    return 2;
   }
-
   std::mt19937_64 rng(7);
   AttributeStore store;
   std::vector<MovingPoint> fleet;
@@ -122,18 +109,15 @@ int main(int argc, char** argv) {
       total_fixes, total_units, total_tuple_bytes,
       store.page_store().NumPages(), store.page_store().BytesAllocated() / 1024);
 
-  // Durability: commit the simplified fleet to a versioned store on the
-  // chosen device, then reopen it and read every track back through a
-  // pinned epoch — the read path concurrent queries would use while the
-  // next day's ingest commits.
+  // Durability: commit the simplified fleet to a versioned store, then
+  // reopen it and read every track back through a pinned epoch — the
+  // read path concurrent queries would use while the next day's ingest
+  // commits.
   const std::string store_path =
       (std::filesystem::temp_directory_path() / "modb_tracker.store").string();
   std::error_code ec;
   std::filesystem::remove(store_path, ec);
-  VersionedSpillStore::Options opts;
-  opts.device = device;
-  Result<VersionedSpillStore> created =
-      VersionedSpillStore::Create(store_path, opts);
+  Result<VersionedSpillStore> created = VersionedSpillStore::Create(store_path);
   if (!created.ok()) {
     std::fprintf(stderr, "tracker: creating store: %s\n",
                  created.status().ToString().c_str());
@@ -151,8 +135,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  Result<VersionedSpillStore> reopened =
-      VersionedSpillStore::Open(store_path, opts);
+  Result<VersionedSpillStore> reopened = VersionedSpillStore::Open(store_path);
   if (!reopened.ok()) {
     std::fprintf(stderr, "tracker: reopening store: %s\n",
                  reopened.status().ToString().c_str());
@@ -170,10 +153,9 @@ int main(int argc, char** argv) {
     loaded_units += back->NumUnits();
   }
   std::printf(
-      "durable fleet: %zu tracks (%zu units) committed at epoch %llu on "
-      "the %s device and reloaded through a pinned epoch\n",
-      fleet.size(), loaded_units, (unsigned long long)reopened->epoch(),
-      device == StoreDeviceKind::kMmap ? "mmap" : "file");
+      "durable fleet: %zu tracks (%zu units) committed at epoch %llu and "
+      "reloaded through a pinned epoch\n",
+      fleet.size(), loaded_units, (unsigned long long)reopened->epoch());
   std::filesystem::remove(store_path, ec);
   return 0;
 }

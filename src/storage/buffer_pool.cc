@@ -1,6 +1,5 @@
 #include "storage/buffer_pool.h"
 
-#include <cstring>
 #include <limits>
 #include <mutex>
 #include <utility>
@@ -44,13 +43,6 @@ void BufferPool::PageRef::Release() {
     data_ = nullptr;
     dirty_ = false;
   }
-}
-
-char* BufferPool::PageRef::mutable_data() {
-  dirty_ = true;
-  char* p = pool_->MutableData(frame_);
-  data_ = p;
-  return p;
 }
 
 BufferPool::BufferPool(PageDevice* device, std::size_t capacity)
@@ -108,7 +100,7 @@ Result<BufferPool::PageRef> BufferPool::Pin(std::uint32_t page) {
                         std::memory_order_relaxed);
       s.hits.fetch_add(1, std::memory_order_relaxed);
       MODB_COUNTER_INC("storage.buffer_pool.hits");
-      return PageRef(this, f, f->bytes(), page);
+      return PageRef(this, f, page);
     }
   }
 
@@ -127,7 +119,7 @@ Result<BufferPool::PageRef> BufferPool::Pin(std::uint32_t page) {
                       std::memory_order_relaxed);
     s.hits.fetch_add(1, std::memory_order_relaxed);
     MODB_COUNTER_INC("storage.buffer_pool.hits");
-    return PageRef(this, f, f->bytes(), page);
+    return PageRef(this, f, page);
   }
   s.misses.fetch_add(1, std::memory_order_relaxed);
   MODB_COUNTER_INC("storage.buffer_pool.misses");
@@ -163,33 +155,16 @@ Result<BufferPool::PageRef> BufferPool::Pin(std::uint32_t page) {
     }
     s.table.erase(f->page);
     f->resident = false;
-    f->owned.reset();
-    f->mapped.store(nullptr, std::memory_order_relaxed);
     s.evictions.fetch_add(1, std::memory_order_relaxed);
     MODB_COUNTER_INC("storage.buffer_pool.evictions");
   }
 
-  // Zero-copy devices serve the page as a pointer into their own
-  // storage; copying devices get a private frame buffer filled by
-  // ReadPage.
-  Result<const char*> mapped = device_->MappedPage(page);
-  if (!mapped.ok()) {
+  if (!f->data) f->data = std::make_unique<char[]>(kPageSize);
+  Status read = device_->ReadPage(page, f->data.get());
+  if (!read.ok()) {
     s.read_errors.fetch_add(1, std::memory_order_relaxed);
     s.free_frames.push_back(f);
-    return mapped.status();
-  }
-  if (*mapped != nullptr) {
-    f->mapped.store(*mapped, std::memory_order_relaxed);
-    f->owned.reset();
-  } else {
-    if (!f->owned) f->owned = std::make_unique<char[]>(kPageSize);
-    f->mapped.store(nullptr, std::memory_order_relaxed);
-    Status read = device_->ReadPage(page, f->owned.get());
-    if (!read.ok()) {
-      s.read_errors.fetch_add(1, std::memory_order_relaxed);
-      s.free_frames.push_back(f);
-      return read;
-    }
+    return read;
   }
   f->page = page;
   f->pins.store(1, std::memory_order_relaxed);
@@ -200,7 +175,7 @@ Result<BufferPool::PageRef> BufferPool::Pin(std::uint32_t page) {
   s.table.emplace(page, f);
   MODB_HISTOGRAM_RECORD("storage.buffer_pool.shard_occupancy",
                         s.table.size());
-  return PageRef(this, f, f->bytes(), page);
+  return PageRef(this, f, page);
 }
 
 void BufferPool::Unpin(Frame* f, bool dirty) {
@@ -215,39 +190,11 @@ void BufferPool::Unpin(Frame* f, bool dirty) {
   f->pins.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-char* BufferPool::MutableData(Frame* f) {
-  // Copy-in frames own their buffer from the moment they were loaded
-  // (published by the table insert under the exclusive lock), and a
-  // mapped frame whose upgrade completed published `owned` before
-  // clearing `mapped` — either way a null `mapped` means `owned` is
-  // safe to hand out with no lock.
-  if (f->mapped.load(std::memory_order_acquire) == nullptr) {
-    return f->owned.get();
-  }
-  // Copy-on-write upgrade of a device-mapped frame: scribbles must live
-  // in pool memory only, so DiscardAll can really discard them and
-  // snapshot readers of the mapped bytes keep the committed state.
-  Shard& s = *f->home;
-  std::unique_lock<std::shared_mutex> lock(s.mu);
-  const char* mapped = f->mapped.load(std::memory_order_relaxed);
-  if (mapped != nullptr) {
-    auto copy = std::make_unique<char[]>(kPageSize);
-    std::memcpy(copy.get(), mapped, kPageSize);
-    f->owned = std::move(copy);
-    f->mapped.store(nullptr, std::memory_order_release);
-  }
-  return f->owned.get();
-}
-
 Status BufferPool::WritebackLocked(Shard* s, Frame* f) {
-  if (f->owned) {
-    Status st = device_->WritePage(f->page, f->owned.get());
-    if (!st.ok()) return st;
-    s->writebacks.fetch_add(1, std::memory_order_relaxed);
-    MODB_COUNTER_INC("storage.buffer_pool.writebacks");
-  }
-  // A mapped frame with no private copy has nothing to write: its bytes
-  // already live in the device's storage.
+  Status st = device_->WritePage(f->page, f->data.get());
+  if (!st.ok()) return st;
+  s->writebacks.fetch_add(1, std::memory_order_relaxed);
+  MODB_COUNTER_INC("storage.buffer_pool.writebacks");
   f->dirty.store(false, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -301,8 +248,7 @@ Status BufferPool::DropAll() {
       }
       s.table.erase(f.page);
       f.resident = false;
-      f.owned.reset();
-      f.mapped.store(nullptr, std::memory_order_relaxed);
+      f.data.reset();
       s.evictions.fetch_add(1, std::memory_order_relaxed);
       MODB_COUNTER_INC("storage.buffer_pool.evictions");
       s.free_frames.push_back(&f);
@@ -336,8 +282,7 @@ Status BufferPool::DiscardAll() {
       s.table.erase(f.page);
       f.resident = false;
       f.dirty.store(false, std::memory_order_relaxed);
-      f.owned.reset();
-      f.mapped.store(nullptr, std::memory_order_relaxed);
+      f.data.reset();
       s.evictions.fetch_add(1, std::memory_order_relaxed);
       MODB_COUNTER_INC("storage.buffer_pool.evictions");
       s.free_frames.push_back(&f);

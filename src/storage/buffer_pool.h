@@ -18,15 +18,11 @@
 // eviction order is the exact global LRU the tests and cold-cache
 // benchmarks rely on.
 //
-// Zero-copy devices: when the device can serve a page as a pointer into
-// its own storage (MmapPageDevice::MappedPage), the pool pins that
-// memory directly — no copy-in, no per-frame allocation. The first
-// mutable_data() on such a frame upgrades it to a private copy
-// (copy-on-write), so uncommitted scribbles live only in pool memory
-// until writeback — exactly like a copying device — and DiscardAll
-// really discards them (crash simulation stays honest). Snapshot
-// readers holding the original mapped bytes keep seeing the committed
-// state.
+// Every frame owns a private page buffer filled by ReadPage, so
+// uncommitted scribbles live only in pool memory until writeback and
+// DiscardAll really discards them (crash simulation stays honest). The
+// buffer is allocated on a frame's first load and reused across
+// evictions.
 //
 // Hit, miss, eviction, and writeback counts are kept per shard and
 // aggregated at export time, so the historical storage.buffer_pool.*
@@ -100,10 +96,10 @@ class BufferPool {
     explicit operator bool() const { return pool_ != nullptr; }
     std::uint32_t page_id() const { return page_; }
     const char* data() const { return data_; }
-    /// First call on a zero-copy (device-mapped) frame upgrades it to a
-    /// private buffer; the returned pointer may therefore differ from
-    /// data() before the call (and data() follows it afterwards).
-    char* mutable_data();
+    char* mutable_data() {
+      dirty_ = true;
+      return data_;
+    }
     void MarkDirty() { dirty_ = true; }
 
     /// Early unpin; the ref becomes empty.
@@ -111,13 +107,12 @@ class BufferPool {
 
    private:
     friend class BufferPool;
-    PageRef(BufferPool* pool, Frame* frame, const char* data,
-            std::uint32_t page)
-        : pool_(pool), frame_(frame), data_(data), page_(page) {}
+    PageRef(BufferPool* pool, Frame* frame, std::uint32_t page)
+        : pool_(pool), frame_(frame), data_(frame->data.get()), page_(page) {}
 
     BufferPool* pool_ = nullptr;
     Frame* frame_ = nullptr;
-    const char* data_ = nullptr;
+    char* data_ = nullptr;
     std::uint32_t page_ = 0;
     bool dirty_ = false;
   };
@@ -131,7 +126,7 @@ class BufferPool {
   Result<PageRef> Pin(std::uint32_t page);
 
   /// Writes every dirty resident page back to the device, then syncs the
-  /// device (msync/fdatasync) so the bytes are durable — the PR-5
+  /// device (fdatasync) so the bytes are durable — the store's
   /// two-phase commit relies on this being a real barrier.
   Status FlushAll();
 
@@ -172,16 +167,8 @@ class BufferPool {
     std::atomic<bool> dirty{false};
     bool resident = false;
     std::atomic<std::uint64_t> lru_tick{0};  // larger = more recently used
-    // Device-owned bytes (zero-copy); cleared when a COW upgrade moves
-    // the frame onto its private `owned` buffer. Atomic so
-    // mutable_data's lock-free fast path can test it.
-    std::atomic<const char*> mapped{nullptr};
-    std::unique_ptr<char[]> owned;      // private copy (COW or copy-in)
+    std::unique_ptr<char[]> data;  // kPageSize bytes once first loaded
     Shard* home = nullptr;
-
-    const char* bytes() const {
-      return owned ? owned.get() : mapped.load(std::memory_order_relaxed);
-    }
   };
 
   struct Shard {
@@ -200,7 +187,6 @@ class BufferPool {
  private:
   Shard& ShardFor(std::uint32_t page) const;
   void Unpin(Frame* f, bool dirty);
-  char* MutableData(Frame* f);
   /// Writes frame's page back; on success clears its dirty bit. Caller
   /// holds the shard's exclusive lock.
   Status WritebackLocked(Shard* s, Frame* f);

@@ -19,13 +19,12 @@ RetryPolicy FastRetry() {
   return p;
 }
 
-VersionedSpillStore::Options StoreOptions(StoreDeviceKind device) {
+VersionedSpillStore::Options StoreOptions() {
   VersionedSpillStore::Options o;
   // Small pool: staging must evict through the device, so writeback
   // paths sit inside the enumerated fault window too.
   o.pool_capacity = 8;
   o.retry = FastRetry();
-  o.device = device;
   return o;
 }
 
@@ -378,7 +377,7 @@ Result<CrashCampaignReport> RunCrashCampaign(
   FaultInjector& inj = FaultInjector::Global();
   CrashCampaignReport report;
   report.tear_modes = options.tear_keep_bytes.size();
-  const VersionedSpillStore::Options sopts = StoreOptions(options.device);
+  const VersionedSpillStore::Options sopts = StoreOptions();
 
   Result<Script> script = BuildScript();
   if (!script.ok()) return script.status();

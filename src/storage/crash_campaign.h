@@ -47,9 +47,6 @@ struct CrashCampaignOptions {
   /// everything away, a mid-header cut and a mid-page cut catch
   /// different parser paths.
   std::vector<std::size_t> tear_keep_bytes = {0, 16, 2048};
-  /// Device implementation under test; the guarantees (and this
-  /// enumeration) are identical for both.
-  StoreDeviceKind device = StoreDeviceKind::kFile;
 };
 
 struct CrashCampaignReport {

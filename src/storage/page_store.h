@@ -10,10 +10,9 @@
 // with fallible page-granular reads and writes. PageStore implements it
 // in memory; FilePageDevice implements it directly against a file so
 // pages are only brought into main memory on demand ("secondary memory"
-// proper — a relation accessed through it can exceed RAM);
-// MmapPageDevice (storage/mmap_device.h) maps the same file format and
-// serves reads as pointers into the mapping. All devices route every
-// page I/O through the fault injector (storage/fault.h).
+// proper — a relation accessed through it can exceed RAM). Both
+// devices route every page I/O through the fault injector
+// (storage/fault.h).
 
 #ifndef MODB_STORAGE_PAGE_STORE_H_
 #define MODB_STORAGE_PAGE_STORE_H_
@@ -32,8 +31,8 @@ namespace modb {
 inline constexpr std::size_t kPageSize = 4096;
 
 /// The on-disk page file header: magic u64, num_pages u64, bytes_used
-/// u64 (all LE). Shared by PageStore::SaveToFile, FilePageDevice, and
-/// MmapPageDevice — page `p` lives at byte offset
+/// u64 (all LE). Shared by PageStore::SaveToFile and FilePageDevice —
+/// page `p` lives at byte offset
 /// kPageFileHeaderSize + p * kPageSize. See docs/STORAGE_FORMAT.md §2.
 inline constexpr std::size_t kPageFileHeaderSize = 24;
 
@@ -47,7 +46,7 @@ struct PageExtent {
 /// The block-device contract: fixed-size pages addressed by id. All
 /// operations are fallible; implementations must not abort on I/O errors.
 ///
-/// Thread safety: ReadPage, WritePage, MappedPage, and Prefetch must
+/// Thread safety: ReadPage, WritePage, and Prefetch must
 /// tolerate concurrent calls (the sharded buffer pool issues page I/O
 /// from several shards at once). AllocatePages and Sync are
 /// writer-side operations: callers must serialize them against each
@@ -67,16 +66,6 @@ class PageDevice {
   /// Overwrites page `page` with data[0, kPageSize).
   virtual Status WritePage(uint32_t page, const char* data) = 0;
 
-  /// Zero-copy read: a pointer to the device's own stable storage for
-  /// `page`, valid until the device is destroyed. Returns nullptr (OK)
-  /// when the device cannot map pages — the buffer pool then falls back
-  /// to a ReadPage copy-in. An error means the page's bytes are not
-  /// readable at all (same contract as ReadPage).
-  virtual Result<const char*> MappedPage(uint32_t page) const {
-    (void)page;
-    return Result<const char*>(nullptr);
-  }
-
   /// Advises the device that [first_page, first_page + num_pages) is
   /// about to be read sequentially. Purely a hint; never fails.
   virtual void Prefetch(uint32_t first_page, uint32_t num_pages) const {
@@ -84,8 +73,8 @@ class PageDevice {
     (void)num_pages;
   }
 
-  /// Forces previously written pages down to durable storage (msync /
-  /// fdatasync). A no-op for in-memory devices.
+  /// Forces previously written pages down to durable storage
+  /// (fdatasync). A no-op for in-memory devices.
   virtual Status Sync() { return Status::OK(); }
 };
 

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "obs/metrics.h"
-#include "storage/mmap_device.h"
 #include "validate/validate.h"
 
 namespace modb {
@@ -140,25 +139,6 @@ Status DecodeThenValidate(const FlatView& flat, Validator&& validator) {
   return validator(*value);
 }
 
-/// Builds the backing device for `kind`, creating (truncating) or
-/// opening `path`. Both kinds speak the same MODBPAGE format.
-Result<std::unique_ptr<PageDevice>> MakeDevice(StoreDeviceKind kind,
-                                               const std::string& path,
-                                               bool create) {
-  if (kind == StoreDeviceKind::kMmap) {
-    Result<MmapPageDevice> dev =
-        create ? MmapPageDevice::Create(path) : MmapPageDevice::Open(path);
-    if (!dev.ok()) return dev.status();
-    return std::unique_ptr<PageDevice>(
-        std::make_unique<MmapPageDevice>(std::move(*dev)));
-  }
-  Result<FilePageDevice> dev =
-      create ? FilePageDevice::Create(path) : FilePageDevice::Open(path);
-  if (!dev.ok()) return dev.status();
-  return std::unique_ptr<PageDevice>(
-      std::make_unique<FilePageDevice>(std::move(*dev)));
-}
-
 }  // namespace
 
 Status DecodeAndValidateRootBlob(SpillValueType type, std::string_view blob) {
@@ -210,11 +190,10 @@ Result<VersionedSpillStore> VersionedSpillStore::Open(const std::string& path) {
 
 Result<VersionedSpillStore> VersionedSpillStore::Create(
     const std::string& path, Options options) {
-  Result<std::unique_ptr<PageDevice>> dev =
-      MakeDevice(options.device, path, /*create=*/true);
+  Result<FilePageDevice> dev = FilePageDevice::Create(path);
   if (!dev.ok()) return dev.status();
   VersionedSpillStore store;
-  store.device_ = std::move(*dev);
+  store.device_ = std::make_unique<FilePageDevice>(std::move(*dev));
   store.options_ = options;
   store.state_ = std::make_shared<SharedState>();
   Result<std::uint32_t> first = store.device_->AllocatePages(2);
@@ -235,11 +214,10 @@ Result<VersionedSpillStore> VersionedSpillStore::Create(
 
 Result<VersionedSpillStore> VersionedSpillStore::Open(const std::string& path,
                                                       Options options) {
-  Result<std::unique_ptr<PageDevice>> dev =
-      MakeDevice(options.device, path, /*create=*/false);
+  Result<FilePageDevice> dev = FilePageDevice::Open(path);
   if (!dev.ok()) return dev.status();
   VersionedSpillStore store;
-  store.device_ = std::move(*dev);
+  store.device_ = std::make_unique<FilePageDevice>(std::move(*dev));
   store.options_ = options;
   store.state_ = std::make_shared<SharedState>();
   if (store.device_->NumPages() < 2) {

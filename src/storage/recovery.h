@@ -72,14 +72,6 @@ inline constexpr std::size_t kRootEntrySize = 16;
 inline constexpr std::size_t kMaxRootsPerStore =
     (kPageSize - kRootHeaderSize) / kRootEntrySize;
 
-/// Which PageDevice implementation backs a store's MODBPAGE file. Both
-/// kinds read and write the identical format, so a file created under
-/// one opens under the other.
-enum class StoreDeviceKind {
-  kFile,  // FilePageDevice: positioned read/write syscalls per page
-  kMmap,  // MmapPageDevice: zero-copy reads out of a shared mapping
-};
-
 /// Type tag stored with each root entry so recovery knows how to decode
 /// and validate the blob without out-of-band schema knowledge.
 enum class SpillValueType : std::uint32_t {
@@ -142,8 +134,6 @@ class VersionedSpillStore {
     /// decode + invariant pass). The validated path is the default;
     /// benches use this to measure its cost.
     bool validate_on_open = true;
-    /// Backing device implementation (same on-disk format either way).
-    StoreDeviceKind device = StoreDeviceKind::kFile;
   };
 
   /// What Open()'s recovery pass did — exposed for tests, tools, and
@@ -372,7 +362,7 @@ class VersionedSpillStore {
 
   Result<SpillLocator> StageBlobPages(std::string_view blob);
 
-  std::unique_ptr<PageDevice> device_;
+  std::unique_ptr<FilePageDevice> device_;
   std::unique_ptr<BufferPool> pool_;
   Options options_;
   std::uint64_t epoch_ = 0;

@@ -68,7 +68,7 @@ std::uint32_t SpillPagesNeeded(std::size_t num_bytes) {
 // bytewise loop — table[0] is exactly that table, so the two agree on
 // every input): processes 8 bytes per step instead of 1, which matters
 // because verification runs over every page a scan pulls through the
-// pool — on the zero-copy mmap device it is the dominant per-page cost.
+// pool, on top of the device read.
 std::uint32_t Crc32(const char* data, std::size_t n) {
   static const std::array<std::array<std::uint32_t, 256>, 8> tables = [] {
     std::array<std::array<std::uint32_t, 256>, 8> t{};

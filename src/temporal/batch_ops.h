@@ -11,9 +11,6 @@
 //     the cost is O(n + k) when the instants are dense in the units and
 //     O(k log n) when they are sparse — never worse than k independent
 //     binary searches, and without their repeated cold-cache descents.
-//   * ForEachRefinementPair: the refinement-partition driver that
-//     reuses one scratch buffer across tuple pairs (no per-pair vector
-//     allocation), for bulk evaluation of binary lifted operations.
 //
 // All kernels use the Mapping's SoA search index when it has been built
 // (Mapping::BuildSearchIndex), falling back to the unit records.
@@ -718,29 +715,6 @@ Result<std::vector<std::uint8_t>> PresentBatch(
 /// Scratch buffer for bulk refinement-partition evaluation; reuse one
 /// instance across tuple pairs to keep the entry vector's capacity.
 using RefinementScratch = std::vector<RefinementEntry>;
-
-/// Batched refinement driver: computes the partition of (a, b) into
-/// `*scratch` and invokes fn(entry) for every interval where BOTH
-/// mappings are defined (the case every binary lifted op consumes).
-/// fn must return Status; the first error aborts the sweep.
-template <typename UA, typename UB, typename Fn>
-Status ForEachRefinementPair(const Mapping<UA>& a, const Mapping<UB>& b,
-                             RefinementScratch* scratch, Fn&& fn) {
-  if (scratch->capacity() > 0) {
-    MODB_COUNTER_INC("temporal.refinement.scratch_reused");
-  } else {
-    MODB_COUNTER_INC("temporal.refinement.scratch_fresh");
-  }
-  MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, scratch));
-  std::uint64_t codefined = 0;
-  for (const RefinementEntry& e : *scratch) {
-    if (!e.HasBoth()) continue;
-    ++codefined;
-    MODB_RETURN_IF_ERROR(fn(e));
-  }
-  MODB_COUNTER_ADD("temporal.refinement.codefined_entries", codefined);
-  return Status::OK();
-}
 
 }  // namespace modb
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -18,21 +19,19 @@
 namespace modb {
 namespace {
 
-class EpochPinTest : public ::testing::TestWithParam<StoreDeviceKind> {
+class EpochPinTest : public ::testing::Test {
  protected:
   void SetUp() override { FaultInjector::Global().Disarm(); }
   void TearDown() override { FaultInjector::Global().Disarm(); }
 
-  VersionedSpillStore::Options StoreOptions() const {
+  static VersionedSpillStore::Options StoreOptions() {
     VersionedSpillStore::Options options;
-    options.device = GetParam();
     options.pool_capacity = 16;
     return options;
   }
 
-  std::string TempPath(const char* name) const {
-    return ::testing::TempDir() + "/" + name +
-           (GetParam() == StoreDeviceKind::kMmap ? "_mmap.bin" : "_file.bin");
+  static std::string TempPath(const char* name) {
+    return ::testing::TempDir() + "/" + name + "_file.bin";
   }
 
   /// A blob big enough to occupy real pages, unique per (tag, epoch).
@@ -45,7 +44,7 @@ class EpochPinTest : public ::testing::TestWithParam<StoreDeviceKind> {
   }
 };
 
-TEST_P(EpochPinTest, PinObservesTheEpochItWasTakenOn) {
+TEST_F(EpochPinTest, PinObservesTheEpochItWasTakenOn) {
   const std::string path = TempPath("modb_pin_basic");
   auto store = VersionedSpillStore::Create(path, StoreOptions());
   ASSERT_TRUE(store.ok()) << store.status();
@@ -73,7 +72,7 @@ TEST_P(EpochPinTest, PinObservesTheEpochItWasTakenOn) {
   pin.Release();
 }
 
-TEST_P(EpochPinTest, PinnedViewSurvivesReplacingCommitByteIdentical) {
+TEST_F(EpochPinTest, PinnedViewSurvivesReplacingCommitByteIdentical) {
   const std::string path = TempPath("modb_pin_replace");
   auto store = VersionedSpillStore::Create(path, StoreOptions());
   ASSERT_TRUE(store.ok()) << store.status();
@@ -108,7 +107,7 @@ TEST_P(EpochPinTest, PinnedViewSurvivesReplacingCommitByteIdentical) {
   EXPECT_TRUE(store->VerifyAccounting().ok());
 }
 
-TEST_P(EpochPinTest, RetiredRunsDrainInPinOrder) {
+TEST_F(EpochPinTest, RetiredRunsDrainInPinOrder) {
   const std::string path = TempPath("modb_pin_order");
   auto store = VersionedSpillStore::Create(path, StoreOptions());
   ASSERT_TRUE(store.ok()) << store.status();
@@ -144,7 +143,7 @@ TEST_P(EpochPinTest, RetiredRunsDrainInPinOrder) {
   EXPECT_TRUE(store->VerifyAccounting().ok());
 }
 
-TEST_P(EpochPinTest, PinSurvivesStoreMove) {
+TEST_F(EpochPinTest, PinSurvivesStoreMove) {
   const std::string path = TempPath("modb_pin_move");
   auto created = VersionedSpillStore::Create(path, StoreOptions());
   ASSERT_TRUE(created.ok()) << created.status();
@@ -162,7 +161,7 @@ TEST_P(EpochPinTest, PinSurvivesStoreMove) {
   EXPECT_EQ(moved.NumPinnedEpochs(), 0u);
 }
 
-TEST_P(EpochPinTest, PinOutlivingTheStoreReleasesSafely) {
+TEST_F(EpochPinTest, PinOutlivingTheStoreReleasesSafely) {
   const std::string path = TempPath("modb_pin_outlive");
   VersionedSpillStore::EpochPin pin;
   {
@@ -180,7 +179,7 @@ TEST_P(EpochPinTest, PinOutlivingTheStoreReleasesSafely) {
   pin.Release();
 }
 
-TEST_P(EpochPinTest, ConcurrentReadersSeeFrozenViewsWhileWriterCommits) {
+TEST_F(EpochPinTest, ConcurrentReadersSeeFrozenViewsWhileWriterCommits) {
   const std::string path = TempPath("modb_pin_concurrent");
   auto store = VersionedSpillStore::Create(path, StoreOptions());
   ASSERT_TRUE(store.ok()) << store.status();
@@ -241,7 +240,7 @@ TEST_P(EpochPinTest, ConcurrentReadersSeeFrozenViewsWhileWriterCommits) {
   EXPECT_TRUE(store->VerifyAccounting().ok());
 }
 
-TEST_P(EpochPinTest, ReopenStartsWithNoPinsAndNoRetiredPages) {
+TEST_F(EpochPinTest, ReopenStartsWithNoPinsAndNoRetiredPages) {
   const std::string path = TempPath("modb_pin_reopen");
   {
     auto store = VersionedSpillStore::Create(path, StoreOptions());
@@ -270,15 +269,49 @@ TEST_P(EpochPinTest, ReopenStartsWithNoPinsAndNoRetiredPages) {
   EXPECT_EQ(*blob, Payload('r', 2));
 }
 
-std::string DeviceName(
-    const ::testing::TestParamInfo<StoreDeviceKind>& info) {
-  return info.param == StoreDeviceKind::kMmap ? "mmap" : "file";
-}
+// The file shrinking underneath an open store (an external truncate, a
+// lost extent) surfaces as a typed kDataLoss naming the file and the
+// offset on the next read of an evicted page, never as a signal: the
+// process keeps running and keeps serving the pages it still has.
+TEST_F(EpochPinTest, TruncatedFileUnderOpenStoreReadsAsDataLoss) {
+  const std::string path = TempPath("modb_pin_truncated");
+  VersionedSpillStore::Options options = StoreOptions();
+  options.pool_capacity = 4;
+  auto store = VersionedSpillStore::Create(path, options);
+  ASSERT_TRUE(store.ok()) << store.status();
+  // Four two-page blobs: twice the pool, so committing them evicts the
+  // first blob's pages.
+  for (char tag : {'a', 'b', 'c', 'd'}) {
+    ASSERT_TRUE(
+        store->StageBlob(Payload(tag, 1), SpillValueType::kOpaque).ok());
+  }
+  ASSERT_TRUE(store->Commit().ok());
 
-INSTANTIATE_TEST_SUITE_P(Devices, EpochPinTest,
-                         ::testing::Values(StoreDeviceKind::kFile,
-                                           StoreDeviceKind::kMmap),
-                         DeviceName);
+  VersionedSpillStore::EpochPin pin = store->PinEpoch();
+  const SpillLocator first = pin.roots()[0].locator;
+  ASSERT_FALSE(store->pool()->IsResident(first.first_page));
+
+  // Cut the file just past the root slots: every blob page is gone.
+  std::filesystem::resize_file(path, kPageFileHeaderSize + 2 * kPageSize);
+
+  auto lost = store->ReadRootBlob(pin, 0);
+  ASSERT_FALSE(lost.ok());
+  EXPECT_EQ(lost.status().code(), StatusCode::kDataLoss) << lost.status();
+  const std::string offset = std::to_string(
+      kPageFileHeaderSize + std::uint64_t(first.first_page) * kPageSize);
+  EXPECT_NE(lost.status().message().find(path), std::string::npos)
+      << lost.status();
+  EXPECT_NE(lost.status().message().find("offset " + offset),
+            std::string::npos)
+      << lost.status();
+
+  // The store is still usable: a later read fails the same typed way,
+  // and the pin releases cleanly.
+  EXPECT_EQ(store->ReadRootBlob(pin, 0).status().code(),
+            StatusCode::kDataLoss);
+  pin.Release();
+  EXPECT_EQ(store->NumPinnedEpochs(), 0u);
+}
 
 }  // namespace
 }  // namespace modb

@@ -366,26 +366,42 @@ TEST(EverWithinDifferential, PlanesPairs) {
 #endif
 }
 
+// Every co-defined interval of the refinement partition, in order, with
+// the same unit indices.
+template <typename UA, typename UB>
+void ExpectCommonIntervalsMatchPartition(const Mapping<UA>& a,
+                                         const Mapping<UB>& b) {
+  std::vector<RefinementEntry> want;
+  for (const RefinementEntry& e : RefinementPartition(a, b)) {
+    if (e.HasBoth()) want.push_back(e);
+  }
+  std::size_t k = 0;
+  ForEachCommonInterval(
+      a, b, [&](const TimeInterval& iv, std::size_t i, std::size_t j) {
+        ASSERT_LT(k, want.size());
+        EXPECT_EQ(iv, want[k].interval);
+        EXPECT_EQ(i, std::size_t(want[k].unit_a));
+        EXPECT_EQ(j, std::size_t(want[k].unit_b));
+        ++k;
+      });
+  EXPECT_EQ(k, want.size());
+}
+
 TEST(ForEachCommonIntervalTest, MatchesRefinementPartition) {
   std::mt19937_64 rng(5);
   for (int n = 0; n < 300; ++n) {
     MovingPoint a = IrregularTrail(rng, 1 + n % 9, 50);
     MovingPoint b = IrregularTrail(rng, 1 + n % 7, 50);
-    std::vector<RefinementEntry> want;
-    for (const RefinementEntry& e : RefinementPartition(a, b)) {
-      if (e.HasBoth()) want.push_back(e);
-    }
-    std::size_t k = 0;
-    ForEachCommonInterval(
-        a, b, [&](const TimeInterval& iv, std::size_t i, std::size_t j) {
-          ASSERT_LT(k, want.size());
-          EXPECT_EQ(iv, want[k].interval);
-          EXPECT_EQ(i, std::size_t(want[k].unit_a));
-          EXPECT_EQ(j, std::size_t(want[k].unit_b));
-          ++k;
-        });
-    EXPECT_EQ(k, want.size());
+    ExpectCommonIntervalsMatchPartition(a, b);
   }
+  // Mixed unit types with a gap and open and closed ends.
+  MovingInt ints = *MovingInt::Make(
+      {*UInt::Make(*TimeInterval::Make(0, 2, true, true), 1),
+       *UInt::Make(*TimeInterval::Make(3, 5, false, true), 2)});
+  MovingBool bools =
+      *MovingBool::Make({*UBool::Make(*TimeInterval::Make(1, 4, true, true),
+                                      true)});
+  ExpectCommonIntervalsMatchPartition(ints, bools);
 }
 
 #ifdef MODB_COUNT_ALLOCATIONS

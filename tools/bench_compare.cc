@@ -27,14 +27,11 @@
 //       stay under max-p99-ms, and the sustained fix rate must clear
 //       the floor — which, like the qps floor, warns and passes on
 //       hosts with fewer than 4 CPUs.
-//   bench_compare --storage FILE.json [--min-ratio=1.5]
-//       [--min-reader-items=50000]
-//       Storage-device gate over a bench_storage export: the warm
-//       spilled sequential scan on the mmap device must be at least
-//       min-ratio faster (real time) than on the file device — a
-//       single-threaded ratio, honest on any host, so it never skips.
-//       The epoch-pinned concurrent-reader items/s floor warns and
-//       passes on hosts with fewer than 4 CPUs.
+//   bench_compare --storage FILE.json [--min-reader-items=50000]
+//       Storage gate over a bench_storage export: the epoch-pinned
+//       concurrent-reader items/s must clear the floor, which warns and
+//       passes on hosts with fewer than 4 CPUs. The spilled-scan rows
+//       are printed for the record.
 //   --require-release (composable with every mode, or alone with one
 //       file) rejects a run whose JSON context was not produced by a
 //       Release build. The authoritative key is "modb_build_type"
@@ -377,46 +374,19 @@ int RunIngestGate(const char* path, double max_p99_ms, double min_fix_rate,
   return failures == 0 ? 0 : 1;
 }
 
-int RunStorageGate(const char* path, double min_ratio,
-                   double min_reader_items, bool require_release) {
+int RunStorageGate(const char* path, double min_reader_items,
+                   bool require_release) {
   std::vector<BenchRow> rows;
   BenchContext context;
   if (!LoadFile(path, &rows, &context)) return 2;
   if (require_release && CheckRelease(path, context) != 0) return 1;
 
-  const BenchRow* warm_file = FindRow(rows, "BM_SpilledScanWarm_File");
-  const BenchRow* warm_mmap = FindRow(rows, "BM_SpilledScanWarm_Mmap");
-  if (warm_file == nullptr || warm_mmap == nullptr) {
-    std::fprintf(stderr,
-                 "bench_compare: %s is missing BM_SpilledScanWarm_File or "
-                 "BM_SpilledScanWarm_Mmap (re-run bench_storage)\n",
-                 path);
-    return 2;
-  }
-  if (const BenchRow* cold_file = FindRow(rows, "BM_SpilledScanCold_File")) {
-    std::printf("  storage  %-50s %12.0f ns\n", cold_file->name.c_str(),
-                cold_file->real_time);
-  }
-  if (const BenchRow* cold_mmap = FindRow(rows, "BM_SpilledScanCold_Mmap")) {
-    std::printf("  storage  %-50s %12.0f ns\n", cold_mmap->name.c_str(),
-                cold_mmap->real_time);
-  }
-  const double ratio = warm_mmap->real_time > 0
-                           ? warm_file->real_time / warm_mmap->real_time
-                           : 0;
-  std::printf(
-      "  storage  warm scan file %.0f ns vs mmap %.0f ns  (%.2fx)\n",
-      warm_file->real_time, warm_mmap->real_time, ratio);
-
-  int failures = 0;
-  // The warm-scan ratio is single-threaded, so it is honest on any
-  // host: no CPU-count skip, this is the hard gate.
-  if (ratio < min_ratio) {
-    std::fprintf(stderr,
-                 "bench_compare: storage gate FAILED: warm mmap scan is only "
-                 "%.2fx faster than file (floor %.1fx)\n",
-                 ratio, min_ratio);
-    ++failures;
+  for (const char* scan :
+       {"BM_SpilledScanWarm_File", "BM_SpilledScanCold_File"}) {
+    if (const BenchRow* row = FindRow(rows, scan)) {
+      std::printf("  storage  %-50s %12.0f ns\n", row->name.c_str(),
+                  row->real_time);
+    }
   }
 
   // Concurrent pinned readers: a throughput floor, honest only with
@@ -435,6 +405,7 @@ int RunStorageGate(const char* path, double min_ratio,
   }
   std::printf("  storage  %-50s %12.0f items/s\n", readers->name.c_str(),
               readers->items_per_second);
+  int failures = 0;
   if (readers->items_per_second < min_reader_items) {
     if (context.num_cpus < 4) {
       std::printf(
@@ -452,8 +423,7 @@ int RunStorageGate(const char* path, double min_ratio,
     }
   }
   if (failures == 0) {
-    std::printf("bench_compare: storage gate passed (%.2fx >= %.1fx)\n", ratio,
-                min_ratio);
+    std::printf("bench_compare: storage gate passed\n");
   }
   return failures == 0 ? 0 : 1;
 }
@@ -466,7 +436,6 @@ int main(int argc, char** argv) {
   double max_p99_ms = 5000;
   double min_qps = 25;
   double min_fix_rate = 1000;
-  double min_ratio = 1.5;
   double min_reader_items = 50000;
   bool scaling = false;
   bool serving = false;
@@ -505,12 +474,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bench_compare: bad min-fix-rate %s\n", argv[i]);
         return 2;
       }
-    } else if (std::strncmp(argv[i], "--min-ratio=", 12) == 0) {
-      min_ratio = std::atof(argv[i] + 12);
-      if (min_ratio <= 0) {
-        std::fprintf(stderr, "bench_compare: bad min-ratio %s\n", argv[i]);
-        return 2;
-      }
     } else if (std::strncmp(argv[i], "--min-reader-items=", 19) == 0) {
       min_reader_items = std::atof(argv[i] + 19);
       if (min_reader_items <= 0) {
@@ -537,12 +500,10 @@ int main(int argc, char** argv) {
     if (files.size() != 1) {
       std::fprintf(stderr,
                    "usage: bench_compare --storage FILE.json "
-                   "[--min-ratio=1.5] [--min-reader-items=50000] "
-                   "[--require-release]\n");
+                   "[--min-reader-items=50000] [--require-release]\n");
       return 2;
     }
-    return RunStorageGate(files[0], min_ratio, min_reader_items,
-                          require_release);
+    return RunStorageGate(files[0], min_reader_items, require_release);
   }
 
   if (ingest) {

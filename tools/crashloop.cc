@@ -6,11 +6,10 @@
 // (byte mismatch, leaked page, failed validation, dead store) exits
 // nonzero with the violating site in the error.
 //
-// Usage: crashloop [--device=file|mmap] [PATH]
+// Usage: crashloop [PATH]
 //   PATH: scratch device file, default under /tmp
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "storage/crash_campaign.h"
@@ -19,21 +18,11 @@
 int main(int argc, char** argv) {
   modb::CrashCampaignOptions options;
   options.path = "/tmp/modb_crashloop.bin";
-  const char* device = "file";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--device=", 9) == 0) {
-      device = argv[i] + 9;
-    } else {
-      options.path = argv[i];
-    }
-  }
-  if (std::strcmp(device, "mmap") == 0) {
-    options.device = modb::StoreDeviceKind::kMmap;
-  } else if (std::strcmp(device, "file") != 0) {
-    std::fprintf(stderr, "crashloop: unknown --device=%s (file|mmap)\n",
-                 device);
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+    std::fprintf(stderr, "usage: crashloop [PATH]\n");
     return 2;
   }
+  if (argc == 2) options.path = argv[1];
 
   modb::Result<modb::CrashCampaignReport> report =
       modb::RunCrashCampaign(options);
@@ -54,7 +43,7 @@ int main(int argc, char** argv) {
 
   const modb::CrashCampaignReport& r = *report;
   std::printf(
-      "{\"crashloop\": \"ok\", \"device\": \"%s\", "
+      "{\"crashloop\": \"ok\", "
       "\"write_sites\": %llu, \"read_sites\": %llu, "
       "\"open_read_sites\": %llu, \"tear_modes\": %llu, \"runs\": %llu, "
       "\"crashes\": %llu, \"recoveries_verified\": %llu, "
@@ -62,7 +51,6 @@ int main(int argc, char** argv) {
       "\"orphans_reclaimed\": %llu, \"pages_healed\": %llu, "
       "\"pinned_write_sites\": %llu, \"pinned_reader_runs\": %llu, "
       "\"pinned_views_verified\": %llu}\n",
-      device,
       (unsigned long long)r.write_sites, (unsigned long long)r.read_sites,
       (unsigned long long)r.open_read_sites, (unsigned long long)r.tear_modes,
       (unsigned long long)r.runs, (unsigned long long)r.crashes,

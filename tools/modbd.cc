@@ -6,7 +6,7 @@
 //
 //   modbd [--port=0] [--host=127.0.0.1] [--thread-budget=64]
 //         [--queue-capacity=64] [--flights=64] [--seed=99]
-//         [--live=NAME] [--store=PATH] [--device=file|mmap]
+//         [--live=NAME] [--store=PATH]
 //         [--merge-interval-ms=500] [--seal-units=0]
 //         [--idle-timeout-ms=30000] [--io-timeout-ms=10000]
 //
@@ -22,10 +22,7 @@
 // (printing "modbd recovered epoch E (N objects)"), a missing one is
 // created, and the SIGTERM drain seals every tail and commits one
 // final epoch before exit — restart with the same --store resumes
-// bitwise-identically. --device picks the PageDevice backing the store
-// (default file; mmap serves reads zero-copy out of a shared mapping);
-// both kinds write the identical format, so a store created under one
-// reopens under the other.
+// bitwise-identically.
 //
 // Prints exactly one line "modbd listening on HOST:PORT" once ready —
 // scripts (verify.sh) parse the ephemeral port from it.
@@ -80,7 +77,6 @@ int main(int argc, char** argv) {
   long seal_units = 0;
   std::string live_name;
   std::string store_path;
-  modb::StoreDeviceKind device = modb::StoreDeviceKind::kFile;
   for (int i = 1; i < argc; ++i) {
     long v;
     std::string s;
@@ -100,16 +96,6 @@ int main(int argc, char** argv) {
       live_name = s;
     } else if (ParseStr(argv[i], "--store", &s)) {
       store_path = s;
-    } else if (ParseStr(argv[i], "--device", &s)) {
-      if (s == "file") {
-        device = modb::StoreDeviceKind::kFile;
-      } else if (s == "mmap") {
-        device = modb::StoreDeviceKind::kMmap;
-      } else {
-        std::fprintf(stderr, "modbd: unknown --device=%s (file|mmap)\n",
-                     s.c_str());
-        return 2;
-      }
     } else if (ParseInt(argv[i], "--merge-interval-ms", &v)) {
       merge_interval_ms = v < 1 ? 1 : v;
     } else if (ParseInt(argv[i], "--seal-units", &v)) {
@@ -123,7 +109,7 @@ int main(int argc, char** argv) {
                    "usage: modbd [--port=0] [--host=127.0.0.1] "
                    "[--thread-budget=64] [--queue-capacity=64] "
                    "[--flights=64] [--seed=99] [--live=NAME] "
-                   "[--store=PATH] [--device=file|mmap] "
+                   "[--store=PATH] "
                    "[--merge-interval-ms=500] [--seal-units=0] "
                    "[--idle-timeout-ms=30000] [--io-timeout-ms=10000]\n");
       return 2;
@@ -172,12 +158,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (!store_path.empty()) {
-      modb::VersionedSpillStore::Options store_options;
-      store_options.device = device;
       modb::Result<modb::VersionedSpillStore> opened =
           FileExists(store_path)
-              ? modb::VersionedSpillStore::Open(store_path, store_options)
-              : modb::VersionedSpillStore::Create(store_path, store_options);
+              ? modb::VersionedSpillStore::Open(store_path)
+              : modb::VersionedSpillStore::Create(store_path);
       if (!opened.ok()) {
         std::fprintf(stderr, "modbd: opening store %s: %s\n",
                      store_path.c_str(),

@@ -25,50 +25,16 @@ declare -A preset_dirs=(
 # of a commit workload is crashed — hard fail and torn write — and
 # recovery must land on a committed state with zero leaked pages. Runs
 # on every fault-enabled preset (crashloop self-reports a skip on
-# nometrics, where the hooks are compiled out) and on BOTH PageDevice
-# kinds — the two campaigns must produce byte-identical summaries,
-# since the devices write the same format and the recovery invariants
-# cannot depend on which one backed the store. The one-line JSON
-# summaries are gated through json_check like the bench exports.
+# nometrics, where the hooks are compiled out). The one-line JSON
+# summary is gated through json_check like the bench exports.
 run_crashloop() {
   local preset="$1" dir="${preset_dirs[$1]:-build}"
   [ -x "$dir/tools/crashloop" ] || return 0
-  local device
-  for device in file mmap; do
-    echo "==== [$preset] crash campaign ($device device) ===="
-    local out="$dir/CRASHLOOP_${preset}_${device}.json"
-    "$dir/tools/crashloop" --device="$device" \
-      "$dir/crashloop_scratch.bin" | tee "$out"
-    "$dir/tools/json_check" "$out"
-    rm -f "$dir/crashloop_scratch.bin"
-  done
-  # Byte-identical apart from the self-describing "device" field.
-  diff <(sed 's/"device": "[a-z]*", //' \
-             "$dir/CRASHLOOP_${preset}_file.json") \
-       <(sed 's/"device": "[a-z]*", //' \
-             "$dir/CRASHLOOP_${preset}_mmap.json") || {
-    echo "crashloop: file and mmap campaigns diverged"
-    return 1
-  }
-}
-
-# Device smoke: re-run the device-parameterized spill/store/epoch
-# suites selecting one PageDevice kind at a time (the suites are
-# TEST_P over StoreDeviceKind; the instantiation names the params
-# "file" and "mmap", so a --device choice maps to a gtest filter).
-# ctest already ran both params interleaved — this pass proves each
-# kind also holds up in isolation, which is how modbd deploys it.
-run_device_smoke() {
-  local preset="$1" dir="${preset_dirs[$1]:-build}"
-  [ -x "$dir/tests/device_param_test" ] || return 0
-  local device
-  for device in file mmap; do
-    echo "==== [$preset] device smoke (--device=$device) ===="
-    "$dir/tests/device_param_test" --gtest_filter="*/${device}" \
-      --gtest_brief=1
-    "$dir/tests/epoch_pin_test" --gtest_filter="*/${device}" \
-      --gtest_brief=1
-  done
+  echo "==== [$preset] crash campaign ===="
+  local out="$dir/CRASHLOOP_${preset}.json"
+  "$dir/tools/crashloop" "$dir/crashloop_scratch.bin" | tee "$out"
+  "$dir/tools/json_check" "$out"
+  rm -f "$dir/crashloop_scratch.bin"
 }
 
 jobs=$(nproc 2>/dev/null || echo 4)
@@ -87,7 +53,6 @@ for preset in "${presets[@]}"; do
     ctest --preset "$preset" -j "$jobs" -L '^(exec|db|serve)$' \
       --repeat until-fail:5
   fi
-  run_device_smoke "$preset"
   run_crashloop "$preset"
 done
 
@@ -151,11 +116,10 @@ run_perf_smoke queries bench_queries \
 run_perf_smoke batch bench_batch \
   'BM_AtInstant_Batch/10000/1024|BM_AtInstant_Batch/16384/16384'
 
-# Storage device gate: warm page-granular scans through the buffer pool
-# on both PageDevice kinds, plus the 4-thread epoch-pinned reader bench.
-# bench_compare --storage enforces the single-threaded warm mmap/file
-# ratio floor (1.5x) unconditionally — it is honest on any host — and
-# warn-skips the reader throughput floor below 4 CPUs.
+# Storage gate: warm and cold page-granular scans through the buffer
+# pool, plus the 4-thread epoch-pinned reader bench. bench_compare
+# --storage enforces the reader throughput floor on hosts with >= 4
+# CPUs and warn-skips it below.
 run_perf_smoke storage bench_storage \
   'BM_Serialize_MovingPoint/256|BM_SpilledScanWarm|BM_SpilledScanCold|BM_SpilledBlobScanWarm|BM_EpochPinnedReaders'
 "$release_dir/tools/bench_compare" --storage BENCH_storage.json \
