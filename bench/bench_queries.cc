@@ -211,6 +211,63 @@ void BM_Q2_EverWithinOnly_Trails(benchmark::State& state) {
 }
 BENCHMARK(BM_Q2_EverWithinOnly_Trails)->Arg(1250);
 
+// planes_scan's window, present and atinstant requests over 1024
+// flights through Db::Run on one worker. The trails carry no search
+// index, as in every relation modbd serves, so the batch kinds sweep
+// the unit records.
+void RunPlanesScanKind(benchmark::State& state, const QueryRequest& req) {
+  Db db;
+  (void)db.Register(Planes(int(state.range(0))));
+  ExecOptions options;
+  options.parallel.num_threads = 1;
+  for (auto _ : state) {
+    Result<QueryResult> r = db.Run(req, options);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(r);
+  }
+}
+
+QueryRequest PlanesScanBatch(QueryRequest::Kind kind) {
+  QueryRequest req;  // 49 half-hourly instants over the departure window
+  req.kind = kind;
+  req.relation = "planes";
+  req.attr = "flight";
+  for (int i = 0; i <= 48; ++i) req.instants.push_back(0.25 + 0.5 * i);
+  return req;
+}
+
+void BM_WindowAggregate_Planes(benchmark::State& state) {
+  QueryRequest req;  // 36 sliding 2 h windows inside a rect
+  req.kind = QueryRequest::Kind::kWindowAggregate;
+  req.relation = "planes";
+  req.attr = "flight";
+  req.window_t0 = 0.5;
+  req.window_t1 = 36.5;
+  req.window_width = 2;
+  req.window_step = 1;
+  req.min_x = 2500;
+  req.min_y = 2500;
+  req.max_x = 7500;
+  req.max_y = 7500;
+  RunPlanesScanKind(state, req);
+}
+BENCHMARK(BM_WindowAggregate_Planes)->Arg(1024);
+
+void BM_PresentBatch_Planes(benchmark::State& state) {
+  RunPlanesScanKind(state,
+                    PlanesScanBatch(QueryRequest::Kind::kPresentBatch));
+}
+BENCHMARK(BM_PresentBatch_Planes)->Arg(1024);
+
+void BM_AtInstantBatchXY_Planes(benchmark::State& state) {
+  RunPlanesScanKind(state,
+                    PlanesScanBatch(QueryRequest::Kind::kAtInstantBatch));
+}
+BENCHMARK(BM_AtInstantBatchXY_Planes)->Arg(1024);
+
 // The reply codec: a result encoded into a reply payload (what modbd
 // does per query) and decoded back into a QueryResult (what its client
 // does), on the atinstant xy block of 1024 flights x 49 half-hourly

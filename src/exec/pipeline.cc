@@ -525,19 +525,15 @@ struct WindowRowAgg {
   double covered = 0;
 };
 
-WindowRowAgg AggregateRowWindow(const MovingPoint& mp, const TRange& window,
+// Sums one row's units over `window`, from `first` — the row's first
+// unit whose end is not before window.lo — to the last unit that
+// starts by window.hi.
+WindowRowAgg AggregateRowWindow(std::vector<UPoint>::const_iterator first,
+                                std::vector<UPoint>::const_iterator last,
+                                const TRange& window,
                                 const WindowAggregateOp& op, bool has_rect) {
   WindowRowAgg agg;
-  // The units ending before the window are skipped by binary search,
-  // not visited: a window costs the units it overlaps, not its offset
-  // into the trail. Ends ascend with the units (they are disjoint and
-  // in time order), and the sums below see the same units in the same
-  // order as a scan from the first unit.
-  const std::vector<UPoint>& units = mp.units();
-  const auto first = std::partition_point(
-      units.begin(), units.end(),
-      [&window](const UPoint& u) { return u.interval().end() < window.lo; });
-  for (auto it = first; it != units.end(); ++it) {
+  for (auto it = first; it != last; ++it) {
     const UPoint& u = *it;
     const TimeInterval& iv = u.interval();
     if (iv.start() > window.hi) break;
@@ -562,48 +558,72 @@ WindowRowAgg AggregateRowWindow(const MovingPoint& mp, const TRange& window,
   return agg;
 }
 
-// Window i's start: t0 + i*step, never accumulated, so window
-// boundaries are bit-reproducible regardless of how many windows
-// precede them.
-Instant WindowStart(const WindowAggregateOp& op, std::size_t i) {
-  return op.t0 + double(i) * op.step;
-}
-
-// Output row of window i over `points`, summed in row order.
-Tuple AggregateWindow(const WindowAggregateOp& op, std::size_t i,
-                      const std::vector<const MovingPoint*>& points) {
-  const bool has_rect = op.min_x <= op.max_x && op.min_y <= op.max_y;
+// Window i: [t0 + i*step, t0 + i*step + width). The start is never
+// accumulated, so window boundaries are bit-reproducible regardless of
+// how many windows precede them, and starts (and ends) ascend with i.
+TRange WindowRange(const WindowAggregateOp& op, std::size_t i) {
   TRange window;
-  window.lo = WindowStart(op, i);
+  window.lo = op.t0 + double(i) * op.step;
   window.hi = window.lo + op.width;
   window.lc = true;
-  window.rc = false;  // closed-open: [s, s + width)
+  window.rc = false;
+  return window;
+}
+
+// One window's totals over the rows that qualify in it.
+struct WindowSums {
   std::uint64_t count = 0;
   double distance = 0;
   double covered = 0;
-  for (const MovingPoint* mp : points) {
-    const WindowRowAgg agg = AggregateRowWindow(*mp, window, op, has_rect);
+};
+
+// Folds one row into the sums of `windows` (ascending starts) in one
+// forward sweep: windows that end before the row's first unit are
+// skipped, the sweep stops at the first window that starts after its
+// last unit, and a single unit cursor — one binary search, then only
+// forward steps — finds each window's first unit not ending before it.
+// That is the unit a binary search per window would find, so every
+// (row, window) sum sees the same units in the same order.
+void AccumulateRowWindows(const MovingPoint& mp,
+                          const std::vector<TRange>& windows,
+                          const WindowAggregateOp& op, bool has_rect,
+                          std::vector<WindowSums>* sums) {
+  const std::vector<UPoint>& units = mp.units();
+  if (units.empty()) return;
+  const Instant first_start = units.front().interval().start();
+  const Instant last_end = units.back().interval().end();
+  std::size_t j = 0;
+  while (j < windows.size() && windows[j].hi < first_start) ++j;
+  if (j == windows.size()) return;
+  auto cursor = std::partition_point(
+      units.begin(), units.end(),
+      [lo = windows[j].lo](const UPoint& u) { return u.interval().end() < lo; });
+  for (; j < windows.size(); ++j) {
+    const TRange& window = windows[j];
+    if (window.lo > last_end) break;
+    // The last unit ends at or after window.lo, so this stays in range.
+    while (cursor->interval().end() < window.lo) ++cursor;
+    const WindowRowAgg agg =
+        AggregateRowWindow(cursor, units.end(), window, op, has_rect);
     if (!agg.qualifies) continue;
-    ++count;
-    distance += agg.distance;
-    covered += agg.covered;
+    WindowSums& s = (*sums)[j];
+    ++s.count;
+    s.distance += agg.distance;
+    s.covered += agg.covered;
   }
-  Tuple row;
-  row.emplace_back(RealValue(window.lo));
-  row.emplace_back(RealValue(window.hi));
-  row.emplace_back(IntValue(std::int64_t(count)));
-  row.emplace_back(RealValue(distance));
-  row.emplace_back(RealValue(covered > 0 ? distance / covered : 0.0));
-  return row;
 }
 
 // The window grid pass: morsels over window indexes, on the same
 // scheduler and workers as the row pass that produced `row_slots`.
+// Inside a morsel the grid is row-major: each row is swept once across
+// the morsel's windows, in ascending row order, so each window still
+// sums its rows in row order.
 Status RunWindowGrid(const Pipeline& pipe,
                      const std::vector<MorselOutput>& row_slots,
                      const ExecOptions& options,
                      std::vector<WorkerState>* states, Relation* out) {
   const WindowAggregateOp& op = *pipe.window;
+  const bool has_rect = op.min_x <= op.max_x && op.min_y <= op.max_y;
   std::vector<const MovingPoint*> points;
   for (const MorselOutput& slot : row_slots) {
     Append(&points, slot.points);
@@ -612,16 +632,33 @@ Status RunWindowGrid(const Pipeline& pipe,
     }
   }
   std::size_t n = 0;
-  while (WindowStart(op, n) < op.t1) ++n;
+  while (WindowRange(op, n).lo < op.t1) ++n;
   MorselScheduler sched(n, PickMorselRows(n, states->size(), 0),
                         states->size());
   std::vector<MorselOutput> outputs = MakeSlots(pipe, sched);
   const std::size_t term = NumStages(pipe) - 1;
   MODB_RETURN_IF_ERROR(DriveMorsels(
       &sched, options, states, [&](WorkerState* w, const Morsel& m) {
-        MorselOutput* slot = SlotOf(&outputs, m);
+        std::vector<TRange> windows;
+        windows.reserve(m.end - m.begin);
         for (std::size_t i = m.begin; i < m.end; ++i) {
-          slot->tuples.push_back(AggregateWindow(op, i, points));
+          windows.push_back(WindowRange(op, i));
+        }
+        std::vector<WindowSums> sums(windows.size());
+        for (const MovingPoint* mp : points) {
+          AccumulateRowWindows(*mp, windows, op, has_rect, &sums);
+        }
+        MorselOutput* slot = SlotOf(&outputs, m);
+        for (std::size_t j = 0; j < windows.size(); ++j) {
+          const WindowSums& s = sums[j];
+          Tuple row;
+          row.emplace_back(RealValue(windows[j].lo));
+          row.emplace_back(RealValue(windows[j].hi));
+          row.emplace_back(IntValue(std::int64_t(s.count)));
+          row.emplace_back(RealValue(s.distance));
+          row.emplace_back(
+              RealValue(s.covered > 0 ? s.distance / s.covered : 0.0));
+          slot->tuples.push_back(std::move(row));
         }
         w->stages[term].rows_out += m.end - m.begin;
         return Status::OK();

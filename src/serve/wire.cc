@@ -384,7 +384,14 @@ class RepeatFinder {
   /// offered.
   RepeatFinder(const Relation& rel, std::size_t mapping_cells)
       : rel_(rel), arity_(rel.schema().NumAttributes()) {
-    by_key_.reserve(mapping_cells);
+    // At most half full, so a probe ends within a few slots.
+    std::size_t slots = 16;
+    shift_ = 60;
+    while (slots < 2 * mapping_cells) {
+      slots *= 2;
+      --shift_;
+    }
+    firsts_.assign(slots, First{});
   }
 
   /// The earlier cell that `v`, cell `cell` (row-major), repeats, or
@@ -393,16 +400,19 @@ class RepeatFinder {
     const void* array = nullptr;
     const std::uint64_t key = Key(v, &array);
     if (array == nullptr) return kNone;
-    auto [first, fresh] = by_key_.try_emplace(key, First{cell, array, false});
-    if (fresh) return kNone;
-    if (first->second.array == array) return first->second.cell;
+    First& first = Slot(key);
+    if (first.cell == kNone) {
+      first = First{key, cell, array, false};
+      return kNone;
+    }
+    if (first.array == array) return first.cell;
     // Same key, another array: compare whole serialisations, by hash
     // first. A key's first cell is hashed when such a cell comes.
-    if (!first->second.hashed) {
-      Result<std::uint64_t> h = FullHash(Cell(first->second.cell), &other_);
+    if (!first.hashed) {
+      Result<std::uint64_t> h = FullHash(Cell(first.cell), &other_);
       MODB_RETURN_IF_ERROR(h.status());
-      by_blob_.emplace(*h, first->second.cell);
-      first->second.hashed = true;
+      by_blob_.emplace(*h, first.cell);
+      first.hashed = true;
     }
     Result<std::uint64_t> hash = FullHash(v, &bytes_);
     MODB_RETURN_IF_ERROR(hash.status());
@@ -417,12 +427,25 @@ class RepeatFinder {
   }
 
  private:
-  /// The first cell offered with a key.
+  /// The first cell offered with a key; cell == kNone marks a free
+  /// slot.
   struct First {
-    std::size_t cell;
-    const void* array;  // its unit array
-    bool hashed;        // its whole-blob hash is in by_blob_
+    std::uint64_t key = 0;
+    std::size_t cell = kNone;
+    const void* array = nullptr;  // its unit array
+    bool hashed = false;          // its whole-blob hash is in by_blob_
   };
+
+  // The slot holding `key`, or the free slot where it goes: open
+  // addressing with linear probing, Fibonacci-hashed from the key.
+  First& Slot(std::uint64_t key) {
+    const std::size_t mask = firsts_.size() - 1;
+    std::size_t i = std::size_t((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+    while (firsts_[i].cell != kNone && firsts_[i].key != key) {
+      i = (i + 1) & mask;
+    }
+    return firsts_[i];
+  }
 
   const AttributeValue& Cell(std::size_t cell) const {
     return rel_.tuple(cell / arity_)[cell % arity_];
@@ -485,7 +508,9 @@ class RepeatFinder {
 
   const Relation& rel_;
   const std::size_t arity_;
-  std::unordered_map<std::uint64_t, First> by_key_;
+  // First cell per key: one flat table, no allocation per cell.
+  std::vector<First> firsts_;
+  int shift_;  // 64 - log2(firsts_.size())
   // Whole-blob hash -> the first cell of each distinct value hashed.
   std::unordered_multimap<std::uint64_t, std::size_t> by_blob_;
   std::string bytes_;  // the offered cell's blob, on a key collision

@@ -101,11 +101,23 @@ struct SoAView {
 /// Accessor over the full unit records (no index built).
 template <typename U>
 struct UnitsView {
+  explicit UnitsView(const std::vector<U>* u)
+      : units(u),
+        min_start(u->empty() ? 0 : u->front().interval().start()),
+        max_end(u->empty() ? 0 : u->back().interval().end()) {}
+
   const std::vector<U>* units;
+  Instant min_start;  // the first unit's start
+  Instant max_end;    // the last unit's end
 
   std::size_t size() const { return units->size(); }
-  /// No cached bounds without the SoA index; never prefilters.
-  bool certainly_undefined(Instant) const { return false; }
+  /// Deftime-bounds prefilter, as SoAView's: the units are disjoint and
+  /// in time order, so t strictly outside [first start, last end] is
+  /// undefined. An instant on either edge still goes to the sweep,
+  /// which knows whether that end is closed.
+  bool certainly_undefined(Instant t) const {
+    return units->empty() || t < min_start || max_end < t;
+  }
   bool before(std::size_t k, Instant t) const {
     const TimeInterval& iv = (*units)[k].interval();
     return iv.end() < t || (iv.end() == t && !iv.right_closed());

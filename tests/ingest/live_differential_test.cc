@@ -185,6 +185,30 @@ std::vector<QueryRequest> AllKinds(const std::string& rel, int steps) {
   return kinds;
 }
 
+// Window grids beyond AllKinds' sliding one: tumbling, gapped (step >
+// width), and sliding inside a rect, with windows before the first fix
+// and past the last.
+std::vector<QueryRequest> WindowVariants(const std::string& rel, int steps) {
+  std::vector<QueryRequest> out;
+  const double grids[][2] = {{2, 2}, {1.5, 4}, {3, 1}};
+  for (const auto& g : grids) {
+    QueryRequest q;
+    q.kind = QueryRequest::Kind::kWindowAggregate;
+    q.relation = rel;
+    q.attr = "trail";
+    q.window_t0 = -3;
+    q.window_t1 = steps + 4;
+    q.window_width = g[0];
+    q.window_step = g[1];
+    out.push_back(q);
+  }
+  out.back().min_x = -20;
+  out.back().min_y = -40;
+  out.back().max_x = 40;
+  out.back().max_y = 20;
+  return out;
+}
+
 std::string RunBlock(const Db& db, const QueryRequest& req) {
   Result<QueryResult> result = db.Run(req);
   EXPECT_TRUE(result.ok()) << result.status();
@@ -488,7 +512,11 @@ void ExpectResumeByteIdentical(const std::vector<Fix>& fixes, std::size_t cut,
   Db bulk;
   ASSERT_TRUE(bulk.Register(BulkRelation("fleet", fixes, objects)).ok());
   ASSERT_TRUE(bulk.BuildIndex("fleet", "trail").ok());
-  for (const QueryRequest& q : AllKinds("fleet", steps)) {
+  std::vector<QueryRequest> kinds = AllKinds("fleet", steps);
+  for (const QueryRequest& q : WindowVariants("fleet", steps)) {
+    kinds.push_back(q);
+  }
+  for (const QueryRequest& q : kinds) {
     EXPECT_EQ(RunBlock(bulk, q), RunBlock(live, q)) << "cut at fix " << cut;
   }
 }

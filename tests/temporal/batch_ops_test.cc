@@ -634,5 +634,127 @@ TEST(SearchIndex, SpatialBBoxForMovingPoint) {
   EXPECT_TRUE(mr.search_index()->bbox.IsEmpty());
 }
 
+
+// ---------------------------------------------------------------------------
+// Deftime-bounds prefilter on mappings without a search index: the unit
+// records' first start and last end settle instants strictly outside
+// the deftime; an instant on either edge still goes to the sweep, which
+// knows whether that end is open.
+// ---------------------------------------------------------------------------
+
+UPoint UP(double s, double e, bool lc, bool rc, double x0, double x1) {
+  return *UPoint::Make(TI(s, e, lc, rc), LinearMotion{x0, x1, -x0, 0.5});
+}
+
+// Per-instant AtInstant / Present, the batch kernels' contract.
+void ExpectBatchesMatchPerInstant(const MovingPoint& mp,
+                                  const std::vector<Instant>& instants) {
+  std::vector<Intime<Point>> at;
+  BatchScratch scratch;
+  ASSERT_TRUE(AtInstantBatchInto(mp, instants, &at, &scratch).ok());
+  BatchXYOutput xy;
+  ASSERT_TRUE(AtInstantBatchXYInto(mp, instants, &xy, &scratch).ok());
+  std::vector<std::uint8_t> present;
+  ASSERT_TRUE(PresentBatchInto(mp, instants, &present).ok());
+  ASSERT_EQ(at.size(), instants.size());
+  ASSERT_EQ(xy.defined.size(), instants.size());
+  ASSERT_EQ(present.size(), instants.size());
+  for (std::size_t i = 0; i < instants.size(); ++i) {
+    const Instant t = instants[i];
+    const Intime<Point> one = mp.AtInstant(t);
+    EXPECT_EQ(at[i].defined, one.defined) << "t = " << t;
+    EXPECT_EQ(xy.defined[i], one.defined ? 1 : 0) << "t = " << t;
+    EXPECT_EQ(present[i], mp.Present(t) ? 1 : 0) << "t = " << t;
+    if (one.defined) {
+      EXPECT_TRUE(BitEq(at[i].value.x, one.value.x)) << "t = " << t;
+      EXPECT_TRUE(BitEq(at[i].value.y, one.value.y)) << "t = " << t;
+      EXPECT_TRUE(BitEq(xy.xs[i], one.value.x)) << "t = " << t;
+      EXPECT_TRUE(BitEq(xy.ys[i], one.value.y)) << "t = " << t;
+    }
+  }
+}
+
+void ExpectIndexlessMatchesIndexed(const MovingPoint& mp,
+                                   const std::vector<Instant>& instants) {
+  ASSERT_FALSE(mp.HasSearchIndex());
+  MovingPoint indexed = mp;
+  indexed.BuildSearchIndex();
+  BatchScratch scratch;
+  std::vector<Intime<Point>> at_a, at_b;
+  ASSERT_TRUE(AtInstantBatchInto(mp, instants, &at_a, &scratch).ok());
+  ASSERT_TRUE(AtInstantBatchInto(indexed, instants, &at_b, &scratch).ok());
+  BatchXYOutput xy_a, xy_b;
+  ASSERT_TRUE(AtInstantBatchXYInto(mp, instants, &xy_a, &scratch).ok());
+  ASSERT_TRUE(AtInstantBatchXYInto(indexed, instants, &xy_b, &scratch).ok());
+  std::vector<std::uint8_t> p_a, p_b;
+  ASSERT_TRUE(PresentBatchInto(mp, instants, &p_a).ok());
+  ASSERT_TRUE(PresentBatchInto(indexed, instants, &p_b).ok());
+  EXPECT_EQ(p_a, p_b);
+  EXPECT_EQ(xy_a.defined, xy_b.defined);
+  ASSERT_EQ(at_a.size(), at_b.size());
+  for (std::size_t i = 0; i < instants.size(); ++i) {
+    EXPECT_EQ(at_a[i].defined, at_b[i].defined) << "t = " << instants[i];
+    EXPECT_TRUE(BitEq(at_a[i].value.x, at_b[i].value.x));
+    EXPECT_TRUE(BitEq(at_a[i].value.y, at_b[i].value.y));
+    EXPECT_TRUE(BitEq(xy_a.xs[i], xy_b.xs[i]));
+    EXPECT_TRUE(BitEq(xy_a.ys[i], xy_b.ys[i]));
+  }
+}
+
+TEST(DeftimePrefilter, IndexlessEdgesMatchPerInstantAndIndexed) {
+  // deftime (2, 9): the first unit is left-open at 2 and the last
+  // right-open at 9; and the same trail with both ends closed.
+  const MovingPoint open_ends = *MovingPoint::Make(
+      {UP(2, 4, false, true, 1, 0.5), UP(4, 6, false, false, 3, -1),
+       UP(7, 9, true, false, -2, 2)});
+  const MovingPoint closed_ends = *MovingPoint::Make(
+      {UP(2, 4, true, true, 1, 0.5), UP(4, 6, false, false, 3, -1),
+       UP(7, 9, true, true, -2, 2)});
+  // Dense (k >= n/4) and sparse batches, each with instants before, on
+  // and after both deftime edges.
+  const std::vector<Instant> dense = {0,   1.5, 2,   2.5, 4,   6,
+                                      6.5, 7,   8.5, 9,   9.5, 12};
+  const std::vector<Instant> edges_only = {2, 9};
+  const std::vector<Instant> outside = {-5, 1.99, 9.01, 30};
+  for (const MovingPoint* mp : {&open_ends, &closed_ends}) {
+    for (const std::vector<Instant>* ts : {&dense, &edges_only, &outside}) {
+      ExpectBatchesMatchPerInstant(*mp, *ts);
+      ExpectIndexlessMatchesIndexed(*mp, *ts);
+    }
+  }
+  EXPECT_FALSE(open_ends.Present(2));
+  EXPECT_FALSE(open_ends.Present(9));
+  EXPECT_TRUE(closed_ends.Present(2));
+  EXPECT_TRUE(closed_ends.Present(9));
+
+  // The prefilter settles strictly outside instants and leaves the
+  // edges to the sweep.
+  const batch_internal::UnitsView<UPoint> view(&open_ends.units());
+  EXPECT_TRUE(view.certainly_undefined(1.99));
+  EXPECT_FALSE(view.certainly_undefined(2));
+  EXPECT_FALSE(view.certainly_undefined(9));
+  EXPECT_TRUE(view.certainly_undefined(9.01));
+
+  // A sparse batch over a long trail (k < n/4) takes the per-instant
+  // sweep path instead of the dense merge.
+  std::mt19937 rng(31);
+  const MovingPoint long_track = GappyTrack(&rng, 64);
+  const Instant end = long_track.units().back().interval().end();
+  const Instant start = long_track.units().front().interval().start();
+  const std::vector<Instant> sparse = {start - 1, start, end / 2, end,
+                                       end + 1};
+  ExpectBatchesMatchPerInstant(long_track, sparse);
+  ExpectIndexlessMatchesIndexed(long_track, sparse);
+}
+
+TEST(DeftimePrefilter, EmptyIndexlessMappingIsUndefinedEverywhere) {
+  const MovingPoint empty;
+  const std::vector<Instant> ts = {-1, 0, 1};
+  ExpectBatchesMatchPerInstant(empty, ts);
+  ExpectIndexlessMatchesIndexed(empty, ts);
+  EXPECT_TRUE(batch_internal::UnitsView<UPoint>(&empty.units())
+                  .certainly_undefined(0));
+}
+
 }  // namespace
 }  // namespace modb

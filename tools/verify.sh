@@ -110,9 +110,10 @@ echo "==== perf smoke (release build) ===="
 # reply (1024 flights x 49 instants) and of the 256-flight Q2 join rows.
 # So does Q2's EverWithin kernel alone, on planes(64) and on one pair of
 # 1250-unit trails, and the fleet's Q2: the index join over 8 trails of
-# 4600 units and the encode and decode of its reply.
+# 4600 units and the encode and decode of its reply. And planes_scan's
+# window, present and atinstant requests through Db::Run on one worker.
 run_perf_smoke queries bench_queries \
-  'BM_Q1_TrajectoryLength/64|BM_Q2_Join_RTree/64|BM_Q2_Join_RTree_Prebuilt/64|BM_Q2_EverWithinOnly|BM_EncodeReply_XY|BM_DecodeReply_XY|BM_EncodeReply_JoinRows|BM_DecodeReply_JoinRows|BM_IndexJoinProbe_FleetTrails|BM_EncodeReply_FleetJoinRows|BM_DecodeReply_FleetJoinRows'
+  'BM_Q1_TrajectoryLength/64|BM_Q2_Join_RTree/64|BM_Q2_Join_RTree_Prebuilt/64|BM_Q2_EverWithinOnly|BM_EncodeReply_XY|BM_DecodeReply_XY|BM_EncodeReply_JoinRows|BM_DecodeReply_JoinRows|BM_IndexJoinProbe_FleetTrails|BM_EncodeReply_FleetJoinRows|BM_DecodeReply_FleetJoinRows|BM_WindowAggregate_Planes/1024|BM_PresentBatch_Planes/1024|BM_AtInstantBatchXY_Planes/1024'
 run_perf_smoke batch bench_batch \
   'BM_AtInstant_Batch/10000/1024|BM_AtInstant_Batch/16384/16384'
 
