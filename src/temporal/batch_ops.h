@@ -35,7 +35,6 @@
 #include "obs/exec_stats.h"
 #include "obs/metrics.h"
 #include "temporal/mapping.h"
-#include "temporal/refinement.h"
 
 namespace modb {
 
@@ -723,10 +722,6 @@ Result<std::vector<std::uint8_t>> PresentBatch(
   MODB_RETURN_IF_ERROR(PresentBatchInto(m, instants, &out, options));
   return out;
 }
-
-/// Scratch buffer for bulk refinement-partition evaluation; reuse one
-/// instance across tuple pairs to keep the entry vector's capacity.
-using RefinementScratch = std::vector<RefinementEntry>;
 
 }  // namespace modb
 

@@ -213,20 +213,15 @@ namespace {
 Result<MovingBool> BoolCombine(const MovingBool& a, const MovingBool& b,
                                bool is_and) {
   MappingBuilder<UBool> builder;
-  // Function-local thread_local scratch: reused across calls (one
-  // allocation per thread, not per tuple pair), and safe under the
-  // morsel engine's worker threads.
-  thread_local RefinementScratch rp;
-  MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, &rp));
-  for (const RefinementEntry& e : rp) {
-    if (!e.HasBoth()) continue;
-    bool va = a.unit(std::size_t(e.unit_a)).value();
-    bool vb = b.unit(std::size_t(e.unit_b)).value();
-    bool v = is_and ? (va && vb) : (va || vb);
-    auto unit = UBool::Make(e.interval, v);
-    if (!unit.ok()) return unit.status();
-    MODB_RETURN_IF_ERROR(builder.Append(*unit));
-  }
+  MODB_RETURN_IF_ERROR(ForEachCommonInterval(
+      a, b,
+      [&](const TimeInterval& iv, std::size_t i, std::size_t j) -> Status {
+        bool va = a.unit(i).value();
+        bool vb = b.unit(j).value();
+        auto unit = UBool::Make(iv, is_and ? (va && vb) : (va || vb));
+        if (!unit.ok()) return unit.status();
+        return builder.Append(*unit);
+      }));
   return builder.Build();
 }
 
@@ -254,23 +249,19 @@ Periods WhenTrue(const MovingBool& b) {
 
 Result<MovingReal> LiftedDistance(const MovingPoint& a, const MovingPoint& b) {
   MappingBuilder<UReal> builder;
-  // Function-local thread_local scratch: reused across calls (one
-  // allocation per thread, not per tuple pair), and safe under the
-  // morsel engine's worker threads.
-  thread_local RefinementScratch rp;
-  MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, &rp));
-  for (const RefinementEntry& e : rp) {
-    if (!e.HasBoth()) continue;
-    const LinearMotion& ma = a.unit(std::size_t(e.unit_a)).motion();
-    const LinearMotion& mb = b.unit(std::size_t(e.unit_b)).motion();
-    double dx0 = ma.x0 - mb.x0, dx1 = ma.x1 - mb.x1;
-    double dy0 = ma.y0 - mb.y0, dy1 = ma.y1 - mb.y1;
-    auto unit = UReal::Make(e.interval, dx1 * dx1 + dy1 * dy1,
-                            2 * (dx0 * dx1 + dy0 * dy1),
-                            dx0 * dx0 + dy0 * dy0, /*r=*/true);
-    if (!unit.ok()) return unit.status();
-    MODB_RETURN_IF_ERROR(builder.Append(*unit));
-  }
+  MODB_RETURN_IF_ERROR(ForEachCommonInterval(
+      a, b,
+      [&](const TimeInterval& iv, std::size_t i, std::size_t j) -> Status {
+        const LinearMotion& ma = a.unit(i).motion();
+        const LinearMotion& mb = b.unit(j).motion();
+        double dx0 = ma.x0 - mb.x0, dx1 = ma.x1 - mb.x1;
+        double dy0 = ma.y0 - mb.y0, dy1 = ma.y1 - mb.y1;
+        auto unit = UReal::Make(iv, dx1 * dx1 + dy1 * dy1,
+                                2 * (dx0 * dx1 + dy0 * dy1),
+                                dx0 * dx0 + dy0 * dy0, /*r=*/true);
+        if (!unit.ok()) return unit.status();
+        return builder.Append(*unit);
+      }));
   return builder.Build();
 }
 
@@ -310,90 +301,79 @@ DistQuad SquaredDistanceQuad(const LinearMotion& p, const LinearMotion& q) {
 Result<MovingReal> LiftedDistance(const MovingPoint& a,
                                   const MovingPoints& b) {
   MappingBuilder<UReal> builder;
-  // Function-local thread_local scratch: reused across calls (one
-  // allocation per thread, not per tuple pair), and safe under the
-  // morsel engine's worker threads.
-  thread_local RefinementScratch rp;
-  MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, &rp));
-  for (const RefinementEntry& e : rp) {
-    if (!e.HasBoth()) continue;
-    const LinearMotion& p = a.unit(std::size_t(e.unit_a)).motion();
-    const std::vector<LinearMotion>& members =
-        b.unit(std::size_t(e.unit_b)).motions();
-    std::vector<DistQuad> quads;
-    quads.reserve(members.size());
-    for (const LinearMotion& m : members) {
-      quads.push_back(SquaredDistanceQuad(p, m));
-    }
-    // The member attaining the minimum can only change where two squared
-    // distances are equal: the roots of pairwise quadratic differences.
-    std::vector<Instant> cuts = {e.interval.start(), e.interval.end()};
-    for (std::size_t i = 0; i < quads.size(); ++i) {
-      for (std::size_t j = i + 1; j < quads.size(); ++j) {
-        for (double t : QuadraticRoots(quads[i].a - quads[j].a,
-                                       quads[i].b - quads[j].b,
-                                       quads[i].c - quads[j].c)) {
-          if (e.interval.ContainsOpen(t)) cuts.push_back(t);
+  MODB_RETURN_IF_ERROR(ForEachCommonInterval(
+      a, b,
+      [&](const TimeInterval& iv, std::size_t ia, std::size_t ib) -> Status {
+        const LinearMotion& p = a.unit(ia).motion();
+        const std::vector<LinearMotion>& members = b.unit(ib).motions();
+        std::vector<DistQuad> quads;
+        quads.reserve(members.size());
+        for (const LinearMotion& m : members) {
+          quads.push_back(SquaredDistanceQuad(p, m));
         }
-      }
-    }
-    std::sort(cuts.begin(), cuts.end());
-    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-    for (std::size_t k = 0; k + 1 < cuts.size() || cuts.size() == 1; ++k) {
-      Instant t0 = cuts[k];
-      Instant t1 = (cuts.size() == 1) ? cuts[0] : cuts[k + 1];
-      double mid = (t0 + t1) / 2;
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < quads.size(); ++i) {
-        if (quads[i].Eval(mid) < quads[best].Eval(mid)) best = i;
-      }
-      bool lc = (k == 0) ? e.interval.left_closed() : true;
-      bool rc = (t1 == e.interval.end()) ? e.interval.right_closed() : false;
-      auto iv = TimeInterval::Make(t0, t1, lc, rc);
-      if (!iv.ok()) return iv.status();
-      auto unit = UReal::Make(*iv, quads[best].a, quads[best].b,
-                              quads[best].c, /*r=*/true);
-      if (!unit.ok()) return unit.status();
-      MODB_RETURN_IF_ERROR(builder.Append(*unit));
-      if (cuts.size() == 1) break;
-    }
-  }
+        // The member attaining the minimum can only change where two
+        // squared distances are equal: the roots of pairwise quadratic
+        // differences.
+        std::vector<Instant> cuts = {iv.start(), iv.end()};
+        for (std::size_t i = 0; i < quads.size(); ++i) {
+          for (std::size_t j = i + 1; j < quads.size(); ++j) {
+            for (double t : QuadraticRoots(quads[i].a - quads[j].a,
+                                           quads[i].b - quads[j].b,
+                                           quads[i].c - quads[j].c)) {
+              if (iv.ContainsOpen(t)) cuts.push_back(t);
+            }
+          }
+        }
+        std::sort(cuts.begin(), cuts.end());
+        cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+        for (std::size_t k = 0; k + 1 < cuts.size() || cuts.size() == 1;
+             ++k) {
+          Instant t0 = cuts[k];
+          Instant t1 = (cuts.size() == 1) ? cuts[0] : cuts[k + 1];
+          double mid = (t0 + t1) / 2;
+          std::size_t best = 0;
+          for (std::size_t i = 1; i < quads.size(); ++i) {
+            if (quads[i].Eval(mid) < quads[best].Eval(mid)) best = i;
+          }
+          bool lc = (k == 0) ? iv.left_closed() : true;
+          bool rc = (t1 == iv.end()) ? iv.right_closed() : false;
+          auto piece = TimeInterval::Make(t0, t1, lc, rc);
+          if (!piece.ok()) return piece.status();
+          auto unit = UReal::Make(*piece, quads[best].a, quads[best].b,
+                                  quads[best].c, /*r=*/true);
+          if (!unit.ok()) return unit.status();
+          MODB_RETURN_IF_ERROR(builder.Append(*unit));
+          if (cuts.size() == 1) break;
+        }
+        return Status::OK();
+      }));
   return builder.Build();
 }
 
 Result<MovingBool> Inside(const MovingPoint& a, const MovingPoints& b) {
   MappingBuilder<UBool> builder;
-  // Function-local thread_local scratch: reused across calls (one
-  // allocation per thread, not per tuple pair), and safe under the
-  // morsel engine's worker threads.
-  thread_local RefinementScratch rp;
-  MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, &rp));
-  for (const RefinementEntry& e : rp) {
-    if (!e.HasBoth()) continue;
-    const LinearMotion& p = a.unit(std::size_t(e.unit_a)).motion();
-    const std::vector<LinearMotion>& members =
-        b.unit(std::size_t(e.unit_b)).motions();
-    bool always = false;
-    std::vector<Instant> breaks;
-    for (const LinearMotion& m : members) {
-      CoincidenceResult co = Coincidence(p, m);
-      if (co.always) {
-        always = true;
-        break;
-      }
-      for (Instant t : co.instants) {
-        if (e.interval.Contains(t)) breaks.push_back(t);
-      }
-    }
-    if (always) {
-      auto unit = UBool::Make(e.interval, true);
-      MODB_RETURN_IF_ERROR(builder.Append(*unit));
-      continue;
-    }
-    MODB_RETURN_IF_ERROR(EmitPiecewiseBool(
-        e.interval, std::move(breaks), CmpOp::kEq,
-        [](Instant) { return false; }, &builder));
-  }
+  MODB_RETURN_IF_ERROR(ForEachCommonInterval(
+      a, b,
+      [&](const TimeInterval& iv, std::size_t i, std::size_t j) -> Status {
+        const LinearMotion& p = a.unit(i).motion();
+        const std::vector<LinearMotion>& members = b.unit(j).motions();
+        bool always = false;
+        std::vector<Instant> breaks;
+        for (const LinearMotion& m : members) {
+          CoincidenceResult co = Coincidence(p, m);
+          if (co.always) {
+            always = true;
+            break;
+          }
+          for (Instant t : co.instants) {
+            if (iv.Contains(t)) breaks.push_back(t);
+          }
+        }
+        if (always) return builder.Append(*UBool::Make(iv, true));
+        return EmitPiecewiseBool(
+            iv, std::move(breaks), CmpOp::kEq,
+            [](Instant) { return false; }, &builder);
+      }));
   return builder.Build();
 }
 
@@ -624,11 +604,12 @@ bool EverWithin(const MovingPoint& a, const MovingPoint& b, double d,
   if (!(d > 0)) return false;
   EverWithinSweep sweep;
   std::uint64_t intervals = 0;
-  ForEachCommonInterval(
+  (void)ForEachCommonInterval(
       a, b, [&](const TimeInterval& iv, std::size_t i, std::size_t j) {
         ++intervals;
         sweep.Add(iv, SquaredDistanceQuad(a.unit(i).motion(),
                                           b.unit(j).motion()));
+        return Status::OK();
       });
   const EverWithinSweep::Verdict verdict = sweep.Decide(d);
   const bool unsure = verdict == EverWithinSweep::Verdict::kUnsure;
@@ -664,67 +645,54 @@ Result<MovingBool> Compare(const MovingReal& m, double c, CmpOp op) {
 Result<MovingBool> Compare(const MovingReal& a, const MovingReal& b,
                            CmpOp op) {
   MappingBuilder<UBool> builder;
-  // Function-local thread_local scratch: reused across calls (one
-  // allocation per thread, not per tuple pair), and safe under the
-  // morsel engine's worker threads.
-  thread_local RefinementScratch rp;
-  MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, &rp));
-  for (const RefinementEntry& e : rp) {
-    if (!e.HasBoth()) continue;
-    const UReal& ua = a.unit(std::size_t(e.unit_a));
-    const UReal& ub = b.unit(std::size_t(e.unit_b));
-    // Reduce to sign analysis of a quadratic. Cases that stay in the
-    // class: both plain quadratics (compare the difference with 0); both
-    // roots over non-negative radicands (compare the radicands); one
-    // root against a constant (square the constant).
-    double da, db, dc;
-    std::function<bool(Instant)> eval = [&ua, &ub, op](Instant t) {
-      return EvalCmp(ua.ValueAt(t), ub.ValueAt(t), op);
-    };
-    if (!ua.root() && !ub.root()) {
-      da = ua.a() - ub.a();
-      db = ua.b() - ub.b();
-      dc = ua.c() - ub.c();
-    } else if (ua.root() && ub.root()) {
-      da = ua.a() - ub.a();
-      db = ua.b() - ub.b();
-      dc = ua.c() - ub.c();
-    } else {
-      const UReal& rooted = ua.root() ? ua : ub;
-      const UReal& plain = ua.root() ? ub : ua;
-      if (plain.a() != 0 || plain.b() != 0) {
-        return Status::Unimplemented(
-            "comparison of a root ureal against a non-constant ureal is not "
-            "closed in the discrete model");
-      }
-      double c = plain.c();
-      if (c < 0) {
-        // √radicand >= 0 > c always; orient by which side is the root.
-        bool value = ua.root() ? EvalCmp(1.0, 0.0, op)   // root > const
-                               : EvalCmp(0.0, 1.0, op);  // const < root
-        auto unit = UBool::Make(e.interval, value);
-        MODB_RETURN_IF_ERROR(builder.Append(*unit));
-        continue;
-      }
-      // Breaks are where radicand == c²; between breaks the sign is
-      // constant and `eval` decides it at midpoints.
-      da = rooted.a();
-      db = rooted.b();
-      dc = rooted.c() - c * c;
-    }
-    std::vector<Instant> breaks;
-    for (double t : QuadraticRoots(da, db, dc)) {
-      if (e.interval.Contains(t)) breaks.push_back(t);
-    }
-    if (da == 0 && db == 0 && dc == 0) {
-      // Identically equal on the interval.
-      auto unit = UBool::Make(e.interval, CmpAtEquality(op));
-      MODB_RETURN_IF_ERROR(builder.Append(*unit));
-      continue;
-    }
-    MODB_RETURN_IF_ERROR(EmitPiecewiseBool(e.interval, std::move(breaks), op,
-                                           eval, &builder));
-  }
+  MODB_RETURN_IF_ERROR(ForEachCommonInterval(
+      a, b,
+      [&](const TimeInterval& iv, std::size_t i, std::size_t j) -> Status {
+        const UReal& ua = a.unit(i);
+        const UReal& ub = b.unit(j);
+        // Reduce to sign analysis of a quadratic. Cases that stay in the
+        // class: both plain quadratics (compare the difference with 0);
+        // both roots over non-negative radicands (compare the radicands);
+        // one root against a constant (square the constant).
+        double da, db, dc;
+        std::function<bool(Instant)> eval = [&ua, &ub, op](Instant t) {
+          return EvalCmp(ua.ValueAt(t), ub.ValueAt(t), op);
+        };
+        if (ua.root() == ub.root()) {
+          da = ua.a() - ub.a();
+          db = ua.b() - ub.b();
+          dc = ua.c() - ub.c();
+        } else {
+          const UReal& rooted = ua.root() ? ua : ub;
+          const UReal& plain = ua.root() ? ub : ua;
+          if (plain.a() != 0 || plain.b() != 0) {
+            return Status::Unimplemented(
+                "comparison of a root ureal against a non-constant ureal is "
+                "not closed in the discrete model");
+          }
+          double c = plain.c();
+          if (c < 0) {
+            // √radicand >= 0 > c always; orient by which side is the root.
+            bool value = ua.root() ? EvalCmp(1.0, 0.0, op)   // root > const
+                                   : EvalCmp(0.0, 1.0, op);  // const < root
+            return builder.Append(*UBool::Make(iv, value));
+          }
+          // Breaks are where radicand == c²; between breaks the sign is
+          // constant and `eval` decides it at midpoints.
+          da = rooted.a();
+          db = rooted.b();
+          dc = rooted.c() - c * c;
+        }
+        std::vector<Instant> breaks;
+        for (double t : QuadraticRoots(da, db, dc)) {
+          if (iv.Contains(t)) breaks.push_back(t);
+        }
+        if (da == 0 && db == 0 && dc == 0) {
+          // Identically equal on the interval.
+          return builder.Append(*UBool::Make(iv, CmpAtEquality(op)));
+        }
+        return EmitPiecewiseBool(iv, std::move(breaks), op, eval, &builder);
+      }));
   return builder.Build();
 }
 
@@ -733,26 +701,22 @@ namespace {
 Result<MovingReal> AddSub(const MovingReal& a, const MovingReal& b,
                           double sign) {
   MappingBuilder<UReal> builder;
-  // Function-local thread_local scratch: reused across calls (one
-  // allocation per thread, not per tuple pair), and safe under the
-  // morsel engine's worker threads.
-  thread_local RefinementScratch rp;
-  MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, &rp));
-  for (const RefinementEntry& e : rp) {
-    if (!e.HasBoth()) continue;
-    const UReal& ua = a.unit(std::size_t(e.unit_a));
-    const UReal& ub = b.unit(std::size_t(e.unit_b));
-    if (ua.root() || ub.root()) {
-      return Status::Unimplemented(
-          "sum/difference involving root ureals is not closed in the "
-          "discrete model");
-    }
-    auto unit = UReal::Make(e.interval, ua.a() + sign * ub.a(),
-                            ua.b() + sign * ub.b(), ua.c() + sign * ub.c(),
-                            false);
-    if (!unit.ok()) return unit.status();
-    MODB_RETURN_IF_ERROR(builder.Append(*unit));
-  }
+  MODB_RETURN_IF_ERROR(ForEachCommonInterval(
+      a, b,
+      [&](const TimeInterval& iv, std::size_t i, std::size_t j) -> Status {
+        const UReal& ua = a.unit(i);
+        const UReal& ub = b.unit(j);
+        if (ua.root() || ub.root()) {
+          return Status::Unimplemented(
+              "sum/difference involving root ureals is not closed in the "
+              "discrete model");
+        }
+        auto unit = UReal::Make(iv, ua.a() + sign * ub.a(),
+                                ua.b() + sign * ub.b(),
+                                ua.c() + sign * ub.c(), false);
+        if (!unit.ok()) return unit.status();
+        return builder.Append(*unit);
+      }));
   return builder.Build();
 }
 
@@ -964,29 +928,21 @@ Result<MovingBool> Inside(const MovingPoint& mp, const Line& l) {
 
 Result<MovingBool> Equals(const MovingPoint& a, const MovingPoint& b) {
   MappingBuilder<UBool> builder;
-  // Function-local thread_local scratch: reused across calls (one
-  // allocation per thread, not per tuple pair), and safe under the
-  // morsel engine's worker threads.
-  thread_local RefinementScratch rp;
-  MODB_RETURN_IF_ERROR(RefinementPartitionInto(a, b, &rp));
-  for (const RefinementEntry& e : rp) {
-    if (!e.HasBoth()) continue;
-    CoincidenceResult co = Coincidence(a.unit(std::size_t(e.unit_a)).motion(),
-                                       b.unit(std::size_t(e.unit_b)).motion());
-    if (co.always) {
-      auto unit = UBool::Make(e.interval, true);
-      MODB_RETURN_IF_ERROR(builder.Append(*unit));
-      continue;
-    }
-    std::vector<Instant> breaks;
-    for (Instant t : co.instants) {
-      if (e.interval.Contains(t)) breaks.push_back(t);
-    }
-    MODB_RETURN_IF_ERROR(EmitPiecewiseBool(
-        e.interval, std::move(breaks), CmpOp::kEq,
-        [](Instant) { return false; },  // Off the breaks they differ.
-        &builder));
-  }
+  MODB_RETURN_IF_ERROR(ForEachCommonInterval(
+      a, b,
+      [&](const TimeInterval& iv, std::size_t i, std::size_t j) -> Status {
+        CoincidenceResult co =
+            Coincidence(a.unit(i).motion(), b.unit(j).motion());
+        if (co.always) return builder.Append(*UBool::Make(iv, true));
+        std::vector<Instant> breaks;
+        for (Instant t : co.instants) {
+          if (iv.Contains(t)) breaks.push_back(t);
+        }
+        return EmitPiecewiseBool(
+            iv, std::move(breaks), CmpOp::kEq,
+            [](Instant) { return false; },  // Off the breaks they differ.
+            &builder);
+      }));
   return builder.Build();
 }
 
@@ -997,33 +953,34 @@ Result<MovingBool> Equals(const MovingPoint& a, const MovingPoint& b) {
 Result<MovingBool> Inside(const MovingPoint& mp, const MovingRegion& mr,
                           const InsideOptions& options) {
   MappingBuilder<UBool> builder;
-  // Function-local thread_local scratch: reused across calls (one
-  // allocation per thread, not per tuple pair), and safe under the
-  // morsel engine's worker threads.
-  thread_local RefinementScratch rp;
-  MODB_RETURN_IF_ERROR(RefinementPartitionInto(mp, mr, &rp));
-  for (const RefinementEntry& e : rp) {
-    if (!e.HasBoth()) continue;
-    const UPoint& up = mp.unit(std::size_t(e.unit_a));
-    const URegion& ur = mr.unit(std::size_t(e.unit_b));
-    if (options.use_bounding_boxes) {
-      // The paper's fast path: when the 3D bounding boxes are disjoint,
-      // no crossing computation is needed; the point is outside for the
-      // whole refinement interval.
-      Rect pr = Rect::Of(up.ValueAt(e.interval.start()));
-      pr.Extend(up.ValueAt(e.interval.end()));
-      Cube pc(pr, e.interval.start(), e.interval.end());
-      if (!Cube::Intersect(pc, ur.BoundingCube())) {
-        auto unit = UBool::Make(e.interval, false);
-        MODB_RETURN_IF_ERROR(builder.Append(*unit));
-        continue;
-      }
-    }
-    std::vector<MSeg> msegs = ur.AllMSegs();
-    MODB_RETURN_IF_ERROR(InsideCore(
-        up.motion(), e.interval, msegs,
-        [&ur](Instant t) { return ur.Snapshot(t); }, &builder));
-  }
+  // Consecutive intervals share a region unit: build its moving segments
+  // once, on the first interval of that unit that needs them.
+  std::vector<MSeg> msegs;
+  std::size_t msegs_unit = mr.NumUnits();
+  MODB_RETURN_IF_ERROR(ForEachCommonInterval(
+      mp, mr,
+      [&](const TimeInterval& iv, std::size_t i, std::size_t j) -> Status {
+        const UPoint& up = mp.unit(i);
+        const URegion& ur = mr.unit(j);
+        if (options.use_bounding_boxes) {
+          // The paper's fast path: when the 3D bounding boxes are
+          // disjoint, no crossing computation is needed; the point is
+          // outside for the whole refinement interval.
+          Rect pr = Rect::Of(up.ValueAt(iv.start()));
+          pr.Extend(up.ValueAt(iv.end()));
+          Cube pc(pr, iv.start(), iv.end());
+          if (!Cube::Intersect(pc, ur.BoundingCube())) {
+            return builder.Append(*UBool::Make(iv, false));
+          }
+        }
+        if (msegs_unit != j) {
+          msegs = ur.AllMSegs();
+          msegs_unit = j;
+        }
+        return InsideCore(
+            up.motion(), iv, msegs,
+            [&ur](Instant t) { return ur.Snapshot(t); }, &builder);
+      }));
   return builder.Build();
 }
 

@@ -18,14 +18,13 @@
 
 #include "core/interval.h"
 #include "core/status.h"
-#include "obs/metrics.h"
 #include "temporal/mapping.h"
 
 namespace modb {
 
 /// One interval of the refinement partition. unit_a/unit_b are indices
 /// into the respective mappings, or kNoUnit when that mapping is not
-/// defined on the interval. Indices are int32_t; RefinementPartitionInto
+/// defined on the interval. Indices are int32_t; RefinementPartition
 /// rejects mappings with more units than int32_t can address rather than
 /// letting the narrowing wrap.
 struct RefinementEntry {
@@ -81,22 +80,24 @@ inline std::optional<TimeInterval> TrailingPiece(const TimeInterval& whole,
 
 }  // namespace refinement_internal
 
-/// Computes the refinement partition of the deftimes of two mappings in
-/// O(n + m), appending into `*out` (cleared first). Reusing one scratch
-/// vector across many pairs avoids the per-pair allocation that dominates
-/// small-unit workloads (batch joins evaluate this per tuple pair).
-/// Intervals where neither mapping is defined are omitted.
+/// The whole refinement partition of the deftimes of two mappings, in
+/// O(n + m): the co-defined intervals and the ones where only one mapping
+/// is defined (intervals where neither is defined are omitted). Operators
+/// walk only the co-defined intervals, with ForEachCommonInterval; this
+/// full partition is the reference the tests hold that walk to.
 template <typename UA, typename UB>
-Status RefinementPartitionInto(const Mapping<UA>& a, const Mapping<UB>& b,
-                               std::vector<RefinementEntry>* out) {
+std::vector<RefinementEntry> RefinementPartition(const Mapping<UA>& a,
+                                                 const Mapping<UB>& b) {
   using refinement_internal::LeadingPiece;
   using refinement_internal::TrailingPiece;
 
-  out->clear();
+  std::vector<RefinementEntry> out;
   const std::size_t n = a.NumUnits(), m = b.NumUnits();
   if (n > kMaxRefinementUnits || m > kMaxRefinementUnits) {
-    return Status::OutOfRange(
-        "refinement partition supports at most 2^31-1 units per mapping");
+    // Past 2^31-1 units per mapping; unreachable through the validating
+    // factories on any realistic memory budget.
+    assert(false && "refinement partition supports at most 2^31-1 units");
+    return out;
   }
   std::size_t i = 0, j = 0;
   // The not-yet-emitted remainder of the current unit on each side.
@@ -117,34 +118,34 @@ Status RefinementPartitionInto(const Mapping<UA>& a, const Mapping<UB>& b,
 
   while (cur_a || cur_b) {
     if (!cur_b) {
-      out->push_back({*cur_a, ia(), RefinementEntry::kNoUnit});
+      out.push_back({*cur_a, ia(), RefinementEntry::kNoUnit});
       advance_a();
       continue;
     }
     if (!cur_a) {
-      out->push_back({*cur_b, RefinementEntry::kNoUnit, ib()});
+      out.push_back({*cur_b, RefinementEntry::kNoUnit, ib()});
       advance_b();
       continue;
     }
     if (TimeInterval::RDisjoint(*cur_a, *cur_b)) {
-      out->push_back({*cur_a, ia(), RefinementEntry::kNoUnit});
+      out.push_back({*cur_a, ia(), RefinementEntry::kNoUnit});
       advance_a();
       continue;
     }
     if (TimeInterval::RDisjoint(*cur_b, *cur_a)) {
-      out->push_back({*cur_b, RefinementEntry::kNoUnit, ib()});
+      out.push_back({*cur_b, RefinementEntry::kNoUnit, ib()});
       advance_b();
       continue;
     }
     auto common = TimeInterval::Intersect(*cur_a, *cur_b);
     // Overlap implies a non-empty intersection.
     if (auto lead = LeadingPiece(*cur_a, *common)) {
-      out->push_back({*lead, ia(), RefinementEntry::kNoUnit});
+      out.push_back({*lead, ia(), RefinementEntry::kNoUnit});
     }
     if (auto lead = LeadingPiece(*cur_b, *common)) {
-      out->push_back({*lead, RefinementEntry::kNoUnit, ib()});
+      out.push_back({*lead, RefinementEntry::kNoUnit, ib()});
     }
-    out->push_back({*common, ia(), ib()});
+    out.push_back({*common, ia(), ib()});
     std::optional<TimeInterval> trail_a = TrailingPiece(*cur_a, *common);
     std::optional<TimeInterval> trail_b = TrailingPiece(*cur_b, *common);
     if (trail_a) {
@@ -158,29 +159,29 @@ Status RefinementPartitionInto(const Mapping<UA>& a, const Mapping<UB>& b,
       advance_b();
     }
   }
-  MODB_COUNTER_INC("temporal.refinement.partitions");
-  MODB_COUNTER_ADD("temporal.refinement.entries", out->size());
-  return Status::OK();
+  return out;
 }
 
 /// The refinement partition walked in place, restricted to where both
 /// mappings are defined: calls fn(interval, i, j) for exactly the
-/// HasBoth() entries of RefinementPartitionInto, in the same order,
-/// without building the partition. Each such interval is the non-empty
+/// HasBoth() entries of RefinementPartition, in the same order, without
+/// building the partition. Each such interval is the non-empty
 /// intersection of unit i of `a` with unit j of `b`. The scan advances
 /// whichever unit ends first, O(n + m): on a tie the one open there, or
 /// both when they end alike, as units on a shared time grid do. A
 /// disjoint pair intersects to nothing and is skipped the same way.
+/// `fn` returns a Status; the walk stops at the first non-OK one and
+/// returns it.
 template <typename UA, typename UB, typename Fn>
-void ForEachCommonInterval(const Mapping<UA>& a, const Mapping<UB>& b,
-                           Fn&& fn) {
+Status ForEachCommonInterval(const Mapping<UA>& a, const Mapping<UB>& b,
+                             Fn&& fn) {
   const std::size_t n = a.NumUnits(), m = b.NumUnits();
   std::size_t i = 0, j = 0;
   while (i < n && j < m) {
     const TimeInterval& u = a.unit(i).interval();
     const TimeInterval& v = b.unit(j).interval();
     if (std::optional<TimeInterval> common = TimeInterval::Intersect(u, v)) {
-      fn(*common, i, j);
+      MODB_RETURN_IF_ERROR(fn(*common, i, j));
     }
     if (u.end() == v.end() && u.right_closed() == v.right_closed()) {
       ++i;
@@ -192,19 +193,7 @@ void ForEachCommonInterval(const Mapping<UA>& a, const Mapping<UB>& b,
       ++j;
     }
   }
-}
-
-/// Allocating convenience wrapper around RefinementPartitionInto.
-template <typename UA, typename UB>
-std::vector<RefinementEntry> RefinementPartition(const Mapping<UA>& a,
-                                                 const Mapping<UB>& b) {
-  std::vector<RefinementEntry> out;
-  Status s = RefinementPartitionInto(a, b, &out);
-  // Only fails past 2^31-1 units per mapping; unreachable through the
-  // validating factories on any realistic memory budget.
-  assert(s.ok());
-  (void)s;
-  return out;
+  return Status::OK();
 }
 
 }  // namespace modb

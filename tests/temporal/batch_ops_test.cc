@@ -10,6 +10,7 @@
 
 #include "core/simd.h"
 #include "temporal/moving.h"
+#include "temporal/refinement.h"
 
 namespace modb {
 namespace {
@@ -112,45 +113,6 @@ TEST(RefinementEdge, OneEmptyMapping) {
     EXPECT_EQ(e.unit_a, RefinementEntry::kNoUnit);
   }
   EXPECT_TRUE(RefinementPartition(empty, MovingInt()).empty());
-}
-
-TEST(RefinementEdge, ScratchDriverMatchesAllocatingPartition) {
-  MovingInt a = *MovingInt::Make({UI(0, 2, 1), UI(3, 5, 2, false, true)});
-  MovingBool b = *MovingBool::Make({UB(1, 4, true)});
-  std::vector<RefinementEntry> expected;
-  for (const RefinementEntry& e : RefinementPartition(a, b)) {
-    if (e.HasBoth()) expected.push_back(e);
-  }
-  // The in-place walk yields exactly the co-defined entries, in order.
-  std::vector<RefinementEntry> seen;
-  ForEachCommonInterval(
-      a, b, [&seen](const TimeInterval& iv, std::size_t i, std::size_t j) {
-        seen.push_back({iv, static_cast<std::int32_t>(i),
-                        static_cast<std::int32_t>(j)});
-      });
-  ASSERT_EQ(seen.size(), expected.size());
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i].interval, expected[i].interval);
-    EXPECT_EQ(seen[i].unit_a, expected[i].unit_a);
-    EXPECT_EQ(seen[i].unit_b, expected[i].unit_b);
-  }
-  // A reused scratch gives the same partition and keeps its storage for
-  // the next pair (no reallocation).
-  RefinementScratch scratch;
-  ASSERT_TRUE(RefinementPartitionInto(a, b, &scratch).ok());
-  const std::vector<RefinementEntry> whole = RefinementPartition(a, b);
-  ASSERT_EQ(scratch.size(), whole.size());
-  const RefinementEntry* data = scratch.data();
-  const std::size_t cap = scratch.capacity();
-  ASSERT_TRUE(RefinementPartitionInto(a, b, &scratch).ok());
-  ASSERT_EQ(scratch.size(), whole.size());
-  for (std::size_t i = 0; i < whole.size(); ++i) {
-    EXPECT_EQ(scratch[i].interval, whole[i].interval);
-    EXPECT_EQ(scratch[i].unit_a, whole[i].unit_a);
-    EXPECT_EQ(scratch[i].unit_b, whole[i].unit_b);
-  }
-  EXPECT_EQ(scratch.data(), data);
-  EXPECT_EQ(scratch.capacity(), cap);
 }
 
 // ---------------------------------------------------------------------------

@@ -376,14 +376,18 @@ void ExpectCommonIntervalsMatchPartition(const Mapping<UA>& a,
     if (e.HasBoth()) want.push_back(e);
   }
   std::size_t k = 0;
-  ForEachCommonInterval(
+  Status walked = ForEachCommonInterval(
       a, b, [&](const TimeInterval& iv, std::size_t i, std::size_t j) {
-        ASSERT_LT(k, want.size());
+        if (k == want.size()) {
+          return Status::OutOfRange("more intervals than the partition");
+        }
         EXPECT_EQ(iv, want[k].interval);
         EXPECT_EQ(i, std::size_t(want[k].unit_a));
         EXPECT_EQ(j, std::size_t(want[k].unit_b));
         ++k;
+        return Status::OK();
       });
+  ASSERT_TRUE(walked.ok()) << walked.ToString();
   EXPECT_EQ(k, want.size());
 }
 
@@ -402,6 +406,39 @@ TEST(ForEachCommonIntervalTest, MatchesRefinementPartition) {
       *MovingBool::Make({*UBool::Make(*TimeInterval::Make(1, 4, true, true),
                                       true)});
   ExpectCommonIntervalsMatchPartition(ints, bools);
+}
+
+TEST(ForEachCommonIntervalTest, StopsAtFirstFailedCallback) {
+  // Ten unit-long ints under one bool: ten co-defined intervals.
+  std::vector<UInt> units;
+  for (int k = 0; k < 10; ++k) {
+    units.push_back(
+        *UInt::Make(*TimeInterval::Make(k, k + 1, true, k == 9), k));
+  }
+  MovingInt ints = *MovingInt::Make(std::move(units));
+  MovingBool bools =
+      *MovingBool::Make({*UBool::Make(*TimeInterval::Make(0, 10, true, true),
+                                      true)});
+  // The walk returns the k-th callback's failure and makes no further call.
+  for (std::size_t fail_at : {0u, 4u, 9u}) {
+    std::size_t calls = 0;
+    Status s = ForEachCommonInterval(
+        ints, bools, [&](const TimeInterval&, std::size_t, std::size_t) {
+          if (calls++ == fail_at) return Status::Internal("stop here");
+          return Status::OK();
+        });
+    EXPECT_EQ(s.code(), StatusCode::kInternal) << fail_at;
+    EXPECT_EQ(s.message(), "stop here") << fail_at;
+    EXPECT_EQ(calls, fail_at + 1);
+  }
+  std::size_t calls = 0;
+  Status s = ForEachCommonInterval(
+      ints, bools, [&](const TimeInterval&, std::size_t, std::size_t) {
+        ++calls;
+        return Status::OK();
+      });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(calls, 10u);
 }
 
 #ifdef MODB_COUNT_ALLOCATIONS
