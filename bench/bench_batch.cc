@@ -42,13 +42,12 @@ std::vector<Instant> SortedInstants(int k, int units, std::uint64_t seed) {
   return out;
 }
 
-// Baseline: k independent binary searches, O(k log n). Uses the SoA
-// index too, so the comparison isolates the sweep vs. repeated search.
+// Baseline: k independent binary searches over the unit records,
+// O(k log n).
 void BM_AtInstant_Loop(benchmark::State& state) {
   const int units = int(state.range(0));
   const int k = int(state.range(1));
   MovingPoint mp = DenseTrack(units);
-  mp.BuildSearchIndex();
   std::vector<Instant> instants = SortedInstants(k, units, 7);
   for (auto _ : state) {
     double acc = 0;
@@ -83,10 +82,9 @@ BENCHMARK(BM_AtInstant_Batch)
     ->ArgsProduct({{10000}, {8, 16, 32, 64, 128, 256, 1024, 8192}})
     ->ArgsProduct({{16384}, {16384}});
 
-// FindUnit through the packed SoA arrays vs. the unit-record path.
-void BM_FindUnit_SoAIndex(benchmark::State& state) {
+// 1 024 independent FindUnit probes on a 10 000-unit track.
+void BM_FindUnit(benchmark::State& state) {
   MovingPoint mp = DenseTrack(10000);
-  if (state.range(0)) mp.BuildSearchIndex();
   std::vector<Instant> instants = SortedInstants(1024, 10000, 11);
   for (auto _ : state) {
     std::size_t acc = 0;
@@ -95,7 +93,7 @@ void BM_FindUnit_SoAIndex(benchmark::State& state) {
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * 1024);
 }
-BENCHMARK(BM_FindUnit_SoAIndex)->Arg(0)->Arg(1);
+BENCHMARK(BM_FindUnit);
 
 // Refinement partition: the whole partition, allocated per pair (the
 // test reference), vs. the in-place walk the operators run.
@@ -170,15 +168,11 @@ bool JoinsMatch(const Relation& serial, const Relation& parallel) {
 }
 
 // Runs `plan` every iteration: serially inline for threads == 0, else
-// on a private pool of that many threads.
+// on that many workers.
 void RunPlanLoop(benchmark::State& state, const exec::PhysicalPlan& plan,
                  int threads) {
-  ThreadPool pool(std::max(threads, 1));
   ExecOptions options;
-  if (threads > 0) {
-    options.parallel.num_threads = 0;  // one worker per pool thread
-    options.parallel.pool = &pool;
-  }
+  if (threads > 0) options.parallel.num_threads = threads;
   for (auto _ : state) {
     Relation r = std::move(exec::RunPlan(plan, options)->rows);
     benchmark::DoNotOptimize(r);
@@ -202,10 +196,8 @@ void BM_IndexJoin_Parallel(benchmark::State& state) {
   };
   const exec::PhysicalPlan plan = *exec::PlanQuery(q);
   if (threads > 0) {
-    ThreadPool pool(threads);
     ExecOptions options;
-    options.parallel.num_threads = 0;
-    options.parallel.pool = &pool;
+    options.parallel.num_threads = threads;
     if (!JoinsMatch(exec::RunPlan(plan, ExecOptions{})->rows,
                     exec::RunPlan(plan, options)->rows)) {
       state.SkipWithError("parallel join output differs from serial");

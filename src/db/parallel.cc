@@ -52,11 +52,7 @@ Status ValidateParallelOptions(const ParallelOptions& options) {
 std::size_t ResolveWorkerCount(const ParallelOptions& options) {
   if (options.num_threads == 1) return 1;
   if (options.num_threads > 1) return std::size_t(options.num_threads);
-  return std::size_t(std::max(1, ResolvePool(options).num_threads()));
-}
-
-ThreadPool& ResolvePool(const ParallelOptions& options) {
-  return options.pool != nullptr ? *options.pool : ThreadPool::Shared();
+  return std::size_t(std::max(1, ThreadPool::Shared().num_threads()));
 }
 
 void ThreadPool::WorkerLoop() {

@@ -1,6 +1,6 @@
 // The execution policy every query entrypoint takes (ExecOptions) and
-// the fixed thread pool the morsel engine (src/exec/) runs its workers
-// on. Workers are started once and reused.
+// the fixed thread pool the morsel engine (src/exec/) runs its helper
+// workers on. Workers are started once and reused.
 
 #ifndef MODB_DB_PARALLEL_H_
 #define MODB_DB_PARALLEL_H_
@@ -61,12 +61,12 @@ class ThreadPool {
 /// more than one worker runs: they are invoked concurrently from pool
 /// workers.
 struct ParallelOptions {
-  /// Worker count. 1 runs serially inline on the calling thread (no
-  /// pool is touched); <= 0 uses one worker per thread of the pool;
-  /// values above kMaxQueryThreads are rejected with InvalidArgument.
+  /// Worker count. Worker 0 is the calling thread and the rest are
+  /// helpers on ThreadPool::Shared(), so 1 runs serially inline and
+  /// never touches the pool; <= 0 uses one worker per thread of the
+  /// shared pool; values above kMaxQueryThreads are rejected with
+  /// InvalidArgument.
   int num_threads = 0;
-  /// Pool to run on; nullptr uses ThreadPool::Shared().
-  ThreadPool* pool = nullptr;
 };
 
 /// Upper bound on ParallelOptions.num_threads. Worker counts beyond
@@ -75,18 +75,17 @@ struct ParallelOptions {
 inline constexpr int kMaxQueryThreads = 4096;
 
 /// The one validation point for every ParallelOptions consumer — the
-/// exec engine, the batch kernels, and the modbd server all call this, so the sanity bound is enforced (and phrased)
-/// identically everywhere. The error message names the offending field
-/// and the violated bound so a remote caller seeing the round-tripped
-/// kInvalidArgument can fix its request without reading server logs.
+/// exec engine and the modbd server both call this, so the sanity
+/// bound is enforced (and phrased) identically everywhere. The error
+/// message names the offending field and the violated bound so a
+/// remote caller seeing the round-tripped kInvalidArgument can fix its
+/// request without reading server logs.
 Status ValidateParallelOptions(const ParallelOptions& options);
 
-/// Per-call execution options shared by the exec engine
-/// (exec::RunPlan, Db::Run) and the unified temporal batch front-ends
-/// (temporal/batch_ops.h, temporal/paged_ops.h): one entrypoint shape,
-/// Result<…>(…, const ExecOptions&), across the whole public surface.
+/// Per-call execution options of the query entrypoints (exec::RunPlan,
+/// Db::Run).
 struct ExecOptions {
-  /// Worker/pool policy. ExecOptions defaults to serial inline
+  /// Worker policy. ExecOptions defaults to serial inline
   /// (num_threads = 1); a ParallelOptions you construct yourself keeps
   /// its historical default of 0 = one worker per pool thread.
   ParallelOptions parallel{.num_threads = 1};
@@ -102,12 +101,9 @@ struct ExecOptions {
 };
 
 /// The worker count `options` resolves to: 1 when serial, the explicit
-/// count when positive, one per pool thread otherwise.
+/// count when positive, one per shared-pool thread otherwise.
 /// Consumers size per-worker scratch state with this before running.
 std::size_t ResolveWorkerCount(const ParallelOptions& options);
-
-/// The pool `options` resolves to (ThreadPool::Shared() when unset).
-ThreadPool& ResolvePool(const ParallelOptions& options);
 
 }  // namespace modb
 

@@ -20,12 +20,7 @@ MorselScheduler::MorselScheduler(std::size_t num_rows, std::size_t morsel_rows,
     : num_rows_(num_rows),
       morsel_rows_(std::max<std::size_t>(morsel_rows, 1)),
       num_morsels_((num_rows + morsel_rows_ - 1) / morsel_rows_),
-      workers_(std::max<std::size_t>(workers, 1)),
-      next_(new std::atomic<std::size_t>[workers_]) {
-  for (std::size_t w = 0; w < workers_; ++w) {
-    next_[w].store(w * num_morsels_ / workers_, std::memory_order_relaxed);
-  }
-}
+      workers_(std::max<std::size_t>(workers, 1)) {}
 
 Morsel MorselScheduler::MorselAt(std::size_t seq) const {
   Morsel m;
@@ -35,41 +30,11 @@ Morsel MorselScheduler::MorselAt(std::size_t seq) const {
   return m;
 }
 
-bool MorselScheduler::Next(std::size_t w, Morsel* out, bool* stolen) {
-  // Own shard first.
-  std::size_t seq = next_[w].fetch_add(1, std::memory_order_relaxed);
-  if (seq < shard_end(w)) {
-    *out = MorselAt(seq);
-    *stolen = false;
-    return true;
-  }
-  // Steal: claim from the victim with the most remaining morsels. The
-  // size snapshot is racy, but a stale pick only means a slightly less
-  // loaded victim — the claim itself is still a single atomic
-  // fetch_add checked against the victim's true shard end. Retry until
-  // a scan observes every shard drained: claims are monotonic, so that
-  // observation is stable and the loop terminates.
-  for (;;) {
-    std::size_t victim = workers_;
-    std::size_t best_remaining = 0;
-    for (std::size_t v = 0; v < workers_; ++v) {
-      if (v == w) continue;
-      const std::size_t end = shard_end(v);
-      const std::size_t pos = next_[v].load(std::memory_order_relaxed);
-      const std::size_t remaining = pos < end ? end - pos : 0;
-      if (remaining > best_remaining) {
-        best_remaining = remaining;
-        victim = v;
-      }
-    }
-    if (victim == workers_) return false;  // every shard drained
-    seq = next_[victim].fetch_add(1, std::memory_order_relaxed);
-    if (seq < shard_end(victim)) {
-      *out = MorselAt(seq);
-      *stolen = true;
-      return true;
-    }
-  }
+bool MorselScheduler::Next(Morsel* out) {
+  const std::size_t seq = next_.fetch_add(1, std::memory_order_relaxed);
+  if (seq >= num_morsels_) return false;
+  *out = MorselAt(seq);
+  return true;
 }
 
 namespace {

@@ -9,14 +9,11 @@
 // byte-identical regardless of which worker ran which morsel or in
 // what order they finished.
 //
-// Work stealing: morsel sequence numbers are statically sharded into
-// one contiguous range per worker (shard w is
-// [w*M/W, (w+1)*M/W) for M morsels and W workers). A worker drains its own shard front-to-back through an
-// atomic cursor, and when its shard is empty it steals from the
-// victim with the most remaining morsels — so a worker that hits
-// expensive morsels (skewed predicates, cold spilled pages) sheds its
-// tail to idle peers instead of serializing the whole pipeline behind
-// it. Claims are one fetch_add per morsel either way.
+// Morsel claims: every worker claims the next unclaimed morsel from
+// one shared atomic cursor (dynamic self-scheduling), so a worker that
+// hits expensive morsels (skewed predicates, cold spilled pages) simply
+// claims fewer of them while idle peers take the rest. A claim is one
+// fetch_add.
 
 #ifndef MODB_EXEC_MORSEL_H_
 #define MODB_EXEC_MORSEL_H_
@@ -24,7 +21,6 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
 namespace modb {
@@ -47,17 +43,15 @@ struct Morsel {
 /// `requested` pins the size (tests use 1-row morsels to maximize
 /// scheduling freedom); 0 picks min(kDefaultMorselRows, ceil(n / (4 *
 /// workers))) so even small inputs split into ~4 morsels per worker —
-/// enough slack for stealing to matter. Depends only on (n, workers,
-/// requested), never on scheduling, so morsel boundaries are
-/// deterministic.
+/// enough slack for a slow worker's share to move to idle peers.
+/// Depends only on (n, workers, requested), never on scheduling, so
+/// morsel boundaries are deterministic.
 std::size_t PickMorselRows(std::size_t n, std::size_t workers,
                            std::size_t requested);
 
-/// Work-stealing morsel dispenser for one pipeline run. Shards the
-/// morsel sequence [0, num_morsels) into one contiguous range per
-/// worker; Next(w) pops from w's own shard until it drains, then
-/// steals from the victim with the most remaining morsels. Every
-/// morsel is claimed exactly once.
+/// Morsel dispenser for one pipeline run: hands out the morsel
+/// sequence [0, num_morsels) in ascending order from one atomic cursor,
+/// to whichever worker asks next. Every morsel is claimed exactly once.
 class MorselScheduler {
  public:
   MorselScheduler(std::size_t num_rows, std::size_t morsel_rows,
@@ -69,30 +63,23 @@ class MorselScheduler {
   /// The morsel with sequence number `seq`.
   Morsel MorselAt(std::size_t seq) const;
 
-  /// Claims the next morsel for worker `w`. Returns false when every
-  /// morsel has been claimed. *stolen is set when the morsel came from
-  /// another worker's shard.
-  bool Next(std::size_t w, Morsel* out, bool* stolen);
+  /// Claims the next unclaimed morsel. Returns false when every morsel
+  /// has been claimed.
+  bool Next(Morsel* out);
 
  private:
-  std::size_t shard_end(std::size_t w) const {
-    return (w + 1) * num_morsels_ / workers_;
-  }
-
   std::size_t num_rows_ = 0;
   std::size_t morsel_rows_ = 1;
   std::size_t num_morsels_ = 0;
   std::size_t workers_ = 1;
-  // next_[w]: first unclaimed seq of w's shard (may overshoot shard_end
-  // after the shard drains; claims are valid only below shard_end).
-  std::unique_ptr<std::atomic<std::size_t>[]> next_;
+  std::atomic<std::size_t> next_{0};  // first unclaimed seq
 };
 
 /// Test instrumentation for the engine. `before_morsel` runs on the
 /// claiming worker right before a morsel's stages execute — the
-/// work-stealing determinism test installs a hook that stalls chosen
-/// sequence numbers to permute completion order. Null hooks cost one
-/// pointer load per morsel.
+/// determinism tests install a hook that stalls chosen workers to
+/// permute completion order. Null hooks cost one pointer load per
+/// morsel.
 struct ExecTestHooks {
   std::function<void(std::size_t worker, std::size_t seq)> before_morsel;
 };

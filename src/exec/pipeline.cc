@@ -67,7 +67,6 @@ struct WorkerState {
   std::vector<std::uint8_t> present;
   std::vector<StageCounters> stages;
   std::uint64_t morsels = 0;
-  std::uint64_t morsels_stolen = 0;
 };
 
 class OptionalTimer {
@@ -124,17 +123,17 @@ std::size_t NumStages(const Pipeline& pipe) {
 }
 
 // The one morsel loop. Runs body(worker state, morsel) for every morsel
-// `sched` hands out — inline on the calling thread when there is one
-// worker or one morsel, else one task per worker on the pool. The
-// cooperative deadline is checked once per morsel, before any of its
-// work (including the test hook, so a hook-injected stall is charged to
-// the NEXT checkpoint — the morsel that observed the stall still
-// completes).
+// `sched` hands out. Worker 0 is the calling thread; the other
+// min(workers, morsels) - 1 workers are helper tasks on the shared
+// pool, so a one-worker or one-morsel run submits nothing and never
+// touches the pool. The cooperative deadline is checked once per
+// morsel, before any of its work (including the test hook, so a
+// hook-injected stall is charged to the NEXT checkpoint — the morsel
+// that observed the stall still completes).
 Status DriveMorsels(
     MorselScheduler* sched, const ExecOptions& options,
     std::vector<WorkerState>* states,
     const std::function<Status(WorkerState*, const Morsel&)>& body) {
-  const std::size_t workers = sched->num_workers();
   const std::size_t num_morsels = sched->num_morsels();
   FirstError error;
   const ExecTestHooks* hooks = GetExecTestHooks();
@@ -142,8 +141,7 @@ Status DriveMorsels(
   auto worker_loop = [&](std::size_t w) {
     WorkerState& state = (*states)[w];
     Morsel m;
-    bool stolen = false;
-    while (!error.Failed() && sched->Next(w, &m, &stolen)) {
+    while (!error.Failed() && sched->Next(&m)) {
       if (options.deadline) {
         MODB_COUNTER_INC("exec.deadline_checks");
         if (std::chrono::steady_clock::now() >= *options.deadline) {
@@ -160,30 +158,27 @@ Status DriveMorsels(
         hooks->before_morsel(w, m.seq);
       }
       ++state.morsels;
-      if (stolen) ++state.morsels_stolen;
       Status s = body(&state, m);
       if (!s.ok()) error.Record(m.seq, std::move(s));
     }
   };
 
-  if (workers == 1 || num_morsels <= 1) {
-    // Serial inline (or nothing to overlap): never resolves a pool.
-    worker_loop(0);
-  } else {
-    ThreadPool& pool = ResolvePool(options.parallel);
-    std::mutex mu;
-    std::condition_variable done;
-    std::size_t remaining = workers;
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.Submit([&, w] {
-        worker_loop(w);
-        std::lock_guard<std::mutex> lock(mu);
-        if (--remaining == 0) done.notify_one();
-      });
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    done.wait(lock, [&] { return remaining == 0; });
+  // Workers beyond the morsel count would find nothing to claim.
+  const std::size_t workers = std::max<std::size_t>(
+      1, std::min(sched->num_workers(), num_morsels));
+  std::mutex mu;
+  std::condition_variable done;
+  std::size_t remaining = workers - 1;  // helpers still running
+  for (std::size_t w = 1; w < workers; ++w) {
+    ThreadPool::Shared().Submit([&, w] {
+      worker_loop(w);
+      std::lock_guard<std::mutex> lock(mu);
+      if (--remaining == 0) done.notify_one();
+    });
   }
+  worker_loop(0);
+  std::unique_lock<std::mutex> lock(mu);
+  done.wait(lock, [&] { return remaining == 0; });
   return error.Failed() ? error.Take() : Status::OK();
 }
 
@@ -672,7 +667,7 @@ Status RunWindowGrid(const Pipeline& pipe,
 
 // Runs the pipeline morsel-parallel and writes its output to `out` in
 // morsel order. `node` receives one child per stage plus the
-// root-level morsel/steal counters.
+// root-level worker and morsel counters.
 Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
                    const ExecOptions& options, PlanOutput* out,
                    ExecStats* node) {
@@ -706,10 +701,9 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
 
   // Merge worker-local stage counters (sums, schedule-independent).
   std::vector<StageCounters> totals(NumStages(pipe));
-  std::uint64_t morsels = 0, morsels_stolen = 0;
+  std::uint64_t morsels = 0;
   for (const WorkerState& w : states) {
     morsels += w.morsels;
-    morsels_stolen += w.morsels_stolen;
     for (std::size_t s = 0; s < totals.size(); ++s) {
       StageCounters& t = totals[s];
       const StageCounters& c = w.stages[s];
@@ -727,7 +721,6 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
 
   node->workers += workers;
   node->morsels += morsels;
-  node->morsels_stolen += morsels_stolen;
   auto stage_node = [&](const char* op, const StageCounters& c) {
     ExecStats s;
     s.op = op;
@@ -760,7 +753,6 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
   }
 
   MODB_COUNTER_ADD("exec.morsels_scheduled", morsels);
-  MODB_COUNTER_ADD("exec.morsels_stolen", morsels_stolen);
   MODB_COUNTER_ADD("exec.pushdown_skips", totals[0].pushdown_skips);
   return Status::OK();
 }

@@ -5,13 +5,14 @@
 //
 //   Scan → Select* → (Project | Join probe | Batch | Window | none) → Sink
 //
-// with work-stealing across a shared ThreadPool: each worker claims a
-// morsel, runs it through every stage on its own stack (no Relation is
-// materialized between stages), and deposits the result in the
-// morsel's output slot. The sink concatenates slots in morsel order,
-// so output is byte-identical to a serial loop for any worker count and
-// any steal schedule. The window terminal adds a second morsel pass
-// over its window grid, scheduled the same way.
+// on the calling thread (worker 0) plus helper workers on the shared
+// ThreadPool: each worker claims the next morsel from one cursor, runs
+// it through every stage on its own stack (no Relation is materialized
+// between stages), and deposits the result in the morsel's output
+// slot. The sink concatenates slots in morsel order, so output is
+// byte-identical to a serial loop for any worker count and any claim
+// schedule. The window terminal adds a second morsel pass over its
+// window grid, scheduled the same way.
 //
 // Determinism argument, in full:
 //   1. Morsel boundaries depend only on (row count, worker count,
@@ -198,9 +199,9 @@ struct PlanOutput {
 /// ExecStats accumulation and one deadline checkpoint per morsel.
 /// When `options.stats` is set, the node gets one child per stage
 /// ("build_index", "scan", "select", then the terminal) with rows
-/// in/out, morsels scheduled/stolen, and pushdown skips; the root's
-/// `materializations` counts Relations the plan materialized — always
-/// exactly 1 (the sink), which is what "zero intermediate
+/// in/out and pushdown skips, and the root counts workers and morsels;
+/// the root's `materializations` counts Relations the plan materialized
+/// — always exactly 1 (the sink), which is what "zero intermediate
 /// materializations" means operationally.
 Result<PlanOutput> RunPlan(const PhysicalPlan& plan,
                            const ExecOptions& options);

@@ -19,7 +19,6 @@ void ExecStats::MergeCountersFrom(const ExecStats& other) {
   units_scanned += other.units_scanned;
   workers += other.workers;
   morsels += other.morsels;
-  morsels_stolen += other.morsels_stolen;
   pushdown_skips += other.pushdown_skips;
   materializations += other.materializations;
 }
@@ -43,7 +42,6 @@ JsonValue ToJsonValue(const ExecStats& s) {
   set_if("units_scanned", s.units_scanned);
   set_if("workers", s.workers);
   set_if("morsels", s.morsels);
-  set_if("morsels_stolen", s.morsels_stolen);
   set_if("pushdown_skips", s.pushdown_skips);
   set_if("materializations", s.materializations);
   set_if("wall_ns", s.wall_ns);
@@ -94,7 +92,6 @@ Result<ExecStats> FromJsonValue(const JsonValue& v) {
       else if (key == "units_scanned") out.units_scanned = n;
       else if (key == "workers") out.workers = n;
       else if (key == "morsels") out.morsels = n;
-      else if (key == "morsels_stolen") out.morsels_stolen = n;
       else if (key == "pushdown_skips") out.pushdown_skips = n;
       else if (key == "materializations") out.materializations = n;
       else if (key == "wall_ns") out.wall_ns = n;

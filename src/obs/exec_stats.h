@@ -1,10 +1,9 @@
 // ExecStats: the per-query-node execution profile tree. The exec engine
-// (exec/pipeline.h) and the batch kernels fill one node when
-// ExecOptions.stats is set: cardinalities in/out, predicate
-// evaluations, index candidates vs hits, and units touched, plus wall
-// time and one child per pipeline stage. Stage counters are sums over
-// workers, so two runs of the same query produce the same counters
-// regardless of thread scheduling.
+// (exec/pipeline.h) fills one node when ExecOptions.stats is set:
+// cardinalities in/out, predicate evaluations, index candidates vs
+// hits, and units touched, plus wall time and one child per pipeline
+// stage. Stage counters are sums over workers, so two runs of the same
+// query produce the same counters regardless of thread scheduling.
 //
 // Unlike the obs/metrics.h registry (process-global, always-on counters),
 // an ExecStats tree is caller-owned and opt-in: operators pay for
@@ -62,10 +61,8 @@ struct ExecStats {
   /// Workers the operator ran on (1 = serial inline).
   std::uint64_t workers = 0;
 
-  /// Pipelined engine (src/exec/): morsels this node processed, and how
-  /// many of them a worker stole from another worker's shard.
+  /// Pipelined engine (src/exec/): morsels this node processed.
   std::uint64_t morsels = 0;
-  std::uint64_t morsels_stolen = 0;
 
   /// Spilled-scan rows skipped by a pushed-down predicate window using
   /// resident stats only — no page was faulted for these rows.

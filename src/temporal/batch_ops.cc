@@ -203,35 +203,30 @@ void EvalMotionPositionsXY(const MappingSearchIndex& ix, const Instant* ts,
 template Status AtInstantBatchInto<UPoint>(const Mapping<UPoint>&,
                                            const std::vector<Instant>&,
                                            std::vector<Intime<Point>>*,
-                                           BatchScratch*, const ExecOptions&);
+                                           BatchScratch*);
 template Status AtInstantBatchInto<UReal>(const Mapping<UReal>&,
                                           const std::vector<Instant>&,
                                           std::vector<Intime<double>>*,
-                                          BatchScratch*, const ExecOptions&);
+                                          BatchScratch*);
 template Result<std::vector<Intime<Point>>> AtInstantBatch<UPoint>(
-    const Mapping<UPoint>&, const std::vector<Instant>&, const ExecOptions&);
+    const Mapping<UPoint>&, const std::vector<Instant>&);
 template Result<std::vector<Intime<double>>> AtInstantBatch<UReal>(
-    const Mapping<UReal>&, const std::vector<Instant>&, const ExecOptions&);
+    const Mapping<UReal>&, const std::vector<Instant>&);
 template Status AtInstantBatchXYInto<UPoint>(const Mapping<UPoint>&,
                                              const std::vector<Instant>&,
-                                             BatchXYOutput*, BatchScratch*,
-                                             const ExecOptions&);
-template Result<BatchXYOutput> AtInstantBatchXY<UPoint>(
-    const Mapping<UPoint>&, const std::vector<Instant>&, const ExecOptions&);
+                                             BatchXYOutput*, BatchScratch*);
 template Status AtInstantBatchManyXY<UPoint>(
     const std::vector<const Mapping<UPoint>*>&, const std::vector<Instant>&,
-    std::vector<BatchXYOutput>*, const ExecOptions&);
+    std::vector<BatchXYOutput>*);
 template Status PresentBatchInto<UPoint>(const Mapping<UPoint>&,
                                          const std::vector<Instant>&,
-                                         std::vector<std::uint8_t>*,
-                                         const ExecOptions&);
+                                         std::vector<std::uint8_t>*);
 template Status PresentBatchInto<UReal>(const Mapping<UReal>&,
                                         const std::vector<Instant>&,
-                                        std::vector<std::uint8_t>*,
-                                        const ExecOptions&);
+                                        std::vector<std::uint8_t>*);
 template Result<std::vector<std::uint8_t>> PresentBatch<UPoint>(
-    const Mapping<UPoint>&, const std::vector<Instant>&, const ExecOptions&);
+    const Mapping<UPoint>&, const std::vector<Instant>&);
 template Result<std::vector<std::uint8_t>> PresentBatch<UReal>(
-    const Mapping<UReal>&, const std::vector<Instant>&, const ExecOptions&);
+    const Mapping<UReal>&, const std::vector<Instant>&);
 
 }  // namespace modb

@@ -19,7 +19,6 @@
 #define MODB_TEMPORAL_BATCH_OPS_H_
 
 #include <algorithm>
-#include <chrono>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -31,8 +30,6 @@
 #include "core/instant.h"
 #include "core/intime.h"
 #include "core/status.h"
-#include "db/parallel.h"
-#include "obs/exec_stats.h"
 #include "obs/metrics.h"
 #include "temporal/mapping.h"
 
@@ -328,11 +325,34 @@ struct BatchScratch {
   std::vector<std::int32_t> unit_idx;
 };
 
-namespace batch_internal {
+/// SoA outputs of one mapping's batched position evaluation.
+struct BatchXYOutput {
+  std::vector<double> xs;
+  std::vector<double> ys;
+  std::vector<std::uint8_t> defined;
+};
 
-/// The atinstant sweep core (see AtInstantBatchInto for the contract).
+// ---------------------------------------------------------------------------
+// Front-ends. The merge sweeps are inherently serial and run inline on
+// the calling thread; parallelism over many mappings belongs to the
+// morsel engine's batch terminal (exec/pipeline.h). The paged twins in
+// temporal/paged_ops.h run the same kernels.
+// ---------------------------------------------------------------------------
+
+/// atinstant over a batch of ascending instants: one merge sweep instead
+/// of k independent O(log n) searches. Instants outside the deftime
+/// yield undefined Intime values, exactly like Mapping::AtInstant.
+/// Clears and fills `*out`, reusing its capacity — hoist the buffer and
+/// the BatchScratch out of a per-tuple loop to evaluate many batches
+/// without reallocating.
+///
+/// When the mapping has a SoA search index with packed motion
+/// coefficients (upoint), the kernel splits into a resolve pass (merge
+/// sweep filling `scratch->unit_idx`) and a vectorized evaluation pass
+/// over the contiguous coefficient arrays — byte-identical output to
+/// the generic path.
 template <typename U>
-Status AtInstantBatchCore(const Mapping<U>& m,
+Status AtInstantBatchInto(const Mapping<U>& m,
                           const std::vector<Instant>& instants,
                           std::vector<Intime<typename U::ValueType>>* out,
                           BatchScratch* scratch) {
@@ -406,16 +426,30 @@ Status AtInstantBatchCore(const Mapping<U>& m,
   return Status::OK();
 }
 
-/// The XY evaluation core (see AtInstantBatchXYInto for the contract).
+
+/// Allocating convenience wrapper around AtInstantBatchInto.
+template <typename U>
+Result<std::vector<Intime<typename U::ValueType>>> AtInstantBatch(
+    const Mapping<U>& m, const std::vector<Instant>& instants) {
+  std::vector<Intime<typename U::ValueType>> out;
+  BatchScratch scratch;
+  MODB_RETURN_IF_ERROR(AtInstantBatchInto(m, instants, &out, &scratch));
+  return out;
+}
+
+/// Batched upoint position evaluation with SoA outputs: out->xs/ys get
+/// the evaluated coordinates (0 where undefined) and out->defined the
+/// 0/1 presence flags — packed arrays ready for downstream vector
+/// kernels, with the same resolve pass as AtInstantBatchInto. Requires
+/// ascending instants. Clears and fills the output vectors, reusing
+/// capacity.
 template <typename U>
   requires requires(const U& u) {
     { u.motion().x0 } -> std::convertible_to<double>;
   }
-Status AtInstantBatchXYCore(const Mapping<U>& m,
+Status AtInstantBatchXYInto(const Mapping<U>& m,
                             const std::vector<Instant>& instants,
-                            std::vector<double>* xs, std::vector<double>* ys,
-                            std::vector<std::uint8_t>* defined,
-                            BatchScratch* scratch) {
+                            BatchXYOutput* out, BatchScratch* scratch) {
   const std::size_t k = instants.size();
   std::size_t cursor = 0;
   batch_internal::SweepCounters sweep;
@@ -432,35 +466,35 @@ Status AtInstantBatchXYCore(const Mapping<U>& m,
         scratch->unit_idx.data(), &cursor, &sweep);
   }
   if (!ok) {
-    xs->clear();
-    ys->clear();
-    defined->clear();
+    out->xs.clear();
+    out->ys.clear();
+    out->defined.clear();
     return batch_internal::NotAscending();
   }
   // resize without a clear (see AtInstantBatchInto): every slot is
   // overwritten below, so a warm same-size buffer costs nothing.
-  xs->resize(k);
-  ys->resize(k);
-  defined->resize(k);
+  out->xs.resize(k);
+  out->ys.resize(k);
+  out->defined.resize(k);
   if (ix != nullptr && ix->has_motion()) {
     batch_internal::EvalMotionPositionsXY(*ix, instants.data(),
                                           scratch->unit_idx.data(), k,
-                                          xs->data(), ys->data(),
-                                          defined->data());
+                                          out->xs.data(), out->ys.data(),
+                                          out->defined.data());
   } else {
     // No packed coefficients: evaluate off the unit records (same
     // outputs, strided reads).
     for (std::size_t i = 0; i < k; ++i) {
       const std::int32_t j = scratch->unit_idx[i];
       if (j < 0) {
-        (*xs)[i] = 0;
-        (*ys)[i] = 0;
-        (*defined)[i] = 0;
+        out->xs[i] = 0;
+        out->ys[i] = 0;
+        out->defined[i] = 0;
       } else {
         const Point p = m.unit(std::size_t(j)).ValueAt(instants[i]);
-        (*xs)[i] = p.x;
-        (*ys)[i] = p.y;
-        (*defined)[i] = 1;
+        out->xs[i] = p.x;
+        out->ys[i] = p.y;
+        out->defined[i] = 1;
       }
     }
   }
@@ -470,191 +504,31 @@ Status AtInstantBatchXYCore(const Mapping<U>& m,
   return Status::OK();
 }
 
-/// Shared ExecStats fill for the unified batch entrypoints: one node
-/// with the op label, input cardinality, and wall time. When no sink is
-/// set it skips everything, even the clock reads — same discipline as
-/// the exec engine.
-class BatchStatsScope {
- public:
-  BatchStatsScope(obs::ExecStats* stats, const char* op,
-                  std::uint64_t tuples_in)
-      : stats_(stats) {
-    if (stats_ == nullptr) return;
-    *stats_ = obs::ExecStats{};
-    stats_->op = op;
-    stats_->tuples_in = tuples_in;
-    stats_->workers = 1;
-    start_ = std::chrono::steady_clock::now();
-  }
-  ~BatchStatsScope() {
-    if (stats_ == nullptr) return;
-    auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - start_)
-                  .count();
-    stats_->wall_ns = ns > 0 ? std::uint64_t(ns) : 0;
-  }
-  BatchStatsScope(const BatchStatsScope&) = delete;
-  BatchStatsScope& operator=(const BatchStatsScope&) = delete;
-
-  bool armed() const { return stats_ != nullptr; }
-  void set_tuples_out(std::uint64_t n) {
-    if (stats_ != nullptr) stats_->tuples_out = n;
-  }
-  void set_workers(std::uint64_t n) {
-    if (stats_ != nullptr) stats_->workers = n;
-  }
-
- private:
-  obs::ExecStats* stats_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-}  // namespace batch_internal
-
-/// SoA outputs of one mapping's batched position evaluation.
-struct BatchXYOutput {
-  std::vector<double> xs;
-  std::vector<double> ys;
-  std::vector<std::uint8_t> defined;
-};
-
-// ---------------------------------------------------------------------------
-// Unified front-ends. Every public batch entrypoint below shares one
-// shape — Result<…>/Status(…, const ExecOptions&) — validating
-// options.parallel through the same shared helper as the exec engine,
-// and filling options.stats with one node when set. The merge sweeps
-// are inherently serial, so every kernel here runs inline regardless of
-// the requested worker count; parallelism over many mappings belongs to
-// the morsel engine's batch terminal. The paged twins in
-// temporal/paged_ops.h share this shape.
-// ---------------------------------------------------------------------------
-
-/// atinstant over a batch of ascending instants: one merge sweep instead
-/// of k independent O(log n) searches. Instants outside the deftime
-/// yield undefined Intime values, exactly like Mapping::AtInstant.
-/// Clears and fills `*out`, reusing its capacity — hoist the buffer and
-/// the BatchScratch out of a per-tuple loop to evaluate many batches
-/// without reallocating.
-///
-/// When the mapping has a SoA search index with packed motion
-/// coefficients (upoint), the kernel splits into a resolve pass (merge
-/// sweep filling `scratch->unit_idx`) and a vectorized evaluation pass
-/// over the contiguous coefficient arrays — byte-identical output to
-/// the generic path.
-template <typename U>
-Status AtInstantBatchInto(const Mapping<U>& m,
-                          const std::vector<Instant>& instants,
-                          std::vector<Intime<typename U::ValueType>>* out,
-                          BatchScratch* scratch,
-                          const ExecOptions& options = {}) {
-  MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
-  batch_internal::BatchStatsScope stats(options.stats, "atinstant_batch",
-                                        instants.size());
-  MODB_RETURN_IF_ERROR(
-      batch_internal::AtInstantBatchCore(m, instants, out, scratch));
-  if (stats.armed()) {
-    std::uint64_t defined = 0;
-    for (const auto& v : *out) defined += v.defined ? 1 : 0;
-    stats.set_tuples_out(defined);
-  }
-  return Status::OK();
-}
-
-/// Allocating convenience wrapper around AtInstantBatchInto.
-template <typename U>
-Result<std::vector<Intime<typename U::ValueType>>> AtInstantBatch(
-    const Mapping<U>& m, const std::vector<Instant>& instants,
-    const ExecOptions& options = {}) {
-  std::vector<Intime<typename U::ValueType>> out;
-  BatchScratch scratch;
-  MODB_RETURN_IF_ERROR(
-      AtInstantBatchInto(m, instants, &out, &scratch, options));
-  return out;
-}
-
-/// Batched upoint position evaluation with SoA outputs: out->xs/ys get
-/// the evaluated coordinates (0 where undefined) and out->defined the
-/// 0/1 presence flags — packed arrays ready for downstream vector
-/// kernels, with the same resolve pass as AtInstantBatchInto. Requires
-/// ascending instants. Clears and fills the output vectors, reusing
-/// capacity.
-template <typename U>
-  requires requires(const U& u) {
-    { u.motion().x0 } -> std::convertible_to<double>;
-  }
-Status AtInstantBatchXYInto(const Mapping<U>& m,
-                            const std::vector<Instant>& instants,
-                            BatchXYOutput* out, BatchScratch* scratch,
-                            const ExecOptions& options = {}) {
-  MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
-  batch_internal::BatchStatsScope stats(options.stats, "atinstant_batch_xy",
-                                        instants.size());
-  MODB_RETURN_IF_ERROR(batch_internal::AtInstantBatchXYCore(
-      m, instants, &out->xs, &out->ys, &out->defined, scratch));
-  if (stats.armed()) {
-    std::uint64_t defined = 0;
-    for (std::uint8_t d : out->defined) defined += d;
-    stats.set_tuples_out(defined);
-  }
-  return Status::OK();
-}
-
-/// Deprecated xs/ys/defined triple; migrate to the BatchXYOutput +
-/// Allocating convenience wrapper around AtInstantBatchXYInto.
-template <typename U>
-  requires requires(const U& u) {
-    { u.motion().x0 } -> std::convertible_to<double>;
-  }
-Result<BatchXYOutput> AtInstantBatchXY(const Mapping<U>& m,
-                                       const std::vector<Instant>& instants,
-                                       const ExecOptions& options = {}) {
-  BatchXYOutput out;
-  BatchScratch scratch;
-  MODB_RETURN_IF_ERROR(
-      AtInstantBatchXYInto(m, instants, &out, &scratch, options));
-  return out;
-}
-
 /// Many-mapping front-end for AtInstantBatchXYInto: evaluates every
 /// mapping of `maps` at the same ascending instants, filling (*outs)[i]
-/// from maps[i] with one warm BatchScratch. Runs serially; a query
-/// that wants workers runs the batch terminal of the morsel engine
-/// (exec/pipeline.h). On error, the lowest failing mapping index's
-/// Status is returned.
+/// from maps[i] with one warm BatchScratch. On error, the lowest
+/// failing mapping index's Status is returned.
 template <typename U>
   requires requires(const U& u) {
     { u.motion().x0 } -> std::convertible_to<double>;
   }
 Status AtInstantBatchManyXY(const std::vector<const Mapping<U>*>& maps,
                             const std::vector<Instant>& instants,
-                            std::vector<BatchXYOutput>* outs,
-                            const ExecOptions& options = {}) {
-  MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
-  batch_internal::BatchStatsScope stats(
-      options.stats, "atinstant_batch_many_xy",
-      std::uint64_t(maps.size()) * instants.size());
+                            std::vector<BatchXYOutput>* outs) {
   outs->resize(maps.size());
   BatchScratch scratch;
   for (std::size_t i = 0; i < maps.size(); ++i) {
-    BatchXYOutput& o = (*outs)[i];
-    MODB_RETURN_IF_ERROR(batch_internal::AtInstantBatchXYCore(
-        *maps[i], instants, &o.xs, &o.ys, &o.defined, &scratch));
-  }
-  if (stats.armed()) {
-    std::uint64_t defined = 0;
-    for (const BatchXYOutput& o : *outs) {
-      for (std::uint8_t d : o.defined) defined += d;
-    }
-    stats.set_tuples_out(defined);
+    MODB_RETURN_IF_ERROR(
+        AtInstantBatchXYInto(*maps[i], instants, &(*outs)[i], &scratch));
   }
   return Status::OK();
 }
 
-namespace batch_internal {
-
-/// The present sweep core (see PresentBatchInto for the contract).
+/// present over a batch of ascending instants; (*out)[i] is 1 iff the
+/// moving value is defined at instants[i]. Clears and fills `*out`,
+/// reusing its capacity.
 template <typename U>
-Status PresentBatchCore(const Mapping<U>& m,
+Status PresentBatchInto(const Mapping<U>& m,
                         const std::vector<Instant>& instants,
                         std::vector<std::uint8_t>* out) {
   out->clear();
@@ -691,35 +565,12 @@ Status PresentBatchCore(const Mapping<U>& m,
   return Status::OK();
 }
 
-}  // namespace batch_internal
-
-/// present over a batch of ascending instants; (*out)[i] is 1 iff the
-/// moving value is defined at instants[i]. Clears and fills `*out`,
-/// reusing its capacity.
-template <typename U>
-Status PresentBatchInto(const Mapping<U>& m,
-                        const std::vector<Instant>& instants,
-                        std::vector<std::uint8_t>* out,
-                        const ExecOptions& options = {}) {
-  MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
-  batch_internal::BatchStatsScope stats(options.stats, "present_batch",
-                                        instants.size());
-  MODB_RETURN_IF_ERROR(batch_internal::PresentBatchCore(m, instants, out));
-  if (stats.armed()) {
-    std::uint64_t present = 0;
-    for (std::uint8_t p : *out) present += p;
-    stats.set_tuples_out(present);
-  }
-  return Status::OK();
-}
-
 /// Allocating convenience wrapper around PresentBatchInto.
 template <typename U>
 Result<std::vector<std::uint8_t>> PresentBatch(
-    const Mapping<U>& m, const std::vector<Instant>& instants,
-    const ExecOptions& options = {}) {
+    const Mapping<U>& m, const std::vector<Instant>& instants) {
   std::vector<std::uint8_t> out;
-  MODB_RETURN_IF_ERROR(PresentBatchInto(m, instants, &out, options));
+  MODB_RETURN_IF_ERROR(PresentBatchInto(m, instants, &out));
   return out;
 }
 

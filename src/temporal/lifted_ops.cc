@@ -43,11 +43,14 @@ bool CmpAtEquality(CmpOp op) {
 }
 
 // Emits boolean units covering `interval` for the predicate
-// op(f(t), c), where `breaks` are the instants with f(t) == c and
-// `eval_mid` evaluates the predicate at an interior instant.
+// op(f(t), c), where `breaks` are the instants with f(t) == c (those
+// outside `interval` are ignored) and `eval_mid(t)` evaluates the
+// predicate at an interior instant. A template parameter, not a
+// std::function, so a capturing evaluator costs no heap allocation.
+template <typename EvalMid>
 Status EmitPiecewiseBool(const TimeInterval& interval,
                          std::vector<Instant> breaks, CmpOp op,
-                         const std::function<bool(Instant)>& eval_mid,
+                         const EvalMid& eval_mid,
                          MappingBuilder<UBool>* builder) {
   std::sort(breaks.begin(), breaks.end());
   breaks.erase(std::unique(breaks.begin(), breaks.end()), breaks.end());
@@ -655,7 +658,7 @@ Result<MovingBool> Compare(const MovingReal& a, const MovingReal& b,
         // both roots over non-negative radicands (compare the radicands);
         // one root against a constant (square the constant).
         double da, db, dc;
-        std::function<bool(Instant)> eval = [&ua, &ub, op](Instant t) {
+        auto eval = [&ua, &ub, op](Instant t) {
           return EvalCmp(ua.ValueAt(t), ub.ValueAt(t), op);
         };
         if (ua.root() == ub.root()) {
@@ -683,15 +686,12 @@ Result<MovingBool> Compare(const MovingReal& a, const MovingReal& b,
           db = rooted.b();
           dc = rooted.c() - c * c;
         }
-        std::vector<Instant> breaks;
-        for (double t : QuadraticRoots(da, db, dc)) {
-          if (iv.Contains(t)) breaks.push_back(t);
-        }
         if (da == 0 && db == 0 && dc == 0) {
           // Identically equal on the interval.
           return builder.Append(*UBool::Make(iv, CmpAtEquality(op)));
         }
-        return EmitPiecewiseBool(iv, std::move(breaks), op, eval, &builder);
+        return EmitPiecewiseBool(iv, QuadraticRoots(da, db, dc), op, eval,
+                                 &builder);
       }));
   return builder.Build();
 }

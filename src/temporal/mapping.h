@@ -48,8 +48,8 @@ namespace modb {
 
 /// Optional SoA side-structure for a Mapping (built on demand by
 /// Mapping::BuildSearchIndex): the unit intervals unpacked into
-/// contiguous start/end arrays so the FindUnit binary search probes
-/// packed doubles instead of striding over full unit records, plus a
+/// contiguous start/end arrays so the batch sweeps (temporal/batch_ops.h)
+/// probe packed doubles instead of striding over full unit records, plus a
 /// cached deftime bounding interval and (for spatial unit types) the
 /// union of the unit bounding cubes.
 struct MappingSearchIndex {
@@ -243,22 +243,10 @@ class Mapping {
   const MappingSearchIndex* search_index() const { return index_.get(); }
 
   /// Binary search for the unit whose interval contains t (the first step
-  /// of the atinstant algorithm of Section 5.1). O(log n). Probes the
-  /// packed SoA arrays when the search index has been built.
+  /// of the atinstant algorithm of Section 5.1). O(log n) over the unit
+  /// records; the search index serves the batch sweeps, not single
+  /// lookups.
   std::optional<std::size_t> FindUnit(Instant t) const {
-    if (const MappingSearchIndex* ix = index_.get()) {
-      if (ix->start.empty() || t < ix->min_start || ix->max_end < t) {
-        return std::nullopt;
-      }
-      // First unit not entirely before t; it contains t iff it starts at
-      // or before t (single-compare probes on the packed key arrays).
-      auto it =
-          std::lower_bound(ix->end_key.begin(), ix->end_key.end(), t);
-      if (it == ix->end_key.end()) return std::nullopt;
-      std::size_t idx = std::size_t(std::distance(ix->end_key.begin(), it));
-      if (ix->start_key[idx] <= t) return idx;
-      return std::nullopt;
-    }
     const std::vector<U>& us = units();
     auto it = std::upper_bound(
         us.begin(), us.end(), t, [](Instant v, const U& u) {

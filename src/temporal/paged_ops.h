@@ -5,11 +5,6 @@
 // pay one device read per page, warm calls none — then runs the same
 // batch kernels as the in-memory path, so results are identical
 // regardless of where the value resides.
-//
-// The entrypoints share the unified batch-kernel shape: the last
-// parameter is a const ExecOptions& supplying the stats sink and the
-// (validated) parallel policy, exactly like their in-memory twins in
-// temporal/batch_ops.h.
 
 #ifndef MODB_TEMPORAL_PAGED_OPS_H_
 #define MODB_TEMPORAL_PAGED_OPS_H_
@@ -31,12 +26,11 @@ namespace modb {
 template <typename U>
 Status AtInstantBatchSpilled(Spilled<Mapping<U>>* value, BufferPool* pool,
                              const std::vector<Instant>& instants,
-                             std::vector<Intime<typename U::ValueType>>* out,
-                             const ExecOptions& options = {}) {
+                             std::vector<Intime<typename U::ValueType>>* out) {
   Result<const Mapping<U>*> m = value->Load(pool, /*build_search_index=*/true);
   if (!m.ok()) return m.status();
   BatchScratch scratch;
-  return AtInstantBatchInto(**m, instants, out, &scratch, options);
+  return AtInstantBatchInto(**m, instants, out, &scratch);
 }
 
 /// present over ascending instants against a spilled mapping; the paged
@@ -44,18 +38,16 @@ Status AtInstantBatchSpilled(Spilled<Mapping<U>>* value, BufferPool* pool,
 template <typename U>
 Status PresentBatchSpilled(Spilled<Mapping<U>>* value, BufferPool* pool,
                            const std::vector<Instant>& instants,
-                           std::vector<std::uint8_t>* out,
-                           const ExecOptions& options = {}) {
+                           std::vector<std::uint8_t>* out) {
   Result<const Mapping<U>*> m = value->Load(pool, /*build_search_index=*/true);
   if (!m.ok()) return m.status();
-  return PresentBatchInto(**m, instants, out, options);
+  return PresentBatchInto(**m, instants, out);
 }
 
 /// present at a single instant against a spilled mapping.
 template <typename U>
 Result<bool> PresentSpilled(Spilled<Mapping<U>>* value, BufferPool* pool,
-                            Instant t, const ExecOptions& options = {}) {
-  MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
+                            Instant t) {
   Result<const Mapping<U>*> m = value->Load(pool, /*build_search_index=*/true);
   if (!m.ok()) return m.status();
   return (*m)->Present(t);

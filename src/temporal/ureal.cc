@@ -26,9 +26,7 @@ std::vector<double> QuadraticRoots(double a, double b, double c) {
   double q = -0.5 * (b + (b >= 0 ? sq : -sq));
   double r1 = q / a;
   double r2 = c / q;
-  roots.push_back(std::min(r1, r2));
-  roots.push_back(std::max(r1, r2));
-  return roots;
+  return {std::min(r1, r2), std::max(r1, r2)};  // a single allocation
 }
 
 Result<UReal> UReal::Make(TimeInterval interval, double a, double b, double c,

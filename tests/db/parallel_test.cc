@@ -115,11 +115,10 @@ exec::LogicalQuery JoinQuery(const Relation& a, const Relation& b,
   return q;
 }
 
-// ExecOptions running on a pool (one worker per pool thread).
-ExecOptions PoolOptions(ThreadPool* pool) {
+// ExecOptions running `threads` workers.
+ExecOptions ThreadedOptions(int threads) {
   ExecOptions options;
-  options.parallel.num_threads = 0;
-  options.parallel.pool = pool;
+  options.parallel.num_threads = threads;
   return options;
 }
 
@@ -134,12 +133,7 @@ TEST(ParallelOperators, SelectMatchesSerial) {
   EXPECT_GT(serial.NumTuples(), 0u);
   EXPECT_LT(serial.NumTuples(), planes.NumTuples());
   for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    ExpectByteIdentical(serial, *Execute(q, PoolOptions(&pool)));
-    // num_threads sets the worker count without a private pool.
-    ExecOptions by_count;
-    by_count.parallel.num_threads = threads;
-    ExpectByteIdentical(serial, *Execute(q, by_count));
+    ExpectByteIdentical(serial, *Execute(q, ThreadedOptions(threads)));
   }
 }
 
@@ -162,8 +156,7 @@ TEST(ParallelOperators, NestedLoopJoinMatchesSerial) {
   Relation serial = *Execute(q);
   EXPECT_GT(serial.NumTuples(), 0u);
   for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    ExpectByteIdentical(serial, *Execute(q, PoolOptions(&pool)));
+    ExpectByteIdentical(serial, *Execute(q, ThreadedOptions(threads)));
   }
 }
 
@@ -178,8 +171,7 @@ TEST(ParallelOperators, IndexJoinMatchesSerial) {
   Relation serial = *Execute(q);
   EXPECT_GT(serial.NumTuples(), 0u);
   for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    ExpectByteIdentical(serial, *Execute(q, PoolOptions(&pool)));
+    ExpectByteIdentical(serial, *Execute(q, ThreadedOptions(threads)));
   }
 }
 
@@ -211,8 +203,7 @@ TEST(ParallelOperators, PrebuiltIndexMatchesBuildingOverload) {
   EXPECT_EQ(stats_pre.index_builds, 0u);
 
   for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    ExpectByteIdentical(built, *Execute(q, PoolOptions(&pool)));
+    ExpectByteIdentical(built, *Execute(q, ThreadedOptions(threads)));
   }
 
   // Bad attribute index / non-moving-point attribute are rejected, not
@@ -260,9 +251,8 @@ TEST(ParallelOperators, StatsSinkDoesNotChangeOutput) {
   const exec::LogicalQuery q = SelectQuery(planes, pred);
   Relation plain = *Execute(q);
   for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
     ExecStats stats;
-    ExecOptions options = PoolOptions(&pool);
+    ExecOptions options = ThreadedOptions(threads);
     options.stats = &stats;
     ExpectByteIdentical(plain, *Execute(q, options));
     EXPECT_EQ(stats.op, "select");

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "db/parallel.h"
@@ -62,10 +65,9 @@ bool EvenUnits(const Tuple& t) {
 
 const std::vector<int> kThreadCounts = {1, 2, 4, 7};
 
-ExecOptions ThreadedOptions(ThreadPool* pool, ExecStats* stats = nullptr) {
+ExecOptions ThreadedOptions(int threads, ExecStats* stats = nullptr) {
   ExecOptions options;
-  options.parallel.num_threads = 0;
-  options.parallel.pool = pool;
+  options.parallel.num_threads = threads;
   options.stats = stats;
   return options;
 }
@@ -131,11 +133,10 @@ TEST(PipelinedPlans, SelectProjectMatchesComposedOperators) {
   ASSERT_TRUE(plan.ok()) << plan.status();
 
   for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
     ExecStats stats;
     const std::uint64_t sinks_before =
         CounterValue("exec.relations_materialized");
-    auto out = RunPlan(*plan, ThreadedOptions(&pool, &stats));
+    auto out = RunPlan(*plan, ThreadedOptions(threads, &stats));
     ASSERT_TRUE(out.ok()) << out.status();
     ExpectByteIdentical(composed, out->rows);
     // Zero intermediate materializations: the fused plan builds one
@@ -191,9 +192,8 @@ TEST(PipelinedPlans, SelectIndexJoinMatchesComposedOperators) {
   EXPECT_TRUE(plan->build.has_value());
 
   for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
     ExecStats stats;
-    auto out = RunPlan(*plan, ThreadedOptions(&pool, &stats));
+    auto out = RunPlan(*plan, ThreadedOptions(threads, &stats));
     ASSERT_TRUE(out.ok()) << out.status();
     ExpectByteIdentical(composed, out->rows);
     EXPECT_EQ(stats.materializations, 1u);
@@ -226,8 +226,7 @@ TEST(PipelinedPlans, SelectNestedLoopJoinMatchesComposedOperators) {
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
   for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    auto out = RunPlan(*plan, ThreadedOptions(&pool));
+    auto out = RunPlan(*plan, ThreadedOptions(threads));
     ASSERT_TRUE(out.ok()) << out.status();
     ExpectByteIdentical(composed, out->rows);
   }
@@ -283,9 +282,8 @@ TEST(PipelinedPlans, SpilledScanPushdownSkipsColdRows) {
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
 
-  ThreadPool tp(4);
   ExecStats stats;
-  auto out = RunPlan(*plan, ThreadedOptions(&tp, &stats));
+  auto out = RunPlan(*plan, ThreadedOptions(4, &stats));
   ASSERT_TRUE(out.ok()) << out.status();
 
   // Rows the stats disqualified were never faulted in.
@@ -328,8 +326,7 @@ TEST(PipelinedPlans, SpilledScanMatchesAcrossThreadCounts) {
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   EXPECT_GT(baseline->rows.NumTuples(), 0u);
   for (int threads : kThreadCounts) {
-    ThreadPool tp(threads);
-    auto out = RunPlan(*plan, ThreadedOptions(&tp));
+    auto out = RunPlan(*plan, ThreadedOptions(threads));
     ASSERT_TRUE(out.ok()) << out.status();
     ExpectByteIdentical(baseline->rows, out->rows);
   }
@@ -359,22 +356,22 @@ TEST(PipelinedPlans, SpilledLoadErrorIsDeterministic) {
   auto serial_out = RunPlan(*plan, serial);
   ASSERT_FALSE(serial_out.ok());
   for (int threads : {2, 4}) {
-    ThreadPool tp(threads);
-    auto out = RunPlan(*plan, ThreadedOptions(&tp));
+    auto out = RunPlan(*plan, ThreadedOptions(threads));
     ASSERT_FALSE(out.ok());
     EXPECT_EQ(out.status().ToString(), serial_out.status().ToString());
   }
 }
 
 // ---------------------------------------------------------------------------
-// Work stealing: determinism under permuted completion orders.
+// Morsel claims: determinism under permuted completion orders, and
+// worker 0 on the calling thread.
 // ---------------------------------------------------------------------------
 
 // Fixed thread count, 1-row morsels, and a hook that stalls one chosen
-// worker per run: completion order (and who steals what) is permuted
-// across runs, the output must not move a byte, and the stalled runs
-// must actually exercise stealing.
-TEST(PipelinedPlans, WorkStealingPermutationsAreByteIdentical) {
+// worker per run: completion order (and who claims what) is permuted
+// across runs, the output must not move a byte, and the stalled worker
+// must leave most morsels to its peers.
+TEST(PipelinedPlans, StalledWorkerPermutationsAreByteIdentical) {
   Relation planes = TestPlanes(40, 20);
   LogicalQuery q;
   q.rel = &planes;
@@ -387,30 +384,74 @@ TEST(PipelinedPlans, WorkStealingPermutationsAreByteIdentical) {
   auto baseline = RunPlan(*plan, serial);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
 
-  std::uint64_t total_stolen = 0;
   for (std::size_t slow_worker = 0; slow_worker < 4; ++slow_worker) {
+    SCOPED_TRACE(testing::Message() << "slow worker " << slow_worker);
+    std::array<std::atomic<std::uint64_t>, 4> claimed{};
     ExecTestHooks hooks;
-    hooks.before_morsel = [slow_worker](std::size_t worker, std::size_t) {
+    hooks.before_morsel = [slow_worker, &claimed](std::size_t worker,
+                                                  std::size_t) {
+      claimed[worker].fetch_add(1, std::memory_order_relaxed);
       if (worker == slow_worker) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
     };
     SetExecTestHooks(&hooks);
-    ThreadPool tp(4);
     ExecStats stats;
-    ExecOptions options = ThreadedOptions(&tp, &stats);
-    options.parallel.num_threads = 4;
-    auto out = RunPlan(*plan, options);
+    auto out = RunPlan(*plan, ThreadedOptions(4, &stats));
     SetExecTestHooks(nullptr);
     ASSERT_TRUE(out.ok()) << out.status();
     ExpectByteIdentical(baseline->rows, out->rows);
     // Every morsel claimed exactly once regardless of who ran it.
     EXPECT_EQ(stats.morsels, 40u);
-    total_stolen += stats.morsels_stolen;
+    // The stalled worker runs fewer than its even share of 10.
+    EXPECT_LT(claimed[slow_worker].load(), 10u);
   }
-  // A stalled worker sheds most of its shard: across the four
-  // permutations stealing must have happened.
-  EXPECT_GT(total_stolen, 0u);
+}
+
+// Worker 0 is the calling thread: with four workers its morsels run on
+// the caller and the helpers' on pool threads, and with one worker
+// every morsel runs on the caller.
+TEST(PipelinedPlans, CallingThreadIsWorkerZero) {
+  Relation planes = TestPlanes(40, 21);
+  LogicalQuery q;
+  q.rel = &planes;
+  q.morsel_rows = 1;
+  auto plan = PlanQuery(q);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    std::mutex mu;
+    std::vector<std::pair<std::size_t, std::thread::id>> seen;
+    ExecTestHooks hooks;
+    hooks.before_morsel = [&](std::size_t worker, std::size_t) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        seen.emplace_back(worker, std::this_thread::get_id());
+      }
+      // Stall the helpers so the caller claims morsels too.
+      if (worker != 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    };
+    SetExecTestHooks(&hooks);
+    ExecStats stats;
+    auto out = RunPlan(*plan, ThreadedOptions(threads, &stats));
+    SetExecTestHooks(nullptr);
+    ASSERT_TRUE(out.ok()) << out.status();
+    ASSERT_EQ(seen.size(), 40u);
+    std::size_t on_caller = 0;
+    for (const auto& [worker, id] : seen) {
+      EXPECT_EQ(worker == 0, id == caller) << "worker " << worker;
+      on_caller += id == caller ? 1 : 0;
+    }
+    if (threads == 1) {
+      EXPECT_EQ(on_caller, 40u);
+    } else {
+      EXPECT_GT(on_caller, 0u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -500,9 +541,8 @@ std::uint64_t ExpectReferenceCandidates(const Relation& outer,
   std::uint64_t units_scanned = 0;
   for (int threads : {1, 4}) {
     SCOPED_TRACE(testing::Message() << threads << " threads");
-    ThreadPool pool(threads);
     ExecStats stats;
-    auto out = RunPlan(*plan, ThreadedOptions(&pool, &stats));
+    auto out = RunPlan(*plan, ThreadedOptions(threads, &stats));
     EXPECT_TRUE(out.ok()) << out.status();
     if (!out.ok()) return 0;
     Relation expected(out->rows.name(), out->rows.schema());
