@@ -77,7 +77,8 @@ struct QueryRequest {
     /// available, else built inside the plan).
     kIndexJoin = 3,
     /// atinstant of every tuple's `attr` at each of `instants`
-    /// (ascending) — xs/ys/defined, row-major [tuple][instant].
+    /// (ascending) — defined flags row-major [tuple][instant], xs/ys
+    /// for the defined cells alone (see QueryResult).
     kAtInstantBatch = 4,
     /// present of every tuple's `attr` at each of `instants`.
     kPresentBatch = 5,
@@ -155,6 +156,10 @@ struct QueryResult {
   Relation rows;
 
   /// Batch payload geometry: row-major [tuple][instant] flattening.
+  /// `defined` and `present` hold one 0/1 byte per cell. xy is compact:
+  /// xs / ys carry the defined cells alone, in the same order, so
+  /// xs.size() == ys.size() == the number of set `defined` flags and an
+  /// undefined cell has no coordinates at all.
   std::uint64_t batch_tuples = 0;
   std::uint64_t batch_instants = 0;
   std::vector<double> xs;

@@ -34,15 +34,14 @@ struct StageCounters {
 };
 
 // A morsel output slot (see MakeSlots); the sink concatenates slots in
-// morsel order. Tuple terminals fill `tuples`, the batch terminals the
-// columns, and the window terminal's row pass the surviving moving
-// points (spilled sources park their materialized tuples in `tuples`
-// so the points stay valid).
+// morsel order. Tuple terminals fill `tuples`, the batch terminals
+// `columns` (atinstant its compact columns, straight from the kernel;
+// present `defined` alone), and the window terminal's row pass the
+// surviving moving points (spilled sources park their materialized
+// tuples in `tuples` so the points stay valid).
 struct MorselOutput {
   std::vector<Tuple> tuples;
-  std::vector<double> xs;
-  std::vector<double> ys;
-  std::vector<std::uint8_t> flags;
+  BatchXYOutput columns;
   std::vector<const MovingPoint*> points;
 };
 
@@ -63,7 +62,6 @@ struct WorkerState {
   std::vector<Tuple> mat;         // materialized tuples (spilled scan)
   ProbeScratch probe;
   BatchScratch batch;
-  BatchXYOutput xy;
   std::vector<std::uint8_t> present;
   std::vector<StageCounters> stages;
   std::uint64_t morsels = 0;
@@ -268,8 +266,9 @@ void Append(std::vector<T>* to, std::vector<T>&& from) {
 
 // Morsel output slots for `sched`. One worker claims morsels in
 // sequence order, so its morsels share a single slot; otherwise each
-// morsel gets its own. A batch terminal's slots are sized up front
-// (rows × instants cells), so appends never reallocate.
+// morsel gets its own. A batch terminal's flag columns are sized up
+// front (rows × instants cells); the compact coordinate columns grow
+// with the defined cells they hold.
 std::vector<MorselOutput> MakeSlots(const Pipeline& pipe,
                                     const MorselScheduler& sched) {
   const bool shared = sched.num_workers() == 1;
@@ -280,11 +279,7 @@ std::vector<MorselOutput> MakeSlots(const Pipeline& pipe,
       const Morsel m = sched.MorselAt(i);
       const std::size_t cells =
           (shared ? pipe.NumSourceRows() : m.end - m.begin) * k;
-      slots[i].flags.reserve(cells);
-      if (pipe.batch->kind == BatchOp::Kind::kAtInstant) {
-        slots[i].xs.reserve(cells);
-        slots[i].ys.reserve(cells);
-      }
+      slots[i].columns.defined.reserve(cells);
     }
   }
   return slots;
@@ -392,13 +387,10 @@ Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
       const auto& mp = std::get<MovingPoint>(tuple_at(k)[std::size_t(op.attr)]);
       if (op.kind == BatchOp::Kind::kAtInstant) {
         MODB_RETURN_IF_ERROR(
-            AtInstantBatchXYInto(mp, op.instants, &w->xy, &w->batch));
-        Append(&out->xs, w->xy.xs);
-        Append(&out->ys, w->xy.ys);
-        Append(&out->flags, w->xy.defined);
+            AtInstantBatchXYInto(mp, op.instants, &out->columns, &w->batch));
       } else {
         MODB_RETURN_IF_ERROR(PresentBatchInto(mp, op.instants, &w->present));
-        Append(&out->flags, w->present);
+        Append(&out->columns.defined, w->present);
       }
     }
     term.rows_out += survivors;
@@ -693,9 +685,9 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
     for (MorselOutput& slot : outputs) {
       // Insert cannot fail: tuples conform to the output schema.
       for (Tuple& t : slot.tuples) (void)out->rows.Insert(std::move(t));
-      Append(&out->xs, std::move(slot.xs));
-      Append(&out->ys, std::move(slot.ys));
-      Append(&out->flags, std::move(slot.flags));
+      Append(&out->xs, std::move(slot.columns.xs));
+      Append(&out->ys, std::move(slot.columns.ys));
+      Append(&out->flags, std::move(slot.columns.defined));
     }
   }
 

@@ -111,8 +111,9 @@ struct JoinProbeOp {
 
 /// Terminal batch evaluation: each surviving row's moving-point
 /// attribute `attr` at every one of `instants` (ascending). kAtInstant
-/// appends the row's positions to PlanOutput xs/ys and its defined
-/// flags to `flags`; kPresent appends its present flags to `flags`.
+/// appends the row's defined flags to PlanOutput `flags` and its
+/// positions at the defined instants alone to xs/ys (the compact
+/// BatchXYOutput form); kPresent appends its present flags to `flags`.
 struct BatchOp {
   enum class Kind { kAtInstant, kPresent };
   Kind kind = Kind::kAtInstant;
@@ -185,8 +186,9 @@ struct PhysicalPlan {
 };
 
 /// What a plan produces. Relational and window terminals fill `rows`;
-/// the batch terminals fill row-major [row][instant] columns instead
-/// (xs/ys/flags for atinstant, flags alone for present).
+/// the batch terminals fill row-major [row][instant] columns instead:
+/// `flags` has one byte per cell, and for atinstant xs/ys hold the
+/// defined cells alone (xs.size() == ys.size() == the set flags).
 struct PlanOutput {
   Relation rows;
   std::vector<double> xs;

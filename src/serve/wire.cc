@@ -205,9 +205,9 @@ std::string EncodeQueryRequest(const QueryRequest& req) {
   return w.Take();
 }
 
-// Every accepted version has the v3 field set (v4 changed only the
-// rows block); a later version's trailing fields would be read here
-// under `version >= 5`.
+// Every accepted version has the v3 field set (v4 and v5 changed only
+// result blocks); a later version's trailing fields would be read here
+// under `version >= 6`.
 Result<QueryRequest> DecodeQueryRequest(std::string_view payload,
                                         [[maybe_unused]] std::uint8_t version) {
   WireReader r(payload);
@@ -572,11 +572,28 @@ Result<BlockPlan> PlanResultBlock(const QueryResult& result) {
       }
       return plan;
     }
-    case QueryResult::Payload::kXY:
-      n += 2 * sizeof(std::uint64_t) +
-           sizeof(double) * (result.xs.size() + result.ys.size()) +
-           result.defined.size();
+    case QueryResult::Payload::kXY: {
+      // Compact columns: one coordinate pair per set flag, and nothing
+      // a decoder would refuse.
+      std::size_t set = 0;
+      std::uint8_t high = 0;
+      for (std::uint8_t d : result.defined) {
+        set += d;
+        high |= d & 0xfe;
+      }
+      if (high != 0) {
+        return Status::InvalidArgument("defined byte must be 0 or 1");
+      }
+      if (result.xs.size() != set || result.ys.size() != set) {
+        return Status::InvalidArgument(
+            "xy result carries " + std::to_string(result.xs.size()) +
+            " xs and " + std::to_string(result.ys.size()) + " ys for " +
+            std::to_string(set) + " defined cells");
+      }
+      n += 2 * sizeof(std::uint64_t) + result.defined.size() +
+           sizeof(double) * 2 * set;
       return plan;
+    }
     case QueryResult::Payload::kPresent:
       n += 2 * sizeof(std::uint64_t) + result.present.size();
       return plan;
@@ -624,9 +641,9 @@ Status WriteResultBlock(const QueryResult& result, const BlockPlan& plan,
     case QueryResult::Payload::kXY:
       w->U64(result.batch_tuples);
       w->U64(result.batch_instants);
+      w->Bytes(result.defined.data(), result.defined.size());
       w->Bytes(result.xs.data(), sizeof(double) * result.xs.size());
       w->Bytes(result.ys.data(), sizeof(double) * result.ys.size());
-      w->Bytes(result.defined.data(), result.defined.size());
       break;
     case QueryResult::Payload::kPresent:
       w->U64(result.batch_tuples);
@@ -695,18 +712,25 @@ Status ReadGeometry(WireReader* r, const char* what, QueryResult* result,
 }
 
 // A column of n flag bytes, each 0 or 1: one bounds check, one
-// validating pass, one copy.
+// validating and counting pass, one copy. `*set` gets the count of
+// 1s.
 Status ReadFlagColumn(WireReader* r, std::uint64_t n, const char* what,
-                      std::vector<std::uint8_t>* out) {
+                      std::vector<std::uint8_t>* out,
+                      std::uint64_t* set = nullptr) {
   std::string_view bytes;
   MODB_RETURN_IF_ERROR(r->View(n, &bytes));
   std::uint8_t high = 0;
-  for (char c : bytes) high |= std::uint8_t(c) & 0xfe;
+  std::uint64_t ones = 0;
+  for (char c : bytes) {
+    high |= std::uint8_t(c) & 0xfe;
+    ones += std::uint8_t(c) & 1;
+  }
   if (high != 0) {
     return Status::InvalidArgument(std::string(what) +
                                    " byte must be 0 or 1");
   }
   out->assign(bytes.begin(), bytes.end());
+  if (set != nullptr) *set = ones;
   return Status::OK();
 }
 
@@ -783,10 +807,14 @@ Result<QueryResult> DecodeResultBlock(std::string_view block) {
     case QueryResult::Payload::kXY: {
       std::uint64_t cells;
       MODB_RETURN_IF_ERROR(ReadGeometry(&r, "xy", &result, &cells));
-      MODB_RETURN_IF_ERROR(ReadF64Column(&r, cells, &result.xs));
-      MODB_RETURN_IF_ERROR(ReadF64Column(&r, cells, &result.ys));
+      // Compact: the coordinates of the defined cells alone, so their
+      // count comes from the flags and each column is bounds-checked
+      // against the block before it is sized.
+      std::uint64_t set;
       MODB_RETURN_IF_ERROR(
-          ReadFlagColumn(&r, cells, "defined", &result.defined));
+          ReadFlagColumn(&r, cells, "defined", &result.defined, &set));
+      MODB_RETURN_IF_ERROR(ReadF64Column(&r, set, &result.xs));
+      MODB_RETURN_IF_ERROR(ReadF64Column(&r, set, &result.ys));
       break;
     }
     case QueryResult::Payload::kPresent: {

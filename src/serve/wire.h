@@ -35,16 +35,17 @@ namespace modb {
 namespace serve {
 
 inline constexpr char kMagic[4] = {'M', 'O', 'D', 'B'};
-/// v4 is the only version spoken: mutation frames, the window-aggregate
+/// v5 is the only version spoken: mutation frames, the window-aggregate
 /// query fields, the query deadline (deadline_ms), the ingest
-/// idempotency key (client_id, batch_seq), and reference cells for
-/// repeated mapping values in a rows block. Frames from any version in
+/// idempotency key (client_id, batch_seq), reference cells for
+/// repeated mapping values in a rows block, and the compact xy block
+/// (coordinates for the defined cells alone). Frames from any version in
 /// [kMinWireVersion, kWireVersion] are accepted — the payload decoders
 /// take the header's version, so a later version's trailing fields can
 /// be read only when present — and a server answers in the version the
 /// request arrived with (see docs/PROTOCOL.md, "Versioning").
-inline constexpr std::uint8_t kWireVersion = 4;
-inline constexpr std::uint8_t kMinWireVersion = 4;
+inline constexpr std::uint8_t kWireVersion = 5;
+inline constexpr std::uint8_t kMinWireVersion = 5;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 /// Upper bound on a frame payload; larger length fields are rejected
 /// before any allocation.

@@ -1,7 +1,6 @@
 #include "temporal/batch_ops.h"
 
 #include <cstddef>
-#include <cstring>
 
 #include "core/simd.h"
 #include "temporal/moving.h"
@@ -25,7 +24,7 @@ static_assert(offsetof(Intime<Point>, defined) == 24);
 static_assert(offsetof(Point, x) == 0 && offsetof(Point, y) == 8);
 static_assert(sizeof(Instant) == 8);
 
-// Scalar reference cores. Evaluation is x0 + x1*t / y0 + y1*t — exactly
+// Scalar reference core. Evaluation is x0 + x1*t / y0 + y1*t — exactly
 // LinearMotion::At, so the fast path reproduces the generic path's
 // doubles bit for bit.
 
@@ -47,31 +46,9 @@ void EvalPositionsScalar(const MappingSearchIndex& ix, const Instant* ts,
   }
 }
 
-void EvalPositionsXYScalar(const MappingSearchIndex& ix, const Instant* ts,
-                           const std::int32_t* idx, std::size_t n, double* xs,
-                           double* ys, std::uint8_t* defined) {
-  const double* x0 = ix.motion_x0.data();
-  const double* x1 = ix.motion_x1.data();
-  const double* y0 = ix.motion_y0.data();
-  const double* y1 = ix.motion_y1.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t j = idx[i];
-    if (j < 0) {
-      xs[i] = 0;
-      ys[i] = 0;
-      defined[i] = 0;
-    } else {
-      const double t = ts[i];
-      xs[i] = x0[j] + x1[j] * t;
-      ys[i] = y0[j] + y1[j] * t;
-      defined[i] = 1;
-    }
-  }
-}
-
 #ifdef MODB_BATCH_AVX2
 
-// AVX2 cores: masked i32 gathers over the packed coefficient arrays and
+// AVX2 core: masked i32 gathers over the packed coefficient arrays and
 // explicit multiply-then-add (no FMA — the scalar baseline compiles
 // without -mfma, and contraction would change the rounding). Undefined
 // lanes are zeroed through the gather mask, matching
@@ -127,44 +104,6 @@ __attribute__((target("avx2"))) void EvalPositionsAvx2(
   }
 }
 
-__attribute__((target("avx2"))) void EvalPositionsXYAvx2(
-    const MappingSearchIndex& ix, const Instant* ts, const std::int32_t* idx,
-    std::size_t n, double* xs, double* ys, std::uint8_t* defined) {
-  const double* x0 = ix.motion_x0.data();
-  const double* x1 = ix.motion_x1.data();
-  const double* y0 = ix.motion_y0.data();
-  const double* y1 = ix.motion_y1.data();
-  const __m256d zero = _mm256_setzero_pd();
-  const __m128i neg1 = _mm_set1_epi32(-1);
-  const __m128i one32 = _mm_set1_epi32(1);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i j =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    const __m128i def32 = _mm_cmpgt_epi32(j, neg1);
-    const __m256d mask = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(def32));
-    const __m256d vx0 = _mm256_mask_i32gather_pd(zero, x0, j, mask, 8);
-    const __m256d vx1 = _mm256_mask_i32gather_pd(zero, x1, j, mask, 8);
-    const __m256d vy0 = _mm256_mask_i32gather_pd(zero, y0, j, mask, 8);
-    const __m256d vy1 = _mm256_mask_i32gather_pd(zero, y1, j, mask, 8);
-    const __m256d t = _mm256_and_pd(_mm256_loadu_pd(ts + i), mask);
-    _mm256_storeu_pd(
-        xs + i, _mm256_and_pd(_mm256_add_pd(vx0, _mm256_mul_pd(vx1, t)), mask));
-    _mm256_storeu_pd(
-        ys + i, _mm256_and_pd(_mm256_add_pd(vy0, _mm256_mul_pd(vy1, t)), mask));
-    // Narrow the 0/-1 lane mask to four 0/1 bytes.
-    const __m128i ones = _mm_and_si128(def32, one32);
-    const int packed = _mm_cvtsi128_si32(_mm_shuffle_epi8(
-        ones, _mm_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-                            -1, -1, -1)));
-    std::memcpy(defined + i, &packed, 4);
-  }
-  if (i < n) {
-    EvalPositionsXYScalar(ix, ts + i, idx + i, n - i, xs + i, ys + i,
-                          defined + i);
-  }
-}
-
 #endif  // MODB_BATCH_AVX2
 
 }  // namespace
@@ -179,18 +118,6 @@ void EvalMotionPositions(const MappingSearchIndex& ix, const Instant* ts,
   }
 #endif
   EvalPositionsScalar(ix, ts, idx, n, out);
-}
-
-void EvalMotionPositionsXY(const MappingSearchIndex& ix, const Instant* ts,
-                           const std::int32_t* idx, std::size_t n, double* xs,
-                           double* ys, std::uint8_t* defined) {
-#ifdef MODB_BATCH_AVX2
-  if (simd::UseAvx2()) {
-    EvalPositionsXYAvx2(ix, ts, idx, n, xs, ys, defined);
-    return;
-  }
-#endif
-  EvalPositionsXYScalar(ix, ts, idx, n, xs, ys, defined);
 }
 
 }  // namespace batch_internal

@@ -293,9 +293,9 @@ bool ResolveAscending(const View& v, const std::vector<Instant>& instants,
   return true;
 }
 
-/// Phase 2 kernels over the packed motion-coefficient arrays
-/// (MappingSearchIndex::motion_*): scalar reference cores with AVX2
-/// specializations (gather + multiply-then-add, never FMA, so the two
+/// Phase 2 kernel over the packed motion-coefficient arrays
+/// (MappingSearchIndex::motion_*): a scalar reference core with an AVX2
+/// specialization (gather + multiply-then-add, never FMA, so the two
 /// paths are byte-identical) dispatched at runtime via core/simd.h.
 /// Undefined slots (idx < 0) produce zeroed outputs with the defined
 /// flag clear, exactly like Intime::Undefined(). Defined in
@@ -303,9 +303,6 @@ bool ResolveAscending(const View& v, const std::vector<Instant>& instants,
 void EvalMotionPositions(const MappingSearchIndex& ix, const Instant* ts,
                          const std::int32_t* idx, std::size_t n,
                          Intime<Point>* out);
-void EvalMotionPositionsXY(const MappingSearchIndex& ix, const Instant* ts,
-                           const std::int32_t* idx, std::size_t n, double* xs,
-                           double* ys, std::uint8_t* defined);
 
 inline void FlushSweepCounters(const SweepCounters& sweep,
                                std::size_t units_scanned) {
@@ -325,7 +322,11 @@ struct BatchScratch {
   std::vector<std::int32_t> unit_idx;
 };
 
-/// SoA outputs of one mapping's batched position evaluation.
+/// Compact SoA output of batched position evaluation: one 0/1
+/// `defined` flag per (mapping, instant) cell, and `xs` / `ys` only for
+/// the defined cells, in the same order. Undefined cells take no
+/// coordinate slot, so xs.size() == ys.size() == the number of set
+/// flags; the cell behind xs[j] is the j-th set flag.
 struct BatchXYOutput {
   std::vector<double> xs;
   std::vector<double> ys;
@@ -437,12 +438,13 @@ Result<std::vector<Intime<typename U::ValueType>>> AtInstantBatch(
   return out;
 }
 
-/// Batched upoint position evaluation with SoA outputs: out->xs/ys get
-/// the evaluated coordinates (0 where undefined) and out->defined the
-/// 0/1 presence flags — packed arrays ready for downstream vector
-/// kernels, with the same resolve pass as AtInstantBatchInto. Requires
-/// ascending instants. Clears and fills the output vectors, reusing
-/// capacity.
+/// Batched upoint position evaluation into a compact BatchXYOutput:
+/// appends instants.size() flags to out->defined and one (x, y) to
+/// out->xs / out->ys per defined instant, so the cost past the resolve
+/// pass (the same one AtInstantBatchInto runs) is what the batch
+/// returns. Appending lets a caller collect many mappings' rows in one
+/// output without a copy. Requires ascending instants; on error `*out`
+/// is left as it was.
 template <typename U>
   requires requires(const U& u) {
     { u.motion().x0 } -> std::convertible_to<double>;
@@ -454,6 +456,7 @@ Status AtInstantBatchXYInto(const Mapping<U>& m,
   std::size_t cursor = 0;
   batch_internal::SweepCounters sweep;
   scratch->unit_idx.resize(k);
+  const std::int32_t* idx = scratch->unit_idx.data();
   bool ok;
   const MappingSearchIndex* ix = m.search_index();
   if (ix != nullptr) {
@@ -465,37 +468,41 @@ Status AtInstantBatchXYInto(const Mapping<U>& m,
         batch_internal::UnitsView<U>{&m.units()}, instants,
         scratch->unit_idx.data(), &cursor, &sweep);
   }
-  if (!ok) {
-    out->xs.clear();
-    out->ys.clear();
-    out->defined.clear();
-    return batch_internal::NotAscending();
+  if (!ok) return batch_internal::NotAscending();
+  const std::size_t f0 = out->defined.size();
+  out->defined.resize(f0 + k);
+  std::uint8_t* flags = out->defined.data() + f0;
+  std::size_t hits = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    flags[i] = std::uint8_t(idx[i] >= 0);
+    hits += flags[i];
   }
-  // resize without a clear (see AtInstantBatchInto): every slot is
-  // overwritten below, so a warm same-size buffer costs nothing.
-  out->xs.resize(k);
-  out->ys.resize(k);
-  out->defined.resize(k);
+  const std::size_t c0 = out->xs.size();
+  out->xs.resize(c0 + hits);
+  out->ys.resize(c0 + hits);
+  double* xs = out->xs.data() + c0;
+  double* ys = out->ys.data() + c0;
   if (ix != nullptr && ix->has_motion()) {
-    batch_internal::EvalMotionPositionsXY(*ix, instants.data(),
-                                          scratch->unit_idx.data(), k,
-                                          out->xs.data(), out->ys.data(),
-                                          out->defined.data());
-  } else {
-    // No packed coefficients: evaluate off the unit records (same
-    // outputs, strided reads).
+    // x0 + x1*t / y0 + y1*t off the packed coefficients: exactly
+    // LinearMotion::At, so both branches give the same doubles.
+    const double* x0 = ix->motion_x0.data();
+    const double* x1 = ix->motion_x1.data();
+    const double* y0 = ix->motion_y0.data();
+    const double* y1 = ix->motion_y1.data();
     for (std::size_t i = 0; i < k; ++i) {
-      const std::int32_t j = scratch->unit_idx[i];
-      if (j < 0) {
-        out->xs[i] = 0;
-        out->ys[i] = 0;
-        out->defined[i] = 0;
-      } else {
-        const Point p = m.unit(std::size_t(j)).ValueAt(instants[i]);
-        out->xs[i] = p.x;
-        out->ys[i] = p.y;
-        out->defined[i] = 1;
-      }
+      const std::int32_t j = idx[i];
+      if (j < 0) continue;
+      const double t = instants[i];
+      *xs++ = x0[j] + x1[j] * t;
+      *ys++ = y0[j] + y1[j] * t;
+    }
+  } else {
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::int32_t j = idx[i];
+      if (j < 0) continue;
+      const Point p = m.unit(std::size_t(j)).ValueAt(instants[i]);
+      *xs++ = p.x;
+      *ys++ = p.y;
     }
   }
   MODB_COUNTER_INC("temporal.batch.atinstant_xy_calls");
@@ -505,9 +512,9 @@ Status AtInstantBatchXYInto(const Mapping<U>& m,
 }
 
 /// Many-mapping front-end for AtInstantBatchXYInto: evaluates every
-/// mapping of `maps` at the same ascending instants, filling (*outs)[i]
-/// from maps[i] with one warm BatchScratch. On error, the lowest
-/// failing mapping index's Status is returned.
+/// mapping of `maps` at the same ascending instants, replacing (*outs)[i]
+/// with maps[i]'s compact output, with one warm BatchScratch. On error,
+/// the lowest failing mapping index's Status is returned.
 template <typename U>
   requires requires(const U& u) {
     { u.motion().x0 } -> std::convertible_to<double>;
@@ -518,8 +525,19 @@ Status AtInstantBatchManyXY(const std::vector<const Mapping<U>*>& maps,
   outs->resize(maps.size());
   BatchScratch scratch;
   for (std::size_t i = 0; i < maps.size(); ++i) {
+    BatchXYOutput& out = (*outs)[i];
+    out.xs.clear();
+    out.ys.clear();
+    out.defined.clear();
+    // Each column gets one allocation of the batch's size, whichever
+    // instants turn out defined: in a long-lived process, blocks sized
+    // by the data fragment the heap, and a fresh `outs` then cost about
+    // twice the kernel's own time.
+    out.xs.reserve(instants.size());
+    out.ys.reserve(instants.size());
+    out.defined.reserve(instants.size());
     MODB_RETURN_IF_ERROR(
-        AtInstantBatchXYInto(*maps[i], instants, &(*outs)[i], &scratch));
+        AtInstantBatchXYInto(*maps[i], instants, &out, &scratch));
   }
   return Status::OK();
 }

@@ -43,17 +43,15 @@ bool CmpAtEquality(CmpOp op) {
 }
 
 // Emits boolean units covering `interval` for the predicate
-// op(f(t), c), where `breaks` are the instants with f(t) == c (those
-// outside `interval` are ignored) and `eval_mid(t)` evaluates the
-// predicate at an interior instant. A template parameter, not a
-// std::function, so a capturing evaluator costs no heap allocation.
-template <typename EvalMid>
-Status EmitPiecewiseBool(const TimeInterval& interval,
-                         std::vector<Instant> breaks, CmpOp op,
-                         const EvalMid& eval_mid,
+// op(f(t), c), where `breaks` are the instants with f(t) == c, ascending
+// (those outside `interval` and repeats are ignored), and `eval_mid(t)`
+// evaluates the predicate at an interior instant. Both are template
+// parameters, not a vector and a std::function, so a Roots of breaks
+// and a capturing evaluator cost no heap allocation.
+template <typename Breaks, typename EvalMid>
+Status EmitPiecewiseBool(const TimeInterval& interval, const Breaks& breaks,
+                         CmpOp op, const EvalMid& eval_mid,
                          MappingBuilder<UBool>* builder) {
-  std::sort(breaks.begin(), breaks.end());
-  breaks.erase(std::unique(breaks.begin(), breaks.end()), breaks.end());
   const bool eq_value = CmpAtEquality(op);
 
   Instant pos = interval.start();
@@ -69,8 +67,12 @@ Status EmitPiecewiseBool(const TimeInterval& interval,
     return builder->Append(*unit);
   };
 
+  bool seen = false;
+  Instant last = 0;
   for (Instant t : breaks) {
-    if (!interval.Contains(t)) continue;
+    if (!interval.Contains(t) || (seen && t == last)) continue;
+    seen = true;
+    last = t;
     // Span before the break.
     MODB_RETURN_IF_ERROR(emit_span(t, false));
     // The break instant itself.
@@ -373,8 +375,9 @@ Result<MovingBool> Inside(const MovingPoint& a, const MovingPoints& b) {
           }
         }
         if (always) return builder.Append(*UBool::Make(iv, true));
+        std::sort(breaks.begin(), breaks.end());
         return EmitPiecewiseBool(
-            iv, std::move(breaks), CmpOp::kEq,
+            iv, breaks, CmpOp::kEq,
             [](Instant) { return false; }, &builder);
       }));
   return builder.Build();

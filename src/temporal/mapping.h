@@ -47,18 +47,13 @@
 namespace modb {
 
 /// Optional SoA side-structure for a Mapping (built on demand by
-/// Mapping::BuildSearchIndex): the unit intervals unpacked into
-/// contiguous start/end arrays so the batch sweeps (temporal/batch_ops.h)
-/// probe packed doubles instead of striding over full unit records, plus a
-/// cached deftime bounding interval and (for spatial unit types) the
-/// union of the unit bounding cubes.
+/// Mapping::BuildSearchIndex): the unit starts and closedness-folded
+/// search keys unpacked into contiguous arrays so the batch sweeps
+/// (temporal/batch_ops.h) probe packed doubles instead of striding over
+/// full unit records, plus a cached deftime bounding interval and (for
+/// spatial unit types) the union of the unit bounding cubes.
 struct MappingSearchIndex {
-  static constexpr std::uint8_t kLeftClosed = 1;
-  static constexpr std::uint8_t kRightClosed = 2;
-
-  std::vector<Instant> start;
-  std::vector<Instant> end;
-  std::vector<std::uint8_t> closed;  // kLeftClosed | kRightClosed bits.
+  std::vector<Instant> start;  // one per unit; its size is the unit count
 
   /// Branchless search keys folding the closedness flags into the
   /// comparison value:
@@ -91,21 +86,6 @@ struct MappingSearchIndex {
   /// True when the packed motion arrays are populated (one slot per
   /// unit).
   bool has_motion() const { return !motion_x0.empty(); }
-
-  bool left_closed(std::size_t i) const {
-    return (closed[i] & kLeftClosed) != 0;
-  }
-  bool right_closed(std::size_t i) const {
-    return (closed[i] & kRightClosed) != 0;
-  }
-
-  /// Membership of t in unit i's interval, on the packed arrays.
-  bool Contains(std::size_t i, Instant t) const {
-    if (t < start[i] || end[i] < t) return false;
-    if (t == start[i] && !left_closed(i)) return false;
-    if (t == end[i] && !right_closed(i)) return false;
-    return true;
-  }
 };
 
 template <typename U>
@@ -190,19 +170,12 @@ class Mapping {
     const std::vector<U>& us = units();
     auto ix = std::make_shared<MappingSearchIndex>();
     ix->start.reserve(us.size());
-    ix->end.reserve(us.size());
-    ix->closed.reserve(us.size());
     ix->start_key.reserve(us.size() + 1);
     ix->end_key.reserve(us.size() + 1);
     constexpr Instant kInf = std::numeric_limits<Instant>::infinity();
     for (const U& u : us) {
       const TimeInterval& iv = u.interval();
       ix->start.push_back(iv.start());
-      ix->end.push_back(iv.end());
-      ix->closed.push_back(
-          std::uint8_t((iv.left_closed() ? MappingSearchIndex::kLeftClosed : 0) |
-                       (iv.right_closed() ? MappingSearchIndex::kRightClosed
-                                          : 0)));
       ix->start_key.push_back(iv.left_closed()
                                   ? iv.start()
                                   : std::nextafter(iv.start(), kInf));
@@ -228,7 +201,7 @@ class Mapping {
     }
     if (!us.empty()) {
       ix->min_start = ix->start.front();
-      ix->max_end = ix->end.back();
+      ix->max_end = us.back().interval().end();
     }
     // Sentinel slots (see the field comment): unguarded sweeps stop
     // here instead of bounds-checking every advance.

@@ -94,8 +94,7 @@ MSegCrossings CrossingTimes(const LinearMotion& p, const MSeg& m,
     out.always_collinear = true;
     return out;
   }
-  std::vector<double> roots = QuadraticRoots(c2, c1, c0);
-  for (double t : roots) {
+  for (double t : QuadraticRoots(c2, c1, c0)) {
     if (!within.Contains(t)) continue;
     // Betweenness: B(t) projected onto A(t) must fall within [0, |A|²].
     double axt = ax0 + ax1 * t, ayt = ay0 + ay1 * t;

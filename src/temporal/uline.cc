@@ -59,10 +59,9 @@ OverlapEvents CollinearOverlapTimes(const MSeg& a, const MSeg& b,
     }
     return out;
   }
-  std::vector<double> candidates = QuadraticRoots(q1.c2, q1.c1, q1.c0);
-  if (q1.NearZeroAll(tol)) {
-    candidates = QuadraticRoots(q2.c2, q2.c1, q2.c0);
-  }
+  const Roots candidates = q1.NearZeroAll(tol)
+                              ? QuadraticRoots(q2.c2, q2.c1, q2.c0)
+                              : QuadraticRoots(q1.c2, q1.c1, q1.c0);
   for (double t : candidates) {
     if (!within.Contains(t)) continue;
     // Both endpoints of b must be on a's supporting line at t.

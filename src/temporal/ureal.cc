@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "core/real.h"
 
 namespace modb {
 
-std::vector<double> QuadraticRoots(double a, double b, double c) {
-  std::vector<double> roots;
+Roots QuadraticRoots(double a, double b, double c) {
+  Roots roots;
   if (a == 0) {
     if (b == 0) return roots;  // Constant: no isolated roots.
     roots.push_back(-c / b);
@@ -26,7 +27,9 @@ std::vector<double> QuadraticRoots(double a, double b, double c) {
   double q = -0.5 * (b + (b >= 0 ? sq : -sq));
   double r1 = q / a;
   double r2 = c / q;
-  return {std::min(r1, r2), std::max(r1, r2)};  // a single allocation
+  roots.push_back(std::min(r1, r2));
+  roots.push_back(std::max(r1, r2));
+  return roots;
 }
 
 Result<UReal> UReal::Make(TimeInterval interval, double a, double b, double c,
@@ -79,7 +82,7 @@ URealExtrema UReal::Extrema() const {
   return ex;
 }
 
-std::vector<Instant> UReal::InstantsAtValue(double v) const {
+Roots UReal::InstantsAtValue(double v) const {
   // Solve ι(t) = v. For the root case: √poly = v requires v >= 0 and
   // poly = v².
   if (EqualsEverywhere(v)) return {};
@@ -89,9 +92,8 @@ std::vector<Instant> UReal::InstantsAtValue(double v) const {
     if (v < 0) return {};
     rhs = v * v;
   }
-  std::vector<double> roots = QuadraticRoots(a_, b_, target_c - rhs);
-  std::vector<Instant> out;
-  for (double t : roots) {
+  Roots out;
+  for (double t : QuadraticRoots(a_, b_, target_c - rhs)) {
     if (interval_.Contains(t)) out.push_back(t);
   }
   return out;

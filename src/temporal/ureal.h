@@ -10,19 +10,33 @@
 #ifndef MODB_TEMPORAL_UREAL_H_
 #define MODB_TEMPORAL_UREAL_H_
 
+#include <cstddef>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/interval.h"
 #include "core/status.h"
 
 namespace modb {
 
+/// At most two reals, ascending, held in place: what solving a quadratic
+/// yields, without a heap allocation. Ranges like a container.
+struct Roots {
+  double at[2] = {0, 0};
+  std::size_t n = 0;
+
+  void push_back(double t) { at[n++] = t; }
+  std::size_t size() const { return n; }
+  bool empty() const { return n == 0; }
+  double operator[](std::size_t i) const { return at[i]; }
+  const double* begin() const { return at; }
+  const double* end() const { return at + n; }
+};
+
 /// Roots of a·t² + b·t + c = 0, sorted ascending (0, 1 or 2 entries; the
 /// "identically zero" polynomial reports no roots — callers handle it via
 /// IsZero checks).
-std::vector<double> QuadraticRoots(double a, double b, double c);
+Roots QuadraticRoots(double a, double b, double c);
 
 /// Extremum (min and max) of a quadratic or √quadratic over an interval.
 struct URealExtrema {
@@ -61,7 +75,7 @@ class UReal {
   /// Instants in the unit interval where the unit function equals v,
   /// ascending. For a constant unit equal to v everywhere, returns empty
   /// (callers treat the whole interval as matching via EqualsEverywhere).
-  std::vector<Instant> InstantsAtValue(double v) const;
+  Roots InstantsAtValue(double v) const;
 
   /// True iff the unit function is the constant v on the whole interval.
   bool EqualsEverywhere(double v) const;

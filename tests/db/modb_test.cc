@@ -360,22 +360,40 @@ TEST(DbRun, AtInstantBatchMatchesPerTupleKernels) {
   ASSERT_EQ(r->batch_tuples, planes.NumTuples());
   ASSERT_EQ(r->batch_instants, instants.size());
   const std::size_t cells = planes.NumTuples() * instants.size();
-  ASSERT_EQ(r->xs.size(), cells);
-  ASSERT_EQ(r->ys.size(), cells);
   ASSERT_EQ(r->defined.size(), cells);
 
+  // Compact: one coordinate pair per defined cell, in cell order. Walk
+  // the defined cells against each row's own kernel output.
   BatchScratch scratch;
-  BatchXYOutput xy;
+  std::size_t next = 0;  // the result's coordinate slot of the next defined cell
   for (std::size_t i = 0; i < planes.NumTuples(); ++i) {
+    BatchXYOutput xy;
     ASSERT_TRUE(
         AtInstantBatchXYInto(Flight(planes, i), instants, &xy, &scratch).ok());
+    ASSERT_EQ(xy.defined.size(), instants.size());
+    ASSERT_EQ(xy.xs.size(), xy.ys.size());
+    std::size_t row_slot = 0;
     for (std::size_t k = 0; k < instants.size(); ++k) {
       const std::size_t cell = i * instants.size() + k;
-      EXPECT_EQ(r->xs[cell], xy.xs[k]);
-      EXPECT_EQ(r->ys[cell], xy.ys[k]);
-      EXPECT_EQ(r->defined[cell], xy.defined[k]);
+      ASSERT_EQ(r->defined[cell], xy.defined[k]);
+      const Intime<Point> one = Flight(planes, i).AtInstant(instants[k]);
+      ASSERT_EQ(xy.defined[k] != 0, one.defined);
+      if (xy.defined[k] == 0) continue;
+      ASSERT_LT(next, r->xs.size());
+      ASSERT_LT(row_slot, xy.xs.size());
+      EXPECT_EQ(r->xs[next], xy.xs[row_slot]);
+      EXPECT_EQ(r->ys[next], xy.ys[row_slot]);
+      EXPECT_EQ(r->xs[next], one.value.x);
+      EXPECT_EQ(r->ys[next], one.value.y);
+      ++next;
+      ++row_slot;
     }
+    EXPECT_EQ(row_slot, xy.xs.size());
   }
+  EXPECT_EQ(next, r->xs.size());
+  EXPECT_EQ(next, r->ys.size());
+  EXPECT_GT(next, 0u);
+  EXPECT_LT(next, cells);
 }
 
 TEST(DbRun, PresentBatchMatchesDirectPresent) {

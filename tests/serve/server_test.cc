@@ -260,19 +260,32 @@ TEST_F(ServerTest, EightConcurrentClientsAreByteIdentical) {
   }
 }
 
-// A result too large for one frame: 64 flights x 62 000 instants is
-// an xy block of about 67.5 MB, past the 64 MiB payload cap. The server
-// must answer with a typed, terminal error naming the size and the
-// cap, and keep the connection open.
+// A result too large for one frame: 64 flights x 300 000 instants is
+// a compact xy block of about 80 MB (a flag per cell, coordinates for
+// the fifth of the cells that are defined), past the 64 MiB payload
+// cap. The server must answer with a typed, terminal error naming the
+// size and the cap, and keep the connection open.
 TEST_F(ServerTest, ReplyOverTheFrameCapIsATypedErrorAndConnectionSurvives) {
   StartServer({}, /*num_flights=*/64);
   Client client = MustConnect();
   QueryRequest huge = BatchRequest(QueryRequest::Kind::kAtInstantBatch);
   huge.instants.clear();
-  constexpr int kInstants = 62000;
+  constexpr int kInstants = 300000;
   for (int i = 0; i < kInstants; ++i) {
     huge.instants.push_back(24.0 * i / kInstants);
   }
+  // The defined cells are the present ones: count them from the much
+  // smaller present result of the same request.
+  QueryRequest present = huge;
+  present.kind = QueryRequest::Kind::kPresentBatch;
+  Result<QueryResult> flags = db_.Run(present);
+  ASSERT_TRUE(flags.ok()) << flags.status();
+  std::uint64_t set = 0;
+  for (std::uint8_t p : flags->present) set += p;
+  const std::uint64_t cells = std::uint64_t(64) * kInstants;
+  const std::uint64_t block = 1 + 16 + cells + 16 * set;
+  ASSERT_GT(block, kMaxFramePayload) << set << " defined cells";
+
   Result<Client::Reply> reply = client.Query(huge);
   ASSERT_TRUE(reply.ok()) << reply.status();
   EXPECT_EQ(reply->status.code(), StatusCode::kOutOfRange) << reply->status;
@@ -286,7 +299,6 @@ TEST_F(ServerTest, ReplyOverTheFrameCapIsATypedErrorAndConnectionSurvives) {
   const std::size_t at = msg.find("reply of ");
   ASSERT_NE(at, std::string::npos) << msg;
   const std::uint64_t size = std::stoull(msg.substr(at + 9));
-  const std::uint64_t block = 1 + 16 + std::uint64_t(64) * kInstants * 17;
   EXPECT_GT(size, block) << msg;
   EXPECT_LT(size, block + 4096) << msg;
 

@@ -289,11 +289,13 @@ TEST(ResultBlockCodec, XYRoundTrip) {
   result.payload = QueryResult::Payload::kXY;
   result.batch_tuples = 2;
   result.batch_instants = 3;
-  result.xs = {1, 2, 3, 4, 5, 6};
-  result.ys = {6, 5, 4, 3, 2, 1};
+  // Compact: coordinates for the four defined cells alone.
+  result.xs = {1, 2, 5, 6};
+  result.ys = {6, 5, 2, 1};
   result.defined = {1, 1, 0, 0, 1, 1};
   Result<std::string> block = EncodeResultBlock(result);
   ASSERT_TRUE(block.ok());
+  EXPECT_EQ(block->size(), 1 + 16 + 6 + 2 * 4 * sizeof(double));
   Result<QueryResult> back = DecodeResultBlock(*block);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(back->payload, QueryResult::Payload::kXY);
@@ -340,7 +342,8 @@ TEST(ResultBlockCodec, RejectsGeometryOverflowAndBadFlagBytes) {
   Result<std::string> block = EncodeResultBlock(xy);
   ASSERT_TRUE(block.ok());
   std::string bytes = *block;
-  bytes.back() = char(2);
+  constexpr std::size_t kFlagsAt = 1 + 2 * sizeof(std::uint64_t);
+  bytes[kFlagsAt] = char(2);
   d = DecodeResultBlock(bytes);
   ASSERT_FALSE(d.ok());
   EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
@@ -359,13 +362,13 @@ TEST(ResultBlockCodec, RejectsGeometryOverflowAndBadFlagBytes) {
   wide.payload = QueryResult::Payload::kXY;
   wide.batch_tuples = 2;
   wide.batch_instants = 3;
-  wide.xs = {1, 2, 3, 4, 5, 6};
-  wide.ys = {6, 5, 4, 3, 2, 1};
+  wide.xs = {1, 3, 4, 6};
+  wide.ys = {6, 4, 3, 1};
   wide.defined = {1, 0, 1, 1, 0, 1};
   block = EncodeResultBlock(wide);
   ASSERT_TRUE(block.ok());
   bytes = *block;
-  bytes.back() = char(0xff);
+  bytes[kFlagsAt + 5] = char(0xff);
   expect_typed_failure(bytes, "bad flag in the last defined cell");
 
   // ... and from its first byte: a bad flag in the first present cell.
@@ -377,7 +380,7 @@ TEST(ResultBlockCodec, RejectsGeometryOverflowAndBadFlagBytes) {
   block = EncodeResultBlock(present);
   ASSERT_TRUE(block.ok());
   bytes = *block;
-  bytes[1 + 2 * sizeof(std::uint64_t)] = char(2);
+  bytes[kFlagsAt] = char(2);
   expect_typed_failure(bytes, "bad flag in the first present cell");
 
   // A block one byte short of its geometry, and one byte long.
@@ -395,8 +398,8 @@ TEST(ResultBlockCodec, EveryStrictPrefixFailsTyped) {
   xy.payload = QueryResult::Payload::kXY;
   xy.batch_tuples = 2;
   xy.batch_instants = 2;
-  xy.xs = {1, 2, 3, 4};
-  xy.ys = {4, 3, 2, 1};
+  xy.xs = {1, 3};
+  xy.ys = {4, 2};
   xy.defined = {1, 0, 1, 0};
   Result<std::string> block = EncodeResultBlock(xy);
   ASSERT_TRUE(block.ok());
@@ -404,6 +407,81 @@ TEST(ResultBlockCodec, EveryStrictPrefixFailsTyped) {
     Result<QueryResult> d = DecodeResultBlock(block->substr(0, n));
     ASSERT_FALSE(d.ok()) << "prefix length " << n;
   }
+}
+
+// The compact xy block (v5): the flags fix how many coordinates follow,
+// so a block whose coordinate columns disagree with its set count is
+// refused with a typed error (flag bytes other than 0 and 1 are
+// RejectsGeometryOverflowAndBadFlagBytes' cases).
+QueryResult CompactXY() {
+  QueryResult xy;
+  xy.payload = QueryResult::Payload::kXY;
+  xy.batch_tuples = 2;
+  xy.batch_instants = 3;
+  xy.defined = {0, 1, 1, 0, 0, 1};
+  xy.xs = {10, 20, 30};
+  xy.ys = {-1, -2, -3};
+  return xy;
+}
+
+TEST(ResultBlockCodec, MalformedCompactXYBlocksFailTyped) {
+  const std::string good = *EncodeResultBlock(CompactXY());
+  constexpr std::size_t kFlagsAt = 1 + 2 * sizeof(std::uint64_t);
+  auto expect_refused = [](const std::string& bytes, const std::string& why) {
+    Result<QueryResult> d = DecodeResultBlock(bytes);
+    ASSERT_FALSE(d.ok()) << why;
+    EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument)
+        << why << ": " << d.status();
+  };
+  // The ys column one double short of the three set cells.
+  expect_refused(good.substr(0, good.size() - sizeof(double)),
+                 "ys column shorter than the set count");
+  // Both columns sized for two cells, not three.
+  expect_refused(good.substr(0, good.size() - 2 * sizeof(double)),
+                 "coordinate columns shorter than the set count");
+  // One more set flag than coordinates: the columns now run short.
+  std::string extra = good;
+  extra[kFlagsAt] = char(1);
+  expect_refused(extra, "a set flag without coordinates");
+  // One set flag fewer: the last double is left over as trailing bytes.
+  std::string fewer = good;
+  fewer[kFlagsAt + 5] = char(0);
+  expect_refused(fewer, "coordinates beyond the set count");
+  // Trailing bytes after a well-formed block.
+  expect_refused(good + std::string(sizeof(double), '\0'),
+                 "a trailing coordinate");
+  expect_refused(good + '\0', "one trailing byte");
+  // The unmodified block still decodes.
+  Result<QueryResult> back = DecodeResultBlock(good);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->xs, CompactXY().xs);
+  EXPECT_EQ(back->ys, CompactXY().ys);
+  EXPECT_EQ(back->defined, CompactXY().defined);
+}
+
+TEST(ResultBlockCodec, EncoderRefusesColumnsThatDisagreeWithTheSetCount) {
+  auto expect_refused = [](const QueryResult& r, const std::string& why) {
+    Result<std::string> block = EncodeResultBlock(r);
+    ASSERT_FALSE(block.ok()) << why;
+    EXPECT_EQ(block.status().code(), StatusCode::kInvalidArgument)
+        << why << ": " << block.status();
+    Result<std::string> reply = EncodeReply(Status::OK(), &r);
+    ASSERT_FALSE(reply.ok()) << why;
+    EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument) << why;
+  };
+  QueryResult dense = CompactXY();
+  dense.xs = {0, 10, 20, 0, 0, 30};  // the pre-v5 dense form
+  dense.ys = {0, -1, -2, 0, 0, -3};
+  expect_refused(dense, "dense columns");
+  QueryResult short_x = CompactXY();
+  short_x.xs.pop_back();
+  expect_refused(short_x, "xs one short");
+  QueryResult long_y = CompactXY();
+  long_y.ys.push_back(7);
+  expect_refused(long_y, "ys one long");
+  QueryResult two = CompactXY();
+  two.defined[0] = 2;
+  expect_refused(two, "a flag byte of 2");
 }
 
 // ---------------------------------------------------------------------------
@@ -619,7 +697,7 @@ TEST(MutationAckCodec, ReplyRoundTripsOkAndError) {
 }
 
 // ---------------------------------------------------------------------------
-// Versioning: the header's version range is the only gate; v4 is the
+// Versioning: the header's version range is the only gate; v5 is the
 // one version spoken.
 // ---------------------------------------------------------------------------
 
@@ -650,7 +728,7 @@ TEST(Versioning, V2HeaderIsRejectedWithATypedError) {
   EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(d.status().message().find("version 2"), std::string::npos)
       << d.status();
-  EXPECT_NE(d.status().message().find("4..4"), std::string::npos)
+  EXPECT_NE(d.status().message().find("5..5"), std::string::npos)
       << d.status();
 }
 
@@ -665,7 +743,23 @@ TEST(Versioning, V3HeaderIsRejectedWithATypedError) {
     EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(d.status().message().find("version 3"), std::string::npos)
         << d.status();
-    EXPECT_NE(d.status().message().find("4..4"), std::string::npos)
+    EXPECT_NE(d.status().message().find("5..5"), std::string::npos)
+        << d.status();
+  }
+}
+
+// v4 is retired as well: a v4 peer would read the compact xy block as
+// dense columns, so its header is refused before any payload.
+TEST(Versioning, V4HeaderIsRejectedWithATypedError) {
+  for (FrameType type :
+       {FrameType::kQuery, FrameType::kReply, FrameType::kMutation}) {
+    Result<struct FrameHeader> d =
+        DecodeFrameHeader(EncodeFrameHeader(type, 0, 4));
+    ASSERT_FALSE(d.ok());
+    EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(d.status().message().find("version 4"), std::string::npos)
+        << d.status();
+    EXPECT_NE(d.status().message().find("5..5"), std::string::npos)
         << d.status();
   }
 }
@@ -784,18 +878,18 @@ TEST(WireGolden, XYReply) {
   QueryResult result;
   result.payload = QueryResult::Payload::kXY;
   result.batch_tuples = 1;
-  result.batch_instants = 2;
+  result.batch_instants = 3;
   result.xs = {1.0, 2.0};
   result.ys = {-1.0, 0.5};
-  result.defined = {1, 0};
+  result.defined = {1, 0, 1};
   const std::string block = Hex("01"                         // xy
                                 "01 00 00 00 00 00 00 00"    // 1 tuple
-                                "02 00 00 00 00 00 00 00") + // 2 instants
-                            Hex(k1_0) + Hex(k2_0) +          // xs
-                            Hex(kMinus1_0) + Hex(k0_5) +     // ys
-                            Hex("01 00");                    // defined
+                                "03 00 00 00 00 00 00 00"    // 3 instants
+                                "01 00 01") +                // defined
+                            Hex(k1_0) + Hex(k2_0) +          // xs, set cells
+                            Hex(kMinus1_0) + Hex(k0_5);      // ys, set cells
   const std::string reply =
-      Hex("00 00 00 00 00 00 00 00 33 00 00 00") + block + StatsField(result);
+      Hex("00 00 00 00 00 00 00 00 34 00 00 00") + block + StatsField(result);
   ExpectReplyBytes(EncodeReply(Status::OK(), &result), reply);
 }
 
@@ -953,9 +1047,9 @@ std::string RefResultBlock(const QueryResult& result) {
     case QueryResult::Payload::kXY:
       w.U64(result.batch_tuples);
       w.U64(result.batch_instants);
+      for (std::uint8_t d : result.defined) w.U8(d);
       for (double x : result.xs) w.F64(x);
       for (double y : result.ys) w.F64(y);
-      for (std::uint8_t d : result.defined) w.U8(d);
       break;
     case QueryResult::Payload::kPresent:
       w.U64(result.batch_tuples);
@@ -1046,8 +1140,10 @@ QueryResult RandomBatch(std::mt19937_64& rng) {
   for (std::size_t i = 0; i < cells; ++i) {
     const std::uint8_t flag = std::uint8_t(rng() % 2);
     if (result.payload == QueryResult::Payload::kXY) {
-      result.xs.push_back(flag != 0 ? coord(rng) : 0.0);
-      result.ys.push_back(flag != 0 ? coord(rng) : 0.0);
+      if (flag != 0) {
+        result.xs.push_back(coord(rng));
+        result.ys.push_back(coord(rng));
+      }
       result.defined.push_back(flag);
     } else {
       result.present.push_back(flag);
@@ -1455,8 +1551,8 @@ TEST(WireFuzz, MutatedValidRepliesNeverCrash) {
   result.payload = QueryResult::Payload::kXY;
   result.batch_tuples = 2;
   result.batch_instants = 2;
-  result.xs = {1, 2, 3, 4};
-  result.ys = {4, 3, 2, 1};
+  result.xs = {1, 2, 3};
+  result.ys = {4, 3, 2};
   result.defined = {1, 1, 1, 0};
   Result<std::string> payload = EncodeReply(Status::OK(), &result);
   ASSERT_TRUE(payload.ok());

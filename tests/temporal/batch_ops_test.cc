@@ -366,6 +366,9 @@ TEST(BatchSimd, UPointAtInstantScalarAvx2ByteIdentical) {
   }
 }
 
+// The compact xy kernel evaluates the defined instants alone and has no
+// SIMD core of its own: its output must not depend on the SIMD mode, and
+// must match the per-instant AtInstant bit for bit.
 TEST(BatchSimd, UPointXYKernelScalarAvx2ByteIdentical) {
   std::mt19937 rng(1234);
   for (int iter = 0; iter < 25; ++iter) {
@@ -386,19 +389,24 @@ TEST(BatchSimd, UPointXYKernelScalarAvx2ByteIdentical) {
     const std::vector<std::uint8_t>&def_s = xy_s.defined,
                                    &def_v = xy_v.defined;
     ASSERT_EQ(def_s, def_v) << "iter " << iter;
+    ASSERT_EQ(def_s.size(), instants.size()) << "iter " << iter;
+    // Compact: the j-th coordinate pair belongs to the j-th defined
+    // instant, and undefined instants have none.
+    ASSERT_EQ(xs_s.size(), xs_v.size()) << "iter " << iter;
+    ASSERT_EQ(ys_s.size(), xs_s.size()) << "iter " << iter;
+    std::size_t j = 0;
     for (std::size_t i = 0; i < instants.size(); ++i) {
-      ASSERT_TRUE(BitEq(xs_s[i], xs_v[i])) << "iter " << iter << " i=" << i;
-      ASSERT_TRUE(BitEq(ys_s[i], ys_v[i])) << "iter " << iter << " i=" << i;
       Intime<Point> one = mp.AtInstant(instants[i]);
       ASSERT_EQ(def_s[i] != 0, one.defined) << "iter " << iter;
-      if (one.defined) {
-        ASSERT_TRUE(BitEq(xs_s[i], one.value.x)) << "iter " << iter;
-        ASSERT_TRUE(BitEq(ys_s[i], one.value.y)) << "iter " << iter;
-      } else {
-        ASSERT_EQ(xs_s[i], 0.0) << "iter " << iter;
-        ASSERT_EQ(ys_s[i], 0.0) << "iter " << iter;
-      }
+      if (!one.defined) continue;
+      ASSERT_LT(j, xs_s.size()) << "iter " << iter;
+      ASSERT_TRUE(BitEq(xs_s[j], xs_v[j])) << "iter " << iter << " i=" << i;
+      ASSERT_TRUE(BitEq(ys_s[j], ys_v[j])) << "iter " << iter << " i=" << i;
+      ASSERT_TRUE(BitEq(xs_s[j], one.value.x)) << "iter " << iter;
+      ASSERT_TRUE(BitEq(ys_s[j], one.value.y)) << "iter " << iter;
+      ++j;
     }
+    ASSERT_EQ(j, xs_s.size()) << "iter " << iter;
   }
 }
 
@@ -416,10 +424,47 @@ TEST(BatchSimd, UPointXYKernelWithoutIndexMatchesIndexed) {
   const std::vector<double>&xs_a = xy_a.xs, &ys_a = xy_a.ys, &xs_b = xy_b.xs,
                            &ys_b = xy_b.ys;
   EXPECT_EQ(xy_a.defined, xy_b.defined);
-  for (std::size_t i = 0; i < instants.size(); ++i) {
-    EXPECT_TRUE(BitEq(xs_a[i], xs_b[i])) << i;
-    EXPECT_TRUE(BitEq(ys_a[i], ys_b[i])) << i;
+  ASSERT_EQ(xs_a.size(), xs_b.size());
+  ASSERT_EQ(ys_a.size(), ys_b.size());
+  for (std::size_t j = 0; j < xs_a.size(); ++j) {
+    EXPECT_TRUE(BitEq(xs_a[j], xs_b[j])) << j;
+    EXPECT_TRUE(BitEq(ys_a[j], ys_b[j])) << j;
   }
+}
+
+// The xy kernel appends: two batches into one output are the two
+// outputs concatenated, flags and coordinates alike, and a rejected
+// batch leaves the output as it was.
+TEST(BatchSimd, UPointXYKernelAppendsToItsOutput) {
+  std::mt19937 rng(91);
+  MovingPoint mp = GappyTrack(&rng, 30);
+  mp.BuildSearchIndex();
+  double hi = mp.units().back().interval().end();
+  const std::vector<Instant> first = SortedProbe(&rng, -0.5, hi + 0.5, 40);
+  const std::vector<Instant> second = SortedProbe(&rng, -0.5, hi + 0.5, 25);
+  BatchScratch scratch;
+  BatchXYOutput a, b, both;
+  ASSERT_TRUE(AtInstantBatchXYInto(mp, first, &a, &scratch).ok());
+  ASSERT_TRUE(AtInstantBatchXYInto(mp, second, &b, &scratch).ok());
+  ASSERT_TRUE(AtInstantBatchXYInto(mp, first, &both, &scratch).ok());
+  ASSERT_TRUE(AtInstantBatchXYInto(mp, second, &both, &scratch).ok());
+  auto concat = [](std::vector<double> x, const std::vector<double>& y) {
+    x.insert(x.end(), y.begin(), y.end());
+    return x;
+  };
+  std::vector<std::uint8_t> flags = a.defined;
+  flags.insert(flags.end(), b.defined.begin(), b.defined.end());
+  EXPECT_EQ(both.defined, flags);
+  EXPECT_EQ(both.xs, concat(a.xs, b.xs));
+  EXPECT_EQ(both.ys, concat(a.ys, b.ys));
+  EXPECT_GT(both.xs.size(), 0u);
+  EXPECT_LT(both.xs.size(), both.defined.size());
+
+  const BatchXYOutput before = both;
+  EXPECT_FALSE(AtInstantBatchXYInto(mp, {2.0, 1.0}, &both, &scratch).ok());
+  EXPECT_EQ(both.defined, before.defined);
+  EXPECT_EQ(both.xs, before.xs);
+  EXPECT_EQ(both.ys, before.ys);
 }
 
 TEST(BatchSimd, RejectsUnsortedOnFastPath) {
@@ -566,7 +611,7 @@ TEST(SearchIndex, CachesDeftimeBoundAndSharesAcrossCopies) {
   EXPECT_EQ(ix->min_start, 1.0);
   EXPECT_EQ(ix->max_end, 6.0);
   ASSERT_EQ(ix->start.size(), 2u);
-  EXPECT_TRUE(ix->left_closed(0));
+  EXPECT_EQ(ix->start_key[0], 1.0);  // a closed start is its own key
   // Copies share the index.
   MovingReal copy = m;
   EXPECT_EQ(copy.search_index(), ix);
@@ -621,19 +666,24 @@ void ExpectBatchesMatchPerInstant(const MovingPoint& mp,
   ASSERT_EQ(at.size(), instants.size());
   ASSERT_EQ(xy.defined.size(), instants.size());
   ASSERT_EQ(present.size(), instants.size());
+  std::size_t j = 0;  // xy's coordinate slot of the next defined instant
   for (std::size_t i = 0; i < instants.size(); ++i) {
     const Instant t = instants[i];
     const Intime<Point> one = mp.AtInstant(t);
     EXPECT_EQ(at[i].defined, one.defined) << "t = " << t;
-    EXPECT_EQ(xy.defined[i], one.defined ? 1 : 0) << "t = " << t;
+    ASSERT_EQ(xy.defined[i], one.defined ? 1 : 0) << "t = " << t;
     EXPECT_EQ(present[i], mp.Present(t) ? 1 : 0) << "t = " << t;
     if (one.defined) {
       EXPECT_TRUE(BitEq(at[i].value.x, one.value.x)) << "t = " << t;
       EXPECT_TRUE(BitEq(at[i].value.y, one.value.y)) << "t = " << t;
-      EXPECT_TRUE(BitEq(xy.xs[i], one.value.x)) << "t = " << t;
-      EXPECT_TRUE(BitEq(xy.ys[i], one.value.y)) << "t = " << t;
+      ASSERT_LT(j, xy.xs.size()) << "t = " << t;
+      EXPECT_TRUE(BitEq(xy.xs[j], one.value.x)) << "t = " << t;
+      EXPECT_TRUE(BitEq(xy.ys[j], one.value.y)) << "t = " << t;
+      ++j;
     }
   }
+  EXPECT_EQ(j, xy.xs.size());
+  EXPECT_EQ(j, xy.ys.size());
 }
 
 void ExpectIndexlessMatchesIndexed(const MovingPoint& mp,
@@ -658,8 +708,12 @@ void ExpectIndexlessMatchesIndexed(const MovingPoint& mp,
     EXPECT_EQ(at_a[i].defined, at_b[i].defined) << "t = " << instants[i];
     EXPECT_TRUE(BitEq(at_a[i].value.x, at_b[i].value.x));
     EXPECT_TRUE(BitEq(at_a[i].value.y, at_b[i].value.y));
-    EXPECT_TRUE(BitEq(xy_a.xs[i], xy_b.xs[i]));
-    EXPECT_TRUE(BitEq(xy_a.ys[i], xy_b.ys[i]));
+  }
+  ASSERT_EQ(xy_a.xs.size(), xy_b.xs.size());
+  ASSERT_EQ(xy_a.ys.size(), xy_b.ys.size());
+  for (std::size_t j = 0; j < xy_a.xs.size(); ++j) {
+    EXPECT_TRUE(BitEq(xy_a.xs[j], xy_b.xs[j]));
+    EXPECT_TRUE(BitEq(xy_a.ys[j], xy_b.ys[j]));
   }
 }
 

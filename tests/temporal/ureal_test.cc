@@ -10,14 +10,14 @@ namespace {
 TimeInterval TI(double s, double e) { return *TimeInterval::Make(s, e, true, true); }
 
 TEST(QuadraticRoots, TwoRoots) {
-  std::vector<double> r = QuadraticRoots(1, -3, 2);  // t² - 3t + 2.
+  Roots r = QuadraticRoots(1, -3, 2);  // t² - 3t + 2.
   ASSERT_EQ(r.size(), 2u);
   EXPECT_DOUBLE_EQ(r[0], 1);
   EXPECT_DOUBLE_EQ(r[1], 2);
 }
 
 TEST(QuadraticRoots, DoubleRoot) {
-  std::vector<double> r = QuadraticRoots(1, -2, 1);
+  Roots r = QuadraticRoots(1, -2, 1);
   ASSERT_EQ(r.size(), 1u);
   EXPECT_DOUBLE_EQ(r[0], 1);
 }
@@ -27,7 +27,7 @@ TEST(QuadraticRoots, NoRealRoots) {
 }
 
 TEST(QuadraticRoots, LinearAndConstant) {
-  std::vector<double> r = QuadraticRoots(0, 2, -4);
+  Roots r = QuadraticRoots(0, 2, -4);
   ASSERT_EQ(r.size(), 1u);
   EXPECT_DOUBLE_EQ(r[0], 2);
   EXPECT_TRUE(QuadraticRoots(0, 0, 5).empty());
@@ -36,7 +36,7 @@ TEST(QuadraticRoots, LinearAndConstant) {
 
 TEST(QuadraticRoots, NumericallyStableForSmallQ) {
   // b large relative to a·c: the naive formula loses the small root.
-  std::vector<double> r = QuadraticRoots(1, -1e8, 1);
+  Roots r = QuadraticRoots(1, -1e8, 1);
   ASSERT_EQ(r.size(), 2u);
   EXPECT_NEAR(r[0] * r[1], 1, 1e-6);  // Vieta.
 }
@@ -94,7 +94,7 @@ TEST(URealExtrema, RootCaseVertex) {
 
 TEST(URealInstantsAtValue, QuadraticCrossings) {
   UReal u = *UReal::Make(TI(0, 10), 1, -10, 26, false);  // (t-5)² + 1.
-  std::vector<Instant> at2 = u.InstantsAtValue(2);       // (t-5)² = 1.
+  Roots at2 = u.InstantsAtValue(2);                      // (t-5)² = 1.
   ASSERT_EQ(at2.size(), 2u);
   EXPECT_DOUBLE_EQ(at2[0], 4);
   EXPECT_DOUBLE_EQ(at2[1], 6);
@@ -105,7 +105,7 @@ TEST(URealInstantsAtValue, QuadraticCrossings) {
 
 TEST(URealInstantsAtValue, RootCaseSquaresTheTarget) {
   UReal u = *UReal::Make(TI(0, 10), 1, 0, 0, true);  // √(t²) = t.
-  std::vector<Instant> at3 = u.InstantsAtValue(3);
+  Roots at3 = u.InstantsAtValue(3);
   ASSERT_EQ(at3.size(), 1u);
   EXPECT_DOUBLE_EQ(at3[0], 3);
   EXPECT_TRUE(u.InstantsAtValue(-1).empty());  // √ can't be negative.
