@@ -1,7 +1,8 @@
 // Batch/parallel execution experiments: the O(n+k) AtInstantBatch merge
-// sweep vs. k independent O(log n) AtInstant searches, the SoA search
-// index, the in-place co-defined interval walk, and parallel query plans
-// on the morsel engine.
+// sweep over the unit records vs. k independent O(log n) AtInstant
+// searches (BM_AtInstant_Batch sweeps k across the dense/sparse cut), the
+// in-place co-defined interval walk, and parallel query plans on the
+// morsel engine.
 
 #include <benchmark/benchmark.h>
 
@@ -68,19 +69,18 @@ void BM_AtInstant_Batch(benchmark::State& state) {
   const int units = int(state.range(0));
   const int k = int(state.range(1));
   MovingPoint mp = DenseTrack(units);
-  mp.BuildSearchIndex();
   std::vector<Instant> instants = SortedInstants(k, units, 7);
   std::vector<Intime<Point>> out;
-  BatchScratch scratch;
   for (auto _ : state) {
-    (void)AtInstantBatchInto(mp, instants, &out, &scratch);
+    (void)AtInstantBatchInto(mp, instants, &out);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(int64_t(state.iterations()) * k);
 }
 BENCHMARK(BM_AtInstant_Batch)
-    ->ArgsProduct({{10000}, {8, 16, 32, 64, 128, 256, 1024, 8192}})
-    ->ArgsProduct({{16384}, {16384}});
+    ->ArgsProduct({{10000, 16384},
+                   {8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192,
+                    16384}});
 
 // 1 024 independent FindUnit probes on a 10 000-unit track.
 void BM_FindUnit(benchmark::State& state) {

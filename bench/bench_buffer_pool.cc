@@ -87,12 +87,10 @@ void BM_AtInstantBatch_InMemory(benchmark::State& state) {
   const int units = int(state.range(0));
   const int k = int(state.range(1));
   MovingPoint mp = Trajectory(units, 7);
-  mp.BuildSearchIndex();
   std::vector<Instant> instants = SortedInstants(k, units, 13);
   std::vector<Intime<Point>> out;
-  BatchScratch scratch;
   for (auto _ : state) {
-    if (!AtInstantBatchInto(mp, instants, &out, &scratch).ok()) {
+    if (!AtInstantBatchInto(mp, instants, &out).ok()) {
       state.SkipWithError("batch failed");
     }
     benchmark::DoNotOptimize(out.data());
@@ -199,8 +197,7 @@ void BM_AtInstantBatch_SpilledWarmValidated(benchmark::State& state) {
   BufferPool pool(&store, 1024);
   std::vector<Intime<Point>> out;
   // Prime through the validated path: decode + invariant check once.
-  auto primed = spilled.LoadValidated(&pool, validate::MappingValidator{},
-                                      /*build_search_index=*/true);
+  auto primed = spilled.LoadValidated(&pool, validate::MappingValidator{});
   if (!primed.ok()) {
     state.SkipWithError("validated load failed");
     return;
@@ -233,8 +230,7 @@ void BM_AtInstantBatch_SpilledColdValidated(benchmark::State& state) {
     spilled.Release();
     if (!pool.DropAll().ok()) state.SkipWithError("drop failed");
     state.ResumeTiming();
-    auto loaded = spilled.LoadValidated(&pool, validate::MappingValidator{},
-                                        /*build_search_index=*/true);
+    auto loaded = spilled.LoadValidated(&pool, validate::MappingValidator{});
     if (!loaded.ok()) state.SkipWithError("validated load failed");
     if (!AtInstantBatchSpilled(&spilled, &pool, instants, &out).ok()) {
       state.SkipWithError("batch failed");

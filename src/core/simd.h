@@ -1,10 +1,8 @@
-// Runtime SIMD dispatch for the vectorized hot-path kernels (the flat
-// R-tree hit-mask and the batch position-evaluation kernels). Every
-// kernel has a scalar core that is the semantic reference; the AVX2
-// specializations must produce byte-identical results (they use the
-// same multiply-then-add rounding, never FMA contraction) and are
-// selected at runtime so one binary runs correctly on any x86-64 and
-// the two paths can be differentially tested against each other.
+// Runtime SIMD dispatch for the one vectorized hot-path kernel, the flat
+// R-tree's hit mask (index/rtree3d.h). Its scalar core is the semantic
+// reference; the AVX2 specialization must produce byte-identical results
+// and is selected at runtime so one binary runs correctly on any x86-64
+// and the two paths can be differentially tested against each other.
 //
 // Selection order:
 //   1. SetSimdMode() (tests/benches force a path programmatically),

@@ -49,8 +49,7 @@ Result<SpilledRelation> SpilledRelation::Spill(const Relation& rel, int attr,
 }
 
 Result<Tuple> SpilledRelation::MaterializeTuple(std::size_t i) {
-  Result<const MovingPoint*> mp =
-      handles_[i].Load(pool_, /*build_search_index=*/true);
+  Result<const MovingPoint*> mp = handles_[i].Load(pool_);
   if (!mp.ok()) return mp.status();
   Tuple t = skeleton_.tuple(i);
   t[std::size_t(attr_)] = **mp;

@@ -80,7 +80,8 @@ class SpilledRelation {
   /// Row i with the spilled value loaded (faulting its pages through
   /// the pool on first touch) and substituted into the spilled slot.
   /// The value is memoized on the handle, so repeated materialization
-  /// reads no pages. The loaded mapping gets its SoA search index.
+  /// reads no pages; the copy into the tuple shares the memoized unit
+  /// array.
   Result<Tuple> MaterializeTuple(std::size_t i);
 
   /// Readahead hint for row i's page run (no-op once the row is

@@ -9,7 +9,8 @@
 // bounding cubes are stored as six SoA plane arrays (min/max per axis),
 // so a node's full fanout intersection test is one branchless pass
 // producing a hit bitmask — an autovectorizable scalar core with an
-// AVX2 specialization dispatched at runtime (core/simd.h, MODB_SIMD).
+// AVX2 specialization dispatched at runtime (core/simd.h, MODB_SIMD;
+// the only kernel that dispatch serves).
 // Leaf slots carry the entry ids in the same position, so the leaf
 // mask IS the entry filter and no per-entry records are chased.
 

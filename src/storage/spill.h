@@ -9,7 +9,9 @@
 // Reads go through a BufferPool, so a cold value costs one device read
 // per page and a warm one costs none; Spilled<M> additionally memoizes
 // the decoded value, the load-on-demand handle the paged query readers
-// (temporal/paged_ops.h) evaluate AtInstantBatch/Present against.
+// (temporal/paged_ops.h) evaluate AtInstantBatch/Present against. The
+// memoized value is exactly what was decoded: no side structure is
+// built at load.
 
 #ifndef MODB_STORAGE_SPILL_H_
 #define MODB_STORAGE_SPILL_H_
@@ -129,10 +131,8 @@ class Spilled {
     return Spilled(*loc);
   }
 
-  /// The decoded value, loading through `pool` on first call. When
-  /// `build_search_index` is set, the mapping's SoA search index is built
-  /// once at load so subsequent batch kernels run at full speed.
-  Result<const M*> Load(BufferPool* pool, bool build_search_index = false) {
+  /// The decoded value, loading through `pool` on first call.
+  Result<const M*> Load(BufferPool* pool) {
     if (!cached_) {
       Result<std::string> blob = ReadSpilledBlob(pool, loc_);
       if (!blob.ok()) return blob.status();
@@ -141,11 +141,6 @@ class Spilled {
       Result<M> value = FlatCodec<M>::FromFlat(*flat);
       if (!value.ok()) return value.status();
       cached_.emplace(std::move(*value));
-      // Non-mapping attribute types (Periods, Line, Region) have no
-      // search index; the flag is simply ignored for them.
-      if constexpr (requires(M& m) { m.BuildSearchIndex(); }) {
-        if (build_search_index) cached_->BuildSearchIndex();
-      }
     }
     return &*cached_;
   }
@@ -157,10 +152,9 @@ class Spilled {
   /// `const M& -> Status`. Costs one extra pass at decode time only —
   /// warm calls return the memoized value untouched.
   template <typename Validator>
-  Result<const M*> LoadValidated(BufferPool* pool, Validator&& validator,
-                                 bool build_search_index = false) {
+  Result<const M*> LoadValidated(BufferPool* pool, Validator&& validator) {
     const bool was_loaded = cached_.has_value();
-    Result<const M*> loaded = Load(pool, build_search_index);
+    Result<const M*> loaded = Load(pool);
     if (!loaded.ok()) return loaded;
     if (!was_loaded) {
       Status valid = validator(**loaded);

@@ -5,15 +5,16 @@
 // examples) evaluate them over many instants and many tuple pairs. The
 // kernels here amortize that:
 //
-//   * AtInstantBatch / PresentBatch: k ascending instants against n
-//     units in one forward merge sweep. The cursor only moves forward
-//     and advances by galloping (exponential probe + binary search), so
-//     the cost is O(n + k) when the instants are dense in the units and
-//     O(k log n) when they are sparse — never worse than k independent
-//     binary searches, and without their repeated cold-cache descents.
+//   * AtInstantBatch / AtInstantBatchXY / PresentBatch: k ascending
+//     instants against n units in one forward sweep. The cursor only
+//     moves forward: a two-pointer merge when the instants are dense in
+//     the units, O(n + k), and galloping (exponential probe + binary
+//     search) when they are sparse, O(k log n) — never worse than k
+//     independent binary searches, and without their repeated
+//     cold-cache descents.
 //
-// All kernels use the Mapping's SoA search index when it has been built
-// (Mapping::BuildSearchIndex), falling back to the unit records.
+// The sweep reads the mapping's unit records where they lie (the unit
+// array of Section 4); no kernel keeps a second copy of them.
 
 #ifndef MODB_TEMPORAL_BATCH_OPS_H_
 #define MODB_TEMPORAL_BATCH_OPS_H_
@@ -22,79 +23,21 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/instant.h"
 #include "core/intime.h"
 #include "core/status.h"
 #include "obs/metrics.h"
+#include "spatial/point.h"
 #include "temporal/mapping.h"
 
 namespace modb {
 
 namespace batch_internal {
 
-/// Accessor over the packed SoA arrays of a MappingSearchIndex. The
-/// precomputed key arrays make both sweep predicates a single double
-/// compare on one contiguous array.
-struct SoAView {
-  const MappingSearchIndex* ix;
-
-  std::size_t size() const { return ix->start.size(); }
-  /// Deftime-bounds prefilter: t strictly outside [min start, max end]
-  /// is undefined without probing the key arrays (cached bounds, one
-  /// compare pair per instant).
-  bool certainly_undefined(Instant t) const {
-    return ix->start.empty() || t < ix->min_start || ix->max_end < t;
-  }
-  /// Unit k lies entirely before t (r-disjoint from [t, t]).
-  bool before(std::size_t k, Instant t) const { return ix->end_key[k] < t; }
-  /// Unit k starts at or before t.
-  bool starts_by(std::size_t k, Instant t) const {
-    return ix->start_key[k] <= t;
-  }
-  /// Approximate end of unit k, for interpolation probe seeding.
-  Instant end_approx(std::size_t k) const { return ix->end_key[k]; }
-  /// First index at or after i that is not before t (may be size()).
-  /// The +inf sentinel slot lets the sweep advance without bounds
-  /// checks, and the two leading steps are unconditional compare+adds
-  /// (no branch to mispredict) covering the common dense-merge case of
-  /// advancing 0–2 units per instant.
-  std::size_t advance_to(std::size_t i, Instant t) const {
-    const Instant* ek = ix->end_key.data();
-    i += std::size_t(ek[i] < t);
-    i += std::size_t(ek[i] < t);
-    while (ek[i] < t) ++i;
-    return i;
-  }
-  /// Containment test for an advance_to result (sentinel-safe: i ==
-  /// size() reads the +inf start_key slot and reports false).
-  bool contains_at(std::size_t i, Instant t) const {
-    return ix->start_key[i] <= t;
-  }
-  /// First index in [lo, hi) that is not before t, or hi. Branchless
-  /// binary search over the packed key array (the comparison result
-  /// feeds a conditional move, not a branch, so random probe outcomes
-  /// cost no mispredictions).
-  std::size_t first_not_before(std::size_t lo, std::size_t hi,
-                               Instant t) const {
-    const Instant* data = ix->end_key.data();
-    const Instant* base = data + lo;
-    std::size_t len = hi - lo;
-    while (len > 1) {
-      std::size_t half = len / 2;
-      base += (base[half - 1] < t) ? half : 0;
-      len -= half;
-    }
-    if (len == 1 && *base < t) ++base;
-    return std::size_t(base - data);
-  }
-};
-
-/// Accessor over the full unit records (no index built).
+/// Accessor over the unit records: the sweep predicates read each unit's
+/// interval where it lies in the mapping's unit array.
 template <typename U>
 struct UnitsView {
   explicit UnitsView(const std::vector<U>* u)
@@ -107,24 +50,28 @@ struct UnitsView {
   Instant max_end;    // the last unit's end
 
   std::size_t size() const { return units->size(); }
-  /// Deftime-bounds prefilter, as SoAView's: the units are disjoint and
-  /// in time order, so t strictly outside [first start, last end] is
-  /// undefined. An instant on either edge still goes to the sweep,
-  /// which knows whether that end is closed.
+  /// Deftime-bounds prefilter: the units are disjoint and in time order,
+  /// so t strictly outside [first start, last end] is undefined. An
+  /// instant on either edge still goes to the sweep, which knows whether
+  /// that end is closed.
   bool certainly_undefined(Instant t) const {
     return units->empty() || t < min_start || max_end < t;
   }
+  /// Unit k lies entirely before t (r-disjoint from [t, t]).
   bool before(std::size_t k, Instant t) const {
     const TimeInterval& iv = (*units)[k].interval();
     return iv.end() < t || (iv.end() == t && !iv.right_closed());
   }
+  /// Unit k starts at or before t.
   bool starts_by(std::size_t k, Instant t) const {
     const TimeInterval& iv = (*units)[k].interval();
     return iv.start() < t || (iv.start() == t && iv.left_closed());
   }
+  /// End of unit k, for interpolation probe seeding.
   Instant end_approx(std::size_t k) const {
     return (*units)[k].interval().end();
   }
+  /// First index in [lo, hi) that is not before t, or hi.
   std::size_t first_not_before(std::size_t lo, std::size_t hi,
                                Instant t) const {
     while (lo < hi) {
@@ -137,12 +84,13 @@ struct UnitsView {
     }
     return lo;
   }
-  /// Guarded equivalents of SoAView's sentinel-based sweep steps.
+  /// First index at or after i that is not before t (may be size()).
   std::size_t advance_to(std::size_t i, Instant t) const {
     const std::size_t n = size();
     while (i < n && before(i, t)) ++i;
     return i;
   }
+  /// Containment test for an advance_to result.
   bool contains_at(std::size_t i, Instant t) const {
     return i < size() && starts_by(i, t);
   }
@@ -159,22 +107,21 @@ struct SweepCounters {
   std::uint64_t bbox_skips = 0;      // resolved by the deftime-bounds prefilter
 };
 
-/// One step of the merge sweep: the index of the unit containing t, or
-/// npos. `*cursor` only moves forward; with ascending queries the total
-/// advance over a whole batch is O(n + k) (galloping keeps each
-/// individual advance at O(log jump)).
+/// "No unit contains this instant."
 inline constexpr std::size_t kNpos = std::size_t(-1);
 
-template <typename View>
-std::size_t SweepFind(const View& v, Instant t, std::size_t* cursor,
-                      std::size_t hint = 1,
-                      SweepCounters* counters = nullptr) {
+/// One step of the sparse sweep: the index of the unit containing t, or
+/// kNpos. `*cursor` only moves forward; with ascending queries the total
+/// advance over a whole batch is O(n + k) (galloping keeps each
+/// individual advance at O(log jump)).
+template <typename U>
+std::size_t SweepFind(const UnitsView<U>& v, Instant t, std::size_t* cursor,
+                      std::size_t hint, SweepCounters* counters) {
   const std::size_t n = v.size();
   std::size_t i = *cursor;
   bool needs_advance = i < n && v.before(i, t);
   if (needs_advance) {
-    // Dense fast steps: with instants about as dense as the units (the
-    // k ≈ n sweep case) the advance is almost always a handful of
+    // Short steps: clustered instants often advance only a handful of
     // adjacent units — resolve those with single compares before
     // falling into the interpolation/gallop machinery below.
     for (int s = 0; s < 3 && needs_advance; ++s) {
@@ -182,9 +129,7 @@ std::size_t SweepFind(const View& v, Instant t, std::size_t* cursor,
       needs_advance = i < n && v.before(i, t);
     }
   }
-  if (counters != nullptr) {
-    ++(needs_advance ? counters->gallop_searches : counters->cursor_hits);
-  }
+  ++(needs_advance ? counters->gallop_searches : counters->cursor_hits);
   if (needs_advance) {
     // First probe: interpolate t's position within the remaining unit
     // ends. On near-uniform unit durations (the common case for sliced
@@ -236,73 +181,67 @@ inline Status NotAscending() {
 /// index arrays.
 inline constexpr std::int32_t kUndefinedUnit = -1;
 
-/// Phase 1 of the split batch kernels: resolves every instant to its
-/// containing unit index (kUndefinedUnit when undefined), combining the
-/// deftime-bounds prefilter with the forward merge sweep. Returns false
-/// when the instants are not ascending. idx must hold instant count
-/// slots.
-template <typename View>
-bool ResolveAscending(const View& v, const std::vector<Instant>& instants,
-                      std::int32_t* idx, std::size_t* cursor,
-                      SweepCounters* counters) {
+/// The dense/sparse cut of ResolveAscending: k instants over n units take
+/// the two-pointer merge when k * kDenseRatio >= n, and the gallop
+/// otherwise. On the unit records the merge costs about 0.5 ns per unit
+/// stepped over and the gallop about 10 ns per instant, so the two cross
+/// near k = n/19 (EXPERIMENTS.md P20).
+inline constexpr std::size_t kDenseRatio = 16;
+
+/// The resolve pass every batch kernel runs: hands each instant's
+/// containing unit index, or kNpos where the mapping is undefined, to
+/// `emit(q, unit)` in instant order, combining the deftime-bounds
+/// prefilter with the forward merge sweep. Returns false when the
+/// instants are not ascending, possibly after emitting some of them.
+template <typename U, typename Emit>
+bool ResolveAscending(const std::vector<U>& units,
+                      const std::vector<Instant>& instants,
+                      std::size_t* cursor, SweepCounters* counters,
+                      Emit&& emit) {
+  const UnitsView<U> v(&units);
   const std::size_t n = v.size();
   const std::size_t k = instants.size();
-  Instant prev = -std::numeric_limits<Instant>::infinity();
-  if (k * 4 >= n) {
-    // Dense regime (k ≳ n/4): the cursor advances by ~n/k ≤ 4 units per
-    // instant, so a pure two-pointer merge — one compare per unit
-    // stepped over — beats dispatching the interpolation/gallop
-    // machinery. Still O(n + k) in total. The ascending check is one
-    // predictable up-front pass, and with sorted instants the
-    // deftime-bounds prefilter hits exactly a prefix (t before the
-    // first unit) and a suffix (t after the last), so both hoist out
-    // and the merge loop is two compares per instant.
-    if (!std::is_sorted(instants.begin(), instants.end())) return false;
-    std::size_t lo = 0, hi = k;
-    while (lo < hi && v.certainly_undefined(instants[lo])) {
-      idx[lo++] = kUndefinedUnit;
-    }
-    while (hi > lo && v.certainly_undefined(instants[hi - 1])) {
-      idx[--hi] = kUndefinedUnit;
-    }
-    counters->bbox_skips += lo + (k - hi);
+  const Instant* ts = instants.data();
+  // The ascending check rides on the loops below, one compare per
+  // adjacent pair. With sorted instants the deftime-bounds prefilter
+  // hits exactly a prefix (t before the first unit) and a suffix (t
+  // after the last), so both hoist out of the sweep.
+  std::size_t lo = 0, hi = k;
+  for (; lo < hi && v.certainly_undefined(ts[lo]); ++lo) {
+    if (lo > 0 && ts[lo] < ts[lo - 1]) return false;
+  }
+  for (; hi > lo && v.certainly_undefined(ts[hi - 1]); --hi) {
+    if (hi < k && ts[hi] < ts[hi - 1]) return false;
+  }
+  // The pair across the sweep's end and the suffix's start.
+  if (hi > 0 && hi < k && ts[hi] < ts[hi - 1]) return false;
+  counters->bbox_skips += lo + (k - hi);
+  for (std::size_t q = 0; q < lo; ++q) emit(q, kNpos);
+  if (k * kDenseRatio >= n) {
+    // Dense: the cursor advances by about n/k <= kDenseRatio units per
+    // instant, so a pure two-pointer merge, one compare per unit stepped
+    // over, beats dispatching the interpolation/gallop machinery. Still
+    // O(n + k) in total.
     std::size_t i = *cursor;
     for (std::size_t q = lo; q < hi; ++q) {
-      const Instant t = instants[q];
+      const Instant t = ts[q];
+      if (q > 0 && t < ts[q - 1]) return false;
       i = v.advance_to(i, t);
-      idx[q] = v.contains_at(i, t) ? std::int32_t(i) : kUndefinedUnit;
+      emit(q, v.contains_at(i, t) ? i : kNpos);
     }
     counters->cursor_hits += hi - lo;
     *cursor = i;
-    return true;
-  }
-  const std::size_t hint =
-      std::max<std::size_t>(1, n / std::max<std::size_t>(1, k));
-  for (std::size_t q = 0; q < k; ++q) {
-    const Instant t = instants[q];
-    if (t < prev) return false;
-    prev = t;
-    if (v.certainly_undefined(t)) {
-      ++counters->bbox_skips;
-      idx[q] = kUndefinedUnit;
-      continue;
+  } else {
+    const std::size_t hint =
+        std::max<std::size_t>(1, n / std::max<std::size_t>(1, k));
+    for (std::size_t q = lo; q < hi; ++q) {
+      if (q > 0 && ts[q] < ts[q - 1]) return false;
+      emit(q, SweepFind(v, ts[q], cursor, hint, counters));
     }
-    const std::size_t r = SweepFind(v, t, cursor, hint, counters);
-    idx[q] = r == kNpos ? kUndefinedUnit : std::int32_t(r);
   }
+  for (std::size_t q = hi; q < k; ++q) emit(q, kNpos);
   return true;
 }
-
-/// Phase 2 kernel over the packed motion-coefficient arrays
-/// (MappingSearchIndex::motion_*): a scalar reference core with an AVX2
-/// specialization (gather + multiply-then-add, never FMA, so the two
-/// paths are byte-identical) dispatched at runtime via core/simd.h.
-/// Undefined slots (idx < 0) produce zeroed outputs with the defined
-/// flag clear, exactly like Intime::Undefined(). Defined in
-/// batch_ops.cc.
-void EvalMotionPositions(const MappingSearchIndex& ix, const Instant* ts,
-                         const std::int32_t* idx, std::size_t n,
-                         Intime<Point>* out);
 
 inline void FlushSweepCounters(const SweepCounters& sweep,
                                std::size_t units_scanned) {
@@ -315,18 +254,17 @@ inline void FlushSweepCounters(const SweepCounters& sweep,
 
 }  // namespace batch_internal
 
-/// Reusable buffers for the split (resolve, then evaluate) batch
-/// kernels: hoist one instance out of a per-tuple loop and the kernels
-/// allocate nothing after warmup.
+/// Reusable buffer for AtInstantBatchXYInto: hoist one instance out of a
+/// per-tuple loop and the kernel allocates nothing after warmup.
 struct BatchScratch {
   std::vector<std::int32_t> unit_idx;
 };
 
-/// Compact SoA output of batched position evaluation: one 0/1
-/// `defined` flag per (mapping, instant) cell, and `xs` / `ys` only for
-/// the defined cells, in the same order. Undefined cells take no
-/// coordinate slot, so xs.size() == ys.size() == the number of set
-/// flags; the cell behind xs[j] is the j-th set flag.
+/// Compact output of batched position evaluation: one 0/1 `defined`
+/// flag per (mapping, instant) cell, and `xs` / `ys` only for the defined
+/// cells, in the same order. Undefined cells take no coordinate slot, so
+/// xs.size() == ys.size() == the number of set flags; the cell behind
+/// xs[j] is the j-th set flag.
 struct BatchXYOutput {
   std::vector<double> xs;
   std::vector<double> ys;
@@ -334,107 +272,53 @@ struct BatchXYOutput {
 };
 
 // ---------------------------------------------------------------------------
-// Front-ends. The merge sweeps are inherently serial and run inline on
-// the calling thread; parallelism over many mappings belongs to the
-// morsel engine's batch terminal (exec/pipeline.h). The paged twins in
-// temporal/paged_ops.h run the same kernels.
+// Front-ends. Each runs batch_internal::ResolveAscending over the unit
+// records and says what to emit per instant. The merge sweeps are
+// inherently serial and run inline on the calling thread; parallelism
+// over many mappings belongs to the morsel engine's batch terminal
+// (exec/pipeline.h). The paged twins in temporal/paged_ops.h run the same
+// kernels.
 // ---------------------------------------------------------------------------
 
 /// atinstant over a batch of ascending instants: one merge sweep instead
 /// of k independent O(log n) searches. Instants outside the deftime
 /// yield undefined Intime values, exactly like Mapping::AtInstant.
-/// Clears and fills `*out`, reusing its capacity — hoist the buffer and
-/// the BatchScratch out of a per-tuple loop to evaluate many batches
-/// without reallocating.
-///
-/// When the mapping has a SoA search index with packed motion
-/// coefficients (upoint), the kernel splits into a resolve pass (merge
-/// sweep filling `scratch->unit_idx`) and a vectorized evaluation pass
-/// over the contiguous coefficient arrays — byte-identical output to
-/// the generic path.
+/// Fills `*out` with one value per instant, reusing its capacity — hoist
+/// the buffer out of a per-tuple loop to evaluate many batches without
+/// reallocating. On error `*out` is left empty.
 template <typename U>
 Status AtInstantBatchInto(const Mapping<U>& m,
                           const std::vector<Instant>& instants,
-                          std::vector<Intime<typename U::ValueType>>* out,
-                          BatchScratch* scratch) {
+                          std::vector<Intime<typename U::ValueType>>* out) {
   using Out = Intime<typename U::ValueType>;
+  const std::vector<U>& units = m.units();
+  // resize without a clear: a warm same-size buffer skips the element
+  // re-initialization pass (the sweep overwrites every slot).
+  out->resize(instants.size());
+  Out* dst = out->data();
   std::size_t cursor = 0;
   batch_internal::SweepCounters sweep;
-  const MappingSearchIndex* ix = m.search_index();
-  bool ok;
-  if constexpr (std::is_same_v<typename U::ValueType, Point>) {
-    if (ix != nullptr && (ix->has_motion() || ix->start.empty())) {
-      // Split fast path: resolve into the scratch index array, then
-      // evaluate positions off the packed coefficients in one
-      // vectorizable pass.
-      const std::size_t k = instants.size();
-      scratch->unit_idx.resize(k);
-      if (!batch_internal::ResolveAscending(batch_internal::SoAView{ix},
-                                            instants, scratch->unit_idx.data(),
-                                            &cursor, &sweep)) {
-        out->clear();
-        return batch_internal::NotAscending();
-      }
-      // resize without a clear: a warm same-size buffer skips the
-      // element re-initialization pass (the evaluate kernel overwrites
-      // every slot, defined or not).
-      out->resize(k);
-      batch_internal::EvalMotionPositions(*ix, instants.data(),
-                                          scratch->unit_idx.data(), k,
-                                          out->data());
-      MODB_COUNTER_INC("temporal.batch.atinstant_calls");
-      MODB_COUNTER_ADD("temporal.batch.atinstant_instants", k);
-      MODB_COUNTER_INC("temporal.batch.dispatch_soa_index");
-      batch_internal::FlushSweepCounters(sweep, cursor);
-      return Status::OK();
-    }
+  if (!batch_internal::ResolveAscending(
+          units, instants, &cursor, &sweep, [&](std::size_t q, std::size_t j) {
+            dst[q] = j == batch_internal::kNpos
+                         ? Out::Undefined()
+                         : Out(instants[q], units[j].ValueAt(instants[q]));
+          })) {
+    out->clear();
+    return batch_internal::NotAscending();
   }
-  out->clear();
-  out->reserve(instants.size());
-  auto run = [&](const auto& view) {
-    Instant prev = -std::numeric_limits<Instant>::infinity();
-    const std::size_t hint = std::max<std::size_t>(
-        1, view.size() / std::max<std::size_t>(1, instants.size()));
-    for (Instant t : instants) {
-      if (t < prev) return false;
-      prev = t;
-      if (view.certainly_undefined(t)) {
-        ++sweep.bbox_skips;
-        out->push_back(Out::Undefined());
-        continue;
-      }
-      std::size_t idx =
-          batch_internal::SweepFind(view, t, &cursor, hint, &sweep);
-      if (idx == batch_internal::kNpos) {
-        out->push_back(Out::Undefined());
-      } else {
-        out->push_back(Out(t, m.unit(idx).ValueAt(t)));
-      }
-    }
-    return true;
-  };
-  ok = ix != nullptr ? run(batch_internal::SoAView{ix})
-                     : run(batch_internal::UnitsView<U>{&m.units()});
-  if (!ok) return batch_internal::NotAscending();
   MODB_COUNTER_INC("temporal.batch.atinstant_calls");
   MODB_COUNTER_ADD("temporal.batch.atinstant_instants", instants.size());
   batch_internal::FlushSweepCounters(sweep, cursor);
-  if (ix != nullptr) {
-    MODB_COUNTER_INC("temporal.batch.dispatch_soa_index");
-  } else {
-    MODB_COUNTER_INC("temporal.batch.dispatch_unit_records");
-  }
   return Status::OK();
 }
-
 
 /// Allocating convenience wrapper around AtInstantBatchInto.
 template <typename U>
 Result<std::vector<Intime<typename U::ValueType>>> AtInstantBatch(
     const Mapping<U>& m, const std::vector<Instant>& instants) {
   std::vector<Intime<typename U::ValueType>> out;
-  BatchScratch scratch;
-  MODB_RETURN_IF_ERROR(AtInstantBatchInto(m, instants, &out, &scratch));
+  MODB_RETURN_IF_ERROR(AtInstantBatchInto(m, instants, &out));
   return out;
 }
 
@@ -452,58 +336,36 @@ template <typename U>
 Status AtInstantBatchXYInto(const Mapping<U>& m,
                             const std::vector<Instant>& instants,
                             BatchXYOutput* out, BatchScratch* scratch) {
+  const std::vector<U>& units = m.units();
   const std::size_t k = instants.size();
+  scratch->unit_idx.resize(k);
+  std::int32_t* idx = scratch->unit_idx.data();
+  std::size_t hits = 0;
   std::size_t cursor = 0;
   batch_internal::SweepCounters sweep;
-  scratch->unit_idx.resize(k);
-  const std::int32_t* idx = scratch->unit_idx.data();
-  bool ok;
-  const MappingSearchIndex* ix = m.search_index();
-  if (ix != nullptr) {
-    ok = batch_internal::ResolveAscending(batch_internal::SoAView{ix},
-                                          instants, scratch->unit_idx.data(),
-                                          &cursor, &sweep);
-  } else {
-    ok = batch_internal::ResolveAscending(
-        batch_internal::UnitsView<U>{&m.units()}, instants,
-        scratch->unit_idx.data(), &cursor, &sweep);
+  if (!batch_internal::ResolveAscending(
+          units, instants, &cursor, &sweep, [&](std::size_t q, std::size_t j) {
+            const bool hit = j != batch_internal::kNpos;
+            idx[q] = hit ? std::int32_t(j) : batch_internal::kUndefinedUnit;
+            hits += hit;
+          })) {
+    return batch_internal::NotAscending();
   }
-  if (!ok) return batch_internal::NotAscending();
   const std::size_t f0 = out->defined.size();
   out->defined.resize(f0 + k);
   std::uint8_t* flags = out->defined.data() + f0;
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    flags[i] = std::uint8_t(idx[i] >= 0);
-    hits += flags[i];
-  }
+  for (std::size_t i = 0; i < k; ++i) flags[i] = std::uint8_t(idx[i] >= 0);
   const std::size_t c0 = out->xs.size();
   out->xs.resize(c0 + hits);
   out->ys.resize(c0 + hits);
   double* xs = out->xs.data() + c0;
   double* ys = out->ys.data() + c0;
-  if (ix != nullptr && ix->has_motion()) {
-    // x0 + x1*t / y0 + y1*t off the packed coefficients: exactly
-    // LinearMotion::At, so both branches give the same doubles.
-    const double* x0 = ix->motion_x0.data();
-    const double* x1 = ix->motion_x1.data();
-    const double* y0 = ix->motion_y0.data();
-    const double* y1 = ix->motion_y1.data();
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::int32_t j = idx[i];
-      if (j < 0) continue;
-      const double t = instants[i];
-      *xs++ = x0[j] + x1[j] * t;
-      *ys++ = y0[j] + y1[j] * t;
-    }
-  } else {
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::int32_t j = idx[i];
-      if (j < 0) continue;
-      const Point p = m.unit(std::size_t(j)).ValueAt(instants[i]);
-      *xs++ = p.x;
-      *ys++ = p.y;
-    }
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::int32_t j = idx[i];
+    if (j < 0) continue;
+    const Point p = units[std::size_t(j)].ValueAt(instants[i]);
+    *xs++ = p.x;
+    *ys++ = p.y;
   }
   MODB_COUNTER_INC("temporal.batch.atinstant_xy_calls");
   MODB_COUNTER_ADD("temporal.batch.atinstant_instants", k);
@@ -544,39 +406,24 @@ Status AtInstantBatchManyXY(const std::vector<const Mapping<U>*>& maps,
 
 /// present over a batch of ascending instants; (*out)[i] is 1 iff the
 /// moving value is defined at instants[i]. Clears and fills `*out`,
-/// reusing its capacity.
+/// reusing its capacity; on error `*out` is left empty.
 template <typename U>
 Status PresentBatchInto(const Mapping<U>& m,
                         const std::vector<Instant>& instants,
                         std::vector<std::uint8_t>* out) {
-  out->clear();
-  out->reserve(instants.size());
+  // resize without a clear: the sweep overwrites every slot.
+  out->resize(instants.size());
+  std::uint8_t* dst = out->data();
   std::size_t cursor = 0;
-  Instant prev = -std::numeric_limits<Instant>::infinity();
   batch_internal::SweepCounters sweep;
-  auto run = [&](const auto& view) {
-    const std::size_t hint = std::max<std::size_t>(
-        1, view.size() / std::max<std::size_t>(1, instants.size()));
-    for (Instant t : instants) {
-      if (t < prev) return false;
-      prev = t;
-      if (view.certainly_undefined(t)) {
-        ++sweep.bbox_skips;
-        out->push_back(0);
-        continue;
-      }
-      out->push_back(batch_internal::SweepFind(view, t, &cursor, hint,
-                                               &sweep) !=
-                             batch_internal::kNpos
-                         ? 1
-                         : 0);
-    }
-    return true;
-  };
-  bool ok = m.search_index()
-                ? run(batch_internal::SoAView{m.search_index()})
-                : run(batch_internal::UnitsView<U>{&m.units()});
-  if (!ok) return batch_internal::NotAscending();
+  if (!batch_internal::ResolveAscending(
+          m.units(), instants, &cursor, &sweep,
+          [&](std::size_t q, std::size_t j) {
+            dst[q] = std::uint8_t(j != batch_internal::kNpos);
+          })) {
+    out->clear();
+    return batch_internal::NotAscending();
+  }
   MODB_COUNTER_INC("temporal.batch.present_calls");
   MODB_COUNTER_ADD("temporal.batch.present_instants", instants.size());
   batch_internal::FlushSweepCounters(sweep, cursor);

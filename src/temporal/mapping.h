@@ -28,13 +28,11 @@
 #define MODB_TEMPORAL_MAPPING_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cow_array.h"
@@ -42,51 +40,8 @@
 #include "core/intime.h"
 #include "core/range_set.h"
 #include "core/status.h"
-#include "spatial/bbox.h"
 
 namespace modb {
-
-/// Optional SoA side-structure for a Mapping (built on demand by
-/// Mapping::BuildSearchIndex): the unit starts and closedness-folded
-/// search keys unpacked into contiguous arrays so the batch sweeps
-/// (temporal/batch_ops.h) probe packed doubles instead of striding over
-/// full unit records, plus a cached deftime bounding interval and (for
-/// spatial unit types) the union of the unit bounding cubes.
-struct MappingSearchIndex {
-  std::vector<Instant> start;  // one per unit; its size is the unit count
-
-  /// Branchless search keys folding the closedness flags into the
-  /// comparison value:
-  ///   end_key[i]   <  t  ⟺  unit i lies entirely before t
-  ///   start_key[i] <= t  ⟺  unit i starts at or before t
-  /// (an open bound is nudged one ulp inward), so search probes are a
-  /// single double compare on one packed array. Both arrays carry one
-  /// trailing +inf sentinel slot (index = unit count) so merge sweeps
-  /// can advance and test containment without bounds checks: the
-  /// sentinel is never "before" any t and never "starts by" any t.
-  std::vector<Instant> start_key;
-  std::vector<Instant> end_key;
-
-  /// Bounding interval of the deftime: [min start, max end]. Only
-  /// meaningful when `start` is non-empty.
-  Instant min_start = 0;
-  Instant max_end = 0;
-
-  /// Union of the unit bounding cubes for unit types exposing
-  /// BoundingCube(); left empty (IsEmpty()) otherwise.
-  Cube bbox;
-
-  /// Packed linear-motion coefficients (x = x0 + x1·t, y = y0 + y1·t)
-  /// for unit types exposing motion() with those fields (upoint); empty
-  /// for other unit types. The batch kernels evaluate positions off
-  /// these four contiguous arrays — including via the AVX2 gather path —
-  /// instead of striding over the full unit records.
-  std::vector<double> motion_x0, motion_x1, motion_y0, motion_y1;
-
-  /// True when the packed motion arrays are populated (one slot per
-  /// unit).
-  bool has_motion() const { return !motion_x0.empty(); }
-};
 
 template <typename U>
 class Mapping {
@@ -124,7 +79,6 @@ class Mapping {
       Status next = CheckSuccessor(units().back(), unit);
       if (!next.ok()) return next;
     }
-    index_.reset();
     units_.Mutable().push_back(std::move(unit));
     return Status::OK();
   }
@@ -142,7 +96,6 @@ class Mapping {
       Status next = CheckSuccessor(us[us.size() - 2], unit);
       if (!next.ok()) return next;
     }
-    index_.reset();
     units_.Mutable().back() = std::move(unit);
     return Status::OK();
   }
@@ -160,65 +113,9 @@ class Mapping {
   const std::vector<U>& units() const { return units_.get(); }
   const U& unit(std::size_t i) const { return units()[i]; }
 
-  /// Builds the SoA search index (idempotent). Copies of the mapping
-  /// share the index and it is never mutated: AppendUnit and
-  /// ReplaceLastUnit drop this copy's pointer instead (copies taken
-  /// before keep theirs, which still describes their unit list), and
-  /// nothing else changes a Mapping's unit list after construction.
-  void BuildSearchIndex() {
-    if (index_) return;
-    const std::vector<U>& us = units();
-    auto ix = std::make_shared<MappingSearchIndex>();
-    ix->start.reserve(us.size());
-    ix->start_key.reserve(us.size() + 1);
-    ix->end_key.reserve(us.size() + 1);
-    constexpr Instant kInf = std::numeric_limits<Instant>::infinity();
-    for (const U& u : us) {
-      const TimeInterval& iv = u.interval();
-      ix->start.push_back(iv.start());
-      ix->start_key.push_back(iv.left_closed()
-                                  ? iv.start()
-                                  : std::nextafter(iv.start(), kInf));
-      ix->end_key.push_back(iv.right_closed()
-                                ? iv.end()
-                                : std::nextafter(iv.end(), -kInf));
-      if constexpr (requires(const U& un) {
-                      { un.BoundingCube() } -> std::convertible_to<Cube>;
-                    }) {
-        ix->bbox.Extend(u.BoundingCube());
-      }
-      if constexpr (requires(const U& un) {
-                      { un.motion().x0 } -> std::convertible_to<double>;
-                      { un.motion().x1 } -> std::convertible_to<double>;
-                      { un.motion().y0 } -> std::convertible_to<double>;
-                      { un.motion().y1 } -> std::convertible_to<double>;
-                    }) {
-        ix->motion_x0.push_back(u.motion().x0);
-        ix->motion_x1.push_back(u.motion().x1);
-        ix->motion_y0.push_back(u.motion().y0);
-        ix->motion_y1.push_back(u.motion().y1);
-      }
-    }
-    if (!us.empty()) {
-      ix->min_start = ix->start.front();
-      ix->max_end = us.back().interval().end();
-    }
-    // Sentinel slots (see the field comment): unguarded sweeps stop
-    // here instead of bounds-checking every advance.
-    ix->start_key.push_back(kInf);
-    ix->end_key.push_back(kInf);
-    index_ = std::move(ix);
-  }
-
-  bool HasSearchIndex() const { return index_ != nullptr; }
-
-  /// The SoA index, or nullptr when BuildSearchIndex was never called.
-  const MappingSearchIndex* search_index() const { return index_.get(); }
-
   /// Binary search for the unit whose interval contains t (the first step
   /// of the atinstant algorithm of Section 5.1). O(log n) over the unit
-  /// records; the search index serves the batch sweeps, not single
-  /// lookups.
+  /// records.
   std::optional<std::size_t> FindUnit(Instant t) const {
     const std::vector<U>& us = units();
     auto it = std::upper_bound(
@@ -376,9 +273,6 @@ class Mapping {
   }
 
   CowArray<U> units_;
-  // Shared across copies and never mutated; an in-place append or
-  // replace drops it.
-  std::shared_ptr<const MappingSearchIndex> index_;
 };
 
 /// Builder that assembles a mapping unit by unit, merging units with

@@ -3,8 +3,8 @@
 // memory as checksummed pages (storage/spill.h) rather than in RAM. Each
 // reader loads the mapping on demand through a BufferPool — cold calls
 // pay one device read per page, warm calls none — then runs the same
-// batch kernels as the in-memory path, so results are identical
-// regardless of where the value resides.
+// batch kernels over the same unit records as the in-memory path, so
+// results are identical regardless of where the value resides.
 
 #ifndef MODB_TEMPORAL_PAGED_OPS_H_
 #define MODB_TEMPORAL_PAGED_OPS_H_
@@ -27,10 +27,9 @@ template <typename U>
 Status AtInstantBatchSpilled(Spilled<Mapping<U>>* value, BufferPool* pool,
                              const std::vector<Instant>& instants,
                              std::vector<Intime<typename U::ValueType>>* out) {
-  Result<const Mapping<U>*> m = value->Load(pool, /*build_search_index=*/true);
+  Result<const Mapping<U>*> m = value->Load(pool);
   if (!m.ok()) return m.status();
-  BatchScratch scratch;
-  return AtInstantBatchInto(**m, instants, out, &scratch);
+  return AtInstantBatchInto(**m, instants, out);
 }
 
 /// present over ascending instants against a spilled mapping; the paged
@@ -39,7 +38,7 @@ template <typename U>
 Status PresentBatchSpilled(Spilled<Mapping<U>>* value, BufferPool* pool,
                            const std::vector<Instant>& instants,
                            std::vector<std::uint8_t>* out) {
-  Result<const Mapping<U>*> m = value->Load(pool, /*build_search_index=*/true);
+  Result<const Mapping<U>*> m = value->Load(pool);
   if (!m.ok()) return m.status();
   return PresentBatchInto(**m, instants, out);
 }
@@ -48,7 +47,7 @@ Status PresentBatchSpilled(Spilled<Mapping<U>>* value, BufferPool* pool,
 template <typename U>
 Result<bool> PresentSpilled(Spilled<Mapping<U>>* value, BufferPool* pool,
                             Instant t) {
-  Result<const Mapping<U>*> m = value->Load(pool, /*build_search_index=*/true);
+  Result<const Mapping<U>*> m = value->Load(pool);
   if (!m.ok()) return m.status();
   return (*m)->Present(t);
 }

@@ -560,7 +560,9 @@ std::uint64_t ExpectReferenceCandidates(const Relation& outer,
     ExpectByteIdentical(expected, out->rows);
     EXPECT_EQ(stats.index_candidates, candidates);
     EXPECT_EQ(stats.predicate_evals, candidates);
-    if (threads > 1) EXPECT_EQ(stats.units_scanned, units_scanned);
+    if (threads > 1) {
+      EXPECT_EQ(stats.units_scanned, units_scanned);
+    }
     units_scanned = stats.units_scanned;
   }
   return units_scanned;

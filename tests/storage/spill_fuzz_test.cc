@@ -172,7 +172,9 @@ TEST(SpillFuzz, CorruptRootRecordsNeverCrashRecovery) {
       EXPECT_TRUE(reopened->VerifyAccounting().ok());
       for (std::size_t i = 0; i < reopened->NumRoots(); ++i) {
         auto blob = reopened->ReadRootBlob(i);
-        if (blob.ok()) EXPECT_EQ(blob->size(), 3000u);
+        if (blob.ok()) {
+          EXPECT_EQ(blob->size(), 3000u);
+        }
       }
       // Repair the store for the next trial by committing fresh state.
       ASSERT_TRUE(reopened->Commit().ok());

@@ -169,10 +169,8 @@ TEST(PagedOpsTest, AtInstantBatchSpilledMatchesInMemory) {
   std::vector<Instant> instants;
   for (double t = -2; t < 205; t += 0.25) instants.push_back(t);
 
-  mp.BuildSearchIndex();
   std::vector<Intime<Point>> expect;
-  BatchScratch scratch;
-  ASSERT_TRUE(AtInstantBatchInto(mp, instants, &expect, &scratch).ok());
+  ASSERT_TRUE(AtInstantBatchInto(mp, instants, &expect).ok());
 
   BufferPool pool(&store, 8);
   std::vector<Intime<Point>> got;
@@ -240,7 +238,7 @@ TEST(SpilledValueTest, SurvivesSaveAndLoadThroughFile) {
 
   BufferPool pool(&*device, 8);
   Spilled<MovingPoint> reopened(spilled->locator());
-  auto loaded = reopened.Load(&pool, /*build_search_index=*/true);
+  auto loaded = reopened.Load(&pool);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ((*loaded)->NumUnits(), mp.NumUnits());
   EXPECT_EQ((*loaded)->AtInstant(42.5).val(), mp.AtInstant(42.5).val());

@@ -8,7 +8,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/simd.h"
 #include "temporal/moving.h"
 #include "temporal/refinement.h"
 
@@ -141,30 +140,18 @@ TEST(AtInstantBatch, MatchesAtInstantOnBoundaries) {
       EXPECT_EQ((*batch)[i].instant, instants[i]);
     }
   }
-  // Same through the SoA index.
-  m.BuildSearchIndex();
-  ASSERT_TRUE(m.HasSearchIndex());
-  auto batch2 = AtInstantBatch(m, instants);
-  ASSERT_TRUE(batch2.ok());
-  for (std::size_t i = 0; i < instants.size(); ++i) {
-    EXPECT_EQ((*batch2)[i].defined, (*batch)[i].defined);
-    if ((*batch)[i].defined) {
-      EXPECT_EQ((*batch2)[i].value, (*batch)[i].value);
-    }
-  }
   // The Into variant reuses the buffer's capacity and agrees with the
   // allocating wrapper.
   std::vector<Intime<double>> buf;
-  BatchScratch scratch;
-  ASSERT_TRUE(AtInstantBatchInto(m, instants, &buf, &scratch).ok());
+  ASSERT_TRUE(AtInstantBatchInto(m, instants, &buf).ok());
   const Intime<double>* data = buf.data();
-  ASSERT_TRUE(AtInstantBatchInto(m, instants, &buf, &scratch).ok());
+  ASSERT_TRUE(AtInstantBatchInto(m, instants, &buf).ok());
   EXPECT_EQ(buf.data(), data);
-  ASSERT_EQ(buf.size(), batch2->size());
+  ASSERT_EQ(buf.size(), batch->size());
   for (std::size_t i = 0; i < buf.size(); ++i) {
-    EXPECT_EQ(buf[i].defined, (*batch2)[i].defined);
+    EXPECT_EQ(buf[i].defined, (*batch)[i].defined);
     if (buf[i].defined) {
-      EXPECT_EQ(buf[i].value, (*batch2)[i].value);
+      EXPECT_EQ(buf[i].value, (*batch)[i].value);
     }
   }
   std::vector<std::uint8_t> pbuf;
@@ -181,6 +168,22 @@ TEST(AtInstantBatch, RejectsUnsortedInstants) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   auto p = PresentBatch(m, {2.0, 1.0});
   EXPECT_FALSE(p.ok());
+  // A descent anywhere is caught: before the deftime, after it, across
+  // either end of it, and among instants all outside it.
+  for (const std::vector<Instant>& ts :
+       std::vector<std::vector<Instant>>{{-2, -3, 1},
+                                         {1, 5, 4},
+                                         {-1, 1, 0.5, 3},
+                                         {1, -1},
+                                         {3, 1},
+                                         {5, -1},
+                                         {-1, 5, -2}}) {
+    EXPECT_FALSE(AtInstantBatch(m, ts).ok());
+    EXPECT_FALSE(PresentBatch(m, ts).ok());
+    std::vector<Intime<double>> out;
+    EXPECT_FALSE(AtInstantBatchInto(m, ts, &out).ok());
+    EXPECT_TRUE(out.empty());
+  }
 }
 
 TEST(AtInstantBatch, EmptyMappingAndEmptyBatch) {
@@ -240,35 +243,54 @@ MovingReal FuzzMapping(std::mt19937& rng, int max_units) {
   return m.ok() ? *m : MovingReal();
 }
 
-// Satellite: randomized differential test, AtInstantBatch ≡ per-instant
-// AtInstant on 1000 fuzzed mappings (and PresentBatch ≡ Present,
-// FindUnit with ≡ without the SoA index).
+// Randomized differential test: AtInstantBatch ≡ per-instant AtInstant
+// and PresentBatch ≡ Present on 1000 fuzzed mappings. The batch sizes
+// fall on both sides of the sweep's dense cut (k * kDenseRatio >= n),
+// and the instants sit on open and closed unit edges, inside units, in
+// the gaps between them and outside the deftime.
 TEST(AtInstantBatch, DifferentialFuzz1000) {
   std::mt19937 rng(20260807);
-  std::uniform_real_distribution<double> pick(-1.0, 1.0);
+  std::bernoulli_distribution coin(0.5);
+  std::size_t dense_batches = 0, sparse_batches = 0;
   for (int iter = 0; iter < 1000; ++iter) {
-    MovingReal m = FuzzMapping(rng, 12);
-    MovingReal indexed = m;
-    indexed.BuildSearchIndex();
+    MovingReal m = FuzzMapping(rng, iter % 2 == 0 ? 12 : 400);
+    const std::size_t n = m.NumUnits();
 
-    // Query instants: uniform samples plus exact unit endpoints.
+    // Batch size: below the cut (when n allows one) or at/above it.
+    const std::size_t cut = n / batch_internal::kDenseRatio +
+                            (n % batch_internal::kDenseRatio != 0);
+    std::size_t k;
+    if (cut > 1 && coin(rng)) {
+      k = std::uniform_int_distribution<std::size_t>(1, cut - 1)(rng);
+    } else {
+      k = std::uniform_int_distribution<std::size_t>(cut, 2 * n + 24)(rng);
+    }
+    ++(k * batch_internal::kDenseRatio >= n ? dense_batches
+                                            : sparse_batches);
+
+    // Query instants: uniform samples (inside units, in gaps and outside
+    // the deftime) mixed with exact unit endpoints (open or closed).
     std::vector<Instant> instants;
-    double hi = m.IsEmpty() ? 5.0 : m.units().back().interval().end() + 1.0;
-    std::uniform_real_distribution<double> td(-0.5, hi);
-    for (int k = 0; k < 24; ++k) instants.push_back(td(rng));
-    for (const UReal& u : m.units()) {
-      instants.push_back(u.interval().start());
-      instants.push_back(u.interval().end());
+    const double lo = m.IsEmpty() ? 0.0 : m.units().front().interval().start();
+    const double hi = m.IsEmpty() ? 5.0 : m.units().back().interval().end();
+    std::uniform_real_distribution<double> td(lo - 1.0, hi + 1.0);
+    std::uniform_int_distribution<std::size_t> unit_pick(0, n == 0 ? 0 : n - 1);
+    for (std::size_t q = 0; q < k; ++q) {
+      if (n > 0 && coin(rng)) {
+        const TimeInterval& iv = m.unit(unit_pick(rng)).interval();
+        instants.push_back(coin(rng) ? iv.start() : iv.end());
+      } else {
+        instants.push_back(td(rng));
+      }
     }
     std::sort(instants.begin(), instants.end());
 
     auto batch = AtInstantBatch(m, instants);
-    auto batch_ix = AtInstantBatch(indexed, instants);
     auto present = PresentBatch(m, instants);
-    auto present_ix = PresentBatch(indexed, instants);
-    ASSERT_TRUE(batch.ok() && batch_ix.ok() && present.ok() &&
-                present_ix.ok());
-    for (std::size_t i = 0; i < instants.size(); ++i) {
+    ASSERT_TRUE(batch.ok() && present.ok());
+    ASSERT_EQ(batch->size(), k);
+    ASSERT_EQ(present->size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
       Instant t = instants[i];
       Intime<double> one = m.AtInstant(t);
       ASSERT_EQ((*batch)[i].defined, one.defined)
@@ -276,29 +298,26 @@ TEST(AtInstantBatch, DifferentialFuzz1000) {
       if (one.defined) {
         ASSERT_EQ((*batch)[i].value, one.value)
             << "iter " << iter << " t=" << t;
+        ASSERT_EQ((*batch)[i].instant, t) << "iter " << iter;
       }
-      ASSERT_EQ((*batch_ix)[i].defined, one.defined)
-          << "iter " << iter << " t=" << t;
       ASSERT_EQ((*present)[i] != 0, m.Present(t))
-          << "iter " << iter << " t=" << t;
-      ASSERT_EQ((*present_ix)[i] != 0, m.Present(t))
-          << "iter " << iter << " t=" << t;
-      ASSERT_EQ(indexed.FindUnit(t), m.FindUnit(t))
           << "iter " << iter << " t=" << t;
     }
   }
+  EXPECT_GT(dense_batches, 100u);
+  EXPECT_GT(sparse_batches, 100u);
 }
 
 // ---------------------------------------------------------------------------
-// Split motion kernels: SIMD vs. scalar differential checks (satellite:
-// every fast path byte-identical to the scalar reference).
+// upoint kernels: every batch position bit-identical to the per-instant
+// AtInstant.
 // ---------------------------------------------------------------------------
 
 bool BitEq(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 // A upoint track with gaps, adjacent open/closed boundaries, and varied
-// velocities — enough structure to hit defined and undefined lanes in
-// every 4-wide SIMD block.
+// velocities — enough structure to mix defined and undefined instants in
+// every stretch of a batch.
 MovingPoint GappyTrack(std::mt19937* rng, int units) {
   std::uniform_real_distribution<double> gap(0.0, 0.8);
   std::uniform_real_distribution<double> vel(-2.0, 2.0);
@@ -332,30 +351,17 @@ TEST(BatchSimd, UPointAtInstantScalarAvx2ByteIdentical) {
   std::mt19937 rng(42);
   for (int iter = 0; iter < 25; ++iter) {
     MovingPoint mp = GappyTrack(&rng, 3 + iter * 7);
-    mp.BuildSearchIndex();
-    ASSERT_TRUE(mp.search_index()->has_motion());
     double hi = mp.units().back().interval().end();
-    // Probe beyond both deftime ends so the prefilter lanes are mixed
-    // into the SIMD blocks; k spans dense and sparse resolve regimes.
+    // Probe beyond both deftime ends so the prefilter settles some
+    // instants; k spans dense and sparse resolve regimes.
     std::vector<Instant> instants =
         SortedProbe(&rng, -1.0, hi + 1.0, 17 + iter * 13);
-    std::vector<Intime<Point>> scalar, vec;
-    BatchScratch scratch;
-    simd::SetSimdMode(simd::Mode::kScalar);
-    ASSERT_TRUE(AtInstantBatchInto(mp, instants, &scalar, &scratch).ok());
-    simd::SetSimdMode(simd::Mode::kAvx2);
-    ASSERT_TRUE(AtInstantBatchInto(mp, instants, &vec, &scratch).ok());
-    simd::SetSimdMode(simd::Mode::kAuto);
+    std::vector<Intime<Point>> scalar;
+    ASSERT_TRUE(AtInstantBatchInto(mp, instants, &scalar).ok());
     ASSERT_EQ(scalar.size(), instants.size());
-    ASSERT_EQ(vec.size(), instants.size());
     for (std::size_t i = 0; i < instants.size(); ++i) {
-      // Bitwise equality, not approximate: the AVX2 kernel must use the
-      // same multiply-then-add rounding as the scalar core.
-      ASSERT_EQ(scalar[i].defined, vec[i].defined) << "iter " << iter;
-      ASSERT_TRUE(BitEq(scalar[i].instant, vec[i].instant)) << "iter " << iter;
-      ASSERT_TRUE(BitEq(scalar[i].value.x, vec[i].value.x)) << "iter " << iter;
-      ASSERT_TRUE(BitEq(scalar[i].value.y, vec[i].value.y)) << "iter " << iter;
-      // And both agree with the per-instant reference.
+      // Bitwise equality, not approximate, with the per-instant
+      // reference.
       Intime<Point> one = mp.AtInstant(instants[i]);
       ASSERT_EQ(scalar[i].defined, one.defined) << "iter " << iter;
       if (one.defined) {
@@ -366,33 +372,23 @@ TEST(BatchSimd, UPointAtInstantScalarAvx2ByteIdentical) {
   }
 }
 
-// The compact xy kernel evaluates the defined instants alone and has no
-// SIMD core of its own: its output must not depend on the SIMD mode, and
-// must match the per-instant AtInstant bit for bit.
+// The compact xy kernel evaluates the defined instants alone and must
+// match the per-instant AtInstant bit for bit.
 TEST(BatchSimd, UPointXYKernelScalarAvx2ByteIdentical) {
   std::mt19937 rng(1234);
   for (int iter = 0; iter < 25; ++iter) {
     MovingPoint mp = GappyTrack(&rng, 5 + iter * 5);
-    mp.BuildSearchIndex();
     double hi = mp.units().back().interval().end();
     std::vector<Instant> instants =
         SortedProbe(&rng, -0.5, hi + 0.5, 11 + iter * 9);
-    BatchXYOutput xy_s, xy_v;
+    BatchXYOutput xy_s;
     BatchScratch scratch;
-    simd::SetSimdMode(simd::Mode::kScalar);
     ASSERT_TRUE(AtInstantBatchXYInto(mp, instants, &xy_s, &scratch).ok());
-    simd::SetSimdMode(simd::Mode::kAvx2);
-    ASSERT_TRUE(AtInstantBatchXYInto(mp, instants, &xy_v, &scratch).ok());
-    simd::SetSimdMode(simd::Mode::kAuto);
-    const std::vector<double>&xs_s = xy_s.xs, &ys_s = xy_s.ys, &xs_v = xy_v.xs,
-                             &ys_v = xy_v.ys;
-    const std::vector<std::uint8_t>&def_s = xy_s.defined,
-                                   &def_v = xy_v.defined;
-    ASSERT_EQ(def_s, def_v) << "iter " << iter;
+    const std::vector<double>&xs_s = xy_s.xs, &ys_s = xy_s.ys;
+    const std::vector<std::uint8_t>& def_s = xy_s.defined;
     ASSERT_EQ(def_s.size(), instants.size()) << "iter " << iter;
     // Compact: the j-th coordinate pair belongs to the j-th defined
     // instant, and undefined instants have none.
-    ASSERT_EQ(xs_s.size(), xs_v.size()) << "iter " << iter;
     ASSERT_EQ(ys_s.size(), xs_s.size()) << "iter " << iter;
     std::size_t j = 0;
     for (std::size_t i = 0; i < instants.size(); ++i) {
@@ -400,35 +396,11 @@ TEST(BatchSimd, UPointXYKernelScalarAvx2ByteIdentical) {
       ASSERT_EQ(def_s[i] != 0, one.defined) << "iter " << iter;
       if (!one.defined) continue;
       ASSERT_LT(j, xs_s.size()) << "iter " << iter;
-      ASSERT_TRUE(BitEq(xs_s[j], xs_v[j])) << "iter " << iter << " i=" << i;
-      ASSERT_TRUE(BitEq(ys_s[j], ys_v[j])) << "iter " << iter << " i=" << i;
       ASSERT_TRUE(BitEq(xs_s[j], one.value.x)) << "iter " << iter;
       ASSERT_TRUE(BitEq(ys_s[j], one.value.y)) << "iter " << iter;
       ++j;
     }
     ASSERT_EQ(j, xs_s.size()) << "iter " << iter;
-  }
-}
-
-TEST(BatchSimd, UPointXYKernelWithoutIndexMatchesIndexed) {
-  std::mt19937 rng(77);
-  MovingPoint mp = GappyTrack(&rng, 40);
-  MovingPoint indexed = mp;
-  indexed.BuildSearchIndex();
-  double hi = mp.units().back().interval().end();
-  std::vector<Instant> instants = SortedProbe(&rng, -0.5, hi + 0.5, 200);
-  BatchXYOutput xy_a, xy_b;
-  BatchScratch scratch;
-  ASSERT_TRUE(AtInstantBatchXYInto(mp, instants, &xy_a, &scratch).ok());
-  ASSERT_TRUE(AtInstantBatchXYInto(indexed, instants, &xy_b, &scratch).ok());
-  const std::vector<double>&xs_a = xy_a.xs, &ys_a = xy_a.ys, &xs_b = xy_b.xs,
-                           &ys_b = xy_b.ys;
-  EXPECT_EQ(xy_a.defined, xy_b.defined);
-  ASSERT_EQ(xs_a.size(), xs_b.size());
-  ASSERT_EQ(ys_a.size(), ys_b.size());
-  for (std::size_t j = 0; j < xs_a.size(); ++j) {
-    EXPECT_TRUE(BitEq(xs_a[j], xs_b[j])) << j;
-    EXPECT_TRUE(BitEq(ys_a[j], ys_b[j])) << j;
   }
 }
 
@@ -438,7 +410,6 @@ TEST(BatchSimd, UPointXYKernelWithoutIndexMatchesIndexed) {
 TEST(BatchSimd, UPointXYKernelAppendsToItsOutput) {
   std::mt19937 rng(91);
   MovingPoint mp = GappyTrack(&rng, 30);
-  mp.BuildSearchIndex();
   double hi = mp.units().back().interval().end();
   const std::vector<Instant> first = SortedProbe(&rng, -0.5, hi + 0.5, 40);
   const std::vector<Instant> second = SortedProbe(&rng, -0.5, hi + 0.5, 25);
@@ -470,18 +441,16 @@ TEST(BatchSimd, UPointXYKernelAppendsToItsOutput) {
 TEST(BatchSimd, RejectsUnsortedOnFastPath) {
   std::mt19937 rng(5);
   MovingPoint mp = GappyTrack(&rng, 8);
-  mp.BuildSearchIndex();
   std::vector<Intime<Point>> out;
   BatchXYOutput xy;
   BatchScratch scratch;
-  EXPECT_FALSE(AtInstantBatchInto(mp, {2.0, 1.0}, &out, &scratch).ok());
+  EXPECT_FALSE(AtInstantBatchInto(mp, {2.0, 1.0}, &out).ok());
   EXPECT_FALSE(AtInstantBatchXYInto(mp, {2.0, 1.0}, &xy, &scratch).ok());
 }
 
-// uregion workload: the sweep kernels run over the generic unit-record
-// and SoA views (no motion fast path) — batch results must match the
-// per-instant operations, including through the deftime-bounds
-// prefilter for instants far outside the definition time.
+// uregion workload: the sweep kernels run over any unit type — batch
+// results must match the per-instant operations, including through the
+// deftime-bounds prefilter for instants far outside the definition time.
 MovingRegion TranslatingSquares(int units) {
   std::vector<URegion> out;
   for (int i = 0; i < units; ++i) {
@@ -509,18 +478,14 @@ MovingRegion TranslatingSquares(int units) {
 
 TEST(BatchSimd, URegionPresentAndAtInstantBatchMatchPerInstant) {
   MovingRegion mr = TranslatingSquares(6);
-  MovingRegion indexed = mr;
-  indexed.BuildSearchIndex();
   std::vector<Instant> instants;
   for (double t = -5.0; t <= 25.0; t += 0.5) instants.push_back(t);
   auto present = PresentBatch(mr, instants);
-  auto present_ix = PresentBatch(indexed, instants);
-  auto batch = AtInstantBatch(indexed, instants);
-  ASSERT_TRUE(present.ok() && present_ix.ok() && batch.ok());
+  auto batch = AtInstantBatch(mr, instants);
+  ASSERT_TRUE(present.ok() && batch.ok());
   for (std::size_t i = 0; i < instants.size(); ++i) {
     const Instant t = instants[i];
     ASSERT_EQ((*present)[i] != 0, mr.Present(t)) << t;
-    ASSERT_EQ((*present_ix)[i] != 0, mr.Present(t)) << t;
     Intime<Region> one = mr.AtInstant(t);
     ASSERT_EQ((*batch)[i].defined, one.defined) << t;
     if (one.defined) {
@@ -599,54 +564,9 @@ TEST(MappingPeriods, TwoPointerMatchesReferenceFuzz) {
 }
 
 // ---------------------------------------------------------------------------
-// SoA search index details.
-// ---------------------------------------------------------------------------
-
-TEST(SearchIndex, CachesDeftimeBoundAndSharesAcrossCopies) {
-  MovingReal m = *MovingReal::Make({UR(1, 2, 1), UR(4, 6, 2)});
-  EXPECT_FALSE(m.HasSearchIndex());
-  m.BuildSearchIndex();
-  ASSERT_TRUE(m.HasSearchIndex());
-  const MappingSearchIndex* ix = m.search_index();
-  EXPECT_EQ(ix->min_start, 1.0);
-  EXPECT_EQ(ix->max_end, 6.0);
-  ASSERT_EQ(ix->start.size(), 2u);
-  EXPECT_EQ(ix->start_key[0], 1.0);  // a closed start is its own key
-  // Copies share the index.
-  MovingReal copy = m;
-  EXPECT_EQ(copy.search_index(), ix);
-  // Idempotent.
-  m.BuildSearchIndex();
-  EXPECT_EQ(m.search_index(), ix);
-}
-
-TEST(SearchIndex, SpatialBBoxForMovingPoint) {
-  MovingPoint mp = *MovingPoint::Make(
-      {*UPoint::FromEndpoints(TI(0, 1, true, false), Point(0, 0),
-                              Point(10, 5)),
-       *UPoint::FromEndpoints(TI(1, 2), Point(10, 5), Point(-3, 7))});
-  mp.BuildSearchIndex();
-  const Cube& bbox = mp.search_index()->bbox;
-  ASSERT_FALSE(bbox.IsEmpty());
-  EXPECT_EQ(bbox.rect.min_x, -3.0);
-  EXPECT_EQ(bbox.rect.max_x, 10.0);
-  EXPECT_EQ(bbox.rect.min_y, 0.0);
-  EXPECT_EQ(bbox.rect.max_y, 7.0);
-  EXPECT_EQ(bbox.min_t, 0.0);
-  EXPECT_EQ(bbox.max_t, 2.0);
-
-  // Non-spatial unit types leave the bbox empty.
-  MovingReal mr = *MovingReal::Make({UR(0, 1, 1)});
-  mr.BuildSearchIndex();
-  EXPECT_TRUE(mr.search_index()->bbox.IsEmpty());
-}
-
-
-// ---------------------------------------------------------------------------
-// Deftime-bounds prefilter on mappings without a search index: the unit
-// records' first start and last end settle instants strictly outside
-// the deftime; an instant on either edge still goes to the sweep, which
-// knows whether that end is open.
+// Deftime-bounds prefilter: the unit records' first start and last end
+// settle instants strictly outside the deftime; an instant on either
+// edge still goes to the sweep, which knows whether that end is open.
 // ---------------------------------------------------------------------------
 
 UPoint UP(double s, double e, bool lc, bool rc, double x0, double x1) {
@@ -658,7 +578,7 @@ void ExpectBatchesMatchPerInstant(const MovingPoint& mp,
                                   const std::vector<Instant>& instants) {
   std::vector<Intime<Point>> at;
   BatchScratch scratch;
-  ASSERT_TRUE(AtInstantBatchInto(mp, instants, &at, &scratch).ok());
+  ASSERT_TRUE(AtInstantBatchInto(mp, instants, &at).ok());
   BatchXYOutput xy;
   ASSERT_TRUE(AtInstantBatchXYInto(mp, instants, &xy, &scratch).ok());
   std::vector<std::uint8_t> present;
@@ -686,37 +606,6 @@ void ExpectBatchesMatchPerInstant(const MovingPoint& mp,
   EXPECT_EQ(j, xy.ys.size());
 }
 
-void ExpectIndexlessMatchesIndexed(const MovingPoint& mp,
-                                   const std::vector<Instant>& instants) {
-  ASSERT_FALSE(mp.HasSearchIndex());
-  MovingPoint indexed = mp;
-  indexed.BuildSearchIndex();
-  BatchScratch scratch;
-  std::vector<Intime<Point>> at_a, at_b;
-  ASSERT_TRUE(AtInstantBatchInto(mp, instants, &at_a, &scratch).ok());
-  ASSERT_TRUE(AtInstantBatchInto(indexed, instants, &at_b, &scratch).ok());
-  BatchXYOutput xy_a, xy_b;
-  ASSERT_TRUE(AtInstantBatchXYInto(mp, instants, &xy_a, &scratch).ok());
-  ASSERT_TRUE(AtInstantBatchXYInto(indexed, instants, &xy_b, &scratch).ok());
-  std::vector<std::uint8_t> p_a, p_b;
-  ASSERT_TRUE(PresentBatchInto(mp, instants, &p_a).ok());
-  ASSERT_TRUE(PresentBatchInto(indexed, instants, &p_b).ok());
-  EXPECT_EQ(p_a, p_b);
-  EXPECT_EQ(xy_a.defined, xy_b.defined);
-  ASSERT_EQ(at_a.size(), at_b.size());
-  for (std::size_t i = 0; i < instants.size(); ++i) {
-    EXPECT_EQ(at_a[i].defined, at_b[i].defined) << "t = " << instants[i];
-    EXPECT_TRUE(BitEq(at_a[i].value.x, at_b[i].value.x));
-    EXPECT_TRUE(BitEq(at_a[i].value.y, at_b[i].value.y));
-  }
-  ASSERT_EQ(xy_a.xs.size(), xy_b.xs.size());
-  ASSERT_EQ(xy_a.ys.size(), xy_b.ys.size());
-  for (std::size_t j = 0; j < xy_a.xs.size(); ++j) {
-    EXPECT_TRUE(BitEq(xy_a.xs[j], xy_b.xs[j]));
-    EXPECT_TRUE(BitEq(xy_a.ys[j], xy_b.ys[j]));
-  }
-}
-
 TEST(DeftimePrefilter, IndexlessEdgesMatchPerInstantAndIndexed) {
   // deftime (2, 9): the first unit is left-open at 2 and the last
   // right-open at 9; and the same trail with both ends closed.
@@ -726,8 +615,7 @@ TEST(DeftimePrefilter, IndexlessEdgesMatchPerInstantAndIndexed) {
   const MovingPoint closed_ends = *MovingPoint::Make(
       {UP(2, 4, true, true, 1, 0.5), UP(4, 6, false, false, 3, -1),
        UP(7, 9, true, true, -2, 2)});
-  // Dense (k >= n/4) and sparse batches, each with instants before, on
-  // and after both deftime edges.
+  // Batches with instants before, on and after both deftime edges.
   const std::vector<Instant> dense = {0,   1.5, 2,   2.5, 4,   6,
                                       6.5, 7,   8.5, 9,   9.5, 12};
   const std::vector<Instant> edges_only = {2, 9};
@@ -735,7 +623,6 @@ TEST(DeftimePrefilter, IndexlessEdgesMatchPerInstantAndIndexed) {
   for (const MovingPoint* mp : {&open_ends, &closed_ends}) {
     for (const std::vector<Instant>* ts : {&dense, &edges_only, &outside}) {
       ExpectBatchesMatchPerInstant(*mp, *ts);
-      ExpectIndexlessMatchesIndexed(*mp, *ts);
     }
   }
   EXPECT_FALSE(open_ends.Present(2));
@@ -751,23 +638,23 @@ TEST(DeftimePrefilter, IndexlessEdgesMatchPerInstantAndIndexed) {
   EXPECT_FALSE(view.certainly_undefined(9));
   EXPECT_TRUE(view.certainly_undefined(9.01));
 
-  // A sparse batch over a long trail (k < n/4) takes the per-instant
-  // sweep path instead of the dense merge.
+  // A sparse batch over a long trail (k * kDenseRatio < n) takes the
+  // gallop instead of the dense merge.
   std::mt19937 rng(31);
-  const MovingPoint long_track = GappyTrack(&rng, 64);
+  const MovingPoint long_track = GappyTrack(&rng, 200);
   const Instant end = long_track.units().back().interval().end();
   const Instant start = long_track.units().front().interval().start();
   const std::vector<Instant> sparse = {start - 1, start, end / 2, end,
                                        end + 1};
+  ASSERT_LT(sparse.size() * batch_internal::kDenseRatio,
+            long_track.NumUnits());
   ExpectBatchesMatchPerInstant(long_track, sparse);
-  ExpectIndexlessMatchesIndexed(long_track, sparse);
 }
 
 TEST(DeftimePrefilter, EmptyIndexlessMappingIsUndefinedEverywhere) {
   const MovingPoint empty;
   const std::vector<Instant> ts = {-1, 0, 1};
   ExpectBatchesMatchPerInstant(empty, ts);
-  ExpectIndexlessMatchesIndexed(empty, ts);
   EXPECT_TRUE(batch_internal::UnitsView<UPoint>(&empty.units())
                   .certainly_undefined(0));
 }

@@ -134,20 +134,17 @@ TEST(MappingAppend, ReplaceLastChecksAgainstThePredecessor) {
 
 TEST(MappingAppend, DropsOnlyThisCopysSearchIndex) {
   MovingBool m = *MovingBool::Make({UB(0, 1, true, true, false)});
-  m.BuildSearchIndex();
   const MovingBool copy = m;
   ASSERT_TRUE(m.AppendUnit(UB(1, 2, false)).ok());
-  EXPECT_FALSE(m.HasSearchIndex());
   EXPECT_EQ(std::optional<std::size_t>(1), m.FindUnit(1.5));
-  // The copy keeps the index that still describes its one unit.
-  ASSERT_TRUE(copy.HasSearchIndex());
-  EXPECT_EQ(1u, copy.search_index()->start.size());
+  // The copy keeps its one unit.
+  EXPECT_EQ(1u, copy.NumUnits());
   EXPECT_FALSE(copy.FindUnit(1.5).has_value());
 }
 
 // Copies share one unit array until either side is written; the write
-// clones it first, so whichever side did not write keeps its units and
-// its search index, and the writer sees only its own change.
+// clones it first, so whichever side did not write keeps its units, and
+// the writer sees only its own change.
 TEST(MappingSharedUnits, WritesOnEitherSideOfACopyStayOnThatSide) {
   const std::vector<UBool> base = {UB(0, 1, true, true, false),
                                    UB(1, 2, false, true, false)};
@@ -155,15 +152,12 @@ TEST(MappingSharedUnits, WritesOnEitherSideOfACopyStayOnThatSide) {
   for (Op op : {Op::kAppend, Op::kReplace}) {
     for (bool write_original : {true, false}) {
       MovingBool m = *MovingBool::Make(base);
-      m.BuildSearchIndex();
       MovingBool copy = m;
       EXPECT_EQ(&m.units(), &copy.units());
-      EXPECT_EQ(m.search_index(), copy.search_index());
 
       MovingBool& writer = write_original ? m : copy;
       const MovingBool& other = write_original ? copy : m;
       const std::vector<UBool>* other_units = &other.units();
-      const MappingSearchIndex* other_index = other.search_index();
       if (op == Op::kAppend) {
         ASSERT_TRUE(writer.AppendUnit(UB(2, 3, true)).ok());
       } else {
@@ -171,13 +165,10 @@ TEST(MappingSharedUnits, WritesOnEitherSideOfACopyStayOnThatSide) {
       }
       // The writer cloned.
       EXPECT_NE(&writer.units(), other_units);
-      EXPECT_FALSE(writer.HasSearchIndex());
-      // The other side is untouched: same array, same units, same index.
+      // The other side is untouched: same array, same units.
       EXPECT_EQ(&other.units(), other_units);
-      EXPECT_EQ(other.search_index(), other_index);
       ASSERT_EQ(2u, other.NumUnits());
       EXPECT_EQ(2, other.unit(1).interval().end());
-      EXPECT_EQ(2u, other.search_index()->start.size());
       EXPECT_EQ(std::optional<std::size_t>(1), other.FindUnit(1.5));
       EXPECT_FALSE(other.FindUnit(2.5).has_value());
       EXPECT_FALSE(other.FindUnit(4).has_value());

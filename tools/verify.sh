@@ -114,8 +114,10 @@ echo "==== perf smoke (release build) ===="
 # window, present and atinstant requests through Db::Run on one worker.
 run_perf_smoke queries bench_queries \
   'BM_Q1_TrajectoryLength/64|BM_Q2_Join_RTree/64|BM_Q2_Join_RTree_Prebuilt/64|BM_Q2_EverWithinOnly|BM_EncodeReply_XY|BM_DecodeReply_XY|BM_EncodeReply_JoinRows|BM_DecodeReply_JoinRows|BM_IndexJoinProbe_FleetTrails|BM_EncodeReply_FleetJoinRows|BM_DecodeReply_FleetJoinRows|BM_WindowAggregate_Planes/1024|BM_PresentBatch_Planes/1024|BM_AtInstantBatchXY_Planes/1024'
+# One row per resolve regime: /10000/64 takes the gallop, /10000/1024
+# and /16384/16384 the two-pointer merge.
 run_perf_smoke batch bench_batch \
-  'BM_AtInstant_Batch/10000/1024|BM_AtInstant_Batch/16384/16384'
+  'BM_AtInstant_Batch/10000/64|BM_AtInstant_Batch/10000/1024|BM_AtInstant_Batch/16384/16384'
 
 # Storage gate: warm and cold page-granular scans through the buffer
 # pool, plus the 4-thread epoch-pinned reader bench. bench_compare
