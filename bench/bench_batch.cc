@@ -218,7 +218,7 @@ void BM_Select_Parallel(benchmark::State& state) {
   };
   exec::LogicalQuery q;
   q.rel = &planes;
-  q.filters.push_back({pred, std::nullopt});
+  q.filters.push_back(pred);
   RunPlanLoop(state, *exec::PlanQuery(q), threads);
 }
 BENCHMARK(BM_Select_Parallel)->Arg(0)->Arg(1)->Arg(2)->Arg(4)

@@ -1,14 +1,11 @@
-// Buffer-pool and spill experiments (EXPERIMENTS.md P3): what paging the
-// Section-4 representation out to a device costs. Three regimes per
-// query: cold (pages on the device, nothing cached), pool-warm (pages
-// resident in the buffer pool but the value not decoded), and
-// materialized-warm (the Spilled handle's memoized value, the steady
-// state of a repeated query) — compared against the pure in-memory
-// AtInstantBatch sweep. Also raw pool pin throughput at several
-// capacity/working-set ratios, which is where the LRU hit rate shows up.
+// Buffer-pool experiments (EXPERIMENTS.md P3): raw pool pin throughput at
+// several capacity/working-set ratios, which is where the LRU hit rate
+// shows up, and the in-memory AtInstantBatch sweep the P3 spilled
+// regimes were measured against.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -17,10 +14,7 @@
 #include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
-#include "storage/spill.h"
 #include "temporal/batch_ops.h"
-#include "temporal/paged_ops.h"
-#include "validate/validate.h"
 
 namespace modb {
 namespace {
@@ -82,7 +76,7 @@ BENCHMARK(BM_BufferPool_PinThroughput)
     ->ArgsProduct({{4096}, {5, 25, 100}})
     ->ArgNames({"pages", "cap_pct"});
 
-// The in-memory baseline every spilled regime is measured against.
+// The in-memory atinstant sweep over one long trajectory.
 void BM_AtInstantBatch_InMemory(benchmark::State& state) {
   const int units = int(state.range(0));
   const int k = int(state.range(1));
@@ -100,181 +94,6 @@ void BM_AtInstantBatch_InMemory(benchmark::State& state) {
 BENCHMARK(BM_AtInstantBatch_InMemory)
     ->ArgsProduct({{10000}, {1000}})
     ->ArgNames({"units", "k"});
-
-// Cold: every iteration drops both caches, so the query pays device
-// reads, checksum verification, flat parsing, and decoding.
-void BM_AtInstantBatch_SpilledCold(benchmark::State& state) {
-  const int units = int(state.range(0));
-  const int k = int(state.range(1));
-  MovingPoint mp = Trajectory(units, 7);
-  PageStore store;
-  auto spilled = *Spilled<MovingPoint>::Spill(mp, &store);
-  std::vector<Instant> instants = SortedInstants(k, units, 13);
-  BufferPool pool(&store, 1024);
-  std::vector<Intime<Point>> out;
-  for (auto _ : state) {
-    state.PauseTiming();
-    spilled.Release();
-    if (!pool.DropAll().ok()) state.SkipWithError("drop failed");
-    state.ResumeTiming();
-    if (!AtInstantBatchSpilled(&spilled, &pool, instants, &out).ok()) {
-      state.SkipWithError("batch failed");
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.counters["spill_pages"] =
-      benchmark::Counter(double(spilled.locator().num_pages));
-  state.SetItemsProcessed(int64_t(state.iterations()) * k);
-}
-BENCHMARK(BM_AtInstantBatch_SpilledCold)
-    ->ArgsProduct({{10000}, {1000}})
-    ->ArgNames({"units", "k"});
-
-// Pool-warm: the decoded value is dropped each iteration but the pages
-// stay resident, isolating verify+parse+decode from device reads.
-void BM_AtInstantBatch_SpilledPoolWarm(benchmark::State& state) {
-  const int units = int(state.range(0));
-  const int k = int(state.range(1));
-  MovingPoint mp = Trajectory(units, 7);
-  PageStore store;
-  auto spilled = *Spilled<MovingPoint>::Spill(mp, &store);
-  std::vector<Instant> instants = SortedInstants(k, units, 13);
-  BufferPool pool(&store, 1024);
-  std::vector<Intime<Point>> out;
-  for (auto _ : state) {
-    state.PauseTiming();
-    spilled.Release();
-    state.ResumeTiming();
-    if (!AtInstantBatchSpilled(&spilled, &pool, instants, &out).ok()) {
-      state.SkipWithError("batch failed");
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * k);
-}
-BENCHMARK(BM_AtInstantBatch_SpilledPoolWarm)
-    ->ArgsProduct({{10000}, {1000}})
-    ->ArgNames({"units", "k"});
-
-// Materialized-warm: the memoized value answers every query after the
-// first — the steady state, and the regime the 2× acceptance bound in
-// ISSUE.md is about.
-void BM_AtInstantBatch_SpilledWarm(benchmark::State& state) {
-  const int units = int(state.range(0));
-  const int k = int(state.range(1));
-  MovingPoint mp = Trajectory(units, 7);
-  PageStore store;
-  auto spilled = *Spilled<MovingPoint>::Spill(mp, &store);
-  std::vector<Instant> instants = SortedInstants(k, units, 13);
-  BufferPool pool(&store, 1024);
-  std::vector<Intime<Point>> out;
-  // Prime the caches once, outside the timed region.
-  (void)AtInstantBatchSpilled(&spilled, &pool, instants, &out);
-  for (auto _ : state) {
-    if (!AtInstantBatchSpilled(&spilled, &pool, instants, &out).ok()) {
-      state.SkipWithError("batch failed");
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * k);
-}
-BENCHMARK(BM_AtInstantBatch_SpilledWarm)
-    ->ArgsProduct({{10000}, {1000}})
-    ->ArgNames({"units", "k"});
-
-// Materialized-warm with validation-on-load: identical to SpilledWarm
-// except the value was admitted through LoadValidated (the Section-3
-// invariant pass recovery uses). Validation runs once at decode time,
-// so the warm delta against BM_AtInstantBatch_SpilledWarm is the
-// steady-state cost of running validated — the acceptance bound is 3%.
-void BM_AtInstantBatch_SpilledWarmValidated(benchmark::State& state) {
-  const int units = int(state.range(0));
-  const int k = int(state.range(1));
-  MovingPoint mp = Trajectory(units, 7);
-  PageStore store;
-  auto spilled = *Spilled<MovingPoint>::Spill(mp, &store);
-  std::vector<Instant> instants = SortedInstants(k, units, 13);
-  BufferPool pool(&store, 1024);
-  std::vector<Intime<Point>> out;
-  // Prime through the validated path: decode + invariant check once.
-  auto primed = spilled.LoadValidated(&pool, validate::MappingValidator{});
-  if (!primed.ok()) {
-    state.SkipWithError("validated load failed");
-    return;
-  }
-  for (auto _ : state) {
-    if (!AtInstantBatchSpilled(&spilled, &pool, instants, &out).ok()) {
-      state.SkipWithError("batch failed");
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * k);
-}
-BENCHMARK(BM_AtInstantBatch_SpilledWarmValidated)
-    ->ArgsProduct({{10000}, {1000}})
-    ->ArgNames({"units", "k"});
-
-// Cold with validation-on-load: the full price of admitting a value
-// through the invariant pass — decode plus one linear scan per load.
-void BM_AtInstantBatch_SpilledColdValidated(benchmark::State& state) {
-  const int units = int(state.range(0));
-  const int k = int(state.range(1));
-  MovingPoint mp = Trajectory(units, 7);
-  PageStore store;
-  auto spilled = *Spilled<MovingPoint>::Spill(mp, &store);
-  std::vector<Instant> instants = SortedInstants(k, units, 13);
-  BufferPool pool(&store, 1024);
-  std::vector<Intime<Point>> out;
-  for (auto _ : state) {
-    state.PauseTiming();
-    spilled.Release();
-    if (!pool.DropAll().ok()) state.SkipWithError("drop failed");
-    state.ResumeTiming();
-    auto loaded = spilled.LoadValidated(&pool, validate::MappingValidator{});
-    if (!loaded.ok()) state.SkipWithError("validated load failed");
-    if (!AtInstantBatchSpilled(&spilled, &pool, instants, &out).ok()) {
-      state.SkipWithError("batch failed");
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(int64_t(state.iterations()) * k);
-}
-BENCHMARK(BM_AtInstantBatch_SpilledColdValidated)
-    ->ArgsProduct({{10000}, {1000}})
-    ->ArgNames({"units", "k"});
-
-// A scan over a spilled relation through a pool smaller than the
-// relation: the many-values shape of Section 4.3, where the pool is the
-// only thing bounding memory.
-void BM_SpilledRelationScan(benchmark::State& state) {
-  const int rows = int(state.range(0));
-  const int units = 500;
-  PageStore store;
-  std::vector<Spilled<MovingPoint>> relation;
-  relation.reserve(std::size_t(rows));
-  for (int i = 0; i < rows; ++i) {
-    relation.push_back(
-        *Spilled<MovingPoint>::Spill(Trajectory(units, 100 + i), &store));
-  }
-  std::vector<Instant> instants = SortedInstants(64, units, 13);
-  BufferPool pool(&store, 64);  // far smaller than the relation
-  std::vector<Intime<Point>> out;
-  for (auto _ : state) {
-    for (auto& row : relation) {
-      if (!AtInstantBatchSpilled(&row, &pool, instants, &out).ok()) {
-        state.SkipWithError("scan failed");
-      }
-      benchmark::DoNotOptimize(out.data());
-      row.Release();
-    }
-  }
-  BufferPoolStats stats = pool.stats();
-  state.counters["hit_rate"] = benchmark::Counter(
-      double(stats.hits) / double(std::max<std::uint64_t>(
-                               1, stats.hits + stats.misses)));
-  state.SetItemsProcessed(int64_t(state.iterations()) * rows);
-}
-BENCHMARK(BM_SpilledRelationScan)->Arg(32)->ArgName("rows");
 
 }  // namespace
 }  // namespace modb

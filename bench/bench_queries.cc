@@ -48,14 +48,12 @@ void BM_Q1_TrajectoryLength(benchmark::State& state) {
   Relation planes = Planes(int(state.range(0)));
   exec::LogicalQuery q;
   q.rel = &planes;
-  q.filters.push_back({[](const Tuple& t) {
-                         return std::get<StringValue>(t[kFlightAttrAirline])
-                                        .value() == "Lufthansa" &&
-                                Trajectory(std::get<MovingPoint>(
-                                               t[kFlightAttrFlight]))
-                                        .Length() > 5000;
-                       },
-                       std::nullopt});
+  q.filters.push_back([](const Tuple& t) {
+    return std::get<StringValue>(t[kFlightAttrAirline]).value() ==
+               "Lufthansa" &&
+           Trajectory(std::get<MovingPoint>(t[kFlightAttrFlight])).Length() >
+               5000;
+  });
   RunQueryLoop(state, q);
 }
 BENCHMARK(BM_Q1_TrajectoryLength)->RangeMultiplier(2)->Range(16, 256)

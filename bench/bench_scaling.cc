@@ -111,7 +111,7 @@ std::shared_ptr<ScalingContext> MakeContext() {
       *exec::BuildMovingPointIndex(ctx->pipe_src, kFlightAttrFlight);
   exec::LogicalQuery select;
   select.rel = &ctx->select_src;
-  select.filters.push_back({Q1Pred, std::nullopt});
+  select.filters.push_back(Q1Pred);
   ctx->select_plan = *exec::PlanQuery(select);
   ctx->join_plan = CloseJoinPlan(&ctx->join_src, &ctx->join_tree);
 
@@ -121,11 +121,10 @@ std::shared_ptr<ScalingContext> MakeContext() {
   // parallelizable work.
   ctx->pipe_plan = CloseJoinPlan(
       &ctx->pipe_src, &ctx->pipe_tree,
-      {{[](const Tuple& t) {
-          return std::get<StringValue>(t[kFlightAttrAirline]).value() !=
-                 "Lufthansa";
-        },
-        std::nullopt}});
+      {[](const Tuple& t) {
+        return std::get<StringValue>(t[kFlightAttrAirline]).value() !=
+               "Lufthansa";
+      }});
   return ctx;
 }
 

@@ -156,8 +156,8 @@ const ScanFile& GetScanFile() {
 
 // Page-granular sequential scan: pin every data page in order through
 // the pool (with a readahead hint window) and read every byte. This is
-// the device contract itself and the shape paged unit scans
-// (temporal/paged_ops.h) put on the pool.
+// the device contract itself and the shape a read of spilled values
+// (ReadSpilledBlob) puts on the pool.
 bool ScanPagesOnce(BufferPool* pool, std::uint32_t num_pages) {
   constexpr std::uint32_t kWindow = 16;
   std::uint64_t sum = 0;

@@ -43,14 +43,12 @@ int main() {
   // ---- Q1: long Lufthansa flights ---------------------------------------
   exec::LogicalQuery q1_query;
   q1_query.rel = &planes;
-  q1_query.filters.push_back(
-      {[](const Tuple& t) {
-         return std::get<StringValue>(t[kFlightAttrAirline]).value() ==
-                    "Lufthansa" &&
-                Trajectory(std::get<MovingPoint>(t[kFlightAttrFlight]))
-                        .Length() > 5000;
-       },
-       std::nullopt});
+  q1_query.filters.push_back([](const Tuple& t) {
+    return std::get<StringValue>(t[kFlightAttrAirline]).value() ==
+               "Lufthansa" &&
+           Trajectory(std::get<MovingPoint>(t[kFlightAttrFlight])).Length() >
+               5000;
+  });
   Relation q1 = Run(q1_query);
   std::printf("Q1: Lufthansa flights longer than 5000 km (%zu rows)\n",
               q1.NumTuples());

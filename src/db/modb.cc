@@ -36,38 +36,33 @@ Result<int> ResolveSlot(const Relation& rel, const std::string& attr,
 // Lowers one FilterSpec to an exec::Predicate.
 Result<exec::Predicate> LowerFilter(const Relation& rel,
                                     const FilterSpec& f) {
-  exec::Predicate p;
   switch (f.kind) {
     case FilterSpec::Kind::kStringEquals: {
       Result<int> slot = ResolveSlot(rel, f.attr, AttributeType::kString);
       MODB_RETURN_IF_ERROR(slot.status());
       const int s = *slot;
       const std::string value = f.value;
-      p.fn = [s, value](const Tuple& t) {
+      return exec::Predicate([s, value](const Tuple& t) {
         return std::get<StringValue>(t[s]).value() == value;
-      };
-      return p;
+      });
     }
     case FilterSpec::Kind::kTrajectoryLengthAtLeast: {
       Result<int> slot = ResolveSlot(rel, f.attr, AttributeType::kMovingPoint);
       MODB_RETURN_IF_ERROR(slot.status());
       const int s = *slot;
       const double threshold = f.threshold;
-      p.fn = [s, threshold](const Tuple& t) {
+      return exec::Predicate([s, threshold](const Tuple& t) {
         return Trajectory(std::get<MovingPoint>(t[s])).Length() >= threshold;
-      };
-      return p;
+      });
     }
     case FilterSpec::Kind::kPresentAt: {
       Result<int> slot = ResolveSlot(rel, f.attr, AttributeType::kMovingPoint);
       MODB_RETURN_IF_ERROR(slot.status());
       const int s = *slot;
       const Instant t0 = f.t0;
-      p.fn = [s, t0](const Tuple& t) {
+      return exec::Predicate([s, t0](const Tuple& t) {
         return std::get<MovingPoint>(t[s]).Present(t0);
-      };
-      p.window = exec::TimeWindow{s, t0, t0};
-      return p;
+      });
     }
     case FilterSpec::Kind::kDeftimeIntersects: {
       Result<int> slot = ResolveSlot(rel, f.attr, AttributeType::kMovingPoint);
@@ -81,11 +76,9 @@ Result<exec::Predicate> LowerFilter(const Relation& rel,
       Result<Interval<Instant>> iv = Interval<Instant>::Closed(f.t0, f.t1);
       MODB_RETURN_IF_ERROR(iv.status());
       const Periods window = Periods::Of(*iv);
-      p.fn = [s, window](const Tuple& t) {
+      return exec::Predicate([s, window](const Tuple& t) {
         return std::get<MovingPoint>(t[s]).Present(window);
-      };
-      p.window = exec::TimeWindow{s, f.t0, f.t1};
-      return p;
+      });
     }
   }
   return Status::InvalidArgument("unknown filter kind " +

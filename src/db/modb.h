@@ -52,8 +52,7 @@ struct FilterSpec {
     kTrajectoryLengthAtLeast = 1,
     /// Moving-point attr is defined at instant `t0`.
     kPresentAt = 2,
-    /// Moving-point attr's deftime intersects [t0, t1]. Annotated with a
-    /// TimeWindow, so the planner can push it into spilled scans.
+    /// Moving-point attr's deftime intersects [t0, t1].
     kDeftimeIntersects = 3,
   };
   Kind kind = Kind::kStringEquals;

@@ -27,7 +27,6 @@ struct StageCounters {
   std::uint64_t index_candidates = 0;
   std::uint64_t index_hits = 0;
   std::uint64_t units_scanned = 0;
-  std::uint64_t pushdown_skips = 0;
   // The join predicate's EverWithin work (predicate_intervals and
   // predicate_fallbacks in ExecStats).
   EverWithinStats predicate;
@@ -37,8 +36,7 @@ struct StageCounters {
 // morsel order. Tuple terminals fill `tuples`, the batch terminals
 // `columns` (atinstant its compact columns, straight from the kernel;
 // present `defined` alone), and the window terminal's row pass the
-// surviving moving points (spilled sources park their materialized
-// tuples in `tuples` so the points stay valid).
+// surviving moving points.
 struct MorselOutput {
   std::vector<Tuple> tuples;
   BatchXYOutput columns;
@@ -59,7 +57,6 @@ struct ProbeScratch {
 // warm worker allocates nothing per morsel.
 struct WorkerState {
   std::vector<std::size_t> rows;  // surviving source row ids
-  std::vector<Tuple> mat;         // materialized tuples (spilled scan)
   ProbeScratch probe;
   BatchScratch batch;
   std::vector<std::uint8_t> present;
@@ -278,7 +275,7 @@ std::vector<MorselOutput> MakeSlots(const Pipeline& pipe,
     for (std::size_t i = 0; i < slots.size(); ++i) {
       const Morsel m = sched.MorselAt(i);
       const std::size_t cells =
-          (shared ? pipe.NumSourceRows() : m.end - m.begin) * k;
+          (shared ? pipe.rel->NumTuples() : m.end - m.begin) * k;
       slots[i].columns.defined.reserve(cells);
     }
   }
@@ -290,51 +287,19 @@ MorselOutput* SlotOf(std::vector<MorselOutput>* slots, const Morsel& m) {
   return &(*slots)[slots->size() == 1 ? 0 : m.seq];
 }
 
-// One morsel through the fused stage chain. Fails only on source
-// faults (spilled page errors) and batch-kernel errors (instants not
-// ascending); predicate work never fails.
+// One morsel through the fused stage chain. Fails only on batch-kernel
+// errors (instants not ascending); predicate work never fails.
 Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
                      const Morsel& m, WorkerState* w, MorselOutput* out) {
+  // Scan: enumerate the morsel's rows.
   w->rows.clear();
-  w->mat.clear();
-  const bool from_spill = pipe.spilled != nullptr;
-
-  // Scan: enumerate (and for spilled sources, materialize) the morsel's
-  // rows. The pushed-down window tests the resident stats record first,
-  // so disqualified rows never fault a page.
   StageCounters& scan = w->stages[0];
   scan.rows_in += m.end - m.begin;
-  // Readahead sweep: hint every page run this morsel will fault —
-  // qualifying rows only, so the pushdown still saves the skipped I/O —
-  // before the materialize loop starts paying for them.
-  if (from_spill) {
-    for (std::size_t i = m.begin; i < m.end; ++i) {
-      if (pipe.scan_window &&
-          !pipe.spilled->stats(i).MayIntersectWindow(pipe.scan_window->t0,
-                                                     pipe.scan_window->t1)) {
-        continue;
-      }
-      pipe.spilled->PrefetchRow(i);
-    }
-  }
-  for (std::size_t i = m.begin; i < m.end; ++i) {
-    if (from_spill) {
-      if (pipe.scan_window &&
-          !pipe.spilled->stats(i).MayIntersectWindow(pipe.scan_window->t0,
-                                                     pipe.scan_window->t1)) {
-        ++scan.pushdown_skips;
-        continue;
-      }
-      Result<Tuple> t = pipe.spilled->MaterializeTuple(i);
-      if (!t.ok()) return t.status();
-      w->mat.push_back(std::move(*t));
-    }
-    w->rows.push_back(i);
-  }
+  for (std::size_t i = m.begin; i < m.end; ++i) w->rows.push_back(i);
   scan.rows_out += w->rows.size();
 
   auto tuple_at = [&](std::size_t k) -> const Tuple& {
-    return from_spill ? w->mat[k] : pipe.rel->tuple(w->rows[k]);
+    return pipe.rel->tuple(w->rows[k]);
   };
 
   // Filters: in-place compaction of the surviving row list.
@@ -344,15 +309,10 @@ Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
     std::size_t kept = 0;
     for (std::size_t k = 0; k < w->rows.size(); ++k) {
       ++s.predicate_evals;
-      if (!pipe.filters[f].fn(tuple_at(k))) continue;
-      if (kept != k) {
-        w->rows[kept] = w->rows[k];
-        if (from_spill) w->mat[kept] = std::move(w->mat[k]);
-      }
-      ++kept;
+      if (!pipe.filters[f](tuple_at(k))) continue;
+      w->rows[kept++] = w->rows[k];
     }
     w->rows.resize(kept);
-    if (from_spill) w->mat.resize(kept);
     s.rows_out += kept;
   }
 
@@ -399,11 +359,7 @@ Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
     // Row pass only: the grid pass (RunWindowGrid) emits the windows.
     const std::size_t attr = std::size_t(pipe.window->attr);
     for (std::size_t k = 0; k < survivors; ++k) {
-      if (from_spill) {
-        out->tuples.push_back(std::move(w->mat[k]));
-      } else {
-        out->points.push_back(&std::get<MovingPoint>(tuple_at(k)[attr]));
-      }
+      out->points.push_back(&std::get<MovingPoint>(tuple_at(k)[attr]));
     }
     return Status::OK();
   } else {
@@ -612,12 +568,7 @@ Status RunWindowGrid(const Pipeline& pipe,
   const WindowAggregateOp& op = *pipe.window;
   const bool has_rect = op.min_x <= op.max_x && op.min_y <= op.max_y;
   std::vector<const MovingPoint*> points;
-  for (const MorselOutput& slot : row_slots) {
-    Append(&points, slot.points);
-    for (const Tuple& t : slot.tuples) {
-      points.push_back(&std::get<MovingPoint>(t[std::size_t(op.attr)]));
-    }
-  }
+  for (const MorselOutput& slot : row_slots) Append(&points, slot.points);
   std::size_t n = 0;
   while (WindowRange(op, n).lo < op.t1) ++n;
   MorselScheduler sched(n, PickMorselRows(n, states->size(), 0),
@@ -663,7 +614,7 @@ Status RunWindowGrid(const Pipeline& pipe,
 Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
                    const ExecOptions& options, PlanOutput* out,
                    ExecStats* node) {
-  const std::size_t n = pipe.NumSourceRows();
+  const std::size_t n = pipe.rel->NumTuples();
   const std::size_t workers = ResolveWorkerCount(options.parallel);
   MorselScheduler sched(n, PickMorselRows(n, workers, pipe.morsel_rows),
                         workers);
@@ -705,7 +656,6 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
       t.index_candidates += c.index_candidates;
       t.index_hits += c.index_hits;
       t.units_scanned += c.units_scanned;
-      t.pushdown_skips += c.pushdown_skips;
       t.predicate.intervals += c.predicate.intervals;
       t.predicate.fallbacks += c.predicate.fallbacks;
     }
@@ -722,7 +672,6 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
     s.index_candidates = c.index_candidates;
     s.index_hits = c.index_hits;
     s.units_scanned = c.units_scanned;
-    s.pushdown_skips = c.pushdown_skips;
     s.predicate_intervals = c.predicate.intervals;
     s.predicate_fallbacks = c.predicate.fallbacks;
     node->children.push_back(std::move(s));
@@ -733,19 +682,17 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
   }
   stage_node(TerminalOpName(pipe), totals[NumStages(pipe) - 1]);
   // Roll the stage counters into the root so predicate_evals, index
-  // candidates/hits, units scanned and pushdown skips read there too.
+  // candidates/hits and units scanned read there too.
   for (const StageCounters& c : totals) {
     node->predicate_evals += c.predicate_evals;
     node->index_candidates += c.index_candidates;
     node->index_hits += c.index_hits;
     node->units_scanned += c.units_scanned;
-    node->pushdown_skips += c.pushdown_skips;
     node->predicate_intervals += c.predicate.intervals;
     node->predicate_fallbacks += c.predicate.fallbacks;
   }
 
   MODB_COUNTER_ADD("exec.morsels_scheduled", morsels);
-  MODB_COUNTER_ADD("exec.pushdown_skips", totals[0].pushdown_skips);
   return Status::OK();
 }
 
@@ -777,9 +724,8 @@ Result<PlanOutput> RunPlan(const PhysicalPlan& plan,
                            const ExecOptions& options) {
   MODB_RETURN_IF_ERROR(ValidateParallelOptions(options.parallel));
   const Pipeline& pipe = plan.pipe;
-  if ((pipe.rel != nullptr) == (pipe.spilled != nullptr)) {
-    return Status::InvalidArgument(
-        "pipeline needs exactly one source (rel or spilled)");
+  if (pipe.rel == nullptr) {
+    return Status::InvalidArgument("pipeline has no source relation");
   }
   const bool probes_index =
       pipe.join && pipe.join->kind == JoinProbeOp::Kind::kIndex;

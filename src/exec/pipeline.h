@@ -42,7 +42,6 @@
 #include "db/parallel.h"
 #include "db/relation.h"
 #include "exec/morsel.h"
-#include "exec/spilled_relation.h"
 #include "index/delta_index.h"
 #include "index/rtree3d.h"
 #include "obs/exec_stats.h"
@@ -53,23 +52,8 @@ struct EverWithinStats;  // temporal/lifted_ops.h
 
 namespace exec {
 
-/// A conservative time-window annotation on a predicate: the predicate
-/// is false for any tuple whose moving attribute `attr` has no unit
-/// intersecting the closed window [t0, t1]. The planner pushes the
-/// window into spilled scans (stats-only test, no page faults); the
-/// exact predicate still runs on every tuple that survives the scan.
-struct TimeWindow {
-  int attr = -1;
-  Instant t0 = 0;
-  Instant t1 = 0;
-};
-
-/// A selection predicate: the exact row test plus an optional pushdown
-/// window.
-struct Predicate {
-  std::function<bool(const Tuple&)> fn;
-  std::optional<TimeWindow> window;
-};
+/// A selection predicate: the row test a Select stage runs.
+using Predicate = std::function<bool(const Tuple&)>;
 
 /// A join predicate over (outer tuple, outer row, inner tuple, inner
 /// row). In a pipelined plan the outer row id is the SOURCE row index
@@ -144,14 +128,10 @@ struct WindowAggregateOp {
 /// Hard ceiling on a window sweep's windows: one output row each.
 inline constexpr std::uint64_t kMaxWindows = std::uint64_t(1) << 20;
 
-/// One streaming pipeline: exactly one source (in-memory relation or
-/// spilled relation), filters, and at most one terminal op.
+/// One streaming pipeline: one source relation, filters, and at most
+/// one terminal op.
 struct Pipeline {
   const Relation* rel = nullptr;
-  SpilledRelation* spilled = nullptr;
-  /// Pushdown window applied at the spilled scan: rows whose stats
-  /// cannot intersect are skipped without faulting pages.
-  std::optional<TimeWindow> scan_window;
   std::vector<Predicate> filters;
   std::optional<ProjectOp> project;
   std::optional<JoinProbeOp> join;
@@ -159,10 +139,6 @@ struct Pipeline {
   std::optional<WindowAggregateOp> window;
   /// Rows per morsel; 0 = PickMorselRows default.
   std::size_t morsel_rows = 0;
-
-  std::size_t NumSourceRows() const {
-    return rel != nullptr ? rel->NumTuples() : spilled->NumTuples();
-  }
 };
 
 /// Serial R-tree construction over a relation's moving-point attribute.
@@ -201,9 +177,9 @@ struct PlanOutput {
 /// ExecStats accumulation and one deadline checkpoint per morsel.
 /// When `options.stats` is set, the node gets one child per stage
 /// ("build_index", "scan", "select", then the terminal) with rows
-/// in/out and pushdown skips, and the root counts workers and morsels;
-/// the root's `materializations` counts Relations the plan materialized
-/// — always exactly 1 (the sink), which is what "zero intermediate
+/// in/out, and the root counts workers and morsels; the root's
+/// `materializations` counts Relations the plan materialized — always
+/// exactly 1 (the sink), which is what "zero intermediate
 /// materializations" means operationally.
 Result<PlanOutput> RunPlan(const PhysicalPlan& plan,
                            const ExecOptions& options);

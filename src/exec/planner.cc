@@ -1,6 +1,5 @@
 #include "exec/planner.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -16,18 +15,6 @@ namespace {
 // an R-tree build: at ~a few thousand evals the O(U log U) bulk load
 // plus per-probe descents cost more than just testing every pair.
 constexpr std::uint64_t kNestedLoopEvalBudget = 4096;
-
-const Schema& SourceSchema(const LogicalQuery& q) {
-  return q.rel != nullptr ? q.rel->schema() : q.spilled->schema();
-}
-
-std::uint64_t SourceRows(const LogicalQuery& q) {
-  return q.rel != nullptr ? q.rel->NumTuples() : q.spilled->NumTuples();
-}
-
-const std::string& SourceName(const LogicalQuery& q) {
-  return q.rel != nullptr ? q.rel->name() : q.spilled->name();
-}
 
 // `attr` must be a moving-point slot of `schema`; `what` names the
 // role in the error.
@@ -66,9 +53,8 @@ Status ValidateWindow(const WindowAggregateOp& w) {
 }
 
 Status ValidateQuery(const LogicalQuery& q) {
-  if ((q.rel != nullptr) == (q.spilled != nullptr)) {
-    return Status::InvalidArgument(
-        "logical query needs exactly one source (rel or spilled)");
+  if (q.rel == nullptr) {
+    return Status::InvalidArgument("logical query has no source relation");
   }
   if (int(q.project.has_value()) + int(q.join.has_value()) +
           int(q.batch.has_value()) + int(q.window.has_value()) >
@@ -77,17 +63,9 @@ Status ValidateQuery(const LogicalQuery& q) {
         "a pipeline has at most one terminal (projection, join, batch or "
         "window)");
   }
-  const Schema& schema = SourceSchema(q);
+  const Schema& schema = q.rel->schema();
   for (const Predicate& p : q.filters) {
-    if (!p.fn) {
-      return Status::InvalidArgument("filter predicate is empty");
-    }
-    if (p.window && (p.window->attr < 0 ||
-                     std::size_t(p.window->attr) >= schema.NumAttributes())) {
-      return Status::InvalidArgument(
-          "predicate window attribute " + std::to_string(p.window->attr) +
-          " out of range");
-    }
+    if (!p) return Status::InvalidArgument("filter predicate is empty");
   }
   if (q.project) {
     for (int idx : *q.project) {
@@ -145,29 +123,11 @@ bool UseIndexJoin(const LogicalQuery& q) {
       break;
   }
   if (j.prebuilt != nullptr || j.layers) return true;
-  return SourceRows(q) * j.inner->NumTuples() > kNestedLoopEvalBudget;
-}
-
-// Pushdown rule: the tightest window over the source's spilled
-// attribute, intersected across all annotated filters. nullopt when the
-// source is in-memory or no filter annotates the spilled slot.
-std::optional<TimeWindow> PushdownWindow(const LogicalQuery& q) {
-  if (q.spilled == nullptr) return std::nullopt;
-  std::optional<TimeWindow> window;
-  for (const Predicate& p : q.filters) {
-    if (!p.window || p.window->attr != q.spilled->spilled_attr()) continue;
-    if (!window) {
-      window = *p.window;
-    } else {
-      window->t0 = std::max(window->t0, p.window->t0);
-      window->t1 = std::min(window->t1, p.window->t1);
-    }
-  }
-  return window;
+  return q.rel->NumTuples() * j.inner->NumTuples() > kNestedLoopEvalBudget;
 }
 
 std::string DeriveOutName(const LogicalQuery& q, bool use_index_join) {
-  std::string name = SourceName(q);
+  std::string name = q.rel->name();
   if (q.window) return name + "_win";
   if (!q.filters.empty()) name += "_sel";
   if (q.join) {
@@ -196,22 +156,19 @@ Result<PhysicalPlan> PlanQuery(const LogicalQuery& q) {
   plan.root_op = q.root_op;
   plan.out_name =
       !q.out_name.empty() ? q.out_name : DeriveOutName(q, use_index_join);
-  plan.legacy_tuples_in = SourceRows(q);
+  plan.legacy_tuples_in = q.rel->NumTuples();
 
   Pipeline& pipe = plan.pipe;
   pipe.rel = q.rel;
-  pipe.spilled = q.spilled;
   pipe.filters = q.filters;
   pipe.morsel_rows = q.morsel_rows;
-  pipe.scan_window = PushdownWindow(q);
-  if (pipe.scan_window) MODB_COUNTER_INC("exec.planner.pushdown_applied");
 
-  const Schema& schema = SourceSchema(q);
+  const Schema& schema = q.rel->schema();
   if (q.join) {
     const LogicalQuery::JoinSpec& j = *q.join;
     plan.legacy_tuples_in += j.inner->NumTuples();
     const std::string outer_name =
-        SourceName(q) + (q.filters.empty() ? "" : "_sel");
+        q.rel->name() + (q.filters.empty() ? "" : "_sel");
     plan.out_schema =
         Schema::Concat(schema, outer_name + ".", j.inner->schema(),
                        j.inner->name() + ".");

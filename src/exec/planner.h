@@ -1,23 +1,14 @@
 // The rule-based planner: turns a LogicalQuery (source, filters,
-// terminal) into a PhysicalPlan for the pipelined engine. Two rules:
+// terminal) into a PhysicalPlan for the pipelined engine. One rule,
+// join algorithm choice: kAuto picks the index join vs nested loop from
+// cheap cardinality stats (outer rows × inner rows against a budget
+// standing in for the index build). kAuto is only sound under the
+// envelope contract: the predicate must imply that some outer unit cube
+// expanded by `expand` intersects a matching inner unit cube — the same
+// contract under which a caller may pin kIndex by hand. Callers whose
+// predicate does not satisfy it must pin kNestedLoop.
 //
-//   1. Predicate pushdown — a filter annotated with a TimeWindow on the
-//      source's spilled attribute becomes the pipeline's scan window:
-//      the scan tests each row's resident SpilledStats record and skips
-//      rows that provably cannot qualify WITHOUT faulting their pages
-//      into the BufferPool. The exact predicate still runs on every
-//      surviving row, so pushdown never changes the result.
-//
-//   2. Join algorithm choice — kAuto picks the index join vs nested
-//      loop from cheap cardinality stats (outer rows × inner rows
-//      against a budget standing in for the index build). kAuto is only
-//      sound under the envelope contract: the predicate must imply that
-//      some outer unit cube expanded by `expand` intersects a matching
-//      inner unit cube — the same contract under which a caller may pin
-//      kIndex by hand. Callers whose predicate does not satisfy it must
-//      pin kNestedLoop.
-//
-// Both rules are pure functions of the query, so the same query always
+// The rule is a pure function of the query, so the same query always
 // gets the same plan.
 
 #ifndef MODB_EXEC_PLANNER_H_
@@ -34,14 +25,13 @@
 namespace modb {
 namespace exec {
 
-/// Declarative query description. Exactly one of rel/spilled is the
-/// source; filters apply in order; at most one of project/join/batch/
-/// window is the terminal. The planner copies predicates into the plan
-/// but only points at relations/indexes — sources must outlive the
-/// returned PhysicalPlan's execution.
+/// Declarative query description. `rel` is the source; filters apply
+/// in order; at most one of project/join/batch/window is the terminal.
+/// The planner copies predicates into the plan but only points at
+/// relations/indexes — sources must outlive the returned
+/// PhysicalPlan's execution.
 struct LogicalQuery {
   const Relation* rel = nullptr;
-  SpilledRelation* spilled = nullptr;
 
   std::vector<Predicate> filters;
 

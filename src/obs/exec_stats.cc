@@ -19,7 +19,6 @@ void ExecStats::MergeCountersFrom(const ExecStats& other) {
   units_scanned += other.units_scanned;
   workers += other.workers;
   morsels += other.morsels;
-  pushdown_skips += other.pushdown_skips;
   materializations += other.materializations;
 }
 
@@ -42,7 +41,6 @@ JsonValue ToJsonValue(const ExecStats& s) {
   set_if("units_scanned", s.units_scanned);
   set_if("workers", s.workers);
   set_if("morsels", s.morsels);
-  set_if("pushdown_skips", s.pushdown_skips);
   set_if("materializations", s.materializations);
   set_if("wall_ns", s.wall_ns);
   if (!s.children.empty()) {
@@ -92,7 +90,6 @@ Result<ExecStats> FromJsonValue(const JsonValue& v) {
       else if (key == "units_scanned") out.units_scanned = n;
       else if (key == "workers") out.workers = n;
       else if (key == "morsels") out.morsels = n;
-      else if (key == "pushdown_skips") out.pushdown_skips = n;
       else if (key == "materializations") out.materializations = n;
       else if (key == "wall_ns") out.wall_ns = n;
       else return Status::InvalidArgument("unknown ExecStats field: " + key);

@@ -64,10 +64,6 @@ struct ExecStats {
   /// Pipelined engine (src/exec/): morsels this node processed.
   std::uint64_t morsels = 0;
 
-  /// Spilled-scan rows skipped by a pushed-down predicate window using
-  /// resident stats only — no page was faulted for these rows.
-  std::uint64_t pushdown_skips = 0;
-
   /// Relations this node materialized. A pipelined plan reports exactly
   /// 1 (the sink); a composed chain of materializing operators reports
   /// one per operator — the difference is the engine's whole point.

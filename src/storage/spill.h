@@ -7,21 +7,18 @@
 // garbage. Byte-level layout: docs/STORAGE_FORMAT.md.
 //
 // Reads go through a BufferPool, so a cold value costs one device read
-// per page and a warm one costs none; Spilled<M> additionally memoizes
-// the decoded value, the load-on-demand handle the paged query readers
-// (temporal/paged_ops.h) evaluate AtInstantBatch/Present against. The
-// memoized value is exactly what was decoded: no side structure is
-// built at load.
+// per page and a warm one costs none. A typed value round-trips as
+// SpillBlob(SerializeFlat(ToFlat(v))) → ReadSpilledBlob → ParseFlat →
+// FlatCodec<M>::FromFlat, the path recovery (storage/recovery.h) reads
+// every root through.
 
 #ifndef MODB_STORAGE_SPILL_H_
 #define MODB_STORAGE_SPILL_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 
 #include "core/status.h"
 #include "storage/buffer_pool.h"
@@ -110,73 +107,6 @@ MODB_SPILL_CODEC(Periods, PeriodsFromFlat);
 MODB_SPILL_CODEC(Line, LineFromFlat);
 MODB_SPILL_CODEC(Region, RegionFromFlat);
 #undef MODB_SPILL_CODEC
-
-/// A load-on-demand handle to one spilled value. Holds only the locator
-/// (12 bytes) until Load() is called; Load pins the value's pages through
-/// the pool, verifies them, decodes, and memoizes the result until
-/// Release(). A relation of Spilled<M> handles therefore occupies RAM
-/// proportional to what queries actually touch, not to its total size.
-template <typename M>
-class Spilled {
- public:
-  Spilled() = default;
-  explicit Spilled(SpillLocator loc) : loc_(loc) {}
-
-  /// Serializes `value` and writes it to `device`.
-  static Result<Spilled> Spill(const M& value, PageDevice* device) {
-    Result<FlatValue> flat = spill_internal::EncodeToFlat(value);
-    if (!flat.ok()) return flat.status();
-    Result<SpillLocator> loc = SpillBlob(device, SerializeFlat(*flat));
-    if (!loc.ok()) return loc.status();
-    return Spilled(*loc);
-  }
-
-  /// The decoded value, loading through `pool` on first call.
-  Result<const M*> Load(BufferPool* pool) {
-    if (!cached_) {
-      Result<std::string> blob = ReadSpilledBlob(pool, loc_);
-      if (!blob.ok()) return blob.status();
-      Result<FlatView> flat = ParseFlat(*blob);
-      if (!flat.ok()) return flat.status();
-      Result<M> value = FlatCodec<M>::FromFlat(*flat);
-      if (!value.ok()) return value.status();
-      cached_.emplace(std::move(*value));
-    }
-    return &*cached_;
-  }
-
-  /// Load with a structural validation pass (e.g.
-  /// validate::MappingValidator from src/validate/validate.h) run over
-  /// the decoded value before it is memoized: a value that violates the
-  /// Section-3 invariants is never served. `validator` is any callable
-  /// `const M& -> Status`. Costs one extra pass at decode time only —
-  /// warm calls return the memoized value untouched.
-  template <typename Validator>
-  Result<const M*> LoadValidated(BufferPool* pool, Validator&& validator) {
-    const bool was_loaded = cached_.has_value();
-    Result<const M*> loaded = Load(pool);
-    if (!loaded.ok()) return loaded;
-    if (!was_loaded) {
-      Status valid = validator(**loaded);
-      if (!valid.ok()) {
-        cached_.reset();  // never serve (or cache) an invalid value
-        return valid;
-      }
-    }
-    return loaded;
-  }
-
-  /// Drops the decoded value (the pages stay on the device, and possibly
-  /// in the pool). The next Load decodes again.
-  void Release() { cached_.reset(); }
-
-  bool IsLoaded() const { return cached_.has_value(); }
-  const SpillLocator& locator() const { return loc_; }
-
- private:
-  SpillLocator loc_;
-  std::optional<M> cached_;
-};
 
 }  // namespace modb
 

@@ -276,8 +276,7 @@ struct BatchXYOutput {
 // records and says what to emit per instant. The merge sweeps are
 // inherently serial and run inline on the calling thread; parallelism
 // over many mappings belongs to the morsel engine's batch terminal
-// (exec/pipeline.h). The paged twins in temporal/paged_ops.h run the same
-// kernels.
+// (exec/pipeline.h).
 // ---------------------------------------------------------------------------
 
 /// atinstant over a batch of ascending instants: one merge sweep instead

@@ -17,8 +17,7 @@
 // silently damaged in ways the per-page CRC cannot see (a checksummed
 // page of *wrong but well-formed* bytes, a stale shadow page stitched
 // into a torn commit). Recovery therefore re-checks every loaded root
-// with these validators before it is served (storage/recovery.h), and
-// Spilled<M>::LoadValidated lets any reader opt in.
+// with these validators before it is served (storage/recovery.h).
 //
 // Every check bumps validate.checks; every rejection bumps
 // validate.violations. All rejections are descriptive InvalidArgument
@@ -120,8 +119,9 @@ Status ValidateLine(const Line& line);
 /// paired, and every cycle/face/next-in-cycle link index is in range.
 Status ValidateRegion(const Region& region);
 
-/// Callable adapter for Spilled<M>::LoadValidated: validates the mapping
-/// invariants of any moving type's sliced representation.
+/// Callable adapter recovery's decode-then-validate pass dispatches the
+/// moving types through: validates the mapping invariants of any moving
+/// type's sliced representation.
 struct MappingValidator {
   template <typename U>
   Status operator()(const Mapping<U>& m) const {

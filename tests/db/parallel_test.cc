@@ -96,7 +96,7 @@ exec::LogicalQuery SelectQuery(const Relation& rel,
                                std::function<bool(const Tuple&)> pred) {
   exec::LogicalQuery q;
   q.rel = &rel;
-  q.filters.push_back({std::move(pred), std::nullopt});
+  q.filters.push_back(std::move(pred));
   q.root_op = "select";
   return q;
 }

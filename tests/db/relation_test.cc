@@ -24,7 +24,7 @@ Relation Execute(const exec::LogicalQuery& q) {
 Relation Select(const Relation& rel, std::function<bool(const Tuple&)> pred) {
   exec::LogicalQuery q;
   q.rel = &rel;
-  q.filters.push_back({std::move(pred), std::nullopt});
+  q.filters.push_back(std::move(pred));
   return Execute(q);
 }
 

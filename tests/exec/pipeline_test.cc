@@ -20,7 +20,6 @@
 #include "gen/trajectory_gen.h"
 #include "index/delta_index.h"
 #include "obs/metrics.h"
-#include "storage/page_store.h"
 
 namespace modb {
 namespace exec {
@@ -87,7 +86,7 @@ Relation Execute(const LogicalQuery& q) {
 Relation Select(const Relation& rel, std::function<bool(const Tuple&)> pred) {
   LogicalQuery q;
   q.rel = &rel;
-  q.filters.push_back(Predicate{std::move(pred), std::nullopt});
+  q.filters.push_back(std::move(pred));
   return Execute(q);
 }
 
@@ -127,7 +126,7 @@ TEST(PipelinedPlans, SelectProjectMatchesComposedOperators) {
 
   LogicalQuery q;
   q.rel = &planes;
-  q.filters.push_back(Predicate{EvenUnits, std::nullopt});
+  q.filters.push_back(EvenUnits);
   q.project = std::vector<int>{kFlightAttrAirline, kFlightAttrFlight};
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
@@ -184,7 +183,7 @@ TEST(PipelinedPlans, SelectIndexJoinMatchesComposedOperators) {
 
   LogicalQuery q;
   q.rel = &planes;
-  q.filters.push_back(Predicate{EvenUnits, std::nullopt});
+  q.filters.push_back(EvenUnits);
   q.join = std::move(join);
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
@@ -221,7 +220,7 @@ TEST(PipelinedPlans, SelectNestedLoopJoinMatchesComposedOperators) {
 
   LogicalQuery q;
   q.rel = &planes;
-  q.filters.push_back(Predicate{EvenUnits, std::nullopt});
+  q.filters.push_back(EvenUnits);
   q.join = std::move(join);
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
@@ -237,7 +236,7 @@ TEST(PipelinedPlans, EmptySourceProducesEmptyOutput) {
   Relation empty("planes", planes.schema());
   LogicalQuery q;
   q.rel = &empty;
-  q.filters.push_back(Predicate{EvenUnits, std::nullopt});
+  q.filters.push_back(EvenUnits);
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
   ExecStats stats;
@@ -251,110 +250,25 @@ TEST(PipelinedPlans, EmptySourceProducesEmptyOutput) {
 }
 
 // ---------------------------------------------------------------------------
-// Spilled sources: pushdown and differential equivalence.
+// Morsel failures.
 // ---------------------------------------------------------------------------
 
-// A time-window select over a spilled relation must (a) produce exactly
-// the in-memory result, and (b) never fault pages for rows whose
-// resident stats already disqualify them.
-TEST(PipelinedPlans, SpilledScanPushdownSkipsColdRows) {
-  Relation planes = TestPlanes(48, 17);
-  PageStore store;
-  BufferPool pool(&store, 256);
-  auto spilled =
-      SpilledRelation::Spill(planes, kFlightAttrFlight, &store, &pool);
-  ASSERT_TRUE(spilled.ok()) << spilled.status();
-
-  // Window over the start of the departure range: some flights overlap,
-  // later departures provably cannot.
-  const Instant t0 = 0.0, t1 = 6.0;
-  auto window_pred = [t0, t1](const Tuple& t) {
-    const auto& mp = std::get<MovingPoint>(t[std::size_t(kFlightAttrFlight)]);
-    if (mp.IsEmpty()) return false;
-    return mp.units().front().interval().start() <= t1 &&
-           t0 <= mp.units().back().interval().end();
-  };
-
-  LogicalQuery q;
-  q.spilled = &*spilled;
-  q.filters.push_back(
-      Predicate{window_pred, TimeWindow{kFlightAttrFlight, t0, t1}});
-  auto plan = PlanQuery(q);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-
-  ExecStats stats;
-  auto out = RunPlan(*plan, ThreadedOptions(4, &stats));
-  ASSERT_TRUE(out.ok()) << out.status();
-
-  // Rows the stats disqualified were never faulted in.
-  EXPECT_GT(stats.pushdown_skips, 0u);
-  std::size_t cold = 0;
-  for (std::size_t i = 0; i < spilled->NumTuples(); ++i) {
-    if (!spilled->stats(i).MayIntersectWindow(t0, t1)) {
-      EXPECT_FALSE(spilled->IsLoaded(i)) << "row " << i << " was faulted";
-      ++cold;
-    }
-  }
-  EXPECT_EQ(stats.pushdown_skips, cold);
-  EXPECT_GT(cold, 0u);
-
-  // Byte-identical to the in-memory path over the fully loaded data.
-  auto all = spilled->MaterializeAll();
-  ASSERT_TRUE(all.ok()) << all.status();
-  Relation reference = Select(*all, window_pred);
-  ExpectByteIdentical(reference, out->rows);
-}
-
-// Spilled scans stay byte-identical across thread counts (concurrent
-// page faults on distinct rows).
-TEST(PipelinedPlans, SpilledScanMatchesAcrossThreadCounts) {
-  Relation planes = TestPlanes(30, 18);
-  PageStore store;
-  BufferPool pool(&store, 256);
-  auto spilled =
-      SpilledRelation::Spill(planes, kFlightAttrFlight, &store, &pool);
-  ASSERT_TRUE(spilled.ok()) << spilled.status();
-
-  LogicalQuery q;
-  q.spilled = &*spilled;
-  q.filters.push_back(Predicate{EvenUnits, std::nullopt});
-  auto plan = PlanQuery(q);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-
-  ExecOptions serial;
-  auto baseline = RunPlan(*plan, serial);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  EXPECT_GT(baseline->rows.NumTuples(), 0u);
-  for (int threads : kThreadCounts) {
-    auto out = RunPlan(*plan, ThreadedOptions(threads));
-    ASSERT_TRUE(out.ok()) << out.status();
-    ExpectByteIdentical(baseline->rows, out->rows);
-  }
-}
-
-// A faulting row (corrupted page) must surface the SAME error whatever
-// the schedule: the engine reports the smallest failing morsel.
-TEST(PipelinedPlans, SpilledLoadErrorIsDeterministic) {
+// A failing morsel must surface the SAME error whatever the schedule:
+// the engine reports the smallest failing morsel. Descending instants
+// make the batch kernel fail on every row.
+TEST(PipelinedPlans, MorselErrorIsDeterministic) {
   Relation planes = TestPlanes(12, 19);
-  PageStore store;
-  BufferPool pool(&store, 64);
-  auto spilled =
-      SpilledRelation::Spill(planes, kFlightAttrFlight, &store, &pool);
-  ASSERT_TRUE(spilled.ok()) << spilled.status();
-  // Row 0 spilled first, so page 0 belongs to it; trash the page.
-  std::string garbage(kPageSize, '\x5a');
-  ASSERT_TRUE(store.WritePage(0, garbage.data()).ok());
-
   LogicalQuery q;
-  q.spilled = &*spilled;
-  q.filters.push_back(Predicate{[](const Tuple&) { return true; }, std::nullopt});
+  q.rel = &planes;
+  q.batch = BatchOp{BatchOp::Kind::kAtInstant, kFlightAttrFlight,
+                    {9.0, 5.0, 1.0}};
   q.morsel_rows = 1;
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();
 
-  ExecOptions serial;
-  auto serial_out = RunPlan(*plan, serial);
+  auto serial_out = RunPlan(*plan, ThreadedOptions(1));
   ASSERT_FALSE(serial_out.ok());
+  EXPECT_EQ(serial_out.status().code(), StatusCode::kInvalidArgument);
   for (int threads : {2, 4}) {
     auto out = RunPlan(*plan, ThreadedOptions(threads));
     ASSERT_FALSE(out.ok());
@@ -375,7 +289,7 @@ TEST(PipelinedPlans, StalledWorkerPermutationsAreByteIdentical) {
   Relation planes = TestPlanes(40, 20);
   LogicalQuery q;
   q.rel = &planes;
-  q.filters.push_back(Predicate{EvenUnits, std::nullopt});
+  q.filters.push_back(EvenUnits);
   q.morsel_rows = 1;  // maximize scheduling freedom
   auto plan = PlanQuery(q);
   ASSERT_TRUE(plan.ok()) << plan.status();

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "gen/flights_gen.h"
-#include "storage/page_store.h"
 
 namespace modb {
 namespace exec {
@@ -20,8 +19,6 @@ Relation TestPlanes(int num_flights, std::uint64_t seed) {
   EXPECT_TRUE(rel.ok()) << rel.status();
   return *rel;
 }
-
-bool AnyTuple(const Tuple&) { return true; }
 
 bool AnyPair(const Tuple&, std::size_t, const Tuple&, std::size_t,
              EverWithinStats*) {
@@ -45,7 +42,7 @@ LogicalQuery JoinQuery(const Relation* outer, const Relation* inner,
 }
 
 // ---------------------------------------------------------------------------
-// Rule 2: join algorithm choice.
+// The one rule: join algorithm choice.
 // ---------------------------------------------------------------------------
 
 // Tiny join: outer×inner below the eval budget, nested loop wins (no
@@ -111,47 +108,6 @@ TEST(Planner, PrebuiltTreeForcesIndexJoinWithoutBuildStep) {
   ASSERT_TRUE(plan->pipe.join.has_value());
   EXPECT_EQ(plan->pipe.join->kind, JoinProbeOp::Kind::kIndex);
   EXPECT_EQ(plan->pipe.join->tree, &*tree);
-}
-
-// ---------------------------------------------------------------------------
-// Rule 1: predicate pushdown into spilled scans.
-// ---------------------------------------------------------------------------
-
-TEST(Planner, PushesWindowIntersectionIntoSpilledScan) {
-  Relation planes = TestPlanes(6, 7);
-  PageStore store;
-  BufferPool pool(&store, 64);
-  auto spilled =
-      SpilledRelation::Spill(planes, kFlightAttrFlight, &store, &pool);
-  ASSERT_TRUE(spilled.ok()) << spilled.status();
-
-  LogicalQuery q;
-  q.spilled = &*spilled;
-  q.filters.push_back(
-      Predicate{AnyTuple, TimeWindow{kFlightAttrFlight, 0.0, 10.0}});
-  q.filters.push_back(
-      Predicate{AnyTuple, TimeWindow{kFlightAttrFlight, 4.0, 20.0}});
-  // A window on a different attribute must not narrow the scan window.
-  q.filters.push_back(
-      Predicate{AnyTuple, TimeWindow{kFlightAttrAirline, 99.0, 100.0}});
-  auto plan = PlanQuery(q);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  const Pipeline& pipe = plan->pipe;
-  ASSERT_TRUE(pipe.scan_window.has_value());
-  EXPECT_EQ(pipe.scan_window->attr, kFlightAttrFlight);
-  EXPECT_EQ(pipe.scan_window->t0, 4.0);
-  EXPECT_EQ(pipe.scan_window->t1, 10.0);
-}
-
-TEST(Planner, NoPushdownForInMemorySource) {
-  Relation planes = TestPlanes(4, 8);
-  LogicalQuery q;
-  q.rel = &planes;
-  q.filters.push_back(
-      Predicate{AnyTuple, TimeWindow{kFlightAttrFlight, 0.0, 10.0}});
-  auto plan = PlanQuery(q);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_FALSE(plan->pipe.scan_window.has_value());
 }
 
 // ---------------------------------------------------------------------------

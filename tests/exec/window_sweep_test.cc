@@ -7,7 +7,7 @@
 // gaps, open and closed unit ends exactly on window edges, single-instant
 // units, windows before the first unit and after the last, sliding,
 // tumbling and gapped grids, with and without a rect, on 1, 2 and 4
-// workers, from an in-memory and from a spilled source.
+// workers.
 
 #include <algorithm>
 #include <cstdint>
@@ -24,9 +24,6 @@
 #include "db/relation_io.h"
 #include "exec/pipeline.h"
 #include "exec/planner.h"
-#include "exec/spilled_relation.h"
-#include "storage/buffer_pool.h"
-#include "storage/page_store.h"
 #include "temporal/mapping.h"
 #include "temporal/upoint.h"
 
@@ -275,11 +272,10 @@ void ExpectSameBytes(const std::vector<Tuple>& a, const Relation& b,
   }
 }
 
-Result<PlanOutput> RunGrid(const Relation* rel, SpilledRelation* spilled,
-                           const WindowAggregateOp& op, int threads) {
+Result<PlanOutput> RunGrid(const Relation* rel, const WindowAggregateOp& op,
+                           int threads) {
   LogicalQuery q;
   q.rel = rel;
-  q.spilled = spilled;
   q.window = op;
   Result<PhysicalPlan> plan = PlanQuery(q);
   if (!plan.ok()) return plan.status();
@@ -294,7 +290,7 @@ TEST(WindowSweep, MatchesWindowOuterReferenceOnRandomTrails) {
     for (const WindowAggregateOp& op : Grids()) {
       const std::vector<Tuple> expect = ReferenceGrid(rel, op);
       for (int threads : {1, 2, 4}) {
-        Result<PlanOutput> out = RunGrid(&rel, nullptr, op, threads);
+        Result<PlanOutput> out = RunGrid(&rel, op, threads);
         ASSERT_TRUE(out.ok()) << out.status();
         ExpectSameBytes(expect, out->rows,
                         "seed " + std::to_string(seed) + " width " +
@@ -327,27 +323,6 @@ TEST(WindowSweep, RandomTrailsCoverTheEdgeCases) {
   EXPECT_TRUE(open_on_grid);
   EXPECT_TRUE(closed_on_grid);
   EXPECT_TRUE(empty);
-}
-
-// The spilled row pass parks materialized tuples instead of pointers;
-// the grid over them must match the reference over the same trails.
-TEST(WindowSweep, SpilledSourceMatchesReference) {
-  const Relation rel = RandomTrails(30, 4);
-  PageStore store;
-  BufferPool pool(&store, 64);
-  Result<SpilledRelation> spilled =
-      SpilledRelation::Spill(rel, 1, &store, &pool);
-  ASSERT_TRUE(spilled.ok()) << spilled.status();
-  for (const WindowAggregateOp& op : Grids()) {
-    const std::vector<Tuple> expect = ReferenceGrid(rel, op);
-    for (int threads : {1, 2, 4}) {
-      Result<PlanOutput> out = RunGrid(nullptr, &*spilled, op, threads);
-      ASSERT_TRUE(out.ok()) << out.status();
-      ExpectSameBytes(expect, out->rows,
-                      "spilled, step " + std::to_string(op.step) +
-                          " threads " + std::to_string(threads));
-    }
-  }
 }
 
 }  // namespace

@@ -20,7 +20,6 @@ ExecStats SampleTree() {
   root.units_scanned = 256;
   root.workers = 2;
   root.morsels = 9;
-  root.pushdown_skips = 5;
   root.materializations = 1;
   root.wall_ns = 123456789;
   for (int c = 0; c < 2; ++c) {
@@ -52,7 +51,6 @@ TEST(ExecStats, JsonRoundTripIsExact) {
   EXPECT_EQ(parsed->units_scanned, root.units_scanned);
   EXPECT_EQ(parsed->workers, root.workers);
   EXPECT_EQ(parsed->morsels, root.morsels);
-  EXPECT_EQ(parsed->pushdown_skips, root.pushdown_skips);
   EXPECT_EQ(parsed->materializations, root.materializations);
   EXPECT_EQ(parsed->wall_ns, root.wall_ns);
   ASSERT_EQ(parsed->children.size(), 2u);
@@ -99,7 +97,6 @@ TEST(ExecStats, MergeCountersSumsEverythingButWallTime) {
   b.units_scanned = 6;
   b.workers = 1;
   b.morsels = 7;
-  b.pushdown_skips = 8;
   b.materializations = 1;
   b.wall_ns = 999;
   ExecStats child;
@@ -116,7 +113,6 @@ TEST(ExecStats, MergeCountersSumsEverythingButWallTime) {
   EXPECT_EQ(a.units_scanned, 262u);
   EXPECT_EQ(a.workers, 3u);
   EXPECT_EQ(a.morsels, 16u);
-  EXPECT_EQ(a.pushdown_skips, 13u);
   EXPECT_EQ(a.materializations, 2u);
   EXPECT_EQ(a.wall_ns, 123456789u);       // wall time is not additive
   EXPECT_EQ(a.children.size(), 2u);       // children untouched

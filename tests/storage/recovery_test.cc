@@ -197,23 +197,20 @@ TEST(VersionedSpillStore, ValidationRejectsStructurallyBrokenRoot) {
   EXPECT_EQ(unvalidated->epoch(), 1u);
 }
 
+// The two halves of recovery's decode-then-validate pass on one value:
+// FlatCodec accepts the broken region's bytes (FromParts only
+// bounds-checks), and the Section-3 validator rejects the decoded value.
 TEST(SpilledLoadValidated, RejectsValueTheDecoderTrusts) {
   auto broken = BrokenRegion();
   ASSERT_TRUE(broken.ok());
-  PageStore device;
-  auto spilled = Spilled<Region>::Spill(*broken, &device);
-  ASSERT_TRUE(spilled.ok());
-  BufferPool pool(&device, 8);
-  // The plain decode path accepts the bytes (FromParts only
-  // bounds-checks)...
-  auto plain = spilled->Load(&pool);
-  EXPECT_TRUE(plain.ok());
-  spilled->Release();
-  // ...LoadValidated does not, and must not cache the rejected value.
-  auto checked = spilled->LoadValidated(
-      &pool, [](const Region& r) { return validate::ValidateRegion(r); });
-  ASSERT_FALSE(checked.ok());
-  EXPECT_FALSE(spilled->IsLoaded());
+  const std::string blob = SerializeFlat(ToFlat(*broken));
+  auto flat = ParseFlat(blob);
+  ASSERT_TRUE(flat.ok()) << flat.status();
+  auto decoded = FlatCodec<Region>::FromFlat(*flat);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_FALSE(validate::ValidateRegion(*decoded).ok());
+  EXPECT_FALSE(
+      DecodeAndValidateRootBlob(SpillValueType::kRegion, blob).ok());
 }
 
 TEST(VersionedSpillStore, TransientReadFaultsAbsorbedByRetry) {

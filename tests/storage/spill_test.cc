@@ -5,11 +5,9 @@
 #include <cstring>
 #include <random>
 #include <string>
-#include <vector>
 
 #include "gen/trajectory_gen.h"
 #include "storage/page_store.h"
-#include "temporal/paged_ops.h"
 
 namespace modb {
 namespace {
@@ -23,6 +21,25 @@ MovingPoint MakeTrajectory(int num_units, int seed = 7) {
   TrajectoryOptions opts;
   opts.num_units = num_units;
   return *RandomWalkPoint(rng, opts);
+}
+
+// Spills `value` as the versioned store roots it: its flat serialization.
+template <typename M>
+Result<SpillLocator> SpillValue(const M& value, PageDevice* device) {
+  Result<FlatValue> flat = spill_internal::EncodeToFlat(value);
+  if (!flat.ok()) return flat.status();
+  return SpillBlob(device, SerializeFlat(*flat));
+}
+
+// Reads a spilled value back along recovery's path: verified pages, then
+// the flat parse, then the type's decoder.
+template <typename M>
+Result<M> LoadValue(BufferPool* pool, const SpillLocator& loc) {
+  Result<std::string> blob = ReadSpilledBlob(pool, loc);
+  if (!blob.ok()) return blob.status();
+  Result<FlatView> flat = ParseFlat(*blob);
+  if (!flat.ok()) return flat.status();
+  return FlatCodec<M>::FromFlat(*flat);
 }
 
 TEST(SpillBlobTest, RoundTripIsByteIdentical) {
@@ -125,111 +142,27 @@ TEST(SpilledValueTest, MovingRealRoundTrip) {
        *UReal::Make(TI(1, 2), 0, 0, 9, true)});
   PageStore store;
   BufferPool pool(&store, 8);
-  auto spilled = Spilled<MovingReal>::Spill(mr, &store);
-  ASSERT_TRUE(spilled.ok()) << spilled.status();
-  EXPECT_FALSE(spilled->IsLoaded());
+  auto loc = SpillValue(mr, &store);
+  ASSERT_TRUE(loc.ok()) << loc.status();
 
-  auto loaded = spilled->Load(&pool);
+  auto loaded = LoadValue<MovingReal>(&pool, *loc);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_TRUE(spilled->IsLoaded());
-  EXPECT_EQ((*loaded)->NumUnits(), 2u);
-  EXPECT_DOUBLE_EQ((*loaded)->AtInstant(0.5).val(), 1 * 0.25 + 2 * 0.5 + 3);
+  EXPECT_EQ(loaded->NumUnits(), 2u);
+  EXPECT_DOUBLE_EQ(loaded->AtInstant(0.5).val(), 1 * 0.25 + 2 * 0.5 + 3);
 
   // The on-device bytes are exactly the flat serialization of the value.
   auto flat = ToFlat(mr);
-  auto blob = ReadSpilledBlob(&pool, spilled->locator());
+  auto blob = ReadSpilledBlob(&pool, *loc);
   ASSERT_TRUE(blob.ok());
   EXPECT_EQ(*blob, SerializeFlat(flat));
-}
-
-TEST(SpilledValueTest, ReleaseDropsAndReloads) {
-  MovingPoint mp = MakeTrajectory(300);
-  PageStore store;
-  auto spilled = Spilled<MovingPoint>::Spill(mp, &store);
-  ASSERT_TRUE(spilled.ok()) << spilled.status();
-  ASSERT_GT(spilled->locator().num_pages, 1u) << "want a multi-page value";
-
-  BufferPool pool(&store, 4);  // smaller than the value: must recycle frames
-  auto first = spilled->Load(&pool);
-  ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_EQ((*first)->NumUnits(), mp.NumUnits());
-  spilled->Release();
-  EXPECT_FALSE(spilled->IsLoaded());
-  auto second = spilled->Load(&pool);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ((*second)->NumUnits(), mp.NumUnits());
-}
-
-TEST(PagedOpsTest, AtInstantBatchSpilledMatchesInMemory) {
-  MovingPoint mp = MakeTrajectory(200, /*seed=*/11);
-  PageStore store;
-  auto spilled = Spilled<MovingPoint>::Spill(mp, &store);
-  ASSERT_TRUE(spilled.ok()) << spilled.status();
-
-  std::vector<Instant> instants;
-  for (double t = -2; t < 205; t += 0.25) instants.push_back(t);
-
-  std::vector<Intime<Point>> expect;
-  ASSERT_TRUE(AtInstantBatchInto(mp, instants, &expect).ok());
-
-  BufferPool pool(&store, 8);
-  std::vector<Intime<Point>> got;
-  ASSERT_TRUE(
-      AtInstantBatchSpilled(&*spilled, &pool, instants, &got).ok());
-  ASSERT_EQ(got.size(), expect.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].defined, expect[i].defined);
-    if (got[i].defined) {
-      EXPECT_EQ(got[i].value, expect[i].value);
-    }
-  }
-
-  std::vector<std::uint8_t> present_expect, present_got;
-  ASSERT_TRUE(PresentBatchInto(mp, instants, &present_expect).ok());
-  ASSERT_TRUE(
-      PresentBatchSpilled(&*spilled, &pool, instants, &present_got).ok());
-  EXPECT_EQ(present_got, present_expect);
-
-  auto p = PresentSpilled(&*spilled, &pool, 0.5);
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(*p, mp.Present(0.5));
-}
-
-TEST(PagedOpsTest, SpilledRelationLargerThanPool) {
-  // Ten trajectories spilled to one device, read back through a pool that
-  // can hold only a fraction of their pages at once.
-  PageStore store;
-  std::vector<Spilled<MovingPoint>> rows;
-  std::vector<MovingPoint> originals;
-  for (int i = 0; i < 10; ++i) {
-    originals.push_back(MakeTrajectory(120, /*seed=*/100 + i));
-    auto s = Spilled<MovingPoint>::Spill(originals.back(), &store);
-    ASSERT_TRUE(s.ok()) << s.status();
-    rows.push_back(std::move(*s));
-  }
-  BufferPool pool(&store, 6);
-  std::vector<Instant> instants = {0.5, 10.5, 60.25, 119.5};
-  for (int i = 0; i < 10; ++i) {
-    std::vector<Intime<Point>> got;
-    ASSERT_TRUE(
-        AtInstantBatchSpilled(&rows[i], &pool, instants, &got).ok());
-    for (std::size_t k = 0; k < instants.size(); ++k) {
-      ASSERT_TRUE(got[k].defined);
-      EXPECT_EQ(got[k].value, originals[i].AtInstant(instants[k]).val());
-    }
-    rows[i].Release();  // keep resident set small, like a real scan
-  }
-  // Every byte came through the pool.
-  BufferPoolStats stats = pool.stats();
-  EXPECT_GT(stats.misses, 0u);
-  EXPECT_GT(stats.evictions, 0u);
 }
 
 TEST(SpilledValueTest, SurvivesSaveAndLoadThroughFile) {
   MovingPoint mp = MakeTrajectory(150, /*seed=*/3);
   PageStore store;
-  auto spilled = Spilled<MovingPoint>::Spill(mp, &store);
-  ASSERT_TRUE(spilled.ok());
+  auto loc = SpillValue(mp, &store);
+  ASSERT_TRUE(loc.ok()) << loc.status();
+  ASSERT_GT(loc->num_pages, 1u) << "want a multi-page value";
 
   const std::string path = ::testing::TempDir() + "/modb_spill_file.bin";
   ASSERT_TRUE(store.SaveToFile(path).ok());
@@ -237,11 +170,10 @@ TEST(SpilledValueTest, SurvivesSaveAndLoadThroughFile) {
   ASSERT_TRUE(device.ok()) << device.status();
 
   BufferPool pool(&*device, 8);
-  Spilled<MovingPoint> reopened(spilled->locator());
-  auto loaded = reopened.Load(&pool);
+  auto loaded = LoadValue<MovingPoint>(&pool, *loc);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ((*loaded)->NumUnits(), mp.NumUnits());
-  EXPECT_EQ((*loaded)->AtInstant(42.5).val(), mp.AtInstant(42.5).val());
+  EXPECT_EQ(loaded->NumUnits(), mp.NumUnits());
+  EXPECT_EQ(loaded->AtInstant(42.5).val(), mp.AtInstant(42.5).val());
 }
 
 }  // namespace

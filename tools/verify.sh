@@ -59,11 +59,12 @@ done
 # ThreadSanitizer over the code that moves query work onto pool
 # threads and the storage tier readers share with ingest: the exec, db,
 # storage and ingest suites (sharded pool, epoch pins, live ingest and
-# its commits beside pinned readers) and the serving tests.
+# its commits beside pinned readers), the temporal suite (the unit
+# arrays copies of a trail share) and the serving tests.
 echo "==== [tsan] configure + build + test ===="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs"
-ctest --preset tsan -j "$jobs" -L '^(exec|db|storage|ingest)$'
+ctest --preset tsan -j "$jobs" -L '^(exec|db|storage|ingest|temporal)$'
 ctest --preset tsan -j "$jobs" -R '^ServerTest\.'
 
 # Perf smoke on a Release (-O3 -DNDEBUG) build: export the key
