@@ -60,9 +60,8 @@ BENCHMARK(BM_Q1_TrajectoryLength)->RangeMultiplier(2)->Range(16, 256)
     ->Complexity(benchmark::oN);
 
 // The Q2 predicate modbd runs: the fused EverWithin sweep.
-bool ClosePred(const Tuple& a, std::size_t i, const Tuple& b, std::size_t j,
-               int attr, double dist, EverWithinStats* stats) {
-  if (i >= j) return false;
+bool ClosePred(const Tuple& a, const Tuple& b, int attr, double dist,
+               EverWithinStats* stats) {
   return EverWithin(std::get<MovingPoint>(a[std::size_t(attr)]),
                     std::get<MovingPoint>(b[std::size_t(attr)]), dist, stats);
 }
@@ -79,10 +78,11 @@ exec::LogicalQuery Q2(const Relation& rel, JoinAlgorithm algorithm,
   q.join->attr_outer = attr;
   q.join->attr_inner = attr;
   q.join->expand = 50;
-  q.join->pred = [attr](const Tuple& a, std::size_t i, const Tuple& b,
-                        std::size_t j, EverWithinStats* stats) {
-    return ClosePred(a, i, b, j, attr, 50, stats);
+  q.join->pred = [attr](const Tuple& a, std::size_t, const Tuple& b,
+                        std::size_t, EverWithinStats* stats) {
+    return ClosePred(a, b, attr, 50, stats);
   };
+  q.join->distinct_pairs = true;
   q.join->prebuilt = prebuilt;
   return q;
 }

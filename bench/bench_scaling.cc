@@ -58,9 +58,8 @@ bool Q1Pred(const Tuple& t) {
 }
 
 // The Q2 predicate modbd runs: the fused EverWithin sweep.
-bool ClosePred(const Tuple& a, std::size_t i, const Tuple& b, std::size_t j,
-               double dist, EverWithinStats* stats) {
-  if (i >= j) return false;
+bool ClosePred(const Tuple& a, const Tuple& b, double dist,
+               EverWithinStats* stats) {
   return EverWithin(std::get<MovingPoint>(a[kFlightAttrFlight]),
                     std::get<MovingPoint>(b[kFlightAttrFlight]), dist, stats);
 }
@@ -92,10 +91,11 @@ exec::PhysicalPlan CloseJoinPlan(const Relation* src, const RTree3D* tree,
   q.join->attr_outer = kFlightAttrFlight;
   q.join->attr_inner = kFlightAttrFlight;
   q.join->expand = 50;
-  q.join->pred = [](const Tuple& a, std::size_t i, const Tuple& b,
-                    std::size_t j, EverWithinStats* stats) {
-    return ClosePred(a, i, b, j, 50, stats);
+  q.join->pred = [](const Tuple& a, std::size_t, const Tuple& b,
+                    std::size_t, EverWithinStats* stats) {
+    return ClosePred(a, b, 50, stats);
   };
+  q.join->distinct_pairs = true;
   q.join->prebuilt = tree;
   return *exec::PlanQuery(q);
 }

@@ -61,9 +61,8 @@ int main() {
 
   // ---- Q2: close encounters ----------------------------------------------
   const double kCloser = 50;  // "closer than 50 km" for the synthetic data.
-  auto close_pred = [kCloser](const Tuple& a, std::size_t i, const Tuple& b,
-                              std::size_t j, EverWithinStats*) {
-    if (i >= j) return false;
+  auto close_pred = [kCloser](const Tuple& a, std::size_t, const Tuple& b,
+                              std::size_t, EverWithinStats*) {
     auto d = LiftedDistance(std::get<MovingPoint>(a[kFlightAttrFlight]),
                             std::get<MovingPoint>(b[kFlightAttrFlight]));
     if (!d.ok() || d->IsEmpty()) return false;
@@ -82,6 +81,7 @@ int main() {
   q2_query.join->attr_inner = kFlightAttrFlight;
   q2_query.join->expand = kCloser;
   q2_query.join->pred = close_pred;
+  q2_query.join->distinct_pairs = true;  // each pair once
   Relation q2 = Run(q2_query);
   std::printf("\nQ2: pairs of planes closer than %.0f km (%zu pairs)\n",
               kCloser, q2.NumTuples());

@@ -104,14 +104,11 @@ MutationResult FromIngestAck(const ingest::IngestAck& a) {
   return ack;
 }
 
-// The Q2 predicate template: ever closer than `dist`, optionally only
-// distinct (i < j) pairs.
-exec::JoinPred EverCloserPred(int slot_a, int slot_b, double dist,
-                              bool distinct_pairs) {
-  return [slot_a, slot_b, dist, distinct_pairs](
-             const Tuple& a, std::size_t i, const Tuple& b, std::size_t j,
-             EverWithinStats* stats) {
-    if (distinct_pairs && i >= j) return false;
+// The Q2 predicate template: ever closer than `dist`. The probe, not
+// the predicate, keeps a self-join to its distinct pairs.
+exec::JoinPred EverCloserPred(int slot_a, int slot_b, double dist) {
+  return [slot_a, slot_b, dist](const Tuple& a, std::size_t, const Tuple& b,
+                                std::size_t, EverWithinStats* stats) {
     return EverWithin(std::get<MovingPoint>(a[slot_a]),
                       std::get<MovingPoint>(b[slot_b]), dist, stats);
   };
@@ -469,8 +466,8 @@ Status Db::Run(const QueryRequest& req, const ExecOptions& options,
       join.attr_outer = *outer_slot;
       join.attr_inner = *inner_slot;
       join.expand = req.distance;
-      join.pred = EverCloserPred(*outer_slot, *inner_slot, req.distance,
-                                 req.distinct_pairs);
+      join.pred = EverCloserPred(*outer_slot, *inner_slot, req.distance);
+      join.distinct_pairs = req.distinct_pairs;
       if (req.kind == QueryRequest::Kind::kJoin) {
         join.algorithm = exec::LogicalQuery::JoinSpec::Algorithm::kNestedLoop;
       } else {

@@ -23,6 +23,8 @@
 #include <functional>
 #include <vector>
 
+#include "core/status.h"
+
 namespace modb {
 namespace exec {
 
@@ -78,10 +80,13 @@ class MorselScheduler {
 /// Test instrumentation for the engine. `before_morsel` runs on the
 /// claiming worker right before a morsel's stages execute — the
 /// determinism tests install a hook that stalls chosen workers to
-/// permute completion order. Null hooks cost one pointer load per
-/// morsel.
+/// permute completion order. `morsel_status` runs next; a non-OK
+/// Status fails that morsel with it instead of running its stages, so
+/// tests can fail chosen morsels with distinct errors. Null hooks cost
+/// one pointer load per morsel.
 struct ExecTestHooks {
   std::function<void(std::size_t worker, std::size_t seq)> before_morsel;
+  std::function<Status(std::size_t seq)> morsel_status;
 };
 
 /// Installs `hooks` (nullptr to clear) and returns the previous

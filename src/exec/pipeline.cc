@@ -54,14 +54,23 @@ struct ProbeScratch {
 };
 
 // Worker-private buffers reused across the morsels a worker claims; a
-// warm worker allocates nothing per morsel.
+// warm worker allocates nothing per morsel. The probe's tree counters
+// and the batch kernels' counters collect a morsel's work and go to the
+// metrics registry once per morsel (FlushMetrics).
 struct WorkerState {
   std::vector<std::size_t> rows;  // surviving source row ids
   ProbeScratch probe;
   BatchScratch batch;
-  std::vector<std::uint8_t> present;
+  RTree3D::QueryCounters tree_counters;
+  BatchCounters batch_counters;
   std::vector<StageCounters> stages;
   std::uint64_t morsels = 0;
+
+  void FlushMetrics() {
+    tree_counters.Flush();
+    tree_counters = RTree3D::QueryCounters();
+    batch_counters.Flush();
+  }
 };
 
 class OptionalTimer {
@@ -153,7 +162,10 @@ Status DriveMorsels(
         hooks->before_morsel(w, m.seq);
       }
       ++state.morsels;
-      Status s = body(&state, m);
+      Status s = hooks != nullptr && hooks->morsel_status
+                     ? hooks->morsel_status(m.seq)
+                     : Status::OK();
+      if (s.ok()) s = body(&state, m);
       if (!s.ok()) error.Record(m.seq, std::move(s));
     }
   };
@@ -180,29 +192,35 @@ Status DriveMorsels(
 // Joined tuples for one surviving outer row of the index-join probe,
 // appended in ascending candidate order. Candidates are deduplicated as
 // they arrive, and the probe stops at the first unit that finds every
-// inner row already a candidate: no later unit could add one.
+// inner row the row can pair with already a candidate: no later unit
+// could add one. With distinct pairs those are the rows past
+// `outer_row`; ids up to it are dropped as they arrive, and the last
+// row probes nothing.
 void ProbeIndexJoinRow(const Tuple& outer, std::size_t outer_row,
                        const JoinProbeOp& op, const IndexLayersView& view,
                        std::vector<Tuple>* out, StageCounters* s,
-                       ProbeScratch* scratch) {
+                       ProbeScratch* scratch,
+                       RTree3D::QueryCounters* counters) {
   const Relation& b = *op.inner;
   const auto& mp = std::get<MovingPoint>(outer[std::size_t(op.attr_outer)]);
   const std::size_t inner_rows = b.NumTuples();
+  const std::size_t first = op.distinct_pairs ? outer_row + 1 : 0;
+  const std::size_t wanted = first < inner_rows ? inner_rows - first : 0;
   if (scratch->seen.size() != inner_rows) scratch->seen.assign(inner_rows, 0);
   const std::uint64_t stamp = ++scratch->stamp;
   std::vector<int64_t>* candidates = &scratch->candidates;
   candidates->clear();
-  auto collect = [scratch, candidates, stamp](int64_t id) {
+  auto collect = [scratch, candidates, stamp, first](int64_t id) {
+    if (std::size_t(id) < first) return;
     std::uint64_t& seen = scratch->seen[std::size_t(id)];
     if (seen == stamp) return;
     seen = stamp;
     candidates->push_back(id);
   };
-  RTree3D::QueryCounters counters;
   const Cube& bounds = view.Bounds();
   std::size_t probed = 0;
   for (const UPoint& u : mp.units()) {
-    if (candidates->size() == inner_rows) break;
+    if (candidates->size() == wanted) break;
     ++probed;
     Cube c = u.BoundingCube();
     c.rect.min_x -= op.expand;
@@ -212,9 +230,8 @@ void ProbeIndexJoinRow(const Tuple& outer, std::size_t outer_row,
     // Bbox prefilter: a probe cube disjoint from every layer cannot
     // produce candidates; skip the descent outright.
     if (!Cube::Intersect(c, bounds)) continue;
-    view.QueryVisit(c, collect, &counters);
+    view.QueryVisit(c, collect, counters);
   }
-  counters.Flush();
   std::sort(candidates->begin(), candidates->end());
   s->units_scanned += probed;
   s->index_candidates += candidates->size();
@@ -236,7 +253,8 @@ void ProbeNestedLoopRow(const Tuple& outer, std::size_t outer_row,
                         const JoinProbeOp& op, std::vector<Tuple>* out,
                         StageCounters* s) {
   const Relation& b = *op.inner;
-  for (std::size_t j = 0; j < b.NumTuples(); ++j) {
+  for (std::size_t j = op.distinct_pairs ? outer_row + 1 : 0;
+       j < b.NumTuples(); ++j) {
     ++s->predicate_evals;
     if (!op.pred(outer, outer_row, b.tuple(j), j, &s->predicate)) continue;
     Tuple joined = outer;
@@ -325,7 +343,7 @@ Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
     for (std::size_t k = 0; k < survivors; ++k) {
       if (pipe.join->kind == JoinProbeOp::Kind::kIndex) {
         ProbeIndexJoinRow(tuple_at(k), w->rows[k], *pipe.join, view,
-                          &out->tuples, &term, &w->probe);
+                          &out->tuples, &term, &w->probe, &w->tree_counters);
       } else {
         ProbeNestedLoopRow(tuple_at(k), w->rows[k], *pipe.join, &out->tuples,
                            &term);
@@ -343,14 +361,26 @@ Status ProcessMorsel(const Pipeline& pipe, const IndexLayersView& view,
     }
   } else if (pipe.batch) {
     const BatchOp& op = *pipe.batch;
-    for (std::size_t k = 0; k < survivors; ++k) {
-      const auto& mp = std::get<MovingPoint>(tuple_at(k)[std::size_t(op.attr)]);
-      if (op.kind == BatchOp::Kind::kAtInstant) {
-        MODB_RETURN_IF_ERROR(
-            AtInstantBatchXYInto(mp, op.instants, &out->columns, &w->batch));
-      } else {
-        MODB_RETURN_IF_ERROR(PresentBatchInto(mp, op.instants, &w->present));
-        Append(&out->columns.defined, w->present);
+    auto point_at = [&](std::size_t k) -> const MovingPoint& {
+      return std::get<MovingPoint>(tuple_at(k)[std::size_t(op.attr)]);
+    };
+    if (op.kind == BatchOp::Kind::kAtInstant) {
+      for (std::size_t k = 0; k < survivors; ++k) {
+        MODB_RETURN_IF_ERROR(AtInstantBatchXYInto(
+            point_at(k), op.instants, &out->columns, &w->batch,
+            &w->batch_counters));
+      }
+    } else {
+      // Every row writes its flags straight into the slot, which one
+      // worker shares across its morsels.
+      std::vector<std::uint8_t>& flags = out->columns.defined;
+      const std::size_t cells = op.instants.size();
+      const std::size_t f0 = flags.size();
+      flags.resize(f0 + survivors * cells);
+      for (std::size_t k = 0; k < survivors; ++k) {
+        MODB_RETURN_IF_ERROR(PresentBatchFill(point_at(k), op.instants,
+                                              flags.data() + f0 + k * cells,
+                                              &w->batch_counters));
       }
     }
     term.rows_out += survivors;
@@ -624,7 +654,9 @@ Status RunPipeline(const Pipeline& pipe, const IndexLayersView& view,
 
   MODB_RETURN_IF_ERROR(DriveMorsels(
       &sched, options, &states, [&](WorkerState* w, const Morsel& m) {
-        return ProcessMorsel(pipe, view, m, w, SlotOf(&outputs, m));
+        Status s = ProcessMorsel(pipe, view, m, w, SlotOf(&outputs, m));
+        w->FlushMetrics();
+        return s;
       }));
 
   // Deterministic sink: concatenate per-morsel outputs in ascending

@@ -78,7 +78,11 @@ struct ProjectOp {
 /// under which the planner may choose freely. The probe sorts and
 /// deduplicates candidate ids before evaluating the predicate, so any
 /// layering of the same entry set (one tree, or base+delta+mem) yields
-/// byte-identical output.
+/// byte-identical output. With `distinct_pairs` only inner rows j > i
+/// pair with outer source row i: the index probe drops the others as
+/// they arrive and stops once every inner row past i is a candidate
+/// (so the last row probes nothing), the nested loop starts at i + 1,
+/// and neither hands the predicate a pair with j <= i or counts one.
 struct JoinProbeOp {
   enum class Kind { kIndex, kNestedLoop };
   Kind kind = Kind::kIndex;
@@ -86,6 +90,7 @@ struct JoinProbeOp {
   int attr_outer = -1;
   double expand = 0;
   JoinPred pred;
+  bool distinct_pairs = false;
   /// Layered index view (kIndex only). Takes precedence over `tree`.
   std::optional<IndexLayersView> layers;
   /// Prebuilt index (kIndex only); with neither this nor `layers` the

@@ -179,6 +179,7 @@ Result<PhysicalPlan> PlanQuery(const LogicalQuery& q) {
     op.attr_outer = j.attr_outer;
     op.expand = j.expand;
     op.pred = j.pred;
+    op.distinct_pairs = j.distinct_pairs;
     if (use_index_join) {
       if (j.layers) {
         op.layers = j.layers;

@@ -50,6 +50,10 @@ struct LogicalQuery {
     /// Spatial slack added to each probe cube (the join distance).
     double expand = 0;
     JoinPred pred;
+    /// Emit only pairs whose inner row id exceeds the outer source row
+    /// id (a self-join's distinct pairs); the predicate never sees the
+    /// others.
+    bool distinct_pairs = false;
     /// Optional prebuilt R-tree over `inner`'s join attribute; forces
     /// the index variant without a build step.
     const RTree3D* prebuilt = nullptr;

@@ -4,6 +4,35 @@
 
 namespace modb {
 
+void BatchCounters::Flush() {
+  if (atinstant_xy_calls != 0) {
+    MODB_COUNTER_ADD("temporal.batch.atinstant_xy_calls", atinstant_xy_calls);
+  }
+  if (present_calls != 0) {
+    MODB_COUNTER_ADD("temporal.batch.present_calls", present_calls);
+  }
+  if (atinstant_instants != 0) {
+    MODB_COUNTER_ADD("temporal.batch.atinstant_instants", atinstant_instants);
+  }
+  if (present_instants != 0) {
+    MODB_COUNTER_ADD("temporal.batch.present_instants", present_instants);
+  }
+  if (units_scanned != 0) {
+    MODB_COUNTER_ADD("temporal.batch.units_scanned", units_scanned);
+  }
+  if (sweep.cursor_hits != 0) {
+    MODB_COUNTER_ADD("temporal.batch.sweep_cursor_hits", sweep.cursor_hits);
+  }
+  if (sweep.gallop_searches != 0) {
+    MODB_COUNTER_ADD("temporal.batch.sweep_gallop_searches",
+                     sweep.gallop_searches);
+  }
+  if (sweep.bbox_skips != 0) {
+    MODB_COUNTER_ADD("temporal.batch.sweep_bbox_skips", sweep.bbox_skips);
+  }
+  *this = BatchCounters();
+}
+
 // The kernels are header-only templates; this TU compiles the header
 // standalone and pins explicit instantiations for the moving types the
 // query layer evaluates in bulk, keeping their code out of every
@@ -22,9 +51,16 @@ template Result<std::vector<Intime<double>>> AtInstantBatch<UReal>(
 template Status AtInstantBatchXYInto<UPoint>(const Mapping<UPoint>&,
                                              const std::vector<Instant>&,
                                              BatchXYOutput*, BatchScratch*);
+template Status AtInstantBatchXYInto<UPoint>(const Mapping<UPoint>&,
+                                             const std::vector<Instant>&,
+                                             BatchXYOutput*, BatchScratch*,
+                                             BatchCounters*);
 template Status AtInstantBatchManyXY<UPoint>(
     const std::vector<const Mapping<UPoint>*>&, const std::vector<Instant>&,
     std::vector<BatchXYOutput>*);
+template Status PresentBatchFill<UPoint>(const Mapping<UPoint>&,
+                                         const std::vector<Instant>&,
+                                         std::uint8_t*, BatchCounters*);
 template Status PresentBatchInto<UPoint>(const Mapping<UPoint>&,
                                          const std::vector<Instant>&,
                                          std::vector<std::uint8_t>*);

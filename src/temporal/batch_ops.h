@@ -254,6 +254,32 @@ inline void FlushSweepCounters(const SweepCounters& sweep,
 
 }  // namespace batch_internal
 
+/// Work tallies of the batch kernels. The kernels add to one when they
+/// succeed; the caller flushes it to the metrics registry once per
+/// batch of calls (a morsel, or one call for the kernels that take
+/// none), so the sweep carries no atomics.
+struct BatchCounters {
+  std::uint64_t atinstant_xy_calls = 0;
+  std::uint64_t present_calls = 0;
+  std::uint64_t atinstant_instants = 0;
+  std::uint64_t present_instants = 0;
+  std::uint64_t units_scanned = 0;
+  batch_internal::SweepCounters sweep;
+
+  /// Adds every nonzero tally to the registry and zeroes them all.
+  /// Out of line (batch_ops.cc), so the kernels stay small.
+  void Flush();
+
+  /// A successful kernel call's sweep.
+  void AddSweep(const batch_internal::SweepCounters& s,
+                std::size_t units) {
+    units_scanned += units;
+    sweep.cursor_hits += s.cursor_hits;
+    sweep.gallop_searches += s.gallop_searches;
+    sweep.bbox_skips += s.bbox_skips;
+  }
+};
+
 /// Reusable buffer for AtInstantBatchXYInto: hoist one instance out of a
 /// per-tuple loop and the kernel allocates nothing after warmup.
 struct BatchScratch {
@@ -327,14 +353,16 @@ Result<std::vector<Intime<typename U::ValueType>>> AtInstantBatch(
 /// pass (the same one AtInstantBatchInto runs) is what the batch
 /// returns. Appending lets a caller collect many mappings' rows in one
 /// output without a copy. Requires ascending instants; on error `*out`
-/// is left as it was.
+/// is left as it was. Adds its work to `*counters`, which the caller
+/// flushes.
 template <typename U>
   requires requires(const U& u) {
     { u.motion().x0 } -> std::convertible_to<double>;
   }
 Status AtInstantBatchXYInto(const Mapping<U>& m,
                             const std::vector<Instant>& instants,
-                            BatchXYOutput* out, BatchScratch* scratch) {
+                            BatchXYOutput* out, BatchScratch* scratch,
+                            BatchCounters* counters) {
   const std::vector<U>& units = m.units();
   const std::size_t k = instants.size();
   scratch->unit_idx.resize(k);
@@ -366,16 +394,31 @@ Status AtInstantBatchXYInto(const Mapping<U>& m,
     *xs++ = p.x;
     *ys++ = p.y;
   }
-  MODB_COUNTER_INC("temporal.batch.atinstant_xy_calls");
-  MODB_COUNTER_ADD("temporal.batch.atinstant_instants", k);
-  batch_internal::FlushSweepCounters(sweep, cursor);
+  ++counters->atinstant_xy_calls;
+  counters->atinstant_instants += k;
+  counters->AddSweep(sweep, cursor);
   return Status::OK();
+}
+
+/// AtInstantBatchXYInto that flushes its own counters.
+template <typename U>
+  requires requires(const U& u) {
+    { u.motion().x0 } -> std::convertible_to<double>;
+  }
+Status AtInstantBatchXYInto(const Mapping<U>& m,
+                            const std::vector<Instant>& instants,
+                            BatchXYOutput* out, BatchScratch* scratch) {
+  BatchCounters counters;
+  Status s = AtInstantBatchXYInto(m, instants, out, scratch, &counters);
+  counters.Flush();
+  return s;
 }
 
 /// Many-mapping front-end for AtInstantBatchXYInto: evaluates every
 /// mapping of `maps` at the same ascending instants, replacing (*outs)[i]
-/// with maps[i]'s compact output, with one warm BatchScratch. On error,
-/// the lowest failing mapping index's Status is returned.
+/// with maps[i]'s compact output, with one warm BatchScratch, and
+/// flushes the counters of the whole call once. On error, the lowest
+/// failing mapping index's Status is returned.
 template <typename U>
   requires requires(const U& u) {
     { u.motion().x0 } -> std::convertible_to<double>;
@@ -385,6 +428,8 @@ Status AtInstantBatchManyXY(const std::vector<const Mapping<U>*>& maps,
                             std::vector<BatchXYOutput>* outs) {
   outs->resize(maps.size());
   BatchScratch scratch;
+  BatchCounters counters;
+  Status status;
   for (std::size_t i = 0; i < maps.size(); ++i) {
     BatchXYOutput& out = (*outs)[i];
     out.xs.clear();
@@ -397,36 +442,52 @@ Status AtInstantBatchManyXY(const std::vector<const Mapping<U>*>& maps,
     out.xs.reserve(instants.size());
     out.ys.reserve(instants.size());
     out.defined.reserve(instants.size());
-    MODB_RETURN_IF_ERROR(
-        AtInstantBatchXYInto(*maps[i], instants, &out, &scratch));
+    status = AtInstantBatchXYInto(*maps[i], instants, &out, &scratch,
+                                  &counters);
+    if (!status.ok()) break;
   }
+  counters.Flush();
+  return status;
+}
+
+/// present over a batch of ascending instants: writes instants.size()
+/// flags to `dst`, 1 iff the moving value is defined at that instant.
+/// On error some of them may be written. Adds its work to `*counters`,
+/// which the caller flushes.
+template <typename U>
+Status PresentBatchFill(const Mapping<U>& m,
+                        const std::vector<Instant>& instants,
+                        std::uint8_t* dst, BatchCounters* counters) {
+  std::size_t cursor = 0;
+  batch_internal::SweepCounters sweep;
+  if (!batch_internal::ResolveAscending(
+          m.units(), instants, &cursor, &sweep,
+          [dst](std::size_t q, std::size_t j) {
+            dst[q] = std::uint8_t(j != batch_internal::kNpos);
+          })) {
+    return batch_internal::NotAscending();
+  }
+  ++counters->present_calls;
+  counters->present_instants += instants.size();
+  counters->AddSweep(sweep, cursor);
   return Status::OK();
 }
 
 /// present over a batch of ascending instants; (*out)[i] is 1 iff the
 /// moving value is defined at instants[i]. Clears and fills `*out`,
-/// reusing its capacity; on error `*out` is left empty.
+/// reusing its capacity, and flushes its own counters; on error `*out`
+/// is left empty.
 template <typename U>
 Status PresentBatchInto(const Mapping<U>& m,
                         const std::vector<Instant>& instants,
                         std::vector<std::uint8_t>* out) {
   // resize without a clear: the sweep overwrites every slot.
   out->resize(instants.size());
-  std::uint8_t* dst = out->data();
-  std::size_t cursor = 0;
-  batch_internal::SweepCounters sweep;
-  if (!batch_internal::ResolveAscending(
-          m.units(), instants, &cursor, &sweep,
-          [&](std::size_t q, std::size_t j) {
-            dst[q] = std::uint8_t(j != batch_internal::kNpos);
-          })) {
-    out->clear();
-    return batch_internal::NotAscending();
-  }
-  MODB_COUNTER_INC("temporal.batch.present_calls");
-  MODB_COUNTER_ADD("temporal.batch.present_instants", instants.size());
-  batch_internal::FlushSweepCounters(sweep, cursor);
-  return Status::OK();
+  BatchCounters counters;
+  Status s = PresentBatchFill(m, instants, out->data(), &counters);
+  if (!s.ok()) out->clear();
+  counters.Flush();
+  return s;
 }
 
 /// Allocating convenience wrapper around PresentBatchInto.

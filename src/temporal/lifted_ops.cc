@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <numbers>
 #include <optional>
 
 #include "core/real.h"
+#include "core/simd.h"
 #include "spatial/spatial_ops.h"
 #include "temporal/batch_ops.h"
 #include "temporal/refinement.h"
@@ -460,6 +465,259 @@ bool RadicandOk(const DistQuad& q, double v) {
   return v >= -kEpsilon * (1 + std::fabs(q.c)) && v < kInfinity;
 }
 
+// Common intervals per block: the walk fills a block, the pass computes
+// it, the sweep folds it.
+constexpr std::size_t kEverWithinBlock = 64;
+// A walk whose last block holds fewer intervals takes them one by one.
+constexpr std::size_t kEverWithinShortBlock = 16;
+
+// Two and four doubles, and the all-ones or all-zeros lanes their
+// comparisons give (GCC vector extensions).
+typedef double V2 __attribute__((vector_size(16)));
+typedef std::int64_t M2 __attribute__((vector_size(16)));
+typedef double V4 __attribute__((vector_size(32)));
+typedef std::int64_t M4 __attribute__((vector_size(32)));
+// Accumulator lanes of the pass's reductions, in either build.
+constexpr std::size_t kLanes = 4;
+
+// One block of common intervals in walk order, and what the pass
+// computes for each. Arrays have room for the pass's padding lanes.
+struct EverWithinBlock {
+  static constexpr std::size_t K = kEverWithinBlock;
+  static constexpr std::size_t kRoom = K + 2 * kLanes;
+
+  EverWithinBlock() {}
+
+  // Interval k of the walk's block.
+  void Set(std::size_t k, const TimeInterval& common, const LinearMotion& p,
+           const LinearMotion& q) {
+    std::construct_at(&iv.at[k], common);
+    start[k] = common.start();
+    end[k] = common.end();
+    lc[k] = common.left_closed() ? -1 : 0;
+    rc[k] = common.right_closed() ? -1 : 0;
+    // SquaredDistanceQuad's differences.
+    dx0[k] = p.x0 - q.x0;
+    dx1[k] = p.x1 - q.x1;
+    dy0[k] = p.y0 - q.y0;
+    dy1[k] = p.y1 - q.y1;
+  }
+
+  std::size_t n = 0;
+  // From the walk. TimeInterval has no default constructor, so the
+  // slots past n hold no object.
+  union Intervals {
+    Intervals() {}
+    TimeInterval at[K];
+  } iv;
+  alignas(32) double start[kRoom], end[kRoom];
+  alignas(32) std::int64_t lc[kRoom], rc[kRoom];  // -1 closed, 0 open
+  alignas(32) double dx0[kRoom], dx1[kRoom], dy0[kRoom], dy1[kRoom];
+  // From the pass, per interval: the quadratic; its radicands at the
+  // endpoints, raw and clamped at 0; the smallest clamped candidate of
+  // the interval on its own (endpoints and interior vertex); whether
+  // UReal::Make would reject the interior vertex's radicand; and
+  // whether the fold takes the interval in bulk (see
+  // EverWithinSweep::Fold). Masks are -1 or 0.
+  alignas(32) double qa[kRoom], qb[kRoom], qc[kRoom];
+  alignas(32) double vs[kRoom], ve[kRoom], ws[kRoom], we[kRoom], lo[kRoom];
+  alignas(32) std::int64_t bad_vertex[kRoom], bulk[kRoom];
+  // From the pass, over the block: whether UReal::Make would reject an
+  // endpoint radicand of any interval or the vertex radicand of a bulk
+  // one, and over the bulk intervals k, the smallest lo[k] and we[k - 1]
+  // and the largest ws[k] - we[k - 1] (at least 0).
+  bool bad = false;
+  double bulk_lo = kInfinity, bulk_continued = kInfinity, bulk_jump = 0;
+};
+
+// The lane types of a pass build: two intervals per operation in the
+// baseline build (SSE2, which every x86-64 has), four in the AVX2 build.
+template <typename V>
+struct PassLanes;
+template <>
+struct PassLanes<V2> {
+  using Mask = M2;
+  static constexpr std::size_t kWidth = 2;
+  static constexpr Mask kIndex = {0, 1};
+};
+template <>
+struct PassLanes<V4> {
+  using Mask = M4;
+  static constexpr std::size_t kWidth = 4;
+  static constexpr Mask kIndex = {0, 1, 2, 3};
+};
+
+template <typename T>
+[[gnu::always_inline]] inline void Load(T* v, const void* p) {
+  std::memcpy(v, p, sizeof(T));
+}
+template <typename T>
+[[gnu::always_inline]] inline void Store(void* p, const T& v) {
+  std::memcpy(p, &v, sizeof(T));
+}
+
+// The straight-line pass over one block, without a branch. One source,
+// inlined into a baseline build over V = V2 and an AVX2 build over
+// V = V4 (core/simd dispatches, as for the R-tree mask). Each lane
+// evaluates the expressions Radicand, RadicandOk and
+// EverWithinSweep::Close evaluate, in their order; AVX2 without FMA
+// contracts nothing, so every value is the scalar one bit for bit. The
+// bulk reductions keep four accumulator lanes in both builds, fed in the
+// same interval order, and combine them in a fixed order, so the builds
+// agree on them too.
+template <typename V>
+[[gnu::always_inline]] inline void EverWithinPass(EverWithinBlock* b) {
+  using M = typename PassLanes<V>::Mask;
+  constexpr std::size_t W = PassLanes<V>::kWidth;
+  const M lane = PassLanes<V>::kIndex;
+  const std::size_t n = b->n;
+  // Lanes past n compute on zeros; nothing they give is kept. Two
+  // four-lane stores per array cover [n, padded).
+  const std::size_t padded = (n + W - 1) / W * W + W;
+  for (std::size_t k = n; k < n + 2 * kLanes; k += kLanes) {
+    for (double* column : {b->start, b->end, b->dx0, b->dx1, b->dy0, b->dy1}) {
+      Store(column + k, V4{});
+    }
+    Store(b->lc + k, M4{});
+    Store(b->rc + k, M4{});
+  }
+  const V zero = V{} + 0.0;
+  const V one = zero + 1;
+  const V two = zero + 2;
+  const V inf = zero + kInfinity;
+  const M magnitude = M{} + std::numeric_limits<std::int64_t>::max();
+  M bad = M{};
+  for (std::size_t k = 0; k < padded; k += W) {
+    V dx0, dx1, dy0, dy1, s, e;
+    Load(&dx0, b->dx0 + k);
+    Load(&dx1, b->dx1 + k);
+    Load(&dy0, b->dy0 + k);
+    Load(&dy1, b->dy1 + k);
+    Load(&s, b->start + k);
+    Load(&e, b->end + k);
+    const V qa = dx1 * dx1 + dy1 * dy1;
+    const V qb = two * (dx0 * dx1 + dy0 * dy1);
+    const V qc = dx0 * dx0 + dy0 * dy0;
+    const V vs = qa * s * s + qb * s + qc;
+    const V ve = qa * e * e + qb * e + qc;
+    // std::fabs(qc): clear the sign bit.
+    M qc_bits;
+    Store(&qc_bits, qc);
+    qc_bits &= magnitude;
+    V abs_qc;
+    Load(&abs_qc, &qc_bits);
+    const V floor = -kEpsilon * (one + abs_qc);
+    const M curved = qa != zero;
+    // -b / 2a where a != 0; dividing by 1 elsewhere keeps those lanes
+    // finite.
+    const V vertex = -qb / (curved ? two * qa : one);
+    const M interior = curved && s < vertex && vertex < e;
+    const V vv = qa * vertex * vertex + qb * vertex + qc;
+    const V ws = vs < zero ? zero : vs;
+    const V we = ve < zero ? zero : ve;
+    const V wv = interior ? (vv < zero ? zero : vv) : inf;
+    const V lo_ends = we < ws ? we : ws;
+    const M ends_ok = vs >= floor && vs < inf && ve >= floor && ve < inf;
+    const M vertex_ok = vv >= floor && vv < inf;
+    bad = bad || (lane + std::int64_t(k) < std::int64_t(n) && !ends_ok);
+    Store(b->qa + k, qa);
+    Store(b->qb + k, qb);
+    Store(b->qc + k, qc);
+    Store(b->vs + k, vs);
+    Store(b->ve + k, ve);
+    Store(b->ws + k, ws);
+    Store(b->we + k, we);
+    Store(b->lo + k, wv < lo_ends ? wv : lo_ends);
+    Store(b->bad_vertex + k, M(interior && !vertex_ok));
+  }
+  // Interval k is a bulk one when it and its predecessor end open, it
+  // starts closed where the predecessor ends, neither has a constant
+  // distance, and neither neighbour shares its quadratic, so nothing
+  // merges into it and it merges into nothing. The first and last
+  // intervals of a block never are.
+  constexpr std::size_t kAcc = kLanes / W;
+  V lo_acc[kAcc], continued_acc[kAcc], jump_acc[kAcc];
+  for (std::size_t i = 0; i < kAcc; ++i) {
+    lo_acc[i] = continued_acc[i] = inf;
+    jump_acc[i] = zero;
+  }
+  for (std::size_t k = 1; k + 1 < n; k += W) {
+    V qa, qb, qc, pa, pb, pc, na, nb, nc, s, pe, lo, ws, pwe;
+    M lc, rc, prc, bad_vertex;
+    Load(&qa, b->qa + k);
+    Load(&qb, b->qb + k);
+    Load(&qc, b->qc + k);
+    Load(&pa, b->qa + k - 1);
+    Load(&pb, b->qb + k - 1);
+    Load(&pc, b->qc + k - 1);
+    Load(&na, b->qa + k + 1);
+    Load(&nb, b->qb + k + 1);
+    Load(&nc, b->qc + k + 1);
+    Load(&s, b->start + k);
+    Load(&pe, b->end + k - 1);
+    Load(&lo, b->lo + k);
+    Load(&ws, b->ws + k);
+    Load(&pwe, b->we + k - 1);
+    Load(&lc, b->lc + k);
+    Load(&rc, b->rc + k);
+    Load(&prc, b->rc + k - 1);
+    Load(&bad_vertex, b->bad_vertex + k);
+    const M moving = qa != zero || qb != zero;
+    const M prev_moving = pa != zero || pb != zero;
+    const M differs_prev = qa != pa || qb != pb || qc != pc;
+    const M differs_next = na != qa || nb != qb || nc != qc;
+    const M bulk = lane + std::int64_t(k + 1) < std::int64_t(n) && s == pe &&
+                   lc && !rc && !prc && moving && prev_moving &&
+                   differs_prev && differs_next;
+    Store(b->bulk + k, M(bulk));
+    bad = bad || (bulk && bad_vertex);
+    const std::size_t acc = (k - 1) / W % kAcc;
+    const V lo_c = bulk ? lo : inf;
+    const V continued_c = bulk ? pwe : inf;
+    const V jump_c = bulk ? ws - pwe : zero;
+    lo_acc[acc] = lo_c < lo_acc[acc] ? lo_c : lo_acc[acc];
+    continued_acc[acc] =
+        continued_c < continued_acc[acc] ? continued_c : continued_acc[acc];
+    jump_acc[acc] = jump_acc[acc] < jump_c ? jump_c : jump_acc[acc];
+  }
+  if (n > 0) {
+    b->bulk[0] = 0;
+    b->bulk[n - 1] = 0;
+  }
+  auto at = [](const V* acc, std::size_t l) -> double {
+    return acc[l / W][l % W];
+  };
+  b->bad = false;
+  for (std::size_t l = 0; l < W; ++l) b->bad = b->bad || bad[l] != 0;
+  b->bulk_lo = kInfinity;
+  b->bulk_continued = kInfinity;
+  b->bulk_jump = 0;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    b->bulk_lo = std::min(b->bulk_lo, at(lo_acc, l));
+    b->bulk_continued = std::min(b->bulk_continued, at(continued_acc, l));
+    b->bulk_jump = std::max(b->bulk_jump, at(jump_acc, l));
+  }
+}
+
+void EverWithinPassBaseline(EverWithinBlock* b) {
+  EverWithinPass<V2>(b);
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+__attribute__((target("avx2"))) void EverWithinPassAvx2(EverWithinBlock* b) {
+  EverWithinPass<V4>(b);
+}
+#endif
+
+using EverWithinPassFn = void (*)(EverWithinBlock*);
+
+EverWithinPassFn ActiveEverWithinPass() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  if (simd::UseAvx2()) return &EverWithinPassAvx2;
+#endif
+  return &EverWithinPassBaseline;
+}
+
 // The EverWithin sweep. It sees the units of distance(a, b) in time
 // order, merged as MappingBuilder<UReal> merges them, and keeps what
 // AtMin's answer depends on. Values are radicands clamped at 0, the
@@ -477,13 +735,60 @@ class EverWithinSweep {
  public:
   enum class Verdict { kFalse, kTrue, kUnsure };
 
-  // One refinement interval on which both points are defined, with the
-  // squared-distance quadratic of its unit pair.
-  void Add(const TimeInterval& iv, const DistQuad& q) {
-    const double v_start = Radicand(q, iv.start());
-    const double v_end = Radicand(q, iv.end());
+  // The next block of refinement intervals on which both points are
+  // defined, after EverWithinPass. The state the sweep keeps is minima,
+  // maxima and an or (read only by Decide), plus the unit in progress
+  // and its predecessor. A bulk interval k is a unit of its own whose
+  // Close, given the open end its predecessor leaves, only folds its
+  // own candidates into min_ and continues that open end with its
+  // start; so bulk intervals fold in any order, and a run of them leaves
+  // the state its last one would. Every other interval takes Add.
+  [[gnu::noinline]] void Fold(const EverWithinBlock& b) {
     // LiftedDistance makes (and so checks) a ureal per interval.
-    if (!RadicandOk(q, v_start) || !RadicandOk(q, v_end)) unsure_ = true;
+    unsure_ = unsure_ || b.bad;
+    min_ = std::min(min_, b.bulk_lo);
+    continued_min_ = std::min(continued_min_, b.bulk_continued);
+    jump_ = std::max(jump_, b.bulk_jump);
+    std::size_t k = 0;
+    while (k < b.n) {
+      if (!b.bulk[k]) {
+        Add(b.iv.at[k], {b.qa[k], b.qb[k], b.qc[k]}, b.vs[k], b.ve[k]);
+        ++k;
+        continue;
+      }
+      // The first bulk interval of a run closes the unit before it (a
+      // bulk interval is never first in its block).
+      if (has_cur_) Close();
+      while (b.bulk[k]) ++k;  // the last interval of a block is not bulk
+      // The state Close leaves after the run's last interval.
+      has_prev_ = true;
+      prev_iv_ = b.iv.at[k - 1];
+      prev_end_ = b.we[k - 1];
+      open_end_pending_ = true;
+      open_end_ = b.we[k - 1];
+    }
+  }
+
+  // A short block, interval by interval: on a few intervals the pass
+  // costs more than it saves.
+  [[gnu::noinline]] void AddEach(const EverWithinBlock& b) {
+    for (std::size_t k = 0; k < b.n; ++k) {
+      const DistQuad q = {b.dx1[k] * b.dx1[k] + b.dy1[k] * b.dy1[k],
+                          2 * (b.dx0[k] * b.dx1[k] + b.dy0[k] * b.dy1[k]),
+                          b.dx0[k] * b.dx0[k] + b.dy0[k] * b.dy0[k]};
+      const TimeInterval& iv = b.iv.at[k];
+      const double v_start = Radicand(q, iv.start());
+      const double v_end = Radicand(q, iv.end());
+      // LiftedDistance makes (and so checks) a ureal per interval.
+      if (!RadicandOk(q, v_start) || !RadicandOk(q, v_end)) unsure_ = true;
+      Add(iv, q, v_start, v_end);
+    }
+  }
+
+  // One refinement interval, with the squared-distance quadratic of its
+  // unit pair and its radicands at the endpoints.
+  void Add(const TimeInterval& iv, const DistQuad& q, double v_start,
+           double v_end) {
     // MappingBuilder::Append merges an adjacent unit with an equal
     // function (UReal::FunctionEqual; the root flag is always set).
     if (has_cur_ && cur_.q.a == q.a && cur_.q.b == q.b && cur_.q.c == q.c &&
@@ -609,14 +914,31 @@ bool EverWithin(const MovingPoint& a, const MovingPoint& b, double d,
   // Every distance is >= 0, and NaN compares false.
   if (!(d > 0)) return false;
   EverWithinSweep sweep;
+  EverWithinBlock block;
   std::uint64_t intervals = 0;
+  // The block's fill count lives outside it, where the walk's stores
+  // into the block cannot alias it.
+  std::size_t filled = 0;
+  auto flush = [&] {
+    block.n = filled;
+    if (filled < kEverWithinShortBlock) {
+      sweep.AddEach(block);
+    } else {
+      ActiveEverWithinPass()(&block);
+      sweep.Fold(block);
+    }
+    intervals += filled;
+    filled = 0;
+  };
+  const std::vector<UPoint>& ua = a.units();
+  const std::vector<UPoint>& ub = b.units();
   (void)ForEachCommonInterval(
       a, b, [&](const TimeInterval& iv, std::size_t i, std::size_t j) {
-        ++intervals;
-        sweep.Add(iv, SquaredDistanceQuad(a.unit(i).motion(),
-                                          b.unit(j).motion()));
+        block.Set(filled, iv, ua[i].motion(), ub[j].motion());
+        if (++filled == kEverWithinBlock) flush();
         return Status::OK();
       });
+  if (filled > 0) flush();
   const EverWithinSweep::Verdict verdict = sweep.Decide(d);
   const bool unsure = verdict == EverWithinSweep::Verdict::kUnsure;
 #ifndef MODB_NO_METRICS

@@ -175,11 +175,13 @@ std::vector<RefinementEntry> RefinementPartition(const Mapping<UA>& a,
 template <typename UA, typename UB, typename Fn>
 Status ForEachCommonInterval(const Mapping<UA>& a, const Mapping<UB>& b,
                              Fn&& fn) {
-  const std::size_t n = a.NumUnits(), m = b.NumUnits();
+  const std::vector<UA>& ua = a.units();
+  const std::vector<UB>& ub = b.units();
+  const std::size_t n = ua.size(), m = ub.size();
   std::size_t i = 0, j = 0;
   while (i < n && j < m) {
-    const TimeInterval& u = a.unit(i).interval();
-    const TimeInterval& v = b.unit(j).interval();
+    const TimeInterval& u = ua[i].interval();
+    const TimeInterval& v = ub[j].interval();
     if (std::optional<TimeInterval> common = TimeInterval::Intersect(u, v)) {
       MODB_RETURN_IF_ERROR(fn(*common, i, j));
     }

@@ -16,6 +16,7 @@
 
 #include "db/relation.h"
 #include "gen/flights_gen.h"
+#include "obs/metrics.h"
 #include "serve/wire.h"
 #include "spatial/point.h"
 #include "temporal/batch_ops.h"
@@ -419,6 +420,77 @@ TEST(DbRun, PresentBatchMatchesDirectPresent) {
     }
   }
   EXPECT_EQ(r->stats.op, "present_batch_many");
+}
+
+// The batch terminal adds its kernels' counters once per morsel; the
+// totals of one Db::Run are what the kernels add called row by row,
+// each flushing its own.
+TEST(DbRun, BatchCounterDeltasMatchPerCallKernels) {
+#ifndef MODB_NO_METRICS
+  static constexpr const char* kNames[] = {
+      "temporal.batch.atinstant_xy_calls",
+      "temporal.batch.present_calls",
+      "temporal.batch.atinstant_instants",
+      "temporal.batch.present_instants",
+      "temporal.batch.units_scanned",
+      "temporal.batch.sweep_cursor_hits",
+      "temporal.batch.sweep_gallop_searches",
+      "temporal.batch.sweep_bbox_skips"};
+  using Deltas = std::vector<std::uint64_t>;
+  auto deltas = [](auto run) {
+    Deltas before, delta;
+    for (const char* name : kNames) {
+      before.push_back(obs::Metrics::Global().counter(name)->value());
+    }
+    run();
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      delta.push_back(obs::Metrics::Global().counter(kNames[i])->value() -
+                      before[i]);
+    }
+    return delta;
+  };
+  const Relation planes = Planes(64);
+  Db db;
+  ASSERT_TRUE(db.Register(planes).ok());
+  // Dense and sparse instants, so both sweep regimes count.
+  for (const std::vector<Instant>& instants :
+       {std::vector<Instant>{0.0, 6.0, 12.0, 18.0, 24.0},
+        std::vector<Instant>{3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0,
+                             7.5, 8.0, 8.5, 9.0, 9.5, 10.0, 10.5, 11.0}}) {
+    const Deltas present = deltas([&] {
+      std::vector<std::uint8_t> flags;
+      for (std::size_t i = 0; i < planes.NumTuples(); ++i) {
+        ASSERT_TRUE(PresentBatchInto(Flight(planes, i), instants, &flags).ok());
+      }
+    });
+    const Deltas xy = deltas([&] {
+      BatchScratch scratch;
+      BatchXYOutput out;
+      for (std::size_t i = 0; i < planes.NumTuples(); ++i) {
+        ASSERT_TRUE(
+            AtInstantBatchXYInto(Flight(planes, i), instants, &out, &scratch)
+                .ok());
+      }
+    });
+    EXPECT_GT(present[1], 0u);
+    EXPECT_GT(xy[0], 0u);
+    for (int threads : {1, 4}) {
+      ExecOptions options;
+      options.parallel.num_threads = threads;
+      QueryRequest req;
+      req.relation = "planes";
+      req.attr = "flight";
+      req.instants = instants;
+      req.kind = QueryRequest::Kind::kPresentBatch;
+      EXPECT_EQ(deltas([&] { ASSERT_TRUE(db.Run(req, options).ok()); }),
+                present)
+          << threads << " threads";
+      req.kind = QueryRequest::Kind::kAtInstantBatch;
+      EXPECT_EQ(deltas([&] { ASSERT_TRUE(db.Run(req, options).ok()); }), xy)
+          << threads << " threads";
+    }
+  }
+#endif
 }
 
 TEST(DbRun, BatchKindsRejectUnsortedInstants) {

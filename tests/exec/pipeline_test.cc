@@ -20,6 +20,7 @@
 #include "gen/trajectory_gen.h"
 #include "index/delta_index.h"
 #include "obs/metrics.h"
+#include "temporal/lifted_ops.h"
 
 namespace modb {
 namespace exec {
@@ -273,6 +274,52 @@ TEST(PipelinedPlans, MorselErrorIsDeterministic) {
     auto out = RunPlan(*plan, ThreadedOptions(threads));
     ASSERT_FALSE(out.ok());
     EXPECT_EQ(out.status().ToString(), serial_out.status().ToString());
+  }
+}
+
+// Morsels 5, 9 and 17 fail, each with its own status, and the one that
+// fails first in time varies: a worker stalled on morsel 5 lets the
+// others fail 9 or 17 before it. Morsel 5's status must win at every
+// thread count and under every stall.
+TEST(PipelinedPlans, SmallestFailingMorselWinsTheTieBreak) {
+  Relation planes = TestPlanes(40, 23);
+  LogicalQuery q;
+  q.rel = &planes;
+  q.morsel_rows = 1;
+  auto plan = PlanQuery(q);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  const std::vector<std::size_t> failing = {5, 9, 17};
+  for (int threads : {1, 2, 4}) {
+    for (std::size_t stalled : {std::size_t(0), std::size_t(5)}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, stall "
+                                      << stalled);
+      ExecTestHooks hooks;
+      hooks.before_morsel = [stalled](std::size_t, std::size_t seq) {
+        if (stalled != 0 && seq == stalled) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+      };
+      std::atomic<int> failed{0};
+      hooks.morsel_status = [&failing, &failed](std::size_t seq) {
+        for (std::size_t f : failing) {
+          if (seq == f) {
+            failed.fetch_add(1);
+            return Status::Internal("morsel " + std::to_string(seq));
+          }
+        }
+        return Status::OK();
+      };
+      SetExecTestHooks(&hooks);
+      auto out = RunPlan(*plan, ThreadedOptions(threads));
+      SetExecTestHooks(nullptr);
+      ASSERT_FALSE(out.ok());
+      EXPECT_EQ(out.status().code(), StatusCode::kInternal);
+      EXPECT_EQ(out.status().message(), "morsel 5");
+      if (threads == 1) {
+        EXPECT_EQ(failed.load(), 1);
+      }
+    }
   }
 }
 
@@ -540,12 +587,10 @@ TEST(IndexProbe, PlanesNeverSaturateAndCountTheSameTreeWork) {
 #endif
 }
 
-// A live view: each trail's units split across base, delta and mem, so
-// every id repeats within and across layers.
-TEST(IndexProbe, LiveLayersWithRepeatedIdsMatchTheReference) {
-  const Relation fleet = WalkTrails(8, 300, 6000, 5);
+// A live view of `fleet`: each trail's units split across base, delta
+// and mem, so every id repeats within and across layers.
+void SplitIntoLayers(const Relation& fleet, IndexSnapshot* stack) {
   std::vector<RTree3D::Entry> base, delta;
-  IndexSnapshot stack;
   std::vector<std::vector<RTree3D::Entry>> mem(fleet.NumTuples());
   for (std::size_t j = 0; j < fleet.NumTuples(); ++j) {
     const auto& units =
@@ -556,14 +601,132 @@ TEST(IndexProbe, LiveLayersWithRepeatedIdsMatchTheReference) {
       (part < 6 ? base : part < 9 ? delta : mem[j]).push_back(e);
     }
   }
-  stack.ResetBase(std::move(base), 16);
-  stack.AppendToDelta(delta, 16);
+  stack->ResetBase(std::move(base), 16);
+  stack->AppendToDelta(delta, 16);
   for (std::size_t j = 0; j < mem.size(); ++j) {
-    stack.SetMemRow(std::int64_t(j), mem[j]);
+    stack->SetMemRow(std::int64_t(j), mem[j]);
   }
-  ASSERT_GT(stack.MemEntries(), 0u);
-  ASSERT_GT(stack.DeltaEntries(), 0u);
+  ASSERT_GT(stack->MemEntries(), 0u);
+  ASSERT_GT(stack->DeltaEntries(), 0u);
+}
+
+TEST(IndexProbe, LiveLayersWithRepeatedIdsMatchTheReference) {
+  const Relation fleet = WalkTrails(8, 300, 6000, 5);
+  IndexSnapshot stack;
+  SplitIntoLayers(fleet, &stack);
   ExpectReferenceCandidates(fleet, fleet, kTrailAttr, 50, stack.View());
+}
+
+// ---------------------------------------------------------------------------
+// Distinct pairs: the probe keeps inner rows past the outer row only.
+// ---------------------------------------------------------------------------
+
+std::int64_t RowId(const Tuple& t) {
+  return std::get<IntValue>(t[0]).value();
+}
+
+// Checks the distinct-pairs self-join of `trails` (ids = row numbers)
+// through `view`: with an accept-all predicate it equals the plain
+// probe's output filtered to outer id < inner id and counts exactly
+// those candidates, at every thread count, and scans no more units; with
+// the Q2 predicate the nested loop agrees with it; and an outer row
+// alone at the end of the relation probes nothing.
+void ExpectDistinctProbe(const Relation& trails, double expand,
+                         const IndexLayersView& view) {
+  LogicalQuery all = AcceptAllJoin(trails, trails, kTrailAttr, expand, view);
+  auto all_plan = PlanQuery(all);
+  ASSERT_TRUE(all_plan.ok()) << all_plan.status();
+  ExecStats all_stats;
+  auto all_out = RunPlan(*all_plan, ThreadedOptions(1, &all_stats));
+  ASSERT_TRUE(all_out.ok()) << all_out.status();
+  Relation expected(all_out->rows.name(), all_out->rows.schema());
+  const std::size_t width = trails.schema().NumAttributes();
+  for (const Tuple& t : all_out->rows.tuples()) {
+    if (RowId(t) < std::get<IntValue>(t[width]).value()) {
+      ASSERT_TRUE(expected.Insert(t).ok());
+    }
+  }
+  ASSERT_GT(expected.NumTuples(), 0u);
+  ASSERT_LT(expected.NumTuples(), all_out->rows.NumTuples());
+
+  LogicalQuery distinct = all;
+  distinct.join->distinct_pairs = true;
+  distinct.join->pred = [](const Tuple& a, std::size_t i, const Tuple& b,
+                           std::size_t j, EverWithinStats*) {
+    EXPECT_LT(i, j);
+    EXPECT_EQ(std::size_t(RowId(a)), i);
+    EXPECT_EQ(std::size_t(RowId(b)), j);
+    return true;
+  };
+  auto plan = PlanQuery(distinct);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  std::uint64_t units_scanned = 0;
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    ExecStats stats;
+    auto out = RunPlan(*plan, ThreadedOptions(threads, &stats));
+    ASSERT_TRUE(out.ok()) << out.status();
+    ExpectByteIdentical(expected, out->rows);
+    EXPECT_EQ(stats.index_candidates, expected.NumTuples());
+    EXPECT_EQ(stats.predicate_evals, expected.NumTuples());
+    EXPECT_LE(stats.units_scanned, all_stats.units_scanned);
+    if (threads > 1) {
+      EXPECT_EQ(stats.units_scanned, units_scanned);
+    }
+    units_scanned = stats.units_scanned;
+  }
+
+  // Q2's predicate implies the probe envelope, so the nested loop finds
+  // the same pairs.
+  LogicalQuery q2 = distinct;
+  q2.join->pred = [expand](const Tuple& a, std::size_t i, const Tuple& b,
+                           std::size_t j, EverWithinStats* stats) {
+    EXPECT_LT(i, j);
+    return EverWithin(std::get<MovingPoint>(a[kTrailAttr]),
+                      std::get<MovingPoint>(b[kTrailAttr]), expand, stats);
+  };
+  const Relation indexed = Execute(q2);
+  q2.join->algorithm = LogicalQuery::JoinSpec::Algorithm::kNestedLoop;
+  q2.join->layers.reset();
+  q2.out_name = indexed.name();
+  EXPECT_GT(indexed.NumTuples(), 0u);
+  ExpectByteIdentical(indexed, Execute(q2));
+
+  // The last row alone: nothing past it to pair with, so no unit is
+  // probed and the tree sees no query.
+  LogicalQuery last = distinct;
+  const std::int64_t last_id = std::int64_t(trails.NumTuples()) - 1;
+  last.filters.push_back(
+      [last_id](const Tuple& t) { return RowId(t) == last_id; });
+  auto last_plan = PlanQuery(last);
+  ASSERT_TRUE(last_plan.ok()) << last_plan.status();
+  ExecStats last_stats;
+  const std::uint64_t queries_before = CounterValue("index.rtree3d.queries");
+  auto last_out = RunPlan(*last_plan, ThreadedOptions(1, &last_stats));
+  ASSERT_TRUE(last_out.ok()) << last_out.status();
+  EXPECT_EQ(last_out->rows.NumTuples(), 0u);
+  EXPECT_EQ(last_stats.units_scanned, 0u);
+  EXPECT_EQ(last_stats.index_candidates, 0u);
+  EXPECT_EQ(CounterValue("index.rtree3d.queries"), queries_before);
+}
+
+TEST(IndexProbe, DistinctPairsOnOneTree) {
+  const Relation fleet = WalkTrails(8, 600, 2000, 3);
+  auto tree = BuildMovingPointIndex(fleet, kTrailAttr);
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  ExpectDistinctProbe(fleet, 50, IndexLayersView::Single(&*tree));
+  // Sparse trails, where few rows meet: the probe runs every unit.
+  const Relation spread = WalkTrails(24, 120, 20000, 6);
+  auto spread_tree = BuildMovingPointIndex(spread, kTrailAttr);
+  ASSERT_TRUE(spread_tree.ok()) << spread_tree.status();
+  ExpectDistinctProbe(spread, 400, IndexLayersView::Single(&*spread_tree));
+}
+
+TEST(IndexProbe, DistinctPairsOnLiveLayers) {
+  const Relation fleet = WalkTrails(8, 300, 6000, 5);
+  IndexSnapshot stack;
+  SplitIntoLayers(fleet, &stack);
+  ExpectDistinctProbe(fleet, 50, stack.View());
 }
 
 // ---------------------------------------------------------------------------

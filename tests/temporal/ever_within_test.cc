@@ -11,8 +11,10 @@
 #include <limits>
 #include <new>
 #include <random>
+#include <utility>
 #include <vector>
 
+#include "core/simd.h"
 #include "gen/flights_gen.h"
 #include "gen/trajectory_gen.h"
 #include "temporal/lifted_ops.h"
@@ -370,6 +372,454 @@ TEST(EverWithinDifferential, PlanesPairs) {
   // Contiguous straight flights leave nothing too close to call.
   EXPECT_LT(stats.fallbacks * 100, pairs);
 #endif
+}
+
+// -- the block pass against the per-interval sweep it replaced ----------------
+
+// The sweep as it ran before the block pass, one interval at a time:
+// the reference EverWithin's verdict, `intervals` and `fallbacks` must
+// equal, in both SIMD modes.
+namespace reference {
+
+struct Quad {
+  double a, b, c;
+};
+
+double Radicand(const Quad& q, double t) { return q.a * t * t + q.b * t + q.c; }
+
+bool RadicandOk(const Quad& q, double v) {
+  return v >= -kEpsilon * (1 + std::fabs(q.c)) && v < kInf;
+}
+
+class Sweep {
+ public:
+  enum class Verdict { kFalse, kTrue, kUnsure };
+
+  void Add(const TimeInterval& iv, const Quad& q) {
+    const double v_start = Radicand(q, iv.start());
+    const double v_end = Radicand(q, iv.end());
+    if (!RadicandOk(q, v_start) || !RadicandOk(q, v_end)) unsure_ = true;
+    if (has_cur_ && cur_.q.a == q.a && cur_.q.b == q.b && cur_.q.c == q.c &&
+        TimeInterval::Adjacent(cur_.iv, iv)) {
+      cur_.iv = TimeInterval::Merge(cur_.iv, iv);
+      cur_.v_end = v_end;
+      return;
+    }
+    if (has_cur_) Close();
+    cur_ = {iv, q, v_start, v_end};
+    has_cur_ = true;
+  }
+
+  Verdict Decide(double d) {
+    if (has_cur_) Close();
+    if (open_end_pending_) Stranded(open_end_);
+    if (!has_prev_) return Verdict::kFalse;
+    if (unsure_) return Verdict::kUnsure;
+    const double m = std::sqrt(min_);
+    if (!(m < d)) return Verdict::kFalse;
+    const double band = m + 2 * kEpsilon * (1 + m);
+    if (!(band < d)) return Verdict::kUnsure;
+    if (std::sqrt(stranded_min_) <= band) return Verdict::kUnsure;
+    if (std::sqrt(continued_min_) <= band &&
+        !(std::sqrt(band * band + jump_) * (1 + 1e-12) < d)) {
+      return Verdict::kUnsure;
+    }
+    return Verdict::kTrue;
+  }
+
+ private:
+  struct Unit {
+    TimeInterval iv = TimeInterval::At(0);
+    Quad q{};
+    double v_start = 0;
+    double v_end = 0;
+  };
+
+  void Close() {
+    has_cur_ = false;
+    const Unit& u = cur_;
+    const double w_start = std::max(u.v_start, 0.0);
+    const double w_end = std::max(u.v_end, 0.0);
+    min_ = std::min({min_, w_start, w_end});
+    if (u.q.a != 0) {
+      const double vertex = -u.q.b / (2 * u.q.a);
+      if (u.iv.ContainsOpen(vertex)) {
+        const double v = Radicand(u.q, vertex);
+        if (!RadicandOk(u.q, v)) unsure_ = true;
+        min_ = std::min(min_, std::max(v, 0.0));
+      }
+    }
+    bool whole = false;
+    if (u.q.a == 0 && u.q.b == 0) {
+      const double value = u.v_start <= 0 ? 0 : std::sqrt(u.v_start);
+      whole = std::fabs(u.q.c - value * value) <= kEpsilon;
+    }
+    const bool adjacent = has_prev_ && TimeInterval::Adjacent(prev_iv_, u.iv);
+    if (open_end_pending_) {
+      open_end_pending_ = false;
+      if (adjacent && u.iv.left_closed()) {
+        Continued(open_end_, w_start);
+      } else {
+        Stranded(open_end_);
+      }
+    }
+    if (!whole && !u.iv.left_closed()) {
+      if (adjacent && prev_iv_.right_closed()) {
+        Continued(w_start, prev_end_);
+      } else {
+        Stranded(w_start);
+      }
+    }
+    if (!whole && !u.iv.right_closed()) {
+      open_end_pending_ = true;
+      open_end_ = w_end;
+    }
+    has_prev_ = true;
+    prev_iv_ = u.iv;
+    prev_end_ = w_end;
+  }
+
+  void Continued(double own, double neighbour) {
+    continued_min_ = std::min(continued_min_, own);
+    jump_ = std::max(jump_, neighbour - own);
+  }
+  void Stranded(double own) { stranded_min_ = std::min(stranded_min_, own); }
+
+  Unit cur_;
+  bool has_cur_ = false;
+  TimeInterval prev_iv_ = TimeInterval::At(0);
+  double prev_end_ = 0;
+  bool has_prev_ = false;
+  bool open_end_pending_ = false;
+  double open_end_ = 0;
+  double min_ = kInf;
+  double stranded_min_ = kInf;
+  double continued_min_ = kInf;
+  double jump_ = 0;
+  bool unsure_ = false;
+};
+
+struct Outcome {
+  bool verdict = false;
+  std::uint64_t intervals = 0;
+  std::uint64_t fallbacks = 0;
+};
+
+Outcome EverWithin(const MovingPoint& a, const MovingPoint& b, double d) {
+  Outcome out;
+  if (!(d > 0)) return out;
+  Sweep sweep;
+  (void)ForEachCommonInterval(
+      a, b, [&](const TimeInterval& iv, std::size_t i, std::size_t j) {
+        ++out.intervals;
+        const LinearMotion& p = a.unit(i).motion();
+        const LinearMotion& q = b.unit(j).motion();
+        const double dx0 = p.x0 - q.x0, dx1 = p.x1 - q.x1;
+        const double dy0 = p.y0 - q.y0, dy1 = p.y1 - q.y1;
+        sweep.Add(iv, {dx1 * dx1 + dy1 * dy1, 2 * (dx0 * dx1 + dy0 * dy1),
+                       dx0 * dx0 + dy0 * dy0});
+        return Status::OK();
+      });
+  const Sweep::Verdict verdict = sweep.Decide(d);
+  out.fallbacks = verdict == Sweep::Verdict::kUnsure ? 1 : 0;
+  out.verdict = verdict == Sweep::Verdict::kUnsure
+                    ? Composed(a, b, d)
+                    : verdict == Sweep::Verdict::kTrue;
+  return out;
+}
+
+}  // namespace reference
+
+// The SIMD modes the block pass can run in on this CPU.
+std::vector<simd::Mode> PassModes() {
+  std::vector<simd::Mode> modes = {simd::Mode::kScalar};
+  if (simd::CpuHasAvx2()) modes.push_back(simd::Mode::kAvx2);
+  return modes;
+}
+
+// EverWithin against reference::EverWithin at every threshold, both
+// ways round, in every mode; returns the number of disagreements.
+int ExpectSameAsReference(const MovingPoint& a, const MovingPoint& b,
+                          const char* what) {
+  // Thresholds at the edges of the band within which a continued open
+  // end makes the sweep unsure, too.
+  std::vector<double> ds = Thresholds(a, b);
+  Result<MovingReal> dist = LiftedDistance(a, b);
+  if (dist.ok() && !dist->IsEmpty()) {
+    const double m = *MinValue(*dist);
+    const double band = m + 2 * kEpsilon * (1 + m);
+    for (double x : {band, std::nextafter(band, kInf), band * (1 + 5e-13),
+                     band * (1 + 2e-12)}) {
+      ds.push_back(x);
+    }
+  }
+  int mismatches = 0;
+  for (simd::Mode mode : PassModes()) {
+    simd::SetSimdMode(mode);
+    for (double d : ds) {
+      for (bool swap : {false, true}) {
+        const MovingPoint& x = swap ? b : a;
+        const MovingPoint& y = swap ? a : b;
+        const reference::Outcome want = reference::EverWithin(x, y, d);
+        EverWithinStats stats;
+        const bool got = EverWithin(x, y, d, &stats);
+#ifdef MODB_NO_METRICS
+        stats.intervals = want.intervals;
+        stats.fallbacks = want.fallbacks;
+#endif
+        if (got != want.verdict || stats.intervals != want.intervals ||
+            stats.fallbacks != want.fallbacks) {
+          ++mismatches;
+          ADD_FAILURE() << what << ": mode=" << int(mode) << " d=" << d
+                        << " swap=" << swap << " verdict " << got << " vs "
+                        << want.verdict << ", intervals " << stats.intervals
+                        << " vs " << want.intervals << ", fallbacks "
+                        << stats.fallbacks << " vs " << want.fallbacks;
+        }
+      }
+    }
+  }
+  simd::SetSimdMode(simd::Mode::kAuto);
+  return mismatches;
+}
+
+// The block size, and the shortest final block that takes the pass.
+constexpr int kBlock = 64;
+constexpr int kShort = 16;
+
+// Two trails on the shared grid [k, k + 1), k < n (the last unit
+// closed), wandering over a 60 m square: every common interval is
+// half-open and continues the one before it, the pass's bulk case.
+// Coordinates are multiples of 1/8 and velocities integers, so every
+// motion coefficient, and every difference of two, is exact.
+struct GridPair {
+  std::vector<UPoint> a, b;
+
+  GridPair(int n, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<int> step(-24, 24);
+    double ax = 240, ay = 240, bx = 200, by = 260;
+    for (int k = 0; k < n; ++k) {
+      const double t = k;
+      const double avx = step(rng) / 8.0, avy = step(rng) / 8.0;
+      const double bvx = step(rng) / 8.0, bvy = step(rng) / 8.0;
+      a.push_back(Unit(k, k + 1 == n, {ax - avx * t, avx, ay - avy * t, avy}));
+      b.push_back(Unit(k, k + 1 == n, {bx - bvx * t, bvx, by - bvy * t, bvy}));
+      ax += avx;
+      ay += avy;
+      bx += bvx;
+      by += bvy;
+    }
+  }
+
+  static UPoint Unit(double t, bool last, LinearMotion m) {
+    return *UPoint::Make(TI(t, t + 1, true, last), m);
+  }
+
+  // Builds both trails, merging what the builder merges.
+  std::pair<MovingPoint, MovingPoint> Build() const {
+    return {Mapping(a), Mapping(b)};
+  }
+
+  static MovingPoint Mapping(const std::vector<UPoint>& units) {
+    MappingBuilder<UPoint> builder;
+    for (const UPoint& u : units) EXPECT_TRUE(builder.Append(u).ok());
+    return *builder.Build();
+  }
+};
+
+// `u` with motion `m`.
+UPoint GridSlot(const UPoint& u, LinearMotion m) {
+  return *UPoint::Make(u.interval(), m);
+}
+
+TEST(EverWithinBlockPass, IntervalCountsAroundTheBlock) {
+  for (int n : {1, 2, 3, kShort - 1, kShort, kShort + 1, kBlock - 1, kBlock,
+                kBlock + 1, kBlock + kShort, 2 * kBlock + 1, 5 * kBlock}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      auto [a, b] = GridPair(n, seed).Build();
+      ASSERT_EQ(ExpectSameAsReference(a, b, "grid pair"), 0)
+          << n << " intervals, seed " << seed;
+    }
+  }
+}
+
+TEST(EverWithinBlockPass, GapInsideARun) {
+  for (int at : {1, 30, kBlock - 1, kBlock, kBlock + 1}) {
+    GridPair g(150, 4);
+    g.a.erase(g.a.begin() + at);
+    auto [a, b] = g.Build();
+    ASSERT_EQ(ExpectSameAsReference(a, b, "gap"), 0) << at;
+  }
+}
+
+TEST(EverWithinBlockPass, ClosedInteriorEnd) {
+  for (int at : {1, 30, kBlock - 2, kBlock - 1, kBlock}) {
+    GridPair g(150, 5);
+    // Unit `at` closes at its end and the next one opens there.
+    const UPoint& u = g.a[std::size_t(at)];
+    const UPoint& v = g.a[std::size_t(at) + 1];
+    g.a[std::size_t(at)] = *UPoint::Make(
+        TI(u.interval().start(), u.interval().end(), true, true), u.motion());
+    g.a[std::size_t(at) + 1] = *UPoint::Make(
+        TI(v.interval().start(), v.interval().end(), false, false),
+        v.motion());
+    auto [a, b] = g.Build();
+    ASSERT_EQ(ExpectSameAsReference(a, b, "closed interior end"), 0) << at;
+  }
+}
+
+TEST(EverWithinBlockPass, AdjacentEqualQuadraticsMerge) {
+  for (int at : {1, 30, kBlock - 2, kBlock - 1}) {
+    GridPair g(150, 6);
+    // Over units at and at + 1, b is a plus one fixed linear motion, so
+    // both intervals carry one quadratic, though each trail turns at
+    // at + 1 (the builder keeps their units apart). b keeps 500 m off
+    // elsewhere, so the closest approach, 4 m at t = at + 1, sits on
+    // the boundary the merge hides.
+    const double t = at;
+    const LinearMotion a0{100 - 2 * t, 2, 50 + t, -1};
+    const double x1 = a0.x0 + a0.x1 * (t + 1), y1 = a0.y0 + a0.y1 * (t + 1);
+    const LinearMotion a1{x1 + 3 * (t + 1), -3, y1 - 2 * (t + 1), 2};
+    const LinearMotion r{-(t + 1), 1, 4, 0};
+    auto plus = [](const LinearMotion& m, const LinearMotion& r) {
+      return LinearMotion{m.x0 + r.x0, m.x1 + r.x1, m.y0 + r.y0, m.y1 + r.y1};
+    };
+    for (int k = 0; k < 150; ++k) {
+      g.b[std::size_t(k)] = GridSlot(
+          g.b[std::size_t(k)],
+          plus(g.b[std::size_t(k)].motion(), LinearMotion{500, 0, 0, 0}));
+    }
+    g.a[std::size_t(at)] = GridPair::Unit(t, false, a0);
+    g.a[std::size_t(at) + 1] = GridPair::Unit(t + 1, false, a1);
+    g.b[std::size_t(at)] = GridPair::Unit(t, false, plus(a0, r));
+    g.b[std::size_t(at) + 1] = GridPair::Unit(t + 1, false, plus(a1, r));
+    auto [a, b] = g.Build();
+    ASSERT_EQ(a.NumUnits(), 150u);
+    ASSERT_EQ(LiftedDistance(a, b)->NumUnits(), 149u);
+    ASSERT_EQ(*MinValue(*LiftedDistance(a, b)), 4);
+    ASSERT_EQ(ExpectSameAsReference(a, b, "merge"), 0) << at;
+  }
+}
+
+TEST(EverWithinBlockPass, ConstantDistanceUnits) {
+  for (int at : {1, 30, kBlock - 2, kBlock}) {
+    GridPair g(150, 7);
+    // b rides 5 m off a for three units: a constant distance, and the
+    // builder merges the three equal ureals.
+    for (int k = at; k < at + 3; ++k) {
+      const LinearMotion& m = g.a[std::size_t(k)].motion();
+      g.b[std::size_t(k)] = GridPair::Unit(
+          k, false, LinearMotion{m.x0 + 3, m.x1, m.y0 + 4, m.y1});
+    }
+    auto [a, b] = g.Build();
+    ASSERT_EQ(ExpectSameAsReference(a, b, "constant distance"), 0) << at;
+  }
+}
+
+TEST(EverWithinBlockPass, StrandedOpenEndAtTheMinimum) {
+  for (int at : {1, 30, kBlock - 1, kBlock}) {
+    GridPair g(150, 8);
+    // b keeps 500 m off except over unit `at`, where a dives at it and
+    // then leaves a gap: the closest approach is on an open end no unit
+    // continues, which only the composed operators can call.
+    for (int k = 0; k < 150; ++k) {
+      if (k == at) continue;
+      const LinearMotion& m = g.b[std::size_t(k)].motion();
+      g.b[std::size_t(k)] = GridSlot(g.b[std::size_t(k)],
+                                     {m.x0 + 500, m.x1, m.y0, m.y1});
+    }
+    const UPoint& u = g.b[std::size_t(at)];
+    const Point target = u.motion().At(at + 1);
+    g.a[std::size_t(at)] = *UPoint::FromEndpoints(
+        TI(at, at + 1, true, false), Point(target.x + 40, target.y),
+        Point(target.x + 0.5, target.y));
+    g.a.erase(g.a.begin() + at + 1);
+    auto [a, b] = g.Build();
+    ASSERT_EQ(reference::EverWithin(a, b, 1).fallbacks, 1u) << at;
+    ASSERT_EQ(ExpectSameAsReference(a, b, "stranded minimum"), 0) << at;
+  }
+}
+
+TEST(EverWithinBlockPass, JumpAtAContinuedOpenEnd) {
+  constexpr int n = 150;
+  for (int at : {1, 30, kBlock - 1, kBlock, kBlock + 1}) {
+    // a paces 30-31 m from a fixed b, except that unit at - 1 closes in
+    // to 1 m at its open end and unit `at` restarts at 10 m: the minimum
+    // is a continued open end whose neighbour lies far above it, and
+    // only that jump keeps the sweep unsure for d in (1, 10).
+    std::vector<UPoint> a, b;
+    for (int k = 0; k < n; ++k) {
+      const double x0 = k == at ? 10 : 30 + k % 2;
+      const double x1 = k == at - 1 ? 1 : 30 + (k + 1) % 2;
+      const double v = x1 - x0;
+      a.push_back(GridPair::Unit(k, k + 1 == n, {x0 - v * k, v, 0, 0}));
+      b.push_back(GridPair::Unit(k, k + 1 == n, {0, 0, 0, 0}));
+    }
+    const MovingPoint pa = GridPair::Mapping(a);
+    const MovingPoint pb = GridPair::Mapping(b);
+    ASSERT_EQ(reference::EverWithin(pa, pb, 2).fallbacks, 1u) << at;
+    ASSERT_EQ(ExpectSameAsReference(pa, pb, "jump"), 0) << at;
+  }
+}
+
+TEST(EverWithinBlockPass, NonFiniteRadicand) {
+  for (int at : {1, 30, kBlock}) {
+    GridPair g(150, 9);
+    // One unit far enough away that the squared distance overflows.
+    g.a[std::size_t(at)] =
+        GridPair::Unit(at, false, LinearMotion{1e200, 0, 1e200, 0});
+    auto [a, b] = g.Build();
+    ASSERT_EQ(ExpectSameAsReference(a, b, "overflow"), 0) << at;
+    EverWithinStats stats;
+    (void)EverWithin(a, b, 50, &stats);
+#ifndef MODB_NO_METRICS
+    EXPECT_EQ(stats.fallbacks, 1u);
+#endif
+  }
+}
+
+TEST(EverWithinBlockPass, IrregularLongTrails) {
+  // Gaps, instants, open and closed ends, jumps and stops, over enough
+  // intervals that the pass takes most blocks.
+  std::mt19937_64 rng(77);
+  int pairs = 0;
+  for (int n = 0; n < 60; ++n) {
+    const double extent = n % 2 ? 20 : 200;
+    MovingPoint a = IrregularTrail(rng, 20 + n * 7, extent);
+    MovingPoint b = IrregularTrail(rng, 20 + n * 5, extent);
+    if (a.IsEmpty() || b.IsEmpty()) continue;
+    ++pairs;
+    ASSERT_EQ(ExpectSameAsReference(a, b, "irregular long pair"), 0) << n;
+  }
+  EXPECT_GT(pairs, 50);
+}
+
+TEST(EverWithinBlockPass, FleetAndPlanesPairs) {
+  std::mt19937_64 rng(12);
+  TrajectoryOptions opts;
+  opts.num_units = 700;
+  opts.unit_duration = 10;
+  opts.extent = 2000;
+  opts.max_step = 150;
+  opts.stop_probability = 0.05;
+  for (int n = 0; n < 4; ++n) {
+    MovingPoint a = *RandomWalkPoint(rng, opts);
+    MovingPoint b = *RandomWalkPoint(rng, opts);
+    ASSERT_EQ(ExpectSameAsReference(a, b, "fleet pair"), 0) << n;
+  }
+  FlightsOptions planes_opts;
+  planes_opts.num_flights = 24;
+  planes_opts.seed = 7;
+  Relation planes = *GeneratePlanes(planes_opts);
+  for (std::size_t i = 0; i + 1 < planes.NumTuples(); i += 2) {
+    ASSERT_EQ(ExpectSameAsReference(
+                  std::get<MovingPoint>(planes.tuple(i)[kFlightAttrFlight]),
+                  std::get<MovingPoint>(planes.tuple(i + 1)[kFlightAttrFlight]),
+                  "planes pair"),
+              0)
+        << i;
+  }
 }
 
 // Every co-defined interval of the refinement partition, in order, with
